@@ -79,6 +79,7 @@ func TestClusterDirectivesAreLoadBearing(t *testing.T) {
 var hotpathRoster = map[string][]string{
 	"../vecmath/vector.go":          {"Dot", "Norm", "SquaredNorm", "Normalize", "AXPY", "Scale"},
 	"../vecmath/distance.go":        {"CosineDistance", "CosineDistanceUnit", "EuclideanDistance", "SquaredEuclidean"},
+	"../vecmath/scan.go":            {"AppendCosineUnitRange", "dot32"},
 	"../cluster/atomicunionfind.go": {"Find", "Union", "Same"},
 	"../cluster/wavemerge.go":       {"Absorb"},
 	"../telemetry/metrics.go":       {"Inc", "Add", "Set", "Dec", "Observe"},

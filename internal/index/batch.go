@@ -64,6 +64,9 @@ func ForEach(n, workers, grain int, fn func(i int)) {
 		}
 		return
 	}
+	// The goroutines capture chunk, not the reassigned parameter grain,
+	// which would move it to the heap on the serial path too.
+	chunk := grain
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -71,8 +74,8 @@ func ForEach(n, workers, grain int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				hi := int(next.Add(int64(grain)))
-				lo := hi - grain
+				hi := int(next.Add(int64(chunk)))
+				lo := hi - chunk
 				if lo >= n {
 					return
 				}
@@ -125,14 +128,7 @@ func (b *BruteForce) BatchRangeSearchWorkers(queries [][]float32, eps float64, w
 	out := make([][]int, len(queries))
 	b.queries.Add(int64(len(queries)))
 	ForEach(len(queries), workers, grain, func(i int) {
-		q := queries[i]
-		var ids []int
-		for j, p := range b.points {
-			if b.dist(q, p) < eps {
-				ids = append(ids, j)
-			}
-		}
-		out[i] = ids
+		out[i] = b.scan(nil, queries[i], eps, 0, len(b.points))
 	})
 	return out
 }

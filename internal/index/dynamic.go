@@ -46,6 +46,7 @@ const rebuildFraction = 4
 // Insert implements DynamicIndex: the vectors join the scan set directly.
 func (b *BruteForce) Insert(vecs [][]float32) {
 	b.points = append(b.points, vecs...)
+	b.growMaxNorm(vecs)
 }
 
 // Delete implements DynamicIndex: the point is removed from the scan set

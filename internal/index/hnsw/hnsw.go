@@ -607,13 +607,16 @@ type searchCtx struct {
 }
 
 // reset prepares the context for a query over n nodes with an ef-wide
-// result set. Growth happens here, outside the hot loop.
+// result set. Growth happens here, outside the hot loop, and at least
+// doubles the node arrays: a graph build grows n by one per insert, and
+// exact-size regrowth would allocate O(n²) bytes over the build.
 func (sc *searchCtx) reset(n, ef int) {
 	if len(sc.visited) < n {
-		sc.visited = make([]uint32, n)
-		sc.candID = make([]int32, n)
-		sc.candD = make([]float64, n)
-		sc.out = make([]int32, n)
+		size := max(n, 2*len(sc.visited))
+		sc.visited = make([]uint32, size)
+		sc.candID = make([]int32, size)
+		sc.candD = make([]float64, size)
+		sc.out = make([]int32, size)
 		sc.epoch = 0
 	}
 	if len(sc.resID) < ef {

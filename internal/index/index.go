@@ -1,6 +1,8 @@
 package index
 
 import (
+	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,9 +37,16 @@ type KNNSearcher interface {
 // BruteForce scans every indexed point. It parallelizes large scans across
 // GOMAXPROCS workers, which is the configuration all methods share in the
 // benchmark harness so that relative timings stay meaningful.
+//
+// Every scan goes through scan. With vecmath.CosineDistanceUnit as its
+// distance that is the float32 kernel vecmath.AppendCosineUnitRange, whose
+// decisions equal the per-pair loop's; any other distance keeps the
+// per-pair loop.
 type BruteForce struct {
 	points   [][]float32
 	dist     vecmath.DistanceFunc
+	unitCos  bool    // dist is vecmath.CosineDistanceUnit
+	maxNorm  float64 // ≥ every point's norm when unitCos; NaN or +Inf after a non-finite point
 	parallel bool
 	queries  atomic.Int64
 }
@@ -45,7 +54,43 @@ type BruteForce struct {
 // NewBruteForce indexes points with the given distance. The points slice is
 // retained, not copied.
 func NewBruteForce(points [][]float32, dist vecmath.DistanceFunc) *BruteForce {
-	return &BruteForce{points: points, dist: dist, parallel: true}
+	b := &BruteForce{points: points, dist: dist, parallel: true}
+	b.unitCos = reflect.ValueOf(dist).Pointer() == reflect.ValueOf(vecmath.CosineDistanceUnit).Pointer()
+	b.growMaxNorm(points)
+	return b
+}
+
+// growMaxNorm raises maxNorm to cover vecs. Deletions never lower it: a
+// stale, larger value only loosens the kernel's error bound.
+func (b *BruteForce) growMaxNorm(vecs [][]float32) {
+	if !b.unitCos {
+		return
+	}
+	for _, v := range vecs {
+		if n := vecmath.Norm(v); n > b.maxNorm || math.IsNaN(n) {
+			b.maxNorm = n
+		}
+	}
+}
+
+// scan appends to dst the ids in [lo, hi) of the points within eps of q,
+// in increasing order. It is the one scan loop of every BruteForce query
+// path.
+func (b *BruteForce) scan(dst []int, q []float32, eps float64, lo, hi int) []int {
+	if b.unitCos {
+		start := len(dst)
+		dst = vecmath.AppendCosineUnitRange(dst, q, b.points[lo:hi], eps, b.maxNorm)
+		for i := start; lo != 0 && i < len(dst); i++ {
+			dst[i] += lo
+		}
+		return dst
+	}
+	for i := lo; i < hi; i++ {
+		if b.dist(q, b.points[i]) < eps {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // SetParallel toggles multi-goroutine scans (on by default). Tests use the
@@ -64,24 +109,21 @@ func (b *BruteForce) ResetQueries() { b.queries.Store(0) }
 
 const parallelThreshold = 1 << 17 // ~point-dims per shard worth spawning for
 
-// RangeSearch implements RangeSearcher.
-func (b *BruteForce) RangeSearch(q []float32, eps float64) []int {
-	b.queries.Add(1)
-	n := len(b.points)
-	if n == 0 {
-		return nil
-	}
+// shards returns how many goroutines a scan of q is split across: 1, the
+// calling goroutine, for a serial index or a small scan, else GOMAXPROCS.
+func (b *BruteForce) shards(q []float32) int {
 	workers := runtime.GOMAXPROCS(0)
-	if !b.parallel || workers == 1 || n*len(q) < parallelThreshold {
-		var out []int
-		for i, p := range b.points {
-			if b.dist(q, p) < eps {
-				out = append(out, i)
-			}
-		}
-		return out
+	if !b.parallel || workers == 1 || len(b.points)*len(q) < parallelThreshold {
+		return 1
 	}
-	parts := make([][]int, workers)
+	return workers
+}
+
+// scanShards scans the points in workers contiguous id ranges, one
+// goroutine each: range w's ids go to ids[w], or, with ids nil, only their
+// number to counts[w].
+func (b *BruteForce) scanShards(q []float32, eps float64, workers int, ids [][]int, counts []int) {
+	n := len(b.points)
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -89,23 +131,28 @@ func (b *BruteForce) RangeSearch(q []float32, eps float64) []int {
 		if lo >= n {
 			break
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			var local []int
-			for i := lo; i < hi; i++ {
-				if b.dist(q, b.points[i]) < eps {
-					local = append(local, i)
-				}
+			if ids != nil {
+				ids[w] = b.scan(nil, q, eps, lo, hi)
+			} else {
+				counts[w] = b.count(q, eps, lo, hi)
 			}
-			parts[w] = local
-		}(w, lo, hi)
+		}(w, lo, min(lo+chunk, n))
 	}
 	wg.Wait()
+}
+
+// RangeSearch implements RangeSearcher.
+func (b *BruteForce) RangeSearch(q []float32, eps float64) []int {
+	b.queries.Add(1)
+	workers := b.shards(q)
+	if workers == 1 {
+		return b.scan(nil, q, eps, 0, len(b.points))
+	}
+	parts := make([][]int, workers)
+	b.scanShards(q, eps, workers, parts, nil)
 	var out []int
 	for _, p := range parts {
 		out = append(out, p...)
@@ -113,45 +160,27 @@ func (b *BruteForce) RangeSearch(q []float32, eps float64) []int {
 	return out
 }
 
+// count returns the number of points in [lo, hi) within eps of q. It
+// scans in blocks no longer than its stack buffer, so the ids never
+// outgrow it and counting allocates nothing.
+func (b *BruteForce) count(q []float32, eps float64, lo, hi int) int {
+	var buf [256]int
+	c := 0
+	for ; lo < hi; lo += len(buf) {
+		c += len(b.scan(buf[:0], q, eps, lo, min(lo+len(buf), hi)))
+	}
+	return c
+}
+
 // RangeCount implements RangeSearcher.
 func (b *BruteForce) RangeCount(q []float32, eps float64) int {
 	b.queries.Add(1)
-	n := len(b.points)
-	workers := runtime.GOMAXPROCS(0)
-	if !b.parallel || workers == 1 || n*len(q) < parallelThreshold {
-		count := 0
-		for _, p := range b.points {
-			if b.dist(q, p) < eps {
-				count++
-			}
-		}
-		return count
+	workers := b.shards(q)
+	if workers == 1 {
+		return b.count(q, eps, 0, len(b.points))
 	}
 	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			c := 0
-			for i := lo; i < hi; i++ {
-				if b.dist(q, b.points[i]) < eps {
-					c++
-				}
-			}
-			counts[w] = c
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	b.scanShards(q, eps, workers, nil, counts)
 	total := 0
 	for _, c := range counts {
 		total += c

@@ -1,8 +1,12 @@
 package index
 
 import (
+	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -110,6 +114,103 @@ func TestBruteForceParallelMatchesSerial(t *testing.T) {
 			t.Fatal("count mismatch")
 		}
 	}
+}
+
+// perPairRange is the reference every BruteForce entry point must match:
+// the plain loop over the current points, ids ascending.
+func perPairRange(pts [][]float32, q []float32, eps float64) []int {
+	var out []int
+	for j, p := range pts {
+		if vecmath.CosineDistanceUnit(q, p) < eps {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// checkEntryPoints runs RangeSearch (sharded at this size), RangeCount,
+// BatchRangeSearchWorkers and the streaming wave path for every query at
+// eps and at the exact distance from each query to the boundary points,
+// give or take one ulp, and compares each with the per-pair loop.
+func checkEntryPoints(t *testing.T, stage string, bf *BruteForce, mirror, queries [][]float32, eps float64, boundary [][]float32) {
+	t.Helper()
+	epss := []float64{eps}
+	for _, q := range queries {
+		for _, p := range boundary {
+			e := vecmath.CosineDistanceUnit(q, p)
+			epss = append(epss, math.Nextafter(e, 0), e, math.Nextafter(e, 3))
+		}
+	}
+	for _, e := range epss {
+		want := make([][]int, len(queries))
+		for i, q := range queries {
+			want[i] = perPairRange(mirror, q, e)
+			if got := bf.RangeSearch(q, e); !equalIDs(got, want[i]) {
+				t.Fatalf("%s: RangeSearch(q%d, %v) = %d ids, per-pair %d", stage, i, e, len(got), len(want[i]))
+			}
+			if got := bf.RangeCount(q, e); got != len(want[i]) {
+				t.Fatalf("%s: RangeCount(q%d, %v) = %d, per-pair %d", stage, i, e, got, len(want[i]))
+			}
+		}
+		for i, got := range bf.BatchRangeSearchWorkers(queries, e, 2, 1) {
+			if !equalIDs(got, want[i]) {
+				t.Fatalf("%s: BatchRangeSearchWorkers q%d at %v: %d ids, per-pair %d", stage, i, e, len(got), len(want[i]))
+			}
+		}
+		streamed := collectStream(len(queries), func(fn func(int, []int)) {
+			if err := BatchRangeSearchFunc(context.Background(), bf, queries, e, 2, 1, 2, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for i, got := range streamed {
+			if !equalIDs(got, want[i]) {
+				t.Fatalf("%s: BatchRangeSearchFunc q%d at %v: %d ids, per-pair %d", stage, i, e, len(got), len(want[i]))
+			}
+		}
+	}
+}
+
+// TestBruteForceScanMatchesPerPairAfterMutation pins the cosine kernel's
+// exactness through mutation: the inserted point's norm dwarfs every
+// earlier one, so a maxNorm left at its construction value would let the
+// float32 pass decide pairs at eps wrongly; after DeleteMany the stale,
+// larger maxNorm must still give the same answers.
+func TestBruteForceScanMatchesPerPairAfterMutation(t *testing.T) {
+	const dim = 48
+	pts := clusteredPoints(3000, dim, 11)
+	mirror := append([][]float32(nil), pts...)
+	bf := NewBruteForce(append([][]float32(nil), pts...), vecmath.CosineDistanceUnit)
+	queries := append([][]float32{}, pts[:4]...)
+	checkEntryPoints(t, "fresh", bf, mirror, queries, 0.3, pts[4:8])
+
+	// big = 1e6·r + 0.45·q with r a unit vector orthogonal to queries[0]:
+	// distance about 0.55 from it, norm about 1e6.
+	rng := rand.New(rand.NewSource(12))
+	q := queries[0]
+	r := vecmath.RandomGaussian(dim, 0, 1, rng)
+	proj := float32(vecmath.Dot(r, q))
+	for i := range r {
+		r[i] -= proj * q[i]
+	}
+	vecmath.Normalize(r)
+	big := make([]float32, dim)
+	for i := range big {
+		big[i] = 1e6*r[i] + 0.45*q[i]
+	}
+	added := [][]float32{big, vecmath.RandomUnit(dim, rng), vecmath.PerturbOnSphere(q, 0.05, rng)}
+	bf.Insert(added)
+	mirror = append(mirror, added...)
+	checkEntryPoints(t, "after Insert", bf, mirror, queries, 0.3, added)
+
+	del := []int{0, 5, 17, 1000, 2999, 3000}
+	bf.DeleteMany(del)
+	kept := mirror[:0:0]
+	for i, p := range mirror {
+		if !slices.Contains(del, i) {
+			kept = append(kept, p)
+		}
+	}
+	checkEntryPoints(t, "after DeleteMany", bf, kept, queries, 0.3, kept[len(kept)-2:])
 }
 
 func TestCoverTreeMatchesBruteForce(t *testing.T) {
@@ -373,4 +474,35 @@ func TestGridCellStructure(t *testing.T) {
 	if g.NumCells() != 2 {
 		t.Errorf("NumCells = %d, want 2", g.NumCells())
 	}
+}
+
+// TestBruteForceStreamingConcurrentCalls runs the wave path from several
+// goroutines at once, so concurrent calls share the pooled wave scratch,
+// and checks every result against the per-pair loop.
+func TestBruteForceStreamingConcurrentCalls(t *testing.T) {
+	pts := clusteredPoints(600, 32, 21)
+	bf := NewBruteForce(pts, vecmath.CosineDistanceUnit)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				lo := (g*10 + r) * 7 % 500
+				queries := pts[lo : lo+1+(r%3)*20]
+				got := collectStream(len(queries), func(fn func(int, []int)) {
+					if err := BatchRangeSearchFunc(context.Background(), bf, queries, 0.3, 2, 1, 16, fn); err != nil {
+						t.Error(err)
+					}
+				})
+				for i, q := range queries {
+					if want := perPairRange(pts, q, 0.3); !equalIDs(got[i], want) {
+						t.Errorf("goroutine %d call %d query %d: %d ids, per-pair %d", g, r, i, len(got[i]), len(want))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

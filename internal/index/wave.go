@@ -1,6 +1,9 @@
 package index
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // This file is the streaming counterpart of batch.go: instead of
 // materializing one result slice per query — O(Σ|N(q)|) live at once —
@@ -101,10 +104,11 @@ func BatchRangeSearchFunc(ctx context.Context, s RangeSearcher, queries [][]floa
 
 // BatchRangeSearchFuncWorkers is BruteForce's native streaming path: each
 // wave slot owns one result buffer that is reset and reused wave after
-// wave, so a full sweep over n queries allocates O(wave) buffers total
-// instead of n. Within a wave a slot is touched by exactly one worker, and
-// the pool barrier between waves orders the reuse. The context carries the
-// same per-wave cancellation and progress semantics as BatchRangeSearchFunc.
+// wave, and slot 0's is kept call after call in waveScratchPool, so a warm
+// single-vector call allocates nothing. Within a wave a slot is touched by
+// exactly one worker, and the pool barrier between waves orders the reuse.
+// The context carries the same per-wave cancellation and progress
+// semantics as BatchRangeSearchFunc.
 func (b *BruteForce) BatchRangeSearchFuncWorkers(ctx context.Context, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error {
 	n := len(queries)
 	if n == 0 {
@@ -112,31 +116,54 @@ func (b *BruteForce) BatchRangeSearchFuncWorkers(ctx context.Context, queries []
 	}
 	wave = ResolveWaveSize(wave)
 	progress := waveProgress(ctx)
-	bufs := make([][]int, min(wave, n))
+	s := waveScratchPool.Get().(*waveScratch)
+	defer func() {
+		// Keep only slot 0's buffer, all a single-vector call needs: a
+		// batch's other slots would pin up to wave·Len() ids in the pool.
+		clear(s.bufs[1:])
+		s.b, s.queries, s.fn = nil, nil, nil
+		waveScratchPool.Put(s)
+	}()
+	s.b, s.queries, s.eps, s.fn = b, queries, eps, fn
+	if slots := min(wave, n); len(s.bufs) < slots {
+		s.bufs = append(s.bufs, make([][]int, slots-len(s.bufs))...)
+	}
 	for base := 0; base < n; base += wave {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		hi := min(base+wave, n)
-		lo := base
-		b.queries.Add(int64(hi - lo))
-		ForEach(hi-lo, workers, grain, func(k int) {
-			q := queries[lo+k]
-			ids := bufs[k][:0]
-			for j, p := range b.points {
-				if b.dist(q, p) < eps {
-					ids = append(ids, j)
-				}
-			}
-			bufs[k] = ids
-			fn(lo+k, ids)
-		})
+		s.lo = base
+		b.queries.Add(int64(hi - base))
+		ForEach(hi-base, workers, grain, s.run)
 		if progress != nil {
-			progress(hi - lo)
+			progress(hi - base)
 		}
 	}
 	return nil
 }
+
+// waveScratch is the reusable state of one BatchRangeSearchFuncWorkers
+// call: a result buffer per wave slot and the pool callback, bound once
+// to the scratch so that passing it to ForEach allocates nothing.
+type waveScratch struct {
+	b       *BruteForce
+	queries [][]float32
+	eps     float64
+	lo      int // first query of the current wave
+	fn      func(i int, ids []int)
+	bufs    [][]int
+	run     func(k int)
+}
+
+var waveScratchPool = sync.Pool{New: func() any {
+	s := new(waveScratch)
+	s.run = func(k int) {
+		s.bufs[k] = s.b.scan(s.bufs[k][:0], s.queries[s.lo+k], s.eps, 0, len(s.b.points))
+		s.fn(s.lo+k, s.bufs[k])
+	}
+	return s
+}}
 
 // CoverTree needs no native streaming path: its traversal is read-only
 // after construction and allocates per query either way, so the generic

@@ -235,9 +235,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	if dim := len(vectors[0]); dim != model.Dim() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: predict vectors have %d dims, model %s was fitted on %d", dim, id, model.Dim()))
+	if err := model.CheckDims(vectors); err != nil {
+		writeError(w, statusFor(err), fmt.Errorf("serve: predict vectors for model %s: %w", id, err))
 		return
 	}
 	// The predict span is the acceptance path of the tracing layer: a

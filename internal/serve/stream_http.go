@@ -60,9 +60,8 @@ func (s *Server) handleStreamModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	if dim := len(vectors[0]); dim != model.Dim() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: stream vectors have %d dims, model %s has %d", dim, id, model.Dim()))
+	if err := model.CheckDims(vectors); err != nil {
+		writeError(w, statusFor(err), fmt.Errorf("serve: stream vectors for model %s: %w", id, err))
 		return
 	}
 	status, err := s.eng.SubmitFunc(r.Context(), info.Dataset, lafdbscan.Method(info.Method), "model-stream",

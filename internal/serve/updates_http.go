@@ -104,9 +104,8 @@ func (s *Server) handleInsertModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	if dim := len(vectors[0]); dim != model.Dim() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: insert vectors have %d dims, model %s has %d", dim, id, model.Dim()))
+	if err := model.CheckDims(vectors); err != nil {
+		writeError(w, statusFor(err), fmt.Errorf("serve: insert vectors for model %s: %w", id, err))
 		return
 	}
 	s.submitModelUpdate(r.Context(), w, info, "model-insert",

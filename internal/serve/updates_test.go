@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,5 +185,45 @@ func TestModelUpdateValidation(t *testing.T) {
 	code, body = getJSON(t, base+"/v1/models/"+id)
 	if code != http.StatusOK || int(body["updates"].(float64)) != 0 {
 		t.Fatalf("failed remove mutated the model: %d %v", code, body)
+	}
+}
+
+// TestRaggedBatchesAre400 sends the predict, insert and stream endpoints a
+// batch whose vector 70 is one component short, and a registered dataset
+// of the wrong dimension: every request is a 400, no job is queued, and
+// the server keeps answering.
+func TestRaggedBatchesAre400(t *testing.T) {
+	base, vectors, cleanup := modelServer(t, Options{Workers: 2, QueueDepth: 4})
+	defer cleanup()
+	code, body := postJSON(t, base+"/v1/models", map[string]any{
+		"dataset": "mdl", "method": "dbscan",
+		"params": map[string]any{"eps": 0.5, "tau": 4, "workers": 2},
+	})
+	if code != http.StatusCreated {
+		t.Fatalf("fit: %d %v", code, body)
+	}
+	id := body["model"].(map[string]any)["id"].(string)
+	if code, body := postJSON(t, base+"/v1/datasets", map[string]any{
+		"name": "narrow", "vectors": [][]float32{{1, 0}, {0, 1}},
+	}); code != http.StatusCreated {
+		t.Fatalf("register narrow: %d %v", code, body)
+	}
+	ragged := slices.Clone(vectors[:100])
+	ragged[70] = ragged[70][:len(ragged[70])-1]
+	for _, op := range []string{"predict", "insert", "stream"} {
+		url := base + "/v1/models/" + id + "/" + op
+		if code, body := postJSON(t, url, map[string]any{"vectors": ragged}); code != http.StatusBadRequest {
+			t.Errorf("%s with ragged vector 70: %d %v, want 400", op, code, body)
+		}
+		code, body := postJSON(t, url, map[string]any{"dataset": "narrow"})
+		if code != http.StatusBadRequest || !strings.Contains(body["error"].(string), lafdbscan.ErrDimensionMismatch.Error()) {
+			t.Errorf("%s with a 2-d dataset: %d %v, want 400 naming the mismatch", op, code, body)
+		}
+	}
+	if code, body := getJSON(t, base+"/v1/jobs"); code != http.StatusOK || len(body["jobs"].([]any)) != 0 {
+		t.Errorf("rejected requests queued jobs: %d %v", code, body)
+	}
+	if code, body := postJSON(t, base+"/v1/models/"+id+"/predict", map[string]any{"vectors": vectors[:100]}); code != http.StatusOK {
+		t.Fatalf("predict after rejections: %d %v", code, body)
 	}
 }

@@ -267,6 +267,29 @@ func (m *Model) dimLocked() int {
 	return len(m.points[0])
 }
 
+// ErrDimensionMismatch reports a vector whose length differs from the
+// model's dimensionality. Predict, PredictWithOptions and Insert return it,
+// wrapped with the offending position, before running any query.
+var ErrDimensionMismatch = errors.New("lafdbscan: vector dimension does not match the model")
+
+// CheckDims returns ErrDimensionMismatch, wrapped with the position of the
+// first offending vector, when any vector's length differs from Dim().
+func (m *Model) CheckDims(vectors [][]float32) error {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.checkDimsLocked(vectors)
+}
+
+func (m *Model) checkDimsLocked(vectors [][]float32) error {
+	dim := m.dimLocked()
+	for i, v := range vectors {
+		if len(v) != dim {
+			return fmt.Errorf("%w: vector %d has %d dims, model has %d", ErrDimensionMismatch, i, len(v), dim)
+		}
+	}
+	return nil
+}
+
 // IndexBackend returns the registry name of the backend the model's range
 // index was resolved through ("brute", "hnsw", ...), or "" when the index
 // was supplied pre-built by the caller (the lafserve registry reports its
@@ -388,10 +411,14 @@ func (m *Model) Predict(ctx context.Context, vectors [][]float32) ([]int, error)
 }
 
 // PredictWithOptions is Predict with the LAF gate available; skipped
-// reports how many range queries the gate elided.
+// reports how many range queries the gate elided. A vector whose length
+// differs from Dim() fails the whole call with ErrDimensionMismatch.
 func (m *Model) PredictWithOptions(ctx context.Context, vectors [][]float32, o PredictOptions) (labels []int, skipped int, err error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if err := m.checkDimsLocked(vectors); err != nil {
+		return nil, 0, err
+	}
 	labels = make([]int, len(vectors))
 	queries := vectors
 	qmap := []int(nil) // queries[k] predicts labels[qmap[k]] (nil: identity)

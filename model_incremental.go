@@ -244,7 +244,8 @@ func (m *Model) scanFacts(ctx context.Context, idx RangeIndex, points [][]float3
 // neighborhood query each), new core points may merge existing clusters
 // through the ε-connectivity forest, and labels are re-resolved in memory.
 // New points get ids Len()..Len()+k-1. Vectors must be unit-normalized
-// with the model's dimensionality.
+// with the model's dimensionality; any other length fails the whole batch
+// with ErrDimensionMismatch.
 //
 // For the traversal engines the resulting labels are bit-identical to a
 // fresh Fit on the grown point set (see the equality contract at the top
@@ -261,11 +262,8 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	if len(vectors) == 0 {
 		return m.reportLocked(UpdateReport{}), nil
 	}
-	dim := m.dimLocked()
-	for i, v := range vectors {
-		if len(v) != dim {
-			return UpdateReport{}, fmt.Errorf("lafdbscan: insert vector %d has %d dims, model has %d", i, len(v), dim)
-		}
+	if err := m.checkDimsLocked(vectors); err != nil {
+		return UpdateReport{}, err
 	}
 	if err := m.ensureIncLocked(ctx); err != nil {
 		return UpdateReport{}, err

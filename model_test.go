@@ -3,7 +3,9 @@ package lafdbscan
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -358,6 +360,43 @@ func TestPredictCancellation(t *testing.T) {
 	cancel()
 	if _, err := model.Predict(ctx, test.Vectors); err != context.Canceled {
 		t.Fatalf("predict under canceled context returned %v", err)
+	}
+}
+
+// TestRaggedBatchIsNamedError pins the boundary check: a vector of the
+// wrong length deep inside a batch (not at position 0, the only one the
+// server used to check) fails Predict, PredictWithOptions and Insert with
+// ErrDimensionMismatch naming its position, before any query runs on the
+// worker pool, and Insert leaves the model untouched.
+func TestRaggedBatchIsNamedError(t *testing.T) {
+	d := GloVeLike(300, 17)
+	model, err := Fit(context.Background(), d.Vectors[:200], MethodDBSCAN, WithEps(0.4), WithTau(4), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := append([][]float32(nil), d.Vectors[200:300]...)
+	batch[70] = batch[70][:199]
+	check := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrDimensionMismatch) || !strings.Contains(err.Error(), "vector 70 has 199 dims, model has 200") {
+			t.Errorf("%s: err = %v, want ErrDimensionMismatch at vector 70", op, err)
+		}
+	}
+	_, err = model.Predict(context.Background(), batch)
+	check("Predict", err)
+	_, _, err = model.PredictWithOptions(context.Background(), batch, PredictOptions{})
+	check("PredictWithOptions", err)
+	before := model.Labels()
+	_, err = model.Insert(context.Background(), batch)
+	check("Insert", err)
+	if model.Len() != 200 || !slices.Equal(model.Labels(), before) {
+		t.Errorf("failed Insert changed the model: %d points", model.Len())
+	}
+	long := append([][]float32(nil), d.Vectors[200:300]...)
+	long[99] = append(slices.Clone(long[99]), 0)
+	_, err = model.Predict(context.Background(), long)
+	if !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("longer vector: err = %v, want ErrDimensionMismatch", err)
 	}
 }
 
