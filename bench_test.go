@@ -600,3 +600,18 @@ func BenchmarkEstimatorPredict(b *testing.B) {
 		est.Estimate(d.Vectors[i%d.Len()], 0.5)
 	}
 }
+
+// BenchmarkTrainRMIEstimator measures a cold estimator build with the
+// default configuration on 1,500 MS-like 768-d vectors: the exact label
+// pass over 100 query points, then the 1/2/4 RMI training that dominates
+// it. Every LAF job without a cached estimator pays this once.
+func BenchmarkTrainRMIEstimator(b *testing.B) {
+	d := MSLike(1500, 76)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TrainRMIEstimator(d.Vectors, EstimatorConfig{MaxQueries: 100, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

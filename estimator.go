@@ -169,7 +169,7 @@ func marshalEstimator(est Estimator) (estimatorPayload, error) {
 }
 
 // unmarshalEstimator is the inverse of marshalEstimator.
-func unmarshalEstimator(payload estimatorPayload) (Estimator, error) {
+func unmarshalEstimator(payload estimatorPayload) (*cardest.RMIEstimator, error) {
 	model, err := rmi.Load(bytes.NewReader(payload.Model))
 	if err != nil {
 		return nil, err
@@ -188,7 +188,11 @@ func LoadEstimator(path string) (Estimator, error) {
 	if err := gob.NewDecoder(f).Decode(&payload); err != nil {
 		return nil, fmt.Errorf("lafdbscan: decoding estimator: %w", err)
 	}
-	return unmarshalEstimator(payload)
+	est, err := unmarshalEstimator(payload)
+	if err != nil {
+		return nil, err
+	}
+	return est, nil
 }
 
 // ExactEstimator returns a cardinality oracle that executes real range

@@ -71,7 +71,8 @@ func TestClusterDirectivesAreLoadBearing(t *testing.T) {
 
 // hotpathRoster is the set of functions this repository REQUIRES to stay
 // registered as hot paths: the wave callback chain, the vecmath kernels
-// the clustering loops call per point pair, the telemetry write path
+// the clustering loops call per point pair, the dense-layer kernels the
+// estimator gate and its training run per sample, the telemetry write path
 // every instrumented request touches, and the span-record path every
 // sampled request finishes through. Deleting one of these
 // //lafvet:hotpath directives fails this test, so the annotations cannot
@@ -85,6 +86,7 @@ var hotpathRoster = map[string][]string{
 	"../telemetry/metrics.go":       {"Inc", "Add", "Set", "Dec", "Observe"},
 	"../index/hnsw/hnsw.go":         {"searchLayer"},
 	"../trace/trace.go":             {"Finish", "record"},
+	"../nn/network.go":              {"forward", "accumulate"},
 }
 
 func TestHotpathRoster(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 )
 
 // Activation identifies a layer nonlinearity.
@@ -103,6 +102,34 @@ func NewNetwork(widths []int, hidden, output Activation, rng *rand.Rand) *Networ
 	return n
 }
 
+// Validate reports whether n is a well-formed network: at least one layer,
+// positive widths, each layer's input width equal to the previous layer's
+// output width, W and B of the lengths the widths give, and known
+// activations. Networks from NewNetwork always are; a decoded one must be
+// checked before its first Forward, which would otherwise panic on a short
+// W or read past the end of a layer.
+func (n *Network) Validate() error {
+	if len(n.Layers) == 0 {
+		return fmt.Errorf("nn: network has no layers")
+	}
+	for li, l := range n.Layers {
+		switch {
+		case l == nil:
+			return fmt.Errorf("nn: layer %d is nil", li)
+		case l.In <= 0 || l.Out <= 0:
+			return fmt.Errorf("nn: layer %d has widths %d->%d", li, l.In, l.Out)
+		case li > 0 && l.In != n.Layers[li-1].Out:
+			return fmt.Errorf("nn: layer %d takes %d inputs but layer %d gives %d", li, l.In, li-1, n.Layers[li-1].Out)
+		// Division, not In*Out, so huge widths cannot overflow into a match.
+		case len(l.W)%l.In != 0 || len(l.W)/l.In != l.Out || len(l.B) != l.Out:
+			return fmt.Errorf("nn: layer %d (%d->%d) has %d weights and %d biases", li, l.In, l.Out, len(l.W), len(l.B))
+		case l.Act < Identity || l.Act > Sigmoid:
+			return fmt.Errorf("nn: layer %d has unknown activation %v", li, l.Act)
+		}
+	}
+	return nil
+}
+
 // NumParams returns the total number of trainable parameters.
 func (n *Network) NumParams() int {
 	total := 0
@@ -118,6 +145,57 @@ func (n *Network) InDim() int { return n.Layers[0].In }
 // OutDim returns the output dimension.
 func (n *Network) OutDim() int { return n.Layers[len(n.Layers)-1].Out }
 
+// forward computes out[o] = act(B[o] + Σ_i W[o,i]·x[i]) for every output o.
+// Each accumulator starts at B[o] and adds W[o,i]*x[i] in increasing i, the
+// one summation order every caller has always used, so activations are the
+// same bits whichever path computes them. Four rows share each pass over x:
+// their add chains are independent, so they overlap instead of each waiting
+// on the latency of its own previous add.
+//
+//lafvet:hotpath
+func (l *Dense) forward(x, out []float64) {
+	if len(x) != l.In || len(out) < l.Out {
+		panic(fmt.Sprintf("nn: layer %d->%d given %d inputs and %d outputs", l.In, l.Out, len(x), len(out)))
+	}
+	in := l.In
+	o := 0
+	for ; o+4 <= l.Out; o += 4 {
+		r0 := l.W[o*in : (o+1)*in][:len(x)]
+		r1 := l.W[(o+1)*in : (o+2)*in][:len(x)]
+		r2 := l.W[(o+2)*in : (o+3)*in][:len(x)]
+		r3 := l.W[(o+3)*in : (o+4)*in][:len(x)]
+		s0, s1, s2, s3 := l.B[o], l.B[o+1], l.B[o+2], l.B[o+3]
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		out[o] = l.Act.apply(s0)
+		out[o+1] = l.Act.apply(s1)
+		out[o+2] = l.Act.apply(s2)
+		out[o+3] = l.Act.apply(s3)
+	}
+	for ; o < l.Out; o++ {
+		row := l.W[o*in : (o+1)*in][:len(x)]
+		s := l.B[o]
+		for i, xi := range x {
+			s += row[i] * xi
+		}
+		out[o] = l.Act.apply(s)
+	}
+}
+
+// run computes every layer's activations into scratch and returns the last.
+func (n *Network) run(x []float64, scratch *Scratch) []float64 {
+	cur := x
+	for li, l := range n.Layers {
+		l.forward(cur, scratch.acts[li])
+		cur = scratch.acts[li]
+	}
+	return cur
+}
+
 // Forward computes the network output for a single input. The scratch
 // argument may be nil; passing a *Scratch avoids per-call allocation in hot
 // prediction loops.
@@ -125,19 +203,7 @@ func (n *Network) Forward(x []float64, scratch *Scratch) []float64 {
 	if scratch == nil {
 		scratch = NewScratch(n)
 	}
-	cur := x
-	for li, l := range n.Layers {
-		out := scratch.acts[li]
-		for o := 0; o < l.Out; o++ {
-			s := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				s += row[i] * xi
-			}
-			out[o] = l.Act.apply(s)
-		}
-		cur = out
-	}
+	cur := n.run(x, scratch)
 	result := make([]float64, len(cur))
 	copy(result, cur)
 	return result
@@ -149,20 +215,7 @@ func (n *Network) Predict1(x []float64, scratch *Scratch) float64 {
 	if scratch == nil {
 		scratch = NewScratch(n)
 	}
-	cur := x
-	for li, l := range n.Layers {
-		out := scratch.acts[li]
-		for o := 0; o < l.Out; o++ {
-			s := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				s += row[i] * xi
-			}
-			out[o] = l.Act.apply(s)
-		}
-		cur = out
-	}
-	return cur[0]
+	return n.run(x, scratch)[0]
 }
 
 // Scratch holds per-layer activation buffers for one concurrent user of a
@@ -215,36 +268,11 @@ func (g *Grads) Zero() {
 	}
 }
 
-// Add accumulates other into g.
-func (g *Grads) Add(other *Grads) {
-	for i := range g.W {
-		for j := range g.W[i] {
-			g.W[i][j] += other.W[i][j]
-		}
-		for j := range g.B[i] {
-			g.B[i][j] += other.B[i][j]
-		}
-	}
-}
-
 // BackwardMSE runs a forward pass on x, then backpropagates the gradient of
 // 0.5*(pred-target)^2 summed over outputs, accumulating into g. It returns
 // the sample's squared error. scratch must belong to the same network.
 func (n *Network) BackwardMSE(x, target []float64, scratch *Scratch, g *Grads) float64 {
-	// forward, keeping activations
-	cur := x
-	for li, l := range n.Layers {
-		out := scratch.acts[li]
-		for o := 0; o < l.Out; o++ {
-			s := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				s += row[i] * xi
-			}
-			out[o] = l.Act.apply(s)
-		}
-		cur = out
-	}
+	n.run(x, scratch)
 	// output delta
 	last := len(n.Layers) - 1
 	var se float64
@@ -256,24 +284,12 @@ func (n *Network) BackwardMSE(x, target []float64, scratch *Scratch, g *Grads) f
 	// backprop
 	for li := last; li >= 0; li-- {
 		l := n.Layers[li]
-		var input []float64
-		if li == 0 {
-			input = x
-		} else {
+		input := x
+		if li > 0 {
 			input = scratch.acts[li-1]
 		}
 		delta := g.deltas[li]
-		for o := 0; o < l.Out; o++ {
-			d := delta[o]
-			if d == 0 {
-				continue
-			}
-			g.B[li][o] += d
-			gw := g.W[li][o*l.In : (o+1)*l.In]
-			for i, xi := range input {
-				gw[i] += d * xi
-			}
-		}
+		l.accumulate(input, delta, g.W[li], g.B[li])
 		if li > 0 {
 			prev := g.deltas[li-1]
 			prevAct := scratch.acts[li-1]
@@ -290,6 +306,53 @@ func (n *Network) BackwardMSE(x, target []float64, scratch *Scratch, g *Grads) f
 	return se
 }
 
+// accumulate adds the layer's parameter gradients for one sample: d[o] into
+// gb[o] and d[o]*x[i] into gw[o,i], skipping every output whose delta is
+// zero (so a dead unit's row keeps its exact bits, signed zeros included).
+// Every element is updated once with the same product as a row-at-a-time
+// loop, so the result does not depend on the blocking; four live rows share
+// each pass over x so its loads are reused.
+//
+//lafvet:hotpath
+func (l *Dense) accumulate(x, d, gw, gb []float64) {
+	if len(x) != l.In || len(d) < l.Out || len(gw) < l.In*l.Out || len(gb) < l.Out {
+		panic(fmt.Sprintf("nn: layer %d->%d given %d inputs, %d deltas, %d+%d gradients", l.In, l.Out, len(x), len(d), len(gw), len(gb)))
+	}
+	in := l.In
+	var live [4]int
+	k := 0
+	for o, do := range d[:l.Out] {
+		if do == 0 {
+			continue
+		}
+		gb[o] += do
+		live[k] = o
+		if k++; k < len(live) {
+			continue
+		}
+		k = 0
+		o0, o1, o2, o3 := live[0], live[1], live[2], live[3]
+		d0, d1, d2, d3 := d[o0], d[o1], d[o2], d[o3]
+		r0 := gw[o0*in : (o0+1)*in][:len(x)]
+		r1 := gw[o1*in : (o1+1)*in][:len(x)]
+		r2 := gw[o2*in : (o2+1)*in][:len(x)]
+		r3 := gw[o3*in : (o3+1)*in][:len(x)]
+		for i, xi := range x {
+			r0[i] += d0 * xi
+			r1[i] += d1 * xi
+			r2[i] += d2 * xi
+			r3[i] += d3 * xi
+		}
+	}
+	for _, o := range live[:k] {
+		do := d[o]
+		row := gw[o*in : (o+1)*in][:len(x)]
+		for i, xi := range x {
+			row[i] += do * xi
+		}
+	}
+}
+
 // parallelWorkers caps data-parallel training fan-out.
 func parallelWorkers() int {
 	w := runtime.GOMAXPROCS(0)
@@ -301,5 +364,3 @@ func parallelWorkers() int {
 	}
 	return w
 }
-
-var _ = sync.WaitGroup{}

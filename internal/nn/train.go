@@ -7,94 +7,34 @@ import (
 	"sync"
 )
 
-// Optimizer updates network parameters from accumulated gradients.
-type Optimizer interface {
-	// Step applies the gradient g (already averaged over the batch) to n.
-	Step(n *Network, g *Grads)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vW, vB   [][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(n *Network, g *Grads) {
-	if s.vW == nil && s.Momentum != 0 {
-		s.vW = make([][]float64, len(n.Layers))
-		s.vB = make([][]float64, len(n.Layers))
-		for i, l := range n.Layers {
-			s.vW[i] = make([]float64, len(l.W))
-			s.vB[i] = make([]float64, len(l.B))
-		}
-	}
-	for i, l := range n.Layers {
-		if s.Momentum == 0 {
-			for j := range l.W {
-				l.W[j] -= s.LR * g.W[i][j]
-			}
-			for j := range l.B {
-				l.B[j] -= s.LR * g.B[i][j]
-			}
-			continue
-		}
-		for j := range l.W {
-			s.vW[i][j] = s.Momentum*s.vW[i][j] - s.LR*g.W[i][j]
-			l.W[j] += s.vW[i][j]
-		}
-		for j := range l.B {
-			s.vB[i][j] = s.Momentum*s.vB[i][j] - s.LR*g.B[i][j]
-			l.B[j] += s.vB[i][j]
-		}
-	}
-}
-
-// Adam is the Adam optimizer (Kingma & Ba 2015).
-type Adam struct {
-	LR, Beta1, Beta2, Eps float64
+// adam is the Adam optimizer (Kingma & Ba 2015): its hyperparameters, step
+// count and first and second moment estimates, shaped like the network.
+type adam struct {
+	lr, beta1, beta2, eps float64
 	t                     int
-	mW, vW, mB, vB        [][]float64
+	m, v                  *Grads
+	// c1 and c2 are the current step's bias corrections.
+	c1, c2 float64
 }
 
-// NewAdam returns Adam with the usual defaults for unset fields.
-func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
-
-// Step implements Optimizer.
-func (a *Adam) Step(n *Network, g *Grads) {
-	if a.mW == nil {
-		a.mW = make([][]float64, len(n.Layers))
-		a.vW = make([][]float64, len(n.Layers))
-		a.mB = make([][]float64, len(n.Layers))
-		a.vB = make([][]float64, len(n.Layers))
-		for i, l := range n.Layers {
-			a.mW[i] = make([]float64, len(l.W))
-			a.vW[i] = make([]float64, len(l.W))
-			a.mB[i] = make([]float64, len(l.B))
-			a.vB[i] = make([]float64, len(l.B))
+// step applies one Adam step to the parameters p, whose moments are m and v,
+// from the per-worker gradient sums parts (each indexed from off, the
+// position of p[0] in the full tensor). Each gradient is ((0 + parts[0]) +
+// parts[1] + …) · inv: the workers added in worker order, then averaged
+// over the batch.
+func (a *adam) step(p, m, v []float64, parts [][]float64, off int, inv float64) {
+	m, v = m[:len(p)], v[:len(p)]
+	for j := range p {
+		g := 0.0
+		for _, part := range parts {
+			g += part[off+j]
 		}
-	}
-	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, l := range n.Layers {
-		update := func(w []float64, gw, m, v []float64) {
-			for j := range w {
-				m[j] = a.Beta1*m[j] + (1-a.Beta1)*gw[j]
-				v[j] = a.Beta2*v[j] + (1-a.Beta2)*gw[j]*gw[j]
-				mh := m[j] / c1
-				vh := v[j] / c2
-				w[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-			}
-		}
-		update(l.W, g.W[i], a.mW[i], a.vW[i])
-		update(l.B, g.B[i], a.mB[i], a.vB[i])
+		g *= inv
+		m[j] = a.beta1*m[j] + (1-a.beta1)*g
+		v[j] = a.beta2*v[j] + (1-a.beta2)*g*g
+		mh := m[j] / a.c1
+		vh := v[j] / a.c2
+		p[j] -= a.lr * mh / (math.Sqrt(vh) + a.eps)
 	}
 }
 
@@ -102,17 +42,152 @@ func (a *Adam) Step(n *Network, g *Grads) {
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
-	Optimizer Optimizer
-	Seed      int64
+	// LR is the Adam learning rate; 0 selects 1e-3.
+	LR   float64
+	Seed int64
 	// Verbose, when non-nil, receives one line per epoch.
 	Verbose func(epoch int, mse float64)
 }
 
-// Fit trains the network to regress targets from inputs with minibatch MSE.
-// It returns the final epoch's mean squared error. Gradient computation is
-// data-parallel across up to 8 workers; updates are applied serially per
-// batch, so results are deterministic for a fixed seed and worker-count-
-// independent losses are averaged exactly.
+// phase is the work a trainer hands its workers for one batch.
+type phase uint8
+
+const (
+	// gradPhase: each worker backpropagates its slice of the batch.
+	gradPhase phase = iota
+	// updatePhase: each worker sums the gradients and applies Adam to its
+	// slice of every parameter tensor.
+	updatePhase
+)
+
+// tensor is one parameter slice (a layer's W or B) with its Adam moments
+// and every worker's gradient accumulator for it.
+type tensor struct {
+	p, m, v []float64
+	grads   [][]float64
+}
+
+// trainer is the state of one Fit call: its workers split each batch's
+// samples to compute gradients, then split every parameter tensor to apply
+// the update. Worker 0 is the goroutine that called Fit.
+type trainer struct {
+	n               *Network
+	inputs, targets [][]float64
+	opt             adam
+	grads           []*Grads
+	scratches       []*Scratch
+	tensors         []tensor
+	// se[w] is worker w's squared error over its part of the batch.
+	se    []float64
+	start []chan phase
+	done  sync.WaitGroup
+
+	// The current batch, set before each dispatch.
+	batch []int
+	chunk int
+	parts int // workers holding a non-empty part of the batch
+	inv   float64
+}
+
+func newTrainer(n *Network, inputs, targets [][]float64, lr float64, workers int) *trainer {
+	t := &trainer{
+		n: n, inputs: inputs, targets: targets,
+		opt:       adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m: NewGrads(n), v: NewGrads(n)},
+		grads:     make([]*Grads, workers),
+		scratches: make([]*Scratch, workers),
+		se:        make([]float64, workers),
+		start:     make([]chan phase, workers),
+	}
+	for w := range t.grads {
+		t.grads[w] = NewGrads(n)
+		t.scratches[w] = NewScratch(n)
+	}
+	for li, l := range n.Layers {
+		tw := tensor{p: l.W, m: t.opt.m.W[li], v: t.opt.v.W[li]}
+		tb := tensor{p: l.B, m: t.opt.m.B[li], v: t.opt.v.B[li]}
+		for _, g := range t.grads {
+			tw.grads = append(tw.grads, g.W[li])
+			tb.grads = append(tb.grads, g.B[li])
+		}
+		t.tensors = append(t.tensors, tw, tb)
+	}
+	for w := 1; w < workers; w++ {
+		t.start[w] = make(chan phase, 1)
+		go t.work(w)
+	}
+	return t
+}
+
+// work is the loop of worker w > 0. It marks done once per phase and once
+// more when stop closes its channel.
+func (t *trainer) work(w int) {
+	for ph := range t.start[w] {
+		t.run(w, ph)
+		t.done.Done()
+	}
+	t.done.Done()
+}
+
+// stop ends the workers and returns once they have exited.
+func (t *trainer) stop() {
+	t.done.Add(len(t.start) - 1)
+	for _, c := range t.start[1:] {
+		close(c)
+	}
+	t.done.Wait()
+}
+
+// dispatch runs ph on workers 0..k-1 and returns when all have finished.
+func (t *trainer) dispatch(ph phase, k int) {
+	t.done.Add(k - 1)
+	for w := 1; w < k; w++ {
+		t.start[w] <- ph
+	}
+	t.run(0, ph)
+	t.done.Wait()
+}
+
+func (t *trainer) run(w int, ph phase) {
+	if ph == gradPhase {
+		t.gradients(w)
+	} else {
+		t.update(w)
+	}
+}
+
+// gradients accumulates worker w's part of the batch into its own Grads.
+func (t *trainer) gradients(w int) {
+	lo := w * t.chunk
+	hi := min(lo+t.chunk, len(t.batch))
+	g := t.grads[w]
+	g.Zero()
+	var se float64
+	for _, idx := range t.batch[lo:hi] {
+		se += t.n.BackwardMSE(t.inputs[idx], t.targets[idx], t.scratches[w], g)
+	}
+	t.se[w] = se
+}
+
+// update applies Adam to worker w's share of every parameter tensor.
+func (t *trainer) update(w int) {
+	workers := len(t.grads)
+	for i := range t.tensors {
+		ts := &t.tensors[i]
+		lo, hi := w*len(ts.p)/workers, (w+1)*len(ts.p)/workers
+		t.opt.step(ts.p[lo:hi], ts.m[lo:hi], ts.v[lo:hi], ts.grads[:t.parts], lo, t.inv)
+	}
+}
+
+// Fit trains the network to regress targets from inputs with minibatch MSE
+// and Adam. It returns the final epoch's mean squared error.
+//
+// Each batch is split into contiguous parts, one per worker (up to
+// min(GOMAXPROCS, 8) workers), whose gradients are computed in parallel;
+// the workers then sum the parts in worker order and apply Adam, each to
+// its own range of the parameters. The result is deterministic for a fixed
+// seed and worker count, but the worker count decides where the batch is
+// split and so which floating-point sums are formed: the trained weights
+// can differ in their low bits between hosts with different core counts.
 func (n *Network) Fit(inputs [][]float64, targets [][]float64, cfg TrainConfig) (float64, error) {
 	if len(inputs) == 0 {
 		return 0, fmt.Errorf("nn: empty training set")
@@ -120,81 +195,46 @@ func (n *Network) Fit(inputs [][]float64, targets [][]float64, cfg TrainConfig) 
 	if len(inputs) != len(targets) {
 		return 0, fmt.Errorf("nn: %d inputs but %d targets", len(inputs), len(targets))
 	}
+	for i := range inputs {
+		if len(inputs[i]) != n.InDim() || len(targets[i]) != n.OutDim() {
+			return 0, fmt.Errorf("nn: sample %d has %d inputs and %d targets, want %d and %d",
+				i, len(inputs[i]), len(targets[i]), n.InDim(), n.OutDim())
+		}
+	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 10
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
-	if cfg.Optimizer == nil {
-		cfg.Optimizer = NewAdam(1e-3)
+	if cfg.LR == 0 {
+		cfg.LR = 1e-3
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(len(inputs))
 
 	workers := parallelWorkers()
-	grads := make([]*Grads, workers)
-	scratches := make([]*Scratch, workers)
-	for w := range grads {
-		grads[w] = NewGrads(n)
-		scratches[w] = NewScratch(n)
-	}
-	total := NewGrads(n)
+	t := newTrainer(n, inputs, targets, cfg.LR, workers)
+	defer t.stop()
 
 	var lastMSE float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochSE float64
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
+			t.batch = order[start:min(start+cfg.BatchSize, len(order))]
+			t.chunk = (len(t.batch) + workers - 1) / workers
+			t.parts = (len(t.batch) + t.chunk - 1) / t.chunk
+			t.dispatch(gradPhase, t.parts)
+			for _, se := range t.se[:t.parts] {
+				epochSE += se
 			}
-			batch := order[start:end]
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			chunk := (len(batch) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				if lo >= len(batch) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(batch) {
-					hi = len(batch)
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					grads[w].Zero()
-					var se float64
-					for _, idx := range batch[lo:hi] {
-						se += n.BackwardMSE(inputs[idx], targets[idx], scratches[w], grads[w])
-					}
-					mu.Lock()
-					epochSE += se
-					mu.Unlock()
-				}(w, lo, hi)
-			}
-			wg.Wait()
-			total.Zero()
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				if lo >= len(batch) {
-					break
-				}
-				total.Add(grads[w])
-			}
-			inv := 1 / float64(len(batch))
-			for i := range total.W {
-				for j := range total.W[i] {
-					total.W[i][j] *= inv
-				}
-				for j := range total.B[i] {
-					total.B[i][j] *= inv
-				}
-			}
-			cfg.Optimizer.Step(n, total)
+
+			t.inv = 1 / float64(len(t.batch))
+			t.opt.t++
+			t.opt.c1 = 1 - math.Pow(t.opt.beta1, float64(t.opt.t))
+			t.opt.c2 = 1 - math.Pow(t.opt.beta2, float64(t.opt.t))
+			t.dispatch(updatePhase, workers)
 		}
 		lastMSE = epochSE / float64(len(inputs))
 		if cfg.Verbose != nil {

@@ -21,7 +21,7 @@ type Config struct {
 	// Epochs and BatchSize configure each model's training run.
 	Epochs    int
 	BatchSize int
-	// LR is the Adam learning rate.
+	// LR is the Adam learning rate; 0 selects nn's default.
 	LR float64
 	// Seed makes training reproducible.
 	Seed int64
@@ -145,7 +145,7 @@ func Train(examples []Example, n int, cfg Config) (*RMI, error) {
 			if _, err := net.Fit(in, tg, nn.TrainConfig{
 				Epochs:    cfg.Epochs,
 				BatchSize: cfg.BatchSize,
-				Optimizer: nn.NewAdam(cfg.LR),
+				LR:        cfg.LR,
 				Seed:      cfg.Seed + int64(si*100+m),
 			}); err != nil {
 				return nil, err
@@ -154,8 +154,9 @@ func Train(examples []Example, n int, cfg Config) (*RMI, error) {
 		// Route every example down for the next stage.
 		if si+1 < len(cfg.StageCounts) {
 			next := cfg.StageCounts[si+1]
+			scratch := nn.NewScratch(stage[0]) // every model has the same widths
 			for i := range examples {
-				y := stage[assigned[i]].Predict1(inputs[i], nil)
+				y := stage[assigned[i]].Predict1(inputs[i], scratch)
 				assigned[i] = route(y, next)
 			}
 		}

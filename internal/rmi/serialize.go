@@ -2,8 +2,10 @@ package rmi
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"lafdbscan/internal/nn"
@@ -32,7 +34,13 @@ func (r *RMI) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&payload)
 }
 
-// Load reads a model written by Save.
+// ErrMalformed marks a decoded model whose structure cannot be predicted
+// with: a missing or empty stage, or a network of the wrong shape.
+var ErrMalformed = errors.New("rmi: malformed model")
+
+// Load reads a model written by Save. Everything it returns is safe to
+// Estimate with: a payload of the wrong shape is rejected with ErrMalformed
+// rather than panicking on first use.
 func Load(rd io.Reader) (*RMI, error) {
 	var payload rmiPayload
 	if err := gob.NewDecoder(rd).Decode(&payload); err != nil {
@@ -41,17 +49,44 @@ func Load(rd io.Reader) (*RMI, error) {
 	if payload.Version != serializeVersion {
 		return nil, fmt.Errorf("rmi: unsupported model version %d", payload.Version)
 	}
-	if len(payload.Stages) == 0 || len(payload.Stages[0]) != 1 {
-		return nil, fmt.Errorf("rmi: malformed model: bad stage structure")
-	}
-	if payload.InDim < 2 || payload.LogN <= 0 {
-		return nil, fmt.Errorf("rmi: malformed model: inDim=%d logN=%v", payload.InDim, payload.LogN)
+	if err := payload.validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	return &RMI{
 		inDim:  payload.InDim,
 		logN:   payload.LogN,
 		stages: payload.Stages,
 	}, nil
+}
+
+// validate checks every property estimate relies on: one root model, no
+// empty stage (route would pick model -1), and networks that map InDim
+// inputs to one output.
+func (p *rmiPayload) validate() error {
+	if p.InDim < 2 || !(p.LogN > 0) || math.IsInf(p.LogN, 1) {
+		return fmt.Errorf("inDim=%d logN=%v", p.InDim, p.LogN)
+	}
+	if len(p.Stages) == 0 || len(p.Stages[0]) != 1 {
+		return fmt.Errorf("the first of %d stages must hold exactly one model", len(p.Stages))
+	}
+	for si, stage := range p.Stages {
+		if len(stage) == 0 {
+			return fmt.Errorf("stage %d is empty", si)
+		}
+		for m, net := range stage {
+			if net == nil {
+				return fmt.Errorf("stage %d model %d is missing", si, m)
+			}
+			if err := net.Validate(); err != nil {
+				return fmt.Errorf("stage %d model %d: %v", si, m, err)
+			}
+			if net.InDim() != p.InDim || net.OutDim() != 1 {
+				return fmt.Errorf("stage %d model %d maps %d inputs to %d outputs, want %d to 1",
+					si, m, net.InDim(), net.OutDim(), p.InDim)
+			}
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the model to a file.

@@ -711,6 +711,11 @@ func loadModelV1(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lafdbscan: model estimator: %w", err)
 		}
+		// The estimator's input is a point plus the radius; any other width
+		// would make its first Estimate index past the feature buffer.
+		if in, dim := est.Model.InDim(), len(payload.Points[0]); in != dim+1 {
+			return nil, fmt.Errorf("lafdbscan: malformed model: estimator takes %d-d points, model has %d-d", in-1, dim)
+		}
 		p.Estimator = est
 	}
 	labels := make([]int, n)

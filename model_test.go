@@ -514,6 +514,32 @@ func TestLoadModelRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestLoadModelRejectsEstimatorOfWrongWidth: an estimator must take the
+// model's points plus the radius. A file pairing 48-d points with an
+// estimator trained on 8-d vectors is refused at load time, before its
+// first Estimate could index past the feature buffer.
+func TestLoadModelRejectsEstimatorOfWrongWidth(t *testing.T) {
+	train, _ := modelTestData(t)
+	model, err := Fit(context.Background(), train.Vectors, MethodDBSCAN, WithEps(0.4), WithTau(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := GenerateMixture("narrow", MixtureConfig{N: 60, Dim: 8, Clusters: 2, Seed: 93})
+	est, err := TrainRMIEstimator(narrow.Vectors, EstimatorConfig{Hidden: []int{4}, Epochs: 1, MaxQueries: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.params.Estimator = est
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadModel(&buf)
+	if err == nil || !strings.Contains(err.Error(), "estimator takes 8-d points, model has 48-d") {
+		t.Fatalf("LoadModel error = %v", err)
+	}
+}
+
 // TestPredictSpeedupOverRecluster pins the model API's economics: assigning
 // 100 held-out points through a fitted model must be at least 10x faster
 // than re-clustering the dataset with them included (theoretical gap on
