@@ -81,6 +81,22 @@ func BenchmarkHNSWBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkHNSWBuildGloVe measures graph construction at the shape of the
+// benchmark's hnsw-glove workload: 2,000 GloVe-like 200-d points from the
+// fixed corpus 2, where the distance kernel, not the graph bookkeeping,
+// dominates the build.
+func BenchmarkHNSWBuildGloVe(b *testing.B) {
+	vecs := GloVeLike(2_000, 2).Vectors
+	p := Params{Seed: 1, IndexBackend: "hnsw"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := p.NewIndex(vecs, MetricCosine); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHNSWRange runs a fixed 64-query workload per iteration against
 // prebuilt indexes at two scales for both backends. Compare the n=10000 →
 // n=100000 growth per backend: the exact scan is linear in n, the graph is

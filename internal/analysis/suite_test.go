@@ -80,11 +80,11 @@ func TestClusterDirectivesAreLoadBearing(t *testing.T) {
 var hotpathRoster = map[string][]string{
 	"../vecmath/vector.go":          {"Dot", "Norm", "SquaredNorm", "Normalize", "AXPY", "Scale"},
 	"../vecmath/distance.go":        {"CosineDistance", "CosineDistanceUnit", "EuclideanDistance", "SquaredEuclidean"},
-	"../vecmath/scan.go":            {"AppendCosineUnitRange", "dot32"},
+	"../vecmath/scan.go":            {"AppendCosineUnitRange", "CosineUnitLess", "dot32"},
 	"../cluster/atomicunionfind.go": {"Find", "Union", "Same"},
 	"../cluster/wavemerge.go":       {"Absorb"},
 	"../telemetry/metrics.go":       {"Inc", "Add", "Set", "Dec", "Observe"},
-	"../index/hnsw/hnsw.go":         {"searchLayer"},
+	"../index/hnsw/hnsw.go":         {"searchLayer", "selectNeighbors", "link"},
 	"../trace/trace.go":             {"Finish", "record"},
 	"../nn/network.go":              {"forward", "accumulate"},
 }

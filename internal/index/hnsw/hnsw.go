@@ -10,6 +10,14 @@
 // answers. That property is what lets the backend registry rebuild an
 // identical index when a persisted model is reloaded.
 //
+// Construction keeps that property while using every core: an insert's
+// reverse links (link) touch disjoint neighbor lists, so they fan out
+// across up to GOMAXPROCS goroutines, and the graph stays a pure function
+// of seed and insertion order. Each link's distance is computed once and
+// cached beside the graph, and with vecmath.CosineDistanceUnit the
+// neighbor heuristic decides its threshold tests with the exact float32
+// kernel vecmath.CosineUnitLess; both give the per-pair float64 answers.
+//
 // Queries follow the standard two-phase search: greedy descent through
 // the upper layers to a layer-0 entry point, then best-first expansion
 // bounded by the EfSearch candidate list. Range queries widen the
@@ -21,8 +29,11 @@
 package hnsw
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"lafdbscan/internal/vecmath"
 )
@@ -73,7 +84,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// node is one graph vertex: a neighbor list per layer 0..level.
+// node is one graph vertex: a neighbor list per layer 0..level. Each list
+// has capacity maxLinks+1, so link appends in place.
 type node struct {
 	layers [][]int32
 }
@@ -88,9 +100,20 @@ type Graph struct {
 	cfg    Config
 	mL     float64
 
-	nodes    []node
+	nodes []node
+	// linkD is the side table of link distances, parallel to nodes:
+	// linkD[n][l][k] is dist(points[n], points[nodes[n].layers[l][k]]),
+	// computed once when the link is made. It lives beside nodes so
+	// queries touch the same memory they would without it.
+	linkD    [][][]float64
 	entry    int // internal id of the top-layer entry point, -1 when empty
 	topLayer int
+
+	// unitCos marks dist as vecmath.CosineDistanceUnit; maxNorm is then at
+	// least every point's norm (NaN or +Inf after a non-finite point),
+	// and maxNorm² scales the float32 heuristic test's error bound.
+	unitCos bool
+	maxNorm float64
 
 	// tombstone remap, the same convention as internal/index: ext maps
 	// internal (grow-only) slots to external (compacted) ids, -1 dead,
@@ -101,24 +124,27 @@ type Graph struct {
 	inserted uint64 // insertion counter feeding level generation
 	gen      uint64 // rebuild generation, part of the level-hash domain
 
-	pool sync.Pool // *searchCtx
+	pool    sync.Pool       // *searchCtx
+	scratch []*pruneScratch // one per link goroutine, grown on demand
+	fan     linkers
 }
 
-// New builds a graph over points with the given distance. The points
-// slice is retained and mutated by Insert/Delete, like every dynamic
-// index here.
+// New builds a graph over points with the given distance, which must be
+// safe for concurrent use: construction and batch queries call it from
+// several goroutines. The points slice is retained and mutated by
+// Insert/Delete, like every dynamic index here.
 func New(points [][]float32, dist vecmath.DistanceFunc, cfg Config) *Graph {
 	g := &Graph{
-		points: points,
-		dist:   dist,
-		cfg:    cfg.withDefaults(),
-		entry:  -1,
+		points:  points,
+		dist:    dist,
+		cfg:     cfg.withDefaults(),
+		entry:   -1,
+		unitCos: vecmath.IsCosineUnit(dist),
 	}
 	g.mL = 1 / math.Log(float64(g.cfg.M))
 	g.pool.New = func() any { return new(searchCtx) }
-	for i := range g.points {
-		g.addNode(i)
-	}
+	g.growMaxNorm(points)
+	g.addNodes(0)
 	return g
 }
 
@@ -179,6 +205,19 @@ func (g *Graph) maxLinks(layer int) int {
 	return g.cfg.M
 }
 
+// growMaxNorm raises maxNorm to cover vecs. Deletions never lower it: a
+// stale, larger value only loosens the heuristic's error bound.
+func (g *Graph) growMaxNorm(vecs [][]float32) {
+	if !g.unitCos {
+		return
+	}
+	for _, v := range vecs {
+		if n := vecmath.Norm(v); n > g.maxNorm || math.IsNaN(n) {
+			g.maxNorm = n
+		}
+	}
+}
+
 // liveInternal reports whether internal slot i is not tombstoned.
 func (g *Graph) liveInternal(i int32) bool {
 	return g.ext == nil || g.ext[i] >= 0
@@ -197,7 +236,7 @@ func (g *Graph) extOfInternal(i int32) int {
 // addNode inserts point i (already present in g.points) into the graph.
 func (g *Graph) addNode(i int) {
 	level := g.nextLevel()
-	g.nodes = append(g.nodes, node{layers: make([][]int32, level+1)})
+	g.addLists(level)
 	if g.entry < 0 {
 		g.entry = i
 		g.topLayer = level
@@ -214,11 +253,10 @@ func (g *Graph) addNode(i int) {
 		sc.reset(len(g.nodes), g.cfg.EfConstruction)
 		g.searchLayer(sc, q, ep, d, l, g.cfg.EfConstruction, 0)
 		ids, ds := sc.resExtract()
-		nbrs := g.selectNeighbors(ids, ds, g.maxLinks(l))
-		g.nodes[i].layers[l] = nbrs
-		for _, nb := range nbrs {
-			g.link(nb, int32(i), l)
-		}
+		nbrs, nds := g.selectNeighbors(g.scratch[0], ids, ds, g.maxLinks(l))
+		g.nodes[i].layers[l] = append(g.nodes[i].layers[l], nbrs...)
+		g.linkD[i][l] = append(g.linkD[i][l], nds...)
+		g.linkAll(g.nodes[i].layers[l], int32(i), l)
 		if len(ids) > 0 {
 			ep, d = ids[0], ds[0]
 		}
@@ -230,56 +268,197 @@ func (g *Graph) addNode(i int) {
 	}
 }
 
+// addLists appends the empty neighbor lists of a new node with the given
+// level to nodes and linkD: capacity maxLinks+1 per layer, carved from one
+// id array and one distance array, so link never reallocates them.
+func (g *Graph) addLists(level int) {
+	size := 0
+	for l := 0; l <= level; l++ {
+		size += g.maxLinks(l) + 1
+	}
+	ids, ds := make([]int32, size), make([]float64, size)
+	layers, dls := make([][]int32, level+1), make([][]float64, level+1)
+	off := 0
+	for l := range layers {
+		end := off + g.maxLinks(l) + 1
+		layers[l], dls[l] = ids[off:off:end], ds[off:off:end]
+		off = end
+	}
+	g.nodes = append(g.nodes, node{layers: layers})
+	g.linkD = append(g.linkD, dls)
+}
+
+// pruneScratch is one link goroutine's buffers for selectNeighbors: the kept
+// and the pruned candidates with their distances.
+type pruneScratch struct {
+	keep, pruned   []int32
+	keepD, prunedD []float64
+}
+
+// growScratch makes sure at least n link goroutines have scratch. Lists of up
+// to max(EfConstruction, 2M+1) candidates are pruned to at most 2M.
+func (g *Graph) growScratch(n int) {
+	for len(g.scratch) < n {
+		m, c := g.maxLinks(0), max(g.cfg.EfConstruction, g.maxLinks(0)+1)
+		g.scratch = append(g.scratch, &pruneScratch{
+			keep: make([]int32, 0, m), keepD: make([]float64, 0, m),
+			pruned: make([]int32, 0, c), prunedD: make([]float64, 0, c),
+		})
+	}
+}
+
 // selectNeighbors applies the HNSW neighbor-selection heuristic
 // (Algorithm 4): a candidate is kept only if it is closer to the query
 // than to every already-kept neighbor, which spreads links across
 // directions instead of bunching them in the nearest cluster. Pruned
 // candidates backfill remaining slots (keepPrunedConnections) so the
 // graph keeps its degree. ids/ds must be sorted by ascending distance.
-func (g *Graph) selectNeighbors(ids []int32, ds []float64, m int) []int32 {
-	out := make([]int32, 0, m)
-	var pruned []int32
+// The kept ids and their distances are returned in ps's buffers, valid
+// until ps is used again.
+//
+// The test dist(c, s) < ds[k] is a threshold test, so with
+// CosineDistanceUnit it runs as vecmath.CosineUnitLess, whose answers are
+// the float64 ones: every point's norm is at most maxNorm, so maxNorm²
+// bounds the norm product of every pair.
+//
+//lafvet:hotpath
+func (g *Graph) selectNeighbors(ps *pruneScratch, ids []int32, ds []float64, m int) ([]int32, []float64) {
+	out, outD := ps.keep[:0], ps.keepD[:0]
+	pruned, prunedD := ps.pruned[:0], ps.prunedD[:0]
+	bound, fast := 0.0, false
+	if g.unitCos && len(ids) > 0 {
+		bound, fast = vecmath.CosineUnitBound(len(g.points[ids[0]]), g.maxNorm*g.maxNorm)
+	}
 	for k, c := range ids {
 		if len(out) == m {
 			break
 		}
-		keep := true
+		pc, keep := g.points[c], true
 		for _, s := range out {
-			if g.dist(g.points[c], g.points[s]) < ds[k] {
+			var closer bool
+			if fast {
+				closer = vecmath.CosineUnitLess(pc, g.points[s], ds[k], bound)
+			} else {
+				closer = g.dist(pc, g.points[s]) < ds[k]
+			}
+			if closer {
 				keep = false
 				break
 			}
 		}
 		if keep {
-			out = append(out, c)
+			out = append(out, c)       //lafvet:allow hotalloc within the scratch's capacity m
+			outD = append(outD, ds[k]) //lafvet:allow hotalloc within the scratch's capacity m
 		} else {
-			pruned = append(pruned, c)
+			pruned = append(pruned, c)       //lafvet:allow hotalloc within the scratch's capacity len(ids)
+			prunedD = append(prunedD, ds[k]) //lafvet:allow hotalloc within the scratch's capacity len(ids)
 		}
 	}
-	for _, c := range pruned {
+	for k, c := range pruned {
 		if len(out) == m {
 			break
 		}
-		out = append(out, c)
+		out = append(out, c)            //lafvet:allow hotalloc within the scratch's capacity m
+		outD = append(outD, prunedD[k]) //lafvet:allow hotalloc within the scratch's capacity m
 	}
-	return out
+	return out, outD
 }
 
 // link adds m to n's layer-l neighbor list, re-running the selection
-// heuristic when the list overflows its degree bound.
-func (g *Graph) link(n, m int32, l int) {
-	nbrs := append(g.nodes[n].layers[l], m)
-	limit := g.maxLinks(l)
-	if len(nbrs) > limit {
-		p := g.points[n]
-		ds := make([]float64, len(nbrs))
-		for k, nb := range nbrs {
-			ds[k] = g.dist(p, g.points[nb])
-		}
+// heuristic when the list overflows its degree bound. The new link's
+// distance is dist(points[n], points[m]), the argument order of every
+// distance in linkD[n], so the re-prune sorts exactly the values a fresh
+// computation would give. It reads the points and n's list and writes
+// only n's list, so calls for distinct n may run concurrently, each with
+// its own ps.
+//
+//lafvet:hotpath
+func (g *Graph) link(ps *pruneScratch, n, m int32, l int) {
+	nbrs := append(g.nodes[n].layers[l], m)                       //lafvet:allow hotalloc the list has capacity maxLinks+1
+	ds := append(g.linkD[n][l], g.dist(g.points[n], g.points[m])) //lafvet:allow hotalloc the list has capacity maxLinks+1
+	if limit := g.maxLinks(l); len(nbrs) > limit {
 		sortByDist(nbrs, ds)
-		nbrs = g.selectNeighbors(nbrs, ds, limit)
+		keep, keepD := g.selectNeighbors(ps, nbrs, ds, limit)
+		nbrs, ds = nbrs[:copy(nbrs, keep)], ds[:copy(ds, keepD)]
 	}
 	g.nodes[n].layers[l] = nbrs
+	g.linkD[n][l] = ds
+}
+
+// linkers is the fan-out of one insert's link calls: the inserting
+// goroutine and up to helpers helper goroutines, which live for one
+// addNodes call, each take the next unlinked neighbor until none is left.
+type linkers struct {
+	helpers int
+	start   chan struct{}  // one token per helper per fan-out; closed to stop them
+	done    sync.WaitGroup // helpers yet to finish the current fan-out
+	exit    sync.WaitGroup // helpers still running
+	next    atomic.Int64   // index of the next neighbor to link
+	nbrs    []int32
+	i       int32
+	l       int
+}
+
+// addNodes threads points[from:] into the graph in order. Each insert's
+// link calls fan out over up to GOMAXPROCS goroutines (no more than the
+// 2M links an insert can make), started here and stopped before it
+// returns.
+func (g *Graph) addNodes(from int) {
+	if from == len(g.points) {
+		return
+	}
+	f := &g.fan
+	f.helpers = min(runtime.GOMAXPROCS(0), g.maxLinks(0)) - 1
+	g.growScratch(f.helpers + 1)
+	if f.helpers > 0 {
+		f.start = make(chan struct{})
+		f.exit.Add(f.helpers)
+		for w := 1; w <= f.helpers; w++ {
+			go g.linkHelper(g.scratch[w])
+		}
+		defer func() {
+			close(f.start)
+			f.exit.Wait()
+		}()
+	}
+	for i := from; i < len(g.points); i++ {
+		g.addNode(i)
+	}
+}
+
+// linkHelper is one helper goroutine of addNodes: it joins every fan-out
+// it is handed a token for, until the start channel closes.
+func (g *Graph) linkHelper(ps *pruneScratch) {
+	defer g.fan.exit.Done()
+	for range g.fan.start {
+		g.linkShare(ps)
+		g.fan.done.Done()
+	}
+}
+
+// linkShare links the current fan-out's neighbors one at a time until
+// none is left.
+func (g *Graph) linkShare(ps *pruneScratch) {
+	f := &g.fan
+	for k := f.next.Add(1) - 1; k < int64(len(f.nbrs)); k = f.next.Add(1) - 1 {
+		g.link(ps, f.nbrs[k], f.i, f.l)
+	}
+}
+
+// linkAll links i into the layer-l list of every node in nbrs. nbrs holds
+// distinct nodes and each link writes only its own node's list, so the
+// calls may run on any goroutine in any order and the graph is the same.
+func (g *Graph) linkAll(nbrs []int32, i int32, l int) {
+	f := &g.fan
+	f.nbrs, f.i, f.l = nbrs, i, l
+	f.next.Store(0)
+	n := max(0, min(f.helpers, len(nbrs)-1))
+	f.done.Add(n)
+	for w := 0; w < n; w++ {
+		f.start <- struct{}{}
+	}
+	g.linkShare(g.scratch[0])
+	f.done.Wait()
 }
 
 // sortByDist sorts ids and ds together by ascending distance (insertion
@@ -454,17 +633,18 @@ func (g *Graph) KNN(q []float32, k int) ([]int, []float64) {
 // graph natively; the new points get ids len..len+k-1 in order.
 func (g *Graph) Insert(vecs [][]float32) {
 	g.growExt(len(vecs))
-	for _, v := range vecs {
-		g.points = append(g.points, v)
-		g.addNode(len(g.points) - 1)
-	}
+	g.growMaxNorm(vecs)
+	g.points = append(g.points, vecs...)
+	g.addNodes(len(g.points) - len(vecs))
 }
 
 // Delete tombstones the point with the given (external) id — the graph
 // keeps its node as a waypoint but queries stop reporting it — and ids
 // above it shift down by one. When dead slots reach 1/rebuildFraction of
-// the graph it is rebuilt over the live points.
+// the graph it is rebuilt over the live points. An id outside [0, Len())
+// panics, like slices.Delete on the point set.
 func (g *Graph) Delete(id int) {
+	g.checkID(id)
 	g.kill(id)
 	if g.dead*rebuildFraction >= len(g.nodes) {
 		g.rebuild()
@@ -472,11 +652,23 @@ func (g *Graph) Delete(id int) {
 }
 
 // DeleteMany tombstones a sorted, duplicate-free batch of external ids in
-// one pass, then evaluates the rebuild threshold once.
+// one pass, then evaluates the rebuild threshold once. An id outside
+// [0, Len()) panics before anything changes.
 func (g *Graph) DeleteMany(ids []int) {
+	if len(ids) > 0 {
+		g.checkID(ids[0])
+		g.checkID(ids[len(ids)-1])
+	}
 	g.killMany(ids)
 	if g.dead*rebuildFraction >= len(g.nodes) {
 		g.rebuild()
+	}
+}
+
+// checkID panics unless id is a live external id.
+func (g *Graph) checkID(id int) {
+	if id < 0 || id >= g.Len() {
+		panic(fmt.Sprintf("hnsw: delete of id %d outside [0, %d)", id, g.Len()))
 	}
 }
 
@@ -519,7 +711,7 @@ func (g *Graph) kill(e int) {
 }
 
 // killMany is kill over a sorted batch, applying the whole shift in one
-// pass over the slots.
+// pass over the slots. dead grows by the slots actually killed.
 func (g *Graph) killMany(ids []int) {
 	g.materializeExt()
 	for i, x := range g.ext {
@@ -529,11 +721,11 @@ func (g *Graph) killMany(ids []int) {
 		j := lowerBound(ids, x)
 		if j < len(ids) && ids[j] == x {
 			g.ext[i] = -1
+			g.dead++
 			continue
 		}
 		g.ext[i] = x - j // j removed externals precede x
 	}
-	g.dead += len(ids)
 }
 
 // lowerBound returns the first index in sorted a with a[i] >= x.
@@ -562,14 +754,12 @@ func (g *Graph) rebuild() {
 	}
 	g.points = live
 	g.ext, g.dead = nil, 0
-	g.nodes = g.nodes[:0]
+	g.nodes, g.linkD = g.nodes[:0], g.linkD[:0]
 	g.entry = -1
 	g.topLayer = 0
 	g.gen++
 	g.inserted = 0
-	for i := range g.points {
-		g.addNode(i)
-	}
+	g.addNodes(0)
 }
 
 // --- per-query scratch ---

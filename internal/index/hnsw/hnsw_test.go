@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"lafdbscan/internal/vecmath"
@@ -261,6 +262,35 @@ func TestDeleteManyMatchesDeleteLoop(t *testing.T) {
 	}
 }
 
+// TestDeleteOutOfRangePanics pins the id contract of Delete and
+// DeleteMany: an id outside [0, Len()) panics, like slices.Delete on the
+// point set, and leaves Len and the rebuild bookkeeping untouched.
+func TestDeleteOutOfRangePanics(t *testing.T) {
+	g := New(clusteredPoints(20, 8, 37), vecmath.CosineDistanceUnit, Config{Seed: 39})
+	g.Delete(0)
+	for _, tc := range []struct {
+		name string
+		del  func()
+	}{
+		{"Delete(Len())", func() { g.Delete(g.Len()) }},
+		{"Delete(-1)", func() { g.Delete(-1) }},
+		{"DeleteMany past Len", func() { g.DeleteMany([]int{1, g.Len()}) }},
+		{"DeleteMany negative", func() { g.DeleteMany([]int{-1, 2}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", tc.name)
+				}
+			}()
+			tc.del()
+		}()
+		if g.Len() != 19 || g.dead != 1 {
+			t.Fatalf("after %s: Len %d, dead %d; want 19, 1", tc.name, g.Len(), g.dead)
+		}
+	}
+}
+
 // TestEmptyAndDegenerate covers the zero-value edges.
 func TestEmptyAndDegenerate(t *testing.T) {
 	g := New(nil, vecmath.CosineDistanceUnit, Config{})
@@ -290,18 +320,18 @@ func TestQueryScalingIsSubLinear(t *testing.T) {
 	}
 	evalsPerQuery := func(n int) float64 {
 		pts := randomUnitPoints(n, 24, 33)
-		var evals int64
+		var evals atomic.Int64 // the build calls dist from several goroutines
 		counting := func(a, b []float32) float64 {
-			evals++
+			evals.Add(1)
 			return vecmath.CosineDistanceUnit(a, b)
 		}
 		g := New(pts, counting, Config{Seed: 35})
-		evals = 0
+		evals.Store(0)
 		queries := randomUnitPoints(200, 24, 34)
 		for _, q := range queries {
 			g.RangeSearch(q, 0.1)
 		}
-		return float64(evals) / float64(len(queries))
+		return float64(evals.Load()) / float64(len(queries))
 	}
 	small := evalsPerQuery(3000)
 	large := evalsPerQuery(30000)

@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -55,7 +54,7 @@ type BruteForce struct {
 // retained, not copied.
 func NewBruteForce(points [][]float32, dist vecmath.DistanceFunc) *BruteForce {
 	b := &BruteForce{points: points, dist: dist, parallel: true}
-	b.unitCos = reflect.ValueOf(dist).Pointer() == reflect.ValueOf(vecmath.CosineDistanceUnit).Pointer()
+	b.unitCos = vecmath.IsCosineUnit(dist)
 	b.growMaxNorm(points)
 	return b
 }

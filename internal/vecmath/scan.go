@@ -3,38 +3,77 @@ package vecmath
 import (
 	"fmt"
 	"math"
+	"reflect"
 )
 
-// maxFastNorm caps ‖q‖·maxNorm on the float32 fast pass of
-// AppendCosineUnitRange: below it no float32 product or partial sum can
-// overflow (every |q_i·p_i| and every partial sum is at most ‖q‖·‖p‖,
-// within a factor 1+γ), so the rounding-error bound holds.
+// maxFastNorm caps the norm product of the float32 fast pass: below it no
+// float32 product or partial sum can overflow (every |q_i·p_i| and every
+// partial sum is at most ‖q‖·‖p‖, within a factor 1+γ), so the
+// rounding-error bound of CosineUnitBound holds.
 const maxFastNorm = 0x1p100
+
+// IsCosineUnit reports whether f is CosineDistanceUnit itself: the one
+// distance whose threshold tests the float32 kernels (AppendCosineUnitRange,
+// CosineUnitLess) decide exactly. A wrapper around it reports false.
+func IsCosineUnit(f DistanceFunc) bool {
+	return reflect.ValueOf(f).Pointer() == reflect.ValueOf(CosineDistanceUnit).Pointer()
+}
+
+// CosineUnitBound returns the bound CosineUnitLess needs for vectors of
+// length dim whose norms multiply to at most scale, and false when scale is
+// NaN, infinite or past maxFastNorm, where the float32 pass must not run
+// and each pair goes to CosineDistanceUnit instead.
+//
+// The float32 dot product's error against the exact one is at most
+// γ·Σ|q_i·p_i| ≤ γ·scale (Higham's bound for recursive summation: each of
+// dot32's eight accumulators sums dim/8 products, the tail adds at most
+// seven more and the final tree three, each product rounds once), with
+// γ = n·u/(1−n·u), u = 2⁻²⁴ and n ≤ dim/8 + 11. The bound doubles u, which
+// covers the denominator and the far smaller float64 error of the
+// reference Dot, takes n = dim/8 + 16, and adds 2⁻²³ for float32 underflow
+// and the float64 subtraction 1 − dot in both the fast pass and the
+// reference. Clamping to [0, 2] cannot widen a gap, so a fast distance
+// farther than the bound from a threshold is on the same side of it as the
+// exact one.
+func CosineUnitBound(dim int, scale float64) (float64, bool) {
+	if !(scale <= maxFastNorm) {
+		return 0, false
+	}
+	return float64(dim/8+16)*0x1p-23*scale + 0x1p-23, true
+}
+
+// CosineUnitLess reports whether CosineDistanceUnit(q, p) < t, for any t,
+// unit-norm inputs or not. It decides with the float32 dot product and
+// recomputes the exact distance only when the fast one is within bound of
+// t, or NaN. bound must come from CosineUnitBound(len(q), scale) with
+// Norm(q)·Norm(p) ≤ scale.
+//
+//lafvet:hotpath
+func CosineUnitLess(q, p []float32, t, bound float64) bool {
+	d := 1 - float64(dot32(q, p))
+	if d < 0 {
+		d = 0
+	} else if d > 2 {
+		d = 2
+	}
+	if !(math.Abs(d-t) > bound) { // near t, or NaN
+		d = CosineDistanceUnit(q, p)
+	}
+	return d < t
+}
 
 // AppendCosineUnitRange appends to dst, in increasing order, every j with
 // CosineDistanceUnit(q, pts[j]) < eps, and returns the extended slice. The
 // decisions are exactly those of the per-pair CosineDistanceUnit loop for
 // any input, unit-norm or not; maxNorm must be at least the largest
 // Norm(pts[j]) (a larger value only costs speed). A NaN or infinite
-// ‖q‖·maxNorm, or one past maxFastNorm, runs the per-pair loop.
-//
-// The fast pass accumulates the dot product in float32. Its error against
-// the exact dot product is at most γ·Σ|q_i·p_i| ≤ γ·‖q‖·maxNorm (Higham's
-// bound for recursive summation: each of the eight accumulators sums
-// len(q)/8 products, the tail adds at most seven more and the final tree
-// three, each product rounds once), with γ = n·u/(1−n·u), u = 2⁻²⁴ and
-// n ≤ len(q)/8 + 11. The bound below doubles u, which covers the
-// denominator and the far smaller float64 error of the reference Dot,
-// takes n = len(q)/8 + 16, and adds 2⁻²³ for float32 underflow and the
-// float64 subtraction 1 − dot in both the fast pass and the reference.
-// Clamping to [0, 2] cannot widen a gap, so a fast distance farther than
-// that bound from eps is on the same side of eps as the exact one; a pair
-// within the bound, or a NaN, is decided by CosineDistanceUnit itself.
+// ‖q‖·maxNorm, or one past maxFastNorm, runs the per-pair loop; otherwise
+// every pair is decided by CosineUnitLess.
 //
 //lafvet:hotpath
 func AppendCosineUnitRange(dst []int, q []float32, pts [][]float32, eps, maxNorm float64) []int {
-	scale := Norm(q) * maxNorm
-	if !(scale <= maxFastNorm) {
+	bound, fast := CosineUnitBound(len(q), Norm(q)*maxNorm)
+	if !fast {
 		for j, p := range pts {
 			if CosineDistanceUnit(q, p) < eps {
 				dst = append(dst, j) //lafvet:allow hotalloc appends to the caller's reused buffer
@@ -42,18 +81,8 @@ func AppendCosineUnitRange(dst []int, q []float32, pts [][]float32, eps, maxNorm
 		}
 		return dst
 	}
-	bound := float64(len(q)/8+16)*0x1p-23*scale + 0x1p-23
 	for j, p := range pts {
-		d := 1 - float64(dot32(q, p))
-		if d < 0 {
-			d = 0
-		} else if d > 2 {
-			d = 2
-		}
-		if !(math.Abs(d-eps) > bound) { // near eps, or NaN
-			d = CosineDistanceUnit(q, p)
-		}
-		if d < eps {
+		if CosineUnitLess(q, p, eps, bound) {
 			dst = append(dst, j) //lafvet:allow hotalloc appends to the caller's reused buffer
 		}
 	}

@@ -173,6 +173,102 @@ func FuzzAppendCosineUnitRange(f *testing.F) {
 	})
 }
 
+// checkLess compares CosineUnitLess with the exact test at thr and at the
+// pair's exact distance shifted by up to four float64 ulps either way, with
+// the tightest scale the contract allows, Norm(q)·Norm(p). A scale that
+// CosineUnitBound rejects leaves nothing to compare: callers then use the
+// exact distance.
+func checkLess(t *testing.T, name string, q, p []float32, thr float64) {
+	t.Helper()
+	bound, ok := CosineUnitBound(len(q), Norm(q)*Norm(p))
+	if !ok {
+		return
+	}
+	e := CosineDistanceUnit(q, p)
+	thrs := []float64{thr, e, math.NaN(), math.Inf(1), math.Inf(-1)}
+	lo, hi := e, e
+	for k := 0; k < 4; k++ {
+		lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+		thrs = append(thrs, lo, hi)
+	}
+	for _, x := range thrs {
+		if got, want := CosineUnitLess(q, p, x, bound), e < x; got != want {
+			t.Fatalf("%s, dim %d, threshold %v (distance %v): CosineUnitLess %v, exact %v", name, len(q), x, e, got, want)
+		}
+	}
+}
+
+func TestCosineUnitLessExact(t *testing.T) {
+	for _, dim := range []int{1, 7, 8, 9, 200, 768} {
+		rng := rand.New(rand.NewSource(int64(dim) + 100))
+		q := RandomUnit(dim, rng)
+		for _, target := range []float64{1e-9, 0.55, 2} {
+			for k := 0; k < 24; k++ {
+				p := nearPair(q, target, rng)
+				checkLess(t, "unit", q, p, target)
+				checkLess(t, "unit, swapped", p, q, target)
+				checkLess(t, "non-unit", scaled(q, 3), scaled(p, float32(math.Pow(10, 6*rng.Float64()))), target)
+			}
+		}
+		checkLess(t, "zero point", q, make([]float32, dim), 1)
+		checkLess(t, "zero query", make([]float32, dim), q, 1)
+		checkLess(t, "opposite", q, scaled(q, -1), 2)
+	}
+}
+
+func TestCosineUnitBound(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 0x1p101} {
+		if _, ok := CosineUnitBound(8, scale); ok {
+			t.Errorf("CosineUnitBound accepted scale %v", scale)
+		}
+	}
+	for _, scale := range []float64{0, 1, 0x1p100} {
+		if b, ok := CosineUnitBound(8, scale); !ok || !(b > 0) {
+			t.Errorf("CosineUnitBound(8, %v) = %v, %v; want a positive bound", scale, b, ok)
+		}
+	}
+}
+
+func TestIsCosineUnit(t *testing.T) {
+	wrapped := func(a, b []float32) float64 { return CosineDistanceUnit(a, b) }
+	for _, tc := range []struct {
+		name string
+		f    DistanceFunc
+		want bool
+	}{
+		{"CosineDistanceUnit", CosineDistanceUnit, true},
+		{"CosineDistance", CosineDistance, false},
+		{"EuclideanDistance", EuclideanDistance, false},
+		{"wrapper", wrapped, false},
+		{"nil", nil, false},
+	} {
+		if got := IsCosineUnit(tc.f); got != tc.want {
+			t.Errorf("IsCosineUnit(%s) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// FuzzCosineUnitLess checks the pairwise threshold test against the exact
+// distance on arbitrary float32 bit patterns: raw holds q and then p, dim
+// float32 values each (little-endian), and checkLess adds the thresholds
+// that sit on the pair's exact distance. The committed corpus under
+// testdata/fuzz covers near-threshold pairs at the tested dimensions,
+// norms up to 1e6, zero, NaN, ±Inf, subnormal and overflowing components;
+// regenerate it with `go run ./internal/vecmath/testdata`.
+func FuzzCosineUnitLess(f *testing.F) {
+	f.Fuzz(func(t *testing.T, thr float64, dim uint16, raw []byte) {
+		d := 1 + int(dim)%1024
+		if len(raw) < 8*d {
+			return
+		}
+		vals := make([]float32, 2*d)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		checkLess(t, "fuzz", vals[:d], vals[d:], thr)
+	})
+}
+
 func BenchmarkAppendCosineUnitRange(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	for _, dim := range []int{200, 768} {

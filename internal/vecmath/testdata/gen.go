@@ -1,8 +1,10 @@
-// Command gen regenerates the committed fuzz seed corpus for
-// FuzzAppendCosineUnitRange: near-eps pairs at dimensions 1, 7, 8, 9, 200
-// and 768, non-unit norms in [0.5, 2], zero vectors, NaN, ±Inf, subnormal
-// and overflowing components, at eps 1e-9, 0.55, 2 and 2.5. Plain
-// `go test ./internal/vecmath` replays them without the fuzzing engine.
+// Command gen regenerates the committed fuzz seed corpora of the float32
+// kernels. FuzzAppendCosineUnitRange gets near-eps pairs at dimensions 1,
+// 7, 8, 9, 200 and 768, non-unit norms in [0.5, 2], zero vectors, NaN,
+// ±Inf, subnormal and overflowing components, at eps 1e-9, 0.55, 2 and
+// 2.5. FuzzCosineUnitLess gets single pairs of the same kinds, plus norms
+// up to 1e6. Plain `go test ./internal/vecmath` replays them without the
+// fuzzing engine.
 // Run from the repository root:
 //
 //	go run ./internal/vecmath/testdata
@@ -69,12 +71,24 @@ func withComponent(dim int, v float32, rng *rand.Rand) seed {
 	return s
 }
 
+// pairSeed is a FuzzCosineUnitLess seed: q, and p scaled by s, at the
+// threshold target, 1 − ⟨q, p⟩ before scaling.
+func pairSeed(dim int, target float64, s float32, rng *rand.Rand) seed {
+	q := vecmath.RandomUnit(dim, rng)
+	return seed{eps: target, q: q, pts: [][]float32{vecmath.Scale(s, nearPair(q, target, rng))}}
+}
+
+// pairWithComponent returns a near-threshold pair with one component of p
+// replaced by v.
+func pairWithComponent(dim int, v float32, rng *rand.Rand) seed {
+	s := pairSeed(dim, 0.55, 1, rng)
+	s.pts[0][dim/2] = v
+	return s
+}
+
 func main() {
-	out := flag.String("out", "internal/vecmath/testdata/fuzz/FuzzAppendCosineUnitRange", "corpus directory")
+	out := flag.String("out", "internal/vecmath/testdata/fuzz", "fuzz corpus root; each target's seeds go in a directory named after it")
 	flag.Parse()
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	seeds := map[string]seed{
 		"near-eps-d1":   nearSeed(1, 4, 0.55, 0.55, rng),
@@ -100,7 +114,36 @@ func main() {
 	zero.pts = append(zero.pts, make([]float32, 8))
 	seeds["zero-point-d8"] = zero
 	seeds["zero-query-d7"] = seed{eps: 1, q: make([]float32, 7), pts: [][]float32{vecmath.RandomUnit(7, rng)}}
+	write(filepath.Join(*out, "FuzzAppendCosineUnitRange"), seeds)
 
+	rng = rand.New(rand.NewSource(2))
+	pairs := map[string]seed{
+		"near-d1":       pairSeed(1, 0.55, 1, rng),
+		"near-d7":       pairSeed(7, 0.55, 1, rng),
+		"near-d8":       pairSeed(8, 0.55, 1, rng),
+		"near-d9":       pairSeed(9, 0.55, 1, rng),
+		"near-d200":     pairSeed(200, 0.55, 1, rng),
+		"near-d768":     pairSeed(768, 0.55, 1, rng),
+		"thr-1e-9-d9":   pairSeed(9, 1e-9, 1, rng),
+		"thr-2-d8":      pairSeed(8, 2, 1, rng),
+		"norm-1e3-d9":   pairSeed(9, 0.55, 1e3, rng),
+		"norm-1e6-d200": pairSeed(200, 0.55, 1e6, rng),
+		"nan-d9":        pairWithComponent(9, float32(math.NaN()), rng),
+		"inf-d7":        pairWithComponent(7, float32(math.Inf(1)), rng),
+		"neg-inf-d8":    pairWithComponent(8, float32(math.Inf(-1)), rng),
+		"subnormal-d8":  pairWithComponent(8, math.Float32frombits(1), rng),
+		"huge-d8":       pairWithComponent(8, 1e30, rng),
+		"zero-point-d8": {eps: 1, q: vecmath.RandomUnit(8, rng), pts: [][]float32{make([]float32, 8)}},
+		"zero-query-d7": {eps: 1, q: make([]float32, 7), pts: [][]float32{vecmath.RandomUnit(7, rng)}},
+	}
+	write(filepath.Join(*out, "FuzzCosineUnitLess"), pairs)
+}
+
+// write stores each seed in dir as a file named after its key.
+func write(dir string, seeds map[string]seed) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		log.Fatal(err)
+	}
 	for name, s := range seeds {
 		var raw []byte
 		for _, v := range append([][]float32{s.q}, s.pts...) {
@@ -109,7 +152,7 @@ func main() {
 			}
 		}
 		body := fmt.Sprintf("go test fuzz v1\nfloat64(%v)\nuint16(%d)\n[]byte(%q)\n", s.eps, len(s.q)-1, raw)
-		if err := os.WriteFile(filepath.Join(*out, name), []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}
