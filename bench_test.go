@@ -303,20 +303,6 @@ func BenchmarkParallelDBSCAN(b *testing.B) {
 			}
 		})
 	}
-	// The buffer-everything engine at the largest worker count, so every
-	// -benchmem run (and the CI bench job) shows the wave engine's alloc/op
-	// saving next to the engine it replaced.
-	b.Run(fmt.Sprintf("workers=%d/buffered", workerCounts[len(workerCounts)-1]), func(b *testing.B) {
-		b.ReportAllocs()
-		pp := p
-		pp.Workers = workerCounts[len(workerCounts)-1]
-		pp.WaveSize = -1
-		for i := 0; i < b.N; i++ {
-			if _, err := DBSCAN(d.Vectors, pp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkParallelLAFDBSCAN is the same comparison for the LAF fast path:
@@ -352,7 +338,7 @@ func BenchmarkParallelLAFDBSCAN(b *testing.B) {
 
 // BenchmarkWaveEngineMemory is the memory-bound benchmark the CI bench job
 // gates on together with the parallel benchmarks above: the wave engine at
-// two wave sizes against the buffer-everything engine on the same workload.
+// two wave sizes on the same workload.
 // -benchmem supplies the alloc/op numbers benchstat and cmd/benchguard
 // compare; in addition each configuration is measured once with
 // bench.MeasureMem (exact cumulative allocations plus a sampled live-heap
@@ -369,7 +355,6 @@ func BenchmarkWaveEngineMemory(b *testing.B) {
 		name string
 		wave int
 	}{
-		{"buffered", -1},
 		{"wave=256", 256},
 		{"wave=1024", 1024},
 	}

@@ -32,7 +32,7 @@ func main() {
 		"parallel engine workers for DBSCAN and the LAF variants: 0 sequential (the paper's configuration), -1 all cores")
 	batchSize := flag.Int("batch", 0, "queries per parallel work unit (0 = auto)")
 	waveSize := flag.Int("wave", 0,
-		"range queries per neighbor-discovery wave (0 = auto, -1 = unbounded buffer-everything engine)")
+		"range queries per neighbor-discovery wave (0 = auto)")
 	flag.Parse()
 
 	// The engine knobs are the only flag-fed clustering parameters here

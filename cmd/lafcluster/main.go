@@ -75,7 +75,7 @@ func main() {
 		compare     = flag.Bool("compare", false, "also run exact DBSCAN and report ARI/AMI")
 		workers     = flag.Int("workers", 0, "parallel engine workers for dbscan/laf methods: 0 sequential, -1 all cores")
 		batchSize   = flag.Int("batch", 0, "queries per parallel work unit (0 = auto)")
-		waveSize    = flag.Int("wave", 0, "range queries per neighbor-discovery wave (0 = auto, -1 = unbounded buffer-everything engine)")
+		waveSize    = flag.Int("wave", 0, "range queries per neighbor-discovery wave (0 = auto)")
 		savePath    = flag.String("save", "", "persist the (fitted or evolved) model to this file")
 		loadPath    = flag.String("load", "", "load a model from this file instead of clustering")
 		predictPath = flag.String("predict", "", "dataset file to assign to the model's clusters")

@@ -36,7 +36,7 @@ type Config struct {
 	// BatchSize is the parallel engines' per-worker query chunk (0 = auto).
 	BatchSize int
 	// WaveSize bounds the parallel engines' neighbor-discovery memory:
-	// queries per wave (0 = auto, < 0 = buffer-everything engine).
+	// queries per wave (0 = auto).
 	WaveSize int
 }
 

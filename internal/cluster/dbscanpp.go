@@ -97,14 +97,6 @@ func CoreMask(n int, cores []int) []bool {
 // neighbor list), then assign every unlabeled point to the cluster of its
 // closest core point when within ε.
 func ClusterCoresAndAssign(points [][]float32, eps float64, cores []int, coreNeighbors map[int][]int) []int {
-	return ClusterCoresAndAssignWorkers(points, eps, cores, coreNeighbors, 1, 0)
-}
-
-// ClusterCoresAndAssignWorkers is ClusterCoresAndAssign with the
-// per-point nearest-core assignment spread over a worker pool (each point's
-// assignment is independent, so the labeling is identical at any worker
-// count). workers <= 0 selects GOMAXPROCS; batch sizes the work chunks.
-func ClusterCoresAndAssignWorkers(points [][]float32, eps float64, cores []int, coreNeighbors map[int][]int, workers, batch int) []int {
 	isCore := make(map[int]bool, len(cores))
 	for _, c := range cores {
 		isCore[c] = true
@@ -121,15 +113,18 @@ func ClusterCoresAndAssignWorkers(points [][]float32, eps float64, cores []int, 
 			}
 		}
 	}
-	return assignToCores(points, eps, cores, uf.Find, workers, batch)
+	return assignToCores(points, eps, cores, uf.Find, 1, 0)
 }
 
 // ClusterCoresAndAssignUnionWorkers is the wave engine's variant of
-// ClusterCoresAndAssignWorkers: the ε-connectivity of the cores has already
+// ClusterCoresAndAssign: the ε-connectivity of the cores has already
 // been folded into uf during neighbor discovery (cluster.WaveMerger), so no
 // neighbor lists are needed — clusters are numbered off the forest and
 // every other point is assigned to its closest core. The components are
-// identical to the neighbor-list construction, so so is the labeling.
+// identical to the neighbor-list construction, so so is the labeling. The
+// per-point nearest-core assignment is spread over a worker pool (each
+// point's assignment is independent, so the labeling is identical at any
+// worker count); workers <= 0 selects GOMAXPROCS, batch sizes the chunks.
 func ClusterCoresAndAssignUnionWorkers(points [][]float32, eps float64, cores []int, uf *AtomicUnionFind, workers, batch int) []int {
 	return assignToCores(points, eps, cores, uf.Find, workers, batch)
 }

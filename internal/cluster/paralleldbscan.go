@@ -34,8 +34,8 @@ import (
 //
 // Memory: only one wave of neighbor lists is in flight at a time and core
 // lists are never retained, so peak extra memory is O(WaveSize·avg|N|) plus
-// the non-core stubs (each shorter than Tau) — where the buffer-everything
-// engine of WaveSize < 0 peaks at O(Σ|N(p)|).
+// the non-core stubs (each shorter than Tau) — where holding every list at
+// once would peak at O(Σ|N(p)|).
 type ParallelDBSCAN struct {
 	// Points, Eps, Tau, Metric and Index have DBSCAN's semantics.
 	Points [][]float32
@@ -50,20 +50,16 @@ type ParallelDBSCAN struct {
 	BatchSize int
 	// WaveSize bounds the number of neighbor lists in flight: queries run
 	// in waves of this many, and each wave's lists are dropped before the
-	// next begins. 0 selects index.DefaultWaveSize; a negative value
-	// disables waving and buffers every neighbor list at once (the
-	// pre-wave engine, kept for comparison benchmarks and tests). Labels
-	// are identical at every setting.
+	// next begins. <= 0 selects index.DefaultWaveSize. Labels are
+	// identical at every setting.
 	WaveSize int
 }
 
 // Run clusters the points.
 func (d *ParallelDBSCAN) Run() (*Result, error) { return d.RunContext(context.Background()) }
 
-// RunContext clusters the points under a cancellation context. The wave
-// engine checks it at each wave barrier (aborting within one wave at zero
-// hot-path cost); the buffer-everything engine of WaveSize < 0 checks it
-// between phases only.
+// RunContext clusters the points under a cancellation context, checked at
+// each wave barrier (aborting within one wave at zero hot-path cost).
 func (d *ParallelDBSCAN) RunContext(ctx context.Context) (*Result, error) {
 	n := len(d.Points)
 	if err := validateParams(n, d.Eps, d.Tau); err != nil {
@@ -72,9 +68,6 @@ func (d *ParallelDBSCAN) RunContext(ctx context.Context) (*Result, error) {
 	idx := d.Index
 	if idx == nil {
 		idx = index.NewBruteForce(d.Points, metricFunc(d.Metric))
-	}
-	if d.WaveSize < 0 {
-		return d.runBuffered(ctx, idx)
 	}
 	start := time.Now()
 	res := &Result{Algorithm: "DBSCAN", RangeQueries: n}
@@ -94,93 +87,4 @@ func (d *ParallelDBSCAN) RunContext(ctx context.Context) (*Result, error) {
 	res.Elapsed = time.Since(start)
 	res.finalize()
 	return res, nil
-}
-
-// runBuffered is the buffer-everything engine: every neighbor list is
-// materialized before merging, peaking at O(Σ|N(p)|) extra memory. Kept
-// selectable (WaveSize < 0) as the baseline the wave engine's memory
-// benchmarks and regression tests compare against.
-func (d *ParallelDBSCAN) runBuffered(ctx context.Context, idx index.RangeSearcher) (*Result, error) {
-	n := len(d.Points)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{Algorithm: "DBSCAN", RangeQueries: n}
-
-	// Phase 1: all neighborhoods, one batched sweep over the worker pool.
-	neighbors := index.BatchRangeSearch(idx, d.Points, d.Eps, d.Workers, d.BatchSize)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	core := make([]bool, n)
-	for i, nb := range neighbors {
-		core[i] = len(nb) >= d.Tau
-	}
-
-	// Phase 2: ε-connectivity of core points via lock-free union-find. A
-	// core's neighbor list already contains every core within ε of it, so
-	// no extra distance work is needed; symmetric duplicates are no-ops.
-	uf := NewAtomicUnionFind(n)
-	index.ForEach(n, d.Workers, d.BatchSize, func(p int) {
-		if !core[p] {
-			return
-		}
-		for _, q := range neighbors[p] {
-			if core[q] && q != p {
-				uf.Union(p, q)
-			}
-		}
-	})
-
-	// Phase 3: sequential label resolution.
-	res.Labels = ResolveCoreLabels(neighbors, core, uf)
-	res.Core = core
-	res.Forest = DeriveForest(res.Labels, core)
-	res.Elapsed = time.Since(start)
-	res.finalize()
-	return res, nil
-}
-
-// ResolveCoreLabels turns the (neighbors, core, components) facts into the
-// labeling sequential DBSCAN would produce: cluster ids numbered by
-// first-core scan order, border points claimed by their lowest-numbered
-// adjacent cluster, everything else noise. neighbors may be nil at indexes
-// that were never queried (the LAF drivers skip predicted stop points);
-// such points can only receive labels as borders of queried cores.
-func ResolveCoreLabels(neighbors [][]int, core []bool, uf *AtomicUnionFind) []int {
-	n := len(neighbors)
-	labels := make([]int, n) // 0 = unassigned, cluster ids start at 1
-	componentID := make(map[int]int)
-	c := 0
-	for p := 0; p < n; p++ {
-		if !core[p] {
-			continue
-		}
-		root := uf.Find(p)
-		id, ok := componentID[root]
-		if !ok {
-			c++
-			id = c
-			componentID[root] = id
-		}
-		labels[p] = id
-	}
-	for p := 0; p < n; p++ {
-		if !core[p] {
-			continue
-		}
-		id := labels[p]
-		for _, q := range neighbors[p] {
-			if !core[q] && (labels[q] == 0 || labels[q] > id) {
-				labels[q] = id
-			}
-		}
-	}
-	for i, l := range labels {
-		if l == 0 {
-			labels[i] = Noise
-		}
-	}
-	return labels
 }

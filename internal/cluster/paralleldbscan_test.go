@@ -129,22 +129,27 @@ func TestParallelDBSCANValidation(t *testing.T) {
 	}
 }
 
-func TestClusterCoresAndAssignWorkersMatchesSerial(t *testing.T) {
+// TestClusterCoresAndAssignUnionWorkersMatchesSerial pins the wave
+// engines' DBSCAN++ tail — core connectivity read off a union-find forest,
+// assignment spread over a worker pool — to the serial neighbor-list
+// construction.
+func TestClusterCoresAndAssignUnionWorkersMatchesSerial(t *testing.T) {
 	d := dataset.GloVeLike(300, 3)
 	const eps, tau = 0.5, 3
 	idx := index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit)
 	var cores []int
 	coreNeighbors := make(map[int][]int)
+	m := NewWaveMerger(d.Len(), tau)
 	for i := 0; i < d.Len(); i += 2 { // every other point stands in for a sample
 		nb := idx.RangeSearch(d.Vectors[i], eps)
-		if len(nb) >= tau {
+		if m.Absorb(i, nb) {
 			cores = append(cores, i)
 			coreNeighbors[i] = nb
 		}
 	}
 	serial := ClusterCoresAndAssign(d.Vectors, eps, cores, coreNeighbors)
 	for _, workers := range []int{0, 2, 5} {
-		par := ClusterCoresAndAssignWorkers(d.Vectors, eps, cores, coreNeighbors, workers, 8)
+		par := ClusterCoresAndAssignUnionWorkers(d.Vectors, eps, cores, m.UnionFind(), workers, 8)
 		for i := range serial {
 			if par[i] != serial[i] {
 				t.Fatalf("workers=%d: label[%d] = %d, serial %d", workers, i, par[i], serial[i])

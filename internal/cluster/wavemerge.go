@@ -24,7 +24,7 @@ import "sync/atomic"
 // list, necessarily shorter than tau — because a border point's own list
 // contains every core within ε of it (symmetry again), which is all that
 // border assignment needs. The big lists, the core points' — the bulk of
-// the buffer-everything engine's O(Σ|N(p)|) peak — are never copied.
+// the O(Σ|N(p)|) it would take to hold every list — are never copied.
 type WaveMerger struct {
 	tau    int
 	status []atomic.Int32 // 0 unpublished, 1 non-core, 2 core
@@ -95,15 +95,15 @@ func (m *WaveMerger) Core() []bool {
 func (m *WaveMerger) UnionFind() *AtomicUnionFind { return m.uf }
 
 // Resolve turns the absorbed facts into the labeling sequential DBSCAN
-// would produce, with the same two rules as ResolveCoreLabels: cluster ids
-// are numbered by first-core scan order, and a border point takes the
-// minimum cluster id among its adjacent cores. Here the border rule is
+// would produce, with the two rules that reproduce its traversal: cluster
+// ids are numbered by first-core scan order, and a border point takes the
+// minimum cluster id among its adjacent cores. The border rule is
 // evaluated from the border's side — its adjacent cores are read from its
 // own stub, or, for points whose query never ran, from the optional stop
 // map (stop point id → the set of queried points that found it; the LAF
 // drivers' partial-neighbor map). Both views name the identical core set by
-// symmetry of the metric, so the labels match ResolveCoreLabels over fully
-// buffered neighbor lists bit for bit.
+// symmetry of the metric, so the labels match sequential DBSCAN's bit for
+// bit.
 func (m *WaveMerger) Resolve(stop map[int]map[int]struct{}) []int {
 	n := len(m.status)
 	core := m.Core()

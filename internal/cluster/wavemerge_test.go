@@ -15,9 +15,9 @@ import (
 )
 
 // TestWaveEngineMatchesSequentialAcrossWaveSizes pins the wave engine's
-// labels to sequential DBSCAN's — exact equality, which implies the issue's
-// ARI == 1.0 criterion — across wave sizes from one query per wave to the
-// buffer-everything engine (WaveSize < 0), at several worker counts. Run
+// labels to sequential DBSCAN's — exact equality, which implies the
+// ARI == 1.0 criterion — across wave sizes from one query per wave to one
+// wave holding every query, at several worker counts. Run
 // under -race this also exercises the publish-then-scan handshake that
 // folds core-core unions into in-flight waves.
 func TestWaveEngineMatchesSequentialAcrossWaveSizes(t *testing.T) {
@@ -26,7 +26,7 @@ func TestWaveEngineMatchesSequentialAcrossWaveSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, wave := range []int{-1, 0, 1, 7, 64, 100000} {
+		for _, wave := range []int{0, 1, 7, 64, 100000} {
 			for _, workers := range []int{1, 4, runtime.NumCPU()} {
 				name := fmt.Sprintf("%s/wave=%d/w=%d", d.Name, wave, workers)
 				par, err := (&ParallelDBSCAN{
@@ -53,32 +53,24 @@ func TestWaveEngineMatchesSequentialAcrossWaveSizes(t *testing.T) {
 	}
 }
 
-// TestWaveMergerMatchesResolveCoreLabels drives the merger directly with
+// TestWaveMergerMatchesSequentialDBSCAN drives the merger directly with
 // precomputed neighbor lists absorbed concurrently in shuffled order — the
 // worst case for the publish-then-scan handshake — and checks the resolved
-// labels against ResolveCoreLabels over the fully buffered lists.
-func TestWaveMergerMatchesResolveCoreLabels(t *testing.T) {
+// labels against sequential DBSCAN's.
+func TestWaveMergerMatchesSequentialDBSCAN(t *testing.T) {
 	d := dataset.GloVeLike(500, 21)
 	const eps, tau = 0.5, 4
 	idx := index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit)
 	n := d.Len()
-	neighbors := index.BatchRangeSearch(idx, d.Vectors, eps, 0, 0)
-	core := make([]bool, n)
-	for i, nb := range neighbors {
-		core[i] = len(nb) >= tau
+	neighbors := make([][]int, n)
+	for p, v := range d.Vectors {
+		neighbors[p] = idx.RangeSearch(v, eps)
 	}
-	ufRef := NewAtomicUnionFind(n)
-	for p := 0; p < n; p++ {
-		if !core[p] {
-			continue
-		}
-		for _, q := range neighbors[p] {
-			if core[q] && q != p {
-				ufRef.Union(p, q)
-			}
-		}
+	seq, err := (&DBSCAN{Points: d.Vectors, Eps: eps, Tau: tau, Index: idx}).Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := ResolveCoreLabels(neighbors, core, ufRef)
+	want := seq.Labels
 
 	for trial := 0; trial < 3; trial++ {
 		order := rand.New(rand.NewSource(int64(trial))).Perm(n)

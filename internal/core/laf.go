@@ -143,10 +143,9 @@ type Config struct {
 	BatchSize int
 	// WaveSize bounds the parallel engine's neighbor-discovery memory:
 	// range queries run in waves of this many and each wave's lists are
-	// dropped as soon as their facts are folded in. 0 selects
-	// index.DefaultWaveSize; a negative value buffers every neighbor list
-	// at once (the pre-wave engine, kept for comparison). Ignored by the
-	// sequential engine; labels are identical at every setting.
+	// dropped as soon as their facts are folded in. <= 0 selects
+	// index.DefaultWaveSize. Ignored by the sequential engine; labels are
+	// identical at every setting.
 	WaveSize int
 }
 

@@ -32,12 +32,10 @@ import (
 // a superset of the sequential one, which can only give Algorithm 3 more
 // repair evidence.
 //
-// Memory: the wave engines (Config.WaveSize >= 0) keep at most one wave of
-// neighbor lists in flight, folding core flags and union-find links into
-// each wave via cluster.WaveMerger and dropping the lists; only non-core
-// stubs (< Tau entries each) and the partial-neighbor map survive. The
-// buffer-everything engines of WaveSize < 0 — the original formulation —
-// peak at O(Σ|N(p)|) and remain selectable as the comparison baseline.
+// Memory: the engines keep at most one wave of neighbor lists in flight
+// (Config.WaveSize), folding core flags and union-find links into each
+// wave via cluster.WaveMerger and dropping the lists; only non-core stubs
+// (< Tau entries each) and the partial-neighbor map survive.
 
 // poolParams maps the Config knobs onto the index-layer worker-pool
 // arguments, where <= 0 means "auto" (GOMAXPROCS / default grain).
@@ -75,15 +73,10 @@ func (s *stopStripes) update(e PartialNeighbors, p int, ids []int) {
 	}
 }
 
-// runParallel is LAF-DBSCAN's multi-core engine: the memory-bounded wave
-// formulation, or the buffer-everything engine when WaveSize < 0. The
-// context is checked between the gate and query phases and at every wave
-// barrier inside the query phase.
+// runParallel is LAF-DBSCAN's multi-core engine. The context is checked at
+// every wave barrier of the query phase.
 func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
 	cfg := l.Config
-	if cfg.WaveSize < 0 {
-		return l.runParallelBuffered(ctx, idx)
-	}
 	n := len(l.Points)
 	workers, grain := poolParams(cfg)
 
@@ -149,91 +142,11 @@ func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*
 	return res, nil
 }
 
-// runParallelBuffered is LAF-DBSCAN's buffer-everything engine: all
-// neighbor lists are materialized before merging (peak O(Σ|N(p)|)). Kept
-// selectable (WaveSize < 0) as the wave engine's comparison baseline.
-func (l *LAFDBSCAN) runParallelBuffered(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfg := l.Config
-	n := len(l.Points)
-	workers, grain := poolParams(cfg)
-
-	start := time.Now()
-	res := &cluster.Result{Algorithm: "LAF-DBSCAN"}
-
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	predictedCore := gateAll(l.Points, all, cfg, workers, grain)
-	queried := make([]int, 0, n)
-	for i, pc := range predictedCore {
-		if pc {
-			queried = append(queried, i)
-		}
-	}
-	res.RangeQueries = len(queried)
-	res.SkippedQueries = n - len(queried)
-
-	qpts := make([][]float32, len(queried))
-	for k, id := range queried {
-		qpts[k] = l.Points[id]
-	}
-	results := index.BatchRangeSearch(idx, qpts, cfg.Eps, workers, grain)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	neighbors := make([][]int, n)
-	core := make([]bool, n)
-	for k, id := range queried {
-		neighbors[id] = results[k]
-		core[id] = len(results[k]) >= cfg.Tau
-	}
-
-	uf := cluster.NewAtomicUnionFind(n)
-	index.ForEach(n, workers, grain, func(p int) {
-		if !core[p] {
-			return
-		}
-		for _, q := range neighbors[p] {
-			if core[q] && q != p {
-				uf.Union(p, q)
-			}
-		}
-	})
-
-	res.Labels = cluster.ResolveCoreLabels(neighbors, core, uf)
-
-	// Complete partial-neighbor map: every stop point, every executed query.
-	if !cfg.DisablePostProcessing {
-		e := make(PartialNeighbors)
-		for i, pc := range predictedCore {
-			if !pc {
-				e.Ensure(i)
-			}
-		}
-		for _, p := range queried {
-			e.Update(p, neighbors[p])
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
-	}
-	res.Core = core
-	res.Elapsed = time.Since(start)
-	finalize(res)
-	return res, nil
-}
-
 // runParallel is LAF-DBSCAN++'s multi-core engine. The rng stream is
 // consumed in the same order as the sequential engine (sample permutation
 // first, post-processing second), so a fixed seed selects the same sample.
 func (l *LAFDBSCANPP) runParallel(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
 	cfg := l.Config
-	if cfg.WaveSize < 0 {
-		return l.runParallelBuffered(ctx, idx)
-	}
 	n := len(l.Points)
 	workers, grain := poolParams(cfg)
 
@@ -290,68 +203,6 @@ func (l *LAFDBSCANPP) runParallel(ctx context.Context, idx index.RangeSearcher) 
 	}
 
 	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), workers, grain)
-	if !cfg.DisablePostProcessing {
-		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
-	}
-	res.Core = cluster.CoreMask(n, cores)
-	res.Elapsed = time.Since(start)
-	finalize(res)
-	return res, nil
-}
-
-// runParallelBuffered is LAF-DBSCAN++'s buffer-everything engine (all
-// sample neighbor lists at once), kept selectable via WaveSize < 0.
-func (l *LAFDBSCANPP) runParallelBuffered(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfg := l.Config
-	n := len(l.Points)
-	workers, grain := poolParams(cfg)
-
-	start := time.Now()
-	res := &cluster.Result{Algorithm: "LAF-DBSCAN++"}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := int(float64(n) * l.P)
-	if m < 1 {
-		m = 1
-	}
-	sample := rng.Perm(n)[:m]
-
-	predictedCore := gateAll(l.Points, sample, cfg, workers, grain)
-	queried := make([]int, 0, m)
-	e := make(PartialNeighbors)
-	for k, s := range sample {
-		if predictedCore[k] {
-			queried = append(queried, s)
-		} else {
-			e.Ensure(s)
-			res.SkippedQueries++
-		}
-	}
-	qpts := make([][]float32, len(queried))
-	for k, s := range queried {
-		qpts[k] = l.Points[s]
-	}
-	results := index.BatchRangeSearch(idx, qpts, cfg.Eps, workers, grain)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res.RangeQueries = len(queried)
-
-	// Core detection preserves sample order, so cluster numbering matches
-	// the sequential engine.
-	cores := make([]int, 0, len(queried))
-	coreNeighbors := make(map[int][]int, len(queried))
-	for k, s := range queried {
-		e.Update(s, results[k])
-		if len(results[k]) >= cfg.Tau {
-			cores = append(cores, s)
-			coreNeighbors[s] = results[k]
-		}
-	}
-
-	res.Labels = cluster.ClusterCoresAndAssignWorkers(l.Points, cfg.Eps, cores, coreNeighbors, workers, grain)
 	if !cfg.DisablePostProcessing {
 		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
 	}

@@ -7,10 +7,9 @@ import (
 	"lafdbscan/internal/cluster"
 )
 
-// waveSweep is the WaveSize settings the equivalence tests cover: the
-// buffer-everything engine, the auto default, one query per wave, and a
-// mid-sized wave.
-var waveSweep = []int{-1, 0, 1, 16}
+// waveSweep is the WaveSize settings the equivalence tests cover: the auto
+// default, one query per wave, and a mid-sized wave.
+var waveSweep = []int{0, 1, 16}
 
 // TestParallelLAFDBSCANWaveSizesMatchSequential pins the wave engine to the
 // sequential reference with post-processing disabled: labels must be
@@ -52,7 +51,7 @@ func TestParallelLAFDBSCANWaveSizesMatchSequential(t *testing.T) {
 // TestParallelLAFDBSCANWavePostProcessingDeterministic asserts the full
 // pipeline (post-processing enabled) yields one labeling no matter the wave
 // size or worker count: the complete partial-neighbor map is order-free, so
-// the wave and buffered engines must agree merge for merge.
+// every wave size must agree merge for merge.
 func TestParallelLAFDBSCANWavePostProcessingDeterministic(t *testing.T) {
 	d, est := parallelLAFData(t)
 	var ref *cluster.Result

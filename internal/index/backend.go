@@ -121,9 +121,9 @@ var backendRegistry = []backendSpec{
 	{BackendHNSW,
 		Capabilities{Dynamic: true, KNN: true, Cosine: true, Euclidean: true},
 		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
-			return hnswSearcher{hnsw.New(points, o.distFunc(), hnsw.Config{
+			return hnsw.New(points, o.distFunc(), hnsw.Config{
 				M: o.M, EfConstruction: o.EfConstruction, EfSearch: o.EfSearch, Seed: o.Seed,
-			})}, nil
+			}), nil
 		}},
 	{BackendCoverTree,
 		Capabilities{Exact: true, Dynamic: true, Cosine: true, Euclidean: true},
@@ -135,7 +135,7 @@ var backendRegistry = []backendSpec{
 			if base <= 1 {
 				return nil, fmt.Errorf("index: cover tree base %v must exceed 1", base)
 			}
-			return coverTreeSearcher{NewCoverTree(points, o.distFunc(), base)}, nil
+			return NewCoverTree(points, o.distFunc(), base), nil
 		}},
 	{BackendKMeansTree,
 		Capabilities{Dynamic: true, KNN: true, Cosine: true, Euclidean: true},
@@ -257,31 +257,10 @@ func ResolveBackend(chain []string, req Requirements) (string, error) {
 }
 
 // --- adapters: every backend behind the uniform RangeSearcher face ---
-
-// hnswSearcher layers the batch worker-pool plumbing over the graph; the
-// graph itself stays free of index-package dependencies.
-type hnswSearcher struct{ *hnsw.Graph }
-
-// BatchRangeSearch implements RangeSearcher with the shared pool at
-// GOMAXPROCS workers. Graph queries are concurrency-safe by design (all
-// per-query scratch is pooled), so queries fan out without locks.
-func (h hnswSearcher) BatchRangeSearch(queries [][]float32, eps float64) [][]int {
-	return h.BatchRangeSearchWorkers(queries, eps, 0, 0)
-}
-
-// BatchRangeSearchWorkers answers many range queries over a fixed worker
-// pool, the native batch fast path the engines prefer.
-func (h hnswSearcher) BatchRangeSearchWorkers(queries [][]float32, eps float64, workers, grain int) [][]int {
-	out := make([][]int, len(queries))
-	ForEach(len(queries), workers, grain, func(i int) {
-		out[i] = h.Graph.RangeSearch(queries[i], eps)
-	})
-	return out
-}
-
-// coverTreeSearcher exists only for symmetry in the registry builders;
-// CoverTree already implements the full contract.
-type coverTreeSearcher struct{ *CoverTree }
+//
+// *BruteForce, *hnsw.Graph and *CoverTree implement the contract directly;
+// the grid and the k-means tree name their approximate queries apart from
+// their exact ones, so they are registered behind these adapters.
 
 // gridSearcher adapts the grid's ρ-approximate queries to the uniform
 // contract. With Rho 0 the answers are exact; with Rho > 0 they carry the
@@ -296,14 +275,6 @@ func (g gridSearcher) RangeCount(q []float32, eps float64) int {
 	return g.ApproxRangeCount(q, eps)
 }
 
-func (g gridSearcher) BatchRangeSearch(queries [][]float32, eps float64) [][]int {
-	return g.BatchApproxRangeSearch(queries, eps, 0, 0)
-}
-
-func (g gridSearcher) BatchRangeSearchWorkers(queries [][]float32, eps float64, workers, grain int) [][]int {
-	return g.BatchApproxRangeSearch(queries, eps, workers, grain)
-}
-
 // kmeansTreeSearcher adapts the k-means tree's approximate queries to the
 // uniform contract.
 type kmeansTreeSearcher struct{ *KMeansTree }
@@ -316,27 +287,15 @@ func (t kmeansTreeSearcher) RangeCount(q []float32, eps float64) int {
 	return len(t.RangeSearchApprox(q, eps))
 }
 
-func (t kmeansTreeSearcher) BatchRangeSearch(queries [][]float32, eps float64) [][]int {
-	return t.BatchRangeSearchApprox(queries, eps, 0, 0)
-}
-
-func (t kmeansTreeSearcher) BatchRangeSearchWorkers(queries [][]float32, eps float64, workers, grain int) [][]int {
-	return t.BatchRangeSearchApprox(queries, eps, workers, grain)
-}
-
 var (
-	_ RangeSearcher       = hnswSearcher{}
-	_ KNNSearcher         = hnswSearcher{}
-	_ DynamicIndex        = hnswSearcher{}
-	_ batchWorkerSearcher = hnswSearcher{}
-	_ RangeSearcher       = gridSearcher{}
-	_ DynamicIndex        = gridSearcher{}
-	_ batchWorkerSearcher = gridSearcher{}
-	_ RangeSearcher       = kmeansTreeSearcher{}
-	_ KNNSearcher         = kmeansTreeSearcher{}
-	_ DynamicIndex        = kmeansTreeSearcher{}
-	_ batchWorkerSearcher = kmeansTreeSearcher{}
-	_ RangeSearcher       = coverTreeSearcher{}
-	_ DynamicIndex        = coverTreeSearcher{}
-	_ batchWorkerSearcher = coverTreeSearcher{}
+	_ RangeSearcher = (*hnsw.Graph)(nil)
+	_ KNNSearcher   = (*hnsw.Graph)(nil)
+	_ DynamicIndex  = (*hnsw.Graph)(nil)
+	_ RangeSearcher = (*CoverTree)(nil)
+	_ DynamicIndex  = (*CoverTree)(nil)
+	_ RangeSearcher = gridSearcher{}
+	_ DynamicIndex  = gridSearcher{}
+	_ RangeSearcher = kmeansTreeSearcher{}
+	_ KNNSearcher   = kmeansTreeSearcher{}
+	_ DynamicIndex  = kmeansTreeSearcher{}
 )

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -57,8 +58,9 @@ func TestNewBackendErrors(t *testing.T) {
 }
 
 // TestEveryBackendBuildsAndAnswers exercises the registry end to end:
-// each backend builds under a supported configuration and answers a
-// self-query.
+// each backend builds under a supported configuration, answers a
+// self-query, and streams through the wave driver exactly the answers of
+// its per-query RangeSearch.
 func TestEveryBackendBuildsAndAnswers(t *testing.T) {
 	pts := clusteredPoints(50, 8, 5)
 	for _, c := range conformanceCases() {
@@ -72,9 +74,14 @@ func TestEveryBackendBuildsAndAnswers(t *testing.T) {
 		if ids := idx.RangeSearch(pts[0], 1e-6); !slices.Contains(ids, 0) {
 			t.Fatalf("%s: self-query missed: %v", c.backend, ids)
 		}
-		batch := idx.BatchRangeSearch(pts[:4], c.eps)
-		if len(batch) != 4 {
-			t.Fatalf("%s: batch returned %d results", c.backend, len(batch))
+		queries := pts[:12]
+		got := collectStream(len(queries), func(fn func(int, []int)) {
+			if err := BatchRangeSearchFunc(context.Background(), idx, queries, c.eps, 2, 2, 5, fn); err != nil {
+				t.Fatalf("%s: BatchRangeSearchFunc: %v", c.backend, err)
+			}
+		})
+		for i, q := range queries {
+			assertSameIDs(t, c.backend, got[i], idx.RangeSearch(q, c.eps))
 		}
 	}
 }

@@ -37,89 +37,3 @@ func TestForEachCoversAllIndexes(t *testing.T) {
 		}
 	}
 }
-
-func TestBruteForceBatchMatchesSerial(t *testing.T) {
-	pts := batchTestPoints(300, 16, 1)
-	b := NewBruteForce(pts, vecmath.CosineDistanceUnit)
-	queries := pts[:50]
-	const eps = 0.8
-	batch := b.BatchRangeSearch(queries, eps)
-	if len(batch) != len(queries) {
-		t.Fatalf("got %d results for %d queries", len(batch), len(queries))
-	}
-	for i, q := range queries {
-		want := sortedCopy(b.RangeSearch(q, eps))
-		got := sortedCopy(batch[i])
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d ids, want %d", i, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("query %d: ids differ at %d: %d vs %d", i, k, got[k], want[k])
-			}
-		}
-	}
-}
-
-func TestBruteForceBatchCountsQueries(t *testing.T) {
-	pts := batchTestPoints(100, 8, 2)
-	b := NewBruteForce(pts, vecmath.CosineDistanceUnit)
-	b.ResetQueries()
-	b.BatchRangeSearch(pts[:37], 0.5)
-	if got := b.Queries(); got != 37 {
-		t.Errorf("query counter = %d, want 37", got)
-	}
-}
-
-func TestCoverTreeBatchMatchesSerial(t *testing.T) {
-	pts := batchTestPoints(200, 8, 3)
-	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
-	queries := pts[:40]
-	const eps = 1.0
-	batch := ct.BatchRangeSearch(queries, eps)
-	for i, q := range queries {
-		want := sortedCopy(ct.RangeSearch(q, eps))
-		got := sortedCopy(batch[i])
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d ids, want %d", i, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("query %d: id mismatch", i)
-			}
-		}
-	}
-}
-
-func TestGenericBatchRangeSearchHelper(t *testing.T) {
-	pts := batchTestPoints(150, 8, 4)
-	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
-	for _, workers := range []int{0, 1, 4} {
-		batch := BatchRangeSearch(ct, pts[:20], 1.0, workers, 4)
-		for i := range batch {
-			want := ct.RangeSearch(pts[i], 1.0)
-			if len(batch[i]) != len(want) {
-				t.Fatalf("workers=%d query %d: %d ids, want %d", workers, i, len(batch[i]), len(want))
-			}
-		}
-	}
-}
-
-func TestGridAndKMeansTreeBatch(t *testing.T) {
-	pts := batchTestPoints(200, 6, 5)
-	g := NewGrid(pts, 1.0, 0.5)
-	queries := pts[:25]
-	gb := g.BatchApproxRangeSearch(queries, 1.0, 3, 4)
-	for i, q := range queries {
-		if len(gb[i]) != len(g.ApproxRangeSearch(q, 1.0)) {
-			t.Fatalf("grid query %d differs from serial", i)
-		}
-	}
-	kt := NewKMeansTree(pts, vecmath.CosineDistanceUnit, KMeansTreeConfig{Seed: 1, LeavesRatio: 1})
-	kb := kt.BatchRangeSearchApprox(queries, 0.8, 3, 4)
-	for i, q := range queries {
-		if len(kb[i]) != len(kt.RangeSearchApprox(q, 0.8)) {
-			t.Fatalf("kmeans-tree query %d differs from serial", i)
-		}
-	}
-}

@@ -11,11 +11,12 @@
 //
 // Three layers sit on top of the per-query engines:
 //
-//   - the batch layer (batch.go): a shared worker pool (ForEach) and batch
-//     range-query entry points that parallelize across queries instead of
-//     inside them — the right grain for the clustering drivers;
-//   - the wave layer (wave.go): BatchRangeSearchFunc streams queries in
-//     bounded waves and hands each result to a callback, so the live set is
+//   - the pool (batch.go): a shared worker pool (ForEach) that parallelizes
+//     across queries instead of inside them — the right grain for the
+//     clustering drivers;
+//   - the wave driver (wave.go): BatchRangeSearchFunc, the one way to run a
+//     batch of queries, streams them in bounded waves over the pool and
+//     hands each result to a callback, so the live set is
 //     O(WaveSize·avg|N|) regardless of dataset size; the wave barrier is
 //     also the cancellation and progress point;
 //   - the dynamic layer (dynamic.go): the DynamicIndex insert/delete

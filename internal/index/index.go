@@ -9,7 +9,8 @@ import (
 	"lafdbscan/internal/vecmath"
 )
 
-// RangeSearcher answers radius queries over an indexed point set.
+// RangeSearcher answers radius queries over an indexed point set. Queries
+// must be safe for concurrent use: BatchRangeSearchFunc runs many at once.
 type RangeSearcher interface {
 	// RangeSearch returns the ids of all indexed points p with
 	// d(q, p) < eps, in unspecified order.
@@ -17,11 +18,6 @@ type RangeSearcher interface {
 	// RangeCount returns len(RangeSearch(q, eps)) without materializing
 	// the result.
 	RangeCount(q []float32, eps float64) int
-	// BatchRangeSearch answers every query concurrently over a worker
-	// pool and returns one id slice per query, index-aligned with
-	// queries. Implementations must make concurrent queries safe; use
-	// the package-level BatchRangeSearch helper to cap the pool size.
-	BatchRangeSearch(queries [][]float32, eps float64) [][]int
 	// Len returns the number of indexed points.
 	Len() int
 }
@@ -157,6 +153,15 @@ func (b *BruteForce) RangeSearch(q []float32, eps float64) []int {
 		out = append(out, p...)
 	}
 	return out
+}
+
+// appendRangeSearch is BruteForce's wave-driver fast path: one serial scan
+// appended to the slot's reused buffer. The wave pool already runs queries
+// in parallel, so the per-query sharding of RangeSearch would only nest
+// goroutines under it.
+func (b *BruteForce) appendRangeSearch(dst []int, q []float32, eps float64) []int {
+	b.queries.Add(1)
+	return b.scan(dst, q, eps, 0, len(b.points))
 }
 
 // count returns the number of points in [lo, hi) within eps of q. It

@@ -128,8 +128,8 @@ func perPairRange(pts [][]float32, q []float32, eps float64) []int {
 	return out
 }
 
-// checkEntryPoints runs RangeSearch (sharded at this size), RangeCount,
-// BatchRangeSearchWorkers and the streaming wave path for every query at
+// checkEntryPoints runs RangeSearch (sharded at this size), RangeCount and
+// the streaming wave path for every query at
 // eps and at the exact distance from each query to the boundary points,
 // give or take one ulp, and compares each with the per-pair loop.
 func checkEntryPoints(t *testing.T, stage string, bf *BruteForce, mirror, queries [][]float32, eps float64, boundary [][]float32) {
@@ -150,11 +150,6 @@ func checkEntryPoints(t *testing.T, stage string, bf *BruteForce, mirror, querie
 			}
 			if got := bf.RangeCount(q, e); got != len(want[i]) {
 				t.Fatalf("%s: RangeCount(q%d, %v) = %d, per-pair %d", stage, i, e, got, len(want[i]))
-			}
-		}
-		for i, got := range bf.BatchRangeSearchWorkers(queries, e, 2, 1) {
-			if !equalIDs(got, want[i]) {
-				t.Fatalf("%s: BatchRangeSearchWorkers q%d at %v: %d ids, per-pair %d", stage, i, e, len(got), len(want[i]))
 			}
 		}
 		streamed := collectStream(len(queries), func(fn func(int, []int)) {

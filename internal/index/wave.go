@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// This file is the streaming counterpart of batch.go: instead of
+// This file is the one batch entry point of the index layer: instead of
 // materializing one result slice per query — O(Σ|N(q)|) live at once —
 // BatchRangeSearchFunc executes queries in bounded waves over the worker
-// pool and hands each result to a callback while the wave is in flight.
-// The caller folds what it needs out of each list (core flags, union-find
+// pool (batch.go) and hands each result to a callback while the wave is
+// in flight. The caller folds what it needs out of each list (core flags, union-find
 // links, small stubs) and the list itself is recycled or collected, so the
 // live set is O(WaveSize·avg|N|) regardless of dataset size. This is the
 // substrate of the memory-bounded parallel clustering engines.
@@ -24,7 +24,8 @@ import (
 // DefaultWaveSize is the number of queries per wave when the caller passes
 // wave <= 0. Large enough that the per-wave pool fork/join is amortized
 // over thousands of distance computations, small enough that a wave's
-// in-flight neighbor lists stay far below the buffer-everything regime.
+// in-flight neighbor lists stay far below those of one wave holding every
+// query.
 const DefaultWaveSize = 1024
 
 // ResolveWaveSize normalizes a wave-size knob: values <= 0 select
@@ -55,11 +56,12 @@ func waveProgress(ctx context.Context) func(int) {
 	return fn
 }
 
-// batchFuncWorkerSearcher is the optional native streaming path an index
-// can provide; BruteForce uses it to recycle one result buffer per wave
-// slot instead of allocating a fresh slice per query.
-type batchFuncWorkerSearcher interface {
-	BatchRangeSearchFuncWorkers(ctx context.Context, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error
+// appendSearcher is the one native fast path the wave driver knows:
+// appendRangeSearch appends the ids within eps of q to dst and returns it,
+// so each wave slot can reuse one result buffer. BruteForce provides it;
+// every other index is served through RangeSearch.
+type appendSearcher interface {
+	appendRangeSearch(dst []int, q []float32, eps float64) []int
 }
 
 // BatchRangeSearchFunc answers queries[i] in waves of at most wave queries
@@ -71,71 +73,50 @@ type batchFuncWorkerSearcher interface {
 // mid-wave lets the in-flight wave finish (every fn of that wave still
 // runs) and stops before the next one, returning ctx.Err(). The hot path
 // never touches the context, so an un-cancelled run costs exactly the same
-// as before the context existed. A nil fn result set is never produced; on
-// a nil error every query's fn has run.
+// as before the context existed. On a nil error every query's fn has run.
 //
 // fn is invoked concurrently from pool workers (on distinct i) and must be
 // safe for that; ids is only valid for the duration of the call and may be
 // recycled afterwards — callers that need to retain ids must copy them.
 // workers <= 0 selects GOMAXPROCS, grain <= 0 a default chunk size, and
 // wave <= 0 DefaultWaveSize. Results are identical to per-query RangeSearch
-// calls; only the allocation profile differs from BatchRangeSearch.
+// calls.
+//
+// An index with the appendSearcher fast path gets one result buffer per
+// wave slot, reset and reused wave after wave; slot 0's is kept call after
+// call in waveScratchPool, so a warm single-vector call allocates nothing.
+// Within a wave a slot is touched by exactly one worker, and the pool
+// barrier between waves orders the reuse.
 func BatchRangeSearchFunc(ctx context.Context, s RangeSearcher, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error {
-	if b, ok := s.(batchFuncWorkerSearcher); ok {
-		return b.BatchRangeSearchFuncWorkers(ctx, queries, eps, workers, grain, wave, fn)
-	}
-	wave = ResolveWaveSize(wave)
-	progress := waveProgress(ctx)
-	for base := 0; base < len(queries); base += wave {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(base+wave, len(queries))
-		lo := base
-		ForEach(hi-lo, workers, grain, func(k int) {
-			fn(lo+k, s.RangeSearch(queries[lo+k], eps))
-		})
-		if progress != nil {
-			progress(hi - lo)
-		}
-	}
-	return nil
-}
-
-// BatchRangeSearchFuncWorkers is BruteForce's native streaming path: each
-// wave slot owns one result buffer that is reset and reused wave after
-// wave, and slot 0's is kept call after call in waveScratchPool, so a warm
-// single-vector call allocates nothing. Within a wave a slot is touched by
-// exactly one worker, and the pool barrier between waves orders the reuse.
-// The context carries the same per-wave cancellation and progress
-// semantics as BatchRangeSearchFunc.
-func (b *BruteForce) BatchRangeSearchFuncWorkers(ctx context.Context, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error {
 	n := len(queries)
 	if n == 0 {
 		return ctx.Err()
 	}
 	wave = ResolveWaveSize(wave)
 	progress := waveProgress(ctx)
-	s := waveScratchPool.Get().(*waveScratch)
+	w := waveScratchPool.Get().(*waveScratch)
 	defer func() {
 		// Keep only slot 0's buffer, all a single-vector call needs: a
 		// batch's other slots would pin up to wave·Len() ids in the pool.
-		clear(s.bufs[1:])
-		s.b, s.queries, s.fn = nil, nil, nil
-		waveScratchPool.Put(s)
+		if len(w.bufs) > 1 {
+			clear(w.bufs[1:])
+		}
+		w.s, w.app, w.queries, w.fn = nil, nil, nil, nil
+		waveScratchPool.Put(w)
 	}()
-	s.b, s.queries, s.eps, s.fn = b, queries, eps, fn
-	if slots := min(wave, n); len(s.bufs) < slots {
-		s.bufs = append(s.bufs, make([][]int, slots-len(s.bufs))...)
+	w.s, w.queries, w.eps, w.fn = s, queries, eps, fn
+	if w.app, _ = s.(appendSearcher); w.app != nil {
+		if slots := min(wave, n); len(w.bufs) < slots {
+			w.bufs = append(w.bufs, make([][]int, slots-len(w.bufs))...)
+		}
 	}
 	for base := 0; base < n; base += wave {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		hi := min(base+wave, n)
-		s.lo = base
-		b.queries.Add(int64(hi - base))
-		ForEach(hi-base, workers, grain, s.run)
+		w.lo = base
+		ForEach(hi-base, workers, grain, w.run)
 		if progress != nil {
 			progress(hi - base)
 		}
@@ -143,11 +124,12 @@ func (b *BruteForce) BatchRangeSearchFuncWorkers(ctx context.Context, queries []
 	return nil
 }
 
-// waveScratch is the reusable state of one BatchRangeSearchFuncWorkers
-// call: a result buffer per wave slot and the pool callback, bound once
-// to the scratch so that passing it to ForEach allocates nothing.
+// waveScratch is the reusable state of one BatchRangeSearchFunc call: a
+// result buffer per wave slot and the pool callback, bound once to the
+// scratch so that passing it to ForEach allocates nothing.
 type waveScratch struct {
-	b       *BruteForce
+	s       RangeSearcher
+	app     appendSearcher // s's fast path, or nil
 	queries [][]float32
 	eps     float64
 	lo      int // first query of the current wave
@@ -157,59 +139,15 @@ type waveScratch struct {
 }
 
 var waveScratchPool = sync.Pool{New: func() any {
-	s := new(waveScratch)
-	s.run = func(k int) {
-		s.bufs[k] = s.b.scan(s.bufs[k][:0], s.queries[s.lo+k], s.eps, 0, len(s.b.points))
-		s.fn(s.lo+k, s.bufs[k])
+	w := new(waveScratch)
+	w.run = func(k int) {
+		q := w.queries[w.lo+k]
+		if w.app == nil {
+			w.fn(w.lo+k, w.s.RangeSearch(q, w.eps))
+			return
+		}
+		w.bufs[k] = w.app.appendRangeSearch(w.bufs[k][:0], q, w.eps)
+		w.fn(w.lo+k, w.bufs[k])
 	}
-	return s
+	return w
 }}
-
-// CoverTree needs no native streaming path: its traversal is read-only
-// after construction and allocates per query either way, so the generic
-// BatchRangeSearchFunc fallback is its wave engine (the live set is still
-// bounded by one wave — each result is handed to fn and then dropped).
-
-// BatchApproxRangeSearchFunc streams the grid's ρ-approximate range queries
-// in waves, fn receiving each result as it is produced; ctx is checked at
-// each wave barrier.
-func (g *Grid) BatchApproxRangeSearchFunc(ctx context.Context, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error {
-	wave = ResolveWaveSize(wave)
-	progress := waveProgress(ctx)
-	for base := 0; base < len(queries); base += wave {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(base+wave, len(queries))
-		lo := base
-		ForEach(hi-lo, workers, grain, func(k int) {
-			fn(lo+k, g.ApproxRangeSearch(queries[lo+k], eps))
-		})
-		if progress != nil {
-			progress(hi - lo)
-		}
-	}
-	return nil
-}
-
-// BatchRangeSearchApproxFunc streams the k-means tree's approximate range
-// queries in waves, fn receiving each result as it is produced; ctx is
-// checked at each wave barrier.
-func (t *KMeansTree) BatchRangeSearchApproxFunc(ctx context.Context, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error {
-	wave = ResolveWaveSize(wave)
-	progress := waveProgress(ctx)
-	for base := 0; base < len(queries); base += wave {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(base+wave, len(queries))
-		lo := base
-		ForEach(hi-lo, workers, grain, func(k int) {
-			fn(lo+k, t.RangeSearchApprox(queries[lo+k], eps))
-		})
-		if progress != nil {
-			progress(hi - lo)
-		}
-	}
-	return nil
-}

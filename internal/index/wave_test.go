@@ -10,8 +10,8 @@ import (
 	"lafdbscan/internal/vecmath"
 )
 
-// collectStream runs a streaming batch entry point and gathers the per-
-// query results (copied — the contract says ids may be recycled after the
+// collectStream runs a streaming wave call and gathers the per-query
+// results (copied — the contract says ids may be recycled after the
 // callback returns).
 func collectStream(n int, stream func(fn func(i int, ids []int))) [][]int {
 	out := make([][]int, n)
@@ -39,8 +39,8 @@ func assertSameIDs(t *testing.T, label string, got, want []int) {
 	}
 }
 
-// TestBruteForceStreamingMatchesSerial pins the native buffer-recycling
-// wave path against serial RangeSearch at wave sizes that force buffer
+// TestBruteForceStreamingMatchesSerial pins brute force's buffer-recycling
+// fast path through the wave driver against serial RangeSearch at wave sizes that force buffer
 // reuse (wave < number of queries), including one query per wave.
 func TestBruteForceStreamingMatchesSerial(t *testing.T) {
 	pts := batchTestPoints(300, 16, 11)
@@ -49,7 +49,7 @@ func TestBruteForceStreamingMatchesSerial(t *testing.T) {
 	const eps = 0.8
 	for _, wave := range []int{0, 1, 7, 60, 1000} {
 		got := collectStream(len(queries), func(fn func(int, []int)) {
-			b.BatchRangeSearchFuncWorkers(context.Background(), queries, eps, 3, 4, wave, fn)
+			BatchRangeSearchFunc(context.Background(), b, queries, eps, 3, 4, wave, fn)
 		})
 		for i, q := range queries {
 			assertSameIDs(t, "brute force", got[i], b.RangeSearch(q, eps))
@@ -61,15 +61,42 @@ func TestBruteForceStreamingCountsQueries(t *testing.T) {
 	pts := batchTestPoints(100, 8, 12)
 	b := NewBruteForce(pts, vecmath.CosineDistanceUnit)
 	b.ResetQueries()
-	b.BatchRangeSearchFuncWorkers(context.Background(), pts[:37], 0.5, 2, 4, 8, func(int, []int) {})
+	BatchRangeSearchFunc(context.Background(), b, pts[:37], 0.5, 2, 4, 8, func(int, []int) {})
 	if got := b.Queries(); got != 37 {
 		t.Errorf("query counter = %d, want 37", got)
 	}
 }
 
-// TestGenericStreamingHelperCoverTree exercises the package-level
-// BatchRangeSearchFunc fallback: CoverTree provides no native streaming
-// path, so the helper's generic per-query wave loop serves it.
+// TestBruteForceWarmSingleQueryAllocatesNothing pins the allocation
+// profile of the path Predict and Insert take for one vector: once the
+// pooled slot-0 buffer has grown, a brute-force query through the wave
+// driver allocates nothing.
+func TestBruteForceWarmSingleQueryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	pts := batchTestPoints(2000, 64, 17)
+	b := NewBruteForce(pts, vecmath.CosineDistanceUnit)
+	hits := 0
+	count := func(_ int, ids []int) { hits += len(ids) }
+	q := pts[:1]
+	run := func() {
+		if err := BatchRangeSearchFunc(context.Background(), b, q, 0.9, 1, 0, 0, count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // grow the pooled buffer
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("warm single-query BatchRangeSearchFunc: %v allocs/op, want 0", allocs)
+	}
+	if hits == 0 {
+		t.Fatal("no query found a neighbor")
+	}
+}
+
+// TestGenericStreamingHelperCoverTree exercises the wave driver on an index
+// without the brute-force fast path: each CoverTree result comes from its
+// own RangeSearch.
 func TestGenericStreamingHelperCoverTree(t *testing.T) {
 	pts := batchTestPoints(200, 8, 13)
 	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
@@ -85,15 +112,16 @@ func TestGenericStreamingHelperCoverTree(t *testing.T) {
 	}
 }
 
-// TestGridAndKMeansTreeStreaming pins the approximate backends' streaming
-// wave paths to their serial queries.
+// TestGridAndKMeansTreeStreaming pins the approximate backends, streamed
+// in several waves through their registry adapters, to their serial
+// approximate queries.
 func TestGridAndKMeansTreeStreaming(t *testing.T) {
 	pts := batchTestPoints(200, 6, 14)
 	queries := pts[:25]
 
 	g := NewGrid(pts, 1.0, 0.5)
 	got := collectStream(len(queries), func(fn func(int, []int)) {
-		g.BatchApproxRangeSearchFunc(context.Background(), queries, 1.0, 3, 4, 8, fn)
+		BatchRangeSearchFunc(context.Background(), gridSearcher{g}, queries, 1.0, 3, 4, 8, fn)
 	})
 	for i, q := range queries {
 		assertSameIDs(t, "grid", got[i], g.ApproxRangeSearch(q, 1.0))
@@ -101,7 +129,7 @@ func TestGridAndKMeansTreeStreaming(t *testing.T) {
 
 	kt := NewKMeansTree(pts, vecmath.CosineDistanceUnit, KMeansTreeConfig{Seed: 1, LeavesRatio: 1})
 	got = collectStream(len(queries), func(fn func(int, []int)) {
-		kt.BatchRangeSearchApproxFunc(context.Background(), queries, 0.8, 3, 4, 8, fn)
+		BatchRangeSearchFunc(context.Background(), kmeansTreeSearcher{kt}, queries, 0.8, 3, 4, 8, fn)
 	})
 	for i, q := range queries {
 		assertSameIDs(t, "kmeans tree", got[i], kt.RangeSearchApprox(q, 0.8))
@@ -111,8 +139,8 @@ func TestGridAndKMeansTreeStreaming(t *testing.T) {
 // TestStreamingCancelAbortsWithinOneWave pins the wave engines' cancellation
 // contract: a context cancelled mid-wave lets the in-flight wave finish (its
 // callbacks all run) and stops at the next wave barrier, so no more than one
-// wave of callbacks follows the cancellation. Both the native brute-force
-// path and the generic fallback are exercised.
+// wave of callbacks follows the cancellation. Both the brute-force fast path
+// and the plain RangeSearch path are exercised.
 func TestStreamingCancelAbortsWithinOneWave(t *testing.T) {
 	pts := batchTestPoints(200, 8, 15)
 	const wave = 10
@@ -134,7 +162,7 @@ func TestStreamingCancelAbortsWithinOneWave(t *testing.T) {
 	}
 	b := NewBruteForce(pts, vecmath.CosineDistanceUnit)
 	run("brute force", func(ctx context.Context, fn func(int, []int)) error {
-		return b.BatchRangeSearchFuncWorkers(ctx, pts, 0.8, 2, 2, wave, fn)
+		return BatchRangeSearchFunc(ctx, b, pts, 0.8, 2, 2, wave, fn)
 	})
 	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
 	run("generic/cover tree", func(ctx context.Context, fn func(int, []int)) error {
@@ -153,7 +181,7 @@ func TestWaveProgressHook(t *testing.T) {
 		total.Add(int64(q))
 		waves++
 	})
-	if err := b.BatchRangeSearchFuncWorkers(ctx, pts[:37], 0.5, 2, 4, 8, func(int, []int) {}); err != nil {
+	if err := BatchRangeSearchFunc(ctx, b, pts[:37], 0.5, 2, 4, 8, func(int, []int) {}); err != nil {
 		t.Fatal(err)
 	}
 	if total.Load() != 37 {

@@ -90,8 +90,7 @@ type Params struct {
 	// lists are dropped as soon as core flags, cluster links and border
 	// stubs are folded in — peak extra memory is O(WaveSize·avg|N|)
 	// instead of the O(Σ|N(p)|) of buffering every list. 0 selects a
-	// default (index.DefaultWaveSize); a negative value disables waving
-	// and buffers everything (the pre-wave engine, kept for comparison).
+	// default (index.DefaultWaveSize); negative values are rejected.
 	// Labels are identical at every setting. Ignored by the sequential
 	// engines.
 	WaveSize int

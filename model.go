@@ -693,6 +693,10 @@ func loadModelV1(r io.Reader) (*Model, error) {
 			n, len(payload.Labels), len(payload.Core), len(payload.Forest))
 	}
 	pp := payload.Params
+	// Earlier releases read a negative WaveSize as "buffer every neighbor
+	// list"; that engine is gone and labels are identical at every wave
+	// size, so such files load with the default.
+	pp.WaveSize = max(pp.WaveSize, 0)
 	p := Params{
 		Eps: pp.Eps, Tau: pp.Tau, Alpha: pp.Alpha,
 		SampleFraction: pp.SampleFraction,

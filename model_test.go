@@ -158,7 +158,7 @@ func TestValidateNamesFieldAndValue(t *testing.T) {
 		{func(p *Params) { p.Metric = 99 }, "Metric", "Metric(99)"},
 		{func(p *Params) { p.Workers = -2 }, "Workers", "-2"},
 		{func(p *Params) { p.BatchSize = -1 }, "BatchSize", "-1"},
-		{func(p *Params) { p.WaveSize = -2 }, "WaveSize", "-2"},
+		{func(p *Params) { p.WaveSize = -1 }, "WaveSize", "-1"},
 	}
 	for _, c := range cases {
 		p := Params{Eps: 0.5, Tau: 5}
@@ -537,6 +537,45 @@ func TestLoadModelRejectsEstimatorOfWrongWidth(t *testing.T) {
 	_, err = LoadModel(&buf)
 	if err == nil || !strings.Contains(err.Error(), "estimator takes 8-d points, model has 48-d") {
 		t.Fatalf("LoadModel error = %v", err)
+	}
+}
+
+// TestLoadModelMapsNegativeWaveSize: earlier releases accepted WaveSize -1
+// (buffer every neighbor list) and saved it with the model. Such a file —
+// or a WAL snapshot holding one — still loads, with the default wave size,
+// and predicts exactly like the model that was saved.
+func TestLoadModelMapsNegativeWaveSize(t *testing.T) {
+	train, test := modelTestData(t)
+	model, err := Fit(context.Background(), train.Vectors, MethodDBSCAN,
+		WithEps(0.4), WithTau(4), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.params.WaveSize = -1
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(&buf)
+	if err != nil {
+		t.Fatalf("LoadModel: %v", err)
+	}
+	if got := loaded.Params().WaveSize; got != 0 {
+		t.Errorf("loaded WaveSize = %d, want 0", got)
+	}
+	if !slices.Equal(loaded.Labels(), model.Labels()) {
+		t.Fatal("labels differ after load")
+	}
+	want, err := model.Predict(context.Background(), test.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Predict(context.Background(), test.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("loaded model predicts differently from the saved one")
 	}
 }
 

@@ -77,17 +77,16 @@ func (p Params) Validate() error {
 	if p.EfSearch < 0 {
 		return fail("EfSearch", p.EfSearch, "must be non-negative (0 selects the default)")
 	}
-	// Below zero only -1 has a defined meaning for Workers (all cores) and
-	// WaveSize (buffer everything); BatchSize is a chunk size with no
-	// negative interpretation.
+	// Below zero only -1 has a defined meaning, for Workers (all cores);
+	// BatchSize and WaveSize are sizes with no negative interpretation.
 	if p.Workers < WorkersAuto {
 		return fail("Workers", p.Workers, "must be at least -1 (-1 = all cores)")
 	}
 	if p.BatchSize < 0 {
 		return fail("BatchSize", p.BatchSize, "must be non-negative (0 = auto)")
 	}
-	if p.WaveSize < -1 {
-		return fail("WaveSize", p.WaveSize, "must be at least -1 (-1 = buffer everything)")
+	if p.WaveSize < 0 {
+		return fail("WaveSize", p.WaveSize, "must be non-negative (0 = auto)")
 	}
 	return nil
 }

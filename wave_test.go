@@ -8,8 +8,8 @@ import (
 )
 
 // TestWaveSizeKnobLabelEquality pins the facade-level WaveSize knob: every
-// setting — buffer-everything (-1), auto (0), and explicit wave sizes —
-// must produce labels identical to sequential DBSCAN.
+// setting — auto (0) and explicit wave sizes — must produce labels
+// identical to sequential DBSCAN.
 func TestWaveSizeKnobLabelEquality(t *testing.T) {
 	d := GenerateMixture("wave-knob", MixtureConfig{
 		N: 400, Dim: 32, Clusters: 6, MinSpread: 0.25, MaxSpread: 0.5,
@@ -20,7 +20,7 @@ func TestWaveSizeKnobLabelEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, wave := range []int{-1, 0, 5, 128} {
+	for _, wave := range []int{0, 5, 128} {
 		pp := p
 		pp.Workers = 2
 		pp.WaveSize = wave
@@ -46,11 +46,12 @@ func TestWaveSizeKnobLabelEquality(t *testing.T) {
 	}
 }
 
-// TestWaveEngineMemoryFootprint is the issue's memory criterion: on the
-// largest synthetic benchmark dataset, the wave engine's measured
+// TestWaveEngineMemoryFootprint is the wave engine's memory criterion: on
+// the largest synthetic benchmark dataset, bounded waves' measured
 // allocations — cumulative and peak live heap above baseline — must be
-// strictly below the buffer-everything engine's (Params.WaveSize < 0, the
-// PR-1 formulation). Labels must agree, so the saving is free.
+// strictly below those of one wave holding all n queries, which keeps
+// every neighbor list in flight at once. Labels must agree, so the saving
+// is free.
 func TestWaveEngineMemoryFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping memory measurement in -short mode")
@@ -72,24 +73,25 @@ func TestWaveEngineMemoryFootprint(t *testing.T) {
 		}
 		return res, sample
 	}
-	buffered, bufMem := run(-1)
+	n := d.Len()
+	whole, wholeMem := run(n)
 	waved, waveMem := run(256)
-	for i := range buffered.Labels {
-		if waved.Labels[i] != buffered.Labels[i] {
-			t.Fatalf("label[%d] = %d, buffered engine %d", i, waved.Labels[i], buffered.Labels[i])
+	for i := range whole.Labels {
+		if waved.Labels[i] != whole.Labels[i] {
+			t.Fatalf("label[%d] = %d, single wave %d", i, waved.Labels[i], whole.Labels[i])
 		}
 	}
-	t.Logf("buffered: total=%s objects=%d peak-extra=%s",
-		fmtBytes(bufMem.TotalAllocBytes), bufMem.Mallocs, fmtBytes(bufMem.PeakExtraBytes))
+	t.Logf("wave=%d: total=%s objects=%d peak-extra=%s", n,
+		fmtBytes(wholeMem.TotalAllocBytes), wholeMem.Mallocs, fmtBytes(wholeMem.PeakExtraBytes))
 	t.Logf("wave=256: total=%s objects=%d peak-extra=%s",
 		fmtBytes(waveMem.TotalAllocBytes), waveMem.Mallocs, fmtBytes(waveMem.PeakExtraBytes))
-	if waveMem.TotalAllocBytes >= bufMem.TotalAllocBytes {
-		t.Errorf("wave engine allocated %d bytes, want < buffered engine's %d",
-			waveMem.TotalAllocBytes, bufMem.TotalAllocBytes)
+	if waveMem.TotalAllocBytes >= wholeMem.TotalAllocBytes {
+		t.Errorf("wave=256 allocated %d bytes, want < single wave's %d",
+			waveMem.TotalAllocBytes, wholeMem.TotalAllocBytes)
 	}
-	if waveMem.PeakExtraBytes >= bufMem.PeakExtraBytes {
-		t.Errorf("wave engine peak extra %d bytes, want < buffered engine's %d",
-			waveMem.PeakExtraBytes, bufMem.PeakExtraBytes)
+	if waveMem.PeakExtraBytes >= wholeMem.PeakExtraBytes {
+		t.Errorf("wave=256 peak extra %d bytes, want < single wave's %d",
+			waveMem.PeakExtraBytes, wholeMem.PeakExtraBytes)
 	}
 }
 
