@@ -2,9 +2,12 @@
 // markdown: it walks every *.md file, extracts inline links and images,
 // and fails when an intra-repository link is broken — a missing file or
 // directory, or a #fragment that matches no heading in the target
-// document. External links (http, https, mailto) are reported in the
-// summary but never fetched, so the gate is fast, offline and
-// deterministic.
+// document. It also resolves backticked repository paths (a code span
+// starting with internal/, cmd/, docs/, examples/, perfbench/ or .github/
+// and ending in a file extension or /) against the repository root, so
+// prose cannot keep naming a file that was deleted or moved. External
+// links (http, https, mailto) are reported in the summary but never
+// fetched, so the gate is fast, offline and deterministic.
 //
 // Usage:
 //
@@ -23,12 +26,26 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
 // linkRe matches inline markdown links and images: [text](target) and
 // ![alt](target). Titles after the target ("...) are stripped separately.
 var linkRe = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
+
+// codeRe matches inline code spans without whitespace: the candidates for
+// backticked repository paths.
+var codeRe = regexp.MustCompile("`([^`\\s]+)`")
+
+// repoPathPrefixes and repoPathExts decide which code spans are
+// repository paths. A span must start with a prefix and end in an
+// extension or /, so Go identifiers such as internal/bench.MeasureMem are
+// not paths.
+var (
+	repoPathPrefixes = []string{"internal/", "cmd/", "docs/", "examples/", "perfbench/", ".github/"}
+	repoPathExts     = []string{".go", ".md", ".json", ".yml", ".txt", ".py"}
+)
 
 // headingRe matches ATX headings, whose anchors GitHub derives.
 var headingRe = regexp.MustCompile(`^#{1,6}\s+(.*?)\s*#*\s*$`)
@@ -76,30 +93,33 @@ func main() {
 	}
 
 	var problems []problem
-	links, external := 0, 0
+	links, external, paths := 0, 0, 0
 	for _, f := range mdFiles {
-		ps, n, ext := checkFile(f)
+		ps, n, ext, np := checkFile(*root, f)
 		problems = append(problems, ps...)
 		links += n
 		external += ext
+		paths += np
 	}
 
-	fmt.Printf("doccheck: %d markdown files, %d links (%d external, not fetched)\n",
-		len(mdFiles), links, external)
+	fmt.Printf("doccheck: %d markdown files, %d links (%d external, not fetched), %d repository paths\n",
+		len(mdFiles), links, external, paths)
 	if len(problems) > 0 {
 		for _, p := range problems {
-			fmt.Printf("%s:%d: broken link %q: %s\n", p.file, p.line, p.target, p.reason)
+			fmt.Printf("%s:%d: broken reference %q: %s\n", p.file, p.line, p.target, p.reason)
 		}
 		os.Exit(1)
 	}
 }
 
-// checkFile validates every link of one markdown file, returning the
-// problems plus the total and external link counts.
-func checkFile(path string) (problems []problem, links, external int) {
+// checkFile validates every link and backticked repository path of one
+// markdown file, returning the problems plus the total link, external
+// link and repository path counts. Paths resolve against root, links
+// against the file's own directory.
+func checkFile(root, path string) (problems []problem, links, external, paths int) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return []problem{{path, 0, "", err.Error()}}, 0, 0
+		return []problem{{path, 0, "", err.Error()}}, 0, 0, 0
 	}
 	dir := filepath.Dir(path)
 	sc := bufio.NewScanner(strings.NewReader(string(data)))
@@ -114,6 +134,17 @@ func checkFile(path string) (problems []problem, links, external int) {
 		}
 		if inFence {
 			continue
+		}
+		for _, m := range codeRe.FindAllStringSubmatch(text, -1) {
+			if !isRepoPath(m[1]) {
+				continue
+			}
+			paths++
+			// Glob resolves plain paths and patterns such as
+			// internal/*/doc.go alike.
+			if matches, err := filepath.Glob(filepath.Join(root, m[1])); err != nil || len(matches) == 0 {
+				problems = append(problems, problem{path, line, m[1], "no such repository path"})
+			}
 		}
 		for _, m := range linkRe.FindAllStringSubmatch(text, -1) {
 			target := m[1]
@@ -146,7 +177,17 @@ func checkFile(path string) (problems []problem, links, external int) {
 			}
 		}
 	}
-	return problems, links, external
+	return problems, links, external, paths
+}
+
+// isRepoPath reports whether a code span names a repository path. Spans
+// with a <placeholder> are templates, not paths.
+func isRepoPath(span string) bool {
+	if strings.ContainsAny(span, "<>") ||
+		!slices.ContainsFunc(repoPathPrefixes, func(p string) bool { return strings.HasPrefix(span, p) }) {
+		return false
+	}
+	return strings.HasSuffix(span, "/") || slices.Contains(repoPathExts, filepath.Ext(span))
 }
 
 // anchorExists reports whether the markdown file has a heading whose

@@ -288,16 +288,7 @@ func OpenDurable(ctx context.Context, dir string, opts DurableOptions) (*Durable
 			break
 		}
 		r, err := wal.Replay(fsys, filepath.Join(dir, walSegName(segLSN)), func(rec *wal.Record) error {
-			var urep UpdateReport
-			var aerr error
-			switch rec.Kind {
-			case wal.KindInsert:
-				urep, aerr = model.Insert(ctx, rec.Vectors)
-			case wal.KindRemove:
-				urep, aerr = model.Remove(ctx, rec.IDs)
-			default:
-				aerr = fmt.Errorf("unknown record kind %d", rec.Kind)
-			}
+			urep, aerr := applyRecord(ctx, model, rec)
 			rep.Inserted += urep.Inserted
 			rep.Removed += urep.Removed
 			return aerr
@@ -404,16 +395,7 @@ func (d *DurableModel) mutate(ctx context.Context, rec *wal.Record) (UpdateRepor
 	if err := d.log.Append(rec); err != nil {
 		return UpdateReport{}, fmt.Errorf("lafdbscan: journaling mutation: %w", err)
 	}
-	var urep UpdateReport
-	var err error
-	switch rec.Kind {
-	case wal.KindInsert:
-		urep, err = d.model.Insert(ctx, rec.Vectors)
-	case wal.KindRemove:
-		urep, err = d.model.Remove(ctx, rec.IDs)
-	default:
-		err = fmt.Errorf("lafdbscan: unknown record kind %d", rec.Kind)
-	}
+	urep, err := applyRecord(ctx, d.model, rec)
 	if err != nil {
 		// The model rejected the mutation, so the journaled record must not
 		// replay: annul it. If even that fails the journal and model have
@@ -431,6 +413,20 @@ func (d *DurableModel) mutate(ctx context.Context, rec *wal.Record) (UpdateRepor
 		}
 	}
 	return urep, nil
+}
+
+// applyRecord applies one journal record to the model: the one mapping
+// from record kinds to mutations, shared by the live journal path and
+// recovery replay.
+func applyRecord(ctx context.Context, m *Model, rec *wal.Record) (UpdateReport, error) {
+	switch rec.Kind {
+	case wal.KindInsert:
+		return m.Insert(ctx, rec.Vectors)
+	case wal.KindRemove:
+		return m.Remove(ctx, rec.IDs)
+	default:
+		return UpdateReport{}, fmt.Errorf("lafdbscan: unknown record kind %d", rec.Kind)
+	}
 }
 
 // Snapshot writes the model to a new generation (Model.Save via a temp

@@ -41,7 +41,8 @@ type Capabilities struct {
 	// Exact: RangeSearch returns exactly the eps-neighborhood. Approximate
 	// backends may miss neighbors (they never invent them).
 	Exact bool `json:"exact"`
-	// Dynamic: implements DynamicIndex (Insert/Delete/DeleteMany).
+	// Dynamic: implements DynamicIndex (Insert/DeleteMany), so a model can
+	// mutate it in place.
 	Dynamic bool `json:"dynamic"`
 	// KNN: implements KNNSearcher.
 	KNN bool `json:"knn"`
@@ -126,7 +127,7 @@ var backendRegistry = []backendSpec{
 			}), nil
 		}},
 	{BackendCoverTree,
-		Capabilities{Exact: true, Dynamic: true, Cosine: true, Euclidean: true},
+		Capabilities{Exact: true, Cosine: true, Euclidean: true},
 		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
 			base := o.Base
 			if base == 0 {
@@ -138,14 +139,14 @@ var backendRegistry = []backendSpec{
 			return NewCoverTree(points, o.distFunc(), base), nil
 		}},
 	{BackendKMeansTree,
-		Capabilities{Dynamic: true, KNN: true, Cosine: true, Euclidean: true},
+		Capabilities{KNN: true, Cosine: true, Euclidean: true},
 		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
 			return kmeansTreeSearcher{NewKMeansTree(points, o.distFunc(), KMeansTreeConfig{
 				Branching: o.Branching, LeavesRatio: o.LeavesRatio, Seed: o.Seed,
 			})}, nil
 		}},
 	{BackendGrid,
-		Capabilities{Dynamic: true, Euclidean: true, NeedsEps: true},
+		Capabilities{Euclidean: true, NeedsEps: true},
 		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
 			if o.Metric != vecmath.Euclidean {
 				return nil, fmt.Errorf("index: backend %q does not support metric %v", BackendGrid, o.Metric)
@@ -198,8 +199,6 @@ type Requirements struct {
 	// caller has not opted into approximation, preserving bit-identical
 	// labels).
 	Exact bool
-	// Dynamic demands DynamicIndex support.
-	Dynamic bool
 	// KNN demands KNNSearcher support.
 	KNN bool
 	// Metric is the distance the index must answer under.
@@ -212,9 +211,6 @@ type Requirements struct {
 // Satisfies reports whether capabilities c meet req.
 func (c Capabilities) Satisfies(req Requirements) bool {
 	if req.Exact && !c.Exact {
-		return false
-	}
-	if req.Dynamic && !c.Dynamic {
 		return false
 	}
 	if req.KNN && !c.KNN {
@@ -292,10 +288,7 @@ var (
 	_ KNNSearcher   = (*hnsw.Graph)(nil)
 	_ DynamicIndex  = (*hnsw.Graph)(nil)
 	_ RangeSearcher = (*CoverTree)(nil)
-	_ DynamicIndex  = (*CoverTree)(nil)
 	_ RangeSearcher = gridSearcher{}
-	_ DynamicIndex  = gridSearcher{}
 	_ RangeSearcher = kmeansTreeSearcher{}
 	_ KNNSearcher   = kmeansTreeSearcher{}
-	_ DynamicIndex  = kmeansTreeSearcher{}
 )

@@ -38,6 +38,23 @@ func TestBackendCapabilities(t *testing.T) {
 	if grid.Cosine || !grid.Euclidean || !grid.NeedsEps {
 		t.Fatalf("grid capabilities wrong: %+v", grid)
 	}
+	// Dynamic is declared exactly where the built index implements
+	// DynamicIndex, for every registered backend.
+	pts := clusteredPoints(20, 8, 3)
+	cases := backendCases()
+	if len(cases) != len(Backends()) {
+		t.Fatalf("backendCases covers %d backends, registry has %d", len(cases), len(Backends()))
+	}
+	for _, c := range cases {
+		caps, _ := LookupBackend(c.backend)
+		idx, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
+		if err != nil {
+			t.Fatalf("building %s: %v", c.backend, err)
+		}
+		if _, dyn := idx.(DynamicIndex); dyn != caps.Dynamic {
+			t.Errorf("%s: caps.Dynamic = %v, but implements DynamicIndex = %v", c.backend, caps.Dynamic, dyn)
+		}
+	}
 }
 
 func TestNewBackendErrors(t *testing.T) {
@@ -63,7 +80,7 @@ func TestNewBackendErrors(t *testing.T) {
 // its per-query RangeSearch.
 func TestEveryBackendBuildsAndAnswers(t *testing.T) {
 	pts := clusteredPoints(50, 8, 5)
-	for _, c := range conformanceCases() {
+	for _, c := range backendCases() {
 		idx, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
 		if err != nil {
 			t.Fatalf("building %s: %v", c.backend, err)

@@ -9,15 +9,13 @@ import (
 )
 
 // This file is the shared DynamicIndex conformance suite: one scripted
-// battery of insert/delete/DeleteMany checks, run against every
-// registered backend through the registry itself. A backend declares
-// Exact and gets held to full equivalence with a fresh brute-force scan
-// after every mutation; an approximate backend is held to the honest
-// subset of that — sound answers (every reported id is a true neighbor
-// of the compacted live set), exact Len bookkeeping, self-findability of
-// every live point, and a recall floor. Configurations are chosen so
-// approximate structures that have an exact setting (k-means tree at
-// LeavesRatio 1, grid at Rho 0) are exercised as exact.
+// battery of Insert/DeleteMany checks, run through the registry against
+// every backend that declares Dynamic (brute force and HNSW). A backend
+// that declares Exact is held to full equivalence with a fresh
+// brute-force scan after every mutation; an approximate backend is held
+// to the honest subset of that — sound answers (every reported id is a
+// true neighbor of the compacted live set), exact Len bookkeeping,
+// self-findability of every live point, and a recall floor.
 
 // conformanceCase configures one backend run of the suite.
 type conformanceCase struct {
@@ -27,12 +25,15 @@ type conformanceCase struct {
 	eps     float64 // query radius under opts.Metric
 }
 
-func conformanceCases() []conformanceCase {
+// backendCases is one supported configuration per registered backend.
+// Approximate structures that have an exact setting (k-means tree at
+// LeavesRatio 1, grid at Rho 0) are configured as exact.
+func backendCases() []conformanceCase {
 	return []conformanceCase{
 		{BackendBrute, true, BackendOptions{Metric: vecmath.Cosine}, 0.4},
 		{BackendCoverTree, true, BackendOptions{Metric: vecmath.Cosine}, 0.4},
 		// LeavesRatio 1 examines every leaf: the approximate tree's exact
-		// configuration, so the conformance bar is full equivalence.
+		// configuration.
 		{BackendKMeansTree, true, BackendOptions{Metric: vecmath.Cosine, LeavesRatio: 1.0, Seed: 1}, 0.4},
 		// Rho 0 disables the grid's relaxation: exact under Euclidean.
 		{BackendGrid, true, BackendOptions{Metric: vecmath.Euclidean, Eps: 0.5}, 0.5},
@@ -40,14 +41,26 @@ func conformanceCases() []conformanceCase {
 	}
 }
 
+// conformanceCases are the backendCases whose backend declares Dynamic.
+func conformanceCases() []conformanceCase {
+	var out []conformanceCase
+	for _, c := range backendCases() {
+		if caps, _ := LookupBackend(c.backend); caps.Dynamic {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 func (c conformanceCase) truthIndex(pts [][]float32) *BruteForce {
 	return NewBruteForce(pts, c.opts.distFunc())
 }
 
 // applyOps drives a DynamicIndex through a scripted mutation sequence and
-// mirrors it on a plain slice, returning the expected live point set. The
-// script crosses the trees' rebuild threshold repeatedly, so the
-// rebuild-threshold path is part of conformance, not a special case.
+// mirrors it on a plain slice, returning the expected live point set.
+// Deletions are single-id batches. The script crosses HNSW's rebuild
+// threshold repeatedly, so the rebuild path is part of conformance, not
+// a special case.
 func applyOps(t *testing.T, idx DynamicIndex, pts [][]float32, seed int64) [][]float32 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -55,7 +68,7 @@ func applyOps(t *testing.T, idx DynamicIndex, pts [][]float32, seed int64) [][]f
 	for step := 0; step < 40; step++ {
 		if rng.Intn(2) == 0 && len(mirror) > 8 {
 			id := rng.Intn(len(mirror))
-			idx.Delete(id)
+			idx.DeleteMany([]int{id})
 			mirror = slices.Delete(mirror, id, id+1)
 		} else {
 			batch := make([][]float32, 1+rng.Intn(3))
@@ -117,8 +130,9 @@ func checkAnswers(t *testing.T, c conformanceCase, idx RangeSearcher, mirror [][
 }
 
 // TestDynamicConformance runs the scripted mutation battery against every
-// registered backend: compacting-id semantics, Len bookkeeping and
-// post-mutation answers, with rebuild thresholds crossed along the way.
+// dynamic backend: compacting-id semantics, Len bookkeeping and
+// post-mutation answers, with HNSW's rebuild threshold crossed along the
+// way.
 func TestDynamicConformance(t *testing.T) {
 	for _, c := range conformanceCases() {
 		c := c
@@ -142,7 +156,7 @@ func TestDynamicConformance(t *testing.T) {
 }
 
 // TestDeleteManyConformance pins the batch-deletion path of every
-// backend: one DeleteMany call must leave the index answering for the
+// dynamic backend: one DeleteMany call must leave the index answering for the
 // surviving, renumbered point set.
 func TestDeleteManyConformance(t *testing.T) {
 	for _, c := range conformanceCases() {
@@ -171,8 +185,9 @@ func TestDeleteManyConformance(t *testing.T) {
 	}
 }
 
-// TestDeleteManyMatchesDeleteLoop pins DeleteMany against the per-id
-// Delete loop it replaces, highest id first, on every backend.
+// TestDeleteManyMatchesDeleteLoop pins one DeleteMany batch against the
+// same ids deleted as single-id batches, highest id first, on every
+// dynamic backend.
 func TestDeleteManyMatchesDeleteLoop(t *testing.T) {
 	ids := []int{3, 10, 11, 30, 59}
 	for _, c := range conformanceCases() {
@@ -189,7 +204,7 @@ func TestDeleteManyMatchesDeleteLoop(t *testing.T) {
 				t.Fatalf("building %s: %v", c.backend, err)
 			}
 			for i := len(ids) - 1; i >= 0; i-- {
-				loop.(DynamicIndex).Delete(ids[i])
+				loop.(DynamicIndex).DeleteMany([]int{ids[i]})
 			}
 			if batch.Len() != loop.Len() {
 				t.Fatalf("Len diverged: %d vs %d", batch.Len(), loop.Len())
@@ -209,73 +224,5 @@ func TestDeleteManyMatchesDeleteLoop(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGridDynamicMatchesFresh keeps the grid-specific structural check
-// from the old per-index tests: mutated cells must match a fresh build
-// (including dropped empty cells), at a non-zero Rho.
-func TestGridDynamicMatchesFresh(t *testing.T) {
-	pts := clusteredPoints(60, 8, 3)
-	g := NewGrid(slices.Clone(pts), 0.5, 1.0)
-	mirror := applyOps(t, g, pts, 4)
-	fresh := NewGrid(mirror, 0.5, 1.0)
-	if g.Len() != fresh.Len() {
-		t.Fatalf("Len = %d, want %d", g.Len(), fresh.Len())
-	}
-	if g.NumCells() != fresh.NumCells() {
-		t.Fatalf("NumCells = %d, want %d (empty cells must be dropped)", g.NumCells(), fresh.NumCells())
-	}
-	for _, q := range mirror[:20] {
-		if got, want := g.ApproxRangeSearch(q, 0.5), fresh.ApproxRangeSearch(q, 0.5); !equalIDs(got, want) {
-			t.Fatalf("dynamic grid diverged: %v vs %v", got, want)
-		}
-		if got, want := g.ApproxRangeCount(q, 0.5), fresh.ApproxRangeCount(q, 0.5); got != want {
-			t.Fatalf("dynamic grid count diverged: %d vs %d", got, want)
-		}
-	}
-}
-
-// TestCoverTreeNearestAfterRebuild keeps the cover-tree-specific check:
-// NearestNeighbor answers in the compacted numbering after the rebuild
-// threshold has been crossed.
-func TestCoverTreeNearestAfterRebuild(t *testing.T) {
-	pts := clusteredPoints(40, 8, 7)
-	ct := NewCoverTree(slices.Clone(pts), vecmath.CosineDistanceUnit, 2.0)
-	mirror := slices.Clone(pts)
-	for i := 0; i < 20; i++ { // 50% deleted: crosses the 25% threshold twice
-		ct.Delete(0)
-		mirror = mirror[1:]
-	}
-	truth := NewBruteForce(mirror, vecmath.CosineDistanceUnit)
-	for _, q := range mirror {
-		if got, want := ct.RangeSearch(q, 0.5), truth.RangeSearch(q, 0.5); !equalIDs(got, want) {
-			t.Fatalf("post-rebuild cover tree diverged: %v vs %v", got, want)
-		}
-	}
-	if id, _ := ct.NearestNeighbor(mirror[0]); id < 0 || id >= len(mirror) {
-		t.Fatalf("NearestNeighbor returned out-of-range id %d", id)
-	}
-}
-
-// TestKMeansTreeRebuildMatchesFresh keeps the k-means-tree-specific
-// equivalence: a threshold-triggered rebuild is exactly a fresh build
-// (same configuration, same seed) over the live points.
-func TestKMeansTreeRebuildMatchesFresh(t *testing.T) {
-	pts := clusteredPoints(60, 16, 11)
-	cfg := KMeansTreeConfig{Seed: 2, LeavesRatio: 0.6}
-	km := NewKMeansTree(slices.Clone(pts), vecmath.CosineDistanceUnit, cfg)
-	mirror := slices.Clone(pts)
-	extra := clusteredPoints(40, 16, 12) // 40/100 > 1/4: forces a rebuild
-	km.Insert(extra)
-	mirror = append(mirror, extra...)
-	if km.overlaySize() != 0 {
-		t.Fatalf("overlay not cleared by rebuild: %d", km.overlaySize())
-	}
-	fresh := NewKMeansTree(mirror, vecmath.CosineDistanceUnit, cfg)
-	for _, q := range mirror[:30] {
-		if got, want := km.RangeSearchApprox(q, 0.4), fresh.RangeSearchApprox(q, 0.4); !equalIDs(got, want) {
-			t.Fatalf("rebuilt tree diverged from fresh build: %v vs %v", got, want)
-		}
 	}
 }

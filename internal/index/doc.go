@@ -19,8 +19,9 @@
 //     hands each result to a callback, so the live set is
 //     O(WaveSize·avg|N|) regardless of dataset size; the wave barrier is
 //     also the cancellation and progress point;
-//   - the dynamic layer (dynamic.go): the DynamicIndex insert/delete
-//     contract behind online model maintenance — native mutation for
-//     BruteForce and Grid, a rebuild-threshold overlay for the trees — with
-//     compacting id semantics matching the point slice itself.
+//   - the dynamic layer (dynamic.go): the DynamicIndex contract (Insert
+//     and DeleteMany) behind online model maintenance, implemented by the
+//     two backends a model mutates — BruteForce and hnsw.Graph — with
+//     compacting id semantics matching the point slice itself. The grid
+//     and the trees are static.
 package index

@@ -50,9 +50,8 @@ const (
 // of an adversarial hash value.
 const maxLevel = 30
 
-// rebuildFraction mirrors the tree indexes' overlay threshold: when dead
-// slots reach 1/4 of the graph the structure is rebuilt over the live
-// points (see internal/index/dynamic.go).
+// rebuildFraction bounds the tombstoned share of the graph: when dead
+// slots reach 1/4 of it the structure is rebuilt over the live points.
 const rebuildFraction = 4
 
 // Config shapes the speed/recall trade-off of the graph.
@@ -91,7 +90,7 @@ type node struct {
 }
 
 // Graph is the index. Queries (RangeSearch, RangeCount, KNN) are safe for
-// concurrent use; mutations (Insert, Delete, DeleteMany, SetEfSearch)
+// concurrent use; mutations (Insert, DeleteMany, SetEfSearch)
 // must not run concurrently with queries or each other, matching the
 // contract of every other index in this repository.
 type Graph struct {
@@ -132,7 +131,7 @@ type Graph struct {
 // New builds a graph over points with the given distance, which must be
 // safe for concurrent use: construction and batch queries call it from
 // several goroutines. The points slice is retained and mutated by
-// Insert/Delete, like every dynamic index here.
+// Insert/DeleteMany, like every dynamic index here.
 func New(points [][]float32, dist vecmath.DistanceFunc, cfg Config) *Graph {
 	g := &Graph{
 		points:  points,
@@ -638,22 +637,12 @@ func (g *Graph) Insert(vecs [][]float32) {
 	g.addNodes(len(g.points) - len(vecs))
 }
 
-// Delete tombstones the point with the given (external) id — the graph
-// keeps its node as a waypoint but queries stop reporting it — and ids
-// above it shift down by one. When dead slots reach 1/rebuildFraction of
-// the graph it is rebuilt over the live points. An id outside [0, Len())
-// panics, like slices.Delete on the point set.
-func (g *Graph) Delete(id int) {
-	g.checkID(id)
-	g.kill(id)
-	if g.dead*rebuildFraction >= len(g.nodes) {
-		g.rebuild()
-	}
-}
-
-// DeleteMany tombstones a sorted, duplicate-free batch of external ids in
-// one pass, then evaluates the rebuild threshold once. An id outside
-// [0, Len()) panics before anything changes.
+// DeleteMany marks a sorted, duplicate-free batch of external ids dead in
+// one pass — each graph node stays as a waypoint but queries stop
+// reporting it — and ids above each removed one shift down. When dead
+// slots reach 1/rebuildFraction of the graph it is rebuilt over the live
+// points. An id outside [0, Len()) panics before anything changes, like
+// slices.Delete on the point set.
 func (g *Graph) DeleteMany(ids []int) {
 	if len(ids) > 0 {
 		g.checkID(ids[0])
@@ -695,23 +684,9 @@ func (g *Graph) materializeExt() {
 	}
 }
 
-// kill marks the slot holding external id e dead and shifts every higher
-// external id down by one.
-func (g *Graph) kill(e int) {
-	g.materializeExt()
-	for i, x := range g.ext {
-		switch {
-		case x == e:
-			g.ext[i] = -1
-		case x > e:
-			g.ext[i] = x - 1
-		}
-	}
-	g.dead++
-}
-
-// killMany is kill over a sorted batch, applying the whole shift in one
-// pass over the slots. dead grows by the slots actually killed.
+// killMany marks the slots holding a sorted batch of external ids dead
+// and shifts every higher external id down, in one pass over the slots.
+// dead grows by the slots actually killed.
 func (g *Graph) killMany(ids []int) {
 	g.materializeExt()
 	for i, x := range g.ext {

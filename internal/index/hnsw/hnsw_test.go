@@ -174,7 +174,7 @@ func TestDynamicMutations(t *testing.T) {
 	for step := 0; step < 60; step++ {
 		if rng.Intn(2) == 0 && len(mirror) > 8 {
 			id := rng.Intn(len(mirror))
-			g.Delete(id)
+			g.DeleteMany([]int{id})
 			mirror = slices.Delete(mirror, id, id+1)
 		} else {
 			batch := make([][]float32, 1+rng.Intn(3))
@@ -214,7 +214,7 @@ func TestDeleteRebuild(t *testing.T) {
 	g := New(slices.Clone(pts), vecmath.CosineDistanceUnit, Config{Seed: 27})
 	mirror := slices.Clone(pts)
 	for i := 0; i < 20; i++ { // 50% deleted: crosses the 25% threshold twice
-		g.Delete(0)
+		g.DeleteMany([]int{0})
 		mirror = mirror[1:]
 	}
 	if g.Len() != len(mirror) {
@@ -233,8 +233,9 @@ func TestDeleteRebuild(t *testing.T) {
 	}
 }
 
-// TestDeleteManyMatchesDeleteLoop pins DeleteMany against the per-id loop
-// it replaces: both orders of the same batch leave identical live sets.
+// TestDeleteManyMatchesDeleteLoop pins one DeleteMany batch against the
+// same ids deleted as a sequence of single-id batches, highest first: both
+// leave identical live sets.
 func TestDeleteManyMatchesDeleteLoop(t *testing.T) {
 	pts := clusteredPoints(60, 12, 29)
 	ids := []int{3, 10, 11, 30, 59}
@@ -244,7 +245,7 @@ func TestDeleteManyMatchesDeleteLoop(t *testing.T) {
 
 	loop := New(slices.Clone(pts), vecmath.CosineDistanceUnit, Config{Seed: 31})
 	for i := len(ids) - 1; i >= 0; i-- { // highest first, like the contract
-		loop.Delete(ids[i])
+		loop.DeleteMany([]int{ids[i]})
 	}
 	if batch.Len() != loop.Len() {
 		t.Fatalf("Len diverged: %d vs %d", batch.Len(), loop.Len())
@@ -257,23 +258,21 @@ func TestDeleteManyMatchesDeleteLoop(t *testing.T) {
 		a := sortedCopy(batch.RangeSearch(q, 1e-6))
 		b := sortedCopy(loop.RangeSearch(q, 1e-6))
 		if !slices.Equal(a, b) {
-			t.Fatalf("DeleteMany vs Delete loop diverged: %v vs %v", a, b)
+			t.Fatalf("one batch vs single-id batches diverged: %v vs %v", a, b)
 		}
 	}
 }
 
-// TestDeleteOutOfRangePanics pins the id contract of Delete and
-// DeleteMany: an id outside [0, Len()) panics, like slices.Delete on the
-// point set, and leaves Len and the rebuild bookkeeping untouched.
+// TestDeleteOutOfRangePanics pins the id contract of DeleteMany: an id
+// outside [0, Len()) panics, like slices.Delete on the point set, and
+// leaves Len and the rebuild bookkeeping untouched.
 func TestDeleteOutOfRangePanics(t *testing.T) {
 	g := New(clusteredPoints(20, 8, 37), vecmath.CosineDistanceUnit, Config{Seed: 39})
-	g.Delete(0)
+	g.DeleteMany([]int{0})
 	for _, tc := range []struct {
 		name string
 		del  func()
 	}{
-		{"Delete(Len())", func() { g.Delete(g.Len()) }},
-		{"Delete(-1)", func() { g.Delete(-1) }},
 		{"DeleteMany past Len", func() { g.DeleteMany([]int{1, g.Len()}) }},
 		{"DeleteMany negative", func() { g.DeleteMany([]int{-1, 2}) }},
 	} {

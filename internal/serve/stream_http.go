@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"context"
-	"errors"
+	"cmp"
 	"fmt"
 	"net/http"
 
-	"lafdbscan"
 	"lafdbscan/internal/trace"
 )
 
@@ -31,15 +29,8 @@ const defaultStreamChunk = 256
 // between chunks, and a failure reports how many chunks already committed
 // (they stay applied — exactly what the journal replays after a crash).
 func (s *Server) handleStreamModel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	model, info, err := s.models.Get(id)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
 	var req struct {
-		Vectors [][]float32 `json:"vectors,omitempty"`
-		Dataset string      `json:"dataset,omitempty"`
+		insertRequest
 		// Chunk is the micro-batch size; 0 selects the default (256).
 		Chunk int `json:"chunk,omitempty"`
 	}
@@ -48,53 +39,10 @@ func (s *Server) handleStreamModel(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Chunk < 0 {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: chunk must be positive, got %d", req.Chunk))
+			fmt.Errorf("serve: chunk must be non-negative (0 selects the default %d), got %d", defaultStreamChunk, req.Chunk))
 		return
 	}
-	chunk := req.Chunk
-	if chunk == 0 {
-		chunk = defaultStreamChunk
-	}
-	vectors, err := s.resolveVectors(req.Vectors, req.Dataset)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	if err := model.CheckDims(vectors); err != nil {
-		writeError(w, statusFor(err), fmt.Errorf("serve: stream vectors for model %s: %w", id, err))
-		return
-	}
-	status, err := s.eng.SubmitFunc(r.Context(), info.Dataset, lafdbscan.Method(info.Method), "model-stream",
-		func(ctx context.Context) (*lafdbscan.Result, error) {
-			model, mut, _, err := s.models.Mutator(id)
-			if err != nil {
-				return nil, err
-			}
-			for off := 0; off < len(vectors); off += chunk {
-				end := min(off+chunk, len(vectors))
-				report, ierr := mut.Insert(ctx, vectors[off:end])
-				if ierr != nil {
-					// Earlier chunks are committed (journaled and applied) and
-					// stay that way — the stream's contract, and exactly the
-					// prefix a crash at this point would recover.
-					return nil, fmt.Errorf("serve: stream chunk at %d failed after %d vectors committed: %w",
-						off, off, ierr)
-				}
-				s.models.CountUpdate("model-insert", report.Inserted)
-				s.models.RefreshInfo(id)
-			}
-			return model.Result(), nil
-		})
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, status)
+	s.submitInsert(w, r, "model-stream", req.insertRequest, cmp.Or(req.Chunk, defaultStreamChunk))
 }
 
 // handleSnapshotModel is POST /v1/models/{id}/snapshot: synchronously

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"lafdbscan"
 	"lafdbscan/internal/dataset"
@@ -46,26 +47,24 @@ func (s *Server) resolveVectors(inline [][]float32, dsName string) ([][]float32,
 
 // submitModelUpdate enqueues a maintenance closure for a stored model
 // under the job engine's contract, answering 202 with the job status or
-// 429 with Retry-After on a full queue. ctx is the submitting request's
-// context — the engine captures its trace link so the async job's spans
-// parent under the originating POST.
+// 429 with Retry-After on a full queue: the one submit path of /insert,
+// /stream and /delete. ctx is the submitting request's context — the
+// engine captures its trace link so the async job's spans parent under
+// the originating POST. update reports each batch it commits through
+// committed.
 func (s *Server) submitModelUpdate(ctx context.Context, w http.ResponseWriter, info ModelInfo, kind string,
-	update func(ctx context.Context, m ModelMutator) (lafdbscan.UpdateReport, error)) {
-	id := info.ID
+	update func(ctx context.Context, m ModelMutator) error) {
 	status, err := s.eng.SubmitFunc(ctx, info.Dataset, lafdbscan.Method(info.Method), kind,
 		func(ctx context.Context) (*lafdbscan.Result, error) {
 			// Mutator routes through the model's journal when one is
 			// attached, so the update survives a restart.
-			model, mut, _, err := s.models.Mutator(id)
+			model, mut, _, err := s.models.Mutator(info.ID)
 			if err != nil {
 				return nil, err
 			}
-			report, err := update(ctx, mut)
-			if err != nil {
+			if err := update(ctx, mut); err != nil {
 				return nil, err
 			}
-			s.models.CountUpdate(kind, report.Inserted+report.Removed)
-			s.models.RefreshInfo(id)
 			return model.Result(), nil
 		})
 	if err != nil {
@@ -80,23 +79,34 @@ func (s *Server) submitModelUpdate(ctx context.Context, w http.ResponseWriter, i
 	writeJSON(w, http.StatusAccepted, status)
 }
 
-// handleInsertModel is POST /v1/models/{id}/insert: asynchronously fold
-// new vectors (inline, normalized server-side, or a registered dataset)
-// into the model's clustering. The model is untouched until the job
-// commits; cancellation aborts within one wave and leaves it untouched
-// too.
-func (s *Server) handleInsertModel(w http.ResponseWriter, r *http.Request) {
+// committed records one committed update batch: /v1/stats counts it under
+// countKind ("model-insert" or "model-remove") and the model's listed
+// totals refresh, so a multi-batch job shows progress between batches.
+func (s *Server) committed(id, countKind string, report lafdbscan.UpdateReport) {
+	s.models.CountUpdate(countKind, report.Inserted+report.Removed)
+	s.models.RefreshInfo(id)
+}
+
+// insertRequest is the body of /insert: inline vectors (normalized
+// server-side) or a registered dataset. /stream extends it with chunk.
+type insertRequest struct {
+	Vectors [][]float32 `json:"vectors,omitempty"`
+	Dataset string      `json:"dataset,omitempty"`
+}
+
+// submitInsert is what /insert and /stream share after decoding: resolve
+// the request's vectors, check them against the model's dimensionality,
+// and enqueue a job of the given kind that inserts them chunk vectors at
+// a time (0 = all of them as one batch). Each chunk commits on its own
+// (journaled and applied); a failure after the first chunk reports how
+// many vectors already committed, and those stay applied — exactly the
+// prefix a crash would recover.
+func (s *Server) submitInsert(w http.ResponseWriter, r *http.Request, kind string, req insertRequest, chunk int) {
 	id := r.PathValue("id")
+	op := strings.TrimPrefix(kind, "model-")
 	model, info, err := s.models.Get(id)
 	if err != nil {
 		writeError(w, statusFor(err), err)
-		return
-	}
-	var req struct {
-		Vectors [][]float32 `json:"vectors,omitempty"`
-		Dataset string      `json:"dataset,omitempty"`
-	}
-	if !decodeJSON(w, r, &req) {
 		return
 	}
 	vectors, err := s.resolveVectors(req.Vectors, req.Dataset)
@@ -105,13 +115,38 @@ func (s *Server) handleInsertModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := model.CheckDims(vectors); err != nil {
-		writeError(w, statusFor(err), fmt.Errorf("serve: insert vectors for model %s: %w", id, err))
+		writeError(w, statusFor(err), fmt.Errorf("serve: %s vectors for model %s: %w", op, id, err))
 		return
 	}
-	s.submitModelUpdate(r.Context(), w, info, "model-insert",
-		func(ctx context.Context, m ModelMutator) (lafdbscan.UpdateReport, error) {
-			return m.Insert(ctx, vectors)
-		})
+	if chunk == 0 {
+		chunk = len(vectors)
+	}
+	s.submitModelUpdate(r.Context(), w, info, kind, func(ctx context.Context, m ModelMutator) error {
+		for off := 0; off < len(vectors); off += chunk {
+			report, err := m.Insert(ctx, vectors[off:min(off+chunk, len(vectors))])
+			if err != nil {
+				if off > 0 {
+					err = fmt.Errorf("serve: %s chunk at %d failed after %d vectors committed: %w", op, off, off, err)
+				}
+				return err
+			}
+			s.committed(id, "model-insert", report)
+		}
+		return nil
+	})
+}
+
+// handleInsertModel is POST /v1/models/{id}/insert: asynchronously fold
+// new vectors (inline, normalized server-side, or a registered dataset)
+// into the model's clustering as one batch. The model is untouched until
+// the job commits; cancellation aborts within one wave and leaves it
+// untouched too.
+func (s *Server) handleInsertModel(w http.ResponseWriter, r *http.Request) {
+	var req insertRequest
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	s.submitInsert(w, r, "model-insert", req, 0)
 }
 
 // handleRemovePoints is POST /v1/models/{id}/delete: asynchronously drop
@@ -142,8 +177,11 @@ func (s *Server) handleRemovePoints(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: cannot remove %d of the model's %d points", len(req.IDs), n))
 		return
 	}
-	s.submitModelUpdate(r.Context(), w, info, "model-remove",
-		func(ctx context.Context, m ModelMutator) (lafdbscan.UpdateReport, error) {
-			return m.Remove(ctx, req.IDs)
-		})
+	s.submitModelUpdate(r.Context(), w, info, "model-remove", func(ctx context.Context, m ModelMutator) error {
+		report, err := m.Remove(ctx, req.IDs)
+		if err == nil {
+			s.committed(id, "model-remove", report)
+		}
+		return err
+	})
 }

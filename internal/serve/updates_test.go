@@ -122,6 +122,9 @@ func TestModelUpdateEndpoints(t *testing.T) {
 
 // TestModelUpdateValidation pins the endpoints' error surface without
 // running any maintenance: unknown models 404, malformed requests 400.
+// /insert and /stream share one submit path but keep their own request
+// shapes: /insert has no chunk field, and /stream's chunk must be
+// non-negative.
 func TestModelUpdateValidation(t *testing.T) {
 	base, _, cleanup := modelServer(t, Options{Workers: 1, QueueDepth: 4})
 	defer cleanup()
@@ -130,6 +133,11 @@ func TestModelUpdateValidation(t *testing.T) {
 		"vectors": [][]float32{{1, 0}},
 	}); code != http.StatusNotFound {
 		t.Errorf("unknown model insert: %d, want 404", code)
+	}
+	if code, _ := postJSON(t, base+"/v1/models/m-999999/stream", map[string]any{
+		"vectors": [][]float32{{1, 0}},
+	}); code != http.StatusNotFound {
+		t.Errorf("unknown model stream: %d, want 404", code)
 	}
 	if code, _ := postJSON(t, base+"/v1/models/m-999999/delete", map[string]any{
 		"ids": []int{0},
@@ -158,6 +166,16 @@ func TestModelUpdateValidation(t *testing.T) {
 		"vectors": [][]float32{{1, 0}}, "dataset": "mdl",
 	}); code != http.StatusBadRequest {
 		t.Errorf("double-source insert: %d, want 400", code)
+	}
+	if code, body := postJSON(t, base+"/v1/models/"+id+"/insert", map[string]any{
+		"dataset": "mdl", "chunk": 4,
+	}); code != http.StatusBadRequest || !strings.Contains(body["error"].(string), "unknown field") {
+		t.Errorf("insert with chunk: %d %v, want 400 naming the unknown field", code, body)
+	}
+	if code, body := postJSON(t, base+"/v1/models/"+id+"/stream", map[string]any{
+		"dataset": "mdl", "chunk": -1,
+	}); code != http.StatusBadRequest || !strings.Contains(body["error"].(string), "non-negative") {
+		t.Errorf("stream with chunk -1: %d %v, want 400", code, body)
 	}
 	if code, _ := postJSON(t, base+"/v1/models/"+id+"/delete", map[string]any{
 		"ids": []int{},

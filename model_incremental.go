@@ -67,8 +67,9 @@ type incState struct {
 	// for gated points): the complete partial-neighbor map, maintained only
 	// for LAF-DBSCAN with post-processing enabled.
 	stop [][]int32
-	// dyn is the owned dynamic index (the same object as Model.index after
-	// the first mutation).
+	// dyn is the owned brute-force index ensureIncLocked builds over the
+	// cloned points; it is Model.index from then on, and Insert/Remove
+	// mutate it in step with the point slice.
 	dyn index.DynamicIndex
 	// dist is the model's metric function, for new-point pair distances
 	// and nearest-core tie-breaks.
@@ -191,6 +192,27 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 	return nil
 }
 
+// neighborRowsLocked runs one batched Eps-neighborhood query per vector
+// over the model's index and returns row i as query i's neighbor ids. The
+// caller holds mu. The callback runs on pool workers and writes only its
+// own row; the context aborts within one wave.
+func (m *Model) neighborRowsLocked(ctx context.Context, queries [][]float32) ([][]int32, error) {
+	workers, grain, wave := m.pool()
+	rows := make([][]int32, len(queries))
+	err := index.BatchRangeSearchFunc(ctx, m.index, queries, m.params.Eps, workers, grain, wave,
+		func(i int, ids []int) {
+			row := make([]int32, len(ids))
+			for j, id := range ids {
+				row[j] = int32(id)
+			}
+			rows[i] = row
+		})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // metricDistance maps a metric onto its distance function with the
 // unit-cosine fast path (the same choice NewBruteForceIndex makes).
 func metricDistance(m DistanceMetric) vecmath.DistanceFunc {
@@ -272,19 +294,11 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	n := len(m.points)
 	b := len(vectors)
 	eps, tau := m.params.Eps, m.params.Tau
-	workers, grain, wave := m.pool()
+	workers, grain, _ := m.pool()
 
 	// Phase A (cancellable, no state changes): neighborhoods of the new
 	// vectors over the existing points.
-	lists := make([][]int32, b)
-	err := index.BatchRangeSearchFunc(ctx, m.index, vectors, eps, workers, grain, wave,
-		func(k int, ids []int) {
-			l := make([]int32, len(ids))
-			for i, id := range ids {
-				l[i] = int32(id)
-			}
-			lists[k] = l
-		})
+	lists, err := m.neighborRowsLocked(ctx, vectors)
 	if err != nil {
 		return UpdateReport{}, err
 	}
@@ -343,25 +357,16 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	sort.Ints(promoted)
 
 	// Phase B (cancellable): neighborhoods of the promoted points, the
-	// bounded re-expansion that wires them into the core graph. The
-	// callback runs on pool workers, so results land in a slice indexed by
-	// the query position (safe on distinct i) and the map is built after
-	// the pool barrier.
+	// bounded re-expansion that wires them into the core graph. Rows come
+	// back indexed by query position; the map is built after the pool
+	// barrier.
 	plists := make(map[int][]int32, len(promoted))
 	if len(promoted) > 0 {
 		queries := make([][]float32, len(promoted))
 		for i, w := range promoted {
 			queries[i] = m.points[w]
 		}
-		rows := make([][]int32, len(promoted))
-		err := index.BatchRangeSearchFunc(ctx, m.index, queries, eps, workers, grain, wave,
-			func(i int, ids []int) {
-				l := make([]int32, len(ids))
-				for j, id := range ids {
-					l[j] = int32(id)
-				}
-				rows[i] = l
-			})
+		rows, err := m.neighborRowsLocked(ctx, queries)
 		if err != nil {
 			return UpdateReport{}, err
 		}
@@ -532,27 +537,18 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 		return UpdateReport{}, err
 	}
 	inc := m.inc
-	eps, tau := m.params.Eps, m.params.Tau
-	workers, grain, wave := m.pool()
+	tau := m.params.Tau
 	rm := make([]bool, n)
 	for _, id := range ids {
 		rm[id] = true
 	}
 
 	// Phase A (cancellable): neighborhoods of the removed points.
-	rlists := make([][]int32, len(ids))
 	queries := make([][]float32, len(ids))
 	for i, id := range ids {
 		queries[i] = m.points[id]
 	}
-	err := index.BatchRangeSearchFunc(ctx, m.index, queries, eps, workers, grain, wave,
-		func(i int, nbrs []int) {
-			l := make([]int32, len(nbrs))
-			for j, id := range nbrs {
-				l[j] = int32(id)
-			}
-			rlists[i] = l
-		})
+	rlists, err := m.neighborRowsLocked(ctx, queries)
 	if err != nil {
 		return UpdateReport{}, err
 	}
@@ -575,22 +571,14 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 
 	// Phase B (cancellable): neighborhoods of the demoted points, needed
 	// to unhook them from their neighbors' adjacency. Same slice-then-map
-	// shape as Insert's phase B: the callback only writes its own row.
+	// shape as Insert's phase B.
 	dlists := make(map[int][]int32, len(demoted))
 	if len(demoted) > 0 {
 		dq := make([][]float32, len(demoted))
 		for i, d := range demoted {
 			dq[i] = m.points[d]
 		}
-		rows := make([][]int32, len(demoted))
-		err := index.BatchRangeSearchFunc(ctx, m.index, dq, eps, workers, grain, wave,
-			func(i int, nbrs []int) {
-				l := make([]int32, len(nbrs))
-				for j, id := range nbrs {
-					l[j] = int32(id)
-				}
-				rows[i] = l
-			})
+		rows, err := m.neighborRowsLocked(ctx, dq)
 		if err != nil {
 			return UpdateReport{}, err
 		}
