@@ -400,7 +400,7 @@ func methodsUsage() string {
 // indexBackendUsage renders the -index-backend help from the backend
 // registry, so the CLI never drifts from what the library provides.
 func indexBackendUsage() string {
-	out := fmt.Sprintf("range-index backend: empty = exact default, %q = approximate chain, or one of",
+	out := fmt.Sprintf("range-index backend: empty = exact default, %q = HNSW, or one of",
 		lafdbscan.IndexBackendAuto)
 	for _, b := range lafdbscan.IndexBackends() {
 		out += " " + b

@@ -85,11 +85,7 @@ func TrainRMIEstimator(train [][]float32, cfg EstimatorConfig) (Estimator, error
 	case cfg.TargetSize > len(train):
 		scale = float64(cfg.TargetSize) / float64(len(train))
 	}
-	dist := vecmath.CosineDistanceUnit
-	if cfg.Metric != MetricCosine {
-		dist = cfg.Metric.Func()
-	}
-	examples := cardest.BuildTrainingSetAgainst(train, reference, dist,
+	examples := cardest.BuildTrainingSetAgainst(train, reference, cfg.Metric.Func(),
 		cfg.Radii, cfg.MaxQueries, rng)
 
 	rcfg := rmi.DefaultConfig()

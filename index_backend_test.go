@@ -9,27 +9,26 @@ import (
 
 // TestIndexBackendResolution pins the three resolution modes of the backend
 // knob: empty keeps the exact default (brute force, bit-identical labels),
-// IndexBackendAuto selects the approximate chain (HNSW), and an explicit
-// name passes through capability-checked.
+// IndexBackendAuto selects HNSW under either metric, and an explicit name
+// passes through metric-checked.
 func TestIndexBackendResolution(t *testing.T) {
 	cases := []struct {
 		name    string
 		backend string
 		metric  DistanceMetric
-		haveEps bool
 		want    string
 		wantErr string
 	}{
-		{"empty is exact brute", "", MetricCosine, true, "brute", ""},
-		{"auto is hnsw", IndexBackendAuto, MetricCosine, true, "hnsw", ""},
-		{"auto without eps still hnsw", IndexBackendAuto, MetricEuclidean, false, "hnsw", ""},
-		{"explicit passthrough", "covertree", MetricCosine, false, "covertree", ""},
-		{"unknown name", "bogus", MetricCosine, true, "", "unknown index backend"},
-		{"grid cannot answer cosine", "grid", MetricCosine, true, "", "does not support metric"},
-		{"grid euclidean passes", "grid", MetricEuclidean, true, "grid", ""},
+		{"empty is exact brute", "", MetricCosine, "brute", ""},
+		{"auto is hnsw", IndexBackendAuto, MetricCosine, "hnsw", ""},
+		{"auto under euclidean is hnsw", IndexBackendAuto, MetricEuclidean, "hnsw", ""},
+		{"explicit passthrough", "covertree", MetricCosine, "covertree", ""},
+		{"unknown name", "bogus", MetricCosine, "", "unknown index backend"},
+		{"grid cannot answer cosine", "grid", MetricCosine, "", "does not support metric"},
+		{"grid euclidean passes", "grid", MetricEuclidean, "grid", ""},
 	}
 	for _, c := range cases {
-		got, err := ResolveIndexBackend(c.backend, c.metric, c.haveEps)
+		got, err := ResolveIndexBackend(c.backend, c.metric)
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("%s: err = %v, want containing %q", c.name, err, c.wantErr)
@@ -185,6 +184,39 @@ func TestModelIndexBackendRoundTrip(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("prediction %d diverged after round trip: %d vs %d", i, got[i], want[i])
+		}
+	}
+
+	// After the first mutation the model queries the exact scan, so that is
+	// the backend it saves and a reload rebuilds.
+	if _, err := model.Insert(context.Background(), test.Vectors[:10]); err != nil {
+		t.Fatal(err)
+	}
+	if got := model.Params().IndexBackend; got != "brute" {
+		t.Fatalf("mutated model Params().IndexBackend = %q, want brute", got)
+	}
+	buf.Reset()
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	mutated, err := LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, live := mutated.IndexBackend(), model.IndexBackend(); got != live {
+		t.Fatalf("reloaded mutated model IndexBackend() = %q, live model %q", got, live)
+	}
+	want, _, err = model.PredictWithOptions(context.Background(), test.Vectors, PredictOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = mutated.PredictWithOptions(context.Background(), test.Vectors, PredictOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("prediction %d diverged after mutated round trip: %d vs %d", i, got[i], want[i])
 		}
 	}
 

@@ -20,25 +20,11 @@ type DBSCAN struct {
 	// Tau is the minimum neighbor count (including the point itself, which
 	// every range query returns at distance 0) for a point to be core.
 	Tau int
-	// Metric selects the distance function used when Index is nil. The
-	// zero value is the paper's cosine distance (with the unit-vector fast
-	// path); Euclidean implements the paper's future-work extension — LAF
-	// has no hard constraint on the metric, only the estimator's training
-	// radii need to cover the new value range.
-	Metric vecmath.Metric
-	// Index answers the range queries; when nil, a parallel brute-force
-	// scan with the chosen metric is used — the canonical configuration of
-	// the paper's experiments.
+	// Index answers the range queries, under whatever metric it was built
+	// with; when nil, a parallel brute-force scan under the paper's cosine
+	// distance is used — the canonical configuration of the paper's
+	// experiments.
 	Index index.RangeSearcher
-}
-
-// metricFunc returns the distance for a metric, using the unit-norm cosine
-// fast path the datasets of this repository guarantee.
-func metricFunc(m vecmath.Metric) vecmath.DistanceFunc {
-	if m == vecmath.Cosine {
-		return vecmath.CosineDistanceUnit
-	}
-	return m.Func()
 }
 
 // Run clusters the points.
@@ -55,7 +41,7 @@ func (d *DBSCAN) RunContext(ctx context.Context) (*Result, error) {
 	}
 	idx := d.Index
 	if idx == nil {
-		idx = index.NewBruteForce(d.Points, metricFunc(d.Metric))
+		idx = index.NewBruteForce(d.Points, vecmath.CosineDistanceUnit)
 	}
 	start := time.Now()
 	res := &Result{Algorithm: "DBSCAN", Labels: make([]int, n)}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"lafdbscan/internal/index"
 	"lafdbscan/internal/vecmath"
 )
 
@@ -78,7 +79,7 @@ func TestSinglePointDataset(t *testing.T) {
 func TestDBSCANEuclideanMetric(t *testing.T) {
 	// Two groups on the x axis, Euclidean metric.
 	pts := [][]float32{{0}, {0.1}, {0.2}, {5}, {5.1}, {5.2}}
-	res, err := (&DBSCAN{Points: pts, Eps: 0.5, Tau: 2, Metric: vecmath.Euclidean}).Run()
+	res, err := (&DBSCAN{Points: pts, Eps: 0.5, Tau: 2, Index: index.NewBruteForce(pts, vecmath.Euclidean.Func())}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

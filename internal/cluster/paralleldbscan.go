@@ -37,11 +37,10 @@ import (
 // the non-core stubs (each shorter than Tau) — where holding every list at
 // once would peak at O(Σ|N(p)|).
 type ParallelDBSCAN struct {
-	// Points, Eps, Tau, Metric and Index have DBSCAN's semantics.
+	// Points, Eps, Tau and Index have DBSCAN's semantics.
 	Points [][]float32
 	Eps    float64
 	Tau    int
-	Metric vecmath.Metric
 	Index  index.RangeSearcher
 	// Workers sizes the query/merge worker pool; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -67,7 +66,7 @@ func (d *ParallelDBSCAN) RunContext(ctx context.Context) (*Result, error) {
 	}
 	idx := d.Index
 	if idx == nil {
-		idx = index.NewBruteForce(d.Points, metricFunc(d.Metric))
+		idx = index.NewBruteForce(d.Points, vecmath.CosineDistanceUnit)
 	}
 	start := time.Now()
 	res := &Result{Algorithm: "DBSCAN", RangeQueries: n}

@@ -8,7 +8,6 @@ import (
 
 	"lafdbscan/internal/cardest"
 	"lafdbscan/internal/cluster"
-	"lafdbscan/internal/vecmath"
 )
 
 // ctxCheckEvery is how many range queries (or estimator gates) a sequential
@@ -117,11 +116,6 @@ type Config struct {
 	Alpha float64
 	// Estimator predicts range-query cardinalities. Required.
 	Estimator cardest.Estimator
-	// Metric selects the distance function when no index override is
-	// given. The zero value is the paper's cosine distance; Euclidean is
-	// the paper's future-work extension (the estimator must have been
-	// trained with radii covering the Euclidean value range).
-	Metric vecmath.Metric
 	// Seed drives post-processing's random destination choice (and the
 	// sample in LAF-DBSCAN++).
 	Seed int64

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"time"
 
 	"lafdbscan/internal/cluster"
@@ -35,11 +34,7 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 	}
 	idx := l.Index
 	if idx == nil {
-		dist := vecmath.CosineDistanceUnit
-		if l.Config.Metric != vecmath.Cosine {
-			dist = l.Config.Metric.Func()
-		}
-		idx = index.NewBruteForce(l.Points, dist)
+		idx = index.NewBruteForce(l.Points, vecmath.CosineDistanceUnit)
 	}
 	if l.Config.Workers != 0 {
 		return l.runParallel(ctx, idx)
@@ -143,28 +138,7 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 // adjacent cluster, before and after finalize. The canonical cluster forest
 // is derived here too, after the last label rewrite.
 func finalize(res *cluster.Result) {
-	ids := make([]int, 0, 16)
-	seen := make(map[int]struct{})
-	for _, l := range res.Labels {
-		if l == cluster.Noise {
-			continue
-		}
-		if _, ok := seen[l]; !ok {
-			seen[l] = struct{}{}
-			ids = append(ids, l)
-		}
-	}
-	sort.Ints(ids)
-	remap := make(map[int]int, len(ids))
-	for k, id := range ids {
-		remap[id] = k + 1
-	}
-	for i, l := range res.Labels {
-		if l != cluster.Noise {
-			res.Labels[i] = remap[l]
-		}
-	}
-	res.NumClusters = len(ids)
+	res.NumClusters = cluster.RenumberAscending(res.Labels)
 	if res.Core != nil {
 		res.Forest = cluster.DeriveForest(res.Labels, res.Core)
 	}

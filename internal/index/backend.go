@@ -9,18 +9,17 @@ import (
 
 // This file is the backend registry: every range-query structure in the
 // repository, addressable by name, with declared capabilities. The root
-// Params/Fit API, the lafserve dataset registry and both CLIs resolve
-// index construction through it instead of hardcoding one constructor,
-// so adding a backend (sharded, quantized, ...) means adding one entry
-// here and nothing anywhere else. Resolution is a declared fallback
-// chain filtered by requirements — the production idiom of vector
-// stores with an `hnsw|flat` index option and a graceful degradation
-// path.
+// Params/Fit API, the lafserve dataset registry and both CLIs build
+// indexes through it instead of hardcoding one constructor, so adding a
+// backend means adding one entry here. Which name a knob selects is
+// decided in one place, the root package's ResolveIndexBackend; the
+// registry only builds a named backend and rejects a metric it cannot
+// answer under.
 
 // The registered backend names.
 const (
 	// BackendBrute is the exact parallel scan — the reference answer and
-	// the terminal fallback of every chain.
+	// the default index.
 	BackendBrute = "brute"
 	// BackendHNSW is the layered proximity graph (approximate, sub-linear
 	// queries; see internal/index/hnsw).
@@ -35,8 +34,7 @@ const (
 	BackendGrid = "grid"
 )
 
-// Capabilities declare what a backend can honestly promise; resolution
-// filters chains through them.
+// Capabilities declare what a backend can honestly promise.
 type Capabilities struct {
 	// Exact: RangeSearch returns exactly the eps-neighborhood. Approximate
 	// backends may miss neighbors (they never invent them).
@@ -44,8 +42,6 @@ type Capabilities struct {
 	// Dynamic: implements DynamicIndex (Insert/DeleteMany), so a model can
 	// mutate it in place.
 	Dynamic bool `json:"dynamic"`
-	// KNN: implements KNNSearcher.
-	KNN bool `json:"knn"`
 	// Cosine / Euclidean: the metrics the backend answers under.
 	Cosine    bool `json:"cosine"`
 	Euclidean bool `json:"euclidean"`
@@ -71,9 +67,7 @@ func (c Capabilities) SupportsMetric(m vecmath.Metric) bool {
 // each backend reads its own fields and ignores the rest. Zero values
 // select the same defaults the underlying constructors document.
 type BackendOptions struct {
-	// Metric selects the distance. Cosine uses the unit-vector fast path
-	// (all datasets here are normalized on creation), matching the
-	// historical NewBruteForceIndex behavior.
+	// Metric selects the distance (see vecmath.Metric.Func).
 	Metric vecmath.Metric
 	// Dist overrides the metric's distance function when non-nil (tests
 	// use it to instrument distance evaluations).
@@ -87,10 +81,8 @@ type BackendOptions struct {
 	// Branching / LeavesRatio configure the k-means tree.
 	Branching   int
 	LeavesRatio float64
-	// M / EfConstruction / EfSearch configure the HNSW graph.
-	M              int
-	EfConstruction int
-	EfSearch       int
+	// EfSearch is the HNSW graph's search beam width.
+	EfSearch int
 	// Seed drives the deterministic randomized builds.
 	Seed int64
 }
@@ -98,9 +90,6 @@ type BackendOptions struct {
 func (o BackendOptions) distFunc() vecmath.DistanceFunc {
 	if o.Dist != nil {
 		return o.Dist
-	}
-	if o.Metric == vecmath.Cosine {
-		return vecmath.CosineDistanceUnit
 	}
 	return o.Metric.Func()
 }
@@ -120,10 +109,10 @@ var backendRegistry = []backendSpec{
 			return NewBruteForce(points, o.distFunc()), nil
 		}},
 	{BackendHNSW,
-		Capabilities{Dynamic: true, KNN: true, Cosine: true, Euclidean: true},
+		Capabilities{Dynamic: true, Cosine: true, Euclidean: true},
 		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
 			return hnsw.New(points, o.distFunc(), hnsw.Config{
-				M: o.M, EfConstruction: o.EfConstruction, EfSearch: o.EfSearch, Seed: o.Seed,
+				EfSearch: o.EfSearch, Seed: o.Seed,
 			}), nil
 		}},
 	{BackendCoverTree,
@@ -139,7 +128,7 @@ var backendRegistry = []backendSpec{
 			return NewCoverTree(points, o.distFunc(), base), nil
 		}},
 	{BackendKMeansTree,
-		Capabilities{KNN: true, Cosine: true, Euclidean: true},
+		Capabilities{Cosine: true, Euclidean: true},
 		func(points [][]float32, o BackendOptions) (RangeSearcher, error) {
 			return kmeansTreeSearcher{NewKMeansTree(points, o.distFunc(), KMeansTreeConfig{
 				Branching: o.Branching, LeavesRatio: o.LeavesRatio, Seed: o.Seed,
@@ -178,8 +167,7 @@ func LookupBackend(name string) (Capabilities, bool) {
 }
 
 // NewBackend builds the named backend over points. It fails on unknown
-// names, unsupported metrics and missing required options — the same
-// conditions ResolveBackend filters on, so a resolved name always builds.
+// names, unsupported metrics and missing required options.
 func NewBackend(name string, points [][]float32, o BackendOptions) (RangeSearcher, error) {
 	for _, s := range backendRegistry {
 		if s.name != name {
@@ -191,65 +179,6 @@ func NewBackend(name string, points [][]float32, o BackendOptions) (RangeSearche
 		return s.build(points, o)
 	}
 	return nil, fmt.Errorf("index: unknown backend %q (have %v)", name, Backends())
-}
-
-// Requirements filter a fallback chain during resolution.
-type Requirements struct {
-	// Exact demands the exact eps-neighborhood (the default everywhere a
-	// caller has not opted into approximation, preserving bit-identical
-	// labels).
-	Exact bool
-	// KNN demands KNNSearcher support.
-	KNN bool
-	// Metric is the distance the index must answer under.
-	Metric vecmath.Metric
-	// HaveEps: the caller can supply the query radius at build time, so
-	// NeedsEps backends are eligible.
-	HaveEps bool
-}
-
-// Satisfies reports whether capabilities c meet req.
-func (c Capabilities) Satisfies(req Requirements) bool {
-	if req.Exact && !c.Exact {
-		return false
-	}
-	if req.KNN && !c.KNN {
-		return false
-	}
-	if c.NeedsEps && !req.HaveEps {
-		return false
-	}
-	return c.SupportsMetric(req.Metric)
-}
-
-// DefaultChain is the declared fallback preference: the sub-linear graph
-// first, the exact scan as the terminal fallback. Callers that require
-// exactness resolve straight through to brute force; callers that opt
-// into approximation land on HNSW.
-func DefaultChain() []string {
-	return []string{BackendHNSW, BackendBrute}
-}
-
-// ResolveBackend walks chain and returns the first backend whose
-// capabilities satisfy req, or an error naming every rejection — the
-// operator-facing explanation of why a preference was skipped.
-func ResolveBackend(chain []string, req Requirements) (string, error) {
-	if len(chain) == 0 {
-		chain = DefaultChain()
-	}
-	var rejected []string
-	for _, name := range chain {
-		caps, ok := LookupBackend(name)
-		if !ok {
-			return "", fmt.Errorf("index: unknown backend %q in chain %v (have %v)", name, chain, Backends())
-		}
-		if caps.Satisfies(req) {
-			return name, nil
-		}
-		rejected = append(rejected, name)
-	}
-	return "", fmt.Errorf("index: no backend in chain %v satisfies the requirements (rejected %v for metric %v)",
-		chain, rejected, req.Metric)
 }
 
 // --- adapters: every backend behind the uniform RangeSearcher face ---
@@ -285,10 +214,8 @@ func (t kmeansTreeSearcher) RangeCount(q []float32, eps float64) int {
 
 var (
 	_ RangeSearcher = (*hnsw.Graph)(nil)
-	_ KNNSearcher   = (*hnsw.Graph)(nil)
 	_ DynamicIndex  = (*hnsw.Graph)(nil)
 	_ RangeSearcher = (*CoverTree)(nil)
 	_ RangeSearcher = gridSearcher{}
 	_ RangeSearcher = kmeansTreeSearcher{}
-	_ KNNSearcher   = kmeansTreeSearcher{}
 )

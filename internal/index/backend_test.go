@@ -27,11 +27,11 @@ func TestBackendsListing(t *testing.T) {
 
 func TestBackendCapabilities(t *testing.T) {
 	brute, _ := LookupBackend(BackendBrute)
-	if !brute.Exact || !brute.Dynamic || brute.KNN || !brute.Cosine || !brute.Euclidean {
+	if !brute.Exact || !brute.Dynamic || !brute.Cosine || !brute.Euclidean {
 		t.Fatalf("brute capabilities wrong: %+v", brute)
 	}
 	hnswCaps, _ := LookupBackend(BackendHNSW)
-	if hnswCaps.Exact || !hnswCaps.Dynamic || !hnswCaps.KNN || !hnswCaps.Cosine || !hnswCaps.Euclidean {
+	if hnswCaps.Exact || !hnswCaps.Dynamic || !hnswCaps.Cosine || !hnswCaps.Euclidean {
 		t.Fatalf("hnsw capabilities wrong: %+v", hnswCaps)
 	}
 	grid, _ := LookupBackend(BackendGrid)
@@ -103,40 +103,18 @@ func TestEveryBackendBuildsAndAnswers(t *testing.T) {
 	}
 }
 
-func TestResolveBackend(t *testing.T) {
-	// The default chain requires exactness by default, so resolution lands
-	// on brute force — the behavior-preserving default.
-	got, err := ResolveBackend(nil, Requirements{Exact: true, Metric: vecmath.Cosine})
-	if err != nil || got != BackendBrute {
-		t.Fatalf("exact default resolution = %q, %v", got, err)
+// TestCosineBackendTakesFloat32Kernel guards the one metric-to-distance
+// map: cosine resolves to CosineDistanceUnit itself, so a brute-force
+// index built through the registry runs the exact float32 scan.
+func TestCosineBackendTakesFloat32Kernel(t *testing.T) {
+	if !vecmath.IsCosineUnit(vecmath.Cosine.Func()) {
+		t.Fatal("vecmath.Cosine.Func() is not CosineDistanceUnit")
 	}
-	// Dropping the exactness requirement opts into the graph.
-	got, err = ResolveBackend(nil, Requirements{Metric: vecmath.Cosine})
-	if err != nil || got != BackendHNSW {
-		t.Fatalf("approx default resolution = %q, %v", got, err)
+	idx, err := NewBackend(BackendBrute, clusteredPoints(20, 8, 2), BackendOptions{Metric: vecmath.Cosine})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// NeedsEps backends are skipped when the caller has no radius.
-	got, err = ResolveBackend([]string{BackendGrid, BackendBrute}, Requirements{Metric: vecmath.Euclidean})
-	if err != nil || got != BackendBrute {
-		t.Fatalf("grid-without-eps resolution = %q, %v", got, err)
-	}
-	got, err = ResolveBackend([]string{BackendGrid, BackendBrute}, Requirements{Metric: vecmath.Euclidean, HaveEps: true})
-	if err != nil || got != BackendGrid {
-		t.Fatalf("grid-with-eps resolution = %q, %v", got, err)
-	}
-	// A chain that cannot satisfy the requirements reports every rejection.
-	_, err = ResolveBackend([]string{BackendGrid}, Requirements{Metric: vecmath.Cosine})
-	if err == nil || !strings.Contains(err.Error(), "rejected [grid]") {
-		t.Fatalf("exhausted-chain error = %v", err)
-	}
-	// Unknown names fail loudly rather than being skipped.
-	if _, err = ResolveBackend([]string{"faiss"}, Requirements{Metric: vecmath.Cosine}); err == nil ||
-		!strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("unknown-chain error = %v", err)
-	}
-	// KNN-requiring resolution skips backends without KNN.
-	got, err = ResolveBackend([]string{BackendCoverTree, BackendKMeansTree}, Requirements{KNN: true, Metric: vecmath.Cosine})
-	if err != nil || got != BackendKMeansTree {
-		t.Fatalf("knn resolution = %q, %v", got, err)
+	if !idx.(*BruteForce).unitCos {
+		t.Fatal("cosine brute force built through NewBackend skips the float32 kernel")
 	}
 }

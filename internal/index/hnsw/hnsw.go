@@ -597,8 +597,8 @@ func (g *Graph) RangeCount(q []float32, eps float64) int {
 	return n
 }
 
-// KNN implements the KNNSearcher contract: up to k approximate nearest
-// neighbors sorted by ascending distance. The candidate list is
+// KNN returns up to k approximate nearest neighbors and their distances,
+// sorted by ascending distance. The candidate list is
 // max(EfSearch, k) wide.
 func (g *Graph) KNN(q []float32, k int) ([]int, []float64) {
 	if g.entry < 0 || g.Len() == 0 || k <= 0 {

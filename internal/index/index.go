@@ -22,13 +22,6 @@ type RangeSearcher interface {
 	Len() int
 }
 
-// KNNSearcher answers k-nearest-neighbor queries.
-type KNNSearcher interface {
-	// KNN returns up to k ids sorted by increasing distance, and the
-	// corresponding distances.
-	KNN(q []float32, k int) ([]int, []float64)
-}
-
 // BruteForce scans every indexed point. It parallelizes large scans across
 // GOMAXPROCS workers, which is the configuration all methods share in the
 // benchmark harness so that relative timings stay meaningful.

@@ -266,5 +266,3 @@ func (t *KMeansTree) RangeSearchApprox(q []float32, eps float64) []int {
 	}
 	return out
 }
-
-var _ KNNSearcher = (*KMeansTree)(nil)

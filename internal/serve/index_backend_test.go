@@ -95,8 +95,8 @@ func TestServeIndexBackendSurfacing(t *testing.T) {
 }
 
 // TestServeIndexBackendRejections pins the 400 paths of the backend knob:
-// unknown names, metric-incapable backends, and radius-bound backends that
-// cannot serve a shared per-dataset index.
+// unknown names, metric-incapable backends, radius-bound backends that
+// cannot serve a shared per-dataset index, and the absent ef_search field.
 func TestServeIndexBackendRejections(t *testing.T) {
 	base, _, cleanup := modelServer(t, Options{Workers: 1, QueueDepth: 4})
 	defer cleanup()
@@ -114,6 +114,9 @@ func TestServeIndexBackendRejections(t *testing.T) {
 		{"radius-bound backend", map[string]any{
 			"eps": 0.5, "tau": 4, "metric": "euclidean", "index_backend": "grid"}},
 		{"negative ef_search", map[string]any{"eps": 0.5, "tau": 4, "ef_search": -1}},
+		// Jobs and fits run on the registry's shared graph, built with the
+		// default beam, so the request has no ef_search field to honor.
+		{"ef_search", map[string]any{"eps": 0.5, "tau": 4, "ef_search": 128}},
 	}
 	for _, tc := range cases {
 		for _, endpoint := range []string{"/v1/models", "/v1/jobs"} {

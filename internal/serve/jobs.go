@@ -201,7 +201,7 @@ type Options struct {
 	EnablePprof bool
 	// IndexBackend is the server-wide default range-index backend for
 	// requests that name none: "" keeps the exact default (brute force),
-	// lafdbscan.IndexBackendAuto opts into the approximate chain (HNSW).
+	// lafdbscan.IndexBackendAuto selects the HNSW graph.
 	// Validate with CheckIndexBackend before constructing the server — an
 	// invalid value is a programming error and NewServer panics on it.
 	IndexBackend string
@@ -472,16 +472,9 @@ func validateJobSpec(reg *Registry, spec *JobSpec) error {
 		return fmt.Errorf("serve: method %q supports only the cosine metric", spec.Method)
 	}
 	// Params.Validate already rejected unknown backend names and
-	// backend/metric mismatches (the 400 path for e.g. grid+cosine). The
-	// serving layer adds one constraint of its own: shared indexes are
-	// built once per (dataset, metric) and reused across query radii, so
-	// radius-bound backends cannot serve even under a supported metric.
-	if b := spec.Params.IndexBackend; b != "" && b != lafdbscan.IndexBackendAuto {
-		if caps, ok := lafdbscan.LookupIndexBackend(b); ok && caps.NeedsEps {
-			return fmt.Errorf("serve: index backend %q is radius-bound (built per eps) and cannot back the shared per-dataset index", b)
-		}
-	}
-	return nil
+	// backend/metric mismatches (the 400 path for e.g. grid+cosine);
+	// CheckIndexBackend adds the serving layer's radius-bound rule.
+	return CheckIndexBackend(spec.Params.IndexBackend)
 }
 
 // Status returns a snapshot of the named job.

@@ -45,9 +45,8 @@ type Registry struct {
 	entries map[string]*registryEntry
 	// defaultBackend is the index backend requests resolve through when
 	// they name none: "" keeps the exact default (brute force),
-	// lafdbscan.IndexBackendAuto opts the whole server into the
-	// approximate chain (HNSW). Set once at startup (SetDefaultIndexBackend)
-	// before serving.
+	// lafdbscan.IndexBackendAuto puts the whole server on the HNSW graph.
+	// Set once at startup (SetDefaultIndexBackend) before serving.
 	defaultBackend string
 	// telemetry, when set (registerMetrics), receives the per-backend
 	// index-build counter.
@@ -223,9 +222,7 @@ func (r *Registry) Index(name string, metric lafdbscan.DistanceMetric, backend s
 	if backend == "" {
 		backend = r.DefaultIndexBackend()
 	}
-	// Shared indexes serve every radius, so NeedsEps backends never
-	// resolve here (haveEps false).
-	resolved, err := lafdbscan.ResolveIndexBackend(backend, metric, false)
+	resolved, err := lafdbscan.ResolveIndexBackend(backend, metric)
 	if err != nil {
 		return nil, "", err
 	}

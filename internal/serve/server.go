@@ -239,10 +239,10 @@ type paramsJSON struct {
 	WaveSize              int     `json:"wave_size,omitempty"`
 	DisablePostProcessing bool    `json:"disable_post_processing,omitempty"`
 	// IndexBackend names the range-index implementation ("brute", "hnsw",
-	// ..., or "auto" for the approximate fallback chain); empty keeps the
-	// server default. EfSearch is the HNSW recall knob (0 = default).
+	// ..., or "auto" for HNSW); empty keeps the server default. There is no
+	// ef_search: jobs run on the registry's shared graph, built once per
+	// dataset with the default beam.
 	IndexBackend string `json:"index_backend,omitempty"`
-	EfSearch     int    `json:"ef_search,omitempty"`
 }
 
 func (p paramsJSON) toParams() (lafdbscan.Params, error) {
@@ -254,7 +254,7 @@ func (p paramsJSON) toParams() (lafdbscan.Params, error) {
 		Seed: p.Seed, Workers: p.Workers, BatchSize: p.BatchSize,
 		WaveSize:              p.WaveSize,
 		DisablePostProcessing: p.DisablePostProcessing,
-		IndexBackend:          p.IndexBackend, EfSearch: p.EfSearch,
+		IndexBackend:          p.IndexBackend,
 	}
 	switch p.Metric {
 	case "", "cosine":

@@ -31,11 +31,14 @@ func (m Metric) String() string {
 // DistanceFunc is the signature shared by all pairwise distances.
 type DistanceFunc func(a, b []float32) float64
 
-// Func returns the distance function for the metric.
+// Func returns the distance function for the metric. Cosine maps to
+// CosineDistanceUnit, not CosineDistance: every dataset in this repository
+// is normalized on creation, and IsCosineUnit recognizes that function to
+// send range scans to the exact float32 kernel.
 func (m Metric) Func() DistanceFunc {
 	switch m {
 	case Cosine:
-		return CosineDistance
+		return CosineDistanceUnit
 	case Euclidean:
 		return EuclideanDistance
 	default:

@@ -107,13 +107,11 @@ type Params struct {
 
 	// IndexBackend selects the range-index implementation by registry name
 	// (see IndexBackends: "brute", "hnsw", "covertree", "kmeanstree",
-	// "grid") for the methods that honor a shared index. The zero value
-	// resolves the default fallback chain under an exactness requirement,
-	// landing on the brute-force scan — labels stay bit-identical to every
-	// earlier release. IndexBackendAuto resolves the same chain with
-	// approximation allowed, landing on the HNSW graph (sub-linear queries,
-	// recall tunable through EfSearch). Naming a backend that does not
-	// support Params.Metric is a validation error.
+	// "grid") for the methods that honor a shared index. The zero value is
+	// the exact brute-force scan — labels stay bit-identical to every
+	// earlier release. IndexBackendAuto is the HNSW graph under either
+	// metric (sub-linear queries, recall tunable through EfSearch). Naming
+	// a backend that does not support Params.Metric is a validation error.
 	IndexBackend string
 	// EfSearch is the HNSW recall knob: the size of the result set the
 	// graph's layer-0 best-first expansion maintains per query. 0 selects
@@ -129,21 +127,15 @@ type RangeIndex = index.RangeSearcher
 
 // NewBruteForceIndex builds the default parallel brute-force range-query
 // engine over points under the given metric — the index the clustering
-// entry points construct per run when Params.Index is nil, exposed so
-// serving layers can build it once and share it. It is equivalent to
-// Params{}.NewIndex under the zero IndexBackend, kept as the stable
+// entry points construct per run when Params.Index is nil and IndexBackend
+// is empty. It is equivalent to Params{}.NewIndex, kept as the stable
 // pre-registry constructor.
 func NewBruteForceIndex(points [][]float32, m DistanceMetric) RangeIndex {
-	dist := vecmath.CosineDistanceUnit
-	if m != MetricCosine {
-		dist = m.Func()
-	}
-	return index.NewBruteForce(points, dist)
+	return index.NewBruteForce(points, m.Func())
 }
 
-// IndexBackendAuto resolves Params.IndexBackend through the default
-// fallback chain with approximation allowed: the HNSW graph where it
-// qualifies, the exact scan as the terminal fallback.
+// IndexBackendAuto selects the approximate default for
+// Params.IndexBackend: the HNSW graph, which answers under both metrics.
 const IndexBackendAuto = "auto"
 
 // DefaultEfSearch is the HNSW search beam width selected when
@@ -156,7 +148,7 @@ const DefaultEfSearch = hnsw.DefaultEfSearch
 func IndexBackends() []string { return index.Backends() }
 
 // IndexBackendCapabilities describes what a registered backend promises
-// (exactness, mutability, KNN support, metrics); see the internal registry
+// (exactness, mutability, metrics, radius binding); see the internal registry
 // for field documentation. The boolean fields serialize under snake_case
 // JSON names, so serving layers can expose the registry directly.
 type IndexBackendCapabilities = index.Capabilities
@@ -168,14 +160,12 @@ func LookupIndexBackend(name string) (IndexBackendCapabilities, bool) {
 }
 
 // NewIndex builds the range index p describes over points under metric m:
-// p.IndexBackend is resolved through the backend registry ("" requires
-// exactness and lands on brute force; IndexBackendAuto opts into
-// approximation and lands on HNSW; an explicit name is capability-checked
-// and used as is), then constructed with p's knobs (Seed, EfSearch,
-// Branching, LeavesRatio, Base, Rho, and — for radius-bound backends like
-// the grid — Eps). It returns the index and the resolved backend name.
+// p.IndexBackend is resolved by ResolveIndexBackend, then constructed with
+// p's knobs (Seed, EfSearch, Branching, LeavesRatio, Base, Rho, and — for
+// radius-bound backends like the grid — Eps). It returns the index and the
+// resolved backend name.
 func (p Params) NewIndex(points [][]float32, m DistanceMetric) (RangeIndex, string, error) {
-	name, err := ResolveIndexBackend(p.IndexBackend, m, p.Eps > 0)
+	name, err := ResolveIndexBackend(p.IndexBackend, m)
 	if err != nil {
 		return nil, "", err
 	}
@@ -192,17 +182,15 @@ func (p Params) NewIndex(points [][]float32, m DistanceMetric) (RangeIndex, stri
 
 // ResolveIndexBackend maps an IndexBackend knob onto a concrete registry
 // name under metric m without building anything — serving layers use it to
-// key shared-index caches by the resolved name. haveEps reports whether
-// the caller can supply the query radius at build time (radius-bound
-// backends like the grid are ineligible otherwise).
-func ResolveIndexBackend(backend string, m DistanceMetric, haveEps bool) (string, error) {
+// key shared-index caches by the resolved name. "" is the exact brute-force
+// scan, IndexBackendAuto the HNSW graph, and any other value must be a
+// registered backend that answers under m.
+func ResolveIndexBackend(backend string, m DistanceMetric) (string, error) {
 	switch backend {
 	case "":
-		// The behavior-preserving default: exactness required, so the
-		// chain resolves to the brute-force scan.
-		return index.ResolveBackend(nil, index.Requirements{Exact: true, Metric: m})
+		return index.BackendBrute, nil
 	case IndexBackendAuto:
-		return index.ResolveBackend(nil, index.Requirements{Metric: m, HaveEps: haveEps})
+		return index.BackendHNSW, nil
 	default:
 		caps, ok := index.LookupBackend(backend)
 		if !ok {
@@ -215,12 +203,11 @@ func ResolveIndexBackend(backend string, m DistanceMetric, haveEps bool) (string
 	}
 }
 
-// materializeIndex builds Params.IndexBackend into Params.Index for the
-// entry points that honor a shared index. An explicit Index wins, and the
-// zero knob keeps the historical behavior (each driver builds its own
-// exact scan), so only callers that name a backend pay the construction.
+// materializeIndex builds Params.IndexBackend into Params.Index under
+// metric m for the entry points that honor a shared index. An explicit
+// Index wins.
 func materializeIndex(p *Params, points [][]float32, m DistanceMetric) error {
-	if p.Index != nil || p.IndexBackend == "" {
+	if p.Index != nil {
 		return nil
 	}
 	idx, _, err := p.NewIndex(points, m)
@@ -273,13 +260,13 @@ func DBSCANContext(ctx context.Context, points [][]float32, p Params) (*Result, 
 	}
 	if p.Workers != 0 {
 		return (&cluster.ParallelDBSCAN{
-			Points: points, Eps: p.Eps, Tau: p.Tau, Metric: p.Metric,
+			Points: points, Eps: p.Eps, Tau: p.Tau,
 			Workers: index.AutoWorkers(p.Workers), BatchSize: p.BatchSize,
 			WaveSize: p.WaveSize, Index: p.Index,
 		}).RunContext(ctx)
 	}
 	return (&cluster.DBSCAN{
-		Points: points, Eps: p.Eps, Tau: p.Tau, Metric: p.Metric, Index: p.Index,
+		Points: points, Eps: p.Eps, Tau: p.Tau, Index: p.Index,
 	}).RunContext(ctx)
 }
 
@@ -322,7 +309,7 @@ func LAFDBSCANContext(ctx context.Context, points [][]float32, p Params) (*Resul
 	}
 	return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: core.Config{
 		Eps: p.Eps, Tau: p.Tau, Alpha: p.Alpha,
-		Estimator: p.Estimator, Metric: p.Metric, Seed: p.Seed,
+		Estimator: p.Estimator, Seed: p.Seed,
 		DisablePostProcessing: p.DisablePostProcessing,
 		Workers:               p.Workers, BatchSize: p.BatchSize,
 		WaveSize: p.WaveSize,

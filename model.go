@@ -84,8 +84,8 @@ func WithIndex(idx RangeIndex) FitOption { return func(p *Params) { p.Index = id
 
 // WithIndexBackend selects the range-index implementation by registry name
 // (see Params.IndexBackend): "" keeps the exact default, IndexBackendAuto
-// opts into the approximate fallback chain, and an explicit name ("hnsw",
-// "covertree", ...) is used as is after a capability check.
+// selects the HNSW graph, and an explicit name ("hnsw", "covertree", ...)
+// is used as is after a metric check.
 func WithIndexBackend(name string) FitOption { return func(p *Params) { p.IndexBackend = name } }
 
 // WithEfSearch sets the HNSW recall knob (see Params.EfSearch).
@@ -169,7 +169,7 @@ func FitParams(ctx context.Context, points [][]float32, m Method, p Params) (*Mo
 	// honor Params.Metric; every other method is hardwired to cosine).
 	metric := modelMetric(m, p.Metric)
 	// The specialized methods (KNN-BLOCK, BLOCK-DBSCAN, ρ-approximate)
-	// build their own structures and never see p.Index; prediction still
+	// build their own structures and never read p.Index; prediction still
 	// needs a plain range index over the training points, so one is built
 	// (or the caller's shared one retained) either way. Construction goes
 	// through the backend registry: the zero IndexBackend resolves to the
@@ -183,11 +183,7 @@ func FitParams(ctx context.Context, points [][]float32, m Method, p Params) (*Mo
 		p.Index = idx
 		resolvedBackend = name
 	}
-	fitParams := p
-	if !methodHonorsIndex(m) {
-		fitParams.Index = nil
-	}
-	res, err := ClusterContext(ctx, points, m, fitParams)
+	res, err := ClusterContext(ctx, points, m, p)
 	if err != nil {
 		return nil, err
 	}
@@ -195,16 +191,6 @@ func FitParams(ctx context.Context, points [][]float32, m Method, p Params) (*Mo
 		p.Alpha = 1 // the dispatch's neutral default, made visible
 	}
 	return newModel(m, p, points, res, resolvedBackend), nil
-}
-
-// methodHonorsIndex reports whether the method's driver accepts a shared
-// range index (see Params.Index).
-func methodHonorsIndex(m Method) bool {
-	switch m {
-	case MethodDBSCAN, MethodDBSCANPP, MethodLAFDBSCAN, MethodLAFDBSCANPP:
-		return true
-	}
-	return false
 }
 
 // newModel wraps a finished clustering into a Model. p.Index must be the
@@ -237,8 +223,9 @@ func (m *Model) Method() Method { return m.method }
 // Params returns the effective fit parameters (Estimator included; LAF's
 // Alpha default resolved to 1). Index is the fitted range index until the
 // first Insert/Remove; after that the model's index is privately owned and
-// mutated under its lock, so Index is nil — a refit from these parameters
-// builds its own equivalent index.
+// mutated under its lock, so Index is nil, IndexBackend is "brute" and
+// EfSearch is 0 — the exact scan the mutated model queries, which a refit
+// or a reload from these parameters builds again.
 func (m *Model) Params() Params {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -160,20 +160,14 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 	if m.gatedMethod() && m.params.Estimator == nil {
 		return fmt.Errorf("lafdbscan: %s maintenance requires the estimator gate, and this model carries none (loaded from a save that could not serialize it?)", m.method)
 	}
-	n := len(m.points)
 	points := slices.Clone(m.points)
-	dist := metricDistance(modelMetric(m.method, m.params.Metric))
+	dist := modelMetric(m.method, m.params.Metric).Func()
 	dyn := index.NewBruteForce(slices.Clone(points), dist)
 	workers, grain, wave := m.pool()
 
 	var gated []bool
 	if m.gatedMethod() {
-		threshold := m.params.Alpha * float64(m.params.Tau)
-		est := m.params.Estimator
-		gated = make([]bool, n)
-		index.ForEach(n, workers, grain, func(i int) {
-			gated[i] = est.Estimate(points[i], m.params.Eps) >= threshold
-		})
+		gated = m.gateLocked(points)
 	}
 	counts, adj, stop, err := m.scanFacts(ctx, dyn, points, m.core, gated, workers, grain, wave)
 	if err != nil {
@@ -186,10 +180,27 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 	// must not leak through Params(): a caller holding Params().Index would
 	// race the maintenance writes and watch ids shift underneath it. With
 	// the field nil, a refit from Params() builds its own (equivalent)
-	// index — labels are identical with or without a shared one.
+	// index — labels are identical with or without a shared one. The
+	// backend knob follows the index, so Save records the exact scan the
+	// model now queries and a reload rebuilds that, not the fitted graph.
 	m.params.Index = nil
+	m.params.IndexBackend = index.BackendBrute
+	m.params.EfSearch = 0
 	m.inc = &incState{counts: counts, gated: gated, adj: adj, stop: stop, dyn: dyn, dist: dist}
 	return nil
+}
+
+// gateLocked returns LAF's estimator gate decision for each point
+// (estimate >= Alpha*Tau) under the current estimator. The caller holds mu.
+func (m *Model) gateLocked(points [][]float32) []bool {
+	workers, grain, _ := m.pool()
+	threshold := m.params.Alpha * float64(m.params.Tau)
+	est := m.params.Estimator
+	gated := make([]bool, len(points))
+	index.ForEach(len(points), workers, grain, func(i int) {
+		gated[i] = est.Estimate(points[i], m.params.Eps) >= threshold
+	})
+	return gated
 }
 
 // neighborRowsLocked runs one batched Eps-neighborhood query per vector
@@ -211,15 +222,6 @@ func (m *Model) neighborRowsLocked(ctx context.Context, queries [][]float32) ([]
 		return nil, err
 	}
 	return rows, nil
-}
-
-// metricDistance maps a metric onto its distance function with the
-// unit-cosine fast path (the same choice NewBruteForceIndex makes).
-func metricDistance(m DistanceMetric) vecmath.DistanceFunc {
-	if m == MetricCosine {
-		return vecmath.CosineDistanceUnit
-	}
-	return m.Func()
 }
 
 // scanFacts runs one batched neighborhood pass over every point, folding
@@ -335,12 +337,7 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	}
 	var newGated []bool
 	if inc.gated != nil {
-		threshold := m.params.Alpha * float64(tau)
-		est := m.params.Estimator
-		newGated = make([]bool, b)
-		for k, v := range vectors {
-			newGated[k] = est.Estimate(v, eps) >= threshold
-		}
+		newGated = m.gateLocked(vectors)
 	}
 	// Core transitions: new points by the (gated) density criterion,
 	// existing non-core points crossing Tau promoted.
@@ -794,12 +791,7 @@ func (m *Model) regateLocked(ctx context.Context) error {
 	inc := m.inc
 	n := len(m.points)
 	workers, grain, wave := m.pool()
-	threshold := m.params.Alpha * float64(m.params.Tau)
-	est := m.params.Estimator
-	gated := make([]bool, n)
-	index.ForEach(n, workers, grain, func(i int) {
-		gated[i] = est.Estimate(m.points[i], m.params.Eps) >= threshold
-	})
+	gated := m.gateLocked(m.points)
 	coreMask := make([]bool, n)
 	for i := range coreMask {
 		coreMask[i] = gated[i] && inc.counts[i] >= m.params.Tau
