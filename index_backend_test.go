@@ -239,6 +239,15 @@ func TestEntryPointsRejectBadBackend(t *testing.T) {
 	if _, err := DBSCAN(pts, bad); err == nil || !strings.Contains(err.Error(), "invalid IndexBackend") {
 		t.Errorf("DBSCAN with unknown backend: err = %v, want invalid IndexBackend", err)
 	}
+	// Validate reports ResolveIndexBackend's own rejection behind the
+	// field prefix.
+	for _, name := range []string{"bogus", "grid"} {
+		_, resolveErr := ResolveIndexBackend(name, MetricCosine)
+		err := Params{Eps: 0.5, Tau: 2, IndexBackend: name}.Validate()
+		if resolveErr == nil || err == nil || err.Error() != "lafdbscan: invalid IndexBackend = "+name+": "+resolveErr.Error() {
+			t.Errorf("Validate with IndexBackend %q: err = %v, want the resolver's %v behind the field prefix", name, err, resolveErr)
+		}
+	}
 	if _, err := Fit(context.Background(), pts, MethodDBSCAN,
 		WithEps(0.5), WithTau(2), WithIndexBackend("bogus")); err == nil {
 		t.Error("Fit accepted an unknown index backend")

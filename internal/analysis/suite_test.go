@@ -78,9 +78,9 @@ func TestClusterDirectivesAreLoadBearing(t *testing.T) {
 // //lafvet:hotpath directives fails this test, so the annotations cannot
 // silently rot.
 var hotpathRoster = map[string][]string{
-	"../vecmath/vector.go":          {"Dot", "Norm", "SquaredNorm", "Normalize", "AXPY", "Scale"},
+	"../vecmath/vector.go":          {"Dot", "dotGeneric", "Norm", "SquaredNorm", "Normalize", "AXPY", "Scale"},
 	"../vecmath/distance.go":        {"CosineDistance", "CosineDistanceUnit", "EuclideanDistance", "SquaredEuclidean"},
-	"../vecmath/scan.go":            {"AppendCosineUnitRange", "CosineUnitLess", "dot32"},
+	"../vecmath/scan.go":            {"AppendCosineUnitRange", "CosineUnitLess", "dot32", "dot32Generic"},
 	"../cluster/atomicunionfind.go": {"Find", "Union", "Same"},
 	"../cluster/wavemerge.go":       {"Absorb"},
 	"../telemetry/metrics.go":       {"Inc", "Add", "Set", "Dec", "Observe"},

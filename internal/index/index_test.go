@@ -2,8 +2,10 @@ package index
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -97,7 +99,8 @@ func TestBruteForceEmpty(t *testing.T) {
 }
 
 func TestBruteForceParallelMatchesSerial(t *testing.T) {
-	pts := randomUnitPoints(3000, 64, 5)
+	// Enough points that RangeSearch and RangeCount shard.
+	pts := randomUnitPoints(parallelThreshold/64+1000, 64, 5)
 	par := NewBruteForce(pts, vecmath.CosineDistanceUnit)
 	ser := NewBruteForce(pts, vecmath.CosineDistanceUnit)
 	ser.SetParallel(false)
@@ -172,7 +175,7 @@ func checkEntryPoints(t *testing.T, stage string, bf *BruteForce, mirror, querie
 // larger maxNorm must still give the same answers.
 func TestBruteForceScanMatchesPerPairAfterMutation(t *testing.T) {
 	const dim = 48
-	pts := clusteredPoints(3000, dim, 11)
+	pts := clusteredPoints(parallelThreshold/dim+1000, dim, 11)
 	mirror := append([][]float32(nil), pts...)
 	bf := NewBruteForce(append([][]float32(nil), pts...), vecmath.CosineDistanceUnit)
 	queries := append([][]float32{}, pts[:4]...)
@@ -500,4 +503,34 @@ func TestBruteForceStreamingConcurrentCalls(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+var scanSink int
+
+// BenchmarkBruteScan places parallelThreshold: one cosine range query over
+// 2^16 to 2^20 point-dims (256-d unit points), scanned serially by the
+// calling goroutine and sharded across GOMAXPROCS goroutines as RangeSearch
+// shards it above the threshold. The break-even is the smallest size at
+// which sharded beats serial.
+func BenchmarkBruteScan(b *testing.B) {
+	const dim = 256
+	pts := randomUnitPoints((1<<20)/dim, dim, 21)
+	for pd := 1 << 16; pd <= 1<<20; pd <<= 1 {
+		bf := NewBruteForce(pts[:pd/dim], vecmath.CosineDistanceUnit)
+		n, workers := bf.Len(), runtime.GOMAXPROCS(0)
+		b.Run(fmt.Sprintf("pointdims%d/serial", pd), func(b *testing.B) {
+			var buf []int
+			for i := 0; i < b.N; i++ {
+				buf = bf.scan(buf[:0], pts[i%n], 0.5, 0, n)
+				scanSink += len(buf)
+			}
+		})
+		b.Run(fmt.Sprintf("pointdims%d/sharded", pd), func(b *testing.B) {
+			parts := make([][]int, workers)
+			for i := 0; i < b.N; i++ {
+				bf.scanShards(pts[i%n], 0.5, workers, parts, nil)
+				scanSink += len(parts[0])
+			}
+		})
+	}
 }

@@ -11,4 +11,13 @@
 // cannot place on one side of the threshold, so its decisions are the
 // float64 ones. The one-to-many scan kernel AppendCosineUnitRange and the
 // HNSW neighbor heuristic both decide through it.
+//
+// The two dot products under every cosine distance, Dot (float64
+// accumulators) and the fast pass's float32 one, are AVX2 assembly on amd64
+// CPUs that have it (kernel_amd64.s). Each performs the Go loop's
+// floating-point operations in the Go loop's order, one accumulator per
+// vector lane and no fused multiply-add, so its result is the Go loop's
+// bit for bit and every label, query count and graph is the same on any
+// host. Elsewhere, and in builds with the standard purego tag, the Go
+// loops run.
 package vecmath

@@ -34,7 +34,8 @@ func IsCosineUnit(f DistanceFunc) bool {
 // and the float64 subtraction 1 − dot in both the fast pass and the
 // reference. Clamping to [0, 2] cannot widen a gap, so a fast distance
 // farther than the bound from a threshold is on the same side of it as the
-// exact one.
+// exact one. The AVX2 kernel keeps dot32Generic's eight-accumulator order
+// and roundings bit for bit, so the bound covers it unchanged.
 func CosineUnitBound(dim int, scale float64) (float64, bool) {
 	if !(scale <= maxFastNorm) {
 		return 0, false
@@ -89,15 +90,28 @@ func AppendCosineUnitRange(dst []int, q []float32, pts [][]float32, eps, maxNorm
 	return dst
 }
 
-// dot32 is the float32 inner product of the fast pass: eight independent
-// accumulators, so the adds pipeline, and slices resliced to the checked
-// length, so the loop carries no bounds checks.
+// dot32 is the float32 inner product of the fast pass. It runs the AVX2
+// kernel where the CPU has one and dot32Generic elsewhere; both give the
+// same bits.
 //
 //lafvet:hotpath
 func dot32(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: dot of mismatched lengths %d and %d", len(a), len(b)))
 	}
+	if haveAVX2 {
+		return dot32AVX2(a, b)
+	}
+	return dot32Generic(a, b)
+}
+
+// dot32Generic is dot32 in Go: eight independent accumulators, so the adds
+// pipeline, and slices resliced to the checked length, so the loop carries
+// no bounds checks. The tail adds to s0, and the final sum is a fixed tree;
+// CosineUnitBound counts exactly these roundings. len(b) must equal len(a).
+//
+//lafvet:hotpath
+func dot32Generic(a, b []float32) float32 {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
 	for len(a) >= 8 {
 		a8, b8 := a[:8:8], b[:8:8]

@@ -3,8 +3,10 @@
 // 7, 8, 9, 200 and 768, non-unit norms in [0.5, 2], zero vectors, NaN,
 // ±Inf, subnormal and overflowing components, at eps 1e-9, 0.55, 2 and
 // 2.5. FuzzCosineUnitLess gets single pairs of the same kinds, plus norms
-// up to 1e6. Plain `go test ./internal/vecmath` replays them without the
-// fuzzing engine.
+// up to 1e6. FuzzDotKernels gets pairs at the lengths around every loop
+// boundary of the assembly kernels, 200 and 768, with wide magnitudes,
+// subnormal, ±0, ±Inf, NaN and overflowing components. Plain
+// `go test ./internal/vecmath` replays them without the fuzzing engine.
 // Run from the repository root:
 //
 //	go run ./internal/vecmath/testdata
@@ -137,6 +139,56 @@ func main() {
 		"zero-query-d7": {eps: 1, q: make([]float32, 7), pts: [][]float32{vecmath.RandomUnit(7, rng)}},
 	}
 	write(filepath.Join(*out, "FuzzCosineUnitLess"), pairs)
+
+	rng = rand.New(rand.NewSource(3))
+	dots := map[string][]float32{}
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 31, 32, 33, 200, 768} {
+		dots[fmt.Sprintf("normal-d%d", n)] = vecmath.RandomGaussian(2*n, 0, 1, rng)
+	}
+	for _, n := range []int{200, 768} {
+		v := vecmath.RandomGaussian(2*n, 0, 1, rng)
+		for i := range v {
+			v[i] = float32(math.Ldexp(float64(v[i]), rng.Intn(121)-60))
+		}
+		dots[fmt.Sprintf("wide-d%d", n)] = v
+	}
+	sub := make([]float32, 2*33)
+	for i := range sub {
+		sub[i] = math.Float32frombits(rng.Uint32() & 0x807fffff)
+	}
+	dots["subnormal-d33"] = sub
+	dots["huge-d9"] = vecmath.Scale(0x1p100, vecmath.RandomGaussian(2*9, 0, 1, rng))
+	negZero := float32(math.Copysign(0, -1))
+	dots["signed-zero-d5"] = []float32{negZero, negZero, 0, negZero, negZero, 1, 1, 1, 1, 1}
+	specials := vecmath.RandomGaussian(2*11, 0, 1, rng)
+	specials[2], specials[13] = float32(math.Inf(1)), float32(math.Inf(-1))
+	dots["inf-d11"] = vecmath.Clone(specials)
+	specials[9] = float32(math.NaN())
+	dots["nan-d11"] = specials
+	writeDots(filepath.Join(*out, "FuzzDotKernels"), dots)
+}
+
+// writeDots stores each FuzzDotKernels seed, a and then b, in dir as a file
+// named after its key.
+func writeDots(dir string, seeds map[string][]float32) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	for name, v := range seeds {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bits(v))
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// bits returns the little-endian float32 encoding of v.
+func bits(v []float32) []byte {
+	var raw []byte
+	for _, x := range v {
+		raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(x))
+	}
+	return raw
 }
 
 // write stores each seed in dir as a file named after its key.
@@ -147,9 +199,7 @@ func write(dir string, seeds map[string]seed) {
 	for name, s := range seeds {
 		var raw []byte
 		for _, v := range append([][]float32{s.q}, s.pts...) {
-			for _, x := range v {
-				raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(x))
-			}
+			raw = append(raw, bits(v)...)
 		}
 		body := fmt.Sprintf("go test fuzz v1\nfloat64(%v)\nuint16(%d)\n[]byte(%q)\n", s.eps, len(s.q)-1, raw)
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {

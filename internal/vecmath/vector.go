@@ -13,6 +13,17 @@ func Dot(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: dot of mismatched lengths %d and %d", len(a), len(b)))
 	}
+	if haveAVX2 {
+		return dotAVX2(a, b)
+	}
+	return dotGeneric(a, b)
+}
+
+// dotGeneric is Dot in Go: four float64 accumulators, the tail added to s0,
+// and the sum s0+s1+s2+s3 left to right. len(b) must equal len(a).
+//
+//lafvet:hotpath
+func dotGeneric(a, b []float32) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {

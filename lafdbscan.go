@@ -194,7 +194,8 @@ func ResolveIndexBackend(backend string, m DistanceMetric) (string, error) {
 	default:
 		caps, ok := index.LookupBackend(backend)
 		if !ok {
-			return "", fmt.Errorf("lafdbscan: unknown index backend %q (have %v)", backend, index.Backends())
+			return "", fmt.Errorf("lafdbscan: unknown index backend %q (want empty for the exact default, %q, or one of %v)",
+				backend, IndexBackendAuto, index.Backends())
 		}
 		if !caps.SupportsMetric(m) {
 			return "", fmt.Errorf("lafdbscan: index backend %q does not support metric %v", backend, m)

@@ -1,10 +1,6 @@
 package lafdbscan
 
-import (
-	"fmt"
-
-	"lafdbscan/internal/index"
-)
+import "fmt"
 
 // Validate checks that every set field of p lies in its documented domain.
 // All clustering entry points call it before running, so a bad parameter
@@ -59,20 +55,12 @@ func (p Params) Validate() error {
 	if p.Metric != MetricCosine && p.Metric != MetricEuclidean {
 		return fail("Metric", p.Metric, "must be MetricCosine or MetricEuclidean")
 	}
-	// The backend knob is validated against the registry here, so a CLI
-	// flag, an HTTP params block and a direct library call all reject an
-	// unknown name or a backend/metric mismatch with the same message
+	// ResolveIndexBackend is the one registry lookup and metric check, so a
+	// CLI flag, an HTTP params block and a direct library call all reject
+	// an unknown name or a backend/metric mismatch with the same message
 	// before any index is built.
-	if p.IndexBackend != "" && p.IndexBackend != IndexBackendAuto {
-		caps, ok := index.LookupBackend(p.IndexBackend)
-		if !ok {
-			return fail("IndexBackend", p.IndexBackend,
-				fmt.Sprintf("must be empty (exact default), %q, or one of %v", IndexBackendAuto, index.Backends()))
-		}
-		if !caps.SupportsMetric(p.Metric) {
-			return fail("IndexBackend", p.IndexBackend,
-				fmt.Sprintf("does not support metric %v", p.Metric))
-		}
+	if _, err := ResolveIndexBackend(p.IndexBackend, p.Metric); err != nil {
+		return fmt.Errorf("lafdbscan: invalid IndexBackend = %v: %w", p.IndexBackend, err)
 	}
 	if p.EfSearch < 0 {
 		return fail("EfSearch", p.EfSearch, "must be non-negative (0 selects the default)")
