@@ -9,11 +9,13 @@
 //	benchguard -baseline old.txt -current new.txt [-pattern regexp] [-threshold 25] [-json report.json]
 //	benchguard -load-baseline old.json -load-current new.json [-load-threshold 50] [-soft] [-json report.json]
 //
-// Benchmark names are matched after stripping the -GOMAXPROCS suffix, so a
-// baseline recorded on one machine gates runs on another; only benchmarks
-// present in both files are compared (CPU-count-dependent sub-benchmarks
-// that exist on one machine only are skipped). ns/op is reported but never
-// gated — wall-clock varies across runners, allocation counts do not.
+// Allocation counts follow GOMAXPROCS: brute-force scans shard across
+// goroutines above a size threshold, and every shard allocates. So the two
+// files must be recorded at the same GOMAXPROCS (go test -cpu N), and
+// benchguard fails with a "GOMAXPROCS mismatch" message when their
+// -GOMAXPROCS name suffixes differ. Names are then matched exactly; only
+// benchmarks present in both files are compared. ns/op is reported but
+// never gated — wall-clock varies across runners even at one GOMAXPROCS.
 //
 // The second form is the macro-latency gate: both inputs are cmd/lafload
 // JSON reports, and any op class whose p99 latency grew beyond
@@ -58,8 +60,41 @@ type comparison struct {
 
 // resultLine matches "BenchmarkName-8  10  123 ns/op  456 B/op  7 allocs/op"
 // (the memory columns are present under -benchmem). Custom metrics between
-// ns/op and B/op are tolerated.
-var resultLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+// ns/op and B/op are tolerated. The name keeps its -GOMAXPROCS suffix.
+var resultLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+
+// procsSuffix matches a trailing "-N" on a benchmark name.
+var procsSuffix = regexp.MustCompile(`-(\d+)$`)
+
+// gomaxprocs returns the GOMAXPROCS a benchmark file was recorded at. go
+// test appends "-N" to every name when GOMAXPROCS is N > 1 and nothing at
+// 1, but a sub-benchmark name may itself end in "-digits"
+// ("recluster-100"), so a suffix counts only when every name carries the
+// same one.
+func gomaxprocs(lines map[string]benchLine) int {
+	procs := ""
+	for name := range lines {
+		m := procsSuffix.FindStringSubmatch(name)
+		if m == nil || (procs != "" && m[1] != procs) {
+			return 1
+		}
+		procs = m[1]
+	}
+	n, err := strconv.Atoi(procs)
+	if err != nil {
+		return 1
+	}
+	return n
+}
+
+// checkProcs fails when the two files were recorded at different
+// GOMAXPROCS, whose allocation counts are not comparable.
+func checkProcs(base, cur map[string]benchLine) error {
+	if b, c := gomaxprocs(base), gomaxprocs(cur); b != c {
+		return fmt.Errorf("GOMAXPROCS mismatch: baseline recorded at %d, current at %d; rerun the benchmarks with -cpu %d", b, c, b)
+	}
+	return nil
+}
 
 func parseFile(path string) (map[string]benchLine, error) {
 	f, err := os.Open(path)
@@ -150,6 +185,9 @@ func main() {
 	cur, err := parseFile(*currentPath)
 	if err != nil {
 		log.Fatalf("reading current: %v", err)
+	}
+	if err := checkProcs(base, cur); err != nil {
+		log.Fatal(err)
 	}
 
 	var report []comparison

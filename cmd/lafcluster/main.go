@@ -400,12 +400,8 @@ func methodsUsage() string {
 // indexBackendUsage renders the -index-backend help from the backend
 // registry, so the CLI never drifts from what the library provides.
 func indexBackendUsage() string {
-	out := fmt.Sprintf("range-index backend: empty = exact default, %q = HNSW, or one of",
-		lafdbscan.IndexBackendAuto)
-	for _, b := range lafdbscan.IndexBackends() {
-		out += " " + b
-	}
-	return out
+	return fmt.Sprintf("range-index backend under either metric: empty = exact default, %q = HNSW, or one of %v",
+		lafdbscan.IndexBackendAuto, lafdbscan.IndexBackends())
 }
 
 // printModel summarizes a loaded model.

@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"lafdbscan"
 	"lafdbscan/internal/serve"
 	"lafdbscan/internal/wal"
 )
@@ -88,7 +89,7 @@ func main() {
 		traceBuf  = flag.Int("trace-buffer", 0, "span ring capacity, rounded to a power of two (0 = default 4096)")
 		traceSmpl = flag.Int("trace-sample", 1, "trace every Nth request (1 = all, -1 = disable tracing)")
 		pprofOn   = flag.Bool("pprof", false, "mount Go profiling endpoints under /debug/pprof/")
-		idxBack   = flag.String("index-backend", "", `default range-index backend for requests that name none ("" = exact brute force, "auto" = HNSW, or a backend name)`)
+		idxBack   = flag.String("index-backend", "", `default range-index backend for requests that name none: "" or "brute" (exact scan), "auto" or "hnsw" (HNSW graph)`)
 		walDir    = flag.String("wal-dir", "", "journal root for durable models; empty runs memory-only (see docs/DURABILITY.md)")
 		walSync   = flag.String("wal-sync", "always", "WAL fsync policy: always (every record), interval (batched), or off")
 		walSnap   = flag.Int("wal-snapshot-every", 0, "auto-snapshot a model after this many journaled records (0 = default 1024)")
@@ -106,7 +107,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := serve.CheckIndexBackend(*idxBack); err != nil {
+	if _, err := lafdbscan.ResolveIndexBackend(*idxBack); err != nil {
 		fmt.Fprintln(os.Stderr, "lafserve: -index-backend:", err)
 		flag.Usage()
 		os.Exit(2)

@@ -3,35 +3,39 @@ package lafdbscan
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestIndexBackendResolution pins the three resolution modes of the backend
 // knob: empty keeps the exact default (brute force, bit-identical labels),
-// IndexBackendAuto selects HNSW under either metric, and an explicit name
-// passes through metric-checked.
+// IndexBackendAuto selects HNSW, and an explicit registered name passes
+// through. Every other name — the baselines' structures included — fails
+// with ErrUnknownIndexBackend.
 func TestIndexBackendResolution(t *testing.T) {
 	cases := []struct {
 		name    string
 		backend string
-		metric  DistanceMetric
 		want    string
-		wantErr string
 	}{
-		{"empty is exact brute", "", MetricCosine, "brute", ""},
-		{"auto is hnsw", IndexBackendAuto, MetricCosine, "hnsw", ""},
-		{"auto under euclidean is hnsw", IndexBackendAuto, MetricEuclidean, "hnsw", ""},
-		{"explicit passthrough", "covertree", MetricCosine, "covertree", ""},
-		{"unknown name", "bogus", MetricCosine, "", "unknown index backend"},
-		{"grid cannot answer cosine", "grid", MetricCosine, "", "does not support metric"},
-		{"grid euclidean passes", "grid", MetricEuclidean, "grid", ""},
+		{"empty is exact brute", "", "brute"},
+		{"auto is hnsw", IndexBackendAuto, "hnsw"},
+		{"explicit brute", "brute", "brute"},
+		{"explicit hnsw", "hnsw", "hnsw"},
+		{"unknown name", "bogus", ""},
+		{"removed cover tree", "covertree", ""},
+		{"removed k-means tree", "kmeanstree", ""},
+		{"removed grid", "grid", ""},
 	}
 	for _, c := range cases {
-		got, err := ResolveIndexBackend(c.backend, c.metric)
-		if c.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("%s: err = %v, want containing %q", c.name, err, c.wantErr)
+		got, err := ResolveIndexBackend(c.backend)
+		if c.want == "" {
+			if !errors.Is(err, ErrUnknownIndexBackend) {
+				t.Errorf("%s: err = %v, want ErrUnknownIndexBackend", c.name, err)
 			}
 			continue
 		}
@@ -44,21 +48,8 @@ func TestIndexBackendResolution(t *testing.T) {
 		}
 	}
 
-	names := IndexBackends()
-	if len(names) < 5 {
-		t.Fatalf("IndexBackends() = %v, want the full registry", names)
-	}
-	for _, name := range names {
-		caps, ok := LookupIndexBackend(name)
-		if !ok {
-			t.Errorf("registered backend %q not found by LookupIndexBackend", name)
-		}
-		if !caps.Cosine && !caps.Euclidean {
-			t.Errorf("backend %q supports no metric", name)
-		}
-	}
-	if _, ok := LookupIndexBackend("bogus"); ok {
-		t.Error("LookupIndexBackend found a backend that does not exist")
+	if names := IndexBackends(); !slices.Equal(names, []string{"brute", "hnsw"}) {
+		t.Fatalf("IndexBackends() = %v, want [brute hnsw]", names)
 	}
 }
 
@@ -242,7 +233,7 @@ func TestEntryPointsRejectBadBackend(t *testing.T) {
 	// Validate reports ResolveIndexBackend's own rejection behind the
 	// field prefix.
 	for _, name := range []string{"bogus", "grid"} {
-		_, resolveErr := ResolveIndexBackend(name, MetricCosine)
+		_, resolveErr := ResolveIndexBackend(name)
 		err := Params{Eps: 0.5, Tau: 2, IndexBackend: name}.Validate()
 		if resolveErr == nil || err == nil || err.Error() != "lafdbscan: invalid IndexBackend = "+name+": "+resolveErr.Error() {
 			t.Errorf("Validate with IndexBackend %q: err = %v, want the resolver's %v behind the field prefix", name, err, resolveErr)
@@ -255,5 +246,37 @@ func TestEntryPointsRejectBadBackend(t *testing.T) {
 	if _, err := Fit(context.Background(), pts, MethodDBSCAN,
 		WithEps(0.5), WithTau(2), WithEfSearch(-1)); err == nil {
 		t.Error("Fit accepted a negative EfSearch")
+	}
+}
+
+// TestLoadModelRejectsRemovedBackend: version 1 and 2 model files may name
+// a backend earlier releases registered ("covertree", "kmeanstree",
+// "grid"). Their saved labels came from that index, so rebuilding on
+// another one would break Predict(train) == labels; LoadModel refuses them
+// with ErrUnknownIndexBackend instead.
+func TestLoadModelRejectsRemovedBackend(t *testing.T) {
+	for _, version := range []uint32{1, 2} {
+		for _, name := range []string{"covertree", "kmeanstree", "grid"} {
+			payload := modelPayloadV1{
+				Method:    string(MethodDBSCAN),
+				Algorithm: "dbscan",
+				Params:    modelParamsV1{Eps: 0.5, Tau: 2, IndexBackend: name},
+				Points:    [][]float32{{1, 0}, {0, 1}},
+				Labels:    []int32{Noise, Noise},
+				Core:      []bool{false, false},
+				Forest:    []int32{-1, -1},
+			}
+			var buf bytes.Buffer
+			buf.Write(modelMagic[:])
+			if err := binary.Write(&buf, binary.LittleEndian, version); err != nil {
+				t.Fatal(err)
+			}
+			if err := gob.NewEncoder(&buf).Encode(&payload); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadModel(&buf); !errors.Is(err, ErrUnknownIndexBackend) {
+				t.Errorf("version %d naming %q: LoadModel err = %v, want ErrUnknownIndexBackend", version, name, err)
+			}
+		}
 	}
 }

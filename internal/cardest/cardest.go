@@ -27,7 +27,7 @@ type Estimator interface {
 // reproduce DBSCAN exactly) and so ablations can separate "estimator error"
 // from "framework overhead".
 type Exact struct {
-	Index index.RangeSearcher
+	Index *index.BruteForce
 }
 
 // Estimate implements Estimator.

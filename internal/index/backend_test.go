@@ -11,94 +11,104 @@ import (
 
 func TestBackendsListing(t *testing.T) {
 	names := Backends()
-	want := []string{BackendBrute, BackendHNSW, BackendCoverTree, BackendKMeansTree, BackendGrid}
+	want := []string{BackendBrute, BackendHNSW}
 	if !slices.Equal(names, want) {
 		t.Fatalf("Backends() = %v, want %v", names, want)
 	}
-	for _, n := range names {
-		if _, ok := LookupBackend(n); !ok {
-			t.Fatalf("LookupBackend(%q) not found", n)
-		}
-	}
-	if _, ok := LookupBackend("faiss"); ok {
-		t.Fatal("LookupBackend accepted an unknown name")
+	cases := backendCases()
+	if len(cases) != len(names) {
+		t.Fatalf("backendCases covers %d backends, registry has %d", len(cases), len(names))
 	}
 }
 
+// TestBackendCapabilities pins what every registered backend offers a
+// model: it builds under both metrics and mutates in place.
 func TestBackendCapabilities(t *testing.T) {
-	brute, _ := LookupBackend(BackendBrute)
-	if !brute.Exact || !brute.Dynamic || !brute.Cosine || !brute.Euclidean {
-		t.Fatalf("brute capabilities wrong: %+v", brute)
-	}
-	hnswCaps, _ := LookupBackend(BackendHNSW)
-	if hnswCaps.Exact || !hnswCaps.Dynamic || !hnswCaps.Cosine || !hnswCaps.Euclidean {
-		t.Fatalf("hnsw capabilities wrong: %+v", hnswCaps)
-	}
-	grid, _ := LookupBackend(BackendGrid)
-	if grid.Cosine || !grid.Euclidean || !grid.NeedsEps {
-		t.Fatalf("grid capabilities wrong: %+v", grid)
-	}
-	// Dynamic is declared exactly where the built index implements
-	// DynamicIndex, for every registered backend.
 	pts := clusteredPoints(20, 8, 3)
-	cases := backendCases()
-	if len(cases) != len(Backends()) {
-		t.Fatalf("backendCases covers %d backends, registry has %d", len(cases), len(Backends()))
-	}
-	for _, c := range cases {
-		caps, _ := LookupBackend(c.backend)
-		idx, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
-		if err != nil {
-			t.Fatalf("building %s: %v", c.backend, err)
-		}
-		if _, dyn := idx.(DynamicIndex); dyn != caps.Dynamic {
-			t.Errorf("%s: caps.Dynamic = %v, but implements DynamicIndex = %v", c.backend, caps.Dynamic, dyn)
+	for _, name := range Backends() {
+		for _, m := range []vecmath.Metric{vecmath.Cosine, vecmath.Euclidean} {
+			idx, err := NewBackend(name, slices.Clone(pts), BackendOptions{Metric: m, Seed: 1})
+			if err != nil {
+				t.Fatalf("building %s under %v: %v", name, m, err)
+			}
+			if _, dyn := idx.(DynamicIndex); !dyn {
+				t.Errorf("%s under %v does not implement DynamicIndex", name, m)
+			}
+			if ids := idx.RangeSearch(pts[0], 1e-6); !slices.Contains(ids, 0) {
+				t.Errorf("%s under %v: self-query missed: %v", name, m, ids)
+			}
 		}
 	}
 }
 
 func TestNewBackendErrors(t *testing.T) {
 	pts := clusteredPoints(20, 8, 1)
-	if _, err := NewBackend("faiss", pts, BackendOptions{}); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("unknown backend error = %v", err)
-	}
-	// Metric-capability rejection: the grid answers Euclidean only.
-	if _, err := NewBackend(BackendGrid, pts, BackendOptions{Metric: vecmath.Cosine, Eps: 0.5}); err == nil ||
-		!strings.Contains(err.Error(), "does not support metric cosine") {
-		t.Fatalf("grid+cosine error = %v", err)
-	}
-	// NeedsEps rejection: no radius, no grid.
-	if _, err := NewBackend(BackendGrid, pts, BackendOptions{Metric: vecmath.Euclidean}); err == nil ||
-		!strings.Contains(err.Error(), "query radius") {
-		t.Fatalf("grid-without-eps error = %v", err)
+	// The baselines' structures are built directly, never by name.
+	for _, name := range []string{"faiss", "covertree", "kmeanstree", "grid"} {
+		if _, err := NewBackend(name, pts, BackendOptions{}); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+			t.Fatalf("NewBackend(%q) error = %v", name, err)
+		}
 	}
 }
 
 // TestEveryBackendBuildsAndAnswers exercises the registry end to end:
-// each backend builds under a supported configuration, answers a
-// self-query, and streams through the wave driver exactly the answers of
-// its per-query RangeSearch.
+// each backend builds, answers a self-query, streams through the wave
+// driver exactly the answers of its per-query RangeSearch, and answers
+// against a per-pair scan under its metric — exactly for brute force,
+// soundly (every id a true neighbor) for HNSW. The 8-d random unit
+// vectors at eps 0.4 are the input on which a cosine cover tree, pruning
+// with a triangle inequality cosine distance does not obey, missed
+// neighbors on every query.
 func TestEveryBackendBuildsAndAnswers(t *testing.T) {
-	pts := clusteredPoints(50, 8, 5)
-	for _, c := range backendCases() {
-		idx, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
-		if err != nil {
-			t.Fatalf("building %s: %v", c.backend, err)
-		}
-		if idx.Len() != len(pts) {
-			t.Fatalf("%s: Len = %d, want %d", c.backend, idx.Len(), len(pts))
-		}
-		if ids := idx.RangeSearch(pts[0], 1e-6); !slices.Contains(ids, 0) {
-			t.Fatalf("%s: self-query missed: %v", c.backend, ids)
-		}
-		queries := pts[:12]
-		got := collectStream(len(queries), func(fn func(int, []int)) {
-			if err := BatchRangeSearchFunc(context.Background(), idx, queries, c.eps, 2, 2, 5, fn); err != nil {
-				t.Fatalf("%s: BatchRangeSearchFunc: %v", c.backend, err)
+	inputs := []struct {
+		name string
+		pts  [][]float32
+	}{
+		{"clustered", clusteredPoints(50, 8, 5)},
+		{"random-8d", randomUnitPoints(1000, 8, 31)},
+	}
+	for _, in := range inputs {
+		pts := in.pts
+		for _, c := range backendCases() {
+			label := c.backend + "/" + in.name
+			idx, err := NewBackend(c.backend, slices.Clone(pts), c.opts)
+			if err != nil {
+				t.Fatalf("building %s: %v", label, err)
 			}
-		})
-		for i, q := range queries {
-			assertSameIDs(t, c.backend, got[i], idx.RangeSearch(q, c.eps))
+			if idx.Len() != len(pts) {
+				t.Fatalf("%s: Len = %d, want %d", label, idx.Len(), len(pts))
+			}
+			if ids := idx.RangeSearch(pts[0], 1e-6); !slices.Contains(ids, 0) {
+				t.Fatalf("%s: self-query missed: %v", label, ids)
+			}
+			queries := pts[:12]
+			got := collectStream(len(queries), func(fn func(int, []int)) {
+				if err := BatchRangeSearchFunc(context.Background(), idx, queries, c.eps, 2, 2, 5, fn); err != nil {
+					t.Fatalf("%s: BatchRangeSearchFunc: %v", label, err)
+				}
+			})
+			for i, q := range queries {
+				assertSameIDs(t, label, got[i], idx.RangeSearch(q, c.eps))
+			}
+			dist := c.opts.Metric.Func()
+			for qi, q := range pts[:min(len(pts), 200)] {
+				ids := idx.RangeSearch(q, c.eps)
+				if c.exact {
+					var want []int
+					for j, p := range pts {
+						if dist(q, p) < c.eps {
+							want = append(want, j)
+						}
+					}
+					assertSameIDs(t, label, ids, want)
+					continue
+				}
+				for _, id := range ids {
+					if d := dist(q, pts[id]); d >= c.eps {
+						t.Fatalf("%s: query %d reported id %d at distance %v >= eps %v", label, qi, id, d, c.eps)
+					}
+				}
+			}
 		}
 	}
 }

@@ -10,7 +10,9 @@ import (
 // 2006, in the simplified formulation of Izbicki & Shelton 2015) supporting
 // exact range queries under any true metric. BLOCK-DBSCAN uses it with the
 // Euclidean metric on unit-normalized vectors; the cosine threshold is
-// converted via Equation 1 of the paper.
+// converted via Equation 1 of the paper. Cosine distance 1 − cos is not a
+// metric: it breaks the triangle inequality the pruning relies on, so the
+// tree is not exact under it.
 //
 // Base is the expansion constant of the level radii (the paper's
 // "basis of the cover tree", default 2.0, swept 1.1–5 in the trade-off
@@ -100,26 +102,14 @@ func (t *CoverTree) insertInto(n *ctNode, idx int, dn float64) {
 
 // RangeSearch implements RangeSearcher.
 func (t *CoverTree) RangeSearch(q []float32, eps float64) []int {
-	var out []int
-	t.rangeVisit(q, eps, func(idx int) { out = append(out, idx) })
-	return out
-}
-
-// RangeCount implements RangeSearcher.
-func (t *CoverTree) RangeCount(q []float32, eps float64) int {
-	count := 0
-	t.rangeVisit(q, eps, func(int) { count++ })
-	return count
-}
-
-func (t *CoverTree) rangeVisit(q []float32, eps float64, emit func(int)) {
 	if t.root == nil {
-		return
+		return nil
 	}
+	var out []int
 	var walk func(n *ctNode, dn float64)
 	walk = func(n *ctNode, dn float64) {
 		if dn < eps {
-			emit(n.idx)
+			out = append(out, n.idx)
 		}
 		for _, c := range n.children {
 			dc := t.dist(q, t.points[c.idx])
@@ -132,6 +122,7 @@ func (t *CoverTree) rangeVisit(q []float32, eps float64, emit func(int)) {
 		}
 	}
 	walk(t.root, t.dist(q, t.points[t.root.idx]))
+	return out
 }
 
 // NearestNeighbor returns the id and distance of the closest indexed point

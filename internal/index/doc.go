@@ -4,6 +4,13 @@
 // k-means tree used by KNN-BLOCK DBSCAN, and the sparse grid behind
 // ρ-approximate DBSCAN.
 //
+// The backend registry (backend.go) names the two indexes a model can be
+// built on, "brute" and "hnsw" (internal/index/hnsw). Both answer under
+// cosine and Euclidean distance and both mutate in place. The cover tree,
+// the k-means tree and the grid are built directly by their baselines:
+// the cover tree is exact only under a true metric, so BLOCK-DBSCAN builds
+// it under Euclidean distance.
+//
 // All engines operate over a slice of points identified by integer ids.
 // Range semantics follow the paper: a range query with radius eps returns
 // the ids of points with d(q, p) < eps (strict), including the query point
@@ -24,4 +31,7 @@
 //     two backends a model mutates — BruteForce and hnsw.Graph — with
 //     compacting id semantics matching the point slice itself. The grid
 //     and the trees are static.
+//
+// RangeSearcher, the contract the wave driver and the engines query
+// through, is RangeSearch and Len.
 package index

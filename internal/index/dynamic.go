@@ -4,8 +4,8 @@ package index
 // online model maintenance (Model.Insert / Model.Remove). A DynamicIndex
 // is an index a model actually mutates: BruteForce, whose flat scan set
 // mutates natively, and hnsw.Graph, which threads inserts into the graph
-// and marks deleted nodes dead until a rebuild. The static backends
-// (grid, cover tree, k-means tree) are built once per fit and never
+// and marks deleted nodes dead until a rebuild. The baselines' structures
+// (grid, cover tree, k-means tree) are built once per run and never
 // mutated.
 //
 // Ids follow the compacting convention of the point set itself: Insert

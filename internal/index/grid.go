@@ -112,35 +112,11 @@ func maxBoxDist(q []float32, c *gridCell) float64 {
 	return math.Sqrt(s)
 }
 
-// ApproxRangeCount returns a neighbor count under ρ-approximate semantics:
-// every point within eps is counted, no point beyond eps*(1+rho) is
-// counted, and points in between may or may not be. Whole cells certified
-// inside eps*(1+rho) are counted without per-point distances — the grid's
-// intended fast path — while boundary cells are scanned exactly.
-func (g *Grid) ApproxRangeCount(q []float32, eps float64) int {
-	relaxed := eps * (1 + g.rho)
-	count := 0
-	for _, key := range g.order {
-		c := g.cells[key]
-		lo := minBoxDist(q, c)
-		if lo >= eps {
-			continue
-		}
-		if maxBoxDist(q, c) < relaxed {
-			count += len(c.members)
-			continue
-		}
-		for _, id := range c.members {
-			if vecmath.EuclideanDistance(q, g.points[id]) < eps {
-				count++
-			}
-		}
-	}
-	return count
-}
-
-// ApproxRangeSearch returns neighbor ids under the same ρ-approximate
-// semantics as ApproxRangeCount.
+// ApproxRangeSearch returns neighbor ids under ρ-approximate semantics:
+// every point within eps is returned, no point beyond eps*(1+rho) is, and
+// points in between may or may not be. Whole cells certified inside
+// eps*(1+rho) are taken without per-point distances — the grid's intended
+// fast path — while boundary cells are scanned exactly.
 func (g *Grid) ApproxRangeSearch(q []float32, eps float64) []int {
 	relaxed := eps * (1 + g.rho)
 	var out []int

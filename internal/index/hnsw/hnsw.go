@@ -1,7 +1,6 @@
 // Package hnsw implements a layered proximity-graph index (Malkov &
 // Yashunin 2018, "Hierarchical Navigable Small World") for approximate
-// range and k-nearest-neighbor queries with sub-linear scaling in the
-// number of indexed points.
+// range queries with sub-linear scaling in the number of indexed points.
 //
 // The graph is deliberately deterministic: node levels are generated from
 // a splitmix64 hash of (seed, rebuild generation, insertion counter)
@@ -89,7 +88,7 @@ type node struct {
 	layers [][]int32
 }
 
-// Graph is the index. Queries (RangeSearch, RangeCount, KNN) are safe for
+// Graph is the index. Queries (RangeSearch) are safe for
 // concurrent use; mutations (Insert, DeleteMany, SetEfSearch)
 // must not run concurrently with queries or each other, matching the
 // contract of every other index in this repository.
@@ -514,7 +513,7 @@ func (g *Graph) descend(q []float32) (int32, float64) {
 // With eps > 0 the expansion bound widens from worst-of-ef to
 // max(eps, worst-of-ef) and every visited live point within eps is
 // recorded in sc.out — the range-query mode. With eps = 0 the bound is
-// the classic ef-limited one (KNN and construction mode).
+// the classic ef-limited one (construction mode).
 //
 //lafvet:hotpath
 func (g *Graph) searchLayer(sc *searchCtx, q []float32, ep int32, epDist float64, layer, ef int, eps float64) {
@@ -581,48 +580,6 @@ func (g *Graph) RangeSearch(q []float32, eps float64) []int {
 	}
 	g.putCtx(sc)
 	return out
-}
-
-// RangeCount implements the RangeSearcher contract without materializing
-// ids.
-func (g *Graph) RangeCount(q []float32, eps float64) int {
-	if g.entry < 0 || g.Len() == 0 {
-		return 0
-	}
-	sc := g.getCtx(g.cfg.EfSearch)
-	ep, d := g.descend(q)
-	g.searchLayer(sc, q, ep, d, 0, g.cfg.EfSearch, eps)
-	n := sc.outN
-	g.putCtx(sc)
-	return n
-}
-
-// KNN returns up to k approximate nearest neighbors and their distances,
-// sorted by ascending distance. The candidate list is
-// max(EfSearch, k) wide.
-func (g *Graph) KNN(q []float32, k int) ([]int, []float64) {
-	if g.entry < 0 || g.Len() == 0 || k <= 0 {
-		return nil, nil
-	}
-	ef := g.cfg.EfSearch
-	if ef < k {
-		ef = k
-	}
-	sc := g.getCtx(ef)
-	ep, d := g.descend(q)
-	g.searchLayer(sc, q, ep, d, 0, ef, 0)
-	ids, ds := sc.resExtract()
-	if len(ids) > k {
-		ids, ds = ids[:k], ds[:k]
-	}
-	outIDs := make([]int, len(ids))
-	outDs := make([]float64, len(ds))
-	for i := range ids {
-		outIDs[i] = g.extOfInternal(ids[i])
-		outDs[i] = ds[i]
-	}
-	g.putCtx(sc)
-	return outIDs, outDs
 }
 
 // --- dynamic mutations (see internal/index/dynamic.go for the id

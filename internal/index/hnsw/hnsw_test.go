@@ -81,9 +81,6 @@ func TestRangeSearchIsSound(t *testing.T) {
 				t.Fatalf("reported id %d at distance %v >= eps", id, d)
 			}
 		}
-		if n := g.RangeCount(q, 0.3); n != len(got) {
-			t.Fatalf("RangeCount = %d, RangeSearch returned %d ids", n, len(got))
-		}
 	}
 }
 
@@ -136,29 +133,6 @@ func TestEfSearchKnob(t *testing.T) {
 	}
 	if highFound < want*95/100 {
 		t.Fatalf("EfSearch=256 recall %d/%d below 0.95", highFound, want)
-	}
-}
-
-// TestKNN checks ordering, k-truncation and approximate agreement with
-// the exact nearest neighbor on an easy workload.
-func TestKNN(t *testing.T) {
-	pts := clusteredPoints(800, 16, 15)
-	g := New(slices.Clone(pts), vecmath.CosineDistanceUnit, Config{Seed: 17})
-	for qi, q := range pts[:40] {
-		ids, ds := g.KNN(q, 10)
-		if len(ids) != 10 || len(ds) != 10 {
-			t.Fatalf("KNN returned %d ids, %d dists", len(ids), len(ds))
-		}
-		if !sort.Float64sAreSorted(ds) {
-			t.Fatalf("KNN distances not ascending: %v", ds)
-		}
-		// The query is an indexed point, so its own id must be the 0-distance head.
-		if ids[0] != qi || ds[0] > 1e-6 {
-			t.Fatalf("query %d: self not at head: ids[0]=%d d=%v", qi, ids[0], ds[0])
-		}
-	}
-	if ids, _ := g.KNN(pts[0], 0); ids != nil {
-		t.Fatalf("KNN(k=0) = %v, want nil", ids)
 	}
 }
 

@@ -15,9 +15,6 @@ type RangeSearcher interface {
 	// RangeSearch returns the ids of all indexed points p with
 	// d(q, p) < eps, in unspecified order.
 	RangeSearch(q []float32, eps float64) []int
-	// RangeCount returns len(RangeSearch(q, eps)) without materializing
-	// the result.
-	RangeCount(q []float32, eps float64) int
 	// Len returns the number of indexed points.
 	Len() int
 }
@@ -175,7 +172,8 @@ func (b *BruteForce) count(q []float32, eps float64, lo, hi int) int {
 	return c
 }
 
-// RangeCount implements RangeSearcher.
+// RangeCount returns len(RangeSearch(q, eps)) without materializing the
+// ids. The exact cardinality estimator counts through it.
 func (b *BruteForce) RangeCount(q []float32, eps float64) int {
 	b.queries.Add(1)
 	workers := b.shards(q)

@@ -211,6 +211,10 @@ func TestBruteForceScanMatchesPerPairAfterMutation(t *testing.T) {
 	checkEntryPoints(t, "after DeleteMany", bf, kept, queries, 0.3, kept[len(kept)-2:])
 }
 
+// TestCoverTreeMatchesBruteForce holds BLOCK-DBSCAN's Euclidean cover tree
+// to the exact scan, on clustered data and on the 8-d random unit vectors
+// (cosine eps 0.4, converted by Equation 1) that broke a cosine cover tree:
+// under a true metric the triangle-inequality pruning loses nothing.
 func TestCoverTreeMatchesBruteForce(t *testing.T) {
 	pts := clusteredPoints(400, 24, 7)
 	bf := NewBruteForce(pts, vecmath.EuclideanDistance)
@@ -228,8 +232,15 @@ func TestCoverTreeMatchesBruteForce(t *testing.T) {
 		if !equalIDs(got, want) {
 			t.Fatalf("cover tree range mismatch at eps=%v: got %d want %d", eps, len(got), len(want))
 		}
-		if ct.RangeCount(q, eps) != len(want) {
-			t.Fatal("cover tree count mismatch")
+	}
+
+	r8 := randomUnitPoints(1000, 8, 31)
+	bf = NewBruteForce(r8, vecmath.EuclideanDistance)
+	ct = NewCoverTree(r8, vecmath.EuclideanDistance, 2.0)
+	eps := vecmath.CosineToEuclidean(0.4)
+	for i, q := range r8 {
+		if got, want := ct.RangeSearch(q, eps), bf.RangeSearch(q, eps); !equalIDs(got, want) {
+			t.Fatalf("random 8-d query %d: cover tree found %d, brute force %d", i, len(got), len(want))
 		}
 	}
 }
@@ -365,21 +376,6 @@ func TestKMeansTreeRecallDegradesGracefully(t *testing.T) {
 	}
 }
 
-func TestKMeansTreeRangeSearchApprox(t *testing.T) {
-	pts := clusteredPoints(300, 16, 15)
-	tree := NewKMeansTree(pts, vecmath.CosineDistanceUnit, KMeansTreeConfig{
-		Branching: 6, LeavesRatio: 1.0, MaxLeaf: 16, Seed: 2,
-	})
-	bf := NewBruteForce(pts, vecmath.CosineDistanceUnit)
-	bf.SetParallel(false)
-	q := pts[0]
-	got := tree.RangeSearchApprox(q, 0.3)
-	want := bf.RangeSearch(q, 0.3)
-	if !equalIDs(got, want) {
-		t.Errorf("full-budget approx range: got %d, want %d", len(got), len(want))
-	}
-}
-
 func TestKMeansTreeEdgeCases(t *testing.T) {
 	tree := NewKMeansTree(nil, vecmath.CosineDistance, KMeansTreeConfig{})
 	if ids, _ := tree.KNN([]float32{1}, 3); len(ids) != 0 {
@@ -412,9 +408,6 @@ func TestGridMatchesBruteForceAtRhoZero(t *testing.T) {
 		got := g.ApproxRangeSearch(q, 0.5)
 		if !equalIDs(got, want) {
 			t.Fatalf("rho=0 grid mismatch: got %d want %d", len(got), len(want))
-		}
-		if g.ApproxRangeCount(q, 0.5) != len(want) {
-			t.Fatal("grid count mismatch")
 		}
 	}
 }

@@ -250,19 +250,3 @@ func (t *KMeansTree) KNN(q []float32, k int) ([]int, []float64) {
 	}
 	return ids, dists
 }
-
-// RangeSearchApprox returns the ids among the best-first candidate pool
-// with d(q, p) < eps. Unlike a brute-force range query it can miss
-// neighbors outside the examined leaves; KNN-BLOCK uses it for cluster
-// expansion.
-func (t *KMeansTree) RangeSearchApprox(q []float32, eps float64) []int {
-	ids, dists := t.KNN(q, t.Len())
-	var out []int
-	for i, id := range ids {
-		if dists[i] >= eps {
-			break
-		}
-		out = append(out, id)
-	}
-	return out
-}

@@ -96,15 +96,15 @@ func TestBruteForceWarmSingleQueryAllocatesNothing(t *testing.T) {
 
 // TestGenericStreamingHelperCoverTree exercises the wave driver on an index
 // without the brute-force fast path: each CoverTree result comes from its
-// own RangeSearch.
+// own RangeSearch, in one wave and in several.
 func TestGenericStreamingHelperCoverTree(t *testing.T) {
 	pts := batchTestPoints(200, 8, 13)
 	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
 	queries := pts[:40]
 	const eps = 1.0
-	for _, workers := range []int{0, 1, 4} {
+	for _, run := range []struct{ workers, wave int }{{0, 16}, {1, 16}, {4, 16}, {3, 8}, {2, 64}} {
 		got := collectStream(len(queries), func(fn func(int, []int)) {
-			BatchRangeSearchFunc(context.Background(), ct, queries, eps, workers, 4, 16, fn)
+			BatchRangeSearchFunc(context.Background(), ct, queries, eps, run.workers, 4, run.wave, fn)
 		})
 		for i, q := range queries {
 			assertSameIDs(t, "cover tree", got[i], ct.RangeSearch(q, eps))
@@ -112,27 +112,43 @@ func TestGenericStreamingHelperCoverTree(t *testing.T) {
 	}
 }
 
+// gridApprox and kmeansTreeApprox expose the approximate backends'
+// per-point queries as a RangeSearcher, so the wave driver can stream them.
+type gridApprox struct{ *Grid }
+
+func (g gridApprox) RangeSearch(q []float32, eps float64) []int { return g.ApproxRangeSearch(q, eps) }
+
+type kmeansTreeApprox struct{ *KMeansTree }
+
+func (t kmeansTreeApprox) RangeSearch(q []float32, eps float64) []int {
+	ids, dists := t.KNN(q, t.Len())
+	cut := 0
+	for cut < len(ids) && dists[cut] < eps {
+		cut++
+	}
+	return ids[:cut]
+}
+
 // TestGridAndKMeansTreeStreaming pins the approximate backends, streamed
-// in several waves through their registry adapters, to their serial
-// approximate queries.
+// in several waves, to their serial approximate queries.
 func TestGridAndKMeansTreeStreaming(t *testing.T) {
 	pts := batchTestPoints(200, 6, 14)
 	queries := pts[:25]
 
-	g := NewGrid(pts, 1.0, 0.5)
+	g := gridApprox{NewGrid(pts, 1.0, 0.5)}
 	got := collectStream(len(queries), func(fn func(int, []int)) {
-		BatchRangeSearchFunc(context.Background(), gridSearcher{g}, queries, 1.0, 3, 4, 8, fn)
+		BatchRangeSearchFunc(context.Background(), g, queries, 1.0, 3, 4, 8, fn)
 	})
 	for i, q := range queries {
-		assertSameIDs(t, "grid", got[i], g.ApproxRangeSearch(q, 1.0))
+		assertSameIDs(t, "grid", got[i], g.RangeSearch(q, 1.0))
 	}
 
-	kt := NewKMeansTree(pts, vecmath.CosineDistanceUnit, KMeansTreeConfig{Seed: 1, LeavesRatio: 1})
+	kt := kmeansTreeApprox{NewKMeansTree(pts, vecmath.CosineDistanceUnit, KMeansTreeConfig{Seed: 1, LeavesRatio: 1})}
 	got = collectStream(len(queries), func(fn func(int, []int)) {
-		BatchRangeSearchFunc(context.Background(), kmeansTreeSearcher{kt}, queries, 0.8, 3, 4, 8, fn)
+		BatchRangeSearchFunc(context.Background(), kt, queries, 0.8, 3, 4, 8, fn)
 	})
 	for i, q := range queries {
-		assertSameIDs(t, "kmeans tree", got[i], kt.RangeSearchApprox(q, 0.8))
+		assertSameIDs(t, "kmeans tree", got[i], kt.RangeSearch(q, 0.8))
 	}
 }
 

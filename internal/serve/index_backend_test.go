@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"lafdbscan"
 )
 
 // TestServeIndexBackendSurfacing drives the backend knob end to end through
@@ -63,9 +68,8 @@ func TestServeIndexBackendSurfacing(t *testing.T) {
 	if got := idx["default_backend"]; got != "" {
 		t.Errorf("default_backend = %v, want \"\"", got)
 	}
-	backends := idx["backends"].([]any)
-	if len(backends) < 2 {
-		t.Errorf("stats backends = %v, want the full registry", backends)
+	if backends := idx["backends"].([]any); len(backends) != 2 || backends[0] != "brute" || backends[1] != "hnsw" {
+		t.Errorf("stats backends = %v, want [brute hnsw]", backends)
 	}
 	datasets := idx["datasets"].([]any)
 	if len(datasets) != 1 {
@@ -95,28 +99,28 @@ func TestServeIndexBackendSurfacing(t *testing.T) {
 }
 
 // TestServeIndexBackendRejections pins the 400 paths of the backend knob:
-// unknown names, metric-incapable backends, radius-bound backends that
-// cannot serve a shared per-dataset index, and the absent ef_search field.
+// unknown names — the baselines' structures, no longer registered,
+// included — answer with lafdbscan.ErrUnknownIndexBackend, and the absent
+// ef_search field is refused.
 func TestServeIndexBackendRejections(t *testing.T) {
 	base, _, cleanup := modelServer(t, Options{Workers: 1, QueueDepth: 4})
 	defer cleanup()
 
 	cases := []struct {
-		name   string
-		params map[string]any
+		name    string
+		params  map[string]any
+		backend bool // the rejection is ErrUnknownIndexBackend
 	}{
-		{"unknown backend", map[string]any{"eps": 0.5, "tau": 4, "index_backend": "bogus"}},
-		// grid only supports euclidean; under the default cosine metric
-		// Params.Validate rejects it before any serve-layer rule fires.
-		{"metric-incapable backend", map[string]any{"eps": 0.5, "tau": 4, "index_backend": "grid"}},
-		// Under euclidean the grid passes validation but is radius-bound,
-		// which the shared per-dataset index cannot honor.
-		{"radius-bound backend", map[string]any{
-			"eps": 0.5, "tau": 4, "metric": "euclidean", "index_backend": "grid"}},
-		{"negative ef_search", map[string]any{"eps": 0.5, "tau": 4, "ef_search": -1}},
+		{"unknown backend", map[string]any{"eps": 0.5, "tau": 4, "index_backend": "bogus"}, true},
+		{"removed cover tree", map[string]any{"eps": 0.5, "tau": 4, "index_backend": "covertree"}, true},
+		{"removed k-means tree", map[string]any{"eps": 0.5, "tau": 4, "index_backend": "kmeanstree"}, true},
+		{"removed grid", map[string]any{"eps": 0.5, "tau": 4, "index_backend": "grid"}, true},
+		{"removed grid under euclidean", map[string]any{
+			"eps": 0.5, "tau": 4, "metric": "euclidean", "index_backend": "grid"}, true},
+		{"negative ef_search", map[string]any{"eps": 0.5, "tau": 4, "ef_search": -1}, false},
 		// Jobs and fits run on the registry's shared graph, built with the
 		// default beam, so the request has no ef_search field to honor.
-		{"ef_search", map[string]any{"eps": 0.5, "tau": 4, "ef_search": 128}},
+		{"ef_search", map[string]any{"eps": 0.5, "tau": 4, "ef_search": 128}, false},
 	}
 	for _, tc := range cases {
 		for _, endpoint := range []string{"/v1/models", "/v1/jobs"} {
@@ -126,6 +130,58 @@ func TestServeIndexBackendRejections(t *testing.T) {
 			if code != http.StatusBadRequest {
 				t.Errorf("%s %s: code %d %v, want 400", tc.name, endpoint, code, body)
 			}
+			if msg, _ := body["error"].(string); tc.backend && !strings.Contains(msg, lafdbscan.ErrUnknownIndexBackend.Error()) {
+				t.Errorf("%s %s: error %q, want ErrUnknownIndexBackend", tc.name, endpoint, msg)
+			}
+		}
+	}
+}
+
+// legacyModel is the gob layout of a version-2 model file as an earlier
+// release wrote it, trimmed to the fields a load needs. Gob matches
+// fields by name, so LoadModel decodes it like any saved model.
+type legacyModel struct {
+	Method string
+	Params struct {
+		Eps          float64
+		Tau          int
+		IndexBackend string
+	}
+	Points      [][]float32
+	Labels      []int32
+	Core        []bool
+	Forest      []int32
+	NumClusters int
+}
+
+// TestServeLoadRejectsRemovedBackend posts model files that name a backend
+// earlier releases registered: each must answer 400 with
+// ErrUnknownIndexBackend rather than reload on another index.
+func TestServeLoadRejectsRemovedBackend(t *testing.T) {
+	base, _, cleanup := modelServer(t, Options{Workers: 1, QueueDepth: 4})
+	defer cleanup()
+	for _, name := range []string{"covertree", "kmeanstree", "grid"} {
+		var m legacyModel
+		m.Method = "dbscan"
+		m.Params.Eps, m.Params.Tau, m.Params.IndexBackend = 0.5, 2, name
+		m.Points = [][]float32{{1, 0}, {0, 1}}
+		m.Labels, m.Core, m.Forest = []int32{-1, -1}, []bool{false, false}, []int32{-1, -1}
+		var blob bytes.Buffer
+		blob.WriteString("LAFM")
+		binary.Write(&blob, binary.LittleEndian, uint32(2))
+		if err := gob.NewEncoder(&blob).Encode(&m); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/v1/models/load", "application/octet-stream", &blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := decodeResp(t, resp)
+		if code != http.StatusBadRequest {
+			t.Fatalf("load naming %s: code %d %v, want 400", name, code, body)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, lafdbscan.ErrUnknownIndexBackend.Error()) {
+			t.Errorf("load naming %s: error %q, want ErrUnknownIndexBackend", name, msg)
 		}
 	}
 }

@@ -202,8 +202,9 @@ type Options struct {
 	// IndexBackend is the server-wide default range-index backend for
 	// requests that name none: "" keeps the exact default (brute force),
 	// lafdbscan.IndexBackendAuto selects the HNSW graph.
-	// Validate with CheckIndexBackend before constructing the server — an
-	// invalid value is a programming error and NewServer panics on it.
+	// Validate with lafdbscan.ResolveIndexBackend before constructing the
+	// server — an invalid value is a programming error and NewServer
+	// panics on it.
 	IndexBackend string
 
 	// WALDir enables durable models: every fitted, loaded or streamed model
@@ -471,10 +472,7 @@ func validateJobSpec(reg *Registry, spec *JobSpec) error {
 	if !metricful && spec.Params.Metric != lafdbscan.MetricCosine {
 		return fmt.Errorf("serve: method %q supports only the cosine metric", spec.Method)
 	}
-	// Params.Validate already rejected unknown backend names and
-	// backend/metric mismatches (the 400 path for e.g. grid+cosine);
-	// CheckIndexBackend adds the serving layer's radius-bound rule.
-	return CheckIndexBackend(spec.Params.IndexBackend)
+	return nil
 }
 
 // Status returns a snapshot of the named job.

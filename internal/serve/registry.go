@@ -76,32 +76,13 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*registryEntry)}
 }
 
-// CheckIndexBackend validates an index-backend knob for serving: "" (exact
-// default), IndexBackendAuto, or a registered backend name. Radius-bound
-// backends (the grid) are rejected — shared serving indexes are built once
-// per dataset and reused across every query radius. The CLI calls it to
-// reject a bad -index-backend flag before constructing the server.
-func CheckIndexBackend(backend string) error {
-	if backend == "" || backend == lafdbscan.IndexBackendAuto {
-		return nil
-	}
-	caps, ok := lafdbscan.LookupIndexBackend(backend)
-	if !ok {
-		return fmt.Errorf("serve: unknown index backend %q (have %v or %q)",
-			backend, lafdbscan.IndexBackends(), lafdbscan.IndexBackendAuto)
-	}
-	if caps.NeedsEps {
-		return fmt.Errorf("serve: index backend %q is radius-bound (built per eps) and cannot back the shared per-dataset index", backend)
-	}
-	return nil
-}
-
 // SetDefaultIndexBackend configures the index backend requests resolve
-// through when they name none (see CheckIndexBackend for the accepted
-// values). Call before serving.
+// through when they name none: "" (exact default), IndexBackendAuto, or a
+// registered name; anything else fails with an error wrapping
+// lafdbscan.ErrUnknownIndexBackend. Call before serving.
 func (r *Registry) SetDefaultIndexBackend(backend string) error {
-	if err := CheckIndexBackend(backend); err != nil {
-		return err
+	if _, err := lafdbscan.ResolveIndexBackend(backend); err != nil {
+		return fmt.Errorf("serve: default index backend: %w", err)
 	}
 	r.mu.Lock()
 	r.defaultBackend = backend
@@ -222,7 +203,7 @@ func (r *Registry) Index(name string, metric lafdbscan.DistanceMetric, backend s
 	if backend == "" {
 		backend = r.DefaultIndexBackend()
 	}
-	resolved, err := lafdbscan.ResolveIndexBackend(backend, metric)
+	resolved, err := lafdbscan.ResolveIndexBackend(backend)
 	if err != nil {
 		return nil, "", err
 	}

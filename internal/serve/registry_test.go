@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -75,14 +76,13 @@ func TestRegistrySharesOneIndex(t *testing.T) {
 
 // TestRegistryDefaultIndexBackend pins the server-wide default knob: auto
 // flips unnamed requests onto the approximate chain, and invalid values are
-// rejected up front.
+// rejected up front with the named error.
 func TestRegistryDefaultIndexBackend(t *testing.T) {
 	reg := testRegistry(t, "d", 40)
-	if err := reg.SetDefaultIndexBackend("nope"); err == nil {
-		t.Error("unknown default backend accepted")
-	}
-	if err := reg.SetDefaultIndexBackend("grid"); err == nil {
-		t.Error("radius-bound default backend accepted")
+	for _, name := range []string{"nope", "grid"} {
+		if err := reg.SetDefaultIndexBackend(name); !errors.Is(err, lafdbscan.ErrUnknownIndexBackend) {
+			t.Errorf("default backend %q: err = %v, want ErrUnknownIndexBackend", name, err)
+		}
 	}
 	if err := reg.SetDefaultIndexBackend(lafdbscan.IndexBackendAuto); err != nil {
 		t.Fatal(err)

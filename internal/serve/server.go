@@ -74,7 +74,7 @@ func NewServer(opts Options) *Server {
 	reg := NewRegistry()
 	if err := reg.SetDefaultIndexBackend(opts.IndexBackend); err != nil {
 		// Options.IndexBackend documents the contract: callers validate
-		// with CheckIndexBackend first.
+		// with lafdbscan.ResolveIndexBackend first.
 		panic(err)
 	}
 	est := NewEstimatorCache()

@@ -2,7 +2,9 @@ package lafdbscan
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"lafdbscan/internal/cardest"
 	"lafdbscan/internal/cluster"
@@ -106,12 +108,13 @@ type Params struct {
 	Index RangeIndex
 
 	// IndexBackend selects the range-index implementation by registry name
-	// (see IndexBackends: "brute", "hnsw", "covertree", "kmeanstree",
-	// "grid") for the methods that honor a shared index. The zero value is
-	// the exact brute-force scan — labels stay bit-identical to every
-	// earlier release. IndexBackendAuto is the HNSW graph under either
-	// metric (sub-linear queries, recall tunable through EfSearch). Naming
-	// a backend that does not support Params.Metric is a validation error.
+	// (see IndexBackends: "brute" or "hnsw", both under either metric) for
+	// the methods that honor a shared index and for every model's
+	// prediction index. The zero value is the exact brute-force scan —
+	// labels stay bit-identical to every earlier release. IndexBackendAuto
+	// is the HNSW graph (sub-linear queries, recall tunable through
+	// EfSearch). Any other name is a validation error wrapping
+	// ErrUnknownIndexBackend.
 	IndexBackend string
 	// EfSearch is the HNSW recall knob: the size of the result set the
 	// graph's layer-0 best-first expansion maintains per query. 0 selects
@@ -143,36 +146,28 @@ const IndexBackendAuto = "auto"
 // the recall gate (cmd/lafrecall) holds to its floor.
 const DefaultEfSearch = hnsw.DefaultEfSearch
 
-// IndexBackends lists the registered index backend names in registry
-// order; each is a valid Params.IndexBackend value.
+// IndexBackends lists the registered index backend names, "brute" and
+// "hnsw"; each is a valid Params.IndexBackend value.
 func IndexBackends() []string { return index.Backends() }
 
-// IndexBackendCapabilities describes what a registered backend promises
-// (exactness, mutability, metrics, radius binding); see the internal registry
-// for field documentation. The boolean fields serialize under snake_case
-// JSON names, so serving layers can expose the registry directly.
-type IndexBackendCapabilities = index.Capabilities
-
-// LookupIndexBackend returns the capabilities of a named backend and
-// whether the name is registered.
-func LookupIndexBackend(name string) (IndexBackendCapabilities, bool) {
-	return index.LookupBackend(name)
-}
+// ErrUnknownIndexBackend reports an IndexBackend knob that names no
+// registered backend. ResolveIndexBackend, Params.Validate, LoadModel and
+// the lafserve endpoints wrap it, so errors.Is recognizes the rejection
+// wherever it surfaces — including a model file saved under a backend
+// ("covertree", "kmeanstree", "grid") that has since been removed.
+var ErrUnknownIndexBackend = errors.New("lafdbscan: unknown index backend")
 
 // NewIndex builds the range index p describes over points under metric m:
 // p.IndexBackend is resolved by ResolveIndexBackend, then constructed with
-// p's knobs (Seed, EfSearch, Branching, LeavesRatio, Base, Rho, and — for
-// radius-bound backends like the grid — Eps). It returns the index and the
-// resolved backend name.
+// p's Seed and EfSearch. It returns the index and the resolved backend
+// name.
 func (p Params) NewIndex(points [][]float32, m DistanceMetric) (RangeIndex, string, error) {
-	name, err := ResolveIndexBackend(p.IndexBackend, m)
+	name, err := ResolveIndexBackend(p.IndexBackend)
 	if err != nil {
 		return nil, "", err
 	}
 	idx, err := index.NewBackend(name, points, index.BackendOptions{
-		Metric: m, Eps: p.Eps, Rho: p.Rho, Base: p.Base,
-		Branching: p.Branching, LeavesRatio: p.LeavesRatio,
-		EfSearch: p.EfSearch, Seed: p.Seed,
+		Metric: m, EfSearch: p.EfSearch, Seed: p.Seed,
 	})
 	if err != nil {
 		return nil, "", err
@@ -180,28 +175,24 @@ func (p Params) NewIndex(points [][]float32, m DistanceMetric) (RangeIndex, stri
 	return idx, name, nil
 }
 
-// ResolveIndexBackend maps an IndexBackend knob onto a concrete registry
-// name under metric m without building anything — serving layers use it to
-// key shared-index caches by the resolved name. "" is the exact brute-force
+// ResolveIndexBackend maps an IndexBackend knob onto a registered backend
+// name without building anything — serving layers use it to key
+// shared-index caches by the resolved name. "" is the exact brute-force
 // scan, IndexBackendAuto the HNSW graph, and any other value must be a
-// registered backend that answers under m.
-func ResolveIndexBackend(backend string, m DistanceMetric) (string, error) {
+// registered name; both backends answer under either metric. An unknown
+// name fails with ErrUnknownIndexBackend.
+func ResolveIndexBackend(backend string) (string, error) {
 	switch backend {
 	case "":
 		return index.BackendBrute, nil
 	case IndexBackendAuto:
 		return index.BackendHNSW, nil
-	default:
-		caps, ok := index.LookupBackend(backend)
-		if !ok {
-			return "", fmt.Errorf("lafdbscan: unknown index backend %q (want empty for the exact default, %q, or one of %v)",
-				backend, IndexBackendAuto, index.Backends())
-		}
-		if !caps.SupportsMetric(m) {
-			return "", fmt.Errorf("lafdbscan: index backend %q does not support metric %v", backend, m)
-		}
-		return backend, nil
 	}
+	if !slices.Contains(index.Backends(), backend) {
+		return "", fmt.Errorf("%w %q (want empty for the exact default, %q, or one of %v)",
+			ErrUnknownIndexBackend, backend, IndexBackendAuto, index.Backends())
+	}
+	return backend, nil
 }
 
 // materializeIndex builds Params.IndexBackend into Params.Index under

@@ -84,8 +84,8 @@ func WithIndex(idx RangeIndex) FitOption { return func(p *Params) { p.Index = id
 
 // WithIndexBackend selects the range-index implementation by registry name
 // (see Params.IndexBackend): "" keeps the exact default, IndexBackendAuto
-// selects the HNSW graph, and an explicit name ("hnsw", "covertree", ...)
-// is used as is after a metric check.
+// selects the HNSW graph, and an explicit name ("brute" or "hnsw") is used
+// as is.
 func WithIndexBackend(name string) FitOption { return func(p *Params) { p.IndexBackend = name } }
 
 // WithEfSearch sets the HNSW recall knob (see Params.EfSearch).
@@ -532,9 +532,10 @@ type modelParamsV1 struct {
 	Workers               int
 	BatchSize             int
 	WaveSize              int
-	// IndexBackend and EfSearch joined in PR 9 (backend registry); gob
+	// IndexBackend and EfSearch joined with the backend registry; gob
 	// zeroes them when decoding older streams, which resolves to the exact
-	// default — the behavior those models were saved under.
+	// default — the behavior those models were saved under. A name that is
+	// no longer registered fails the load (ErrUnknownIndexBackend).
 	IndexBackend string
 	EfSearch     int
 }
@@ -639,7 +640,10 @@ func (m *Model) SaveFile(path string) error {
 // LoadModel reads a model written by Save and rebuilds its range index, so
 // the returned model predicts identically to the one that was saved. It
 // rejects wrong or truncated headers and unknown versions with descriptive
-// errors.
+// errors, and a file naming an index backend this build does not register
+// (earlier releases also offered "covertree", "kmeanstree" and "grid")
+// with an error wrapping ErrUnknownIndexBackend: its labels came from that
+// index, so no other one could reproduce them.
 func LoadModel(r io.Reader) (*Model, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {

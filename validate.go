@@ -13,7 +13,9 @@ import "fmt"
 // Alpha 0 selects the neutral 1.0, SampleFraction matters only to the ++
 // variants (which additionally require it to be positive), Branching /
 // LeavesRatio / Base / RNT / Rho fall back to the paper's settings, and
-// Workers 0 selects the sequential engine.
+// Workers 0 selects the sequential engine. IndexBackend must be "" (exact
+// default), IndexBackendAuto, or a registered name ("brute", "hnsw");
+// anything else fails with an error wrapping ErrUnknownIndexBackend.
 func (p Params) Validate() error {
 	// Every rejection names the offending field and the value it carried in
 	// one uniform shape, so a CLI usage error, an HTTP 400 body and a test
@@ -55,11 +57,11 @@ func (p Params) Validate() error {
 	if p.Metric != MetricCosine && p.Metric != MetricEuclidean {
 		return fail("Metric", p.Metric, "must be MetricCosine or MetricEuclidean")
 	}
-	// ResolveIndexBackend is the one registry lookup and metric check, so a
-	// CLI flag, an HTTP params block and a direct library call all reject
-	// an unknown name or a backend/metric mismatch with the same message
-	// before any index is built.
-	if _, err := ResolveIndexBackend(p.IndexBackend, p.Metric); err != nil {
+	// ResolveIndexBackend is the one registry lookup, so a CLI flag, an
+	// HTTP params block, a model file and a direct library call all reject
+	// an unknown name with the same ErrUnknownIndexBackend before any index
+	// is built.
+	if _, err := ResolveIndexBackend(p.IndexBackend); err != nil {
 		return fmt.Errorf("lafdbscan: invalid IndexBackend = %v: %w", p.IndexBackend, err)
 	}
 	if p.EfSearch < 0 {

@@ -38,9 +38,9 @@ func TestParamsValidate(t *testing.T) {
 		{"batch negative", func(p *Params) { p.BatchSize = -1 }},
 		{"wave negative", func(p *Params) { p.WaveSize = -1 }},
 		{"index backend unknown", func(p *Params) { p.IndexBackend = "bogus" }},
-		// The grid only answers euclidean queries; naming it under the
-		// default cosine metric is a capability mismatch.
-		{"index backend metric-incapable", func(p *Params) { p.IndexBackend = "grid" }},
+		// The grid is built by ρ-approximate DBSCAN itself; it is not a
+		// registered backend under any metric.
+		{"index backend removed", func(p *Params) { p.IndexBackend = "grid" }},
 		{"ef search negative", func(p *Params) { p.EfSearch = -1 }},
 	}
 	for _, c := range bad {
