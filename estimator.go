@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 
@@ -46,6 +47,35 @@ type EstimatorConfig struct {
 	Seed int64
 }
 
+// ErrInvalidEstimatorConfig marks an EstimatorConfig that cannot train a
+// usable estimator: a hidden width that is not positive, a learning rate
+// that is not finite, or a radius that is not finite and positive.
+var ErrInvalidEstimatorConfig = errors.New("lafdbscan: invalid estimator config")
+
+// Validate checks the fields of c that would otherwise crash training or
+// produce a network no loader accepts. Zero values still select the
+// defaults. Every rejection wraps ErrInvalidEstimatorConfig and names the
+// field and its value.
+func (c EstimatorConfig) Validate() error {
+	fail := func(field string, value any, constraint string) error {
+		return fmt.Errorf("%w: %s = %v: %s", ErrInvalidEstimatorConfig, field, value, constraint)
+	}
+	for i, w := range c.Hidden {
+		if w <= 0 {
+			return fail(fmt.Sprintf("Hidden[%d]", i), w, "must be positive")
+		}
+	}
+	if math.IsNaN(c.LR) || math.IsInf(c.LR, 0) {
+		return fail("LR", c.LR, "must be finite (0 selects the default)")
+	}
+	for i, r := range c.Radii {
+		if !(r > 0) || math.IsInf(r, 1) {
+			return fail(fmt.Sprintf("Radii[%d]", i), r, "must be finite and positive")
+		}
+	}
+	return nil
+}
+
 // TrainRMIEstimator builds the paper's learned cardinality estimator: it
 // computes exact neighbor counts over the training vectors at each radius
 // (the label-generation pass) and fits the three-stage RMI on them.
@@ -53,9 +83,21 @@ type EstimatorConfig struct {
 // Training time is excluded from clustering time in all experiments, as in
 // the paper; a trained estimator can be reused across runs and parameter
 // settings because the radius is a model input.
+//
+// A config that fails Validate returns an error wrapping
+// ErrInvalidEstimatorConfig, and training vectors of unequal lengths one
+// wrapping ErrDimensionMismatch, before any training work starts.
 func TrainRMIEstimator(train [][]float32, cfg EstimatorConfig) (Estimator, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("lafdbscan: empty training set")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	for i, v := range train {
+		if len(v) != len(train[0]) {
+			return nil, fmt.Errorf("%w: training vector %d has %d dims, vector 0 has %d", ErrDimensionMismatch, i, len(v), len(train[0]))
+		}
 	}
 	if len(cfg.Radii) == 0 {
 		cfg.Radii = cardest.DefaultRadii()

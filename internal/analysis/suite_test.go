@@ -72,7 +72,8 @@ func TestClusterDirectivesAreLoadBearing(t *testing.T) {
 // hotpathRoster is the set of functions this repository REQUIRES to stay
 // registered as hot paths: the wave callback chain, the vecmath kernels
 // the clustering loops call per point pair, the dense-layer kernels the
-// estimator gate and its training run per sample, the telemetry write path
+// estimator gate and its training run per sample (and the vecmath loops
+// under them, Adam's step included), the telemetry write path
 // every instrumented request touches, and the span-record path every
 // sampled request finishes through. Deleting one of these
 // //lafvet:hotpath directives fails this test, so the annotations cannot
@@ -87,6 +88,8 @@ var hotpathRoster = map[string][]string{
 	"../index/hnsw/hnsw.go":         {"searchLayer", "selectNeighbors", "link"},
 	"../trace/trace.go":             {"Finish", "record"},
 	"../nn/network.go":              {"forward", "accumulate"},
+	"../vecmath/train.go": {"Affine16", "affine16Generic", "AddScaled4", "addScaled4Generic",
+		"AddScaled", "addScaledGeneric", "AdamStep", "adamStepGeneric"},
 }
 
 func TestHotpathRoster(t *testing.T) {

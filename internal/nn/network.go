@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+
+	"lafdbscan/internal/vecmath"
 )
 
 // Activation identifies a layer nonlinearity.
@@ -69,6 +71,29 @@ type Dense struct {
 	// W is row-major [Out][In]; B has length Out.
 	W []float64
 	B []float64
+	// packed is a copy of W's first Out&^15 rows in the layout of
+	// vecmath.Interleave4, which forward reads in blocks of 16 rows. It is
+	// not serialized: NewNetwork and Pack build it and Fit keeps it
+	// current. A layer without it runs every row from W, with the same bits.
+	packed []float64
+}
+
+// pack rebuilds the layer's packed copy of W into a new slice, so a layer
+// copied by value never writes into its original's copy.
+func (l *Dense) pack() {
+	rows := l.Out &^ 15
+	l.packed = make([]float64, rows*l.In)
+	vecmath.Interleave4(l.packed, l.W, l.In, 0, len(l.W))
+}
+
+// Pack rebuilds every layer's packed copy of its weights, which the
+// forward pass reads. NewNetwork and Fit keep the copy current; call Pack
+// after decoding a validated network or changing W in place, and not while
+// the network is in use.
+func (n *Network) Pack() {
+	for _, l := range n.Layers {
+		l.pack()
+	}
 }
 
 // Network is a sequence of dense layers.
@@ -97,6 +122,7 @@ func NewNetwork(widths []int, hidden, output Activation, rng *rand.Rand) *Networ
 		for j := range layer.W {
 			layer.W[j] = rng.NormFloat64() * std
 		}
+		layer.pack()
 		n.Layers = append(n.Layers, layer)
 	}
 	return n
@@ -148,9 +174,11 @@ func (n *Network) OutDim() int { return n.Layers[len(n.Layers)-1].Out }
 // forward computes out[o] = act(B[o] + Σ_i W[o,i]·x[i]) for every output o.
 // Each accumulator starts at B[o] and adds W[o,i]*x[i] in increasing i, the
 // one summation order every caller has always used, so activations are the
-// same bits whichever path computes them. Four rows share each pass over x:
-// their add chains are independent, so they overlap instead of each waiting
-// on the latency of its own previous add.
+// same bits whichever path computes them. Blocks of 16 rows go to
+// vecmath.Affine16, which reads the packed copy of W and holds one row per
+// vector lane; the last Out%16 rows (all of them in a layer without a
+// packed copy) share passes over x four at a time, so their add chains
+// overlap instead of each waiting on the latency of its own previous add.
 //
 //lafvet:hotpath
 func (l *Dense) forward(x, out []float64) {
@@ -159,6 +187,14 @@ func (l *Dense) forward(x, out []float64) {
 	}
 	in := l.In
 	o := 0
+	if len(l.packed) == (l.Out&^15)*in {
+		for ; o+16 <= l.Out; o += 16 {
+			vecmath.Affine16(l.packed[o*in:(o+16)*in], x, l.B[o:o+16], out[o:o+16])
+			for k, s := range out[o : o+16] {
+				out[o+k] = l.Act.apply(s)
+			}
+		}
+	}
 	for ; o+4 <= l.Out; o += 4 {
 		r0 := l.W[o*in : (o+1)*in][:len(x)]
 		r1 := l.W[(o+1)*in : (o+2)*in][:len(x)]
@@ -291,14 +327,17 @@ func (n *Network) BackwardMSE(x, target []float64, scratch *Scratch, g *Grads) f
 		delta := g.deltas[li]
 		l.accumulate(input, delta, g.W[li], g.B[li])
 		if li > 0 {
+			// prev[i] = (Σ_o delta[o]·W[o,i]) · f'(act[i]), the sum from +0
+			// in increasing o, built one row of W at a time so the vector
+			// lanes run along i.
 			prev := g.deltas[li-1]
 			prevAct := scratch.acts[li-1]
 			lPrev := n.Layers[li-1]
-			for i := 0; i < l.In; i++ {
-				var s float64
-				for o := 0; o < l.Out; o++ {
-					s += delta[o] * l.W[o*l.In+i]
-				}
+			clear(prev)
+			for o, do := range delta[:l.Out] {
+				vecmath.AddScaled(l.W[o*l.In:(o+1)*l.In], do, prev)
+			}
+			for i, s := range prev {
 				prev[i] = s * lPrev.Act.derivFromOutput(prevAct[i])
 			}
 		}
@@ -308,10 +347,12 @@ func (n *Network) BackwardMSE(x, target []float64, scratch *Scratch, g *Grads) f
 
 // accumulate adds the layer's parameter gradients for one sample: d[o] into
 // gb[o] and d[o]*x[i] into gw[o,i], skipping every output whose delta is
-// zero (so a dead unit's row keeps its exact bits, signed zeros included).
-// Every element is updated once with the same product as a row-at-a-time
-// loop, so the result does not depend on the blocking; four live rows share
-// each pass over x so its loads are reused.
+// zero (so a dead unit's row keeps its exact bits, signed zeros included,
+// and an infinite input never meets a zero delta). Every element is
+// updated once with the same product as a row-at-a-time loop, so the
+// result does not depend on the blocking: four live rows share each pass
+// of vecmath.AddScaled4 over x, whose vector lanes run along i, and the
+// last live rows go one at a time through vecmath.AddScaled.
 //
 //lafvet:hotpath
 func (l *Dense) accumulate(x, d, gw, gb []float64) {
@@ -332,24 +373,11 @@ func (l *Dense) accumulate(x, d, gw, gb []float64) {
 		}
 		k = 0
 		o0, o1, o2, o3 := live[0], live[1], live[2], live[3]
-		d0, d1, d2, d3 := d[o0], d[o1], d[o2], d[o3]
-		r0 := gw[o0*in : (o0+1)*in][:len(x)]
-		r1 := gw[o1*in : (o1+1)*in][:len(x)]
-		r2 := gw[o2*in : (o2+1)*in][:len(x)]
-		r3 := gw[o3*in : (o3+1)*in][:len(x)]
-		for i, xi := range x {
-			r0[i] += d0 * xi
-			r1[i] += d1 * xi
-			r2[i] += d2 * xi
-			r3[i] += d3 * xi
-		}
+		vecmath.AddScaled4(x, d[o0], d[o1], d[o2], d[o3],
+			gw[o0*in:(o0+1)*in], gw[o1*in:(o1+1)*in], gw[o2*in:(o2+1)*in], gw[o3*in:(o3+1)*in])
 	}
 	for _, o := range live[:k] {
-		do := d[o]
-		row := gw[o*in : (o+1)*in][:len(x)]
-		for i, xi := range x {
-			row[i] += do * xi
-		}
+		vecmath.AddScaled(x, d[o], gw[o*in:(o+1)*in])
 	}
 }
 

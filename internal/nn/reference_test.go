@@ -276,7 +276,7 @@ func testInputs(in int, rng *rand.Rand) [][]float64 {
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, in := range []int{1, 3, 4, 5, 769} {
-		for _, out := range []int{1, 2, 3, 4, 5, 8, 32} {
+		for _, out := range []int{1, 2, 3, 4, 5, 8, 16, 17, 20, 32, 33} {
 			for _, act := range []Activation{ReLU, Sigmoid, Identity} {
 				n := testNetwork(in, out, act, rng)
 				single := &Network{Layers: n.Layers[:1]}
@@ -310,7 +310,7 @@ func TestKernelsMatchReference(t *testing.T) {
 // TestFitMatchesReference trains with a ragged last batch (101 samples,
 // batch 16: the last batch of 5 makes 1/len(batch) inexact) at several
 // worker counts, including ones that leave workers without a part of the
-// last batch and split tensors unevenly.
+// last batch and split tensors unevenly, then predicts with the result.
 func TestFitMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(12))
@@ -324,19 +324,26 @@ func TestFitMatchesReference(t *testing.T) {
 		inputs[i] = x
 		targets[i] = []float64{rng.Float64()}
 	}
-	base := NewNetwork([]int{40, 8, 4, 1}, ReLU, Sigmoid, rng)
 	cfg := TrainConfig{Epochs: 3, BatchSize: 16, LR: 2e-3, Seed: 5}
-	for _, procs := range []int{1, 2, 3, 8} {
-		runtime.GOMAXPROCS(procs)
-		got, want := cloneNetwork(base), cloneNetwork(base)
-		mse, err := got.Fit(inputs, targets, cfg)
-		if err != nil {
-			t.Fatal(err)
+	// The second shape has 16-row blocks, whose packed weights every
+	// worker rewrites for its own range of W after each step.
+	for _, widths := range [][]int{{40, 8, 4, 1}, {40, 33, 17, 1}} {
+		base := NewNetwork(widths, ReLU, Sigmoid, rng)
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, want := cloneNetwork(base), cloneNetwork(base)
+			mse, err := got.Fit(inputs, targets, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantMSE := refFit(want, inputs, targets, cfg); !sameBits(mse, wantMSE) {
+				t.Fatalf("widths %v GOMAXPROCS=%d: MSE %v, want %v", widths, procs, mse, wantMSE)
+			}
+			assertSameNetwork(t, got, want)
+			// The packed copy Fit left behind is the trained W's.
+			x := inputs[procs]
+			assertSameSlice(t, "Forward after Fit", got.Forward(x, nil), refForward(got, x, NewScratch(got)))
 		}
-		if wantMSE := refFit(want, inputs, targets, cfg); !sameBits(mse, wantMSE) {
-			t.Fatalf("GOMAXPROCS=%d: MSE %v, want %v", procs, mse, wantMSE)
-		}
-		assertSameNetwork(t, got, want)
 	}
 }
 

@@ -5,37 +5,18 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+
+	"lafdbscan/internal/vecmath"
 )
 
-// adam is the Adam optimizer (Kingma & Ba 2015): its hyperparameters, step
+// adam is the Adam optimizer (Kingma & Ba 2015): its coefficients, step
 // count and first and second moment estimates, shaped like the network.
 type adam struct {
-	lr, beta1, beta2, eps float64
-	t                     int
-	m, v                  *Grads
-	// c1 and c2 are the current step's bias corrections.
-	c1, c2 float64
-}
-
-// step applies one Adam step to the parameters p, whose moments are m and v,
-// from the per-worker gradient sums parts (each indexed from off, the
-// position of p[0] in the full tensor). Each gradient is ((0 + parts[0]) +
-// parts[1] + …) · inv: the workers added in worker order, then averaged
-// over the batch.
-func (a *adam) step(p, m, v []float64, parts [][]float64, off int, inv float64) {
-	m, v = m[:len(p)], v[:len(p)]
-	for j := range p {
-		g := 0.0
-		for _, part := range parts {
-			g += part[off+j]
-		}
-		g *= inv
-		m[j] = a.beta1*m[j] + (1-a.beta1)*g
-		v[j] = a.beta2*v[j] + (1-a.beta2)*g*g
-		mh := m[j] / a.c1
-		vh := v[j] / a.c2
-		p[j] -= a.lr * mh / (math.Sqrt(vh) + a.eps)
-	}
+	// coef holds the hyperparameters and, per batch, the step's bias
+	// corrections and 1/len(batch).
+	coef vecmath.AdamCoef
+	t    int
+	m, v *Grads
 }
 
 // TrainConfig controls Fit.
@@ -61,10 +42,12 @@ const (
 )
 
 // tensor is one parameter slice (a layer's W or B) with its Adam moments
-// and every worker's gradient accumulator for it.
+// and every worker's gradient accumulator for it. layer is set for a W,
+// whose packed copy the update rewrites along with it.
 type tensor struct {
 	p, m, v []float64
 	grads   [][]float64
+	layer   *Dense
 }
 
 // trainer is the state of one Fit call: its workers split each batch's
@@ -86,13 +69,12 @@ type trainer struct {
 	batch []int
 	chunk int
 	parts int // workers holding a non-empty part of the batch
-	inv   float64
 }
 
 func newTrainer(n *Network, inputs, targets [][]float64, lr float64, workers int) *trainer {
 	t := &trainer{
 		n: n, inputs: inputs, targets: targets,
-		opt:       adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m: NewGrads(n), v: NewGrads(n)},
+		opt:       adam{coef: vecmath.AdamCoef{Beta1: 0.9, Beta2: 0.999, LR: lr, Eps: 1e-8}, m: NewGrads(n), v: NewGrads(n)},
 		grads:     make([]*Grads, workers),
 		scratches: make([]*Scratch, workers),
 		se:        make([]float64, workers),
@@ -103,7 +85,8 @@ func newTrainer(n *Network, inputs, targets [][]float64, lr float64, workers int
 		t.scratches[w] = NewScratch(n)
 	}
 	for li, l := range n.Layers {
-		tw := tensor{p: l.W, m: t.opt.m.W[li], v: t.opt.v.W[li]}
+		l.pack()
+		tw := tensor{p: l.W, m: t.opt.m.W[li], v: t.opt.v.W[li], layer: l}
 		tb := tensor{p: l.B, m: t.opt.m.B[li], v: t.opt.v.B[li]}
 		for _, g := range t.grads {
 			tw.grads = append(tw.grads, g.W[li])
@@ -168,13 +151,19 @@ func (t *trainer) gradients(w int) {
 	t.se[w] = se
 }
 
-// update applies Adam to worker w's share of every parameter tensor.
+// update applies Adam to worker w's share of every parameter tensor and
+// copies its share of each W into the layer's packed copy. Each gradient
+// is ((0 + part 0) + part 1 + …)·Inv: the workers' sums added in worker
+// order, then averaged over the batch.
 func (t *trainer) update(w int) {
 	workers := len(t.grads)
 	for i := range t.tensors {
 		ts := &t.tensors[i]
 		lo, hi := w*len(ts.p)/workers, (w+1)*len(ts.p)/workers
-		t.opt.step(ts.p[lo:hi], ts.m[lo:hi], ts.v[lo:hi], ts.grads[:t.parts], lo, t.inv)
+		vecmath.AdamStep(ts.p[lo:hi], ts.m[lo:hi], ts.v[lo:hi], ts.grads[:t.parts], lo, &t.opt.coef)
+		if l := ts.layer; l != nil {
+			vecmath.Interleave4(l.packed, l.W, l.In, lo, hi)
+		}
 	}
 }
 
@@ -230,10 +219,11 @@ func (n *Network) Fit(inputs [][]float64, targets [][]float64, cfg TrainConfig) 
 				epochSE += se
 			}
 
-			t.inv = 1 / float64(len(t.batch))
+			c := &t.opt.coef
+			c.Inv = 1 / float64(len(t.batch))
 			t.opt.t++
-			t.opt.c1 = 1 - math.Pow(t.opt.beta1, float64(t.opt.t))
-			t.opt.c2 = 1 - math.Pow(t.opt.beta2, float64(t.opt.t))
+			c.C1 = 1 - math.Pow(c.Beta1, float64(t.opt.t))
+			c.C2 = 1 - math.Pow(c.Beta2, float64(t.opt.t))
 			t.dispatch(updatePhase, workers)
 		}
 		lastMSE = epochSE / float64(len(inputs))

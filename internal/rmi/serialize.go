@@ -52,6 +52,13 @@ func Load(rd io.Reader) (*RMI, error) {
 	if err := payload.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
+	// gob fills only the exported fields; the forward pass's packed
+	// weights are rebuilt from the validated W.
+	for _, stage := range payload.Stages {
+		for _, net := range stage {
+			net.Pack()
+		}
+	}
 	return &RMI{
 		inDim:  payload.InDim,
 		logN:   payload.LogN,

@@ -43,6 +43,57 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadPacksWeights checks that Load rebuilds the packed copy of the
+// weights that the forward pass reads for each block of 16 output rows;
+// gob decodes W alone. With the copy built, clearing those rows of W in
+// place (which only Pack would copy over) leaves every estimate unchanged;
+// without it, the forward pass would read the cleared W.
+func TestLoadPacksWeights(t *testing.T) {
+	ex, refSize := syntheticExamples(120, 24)
+	model, err := Train(ex, refSize, smallConfig()) // hidden widths 16, 8
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(25))
+	type probe struct {
+		v []float32
+		r float64
+	}
+	probes := make([]probe, 30)
+	want := make([]float64, len(probes))
+	for i := range probes {
+		probes[i] = probe{vecmath.RandomUnit(8, rng), rng.Float64()}
+		want[i] = loaded.Estimate(probes[i].v, probes[i].r)
+	}
+	cleared := 0
+	for _, stage := range loaded.stages {
+		for _, net := range stage {
+			for _, l := range net.Layers {
+				if l.Out >= 16 {
+					clear(l.W[:(l.Out&^15)*l.In])
+					cleared++
+				}
+			}
+		}
+	}
+	if cleared == 0 {
+		t.Fatal("no layer has a 16-row block")
+	}
+	for i, p := range probes {
+		if got := loaded.Estimate(p.v, p.r); math.Float64bits(got) != math.Float64bits(want[i]) {
+			t.Fatalf("probe %d: estimate %v after clearing W, %v before: Load did not pack the weights", i, got, want[i])
+		}
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	ex, refSize := syntheticExamples(60, 23)
 	model, err := Train(ex, refSize, smallConfig())

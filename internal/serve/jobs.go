@@ -454,6 +454,13 @@ func validateJobSpec(reg *Registry, spec *JobSpec) error {
 	if isLAF && spec.Estimator == nil {
 		return fmt.Errorf("serve: method %q requires an estimator spec", spec.Method)
 	}
+	// Checked here, not only in the training goroutine of the estimator
+	// cache, so a bad config is a 400 before the job is queued.
+	if spec.Estimator != nil {
+		if err := spec.Estimator.Config.Validate(); err != nil {
+			return err
+		}
+	}
 	if spec.Estimator != nil && spec.Estimator.TrainDataset != "" {
 		if _, err := reg.Get(spec.Estimator.TrainDataset); err != nil {
 			return err

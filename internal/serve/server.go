@@ -371,6 +371,9 @@ func (s *Server) handleTrainEstimator(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, err := req.Estimator.toSpec()
+	if err == nil {
+		err = spec.Config.Validate()
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -519,5 +520,47 @@ func TestServerHTTPStatusMapping(t *testing.T) {
 
 	if code, _ = getJSON(t, ts.URL+"/v1/healthz"); code != http.StatusOK {
 		t.Errorf("healthz: %d", code)
+	}
+}
+
+// TestEstimatorConfigRejected posts estimator configs that used to crash
+// the server (a negative hidden width panicked inside the estimator cache's
+// training goroutine) or train a network no loader accepts (a zero width),
+// and a non-positive radius: each is a 400 naming the field, from
+// /v1/estimators and from /v1/jobs, and the server keeps serving.
+func TestEstimatorConfigRejected(t *testing.T) {
+	s := NewServer(Options{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+
+	code, body := postJSON(t, ts.URL+"/v1/datasets", map[string]any{
+		"name": "d", "synthetic": map[string]any{"kind": "ms", "n": 40, "seed": 1},
+	})
+	if code != http.StatusCreated {
+		t.Fatalf("register: %d %v", code, body)
+	}
+	for _, c := range []struct {
+		estimator map[string]any
+		field     string
+	}{
+		{map[string]any{"hidden": []int{-1}}, "Hidden[0] = -1"},
+		{map[string]any{"hidden": []int{16, 0}}, "Hidden[1] = 0"},
+		{map[string]any{"radii": []float64{0.5, -0.1}}, "Radii[1] = -0.1"},
+	} {
+		code, body := postJSON(t, ts.URL+"/v1/estimators", map[string]any{"dataset": "d", "estimator": c.estimator})
+		msg, _ := body["error"].(string)
+		if code != http.StatusBadRequest || !strings.Contains(msg, lafdbscan.ErrInvalidEstimatorConfig.Error()) || !strings.Contains(msg, c.field) {
+			t.Errorf("POST /v1/estimators %v: %d %v, want 400 naming %q", c.estimator, code, body, c.field)
+		}
+		code, body = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+			"dataset": "d", "method": "laf-dbscan", "params": map[string]any{"eps": 0.5, "tau": 3},
+			"estimator": c.estimator,
+		})
+		if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, c.field) {
+			t.Errorf("POST /v1/jobs with estimator %v: %d %v, want 400 naming %q", c.estimator, code, body, c.field)
+		}
+	}
+	if code, body := getJSON(t, ts.URL+"/v1/stats"); code != http.StatusOK {
+		t.Fatalf("stats after the rejected configs: %d %v", code, body)
 	}
 }

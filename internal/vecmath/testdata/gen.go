@@ -1,11 +1,14 @@
-// Command gen regenerates the committed fuzz seed corpora of the float32
+// Command gen regenerates the committed fuzz seed corpora of the vecmath
 // kernels. FuzzAppendCosineUnitRange gets near-eps pairs at dimensions 1,
 // 7, 8, 9, 200 and 768, non-unit norms in [0.5, 2], zero vectors, NaN,
 // ±Inf, subnormal and overflowing components, at eps 1e-9, 0.55, 2 and
 // 2.5. FuzzCosineUnitLess gets single pairs of the same kinds, plus norms
 // up to 1e6. FuzzDotKernels gets pairs at the lengths around every loop
 // boundary of the assembly kernels, 200 and 768, with wide magnitudes,
-// subnormal, ±0, ±Inf, NaN and overflowing components. Plain
+// subnormal, ±0, ±Inf, NaN and overflowing components. FuzzTrainKernels
+// gets float64 inputs at the lengths around every loop boundary of the
+// training kernels and the estimator's 769, with wide magnitudes,
+// subnormals, overflow, ±0, NaN and zero deltas against ±Inf. Plain
 // `go test ./internal/vecmath` replays them without the fuzzing engine.
 // Run from the repository root:
 //
@@ -166,6 +169,66 @@ func main() {
 	specials[9] = float32(math.NaN())
 	dots["nan-d11"] = specials
 	writeDots(filepath.Join(*out, "FuzzDotKernels"), dots)
+
+	rng = rand.New(rand.NewSource(4))
+	normal := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	trains := map[string][]float64{}
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64, 769} {
+		trains[fmt.Sprintf("normal-d%d", n)] = normal(n)
+	}
+	for _, n := range []int{64, 769} {
+		v := normal(n)
+		for i := range v {
+			v[i] = math.Ldexp(v[i], rng.Intn(401)-200)
+		}
+		trains[fmt.Sprintf("wide-d%d", n)] = v
+	}
+	sub64 := make([]float64, 33)
+	for i := range sub64 {
+		sub64[i] = math.Float64frombits(rng.Uint64() & 0x800fffffffffffff)
+	}
+	trains["subnormal-d33"] = sub64
+	huge := normal(9)
+	for i := range huge {
+		huge[i] = math.Ldexp(huge[i], 600)
+	}
+	trains["huge-d9"] = huge
+	negZero64 := math.Copysign(0, -1)
+	trains["signed-zero-d8"] = []float64{negZero64, 0, negZero64, negZero64, 1, negZero64, 0, -1}
+	// Values 5–8 are the four deltas: zero and negative zero against
+	// infinite inputs, the 0·Inf a skipped dead unit never computes.
+	zeroDelta := normal(9)
+	zeroDelta[2], zeroDelta[3] = math.Inf(1), math.Inf(-1)
+	zeroDelta[5], zeroDelta[6], zeroDelta[7], zeroDelta[8] = 0, negZero64, 0, negZero64
+	trains["zero-delta-inf-d9"] = zeroDelta
+	nan := normal(17)
+	nan[4] = math.NaN()
+	trains["nan-d17"] = nan
+	writeTrains(filepath.Join(*out, "FuzzTrainKernels"), trains)
+}
+
+// writeTrains stores each FuzzTrainKernels seed, its little-endian float64
+// values, in dir as a file named after its key.
+func writeTrains(dir string, seeds map[string][]float64) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		log.Fatal(err)
+	}
+	for name, v := range seeds {
+		var raw []byte
+		for _, x := range v {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(x))
+		}
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", raw)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			log.Fatal(err)
+		}
+	}
 }
 
 // writeDots stores each FuzzDotKernels seed, a and then b, in dir as a file

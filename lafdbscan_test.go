@@ -1,6 +1,8 @@
 package lafdbscan
 
 import (
+	"errors"
+	"math"
 	"testing"
 )
 
@@ -258,5 +260,67 @@ func TestSaveLoadEstimator(t *testing.T) {
 	}
 	if _, err := LoadEstimator(t.TempDir() + "/missing.gob"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestSaveLoadEstimatorSameBits checks that an estimator decoded by
+// LoadEstimator predicts exactly what the trained one does: the decoded
+// networks get the packed weights the forward pass reads, rebuilt from the
+// serialized ones. The set-up mirrors the fit-ms benchmark workload at a
+// smaller size: MS-like 768-d points, an 80/20 split, the facade's default
+// 769→32→16→1 networks, and 200 probes at the workload's eps and two
+// other radii.
+func TestSaveLoadEstimatorSameBits(t *testing.T) {
+	train, test, err := Split(MSLike(1000, 11), 0.8, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := TrainRMIEstimator(train.Vectors, EstimatorConfig{
+		TargetSize: test.Len(), MaxQueries: 40, Epochs: 2, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/est.gob"
+	if err := SaveEstimator(est, path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEstimator(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radii := []float64{0.55, 0.3, 0.8}
+	for i, q := range test.Vectors[:200] {
+		r := radii[i%len(radii)]
+		if a, b := est.Estimate(q, r), loaded.Estimate(q, r); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("probe %d at radius %v: trained %v (%#x), loaded %v (%#x)",
+				i, r, a, math.Float64bits(a), b, math.Float64bits(b))
+		}
+	}
+}
+
+// TestTrainRMIEstimatorRejectsBadConfig checks the named errors that
+// replace a panic in a training worker (negative widths, ragged vectors)
+// or a network that Validate rejects on load (zero widths).
+func TestTrainRMIEstimatorRejectsBadConfig(t *testing.T) {
+	d := testData()
+	for _, cfg := range []EstimatorConfig{
+		{Hidden: []int{-1}},
+		{Hidden: []int{8, 0}},
+		{LR: math.NaN()},
+		{LR: math.Inf(1)},
+		{Radii: []float64{0.5, 0}},
+		{Radii: []float64{-0.5}},
+		{Radii: []float64{math.NaN()}},
+		{Radii: []float64{math.Inf(1)}},
+	} {
+		if _, err := TrainRMIEstimator(d.Vectors, cfg); !errors.Is(err, ErrInvalidEstimatorConfig) {
+			t.Errorf("%+v: error %v, want ErrInvalidEstimatorConfig", cfg, err)
+		}
+	}
+	ragged := append([][]float32{}, d.Vectors...)
+	ragged[7] = ragged[7][:10]
+	if _, err := TrainRMIEstimator(ragged, EstimatorConfig{}); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("ragged training vectors: error %v, want ErrDimensionMismatch", err)
 	}
 }
