@@ -30,10 +30,13 @@ type EstimatorConfig struct {
 	// TargetSize is the size of the set that will be clustered. Predictions
 	// scale by TargetSize/len(train); 0 means "same size as training set".
 	TargetSize int
-	// Paper switches to the paper's full architecture and training budget.
+	// Paper switches to the paper's full architecture and training budget
+	// (rmi.PaperConfig).
 	Paper bool
 	// Hidden, Epochs, BatchSize and LR override individual model settings
-	// when non-zero. Ignored when Paper is set.
+	// when non-zero, with or without Paper: they replace the facade
+	// default's or the paper's value one by one, which is how a caller
+	// shortens a paper-shaped run (say, Paper with Epochs 5).
 	Hidden    []int
 	Epochs    int
 	BatchSize int

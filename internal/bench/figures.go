@@ -142,7 +142,10 @@ func (w *Workbench) Tradeoff(key string) ([]TradeoffPoint, error) {
 		if p > 1 {
 			p = 1
 		}
-		res, err := (&cluster.DBSCANPP{Points: pts, Eps: s.Eps, Tau: s.Tau, P: p, Seed: w.Cfg.Seed}).Run()
+		res, err := (&core.LAFDBSCANPP{Points: pts, P: p, Config: core.Config{
+			Eps: s.Eps, Tau: s.Tau, Alpha: 1, Estimator: core.OpenGate, Seed: w.Cfg.Seed,
+			DisablePostProcessing: true,
+		}}).Run()
 		if err := add("DBSCAN++", fmt.Sprintf("delta=%.1f", delta), res, err); err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"lafdbscan/internal/cluster"
 	"lafdbscan/internal/core"
 	"lafdbscan/internal/dataset"
-	"lafdbscan/internal/index"
 	"lafdbscan/internal/rmi"
 	"lafdbscan/internal/vecmath"
 )
@@ -165,16 +164,7 @@ func (w *Workbench) GroundTruth(key string, s Setting) (*cluster.Result, error) 
 		return r, nil
 	}
 	w.mu.Unlock()
-	d := w.data(key)
-	var res *cluster.Result
-	var err error
-	if w.Cfg.Workers != 0 {
-		res, err = (&cluster.ParallelDBSCAN{Points: d.test.Vectors, Eps: s.Eps, Tau: s.Tau,
-			Workers: index.AutoWorkers(w.Cfg.Workers), BatchSize: w.Cfg.BatchSize,
-			WaveSize: w.Cfg.WaveSize}).Run()
-	} else {
-		res, err = (&cluster.DBSCAN{Points: d.test.Vectors, Eps: s.Eps, Tau: s.Tau}).Run()
-	}
+	res, err := (&core.LAFDBSCAN{Points: w.data(key).test.Vectors, Config: w.openGate(s)}).Run()
 	if err != nil {
 		return nil, err
 	}
@@ -182,6 +172,17 @@ func (w *Workbench) GroundTruth(key string, s Setting) (*cluster.Result, error) 
 	w.truths[tk] = res
 	w.mu.Unlock()
 	return res, nil
+}
+
+// openGate is the engine Config that runs the LAF engines as exact DBSCAN
+// and DBSCAN++ at a setting: the open gate, the configured engine knobs.
+func (w *Workbench) openGate(s Setting) core.Config {
+	return core.Config{
+		Eps: s.Eps, Tau: s.Tau, Alpha: 1, Estimator: core.OpenGate,
+		Seed: w.Cfg.Seed, DisablePostProcessing: true,
+		Workers: w.Cfg.Workers, BatchSize: w.Cfg.BatchSize,
+		WaveSize: w.Cfg.WaveSize,
+	}
 }
 
 // Alpha returns the configured LAF-DBSCAN error factor of a dataset key.
@@ -232,8 +233,7 @@ func (w *Workbench) RunMethod(method, key string, s Setting) (*cluster.Result, e
 		if err != nil {
 			return nil, err
 		}
-		return (&cluster.DBSCANPP{Points: pts, Eps: s.Eps, Tau: s.Tau,
-			P: p, Seed: w.Cfg.Seed}).Run()
+		return (&core.LAFDBSCANPP{Points: pts, P: p, Config: w.openGate(s)}).Run()
 	case "LAF-DBSCAN":
 		est, err := w.Estimator(key)
 		if err != nil {

@@ -1,86 +1,9 @@
 package cluster
 
 import (
-	"context"
-	"fmt"
-	"math/rand"
-	"time"
-
 	"lafdbscan/internal/index"
 	"lafdbscan/internal/vecmath"
 )
-
-// DBSCANPP is DBSCAN++ (Jang & Jiang 2018): a sampling-based DBSCAN variant
-// that restricts the expensive core-point detection to a uniform subset of
-// fraction P of the data. Core points among the subset are detected with
-// range queries against the entire dataset; clusters grow over the
-// ε-connectivity graph of the sampled core points; every remaining point
-// joins the cluster of its closest sampled core point when within ε of it,
-// and is noise otherwise.
-type DBSCANPP struct {
-	Points [][]float32
-	Eps    float64
-	Tau    int
-	// P is the sample fraction in (0, 1]. The paper sets p = δ + Rc where
-	// Rc is the estimator-predicted core ratio and δ is a user offset in
-	// 0.1–0.3; see core.PredictedCoreRatio.
-	P float64
-	// Seed drives the uniform sample.
-	Seed int64
-	// Index optionally overrides the full-dataset range-query engine.
-	Index index.RangeSearcher
-}
-
-// Run clusters the points.
-func (d *DBSCANPP) Run() (*Result, error) { return d.RunContext(context.Background()) }
-
-// RunContext clusters the points under a cancellation context, checked
-// every ctxCheckEvery core-detection range queries.
-func (d *DBSCANPP) RunContext(ctx context.Context) (*Result, error) {
-	n := len(d.Points)
-	if err := validateParams(n, d.Eps, d.Tau); err != nil {
-		return nil, err
-	}
-	if d.P <= 0 || d.P > 1 {
-		return nil, fmt.Errorf("cluster: DBSCAN++ sample fraction %v out of (0, 1]", d.P)
-	}
-	idx := d.Index
-	if idx == nil {
-		idx = index.NewBruteForce(d.Points, vecmath.CosineDistanceUnit)
-	}
-	start := time.Now()
-	res := &Result{Algorithm: "DBSCAN++", Labels: make([]int, n)}
-
-	rng := rand.New(rand.NewSource(d.Seed))
-	m := int(float64(n) * d.P)
-	if m < 1 {
-		m = 1
-	}
-	sample := rng.Perm(n)[:m]
-
-	// Detect core points within the sample, w.r.t. the whole dataset.
-	cores := make([]int, 0, m)
-	coreNeighbors := make(map[int][]int, m)
-	for _, s := range sample {
-		if err := checkCtx(ctx, res.RangeQueries); err != nil {
-			return nil, err
-		}
-		neighbors := idx.RangeSearch(d.Points[s], d.Eps)
-		res.RangeQueries++
-		if len(neighbors) >= d.Tau {
-			cores = append(cores, s)
-			coreNeighbors[s] = neighbors
-		}
-	}
-
-	labels := ClusterCoresAndAssign(d.Points, d.Eps, cores, coreNeighbors)
-	res.Labels = labels
-	res.Core = CoreMask(n, cores)
-	res.Forest = DeriveForest(labels, res.Core)
-	res.Elapsed = time.Since(start)
-	res.finalize()
-	return res, nil
-}
 
 // CoreMask expands a core id list into the dense mask Result.Core carries.
 func CoreMask(n int, cores []int) []bool {
@@ -91,7 +14,8 @@ func CoreMask(n int, cores []int) []bool {
 	return mask
 }
 
-// ClusterCoresAndAssign is the shared tail of DBSCAN++ and LAF-DBSCAN++:
+// ClusterCoresAndAssign is the tail of the sequential DBSCAN++ engine
+// (core.LAFDBSCANPP, with the open gate or a learned one):
 // build clusters as connected components of the sampled core points under
 // ε-connectivity (two cores connect when either contains the other in its
 // neighbor list), then assign every unlabeled point to the cluster of its

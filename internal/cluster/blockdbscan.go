@@ -39,7 +39,7 @@ type BlockDBSCAN struct {
 func (b *BlockDBSCAN) Run() (*Result, error) { return b.RunContext(context.Background()) }
 
 // RunContext clusters the points under a cancellation context, checked
-// every ctxCheckEvery cover-tree range queries of the block-carving and
+// every CtxCheckEvery cover-tree range queries of the block-carving and
 // outer-point phases (where all the range queries happen).
 func (b *BlockDBSCAN) RunContext(ctx context.Context) (*Result, error) {
 	n := len(b.Points)
@@ -79,7 +79,7 @@ func (b *BlockDBSCAN) RunContext(ctx context.Context) (*Result, error) {
 		if processed[p] {
 			continue
 		}
-		if err := checkCtx(ctx, res.RangeQueries); err != nil {
+		if err := CheckCtx(ctx, res.RangeQueries); err != nil {
 			return nil, err
 		}
 		ball := tree.RangeSearch(b.Points[p], epsEuc/2)
@@ -109,7 +109,7 @@ func (b *BlockDBSCAN) RunContext(ctx context.Context) (*Result, error) {
 	outerNeighbors := make(map[int][]int, len(outer))
 	outerCore := make(map[int]bool, len(outer))
 	for _, p := range outer {
-		if err := checkCtx(ctx, res.RangeQueries); err != nil {
+		if err := CheckCtx(ctx, res.RangeQueries); err != nil {
 			return nil, err
 		}
 		neighbors := tree.RangeSearch(b.Points[p], epsEuc)

@@ -6,17 +6,18 @@ import (
 	"time"
 )
 
-// ctxCheckEvery is how many range queries a sequential engine runs between
-// context checks. Cheap enough to be invisible (one modulo plus, every 64th
-// query, an atomic load inside ctx.Err) while keeping cancellation latency
-// to a few dozen queries — the sequential analogue of the parallel engines'
+// CtxCheckEvery is how many range queries (or LAF gate decisions) a
+// sequential engine — here or in internal/core — runs between context
+// checks. Cheap enough to be invisible (one modulo plus, every 64th query,
+// an atomic load inside ctx.Err) while keeping cancellation latency to a
+// few dozen queries — the sequential analogue of the parallel engines'
 // per-wave check.
-const ctxCheckEvery = 64
+const CtxCheckEvery = 64
 
-// checkCtx returns ctx.Err() on every ctxCheckEvery-th query (and on the
+// CheckCtx returns ctx.Err() on every CtxCheckEvery-th query (and on the
 // first, so a pre-cancelled context never starts work).
-func checkCtx(ctx context.Context, queries int) error {
-	if queries%ctxCheckEvery == 0 {
+func CheckCtx(ctx context.Context, queries int) error {
+	if queries%CtxCheckEvery == 0 {
 		return ctx.Err()
 	}
 	return nil

@@ -1,22 +1,54 @@
-package cluster
+package cluster_test
+
+// The tests in this package compare the cluster package's engine-shared
+// machinery and its baselines against exact DBSCAN and DBSCAN++, which run
+// on internal/core's LAF engines with the open gate. internal/core imports
+// this package, so these tests live in the external test package.
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"lafdbscan/internal/cluster"
+	"lafdbscan/internal/core"
 	"lafdbscan/internal/dataset"
+	"lafdbscan/internal/index"
 	"lafdbscan/internal/metrics"
+	"lafdbscan/internal/vecmath"
 )
 
-// run is a test helper for plain DBSCAN.
-func runDBSCAN(t *testing.T, points [][]float32, eps float64, tau int) *Result {
+// openGate runs the LAF engines as exact DBSCAN and DBSCAN++.
+func openGate(eps float64, tau int) core.Config {
+	return core.Config{Eps: eps, Tau: tau, Alpha: 1, Estimator: core.OpenGate, DisablePostProcessing: true}
+}
+
+// waveConfig is openGate on the wave engine.
+func waveConfig(eps float64, tau, workers, batch, wave int) core.Config {
+	cfg := openGate(eps, tau)
+	cfg.Workers, cfg.BatchSize, cfg.WaveSize = workers, batch, wave
+	return cfg
+}
+
+// runDBSCAN is a test helper for plain DBSCAN.
+func runDBSCAN(t *testing.T, points [][]float32, eps float64, tau int) *cluster.Result {
 	t.Helper()
-	res, err := (&DBSCAN{Points: points, Eps: eps, Tau: tau}).Run()
+	res, err := (&core.LAFDBSCAN{Points: points, Config: openGate(eps, tau)}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// runDBSCANPP runs DBSCAN++ at sample fraction p with the given sample seed.
+func runDBSCANPP(points [][]float32, eps float64, tau int, p float64, seed int64) (*cluster.Result, error) {
+	cfg := openGate(eps, tau)
+	cfg.Seed = seed
+	return (&core.LAFDBSCANPP{Points: points, P: p, Config: cfg}).Run()
 }
 
 func TestDBSCANTwoBlobs(t *testing.T) {
@@ -28,7 +60,7 @@ func TestDBSCANTwoBlobs(t *testing.T) {
 	// The 3 orthogonal noise points must be labeled noise.
 	noise := 0
 	for i, l := range res.Labels {
-		if l == Noise {
+		if l == cluster.Noise {
 			noise++
 			if d.TrueLabels[i] != -1 {
 				t.Errorf("blob point %d labeled noise", i)
@@ -41,7 +73,7 @@ func TestDBSCANTwoBlobs(t *testing.T) {
 	// Within each blob all labels must agree.
 	seen := map[int]int{}
 	for i, l := range res.Labels {
-		if l == Noise {
+		if l == cluster.Noise {
 			continue
 		}
 		truth := d.TrueLabels[i]
@@ -71,7 +103,7 @@ func TestDBSCANAllNoiseWhenTauHuge(t *testing.T) {
 	d := dataset.TwoBlobs(5, 2)
 	res := runDBSCAN(t, d.Vectors, 0.3, 1000)
 	for _, l := range res.Labels {
-		if l != Noise {
+		if l != cluster.Noise {
 			t.Fatal("expected everything noise")
 		}
 	}
@@ -98,7 +130,7 @@ func TestDBSCANTauOneEveryPointCore(t *testing.T) {
 	d := dataset.GloVeLike(80, 4)
 	res := runDBSCAN(t, d.Vectors, 0.4, 1)
 	for _, l := range res.Labels {
-		if l == Noise {
+		if l == cluster.Noise {
 			t.Fatal("tau=1 produced noise")
 		}
 	}
@@ -106,13 +138,13 @@ func TestDBSCANTauOneEveryPointCore(t *testing.T) {
 
 func TestDBSCANParamValidation(t *testing.T) {
 	pts := [][]float32{{1, 0}}
-	if _, err := (&DBSCAN{Points: pts, Eps: 0, Tau: 1}).Run(); err == nil {
+	if _, err := (&core.LAFDBSCAN{Points: pts, Config: openGate(0, 1)}).Run(); err == nil {
 		t.Error("eps=0 accepted")
 	}
-	if _, err := (&DBSCAN{Points: pts, Eps: 0.5, Tau: 0}).Run(); err == nil {
+	if _, err := (&core.LAFDBSCAN{Points: pts, Config: openGate(0.5, 0)}).Run(); err == nil {
 		t.Error("tau=0 accepted")
 	}
-	if _, err := (&DBSCAN{Points: nil, Eps: 0.5, Tau: 1}).Run(); err == nil {
+	if _, err := (&core.LAFDBSCAN{Points: nil, Config: openGate(0.5, 1)}).Run(); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }
@@ -144,11 +176,11 @@ func TestDBSCANLabelInvariants(t *testing.T) {
 		})
 		eps := 0.3 + r.Float64()*0.5
 		tau := 2 + r.Intn(4)
-		res1, err := (&DBSCAN{Points: d.Vectors, Eps: eps, Tau: tau}).Run()
+		res1, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: openGate(eps, tau)}).Run()
 		if err != nil {
 			return false
 		}
-		res2, err := (&DBSCAN{Points: d.Vectors, Eps: eps, Tau: tau}).Run()
+		res2, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: openGate(eps, tau)}).Run()
 		if err != nil {
 			return false
 		}
@@ -156,10 +188,10 @@ func TestDBSCANLabelInvariants(t *testing.T) {
 			if l != res2.Labels[i] {
 				return false
 			}
-			if l != Noise && (l < 1 || l > res1.NumClusters) {
+			if l != cluster.Noise && (l < 1 || l > res1.NumClusters) {
 				return false
 			}
-			if l == Undefined {
+			if l == cluster.Undefined {
 				return false
 			}
 		}
@@ -191,7 +223,7 @@ func TestDBSCANCorePointInvariants(t *testing.T) {
 	for i := range d.Vectors {
 		isCore := countNeighbors(i) >= tau
 		if isCore {
-			if res.Labels[i] == Noise {
+			if res.Labels[i] == cluster.Noise {
 				t.Fatalf("core point %d labeled noise", i)
 			}
 			clusterHasCore[res.Labels[i]] = true
@@ -201,6 +233,181 @@ func TestDBSCANCorePointInvariants(t *testing.T) {
 		if !clusterHasCore[c] {
 			t.Errorf("cluster %d has no core point", c)
 		}
+	}
+}
+
+// parallelTestSets returns the synthetic datasets the equivalence tests
+// sweep: the three corpus families at test scale.
+func parallelTestSets() []*dataset.Dataset {
+	return []*dataset.Dataset{
+		dataset.GloVeLike(400, 7),
+		dataset.MSLike(300, 8),
+		dataset.NYTLike(dataset.NYTLikeConfig{N: 300, Seed: 9, NoiseFrac: 0.15}),
+		dataset.TwoBlobs(40, 10),
+	}
+}
+
+// TestParallelDBSCANMatchesSequential asserts the parallel driver's labels
+// are identical to sequential DBSCAN's — exact equality, which implies the
+// issue's ARI == 1.0 criterion — across datasets, parameters and worker
+// counts.
+func TestParallelDBSCANMatchesSequential(t *testing.T) {
+	for _, d := range parallelTestSets() {
+		for _, s := range []struct {
+			eps float64
+			tau int
+		}{{0.4, 3}, {0.55, 5}} {
+			seq, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: openGate(s.eps, s.tau)}).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4, runtime.NumCPU()} {
+				name := fmt.Sprintf("%s/eps=%v,tau=%d/w=%d", d.Name, s.eps, s.tau, workers)
+				par, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(s.eps, s.tau, workers, 8, 0)}).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if par.NumClusters != seq.NumClusters {
+					t.Errorf("%s: %d clusters, sequential %d", name, par.NumClusters, seq.NumClusters)
+				}
+				if par.RangeQueries != seq.RangeQueries {
+					t.Errorf("%s: %d queries, sequential %d", name, par.RangeQueries, seq.RangeQueries)
+				}
+				for i := range seq.Labels {
+					if par.Labels[i] != seq.Labels[i] {
+						t.Fatalf("%s: label[%d] = %d, sequential %d", name, i, par.Labels[i], seq.Labels[i])
+					}
+				}
+				ari, err := metrics.ARI(seq.Labels, par.Labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ari != 1.0 {
+					t.Errorf("%s: ARI = %v, want 1.0", name, ari)
+				}
+			}
+		}
+	}
+}
+
+func TestParallelDBSCANValidation(t *testing.T) {
+	if _, err := (&core.LAFDBSCAN{Points: nil, Config: waveConfig(0.5, 3, -1, 0, 0)}).Run(); err == nil {
+		t.Error("empty dataset accepted")
+	}
+	d := dataset.TwoBlobs(5, 1)
+	if _, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(-1, 3, -1, 0, 0)}).Run(); err == nil {
+		t.Error("negative eps accepted")
+	}
+	if _, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(0.5, 0, -1, 0, 0)}).Run(); err == nil {
+		t.Error("zero tau accepted")
+	}
+}
+
+// TestWaveEngineMatchesSequentialAcrossWaveSizes pins the wave engine's
+// labels to sequential DBSCAN's — exact equality, which implies the
+// ARI == 1.0 criterion — across wave sizes from one query per wave to one
+// wave holding every query, at several worker counts. Run
+// under -race this also exercises the publish-then-scan handshake that
+// folds core-core unions into in-flight waves.
+func TestWaveEngineMatchesSequentialAcrossWaveSizes(t *testing.T) {
+	for _, d := range parallelTestSets() {
+		seq, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: openGate(0.5, 4)}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wave := range []int{0, 1, 7, 64, 100000} {
+			for _, workers := range []int{1, 4, runtime.NumCPU()} {
+				name := fmt.Sprintf("%s/wave=%d/w=%d", d.Name, wave, workers)
+				par, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(0.5, 4, workers, 8, wave)}).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range seq.Labels {
+					if par.Labels[i] != seq.Labels[i] {
+						t.Fatalf("%s: label[%d] = %d, sequential %d", name, i, par.Labels[i], seq.Labels[i])
+					}
+				}
+				ari, err := metrics.ARI(seq.Labels, par.Labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ari != 1.0 {
+					t.Errorf("%s: ARI = %v, want 1.0", name, ari)
+				}
+			}
+		}
+	}
+}
+
+// TestWaveMergerMatchesSequentialDBSCAN drives the merger directly with
+// precomputed neighbor lists absorbed concurrently in shuffled order — the
+// worst case for the publish-then-scan handshake — and checks the resolved
+// labels against sequential DBSCAN's.
+func TestWaveMergerMatchesSequentialDBSCAN(t *testing.T) {
+	d := dataset.GloVeLike(500, 21)
+	const eps, tau = 0.5, 4
+	idx := index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit)
+	n := d.Len()
+	neighbors := make([][]int, n)
+	for p, v := range d.Vectors {
+		neighbors[p] = idx.RangeSearch(v, eps)
+	}
+	seq, err := (&core.LAFDBSCAN{Points: d.Vectors, Index: idx, Config: openGate(eps, tau)}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seq.Labels
+
+	for trial := 0; trial < 3; trial++ {
+		order := rand.New(rand.NewSource(int64(trial))).Perm(n)
+		m := cluster.NewWaveMerger(n, tau)
+		var wg sync.WaitGroup
+		const goroutines = 8
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := g; k < n; k += goroutines {
+					p := order[k]
+					m.Absorb(p, neighbors[p])
+				}
+			}(g)
+		}
+		wg.Wait()
+		got := m.Resolve(nil)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: label[%d] = %d, want %d", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestResolveCanonicalMatchesSequentialDBSCAN pins the incremental
+// resolution against the reference traversal: building the maintained facts
+// (core mask, core adjacency) from a full DBSCAN run and resolving them
+// canonically must reproduce the traversal's labels bit for bit.
+func TestResolveCanonicalMatchesSequentialDBSCAN(t *testing.T) {
+	pts := dataset.GloVeLike(300, 42).Vectors
+	eps, tau := 0.35, 4
+	ref, err := (&core.LAFDBSCAN{Points: pts, Config: openGate(eps, tau)}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Maintained facts, built the way the incremental engine maintains
+	// them: counts decide cores, adjacency lists the cores within eps.
+	n := len(pts)
+	adj := make([][]int32, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && ref.Core[j] && cosDist(pts[i], pts[j]) < eps {
+				adj[i] = append(adj[i], int32(j))
+			}
+		}
+	}
+	labels := cluster.ResolveCanonical(ref.Core, adj, nil)
+	if !slices.Equal(labels, ref.Labels) {
+		t.Fatalf("canonical resolution diverged from sequential DBSCAN")
 	}
 }
 

@@ -1,8 +1,10 @@
-package cluster
+package cluster_test
 
 import (
 	"testing"
 
+	"lafdbscan/internal/cluster"
+	"lafdbscan/internal/core"
 	"lafdbscan/internal/index"
 	"lafdbscan/internal/vecmath"
 )
@@ -21,22 +23,22 @@ func TestAllMethodsOnIdenticalPoints(t *testing.T) {
 	pts := identicalPoints(30)
 	runs := []struct {
 		name string
-		run  func() (*Result, error)
+		run  func() (*cluster.Result, error)
 	}{
-		{"DBSCAN", func() (*Result, error) {
-			return (&DBSCAN{Points: pts, Eps: 0.3, Tau: 3}).Run()
+		{"DBSCAN", func() (*cluster.Result, error) {
+			return (&core.LAFDBSCAN{Points: pts, Config: openGate(0.3, 3)}).Run()
 		}},
-		{"DBSCAN++", func() (*Result, error) {
-			return (&DBSCANPP{Points: pts, Eps: 0.3, Tau: 3, P: 0.5, Seed: 1}).Run()
+		{"DBSCAN++", func() (*cluster.Result, error) {
+			return runDBSCANPP(pts, 0.3, 3, 0.5, 1)
 		}},
-		{"KNN-BLOCK", func() (*Result, error) {
-			return (&KNNBlock{Points: pts, Eps: 0.3, Tau: 3, Seed: 1}).Run()
+		{"KNN-BLOCK", func() (*cluster.Result, error) {
+			return (&cluster.KNNBlock{Points: pts, Eps: 0.3, Tau: 3, Seed: 1}).Run()
 		}},
-		{"BLOCK-DBSCAN", func() (*Result, error) {
-			return (&BlockDBSCAN{Points: pts, Eps: 0.3, Tau: 3, Seed: 1}).Run()
+		{"BLOCK-DBSCAN", func() (*cluster.Result, error) {
+			return (&cluster.BlockDBSCAN{Points: pts, Eps: 0.3, Tau: 3, Seed: 1}).Run()
 		}},
-		{"rho-approx", func() (*Result, error) {
-			return (&RhoApprox{Points: pts, Eps: 0.3, Tau: 3, Rho: 0.5}).Run()
+		{"rho-approx", func() (*cluster.Result, error) {
+			return (&cluster.RhoApprox{Points: pts, Eps: 0.3, Tau: 3, Rho: 0.5}).Run()
 		}},
 	}
 	for _, r := range runs {
@@ -50,7 +52,7 @@ func TestAllMethodsOnIdenticalPoints(t *testing.T) {
 			t.Errorf("%s: clusters = %d, want 1", r.name, res.NumClusters)
 		}
 		for i, l := range res.Labels {
-			if l == Noise {
+			if l == cluster.Noise {
 				t.Errorf("%s: point %d is noise among identical points", r.name, i)
 				break
 			}
@@ -60,14 +62,14 @@ func TestAllMethodsOnIdenticalPoints(t *testing.T) {
 
 func TestSinglePointDataset(t *testing.T) {
 	pts := identicalPoints(1)
-	res, err := (&DBSCAN{Points: pts, Eps: 0.3, Tau: 2}).Run()
+	res, err := (&core.LAFDBSCAN{Points: pts, Config: openGate(0.3, 2)}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Labels[0] != Noise {
+	if res.Labels[0] != cluster.Noise {
 		t.Error("lonely point with tau=2 must be noise")
 	}
-	res, err = (&DBSCAN{Points: pts, Eps: 0.3, Tau: 1}).Run()
+	res, err = (&core.LAFDBSCAN{Points: pts, Config: openGate(0.3, 1)}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestSinglePointDataset(t *testing.T) {
 func TestDBSCANEuclideanMetric(t *testing.T) {
 	// Two groups on the x axis, Euclidean metric.
 	pts := [][]float32{{0}, {0.1}, {0.2}, {5}, {5.1}, {5.2}}
-	res, err := (&DBSCAN{Points: pts, Eps: 0.5, Tau: 2, Index: index.NewBruteForce(pts, vecmath.Euclidean.Func())}).Run()
+	res, err := (&core.LAFDBSCAN{Points: pts, Index: index.NewBruteForce(pts, vecmath.Euclidean.Func()), Config: openGate(0.5, 2)}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestDBSCANEuclideanMetric(t *testing.T) {
 func TestBlockDBSCANSingleTightBlock(t *testing.T) {
 	// All points in one eps/2 ball: exactly one block, one query.
 	pts := identicalPoints(20)
-	res, err := (&BlockDBSCAN{Points: pts, Eps: 0.5, Tau: 3, Seed: 1}).Run()
+	res, err := (&cluster.BlockDBSCAN{Points: pts, Eps: 0.5, Tau: 3, Seed: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

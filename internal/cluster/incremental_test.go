@@ -3,37 +3,7 @@ package cluster
 import (
 	"slices"
 	"testing"
-
-	"lafdbscan/internal/dataset"
 )
-
-// TestResolveCanonicalMatchesSequentialDBSCAN pins the incremental
-// resolution against the reference traversal: building the maintained facts
-// (core mask, core adjacency) from a full DBSCAN run and resolving them
-// canonically must reproduce the traversal's labels bit for bit.
-func TestResolveCanonicalMatchesSequentialDBSCAN(t *testing.T) {
-	pts := dataset.GloVeLike(300, 42).Vectors
-	eps, tau := 0.35, 4
-	ref, err := (&DBSCAN{Points: pts, Eps: eps, Tau: tau}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Maintained facts, built the way the incremental engine maintains
-	// them: counts decide cores, adjacency lists the cores within eps.
-	n := len(pts)
-	adj := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && ref.Core[j] && cosDist(pts[i], pts[j]) < eps {
-				adj[i] = append(adj[i], int32(j))
-			}
-		}
-	}
-	labels := ResolveCanonical(ref.Core, adj, nil)
-	if !slices.Equal(labels, ref.Labels) {
-		t.Fatalf("canonical resolution diverged from sequential DBSCAN")
-	}
-}
 
 // TestResolveCanonicalIgnoresStaleEntries checks demotion tolerance:
 // adjacency entries pointing at no-longer-core points must not leak labels.

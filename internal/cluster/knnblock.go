@@ -33,7 +33,7 @@ type KNNBlock struct {
 func (k *KNNBlock) Run() (*Result, error) { return k.RunContext(context.Background()) }
 
 // RunContext clusters the points under a cancellation context, checked
-// every ctxCheckEvery KNN queries of the core-detection phase (the
+// every CtxCheckEvery KNN queries of the core-detection phase (the
 // dominant cost; the later phases are linear map scans).
 func (k *KNNBlock) RunContext(ctx context.Context) (*Result, error) {
 	n := len(k.Points)
@@ -64,7 +64,7 @@ func (k *KNNBlock) RunContext(ctx context.Context) (*Result, error) {
 	neighborLists := make([][]int, n)
 	isCore := make([]bool, n)
 	for i := 0; i < n; i++ {
-		if err := checkCtx(ctx, res.RangeQueries); err != nil {
+		if err := CheckCtx(ctx, res.RangeQueries); err != nil {
 			return nil, err
 		}
 		ids, dists := tree.KNN(k.Points[i], kq)

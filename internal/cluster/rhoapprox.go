@@ -35,7 +35,7 @@ type RhoApprox struct {
 func (r *RhoApprox) Run() (*Result, error) { return r.RunContext(context.Background()) }
 
 // RunContext clusters the points under a cancellation context, checked
-// every ctxCheckEvery grid queries.
+// every CtxCheckEvery grid queries.
 func (r *RhoApprox) RunContext(ctx context.Context) (*Result, error) {
 	n := len(r.Points)
 	if err := validateParams(n, r.Eps, r.Tau); err != nil {
@@ -60,7 +60,7 @@ func (r *RhoApprox) RunContext(ctx context.Context) (*Result, error) {
 		if labels[p] != Undefined {
 			continue
 		}
-		if err := checkCtx(ctx, res.RangeQueries); err != nil {
+		if err := CheckCtx(ctx, res.RangeQueries); err != nil {
 			return nil, err
 		}
 		neighbors := grid.ApproxRangeSearch(r.Points[p], epsEuc)
@@ -89,7 +89,7 @@ func (r *RhoApprox) RunContext(ctx context.Context) (*Result, error) {
 				continue
 			}
 			labels[q] = c
-			if err := checkCtx(ctx, res.RangeQueries); err != nil {
+			if err := CheckCtx(ctx, res.RangeQueries); err != nil {
 				return nil, err
 			}
 			qn := grid.ApproxRangeSearch(r.Points[q], epsEuc)

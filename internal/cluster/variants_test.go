@@ -1,8 +1,10 @@
-package cluster
+package cluster_test
 
 import (
 	"testing"
 
+	"lafdbscan/internal/cluster"
+	"lafdbscan/internal/core"
 	"lafdbscan/internal/dataset"
 	"lafdbscan/internal/metrics"
 )
@@ -16,16 +18,16 @@ func evalDataset() *dataset.Dataset {
 }
 
 // groundTruth clusters with exact DBSCAN, the paper's reference.
-func groundTruth(t *testing.T, d *dataset.Dataset, eps float64, tau int) *Result {
+func groundTruth(t *testing.T, d *dataset.Dataset, eps float64, tau int) *cluster.Result {
 	t.Helper()
-	res, err := (&DBSCAN{Points: d.Vectors, Eps: eps, Tau: tau}).Run()
+	res, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: openGate(eps, tau)}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-func ariAgainst(t *testing.T, truth, approx *Result) float64 {
+func ariAgainst(t *testing.T, truth, approx *cluster.Result) float64 {
 	t.Helper()
 	ari, err := metrics.ARI(truth.Labels, approx.Labels)
 	if err != nil {
@@ -38,7 +40,7 @@ func TestDBSCANPPTracksDBSCAN(t *testing.T) {
 	d := evalDataset()
 	const eps, tau = 0.5, 4
 	truth := groundTruth(t, d, eps, tau)
-	res, err := (&DBSCANPP{Points: d.Vectors, Eps: eps, Tau: tau, P: 0.5, Seed: 1}).Run()
+	res, err := runDBSCANPP(d.Vectors, eps, tau, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestDBSCANPPFullSampleNearExact(t *testing.T) {
 	d := evalDataset()
 	const eps, tau = 0.5, 4
 	truth := groundTruth(t, d, eps, tau)
-	res, err := (&DBSCANPP{Points: d.Vectors, Eps: eps, Tau: tau, P: 1.0, Seed: 2}).Run()
+	res, err := runDBSCANPP(d.Vectors, eps, tau, 1.0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestDBSCANPPFullSampleNearExact(t *testing.T) {
 func TestDBSCANPPValidation(t *testing.T) {
 	d := dataset.TwoBlobs(4, 1)
 	for _, p := range []float64{0, -0.5, 1.5} {
-		if _, err := (&DBSCANPP{Points: d.Vectors, Eps: 0.3, Tau: 2, P: p}).Run(); err == nil {
+		if _, err := runDBSCANPP(d.Vectors, 0.3, 2, p, 0); err == nil {
 			t.Errorf("sample fraction %v accepted", p)
 		}
 	}
@@ -75,7 +77,7 @@ func TestDBSCANPPValidation(t *testing.T) {
 
 func TestDBSCANPPSmallSampleStillRuns(t *testing.T) {
 	d := dataset.TwoBlobs(30, 3)
-	res, err := (&DBSCANPP{Points: d.Vectors, Eps: 0.3, Tau: 3, P: 0.05, Seed: 3}).Run()
+	res, err := runDBSCANPP(d.Vectors, 0.3, 3, 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestKNNBlockHighBudgetTracksDBSCAN(t *testing.T) {
 	d := evalDataset()
 	const eps, tau = 0.5, 4
 	truth := groundTruth(t, d, eps, tau)
-	res, err := (&KNNBlock{Points: d.Vectors, Eps: eps, Tau: tau,
+	res, err := (&cluster.KNNBlock{Points: d.Vectors, Eps: eps, Tau: tau,
 		Branching: 10, LeavesRatio: 1.0, Seed: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -102,12 +104,12 @@ func TestKNNBlockQualityDegradesWithLeafBudget(t *testing.T) {
 	d := evalDataset()
 	const eps, tau = 0.5, 4
 	truth := groundTruth(t, d, eps, tau)
-	full, err := (&KNNBlock{Points: d.Vectors, Eps: eps, Tau: tau,
+	full, err := (&cluster.KNNBlock{Points: d.Vectors, Eps: eps, Tau: tau,
 		Branching: 10, LeavesRatio: 1.0, Seed: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := (&KNNBlock{Points: d.Vectors, Eps: eps, Tau: tau,
+	tiny, err := (&cluster.KNNBlock{Points: d.Vectors, Eps: eps, Tau: tau,
 		Branching: 10, LeavesRatio: 0.01, Seed: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +121,7 @@ func TestKNNBlockQualityDegradesWithLeafBudget(t *testing.T) {
 
 func TestKNNBlockValidation(t *testing.T) {
 	d := dataset.TwoBlobs(4, 1)
-	if _, err := (&KNNBlock{Points: d.Vectors, Eps: 0.3, Tau: 2, Branching: 1}).Run(); err == nil {
+	if _, err := (&cluster.KNNBlock{Points: d.Vectors, Eps: 0.3, Tau: 2, Branching: 1}).Run(); err == nil {
 		t.Error("branching=1 accepted")
 	}
 }
@@ -128,7 +130,7 @@ func TestBlockDBSCANTracksDBSCAN(t *testing.T) {
 	d := evalDataset()
 	const eps, tau = 0.5, 4
 	truth := groundTruth(t, d, eps, tau)
-	res, err := (&BlockDBSCAN{Points: d.Vectors, Eps: eps, Tau: tau, Base: 2, RNT: 10, Seed: 1}).Run()
+	res, err := (&cluster.BlockDBSCAN{Points: d.Vectors, Eps: eps, Tau: tau, Base: 2, RNT: 10, Seed: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestBlockDBSCANTracksDBSCAN(t *testing.T) {
 
 func TestBlockDBSCANDefaultsApplied(t *testing.T) {
 	d := dataset.TwoBlobs(10, 5)
-	res, err := (&BlockDBSCAN{Points: d.Vectors, Eps: 0.3, Tau: 3}).Run()
+	res, err := (&cluster.BlockDBSCAN{Points: d.Vectors, Eps: 0.3, Tau: 3}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestBlockDBSCANDefaultsApplied(t *testing.T) {
 
 func TestBlockDBSCANValidation(t *testing.T) {
 	d := dataset.TwoBlobs(4, 1)
-	if _, err := (&BlockDBSCAN{Points: d.Vectors, Eps: 0.3, Tau: 2, Base: 0.9}).Run(); err == nil {
+	if _, err := (&cluster.BlockDBSCAN{Points: d.Vectors, Eps: 0.3, Tau: 2, Base: 0.9}).Run(); err == nil {
 		t.Error("base <= 1 accepted")
 	}
 }
@@ -164,7 +166,7 @@ func TestBlockDBSCANUsesFewerQueriesOnDenseData(t *testing.T) {
 	})
 	const eps, tau = 0.5, 4
 	truth := groundTruth(t, d, eps, tau)
-	res, err := (&BlockDBSCAN{Points: d.Vectors, Eps: eps, Tau: tau, Seed: 1}).Run()
+	res, err := (&cluster.BlockDBSCAN{Points: d.Vectors, Eps: eps, Tau: tau, Seed: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestRhoApproxMatchesDBSCANAtRhoZero(t *testing.T) {
 	d := evalDataset()
 	const eps, tau = 0.5, 4
 	truth := groundTruth(t, d, eps, tau)
-	res, err := (&RhoApprox{Points: d.Vectors, Eps: eps, Tau: tau, Rho: 0}).Run()
+	res, err := (&cluster.RhoApprox{Points: d.Vectors, Eps: eps, Tau: tau, Rho: 0}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +199,7 @@ func TestRhoApproxRelaxedProducesValidLabeling(t *testing.T) {
 	// labeling must still be structurally valid.
 	d := evalDataset()
 	const eps, tau = 0.5, 4
-	res, err := (&RhoApprox{Points: d.Vectors, Eps: eps, Tau: tau, Rho: 1.0}).Run()
+	res, err := (&cluster.RhoApprox{Points: d.Vectors, Eps: eps, Tau: tau, Rho: 1.0}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +207,10 @@ func TestRhoApproxRelaxedProducesValidLabeling(t *testing.T) {
 		t.Fatal("wrong label count")
 	}
 	for _, l := range res.Labels {
-		if l == Undefined {
+		if l == cluster.Undefined {
 			t.Fatal("undefined label leaked")
 		}
-		if l != Noise && (l < 1 || l > res.NumClusters) {
+		if l != cluster.Noise && (l < 1 || l > res.NumClusters) {
 			t.Fatalf("label %d out of range", l)
 		}
 	}
@@ -223,34 +225,7 @@ func TestRhoApproxRelaxedProducesValidLabeling(t *testing.T) {
 
 func TestRhoApproxValidation(t *testing.T) {
 	d := dataset.TwoBlobs(4, 1)
-	if _, err := (&RhoApprox{Points: d.Vectors, Eps: 0.3, Tau: 2, Rho: -1}).Run(); err == nil {
+	if _, err := (&cluster.RhoApprox{Points: d.Vectors, Eps: 0.3, Tau: 2, Rho: -1}).Run(); err == nil {
 		t.Error("negative rho accepted")
-	}
-}
-
-func TestUnionFind(t *testing.T) {
-	uf := NewUnionFind()
-	if uf.Find(3) != 3 {
-		t.Error("fresh key not its own root")
-	}
-	uf.Union(1, 2)
-	uf.Union(2, 3)
-	if !uf.Same(1, 3) {
-		t.Error("transitive union broken")
-	}
-	if uf.Same(1, 9) {
-		t.Error("disjoint keys reported same")
-	}
-	root := uf.Find(1)
-	if r2 := uf.Union(1, 3); r2 != root {
-		t.Error("idempotent union changed root")
-	}
-}
-
-func TestResultFinalize(t *testing.T) {
-	r := &Result{Labels: []int{1, 1, 5, Noise, 9}}
-	r.finalize()
-	if r.NumClusters != 3 {
-		t.Errorf("NumClusters = %d, want 3", r.NumClusters)
 	}
 }

@@ -19,4 +19,12 @@
 // The error factor α tunes the speed/quality trade-off: larger α predicts
 // more stop points (faster, lower quality), smaller α fewer (slower,
 // higher quality).
+//
+// LAF wraps the original algorithms rather than replacing them, so the
+// engines here are also the repository's exact DBSCAN and DBSCAN++: with
+// OpenGate as the estimator every point passes the gate, no query is
+// skipped, E stays empty and part 3 has nothing to repair. Each engine has
+// a sequential implementation (the paper's formulation, and the reference
+// every label-equality test compares against) and a wave implementation
+// for Config.Workers != 0.
 package core

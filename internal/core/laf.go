@@ -1,8 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -10,20 +10,18 @@ import (
 	"lafdbscan/internal/cluster"
 )
 
-// ctxCheckEvery is how many range queries (or estimator gates) a sequential
-// LAF engine runs between context checks — the sequential analogue of the
-// parallel engines' per-wave check, cheap enough to be invisible on the hot
-// path.
-const ctxCheckEvery = 64
+// OpenGate is the cardinality estimator whose every estimate is +Inf, so
+// every point passes the gate at any Alpha: no range query is skipped, the
+// partial-neighbor map stays empty and post-processing has nothing to
+// repair. LAFDBSCAN and LAFDBSCANPP run with it are the original DBSCAN
+// (Algorithm 1 without the gate lines) and DBSCAN++, and name their
+// results "DBSCAN" and "DBSCAN++".
+var OpenGate cardest.Estimator = openGate{}
 
-// checkCtx returns ctx.Err() on every ctxCheckEvery-th query (and on the
-// first, so a pre-cancelled context never starts work).
-func checkCtx(ctx context.Context, queries int) error {
-	if queries%ctxCheckEvery == 0 {
-		return ctx.Err()
-	}
-	return nil
-}
+type openGate struct{}
+
+func (openGate) Estimate([]float32, float64) float64 { return math.Inf(1) }
+func (openGate) Name() string                        { return "open-gate" }
 
 // PartialNeighbors is the map E of Algorithm 1: predicted stop point id →
 // the set of its neighbors discovered by other points' range queries.
@@ -141,6 +139,15 @@ type Config struct {
 	// index.DefaultWaveSize. Ignored by the sequential engine; labels are
 	// identical at every setting.
 	WaveSize int
+}
+
+// algorithm names the result of an engine whose LAF name is "LAF-"+base:
+// plain base under OpenGate.
+func (c *Config) algorithm(base string) string {
+	if c.Estimator == OpenGate {
+		return base
+	}
+	return "LAF-" + base
 }
 
 func (c *Config) validate(n int) error {

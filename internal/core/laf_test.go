@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"lafdbscan/internal/cardest"
@@ -25,13 +26,70 @@ func evalDataset(seed int64) *dataset.Dataset {
 	})
 }
 
+// openGateConfig runs the engines as exact DBSCAN and DBSCAN++.
+func openGateConfig(eps float64, tau int) Config {
+	return Config{Eps: eps, Tau: tau, Alpha: 1, Estimator: OpenGate, DisablePostProcessing: true}
+}
+
 func dbscanTruth(t *testing.T, pts [][]float32, eps float64, tau int) *cluster.Result {
 	t.Helper()
-	res, err := (&cluster.DBSCAN{Points: pts, Eps: eps, Tau: tau}).Run()
+	res, err := (&LAFDBSCAN{Points: pts, Config: openGateConfig(eps, tau)}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestOpenGateRunsThePlainAlgorithms pins what OpenGate promises on both
+// engines of both algorithms: no query is skipped, post-processing has
+// nothing to repair (the labels are the same with it on), and the results
+// carry the plain algorithm names.
+func TestOpenGateRunsThePlainAlgorithms(t *testing.T) {
+	d := evalDataset(43)
+	for _, workers := range []int{0, 2} {
+		cfg := openGateConfig(0.5, 4)
+		cfg.Workers, cfg.Seed = workers, 3
+		repair := cfg
+		repair.DisablePostProcessing = false
+		runs := []struct {
+			name string
+			run  func(Config) (*cluster.Result, error)
+		}{
+			{"DBSCAN", func(c Config) (*cluster.Result, error) {
+				return (&LAFDBSCAN{Points: d.Vectors, Config: c}).Run()
+			}},
+			{"DBSCAN++", func(c Config) (*cluster.Result, error) {
+				return (&LAFDBSCANPP{Points: d.Vectors, P: 0.5, Config: c}).Run()
+			}},
+		}
+		for _, r := range runs {
+			res, err := r.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := r.run(repair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Algorithm != r.name || res.SkippedQueries != 0 || res.NumClusters == 0 {
+				t.Errorf("%s workers=%d: algorithm %q, %d skipped, %d clusters",
+					r.name, workers, res.Algorithm, res.SkippedQueries, res.NumClusters)
+			}
+			if rep.PostMerges != 0 || !slices.Equal(rep.Labels, res.Labels) {
+				t.Errorf("%s workers=%d: post-processing merged %d clusters under the open gate",
+					r.name, workers, rep.PostMerges)
+			}
+		}
+	}
+	res, err := (&LAFDBSCAN{Points: d.Vectors, Config: Config{
+		Eps: 0.5, Tau: 4, Alpha: 1, Estimator: exactEstimator(d.Vectors),
+	}}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Algorithm != "LAF-DBSCAN" {
+		t.Errorf("learned gate: algorithm %q, want LAF-DBSCAN", res.Algorithm)
+	}
 }
 
 // The framework's central correctness property: with an exact cardinality
@@ -359,7 +417,9 @@ func TestLAFDBSCANPPExactOracleTracksDBSCANPP(t *testing.T) {
 	d := evalDataset(48)
 	const eps, tau = 0.5, 4
 	truth := dbscanTruth(t, d.Vectors, eps, tau)
-	base, err := (&cluster.DBSCANPP{Points: d.Vectors, Eps: eps, Tau: tau, P: 0.5, Seed: 7}).Run()
+	cfg := openGateConfig(eps, tau)
+	cfg.Seed = 7
+	base, err := (&LAFDBSCANPP{Points: d.Vectors, P: 0.5, Config: cfg}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

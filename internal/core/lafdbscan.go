@@ -12,7 +12,9 @@ import (
 
 // LAFDBSCAN is Algorithm 1 of the paper: DBSCAN with LAF's cardinality-
 // estimation gate before every range query and the post-processing repair
-// pass at the end.
+// pass at the end. With OpenGate it is exact DBSCAN, Algorithm 1's black
+// text, whose labeling is the ground truth every approximate method is
+// scored against.
 type LAFDBSCAN struct {
 	Points [][]float32
 	Config Config
@@ -25,8 +27,9 @@ type LAFDBSCAN struct {
 func (l *LAFDBSCAN) Run() (*cluster.Result, error) { return l.RunContext(context.Background()) }
 
 // RunContext clusters the points under a cancellation context: the
-// sequential engine checks it every ctxCheckEvery gate/query decisions, the
-// parallel wave engine at each wave barrier (aborting within one wave).
+// sequential engine checks it every cluster.CtxCheckEvery gate/query
+// decisions, the parallel wave engine at each wave barrier (aborting
+// within one wave).
 func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 	n := len(l.Points)
 	if err := l.Config.validate(n); err != nil {
@@ -44,7 +47,7 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 	est := cfg.Estimator
 
 	start := time.Now()
-	res := &cluster.Result{Algorithm: "LAF-DBSCAN", Labels: make([]int, n)}
+	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN"), Labels: make([]int, n)}
 	labels := res.Labels
 	for i := range labels {
 		labels[i] = cluster.Undefined
@@ -57,7 +60,7 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 		if labels[p] != cluster.Undefined {
 			continue
 		}
-		if err := checkCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
+		if err := cluster.CheckCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
 			return nil, err
 		}
 		// LAF gate (lines 6-9): skip the range query for predicted stop
@@ -95,7 +98,7 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 				continue
 			}
 			labels[q] = c
-			if err := checkCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
+			if err := cluster.CheckCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
 				return nil, err
 			}
 			// LAF gate on the expansion query (lines 22-27).

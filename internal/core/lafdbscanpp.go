@@ -15,7 +15,10 @@ import (
 // of the per-sample core-detection range queries and the post-processing
 // repair pass at the end. It demonstrates that LAF generalizes beyond plain
 // DBSCAN to its sampling-based variants; the paper fixes its error factor
-// α to 1.0.
+// α to 1.0. With OpenGate it is DBSCAN++ (Jang & Jiang 2018): core points
+// are detected within a uniform sample of fraction P against the whole
+// dataset, clusters grow over the ε-graph of the sampled cores, and every
+// other point joins its closest sampled core within ε, or is noise.
 type LAFDBSCANPP struct {
 	Points [][]float32
 	Config Config
@@ -30,8 +33,9 @@ type LAFDBSCANPP struct {
 func (l *LAFDBSCANPP) Run() (*cluster.Result, error) { return l.RunContext(context.Background()) }
 
 // RunContext clusters the points under a cancellation context: the
-// sequential engine checks it every ctxCheckEvery gate/query decisions, the
-// parallel wave engine at each wave barrier (aborting within one wave).
+// sequential engine checks it every cluster.CtxCheckEvery gate/query
+// decisions, the parallel wave engine at each wave barrier (aborting
+// within one wave).
 func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 	n := len(l.Points)
 	if err := l.Config.validate(n); err != nil {
@@ -52,7 +56,7 @@ func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 	est := cfg.Estimator
 
 	start := time.Now()
-	res := &cluster.Result{Algorithm: "LAF-DBSCAN++"}
+	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN++")}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := int(float64(n) * l.P)
 	if m < 1 {
@@ -66,7 +70,7 @@ func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 	cores := make([]int, 0, m)
 	coreNeighbors := make(map[int][]int, m)
 	for _, s := range sample {
-		if err := checkCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
+		if err := cluster.CheckCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
 			return nil, err
 		}
 		if est.Estimate(l.Points[s], cfg.Eps) < threshold {

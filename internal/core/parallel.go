@@ -18,7 +18,7 @@ import (
 //   - the estimator gate is a pure per-point predicate,
 //   - the range queries of the predicted-core points are independent,
 //   - clusters are the ε-connected components of the actual core points,
-//     with the same border/noise rules the parallel DBSCAN driver resolves.
+//     with the border/noise rules cluster.WaveMerger.Resolve applies.
 //
 // So the parallel engines run gate → wave-streamed queries → lock-free
 // merge folded into each wave → sequential label resolution, and produce
@@ -37,18 +37,12 @@ import (
 // wave via cluster.WaveMerger and dropping the lists; only non-core stubs
 // (< Tau entries each) and the partial-neighbor map survive.
 
-// poolParams maps the Config knobs onto the index-layer worker-pool
-// arguments, where <= 0 means "auto" (GOMAXPROCS / default grain).
-func poolParams(cfg Config) (workers, grain int) {
-	return index.AutoWorkers(cfg.Workers), cfg.BatchSize
-}
-
 // gateAll evaluates the estimator gate for the points at ids in parallel
 // and returns the predicted-core mask, aligned with ids.
-func gateAll(points [][]float32, ids []int, cfg Config, workers, grain int) []bool {
+func gateAll(points [][]float32, ids []int, cfg Config) []bool {
 	threshold := cfg.Alpha * float64(cfg.Tau)
 	predicted := make([]bool, len(ids))
-	index.ForEach(len(ids), workers, grain, func(k int) {
+	index.ForEach(len(ids), cfg.Workers, cfg.BatchSize, func(k int) {
 		predicted[k] = cfg.Estimator.Estimate(points[ids[k]], cfg.Eps) >= threshold
 	})
 	return predicted
@@ -78,10 +72,9 @@ func (s *stopStripes) update(e PartialNeighbors, p int, ids []int) {
 func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
 	cfg := l.Config
 	n := len(l.Points)
-	workers, grain := poolParams(cfg)
 
 	start := time.Now()
-	res := &cluster.Result{Algorithm: "LAF-DBSCAN"}
+	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN")}
 
 	// Phase 0: estimator gate for every point (lines 6-9 and 22-27 of
 	// Algorithm 1, hoisted out of the traversal).
@@ -89,7 +82,7 @@ func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*
 	for i := range all {
 		all[i] = i
 	}
-	predictedCore := gateAll(l.Points, all, cfg, workers, grain)
+	predictedCore := gateAll(l.Points, all, cfg)
 	queried := make([]int, 0, n)
 	for i, pc := range predictedCore {
 		if pc {
@@ -120,7 +113,7 @@ func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*
 	}
 	m := cluster.NewWaveMerger(n, cfg.Tau)
 	var stripes stopStripes
-	if err := index.BatchRangeSearchFunc(ctx, idx, qpts, cfg.Eps, workers, grain, cfg.WaveSize,
+	if err := index.BatchRangeSearchFunc(ctx, idx, qpts, cfg.Eps, cfg.Workers, cfg.BatchSize, cfg.WaveSize,
 		func(k int, ids []int) {
 			p := queried[k]
 			m.Absorb(p, ids)
@@ -129,7 +122,7 @@ func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*
 		return nil, err
 	}
 
-	// Phase 2: sequential label resolution, same rules as ParallelDBSCAN.
+	// Phase 2: sequential label resolution (WaveMerger.Resolve).
 	res.Labels = m.Resolve(e)
 
 	if !cfg.DisablePostProcessing {
@@ -148,10 +141,9 @@ func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*
 func (l *LAFDBSCANPP) runParallel(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
 	cfg := l.Config
 	n := len(l.Points)
-	workers, grain := poolParams(cfg)
 
 	start := time.Now()
-	res := &cluster.Result{Algorithm: "LAF-DBSCAN++"}
+	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN++")}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := int(float64(n) * l.P)
 	if m < 1 {
@@ -161,7 +153,7 @@ func (l *LAFDBSCANPP) runParallel(ctx context.Context, idx index.RangeSearcher) 
 
 	// Parallel gate over the sample, then wave-streamed queries for the
 	// predicted-core sample points.
-	predictedCore := gateAll(l.Points, sample, cfg, workers, grain)
+	predictedCore := gateAll(l.Points, sample, cfg)
 	queried := make([]int, 0, m)
 	e := make(PartialNeighbors)
 	for k, s := range sample {
@@ -187,7 +179,7 @@ func (l *LAFDBSCANPP) runParallel(ctx context.Context, idx index.RangeSearcher) 
 	merger.SkipStubs()
 	var stripes stopStripes
 	coreMask := make([]bool, len(queried))
-	if err := index.BatchRangeSearchFunc(ctx, idx, qpts, cfg.Eps, workers, grain, cfg.WaveSize,
+	if err := index.BatchRangeSearchFunc(ctx, idx, qpts, cfg.Eps, cfg.Workers, cfg.BatchSize, cfg.WaveSize,
 		func(k int, ids []int) {
 			s := queried[k]
 			coreMask[k] = merger.Absorb(s, ids)
@@ -202,7 +194,7 @@ func (l *LAFDBSCANPP) runParallel(ctx context.Context, idx index.RangeSearcher) 
 		}
 	}
 
-	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), workers, grain)
+	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), cfg.Workers, cfg.BatchSize)
 	if !cfg.DisablePostProcessing {
 		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
 	}

@@ -85,7 +85,9 @@ func TestParallelLAFDBSCANPostProcessingDeterministic(t *testing.T) {
 	}
 	// Quality sanity: the parallel LAF path at alpha near 1 must stay close
 	// to exact DBSCAN on the same data (the paper's whole premise).
-	truth, err := (&cluster.ParallelDBSCAN{Points: d.Vectors, Eps: 0.5, Tau: 4, Workers: 2}).Run()
+	cfg := openGateConfig(0.5, 4)
+	cfg.Workers = 2
+	truth, err := (&LAFDBSCAN{Points: d.Vectors, Config: cfg}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +137,7 @@ func TestParallelLAFDBSCANPPMatchesSequential(t *testing.T) {
 // reproduce exact DBSCAN.
 func TestParallelLAFDBSCANExactOracleMatchesDBSCAN(t *testing.T) {
 	d, est := parallelLAFData(t)
-	truth, err := (&cluster.DBSCAN{Points: d.Vectors, Eps: 0.5, Tau: 4}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	truth := dbscanTruth(t, d.Vectors, 0.5, 4)
 	res, err := (&LAFDBSCAN{Points: d.Vectors, Config: Config{
 		Eps: 0.5, Tau: 4, Alpha: 1.0, Estimator: est, Seed: 1, Workers: -1,
 	}}).Run()

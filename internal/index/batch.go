@@ -23,18 +23,6 @@ func ResolveWorkers(workers int) int {
 	return workers
 }
 
-// AutoWorkers maps a user-facing workers knob — where 0 means "sequential
-// engine" (decided by the caller before reaching the pool) and negative
-// means "all cores" — onto the pool convention where <= 0 selects
-// GOMAXPROCS. The facade, the bench harness and the core engines share it
-// so the auto convention lives in one place.
-func AutoWorkers(workers int) int {
-	if workers < 0 {
-		return 0
-	}
-	return workers
-}
-
 // defaultGrain is the fallback chunk size ForEach hands to a worker at a
 // time. Small enough to balance load when per-item cost varies (range
 // queries over dense vs. sparse regions), large enough to amortize the

@@ -73,15 +73,16 @@ type Params struct {
 	// Seed drives all randomized components.
 	Seed int64
 
-	// Workers selects the clustering engine for DBSCAN, LAFDBSCAN and
-	// LAFDBSCANPP. The zero value runs the sequential reference
-	// implementation (the paper's formulation); a positive value runs the
-	// parallel engine with that many workers; WorkersAuto sizes the pool
-	// to GOMAXPROCS. The parallel DBSCAN engine produces labels identical
-	// to the sequential one; the parallel LAF engines match their
-	// sequential counterparts exactly when post-processing is disabled and
-	// use the complete (traversal-order-free) partial-neighbor map when it
-	// is enabled. Other methods ignore the knob.
+	// Workers selects the clustering engine for DBSCAN, DBSCANPP,
+	// LAFDBSCAN and LAFDBSCANPP, which all run on the same engines. The
+	// zero value runs the sequential reference implementation (the
+	// paper's formulation); a positive value runs the parallel engine
+	// with that many workers; WorkersAuto sizes the pool to GOMAXPROCS.
+	// The parallel DBSCAN and DBSCAN++ engines produce labels identical to
+	// the sequential ones; the parallel LAF engines match their sequential
+	// counterparts exactly when post-processing is disabled and use the
+	// complete (traversal-order-free) partial-neighbor map when it is
+	// enabled. The three baselines ignore the knob.
 	Workers int
 	// BatchSize is the number of range queries a parallel worker claims
 	// at a time; 0 selects a load-balancing default. Ignored by the
@@ -233,8 +234,10 @@ func CosineToEuclidean(dcos float64) float64 { return vecmath.CosineToEuclidean(
 func EuclideanToCosine(deuc float64) float64 { return vecmath.EuclideanToCosine(deuc) }
 
 // DBSCAN runs exact DBSCAN; its labeling is the ground truth the paper
-// scores every approximate method against. With Params.Workers set it runs
-// the parallel engine, whose labels are identical to the sequential one's.
+// scores every approximate method against. It runs on the LAF engines with
+// the open gate (every point passes, nothing is skipped or repaired). With
+// Params.Workers set it runs the parallel engine, whose labels are
+// identical to the sequential one's.
 func DBSCAN(points [][]float32, p Params) (*Result, error) {
 	return DBSCANContext(context.Background(), points, p)
 }
@@ -250,16 +253,7 @@ func DBSCANContext(ctx context.Context, points [][]float32, p Params) (*Result, 
 	if err := materializeIndex(&p, points, p.Metric); err != nil {
 		return nil, err
 	}
-	if p.Workers != 0 {
-		return (&cluster.ParallelDBSCAN{
-			Points: points, Eps: p.Eps, Tau: p.Tau,
-			Workers: index.AutoWorkers(p.Workers), BatchSize: p.BatchSize,
-			WaveSize: p.WaveSize, Index: p.Index,
-		}).RunContext(ctx)
-	}
-	return (&cluster.DBSCAN{
-		Points: points, Eps: p.Eps, Tau: p.Tau, Index: p.Index,
-	}).RunContext(ctx)
+	return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: openGateConfig(p)}).RunContext(ctx)
 }
 
 // DBSCANPP runs DBSCAN++ with sample fraction p.SampleFraction.
@@ -267,7 +261,9 @@ func DBSCANPP(points [][]float32, p Params) (*Result, error) {
 	return DBSCANPPContext(context.Background(), points, p)
 }
 
-// DBSCANPPContext is DBSCANPP under a cancellation context.
+// DBSCANPPContext is DBSCANPP under a cancellation context. Like DBSCAN it
+// runs on the LAF engines with the open gate, so Params.Workers selects the
+// parallel engine, whose labels are identical to the sequential one's.
 func DBSCANPPContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -277,10 +273,7 @@ func DBSCANPPContext(ctx context.Context, points [][]float32, p Params) (*Result
 	if err := materializeIndex(&p, points, MetricCosine); err != nil {
 		return nil, err
 	}
-	return (&cluster.DBSCANPP{
-		Points: points, Eps: p.Eps, Tau: p.Tau,
-		P: p.SampleFraction, Seed: p.Seed, Index: p.Index,
-	}).RunContext(ctx)
+	return (&core.LAFDBSCANPP{Points: points, P: p.SampleFraction, Index: p.Index, Config: openGateConfig(p)}).RunContext(ctx)
 }
 
 // LAFDBSCAN runs the paper's LAF-enhanced DBSCAN (Algorithm 1).
@@ -296,16 +289,7 @@ func LAFDBSCANContext(ctx context.Context, points [][]float32, p Params) (*Resul
 	if err := materializeIndex(&p, points, p.Metric); err != nil {
 		return nil, err
 	}
-	if p.Alpha == 0 {
-		p.Alpha = 1
-	}
-	return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: core.Config{
-		Eps: p.Eps, Tau: p.Tau, Alpha: p.Alpha,
-		Estimator: p.Estimator, Seed: p.Seed,
-		DisablePostProcessing: p.DisablePostProcessing,
-		Workers:               p.Workers, BatchSize: p.BatchSize,
-		WaveSize: p.WaveSize,
-	}}).RunContext(ctx)
+	return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: lafConfig(p)}).RunContext(ctx)
 }
 
 // LAFDBSCANPP runs LAF-enhanced DBSCAN++ (the paper fixes its Alpha to 1.0;
@@ -322,16 +306,30 @@ func LAFDBSCANPPContext(ctx context.Context, points [][]float32, p Params) (*Res
 	if err := materializeIndex(&p, points, MetricCosine); err != nil {
 		return nil, err
 	}
+	return (&core.LAFDBSCANPP{Points: points, P: p.SampleFraction, Index: p.Index, Config: lafConfig(p)}).RunContext(ctx)
+}
+
+// lafConfig maps Params onto the LAF engines' Config; a zero Alpha selects
+// the neutral 1.0.
+func lafConfig(p Params) core.Config {
 	if p.Alpha == 0 {
 		p.Alpha = 1
 	}
-	return (&core.LAFDBSCANPP{Points: points, P: p.SampleFraction, Index: p.Index, Config: core.Config{
+	return core.Config{
 		Eps: p.Eps, Tau: p.Tau, Alpha: p.Alpha,
 		Estimator: p.Estimator, Seed: p.Seed,
 		DisablePostProcessing: p.DisablePostProcessing,
 		Workers:               p.Workers, BatchSize: p.BatchSize,
 		WaveSize: p.WaveSize,
-	}}).RunContext(ctx)
+	}
+}
+
+// openGateConfig is lafConfig with the open gate in place of the estimator:
+// the LAF engines then run the original DBSCAN and DBSCAN++.
+func openGateConfig(p Params) core.Config {
+	cfg := lafConfig(p)
+	cfg.Estimator, cfg.Alpha, cfg.DisablePostProcessing = core.OpenGate, 1, true
+	return cfg
 }
 
 // KNNBlockDBSCAN runs the KNN-BLOCK DBSCAN baseline.

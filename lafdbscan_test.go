@@ -299,6 +299,30 @@ func TestSaveLoadEstimatorSameBits(t *testing.T) {
 	}
 }
 
+// TestEstimatorOverridesApplyOverPaper pins what EstimatorConfig documents:
+// Hidden, Epochs, BatchSize and LR replace the paper's values when Paper is
+// set, so a config that overrides all four trains the same estimator, bit
+// for bit, with or without Paper.
+func TestEstimatorOverridesApplyOverPaper(t *testing.T) {
+	d := MSLike(200, 1)
+	cfg := EstimatorConfig{Hidden: []int{4}, Epochs: 1, BatchSize: 64, LR: 2e-3, Seed: 1}
+	plain, err := TrainRMIEstimator(d.Vectors, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Paper = true
+	paper, err := TrainRMIEstimator(d.Vectors, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range d.Vectors {
+		r := 0.3 + 0.1*float64(i%5)
+		if a, b := plain.Estimate(q, r), paper.Estimate(q, r); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("point %d at radius %v: without Paper %v, with Paper %v", i, r, a, b)
+		}
+	}
+}
+
 // TestTrainRMIEstimatorRejectsBadConfig checks the named errors that
 // replace a panic in a training worker (negative widths, ragged vectors)
 // or a network that Validate rejects on load (zero widths).

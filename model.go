@@ -419,7 +419,7 @@ func (m *Model) PredictWithOptions(ctx context.Context, vectors [][]float32, o P
 			threshold = 1
 		}
 		pass := make([]bool, len(vectors))
-		index.ForEach(len(vectors), index.AutoWorkers(m.params.Workers), m.params.BatchSize, func(i int) {
+		index.ForEach(len(vectors), m.params.Workers, m.params.BatchSize, func(i int) {
 			pass[i] = est.Estimate(vectors[i], m.params.Eps) >= threshold
 		})
 		queries = make([][]float32, 0, len(vectors))
@@ -436,7 +436,7 @@ func (m *Model) PredictWithOptions(ctx context.Context, vectors [][]float32, o P
 	}
 	nearest := m.nearestCoreSemantics()
 	err = index.BatchRangeSearchFunc(ctx, m.index, queries, m.params.Eps,
-		index.AutoWorkers(m.params.Workers), m.params.BatchSize, m.params.WaveSize,
+		m.params.Workers, m.params.BatchSize, m.params.WaveSize,
 		func(k int, ids []int) {
 			i := k
 			if qmap != nil {

@@ -140,7 +140,7 @@ func (m *Model) trackStop() bool {
 
 // pool returns the maintenance worker-pool knobs, shared with Predict.
 func (m *Model) pool() (workers, grain, wave int) {
-	return index.AutoWorkers(m.params.Workers), m.params.BatchSize, m.params.WaveSize
+	return m.params.Workers, m.params.BatchSize, m.params.WaveSize
 }
 
 // ensureIncLocked builds the maintenance overlay on first use: it clones

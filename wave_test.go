@@ -1,7 +1,9 @@
 package lafdbscan
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"lafdbscan/internal/bench"
@@ -42,6 +44,48 @@ func TestWaveSizeKnobLabelEquality(t *testing.T) {
 		}
 		if ari != 1.0 {
 			t.Errorf("wave=%d: ARI = %v, want 1.0", wave, ari)
+		}
+	}
+}
+
+// TestDBSCANPPEngineInvariance pins DBSCAN++'s Workers and WaveSize knobs:
+// the wave engine draws the same sample and finds the same cores as the
+// sequential one, so every setting fits the same labels, core mask, forest
+// and query count.
+func TestDBSCANPPEngineInvariance(t *testing.T) {
+	d := GenerateMixture("pp-engines", MixtureConfig{
+		N: 400, Dim: 32, Clusters: 6, MinSpread: 0.25, MaxSpread: 0.5,
+		NoiseFrac: 0.2, Seed: 92,
+	})
+	fit := func(workers, wave int) *Result {
+		m, err := Fit(context.Background(), d.Vectors, MethodDBSCANPP,
+			WithEps(0.5), WithTau(4), WithSampleFraction(0.4), WithSeed(3),
+			WithWorkers(workers), WithWaveSize(wave))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Result()
+	}
+	seq := fit(0, 0)
+	if seq.Algorithm != "DBSCAN++" || seq.NumClusters == 0 {
+		t.Fatalf("sequential fit: algorithm %q, %d clusters", seq.Algorithm, seq.NumClusters)
+	}
+	for _, workers := range []int{0, 1, 2, 4} {
+		for _, wave := range []int{0, 1, 16} {
+			res := fit(workers, wave)
+			name := fmt.Sprintf("workers=%d/wave=%d", workers, wave)
+			if !slices.Equal(res.Labels, seq.Labels) {
+				t.Errorf("%s: labels differ from the sequential engine's", name)
+			}
+			if !slices.Equal(res.Core, seq.Core) {
+				t.Errorf("%s: core mask differs from the sequential engine's", name)
+			}
+			if !slices.Equal(res.Forest, seq.Forest) {
+				t.Errorf("%s: forest differs from the sequential engine's", name)
+			}
+			if res.RangeQueries != seq.RangeQueries {
+				t.Errorf("%s: %d queries, sequential %d", name, res.RangeQueries, seq.RangeQueries)
+			}
 		}
 	}
 }
