@@ -455,6 +455,47 @@ func BenchmarkModelPredict(b *testing.B) {
 	})
 }
 
+// BenchmarkModelInsert measures online maintenance the way the fit-ms
+// rounds of perfbench exercise it: a LAF-DBSCAN model with
+// post-processing on over the test split of MSLike(7500, 11) (eps 0.55,
+// tau 5, alpha 1.5), and per op one 16-vector Insert followed by the
+// Remove of that batch, so every op sees a model of the same size. The
+// estimator is the exact oracle, which needs no training. The overlay is
+// built before timing starts. The CI bench job gates its allocs/op.
+func BenchmarkModelInsert(b *testing.B) {
+	ctx := context.Background()
+	train, test, err := Split(MSLike(7500, 11), 0.8, 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := Fit(ctx, test.Vectors, MethodLAFDBSCAN, WithEps(0.55), WithTau(5), WithAlpha(1.5),
+		WithEstimator(ExactEstimator(test.Vectors)), WithWorkers(2), WithSeed(11))
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := model.Len()
+	batch := train.Vectors[:16]
+	ids := make([]int, len(batch))
+	for k := range ids {
+		ids[k] = n + k
+	}
+	round := func() {
+		if _, err := model.Insert(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := model.Remove(ctx, ids); err != nil {
+			b.Fatal(err)
+		}
+	}
+	round() // builds the maintenance overlay
+	b.Run("batch=16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+}
+
 // benchWorkerCounts is the 1/4/NumCPU sweep of the parallel benchmarks,
 // deduplicated for machines where those coincide.
 func benchWorkerCounts() []int {

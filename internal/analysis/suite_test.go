@@ -36,9 +36,10 @@ func clusterSources(t *testing.T) []string {
 
 // TestClusterDirectivesAreLoadBearing proves the acceptance criterion
 // directly on the real code: internal/cluster is clean as written, and
-// deleting its //lafvet:orderfree directives (wavemerge.Resolve's stop-map
-// folds) or its //lafvet:allow hotalloc directive (Absorb's stub copy)
-// makes the suite fail.
+// deleting its //lafvet:allow hotalloc directive (Absorb's stub copy)
+// makes the suite fail. The package ranges over no map (the partial-
+// neighbor map is dense rows read by id), so it carries no
+// //lafvet:orderfree directive; TestMapIterFixture covers that one.
 func TestClusterDirectivesAreLoadBearing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typechecks a whole package closure; skipped in -short")
@@ -47,18 +48,6 @@ func TestClusterDirectivesAreLoadBearing(t *testing.T) {
 
 	if diags := stripAndRun(t, DefaultSuite(), srcs, nil); len(diags) != 0 {
 		t.Fatalf("internal/cluster should be clean as written, got:\n%s", fmtDiags(diags))
-	}
-
-	orderfree := stripAndRun(t, Suite{MapIter}, srcs, func(line string) bool {
-		return strings.Contains(line, "//lafvet:orderfree")
-	})
-	if len(orderfree) == 0 {
-		t.Error("deleting //lafvet:orderfree directives did not make mapiter fail")
-	}
-	for _, d := range orderfree {
-		if filepath.Base(d.Pos.Filename) != "wavemerge.go" {
-			t.Errorf("unexpected finding outside wavemerge.go: %s", d)
-		}
 	}
 
 	hotalloc := stripAndRun(t, Suite{HotAlloc}, srcs, func(line string) bool {

@@ -11,9 +11,11 @@
 // tree and the grid) convert thresholds with Equation 1 of the paper.
 //
 // The shared machinery makes a labeling a pure function of order-free
-// facts: WaveMerger folds core flags, core-core ε-edges and border stubs
-// out of wave-streamed range queries (the memory-bounded parallel engine);
-// ClusterCoresAndAssign and its union-find variant are the DBSCAN++ tail;
+// facts: PartialNeighbors is LAF's partial-neighbor map E, dense over
+// point ids, as the engines build it and model maintenance keeps it;
+// WaveMerger folds core flags, core-core ε-edges and border stubs out of
+// range query results (both DBSCAN++ engines and the memory-bounded
+// parallel engine); ClusterCoresAndAssignUnionWorkers is the DBSCAN++ tail;
 // ResolveCanonical and RenumberAscending re-derive the canonical labeling
 // from a maintained core set and core-adjacency graph (the resolution side
 // of incremental Insert/Remove on fitted models); and DeriveForest produces

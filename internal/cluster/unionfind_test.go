@@ -56,25 +56,53 @@ func TestAtomicUnionFindConcurrentDeterministic(t *testing.T) {
 	}
 }
 
-// TestClusterCoresAndAssignUnionWorkersMatchesSerial pins the wave
-// engines' DBSCAN++ tail — core connectivity read off a union-find forest,
-// assignment spread over a worker pool — to the serial neighbor-list
-// construction.
+// TestClusterCoresAndAssignUnionWorkersMatchesSerial pins the DBSCAN++
+// tail — core connectivity read off the wave merger's union-find forest,
+// assignment spread over a worker pool — to a serial reference built from
+// pairwise distances: components of the ε-graph over the cores, numbered
+// by first occurrence in cores order, every other point joining its
+// closest core within ε.
 func TestClusterCoresAndAssignUnionWorkersMatchesSerial(t *testing.T) {
 	d := dataset.GloVeLike(300, 3)
 	const eps, tau = 0.5, 3
 	idx := index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit)
 	var cores []int
-	coreNeighbors := make(map[int][]int)
 	m := NewWaveMerger(d.Len(), tau)
 	for i := 0; i < d.Len(); i += 2 { // every other point stands in for a sample
-		nb := idx.RangeSearch(d.Vectors[i], eps)
-		if m.Absorb(i, nb) {
+		if m.Absorb(i, idx.RangeSearch(d.Vectors[i], eps)) {
 			cores = append(cores, i)
-			coreNeighbors[i] = nb
 		}
 	}
-	serial := ClusterCoresAndAssign(d.Vectors, eps, cores, coreNeighbors)
+	dist := func(i, j int) float64 { return vecmath.CosineDistanceUnit(d.Vectors[i], d.Vectors[j]) }
+	uf := NewUnionFind()
+	for a, c := range cores {
+		uf.Find(c)
+		for _, c2 := range cores[:a] {
+			if dist(c, c2) < eps {
+				uf.Union(c, c2)
+			}
+		}
+	}
+	serial := make([]int, d.Len())
+	ids := make(map[int]int)
+	for _, c := range cores {
+		if _, ok := ids[uf.Find(c)]; !ok {
+			ids[uf.Find(c)] = len(ids) + 1
+		}
+		serial[c] = ids[uf.Find(c)]
+	}
+	for i := range serial {
+		if serial[i] != 0 {
+			continue
+		}
+		serial[i] = Noise
+		best := eps
+		for _, c := range cores {
+			if dd := dist(i, c); dd < best {
+				serial[i], best = serial[c], dd
+			}
+		}
+	}
 	for _, workers := range []int{0, 2, 5} {
 		par := ClusterCoresAndAssignUnionWorkers(d.Vectors, eps, cores, m.UnionFind(), workers, 8)
 		for i := range serial {

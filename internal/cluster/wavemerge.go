@@ -99,12 +99,11 @@ func (m *WaveMerger) UnionFind() *AtomicUnionFind { return m.uf }
 // ids are numbered by first-core scan order, and a border point takes the
 // minimum cluster id among its adjacent cores. The border rule is
 // evaluated from the border's side — its adjacent cores are read from its
-// own stub, or, for points whose query never ran, from the optional stop
-// map (stop point id → the set of queried points that found it; the LAF
-// drivers' partial-neighbor map). Both views name the identical core set by
-// symmetry of the metric, so the labels match sequential DBSCAN's bit for
-// bit.
-func (m *WaveMerger) Resolve(stop map[int]map[int]struct{}) []int {
+// own stub, or, for points whose query never ran, from their row of the
+// optional partial-neighbor map (the queried points that found them). Both
+// views name the identical core set by symmetry of the metric, so the
+// labels match sequential DBSCAN's bit for bit.
+func (m *WaveMerger) Resolve(stop *PartialNeighbors) []int {
 	n := len(m.status)
 	core := m.Core()
 	labels := make([]int, n) // 0 = unassigned, cluster ids start at 1
@@ -123,29 +122,24 @@ func (m *WaveMerger) Resolve(stop map[int]map[int]struct{}) []int {
 		}
 		labels[p] = id
 	}
-	for q := 0; q < n; q++ {
-		if core[q] || m.stubs[q] == nil {
-			continue
-		}
-		for _, nb := range m.stubs[q] {
-			if core[nb] {
-				if id := labels[nb]; labels[q] == 0 || id < labels[q] {
-					labels[q] = id
-				}
+	// claim gives border q the minimum label among its core neighbors.
+	claim := func(q, nb int) {
+		if core[nb] {
+			if id := labels[nb]; labels[q] == 0 || id < labels[q] {
+				labels[q] = id
 			}
 		}
 	}
-	//lafvet:orderfree each key q is a distinct non-core point, and the fold below only reads core labels, which this loop never writes
-	for q, set := range stop {
-		if labels[q] != 0 {
+	for q := 0; q < n; q++ {
+		if core[q] {
 			continue
 		}
-		//lafvet:orderfree min over the set's core labels is commutative, and ties cannot occur (labels are distinct per core)
-		for nb := range set {
-			if core[nb] {
-				if id := labels[nb]; labels[q] == 0 || id < labels[q] {
-					labels[q] = id
-				}
+		for _, nb := range m.stubs[q] {
+			claim(q, nb)
+		}
+		if stop != nil && stop.Stop[q] && labels[q] == 0 {
+			for _, nb := range stop.Rows[q] {
+				claim(q, int(nb))
 			}
 		}
 	}

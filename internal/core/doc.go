@@ -11,7 +11,9 @@
 //  2. A partial-neighbor map E recording, for every predicted stop point,
 //     the subset of its true neighbors discovered for free — every executed
 //     range query that finds a predicted stop point registers the querying
-//     point as its neighbor (Algorithm 2, UpdatePartialNeighbors).
+//     point as its neighbor (Algorithm 2, UpdatePartialNeighbors). E is a
+//     cluster.PartialNeighbors: a stop mask and one row of finders per
+//     point, the form model maintenance keeps current too.
 //  3. A post-processing pass (Algorithm 3) that treats any entry of E with
 //     at least τ partial neighbors as a detected false negative and merges
 //     the clusters its neighbors were split into.
@@ -26,5 +28,7 @@
 // skipped, E stays empty and part 3 has nothing to repair. Each engine has
 // a sequential implementation (the paper's formulation, and the reference
 // every label-equality test compares against) and a wave implementation
-// for Config.Workers != 0.
+// for Config.Workers != 0; the wave implementations share one discovery
+// pass (gate → wave → fold), and both DBSCAN++ implementations share the
+// union-find assignment tail.
 package core

@@ -8,6 +8,7 @@ import (
 
 	"lafdbscan/internal/cardest"
 	"lafdbscan/internal/cluster"
+	"lafdbscan/internal/index"
 )
 
 // OpenGate is the cardinality estimator whose every estimate is +Inf, so
@@ -23,58 +24,36 @@ type openGate struct{}
 func (openGate) Estimate([]float32, float64) float64 { return math.Inf(1) }
 func (openGate) Name() string                        { return "open-gate" }
 
-// PartialNeighbors is the map E of Algorithm 1: predicted stop point id →
-// the set of its neighbors discovered by other points' range queries.
-type PartialNeighbors map[int]map[int]struct{}
-
-// Ensure adds an empty entry for p when absent (lines 8 and 27 of
-// Algorithm 1: "if P not in E then E(P) := ∅").
-func (e PartialNeighbors) Ensure(p int) {
-	if _, ok := e[p]; !ok {
-		e[p] = make(map[int]struct{})
-	}
-}
-
-// Update is Algorithm 2 (UpdatePartialNeighbors): after a range query for p
-// returned neighbors, every neighbor that is a predicted stop point learns
-// that p is its neighbor.
-func (e PartialNeighbors) Update(p int, neighbors []int) {
-	for _, pn := range neighbors {
-		if set, ok := e[pn]; ok {
-			set[p] = struct{}{}
-		}
-	}
-}
-
 // PostProcess is Algorithm 3 (PostProcessing): detect false-negative stop
 // points — entries of E with at least tau partial neighbors — and merge the
 // clusters their neighbors were separated into. For each such point a random
 // non-noise neighbor's cluster becomes the destination; the clusters of all
 // its neighbors merge into it, and the point itself joins it when noise.
+// Entries are visited in ascending point id and each row in ascending id,
+// so a fixed rng seed reproduces runs whatever order the rows were filled
+// in.
 //
-// labels is modified in place. The returned count is the number of cluster
-// merges performed (distinct-cluster unions), reported by the harness.
-func PostProcess(labels []int, e PartialNeighbors, tau int, rng *rand.Rand) int {
-	uf := cluster.NewUnionFind()
-	// Iterate E deterministically so a fixed rng seed reproduces runs.
-	points := make([]int, 0, len(e))
-	for p := range e {
-		points = append(points, p)
+// labels is modified in place; e is only read, and nil means no entries.
+// The returned count is the number of cluster merges performed
+// (distinct-cluster unions), reported by the harness.
+func PostProcess(labels []int, e *cluster.PartialNeighbors, tau int, rng *rand.Rand) int {
+	if e == nil {
+		return 0
 	}
-	sort.Ints(points)
+	uf := cluster.NewUnionFind()
 	merges := 0
-	for _, p := range points {
-		set := e[p]
-		if len(set) < tau {
+	var neighbors, nonNoise []int
+	for p, row := range e.Rows {
+		if !e.Stop[p] || len(row) < tau {
 			continue
 		}
-		neighbors := make([]int, 0, len(set))
-		for q := range set {
-			neighbors = append(neighbors, q)
+		neighbors = neighbors[:0]
+		for _, q := range row {
+			neighbors = append(neighbors, int(q))
 		}
 		sort.Ints(neighbors)
 		// Randomly select a non-noise neighbor as the destination cluster.
-		var nonNoise []int
+		nonNoise = nonNoise[:0]
 		for _, q := range neighbors {
 			if labels[q] != cluster.Noise {
 				nonNoise = append(nonNoise, q)
@@ -169,6 +148,19 @@ func (c *Config) validate(n int) error {
 	return nil
 }
 
+// Gate is LAF's estimator gate over points: mask[i] reports whether
+// point i is predicted core (CardEst >= Alpha·Tau) and so runs its range
+// query. The points are estimated in parallel over cfg.Workers workers
+// (<= 0 selects GOMAXPROCS) in chunks of cfg.BatchSize.
+func Gate(points [][]float32, cfg Config) []bool {
+	threshold := cfg.Alpha * float64(cfg.Tau)
+	mask := make([]bool, len(points))
+	index.ForEach(len(points), cfg.Workers, cfg.BatchSize, func(i int) {
+		mask[i] = cfg.Estimator.Estimate(points[i], cfg.Eps) >= threshold
+	})
+	return mask
+}
+
 // PredictedCoreRatio returns Rc, the fraction of points the estimator
 // predicts as core at the given parameters. The paper derives DBSCAN++'s
 // sample fraction from it: p = delta + Rc.
@@ -177,9 +169,8 @@ func PredictedCoreRatio(points [][]float32, est cardest.Estimator, eps float64, 
 		return 0
 	}
 	core := 0
-	threshold := alpha * float64(tau)
-	for _, p := range points {
-		if est.Estimate(p, eps) >= threshold {
+	for _, ok := range Gate(points, Config{Eps: eps, Tau: tau, Alpha: alpha, Estimator: est, Workers: 1}) {
+		if ok {
 			core++
 		}
 	}

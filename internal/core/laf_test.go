@@ -315,30 +315,40 @@ func TestLAFConfigValidation(t *testing.T) {
 }
 
 func TestPartialNeighbors(t *testing.T) {
-	e := make(PartialNeighbors)
+	e := cluster.NewPartialNeighbors(100)
 	e.Ensure(5)
-	if _, ok := e[5]; !ok {
+	if !e.Stop[5] {
 		t.Fatal("Ensure did not add")
 	}
-	e[5][99] = struct{}{}
+	e.Update(99, []int{5})
 	e.Ensure(5)
-	if len(e[5]) != 1 {
+	if len(e.Rows[5]) != 1 {
 		t.Fatal("Ensure overwrote existing entry")
 	}
 	e.Update(7, []int{5, 6})
-	if _, ok := e[5][7]; !ok {
+	if !slices.Contains(e.Rows[5], 7) {
 		t.Fatal("Update missed a tracked stop point")
 	}
-	if _, ok := e[6]; ok {
+	if e.Stop[6] || e.Rows[6] != nil {
 		t.Fatal("Update created an entry for an untracked point")
 	}
+}
+
+// partialNeighbors builds E over n points from stop point → row.
+func partialNeighbors(n int, entries map[int][]int32) *cluster.PartialNeighbors {
+	e := cluster.NewPartialNeighbors(n)
+	for p, row := range entries {
+		e.Ensure(p)
+		e.Rows[p] = row
+	}
+	return e
 }
 
 func TestPostProcessMergesSplitClusters(t *testing.T) {
 	// Two clusters {0,1} -> 1 and {2,3} -> 2, separated by the false stop
 	// point 4 whose partial neighbors span both. Post-processing must merge.
 	labels := []int{1, 1, 2, 2, cluster.Noise}
-	e := PartialNeighbors{4: {0: {}, 1: {}, 2: {}, 3: {}}}
+	e := partialNeighbors(len(labels), map[int][]int32{4: {0, 1, 2, 3}})
 	rng := rand.New(rand.NewSource(1))
 	merges := PostProcess(labels, e, 3, rng)
 	if merges != 1 {
@@ -357,7 +367,7 @@ func TestPostProcessMergesSplitClusters(t *testing.T) {
 
 func TestPostProcessRespectsTau(t *testing.T) {
 	labels := []int{1, 1, 2, 2, cluster.Noise}
-	e := PartialNeighbors{4: {0: {}, 2: {}}} // only 2 partial neighbors
+	e := partialNeighbors(len(labels), map[int][]int32{4: {0, 2}}) // only 2 partial neighbors
 	rng := rand.New(rand.NewSource(1))
 	if merges := PostProcess(labels, e, 3, rng); merges != 0 {
 		t.Errorf("merged below tau: %d", merges)
@@ -369,7 +379,7 @@ func TestPostProcessRespectsTau(t *testing.T) {
 
 func TestPostProcessAllNoiseNeighbors(t *testing.T) {
 	labels := []int{cluster.Noise, cluster.Noise, cluster.Noise}
-	e := PartialNeighbors{0: {1: {}, 2: {}}}
+	e := partialNeighbors(len(labels), map[int][]int32{0: {1, 2}})
 	rng := rand.New(rand.NewSource(1))
 	if merges := PostProcess(labels, e, 2, rng); merges != 0 {
 		t.Errorf("merged with no destination: %d", merges)
@@ -379,19 +389,20 @@ func TestPostProcessAllNoiseNeighbors(t *testing.T) {
 	}
 }
 
+// TestPostProcessDeterministicForSeed also feeds the rows in another
+// order: the wave engines fill them in whatever order queries finish.
 func TestPostProcessDeterministicForSeed(t *testing.T) {
-	build := func() []int {
+	build := func(rows map[int][]int32) []int {
 		labels := []int{1, 1, 2, 2, 3, 3, cluster.Noise, cluster.Noise}
-		e := PartialNeighbors{
-			6: {0: {}, 2: {}, 4: {}},
-			7: {1: {}, 3: {}},
-		}
-		PostProcess(labels, e, 2, rand.New(rand.NewSource(9)))
+		PostProcess(labels, partialNeighbors(len(labels), rows), 2, rand.New(rand.NewSource(9)))
 		return labels
 	}
-	a, b := build(), build()
-	for i := range a {
-		if a[i] != b[i] {
+	a := build(map[int][]int32{6: {0, 2, 4}, 7: {1, 3}})
+	for _, rows := range []map[int][]int32{
+		{6: {0, 2, 4}, 7: {1, 3}},
+		{6: {4, 2, 0}, 7: {3, 1}},
+	} {
+		if b := build(rows); !slices.Equal(a, b) {
 			t.Fatalf("non-deterministic post-processing: %v vs %v", a, b)
 		}
 	}

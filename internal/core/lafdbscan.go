@@ -52,7 +52,7 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 	for i := range labels {
 		labels[i] = cluster.Undefined
 	}
-	e := make(PartialNeighbors)
+	e := cluster.NewPartialNeighbors(n)
 	c := 0
 	core := make([]bool, n)
 	inSeed := make([]bool, n)

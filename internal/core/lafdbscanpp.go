@@ -58,17 +58,15 @@ func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 	start := time.Now()
 	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN++")}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := int(float64(n) * l.P)
-	if m < 1 {
-		m = 1
-	}
-	sample := rng.Perm(n)[:m]
+	sample := l.sample(rng)
 
 	// Core detection within the sample, gated by the estimator. Predicted
-	// stop points skip their range query and enter E.
-	e := make(PartialNeighbors)
-	cores := make([]int, 0, m)
-	coreNeighbors := make(map[int][]int, m)
+	// stop points skip their range query and enter E; every other result
+	// is folded into the merger (core flag, core-core unions) and dropped,
+	// as in the wave engine.
+	e := cluster.NewPartialNeighbors(n)
+	merger := cluster.NewWaveMerger(n, cfg.Tau)
+	merger.SkipStubs()
 	for _, s := range sample {
 		if err := cluster.CheckCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
 			return nil, err
@@ -81,18 +79,37 @@ func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 		neighbors := idx.RangeSearch(l.Points[s], cfg.Eps)
 		res.RangeQueries++
 		e.Update(s, neighbors)
-		if len(neighbors) >= cfg.Tau {
-			cores = append(cores, s)
-			coreNeighbors[s] = neighbors
-		}
+		merger.Absorb(s, neighbors)
 	}
-
-	res.Labels = cluster.ClusterCoresAndAssign(l.Points, cfg.Eps, cores, coreNeighbors)
-	if !cfg.DisablePostProcessing {
-		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
-	}
-	res.Core = cluster.CoreMask(n, cores)
+	l.assign(res, sample, merger, e, 1, rng)
 	res.Elapsed = time.Since(start)
 	finalize(res)
 	return res, nil
+}
+
+// sample draws the core-detection sample: the first max(1, ⌊n·P⌋) ids of a
+// permutation from rng, so both engines consume the stream alike.
+func (l *LAFDBSCANPP) sample(rng *rand.Rand) []int {
+	n := len(l.Points)
+	return rng.Perm(n)[:max(1, int(float64(n)*l.P))]
+}
+
+// assign is the tail both engines share: the sample's cores, in sample
+// order, are clustered off the merger's forest, every other point joins
+// its closest core within Eps (over workers), and post-processing repairs
+// the labeling from E. It sets res's labels, merge count and core mask.
+func (l *LAFDBSCANPP) assign(res *cluster.Result, sample []int, merger *cluster.WaveMerger, e *cluster.PartialNeighbors, workers int, rng *rand.Rand) {
+	cfg := l.Config
+	core := merger.Core()
+	cores := make([]int, 0, len(sample))
+	for _, s := range sample {
+		if core[s] {
+			cores = append(cores, s)
+		}
+	}
+	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), workers, cfg.BatchSize)
+	if !cfg.DisablePostProcessing {
+		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
+	}
+	res.Core = core
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,94 +38,99 @@ import (
 // wave via cluster.WaveMerger and dropping the lists; only non-core stubs
 // (< Tau entries each) and the partial-neighbor map survive.
 
-// gateAll evaluates the estimator gate for the points at ids in parallel
-// and returns the predicted-core mask, aligned with ids.
-func gateAll(points [][]float32, ids []int, cfg Config) []bool {
-	threshold := cfg.Alpha * float64(cfg.Tau)
-	predicted := make([]bool, len(ids))
-	index.ForEach(len(ids), cfg.Workers, cfg.BatchSize, func(k int) {
-		predicted[k] = cfg.Estimator.Estimate(points[ids[k]], cfg.Eps) >= threshold
-	})
-	return predicted
-}
-
-// stopStripes guards concurrent Algorithm-2 inserts into the
-// partial-neighbor map during a wave. The outer map is fully populated
-// before the waves start (concurrent reads are safe); the inner sets are
-// striped by stop-point id so unrelated stop points do not contend.
+// stopStripes guards concurrent Algorithm-2 appends to the rows of the
+// partial-neighbor map during a wave. The stop mask is fully populated
+// before the waves start (concurrent reads are safe); the rows are striped
+// by stop-point id so unrelated stop points do not contend.
 type stopStripes [16]sync.Mutex
 
 // update registers querier p with every predicted stop point in ids
 // (PartialNeighbors.Update under the stripes).
-func (s *stopStripes) update(e PartialNeighbors, p int, ids []int) {
+func (s *stopStripes) update(e *cluster.PartialNeighbors, p int, ids []int) {
 	for _, q := range ids {
-		if set, ok := e[q]; ok {
+		if e.Stop[q] {
 			mu := &s[q%len(s)]
 			mu.Lock()
-			set[p] = struct{}{}
+			e.Rows[q] = append(e.Rows[q], int32(p))
 			mu.Unlock()
 		}
 	}
+}
+
+// discover is the wave engines' neighbor-discovery pass, gate → wave →
+// fold: it gates the candidates (the points at ids, or every point when
+// ids is nil), gives each predicted stop point an entry in the partial-
+// neighbor map, and streams the range queries of the rest through the
+// wave engine, folding each result into m and the map before the list is
+// dropped. The map is the complete one: every stop point has its entry
+// before any query runs, so every executed query registers with every
+// stop point it finds. When every candidate passes the gate the candidates
+// themselves are the queries, and the returned map is nil (it would have
+// no entries). It sets res's query counts.
+func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, ids []int, cfg Config, m *cluster.WaveMerger, res *cluster.Result) (*cluster.PartialNeighbors, error) {
+	cands := points
+	if ids != nil {
+		cands = make([][]float32, len(ids))
+		for k, id := range ids {
+			cands[k] = points[id]
+		}
+	}
+	pass := Gate(cands, cfg)
+	queries, qids := cands, ids
+	var e *cluster.PartialNeighbors
+	if slices.Contains(pass, false) {
+		e = cluster.NewPartialNeighbors(len(points))
+		queries = make([][]float32, 0, len(cands))
+		qids = make([]int, 0, len(cands))
+		for k, ok := range pass {
+			id := k
+			if ids != nil {
+				id = ids[k]
+			}
+			if ok {
+				queries = append(queries, cands[k])
+				qids = append(qids, id)
+			} else {
+				e.Ensure(id)
+			}
+		}
+	}
+	res.RangeQueries = len(queries)
+	res.SkippedQueries = len(cands) - len(queries)
+	var stripes stopStripes
+	err := index.BatchRangeSearchFunc(ctx, idx, queries, cfg.Eps, cfg.Workers, cfg.BatchSize, cfg.WaveSize,
+		func(k int, nb []int) {
+			p := k
+			if qids != nil {
+				p = qids[k]
+			}
+			m.Absorb(p, nb)
+			if e != nil {
+				stripes.update(e, p, nb)
+			}
+		})
+	return e, err
 }
 
 // runParallel is LAF-DBSCAN's multi-core engine. The context is checked at
 // every wave barrier of the query phase.
 func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
 	cfg := l.Config
-	n := len(l.Points)
-
 	start := time.Now()
 	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN")}
 
-	// Phase 0: estimator gate for every point (lines 6-9 and 22-27 of
-	// Algorithm 1, hoisted out of the traversal).
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	predictedCore := gateAll(l.Points, all, cfg)
-	queried := make([]int, 0, n)
-	for i, pc := range predictedCore {
-		if pc {
-			queried = append(queried, i)
-		}
-	}
-	res.RangeQueries = len(queried)
-	res.SkippedQueries = n - len(queried)
-
-	// The complete partial-neighbor map: every predicted stop point gets
-	// an entry up front, every executed query registers into it from the
-	// wave callback. Built even with post-processing disabled, because
-	// border assignment of never-queried points reads it too — their own
-	// neighbor list does not exist, so the queriers that found them are
-	// the only record of their adjacent cores.
-	e := make(PartialNeighbors)
-	for i, pc := range predictedCore {
-		if !pc {
-			e.Ensure(i)
-		}
-	}
-
-	// Phase 1: wave-streamed range queries for the predicted-core points;
-	// each result is folded into the merger and the stop map, then dropped.
-	qpts := make([][]float32, len(queried))
-	for k, id := range queried {
-		qpts[k] = l.Points[id]
-	}
-	m := cluster.NewWaveMerger(n, cfg.Tau)
-	var stripes stopStripes
-	if err := index.BatchRangeSearchFunc(ctx, idx, qpts, cfg.Eps, cfg.Workers, cfg.BatchSize, cfg.WaveSize,
-		func(k int, ids []int) {
-			p := queried[k]
-			m.Absorb(p, ids)
-			stripes.update(e, p, ids)
-		}); err != nil {
+	// Gate every point (lines 6-9 and 22-27 of Algorithm 1, hoisted out of
+	// the traversal), then discover neighbors in waves. The map is read
+	// even with post-processing disabled, because border assignment of
+	// never-queried points needs it: their own neighbor list does not
+	// exist, so the queriers that found them are the only record of their
+	// adjacent cores.
+	m := cluster.NewWaveMerger(len(l.Points), cfg.Tau)
+	e, err := discover(ctx, idx, l.Points, nil, cfg, m, res)
+	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2: sequential label resolution (WaveMerger.Resolve).
 	res.Labels = m.Resolve(e)
-
 	if !cfg.DisablePostProcessing {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
@@ -140,65 +146,22 @@ func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*
 // first, post-processing second), so a fixed seed selects the same sample.
 func (l *LAFDBSCANPP) runParallel(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
 	cfg := l.Config
-	n := len(l.Points)
-
 	start := time.Now()
 	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN++")}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := int(float64(n) * l.P)
-	if m < 1 {
-		m = 1
-	}
-	sample := rng.Perm(n)[:m]
+	sample := l.sample(rng)
 
-	// Parallel gate over the sample, then wave-streamed queries for the
-	// predicted-core sample points.
-	predictedCore := gateAll(l.Points, sample, cfg)
-	queried := make([]int, 0, m)
-	e := make(PartialNeighbors)
-	for k, s := range sample {
-		if predictedCore[k] {
-			queried = append(queried, s)
-		} else {
-			e.Ensure(s)
-			res.SkippedQueries++
-		}
-	}
-	qpts := make([][]float32, len(queried))
-	for k, s := range queried {
-		qpts[k] = l.Points[s]
-	}
-	res.RangeQueries = len(queried)
-
-	// Core detection and core-core unions fold into the waves; coreMask
-	// preserves sample order so cluster numbering matches the sequential
-	// engine. Neighbor lists are dropped per wave — the assignment phase
-	// below recomputes point-core distances directly and needs no lists,
-	// so border stubs are not retained either.
-	merger := cluster.NewWaveMerger(n, cfg.Tau)
+	// Core detection and core-core unions fold into the waves. Neighbor
+	// lists are dropped per wave — the assignment tail recomputes
+	// point-core distances directly and needs no lists, so border stubs
+	// are not retained either.
+	merger := cluster.NewWaveMerger(len(l.Points), cfg.Tau)
 	merger.SkipStubs()
-	var stripes stopStripes
-	coreMask := make([]bool, len(queried))
-	if err := index.BatchRangeSearchFunc(ctx, idx, qpts, cfg.Eps, cfg.Workers, cfg.BatchSize, cfg.WaveSize,
-		func(k int, ids []int) {
-			s := queried[k]
-			coreMask[k] = merger.Absorb(s, ids)
-			stripes.update(e, s, ids)
-		}); err != nil {
+	e, err := discover(ctx, idx, l.Points, sample, cfg, merger, res)
+	if err != nil {
 		return nil, err
 	}
-	cores := make([]int, 0, len(queried))
-	for k, s := range queried {
-		if coreMask[k] {
-			cores = append(cores, s)
-		}
-	}
-
-	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), cfg.Workers, cfg.BatchSize)
-	if !cfg.DisablePostProcessing {
-		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
-	}
-	res.Core = cluster.CoreMask(n, cores)
+	l.assign(res, sample, merger, e, cfg.Workers, rng)
 	res.Elapsed = time.Since(start)
 	finalize(res)
 	return res, nil

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"lafdbscan/internal/cardest"
@@ -150,5 +152,52 @@ func TestParallelLAFDBSCANExactOracleMatchesDBSCAN(t *testing.T) {
 	}
 	if ari != 1.0 {
 		t.Errorf("ARI = %v, want 1.0 with exact oracle at alpha=1", ari)
+	}
+}
+
+// TestParallelPartialNeighborsComplete pins the map the wave engines build
+// to its definition: every predicted stop point has an entry, and its row
+// is exactly the set of gated points within eps of it, found here by
+// brute force; no other point has an entry.
+func TestParallelPartialNeighborsComplete(t *testing.T) {
+	d, est := parallelLAFData(t)
+	cfg := Config{Eps: 0.5, Tau: 4, Alpha: 1.3, Estimator: est, Workers: 4, BatchSize: 8, WaveSize: 7}
+	n := d.Len()
+	res := &cluster.Result{}
+	e, err := discover(context.Background(), index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit),
+		d.Vectors, nil, cfg, cluster.NewWaveMerger(n, cfg.Tau), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e == nil {
+		t.Fatal("no point was gated out; the test needs stop points")
+	}
+	gated := Gate(d.Vectors, cfg)
+	stops := 0
+	for p := 0; p < n; p++ {
+		if e.Stop[p] == gated[p] {
+			t.Fatalf("point %d: entry %v, gated %v", p, e.Stop[p], gated[p])
+		}
+		if gated[p] {
+			if e.Rows[p] != nil {
+				t.Fatalf("gated point %d has a row", p)
+			}
+			continue
+		}
+		stops++
+		var want []int32
+		for q := 0; q < n; q++ {
+			if gated[q] && vecmath.CosineDistanceUnit(d.Vectors[p], d.Vectors[q]) < cfg.Eps {
+				want = append(want, int32(q))
+			}
+		}
+		got := slices.Clone(e.Rows[p])
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("stop point %d: row %v, want %v", p, got, want)
+		}
+	}
+	if stops == 0 || stops != res.SkippedQueries {
+		t.Fatalf("%d stop points, %d skipped queries", stops, res.SkippedQueries)
 	}
 }

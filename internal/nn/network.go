@@ -78,11 +78,13 @@ type Dense struct {
 	packed []float64
 }
 
-// pack rebuilds the layer's packed copy of W into a new slice, so a layer
-// copied by value never writes into its original's copy.
+// pack rebuilds the layer's packed copy of W, in place when the layer
+// already has one of the right length. A layer copied by value shares its
+// original's copy until it is given its own.
 func (l *Dense) pack() {
-	rows := l.Out &^ 15
-	l.packed = make([]float64, rows*l.In)
+	if size := (l.Out &^ 15) * l.In; len(l.packed) != size {
+		l.packed = make([]float64, size)
+	}
 	vecmath.Interleave4(l.packed, l.W, l.In, 0, len(l.W))
 }
 

@@ -227,6 +227,7 @@ func cloneNetwork(n *Network) *Network {
 		d := *l
 		d.W = append([]float64(nil), l.W...)
 		d.B = append([]float64(nil), l.B...)
+		d.packed = append([]float64(nil), l.packed...) // Fit rewrites it in place
 		c.Layers = append(c.Layers, &d)
 	}
 	return c

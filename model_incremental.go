@@ -55,18 +55,19 @@ type incState struct {
 	// for every model point — the density side of the core criterion.
 	counts []int
 	// gated[i] is the LAF estimator gate decision for point i (estimate >=
-	// Alpha*Tau), nil for non-LAF methods. Gating is a pure per-point
-	// function of the estimator, so it is computed once and only changes
-	// on retrain.
+	// Alpha*Tau, core.Gate), nil for non-LAF methods. Gating is a pure
+	// per-point function of the estimator, so it is computed once and only
+	// changes on retrain.
 	gated []bool
 	// adj[i] lists the current core points within Eps of i (excluding i):
 	// the ε-connectivity graph restricted to cores, plus every border's
 	// adjacent-core set — the two facts label resolution needs.
 	adj [][]int32
-	// stop[i] lists the gated points within Eps of stop point i (nil rows
-	// for gated points): the complete partial-neighbor map, maintained only
-	// for LAF-DBSCAN with post-processing enabled.
-	stop [][]int32
+	// stop is the complete partial-neighbor map, in the form the engines
+	// build and core.PostProcess reads: every stop point (not gated) has an
+	// entry, whose row lists the gated points within Eps of it. Maintained
+	// only for LAF-DBSCAN with post-processing enabled, nil otherwise.
+	stop *cluster.PartialNeighbors
 	// dyn is the owned brute-force index ensureIncLocked builds over the
 	// cloned points; it is Model.index from then on, and Insert/Remove
 	// mutate it in step with the point slice.
@@ -167,7 +168,7 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 
 	var gated []bool
 	if m.gatedMethod() {
-		gated = m.gateLocked(points)
+		gated = core.Gate(points, lafConfig(m.params))
 	}
 	counts, adj, stop, err := m.scanFacts(ctx, dyn, points, m.core, gated, workers, grain, wave)
 	if err != nil {
@@ -188,19 +189,6 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 	m.params.EfSearch = 0
 	m.inc = &incState{counts: counts, gated: gated, adj: adj, stop: stop, dyn: dyn, dist: dist}
 	return nil
-}
-
-// gateLocked returns LAF's estimator gate decision for each point
-// (estimate >= Alpha*Tau) under the current estimator. The caller holds mu.
-func (m *Model) gateLocked(points [][]float32) []bool {
-	workers, grain, _ := m.pool()
-	threshold := m.params.Alpha * float64(m.params.Tau)
-	est := m.params.Estimator
-	gated := make([]bool, len(points))
-	index.ForEach(len(points), workers, grain, func(i int) {
-		gated[i] = est.Estimate(points[i], m.params.Eps) >= threshold
-	})
-	return gated
 }
 
 // neighborRowsLocked runs one batched Eps-neighborhood query per vector
@@ -228,12 +216,12 @@ func (m *Model) neighborRowsLocked(ctx context.Context, queries [][]float32) ([]
 // each list into counts, adjacency to coreMask, and (when both gated and
 // stop tracking apply) the complete partial-neighbor map. Lists are
 // dropped per wave; the context aborts within one wave.
-func (m *Model) scanFacts(ctx context.Context, idx RangeIndex, points [][]float32, coreMask, gated []bool, workers, grain, wave int) (counts []int, adj, stop [][]int32, err error) {
+func (m *Model) scanFacts(ctx context.Context, idx RangeIndex, points [][]float32, coreMask, gated []bool, workers, grain, wave int) (counts []int, adj [][]int32, stop *cluster.PartialNeighbors, err error) {
 	n := len(points)
 	counts = make([]int, n)
 	adj = make([][]int32, n)
 	if gated != nil && m.trackStop() {
-		stop = make([][]int32, n)
+		stop = cluster.NewPartialNeighbors(n)
 	}
 	err = index.BatchRangeSearchFunc(ctx, idx, points, m.params.Eps, workers, grain, wave,
 		func(i int, ids []int) {
@@ -252,7 +240,8 @@ func (m *Model) scanFacts(ctx context.Context, idx RangeIndex, points [][]float3
 						s = append(s, int32(q))
 					}
 				}
-				stop[i] = s
+				stop.Stop[i] = true
+				stop.Rows[i] = s
 			}
 		})
 	if err != nil {
@@ -337,7 +326,7 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	}
 	var newGated []bool
 	if inc.gated != nil {
-		newGated = m.gateLocked(vectors)
+		newGated = core.Gate(vectors, lafConfig(m.params))
 	}
 	// Core transitions: new points by the (gated) density criterion,
 	// existing non-core points crossing Tau promoted.
@@ -404,7 +393,10 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	inc.dyn.Insert(vectors)
 	inc.adj = append(inc.adj, make([][]int32, b)...)
 	if inc.stop != nil {
-		inc.stop = append(inc.stop, make([][]int32, b)...)
+		for _, g := range newGated {
+			inc.stop.Stop = append(inc.stop.Stop, !g)
+		}
+		inc.stop.Rows = append(inc.stop.Rows, make([][]int32, b)...)
 	}
 
 	// fullOf assembles a changed point's complete neighbor id set (old
@@ -467,14 +459,14 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 		inc.adj[n+k] = a
 	}
 	// Complete partial-neighbor map: new gated points register with their
-	// old stop neighbors; new stop points collect their gated neighbors
-	// (old and new) from their own side.
-	if inc.stop != nil {
+	// old stop neighbors (Algorithm 2); new stop points collect their gated
+	// neighbors (old and new) from their own side.
+	if e := inc.stop; e != nil {
 		for k := range vectors {
 			if newGated[k] {
 				for _, u := range lists[k] {
-					if !inc.gated[u] {
-						inc.stop[u] = append(inc.stop[u], int32(n+k))
+					if e.Stop[u] {
+						e.Rows[u] = append(e.Rows[u], int32(n+k))
 					}
 				}
 			} else {
@@ -484,7 +476,7 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 						s = append(s, u)
 					}
 				}
-				inc.stop[n+k] = s
+				e.Rows[n+k] = s
 			}
 		}
 	}
@@ -600,8 +592,8 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 				continue
 			}
 			dropID(inc.adj, int(u), int32(x))
-			if inc.stop != nil && inc.gated[x] && !inc.gated[u] {
-				dropID(inc.stop, int(u), int32(x))
+			if inc.stop != nil && inc.gated[x] && inc.stop.Stop[u] {
+				dropID(inc.stop.Rows, int(u), int32(x))
 			}
 		}
 	}
@@ -634,7 +626,8 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	m.core = compactRows(m.core, rm)
 	inc.adj = compactIDRows(inc.adj, rm, remap)
 	if inc.stop != nil {
-		inc.stop = compactIDRows(inc.stop, rm, remap)
+		inc.stop.Stop = compactRows(inc.stop.Stop, rm)
+		inc.stop.Rows = compactIDRows(inc.stop.Rows, rm, remap)
 	}
 	inc.dyn.DeleteMany(ids) // one structural pass, not k shifts
 
@@ -711,19 +704,8 @@ func (m *Model) relabelLocked() {
 	}
 	labels := cluster.ResolveCanonical(m.core, inc.adj, nearest)
 	if inc.stop != nil {
-		e := make(core.PartialNeighbors, len(inc.stop))
-		for i, row := range inc.stop {
-			if inc.gated[i] {
-				continue
-			}
-			set := make(map[int]struct{}, len(row))
-			for _, q := range row {
-				set[int(q)] = struct{}{}
-			}
-			e[i] = set
-		}
 		rng := rand.New(rand.NewSource(m.params.Seed))
-		core.PostProcess(labels, e, m.params.Tau, rng)
+		core.PostProcess(labels, inc.stop, m.params.Tau, rng)
 	}
 	k := cluster.RenumberAscending(labels)
 	m.labels = labels
@@ -791,7 +773,7 @@ func (m *Model) regateLocked(ctx context.Context) error {
 	inc := m.inc
 	n := len(m.points)
 	workers, grain, wave := m.pool()
-	gated := m.gateLocked(m.points)
+	gated := core.Gate(m.points, lafConfig(m.params))
 	coreMask := make([]bool, n)
 	for i := range coreMask {
 		coreMask[i] = gated[i] && inc.counts[i] >= m.params.Tau
