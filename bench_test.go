@@ -254,43 +254,34 @@ func BenchmarkAblationEstimators(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelDBSCAN compares the sequential DBSCAN driver against the
-// parallel engine at 1, 4 and NumCPU workers on the synthetic benchmark
-// datasets. The parallel engine's labels are identical to the sequential
-// driver's (asserted on the first iteration), so the timing difference is
-// pure engine overhead/speedup. On a multi-core machine the NumCPU
-// configuration is expected to run >= 2x faster than the sequential driver;
-// with a single core the parallel engine should roughly tie.
+// BenchmarkParallelDBSCAN times DBSCAN at the default Workers 0 (every
+// core) and at 1, 4 and NumCPU workers on the synthetic benchmark
+// datasets. Labels are identical at every count (asserted before timing),
+// so the timing difference is pure engine overhead/speedup. On a
+// multi-core machine NumCPU workers are expected to run >= 2x faster than
+// one; with a single core every count should roughly tie.
 func BenchmarkParallelDBSCAN(b *testing.B) {
 	d := GenerateMixture("par-bench", MixtureConfig{
 		N: 2500, Dim: 256, Clusters: 20, MinSpread: 0.2, MaxSpread: 0.6,
 		NoiseFrac: 0.2, SizeSkew: 1.1, EffectiveDim: 48, Seed: 77,
 	})
 	p := Params{Eps: 0.5, Tau: 4}
-	seq, err := DBSCAN(d.Vectors, p)
+	ref, err := DBSCAN(d.Vectors, p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	workerCounts := benchWorkerCounts()
-	for _, wkr := range workerCounts {
+	workerCounts := append([]int{0}, benchWorkerCounts()...)
+	for _, wkr := range workerCounts[1:] {
 		pp := p
 		pp.Workers = wkr
 		res, err := DBSCAN(d.Vectors, pp)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ari, _ := ARI(seq.Labels, res.Labels); ari != 1.0 {
-			b.Fatalf("workers=%d: ARI vs sequential = %v, want 1.0", wkr, ari)
+		if ari, _ := ARI(ref.Labels, res.Labels); ari != 1.0 {
+			b.Fatalf("workers=%d: ARI vs workers=0 = %v, want 1.0", wkr, ari)
 		}
 	}
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DBSCAN(d.Vectors, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, wkr := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", wkr), func(b *testing.B) {
 			b.ReportAllocs()
@@ -306,23 +297,15 @@ func BenchmarkParallelDBSCAN(b *testing.B) {
 }
 
 // BenchmarkParallelLAFDBSCAN is the same comparison for the LAF fast path:
-// the learned gate plus the parallel engine, against the paper's sequential
-// formulation.
+// the gate plus the wave engine, at the default Workers 0 and at 1, 4 and
+// NumCPU workers.
 func BenchmarkParallelLAFDBSCAN(b *testing.B) {
 	d := GenerateMixture("par-laf-bench", MixtureConfig{
 		N: 2500, Dim: 256, Clusters: 20, MinSpread: 0.2, MaxSpread: 0.6,
 		NoiseFrac: 0.2, SizeSkew: 1.1, EffectiveDim: 48, Seed: 78,
 	})
 	p := Params{Eps: 0.5, Tau: 4, Alpha: 1.2, Estimator: ExactEstimator(d.Vectors), Seed: 1}
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := LAFDBSCAN(d.Vectors, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, wkr := range benchWorkerCounts() {
+	for _, wkr := range append([]int{0}, benchWorkerCounts()...) {
 		b.Run(fmt.Sprintf("workers=%d", wkr), func(b *testing.B) {
 			b.ReportAllocs()
 			pp := p

@@ -29,7 +29,7 @@ func main() {
 	experiment := flag.String("experiment", "all",
 		"which experiment to run: all, table1..table6, figure1..figure4, ablation")
 	workers := flag.Int("workers", 0,
-		"parallel engine workers for DBSCAN, DBSCAN++ and the LAF variants: 0 sequential (the paper's configuration), -1 all cores")
+		"cores for DBSCAN, DBSCAN++ and the LAF variants: 0 = all cores, 1 = one core (for paper-figure timing); labels are identical at every setting")
 	batchSize := flag.Int("batch", 0, "queries per parallel work unit (0 = auto)")
 	waveSize := flag.Int("wave", 0,
 		"range queries per neighbor-discovery wave (0 = auto)")

@@ -73,7 +73,7 @@ func main() {
 		p           = flag.Float64("p", 0.3, "sample fraction for the ++ variants")
 		seed        = flag.Int64("seed", 1, "seed")
 		compare     = flag.Bool("compare", false, "also run exact DBSCAN and report ARI/AMI")
-		workers     = flag.Int("workers", 0, "parallel engine workers for dbscan, dbscan++ and the laf methods: 0 sequential, -1 all cores")
+		workers     = flag.Int("workers", 0, "cores for dbscan, dbscan++ and the laf methods: 0 = all cores, 1 = one core (for paper-figure timing); labels are identical at every setting")
 		batchSize   = flag.Int("batch", 0, "queries per parallel work unit (0 = auto)")
 		waveSize    = flag.Int("wave", 0, "range queries per neighbor-discovery wave (0 = auto)")
 		savePath    = flag.String("save", "", "persist the (fitted or evolved) model to this file")

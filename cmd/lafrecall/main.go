@@ -17,17 +17,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"lafdbscan"
+	"lafdbscan/internal/index"
 )
 
 // report is the JSON shape of one sweep point.
@@ -80,12 +83,17 @@ func main() {
 	})
 	exact := lafdbscan.NewBruteForceIndex(d.Vectors, lafdbscan.MetricCosine)
 
-	// The exact neighborhoods are the shared ground truth of the sweep.
+	// The exact neighborhoods are the shared ground truth of the sweep,
+	// scanned on every core through the wave driver; its result lists are
+	// recycled, so each is copied.
 	truth := make([][]int, len(d.Vectors))
+	if err := index.BatchRangeSearchFunc(context.Background(), exact, d.Vectors, *eps, 0, 0, 0,
+		func(i int, ids []int) { truth[i] = slices.Clone(ids) }); err != nil {
+		log.Fatal(err)
+	}
 	truePairs := 0
-	for i, q := range d.Vectors {
-		truth[i] = exact.RangeSearch(q, *eps)
-		truePairs += len(truth[i])
+	for _, ids := range truth {
+		truePairs += len(ids)
 	}
 	if truePairs == 0 {
 		log.Fatalf("no true neighbor pairs at eps %v — the sweep would gate nothing", *eps)

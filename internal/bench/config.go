@@ -27,16 +27,15 @@ type Config struct {
 	Delta float64
 	// Seed drives everything.
 	Seed int64
-	// Workers selects the clustering engine for the DBSCAN and LAF rows:
-	// 0 runs the sequential reference implementations (the paper's
-	// configuration), non-zero runs the parallel engines (< 0 = all
-	// cores). Parallel DBSCAN labels are identical to sequential, so
+	// Workers is how many cores the DBSCAN and LAF rows cluster on: 0 or
+	// -1 all cores, 1 one core (for timings comparable with the paper's
+	// single-threaded figures). Labels are identical at every setting, so
 	// ground truths stay exact.
 	Workers int
-	// BatchSize is the parallel engines' per-worker query chunk (0 = auto).
+	// BatchSize is the engines' per-worker query chunk (0 = auto).
 	BatchSize int
-	// WaveSize bounds the parallel engines' neighbor-discovery memory:
-	// queries per wave (0 = auto).
+	// WaveSize bounds the engines' neighbor-discovery memory: queries per
+	// wave (0 = auto).
 	WaveSize int
 }
 

@@ -7,9 +7,9 @@ import "sync/atomic"
 // (Anderson & Woll style: CAS on parent links, path halving). Unions always
 // point the higher-indexed root at the lower-indexed one, so the final
 // forest is deterministic — the representative of every component is its
-// minimum member — regardless of goroutine interleaving. The parallel
-// clustering drivers rely on that determinism to reproduce the sequential
-// algorithms' cluster numbering exactly.
+// minimum member — regardless of goroutine interleaving. The clustering
+// engines rely on that determinism to reproduce the paper's traversal
+// numbering exactly.
 type AtomicUnionFind struct {
 	parent []atomic.Int32
 }

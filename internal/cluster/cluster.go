@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-// CtxCheckEvery is how many range queries (or LAF gate decisions) a
-// sequential engine — here or in internal/core — runs between context
-// checks. Cheap enough to be invisible (one modulo plus, every 64th query,
-// an atomic load inside ctx.Err) while keeping cancellation latency to a
-// few dozen queries — the sequential analogue of the parallel engines'
-// per-wave check.
+// CtxCheckEvery is how many range queries a baseline's traversal runs
+// between context checks. Cheap enough to be invisible (one modulo plus,
+// every 64th query, an atomic load inside ctx.Err) while keeping
+// cancellation latency to a few dozen queries — the traversal analogue of
+// the LAF engines' per-wave check.
 const CtxCheckEvery = 64
 
 // CheckCtx returns ctx.Err() on every CtxCheckEvery-th query (and on the
@@ -62,8 +61,8 @@ type Result struct {
 	// Forest[i] is the cluster forest in canonical form: the minimum-index
 	// core point sharing i's final cluster for core i, and -1 for non-core
 	// points. It is derived from (Labels, Core) after all label rewriting
-	// (LAF post-processing included), so it is identical across the
-	// sequential, parallel and wave engines and serializes byte-for-byte.
+	// (LAF post-processing included), so it is identical at every worker
+	// count and serializes byte-for-byte.
 	Forest []int32
 }
 

@@ -3,23 +3,19 @@ package cluster_test
 // The tests in this package compare the cluster package's engine-shared
 // machinery and its baselines against exact DBSCAN and DBSCAN++, which run
 // on internal/core's LAF engines with the open gate. internal/core imports
-// this package, so these tests live in the external test package.
+// this package, so these tests live in the external test package; the
+// tests that pin the wave engine and merger to the paper's traversal live
+// beside that reference, in internal/core's reference_test.go.
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
-	"slices"
-	"sync"
 	"testing"
 	"testing/quick"
 
 	"lafdbscan/internal/cluster"
 	"lafdbscan/internal/core"
 	"lafdbscan/internal/dataset"
-	"lafdbscan/internal/index"
 	"lafdbscan/internal/metrics"
-	"lafdbscan/internal/vecmath"
 )
 
 // openGate runs the LAF engines as exact DBSCAN and DBSCAN++.
@@ -236,60 +232,6 @@ func TestDBSCANCorePointInvariants(t *testing.T) {
 	}
 }
 
-// parallelTestSets returns the synthetic datasets the equivalence tests
-// sweep: the three corpus families at test scale.
-func parallelTestSets() []*dataset.Dataset {
-	return []*dataset.Dataset{
-		dataset.GloVeLike(400, 7),
-		dataset.MSLike(300, 8),
-		dataset.NYTLike(dataset.NYTLikeConfig{N: 300, Seed: 9, NoiseFrac: 0.15}),
-		dataset.TwoBlobs(40, 10),
-	}
-}
-
-// TestParallelDBSCANMatchesSequential asserts the parallel driver's labels
-// are identical to sequential DBSCAN's — exact equality, which implies the
-// issue's ARI == 1.0 criterion — across datasets, parameters and worker
-// counts.
-func TestParallelDBSCANMatchesSequential(t *testing.T) {
-	for _, d := range parallelTestSets() {
-		for _, s := range []struct {
-			eps float64
-			tau int
-		}{{0.4, 3}, {0.55, 5}} {
-			seq, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: openGate(s.eps, s.tau)}).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4, runtime.NumCPU()} {
-				name := fmt.Sprintf("%s/eps=%v,tau=%d/w=%d", d.Name, s.eps, s.tau, workers)
-				par, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(s.eps, s.tau, workers, 8, 0)}).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if par.NumClusters != seq.NumClusters {
-					t.Errorf("%s: %d clusters, sequential %d", name, par.NumClusters, seq.NumClusters)
-				}
-				if par.RangeQueries != seq.RangeQueries {
-					t.Errorf("%s: %d queries, sequential %d", name, par.RangeQueries, seq.RangeQueries)
-				}
-				for i := range seq.Labels {
-					if par.Labels[i] != seq.Labels[i] {
-						t.Fatalf("%s: label[%d] = %d, sequential %d", name, i, par.Labels[i], seq.Labels[i])
-					}
-				}
-				ari, err := metrics.ARI(seq.Labels, par.Labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ari != 1.0 {
-					t.Errorf("%s: ARI = %v, want 1.0", name, ari)
-				}
-			}
-		}
-	}
-}
-
 func TestParallelDBSCANValidation(t *testing.T) {
 	if _, err := (&core.LAFDBSCAN{Points: nil, Config: waveConfig(0.5, 3, -1, 0, 0)}).Run(); err == nil {
 		t.Error("empty dataset accepted")
@@ -300,114 +242,6 @@ func TestParallelDBSCANValidation(t *testing.T) {
 	}
 	if _, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(0.5, 0, -1, 0, 0)}).Run(); err == nil {
 		t.Error("zero tau accepted")
-	}
-}
-
-// TestWaveEngineMatchesSequentialAcrossWaveSizes pins the wave engine's
-// labels to sequential DBSCAN's — exact equality, which implies the
-// ARI == 1.0 criterion — across wave sizes from one query per wave to one
-// wave holding every query, at several worker counts. Run
-// under -race this also exercises the publish-then-scan handshake that
-// folds core-core unions into in-flight waves.
-func TestWaveEngineMatchesSequentialAcrossWaveSizes(t *testing.T) {
-	for _, d := range parallelTestSets() {
-		seq, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: openGate(0.5, 4)}).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, wave := range []int{0, 1, 7, 64, 100000} {
-			for _, workers := range []int{1, 4, runtime.NumCPU()} {
-				name := fmt.Sprintf("%s/wave=%d/w=%d", d.Name, wave, workers)
-				par, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(0.5, 4, workers, 8, wave)}).Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range seq.Labels {
-					if par.Labels[i] != seq.Labels[i] {
-						t.Fatalf("%s: label[%d] = %d, sequential %d", name, i, par.Labels[i], seq.Labels[i])
-					}
-				}
-				ari, err := metrics.ARI(seq.Labels, par.Labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ari != 1.0 {
-					t.Errorf("%s: ARI = %v, want 1.0", name, ari)
-				}
-			}
-		}
-	}
-}
-
-// TestWaveMergerMatchesSequentialDBSCAN drives the merger directly with
-// precomputed neighbor lists absorbed concurrently in shuffled order — the
-// worst case for the publish-then-scan handshake — and checks the resolved
-// labels against sequential DBSCAN's.
-func TestWaveMergerMatchesSequentialDBSCAN(t *testing.T) {
-	d := dataset.GloVeLike(500, 21)
-	const eps, tau = 0.5, 4
-	idx := index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit)
-	n := d.Len()
-	neighbors := make([][]int, n)
-	for p, v := range d.Vectors {
-		neighbors[p] = idx.RangeSearch(v, eps)
-	}
-	seq, err := (&core.LAFDBSCAN{Points: d.Vectors, Index: idx, Config: openGate(eps, tau)}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seq.Labels
-
-	for trial := 0; trial < 3; trial++ {
-		order := rand.New(rand.NewSource(int64(trial))).Perm(n)
-		m := cluster.NewWaveMerger(n, tau)
-		var wg sync.WaitGroup
-		const goroutines = 8
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for k := g; k < n; k += goroutines {
-					p := order[k]
-					m.Absorb(p, neighbors[p])
-				}
-			}(g)
-		}
-		wg.Wait()
-		got := m.Resolve(nil)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: label[%d] = %d, want %d", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestResolveCanonicalMatchesSequentialDBSCAN pins the incremental
-// resolution against the reference traversal: building the maintained facts
-// (core mask, core adjacency) from a full DBSCAN run and resolving them
-// canonically must reproduce the traversal's labels bit for bit.
-func TestResolveCanonicalMatchesSequentialDBSCAN(t *testing.T) {
-	pts := dataset.GloVeLike(300, 42).Vectors
-	eps, tau := 0.35, 4
-	ref, err := (&core.LAFDBSCAN{Points: pts, Config: openGate(eps, tau)}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Maintained facts, built the way the incremental engine maintains
-	// them: counts decide cores, adjacency lists the cores within eps.
-	n := len(pts)
-	adj := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && ref.Core[j] && cosDist(pts[i], pts[j]) < eps {
-				adj[i] = append(adj[i], int32(j))
-			}
-		}
-	}
-	labels := cluster.ResolveCanonical(ref.Core, adj, nil)
-	if !slices.Equal(labels, ref.Labels) {
-		t.Fatalf("canonical resolution diverged from sequential DBSCAN")
 	}
 }
 

@@ -14,8 +14,8 @@
 // facts: PartialNeighbors is LAF's partial-neighbor map E, dense over
 // point ids, as the engines build it and model maintenance keeps it;
 // WaveMerger folds core flags, core-core ε-edges and border stubs out of
-// range query results (both DBSCAN++ engines and the memory-bounded
-// parallel engine); ClusterCoresAndAssignUnionWorkers is the DBSCAN++ tail;
+// range query results (the memory-bounded wave engines of both
+// algorithms); ClusterCoresAndAssignUnionWorkers is the DBSCAN++ tail;
 // ResolveCanonical and RenumberAscending re-derive the canonical labeling
 // from a maintained core set and core-adjacency graph (the resolution side
 // of incremental Insert/Remove on fitted models); and DeriveForest produces

@@ -1,8 +1,8 @@
 package cluster
 
 // This file holds the label-resolution primitives of incremental model
-// maintenance (Model.Insert / Model.Remove in the root package). The
-// parallel engines established that every traversal labeling is a pure
+// maintenance (Model.Insert / Model.Remove in the root package). The wave
+// engines rest on the fact that every traversal labeling is a pure
 // function of three order-free facts — the core set, ε-connectivity among
 // core points, and each non-core point's adjacent cores. The incremental
 // engine maintains exactly those facts under point insertion and removal

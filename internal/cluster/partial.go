@@ -7,8 +7,10 @@ package cluster
 // duplicates. Its order is the order the queries were applied in, which
 // the wave engines do not fix, so readers treat a row as a set.
 //
-// The engines build E with Ensure and Update and read it for border
-// resolution and LAF post-processing; the maintenance overlay of a fitted
+// The engines give every predicted stop point its entry with Ensure
+// before any query runs, append each executed query to the rows of the
+// stop points it finds (Algorithm 2), and read E for border resolution
+// and LAF post-processing; the maintenance overlay of a fitted
 // model keeps the same rows current under Insert and Remove and hands
 // them to post-processing as they are.
 type PartialNeighbors struct {
@@ -24,15 +26,3 @@ func NewPartialNeighbors(n int) *PartialNeighbors {
 // Ensure gives p an entry when it has none (lines 8 and 27 of Algorithm 1:
 // "if P not in E then E(P) := ∅"); an existing entry keeps its row.
 func (e *PartialNeighbors) Ensure(p int) { e.Stop[p] = true }
-
-// Update is Algorithm 2 (UpdatePartialNeighbors): after a range query for p
-// returned neighbors, every neighbor with an entry records p. Points
-// without one are left alone, so a sequential engine only updates the stop
-// points it has already discovered.
-func (e *PartialNeighbors) Update(p int, neighbors []int) {
-	for _, q := range neighbors {
-		if e.Stop[q] {
-			e.Rows[q] = append(e.Rows[q], int32(p))
-		}
-	}
-}

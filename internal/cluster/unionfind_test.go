@@ -67,7 +67,7 @@ func TestClusterCoresAndAssignUnionWorkersMatchesSerial(t *testing.T) {
 	const eps, tau = 0.5, 3
 	idx := index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit)
 	var cores []int
-	m := NewWaveMerger(d.Len(), tau)
+	m := NewWaveMerger(d.Len(), tau, false)
 	for i := 0; i < d.Len(); i += 2 { // every other point stands in for a sample
 		if m.Absorb(i, idx.RangeSearch(d.Vectors[i], eps)) {
 			cores = append(cores, i)

@@ -6,8 +6,8 @@ import "sync/atomic"
 // facts label resolution needs — core flags, ε-connectivity of core points,
 // and border-assignment stubs — so neighbor lists can be dropped the moment
 // they are produced. It is the consumer side of index.BatchRangeSearchFunc:
-// the parallel clustering drivers call Absorb from the wave callback and
-// never retain a core point's neighbor list.
+// the clustering engines call Absorb from the wave callback and never
+// retain a core point's neighbor list.
 //
 // Core-core edges are unioned through a publish-then-scan handshake: Absorb
 // publishes p's core status atomically before scanning p's list, and unions
@@ -39,20 +39,18 @@ const (
 )
 
 // NewWaveMerger returns a merger over n points with core threshold tau.
-func NewWaveMerger(n, tau int) *WaveMerger {
-	return &WaveMerger{
-		tau:    tau,
-		status: make([]atomic.Int32, n),
-		stubs:  make([][]int, n),
-		uf:     NewAtomicUnionFind(n),
+// resolve reports whether the caller will call Resolve: only then are
+// border stubs kept. Drivers that number and assign clusters off Core and
+// UnionFind (LAF-DBSCAN++'s nearest-core assignment recomputes distances)
+// pass false and pay for no stub slice; Resolve must not be called on such
+// a merger.
+func NewWaveMerger(n, tau int, resolve bool) *WaveMerger {
+	m := &WaveMerger{tau: tau, status: make([]atomic.Int32, n), uf: NewAtomicUnionFind(n)}
+	if resolve {
+		m.stubs = make([][]int, n)
 	}
+	return m
 }
-
-// SkipStubs disables border-stub retention, for drivers that number and
-// assign clusters without calling Resolve (LAF-DBSCAN++'s nearest-core
-// assignment recomputes distances and never reads stubs). Call before the
-// first Absorb; Resolve must not be called afterwards.
-func (m *WaveMerger) SkipStubs() { m.stubs = nil }
 
 // Absorb folds the range-query result of point p into the merger and
 // returns whether p is core. Safe for concurrent use on distinct p; ids is

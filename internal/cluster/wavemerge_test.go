@@ -17,7 +17,7 @@ func TestWaveMergerStubsBounded(t *testing.T) {
 	const eps, tau = 0.55, 5
 	idx := index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit)
 	n := d.Len()
-	m := NewWaveMerger(n, tau)
+	m := NewWaveMerger(n, tau, true)
 	if err := index.BatchRangeSearchFunc(context.Background(), idx, d.Vectors, eps, 2, 4, 32,
 		func(p int, ids []int) { m.Absorb(p, ids) }); err != nil {
 		t.Fatal(err)

@@ -25,10 +25,12 @@
 // LAF wraps the original algorithms rather than replacing them, so the
 // engines here are also the repository's exact DBSCAN and DBSCAN++: with
 // OpenGate as the estimator every point passes the gate, no query is
-// skipped, E stays empty and part 3 has nothing to repair. Each engine has
-// a sequential implementation (the paper's formulation, and the reference
-// every label-equality test compares against) and a wave implementation
-// for Config.Workers != 0; the wave implementations share one discovery
-// pass (gate → wave → fold), and both DBSCAN++ implementations share the
-// union-find assignment tail.
+// skipped, E stays empty and part 3 has nothing to repair. Each algorithm
+// has one engine, and both share one discovery pass (gate → wave → fold)
+// over a pool of Config.Workers workers; the worker count changes speed,
+// never the result. The engines gate every point before any query runs, so
+// E is the complete map rather than Algorithm 2's visit-order-dependent
+// one (parallel.go says why). The paper's point-by-point traversal lives
+// on in reference_test.go as the reference the engine tests compare
+// against.
 package core

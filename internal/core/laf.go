@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"lafdbscan/internal/cardest"
 	"lafdbscan/internal/cluster"
@@ -98,25 +100,18 @@ type Config struct {
 	Seed int64
 	// DisablePostProcessing turns Algorithm 3 off, for ablations.
 	DisablePostProcessing bool
-	// Workers selects the execution engine: 0 runs the sequential
-	// reference implementation (the paper's formulation), any other value
-	// runs the parallel engine with that many workers (< 0 selects
-	// GOMAXPROCS). The parallel engine gates, queries and merges in
-	// batches; its labels match the sequential engine's exactly when
-	// post-processing is disabled, and its partial-neighbor map is the
-	// complete (traversal-order-free) version — a superset of the
-	// sequential one — when it is enabled. The Estimator must be safe for
+	// Workers is the size of the worker pool the engine gates, queries
+	// and assigns on; <= 0 selects GOMAXPROCS. It changes speed only: the
+	// result is identical at every setting. The Estimator must be safe for
 	// concurrent use (all implementations in internal/cardest are).
 	Workers int
-	// BatchSize is the number of queries a parallel worker claims at a
-	// time; <= 0 selects a load-balancing default. Ignored by the
-	// sequential engine.
+	// BatchSize is the number of queries a worker claims at a time; <= 0
+	// selects a load-balancing default.
 	BatchSize int
-	// WaveSize bounds the parallel engine's neighbor-discovery memory:
-	// range queries run in waves of this many and each wave's lists are
-	// dropped as soon as their facts are folded in. <= 0 selects
-	// index.DefaultWaveSize. Ignored by the sequential engine; labels are
-	// identical at every setting.
+	// WaveSize bounds the engine's neighbor-discovery memory: range
+	// queries run in waves of this many and each wave's lists are dropped
+	// as soon as their facts are folded in. <= 0 selects
+	// index.DefaultWaveSize. Labels are identical at every setting.
 	WaveSize int
 }
 
@@ -151,14 +146,34 @@ func (c *Config) validate(n int) error {
 // Gate is LAF's estimator gate over points: mask[i] reports whether
 // point i is predicted core (CardEst >= Alpha·Tau) and so runs its range
 // query. The points are estimated in parallel over cfg.Workers workers
-// (<= 0 selects GOMAXPROCS) in chunks of cfg.BatchSize.
-func Gate(points [][]float32, cfg Config) []bool {
-	threshold := cfg.Alpha * float64(cfg.Tau)
+// (<= 0 selects GOMAXPROCS) in chunks of cfg.BatchSize. ctx is checked
+// before the first estimate and before every cluster.CtxCheckEvery-th;
+// once it is done no further estimate starts and Gate returns ctx.Err().
+func Gate(ctx context.Context, points [][]float32, cfg Config) ([]bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	mask := make([]bool, len(points))
+	var stopped atomic.Bool
 	index.ForEach(len(points), cfg.Workers, cfg.BatchSize, func(i int) {
-		mask[i] = cfg.Estimator.Estimate(points[i], cfg.Eps) >= threshold
+		if stopped.Load() {
+			return
+		}
+		if cluster.CheckCtx(ctx, i) != nil {
+			stopped.Store(true)
+			return
+		}
+		mask[i] = cfg.predictedCore(points[i])
 	})
-	return mask
+	if stopped.Load() {
+		return nil, ctx.Err()
+	}
+	return mask, nil
+}
+
+// predictedCore is the gate's predicate: CardEst(p) >= Alpha·Tau.
+func (c Config) predictedCore(p []float32) bool {
+	return c.Estimator.Estimate(p, c.Eps) >= c.Alpha*float64(c.Tau)
 }
 
 // PredictedCoreRatio returns Rc, the fraction of points the estimator
@@ -168,9 +183,10 @@ func PredictedCoreRatio(points [][]float32, est cardest.Estimator, eps float64, 
 	if len(points) == 0 {
 		return 0
 	}
+	cfg := Config{Eps: eps, Tau: tau, Alpha: alpha, Estimator: est}
 	core := 0
-	for _, ok := range Gate(points, Config{Eps: eps, Tau: tau, Alpha: alpha, Estimator: est, Workers: 1}) {
-		if ok {
+	for _, p := range points {
+		if cfg.predictedCore(p) {
 			core++
 		}
 	}

@@ -40,10 +40,10 @@ func dbscanTruth(t *testing.T, pts [][]float32, eps float64, tau int) *cluster.R
 	return res
 }
 
-// TestOpenGateRunsThePlainAlgorithms pins what OpenGate promises on both
-// engines of both algorithms: no query is skipped, post-processing has
-// nothing to repair (the labels are the same with it on), and the results
-// carry the plain algorithm names.
+// TestOpenGateRunsThePlainAlgorithms pins what OpenGate promises for both
+// algorithms, at the default pool and at two workers: no query is skipped,
+// post-processing has nothing to repair (the labels are the same with it
+// on), and the results carry the plain algorithm names.
 func TestOpenGateRunsThePlainAlgorithms(t *testing.T) {
 	d := evalDataset(43)
 	for _, workers := range []int{0, 2} {
@@ -194,9 +194,9 @@ func TestLAFDBSCANAllCorePredictionMatchesDBSCAN(t *testing.T) {
 // cluster; if the estimator falsely predicts m as a stop point the cluster
 // splits in two, and post-processing must repair the split because four
 // points discover m as their neighbor (|E(m)| = 4 >= tau). The bridge sits
-// at index 0: E only records discoveries made after a stop point registers,
-// so the bridge must be classified before its neighbors run their queries —
-// the same visit-order sensitivity the paper's Algorithm 1 has.
+// at index 0, so even the paper's traversal, whose E only records
+// discoveries made after a stop point registers, classifies it before its
+// neighbors run their queries.
 func bridgeDataset() (points [][]float32, bridge int) {
 	angles := []float64{50, 0, 5, 10, 90, 95, 100} // degrees; index 0 is m
 	const dim = 8
@@ -320,12 +320,12 @@ func TestPartialNeighbors(t *testing.T) {
 	if !e.Stop[5] {
 		t.Fatal("Ensure did not add")
 	}
-	e.Update(99, []int{5})
+	updatePartial(e, 99, []int{5})
 	e.Ensure(5)
 	if len(e.Rows[5]) != 1 {
 		t.Fatal("Ensure overwrote existing entry")
 	}
-	e.Update(7, []int{5, 6})
+	updatePartial(e, 7, []int{5, 6})
 	if !slices.Contains(e.Rows[5], 7) {
 		t.Fatal("Update missed a tracked stop point")
 	}

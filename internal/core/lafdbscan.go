@@ -26,106 +26,38 @@ type LAFDBSCAN struct {
 // Run clusters the points.
 func (l *LAFDBSCAN) Run() (*cluster.Result, error) { return l.RunContext(context.Background()) }
 
-// RunContext clusters the points under a cancellation context: the
-// sequential engine checks it every cluster.CtxCheckEvery gate/query
-// decisions, the parallel wave engine at each wave barrier (aborting
-// within one wave).
+// RunContext clusters the points under a cancellation context, checked
+// every cluster.CtxCheckEvery estimates of the gate and at every wave
+// barrier of the query phase (aborting within one wave).
 func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
-	n := len(l.Points)
-	if err := l.Config.validate(n); err != nil {
+	if err := l.Config.validate(len(l.Points)); err != nil {
 		return nil, err
 	}
 	idx := l.Index
 	if idx == nil {
 		idx = index.NewBruteForce(l.Points, vecmath.CosineDistanceUnit)
 	}
-	if l.Config.Workers != 0 {
-		return l.runParallel(ctx, idx)
-	}
 	cfg := l.Config
-	threshold := cfg.Alpha * float64(cfg.Tau)
-	est := cfg.Estimator
-
 	start := time.Now()
-	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN"), Labels: make([]int, n)}
-	labels := res.Labels
-	for i := range labels {
-		labels[i] = cluster.Undefined
+	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN")}
+
+	// Gate every point (lines 6-9 and 22-27 of Algorithm 1, hoisted out of
+	// the traversal), then discover neighbors in waves. The map is read
+	// even with post-processing disabled, because border assignment of
+	// never-queried points needs it: their own neighbor list does not
+	// exist, so the queriers that found them are the only record of their
+	// adjacent cores.
+	m := cluster.NewWaveMerger(len(l.Points), cfg.Tau, true)
+	e, err := discover(ctx, idx, l.Points, nil, cfg, m, res)
+	if err != nil {
+		return nil, err
 	}
-	e := cluster.NewPartialNeighbors(n)
-	c := 0
-	core := make([]bool, n)
-	inSeed := make([]bool, n)
-	for p := 0; p < n; p++ {
-		if labels[p] != cluster.Undefined {
-			continue
-		}
-		if err := cluster.CheckCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
-			return nil, err
-		}
-		// LAF gate (lines 6-9): skip the range query for predicted stop
-		// points, remembering them in E for post-processing.
-		if est.Estimate(l.Points[p], cfg.Eps) < threshold {
-			labels[p] = cluster.Noise
-			e.Ensure(p)
-			res.SkippedQueries++
-			continue
-		}
-		neighbors := idx.RangeSearch(l.Points[p], cfg.Eps)
-		res.RangeQueries++
-		e.Update(p, neighbors)
-		if len(neighbors) < cfg.Tau {
-			labels[p] = cluster.Noise
-			continue
-		}
-		core[p] = true
-		c++
-		labels[p] = c
-		clear(inSeed)
-		seeds := make([]int, 0, len(neighbors))
-		for _, q := range neighbors {
-			if q != p {
-				seeds = append(seeds, q)
-				inSeed[q] = true
-			}
-		}
-		for k := 0; k < len(seeds); k++ {
-			q := seeds[k]
-			if labels[q] == cluster.Noise {
-				labels[q] = c // border point
-			}
-			if labels[q] != cluster.Undefined {
-				continue
-			}
-			labels[q] = c
-			if err := cluster.CheckCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
-				return nil, err
-			}
-			// LAF gate on the expansion query (lines 22-27).
-			if est.Estimate(l.Points[q], cfg.Eps) >= threshold {
-				qn := idx.RangeSearch(l.Points[q], cfg.Eps)
-				res.RangeQueries++
-				e.Update(q, qn)
-				if len(qn) >= cfg.Tau {
-					core[q] = true
-					for _, r := range qn {
-						if !inSeed[r] {
-							seeds = append(seeds, r)
-							inSeed[r] = true
-						}
-					}
-				}
-			} else {
-				e.Ensure(q)
-				res.SkippedQueries++
-			}
-		}
-	}
+	res.Labels = m.Resolve(e)
 	if !cfg.DisablePostProcessing {
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		res.PostMerges = PostProcess(labels, e, cfg.Tau, rng)
+		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
 	}
-	res.Core = core
+	res.Core = m.Core()
 	res.Elapsed = time.Since(start)
 	finalize(res)
 	return res, nil

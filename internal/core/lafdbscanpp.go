@@ -32,10 +32,9 @@ type LAFDBSCANPP struct {
 // Run clusters the points.
 func (l *LAFDBSCANPP) Run() (*cluster.Result, error) { return l.RunContext(context.Background()) }
 
-// RunContext clusters the points under a cancellation context: the
-// sequential engine checks it every cluster.CtxCheckEvery gate/query
-// decisions, the parallel wave engine at each wave barrier (aborting
-// within one wave).
+// RunContext clusters the points under a cancellation context, checked
+// every cluster.CtxCheckEvery estimates of the gate and at every wave
+// barrier of the query phase (aborting within one wave).
 func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 	n := len(l.Points)
 	if err := l.Config.validate(n); err != nil {
@@ -48,58 +47,27 @@ func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 	if idx == nil {
 		idx = index.NewBruteForce(l.Points, vecmath.CosineDistanceUnit)
 	}
-	if l.Config.Workers != 0 {
-		return l.runParallel(ctx, idx)
-	}
 	cfg := l.Config
-	threshold := cfg.Alpha * float64(cfg.Tau)
-	est := cfg.Estimator
-
 	start := time.Now()
 	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN++")}
+	// The rng stream is consumed in a fixed order (sample permutation
+	// first, post-processing second), so a fixed seed selects one sample.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	sample := l.sample(rng)
+	sample := rng.Perm(n)[:max(1, int(float64(n)*l.P))]
 
-	// Core detection within the sample, gated by the estimator. Predicted
-	// stop points skip their range query and enter E; every other result
-	// is folded into the merger (core flag, core-core unions) and dropped,
-	// as in the wave engine.
-	e := cluster.NewPartialNeighbors(n)
-	merger := cluster.NewWaveMerger(n, cfg.Tau)
-	merger.SkipStubs()
-	for _, s := range sample {
-		if err := cluster.CheckCtx(ctx, res.RangeQueries+res.SkippedQueries); err != nil {
-			return nil, err
-		}
-		if est.Estimate(l.Points[s], cfg.Eps) < threshold {
-			e.Ensure(s)
-			res.SkippedQueries++
-			continue
-		}
-		neighbors := idx.RangeSearch(l.Points[s], cfg.Eps)
-		res.RangeQueries++
-		e.Update(s, neighbors)
-		merger.Absorb(s, neighbors)
+	// Core detection within the sample, gated by the estimator: predicted
+	// stop points skip their range query and enter E, every other result
+	// is folded into the merger (core flag, core-core unions) and dropped.
+	// The assignment below recomputes point-core distances and needs no
+	// lists, so the merger keeps no border stubs either.
+	merger := cluster.NewWaveMerger(n, cfg.Tau, false)
+	e, err := discover(ctx, idx, l.Points, sample, cfg, merger, res)
+	if err != nil {
+		return nil, err
 	}
-	l.assign(res, sample, merger, e, 1, rng)
-	res.Elapsed = time.Since(start)
-	finalize(res)
-	return res, nil
-}
-
-// sample draws the core-detection sample: the first max(1, ⌊n·P⌋) ids of a
-// permutation from rng, so both engines consume the stream alike.
-func (l *LAFDBSCANPP) sample(rng *rand.Rand) []int {
-	n := len(l.Points)
-	return rng.Perm(n)[:max(1, int(float64(n)*l.P))]
-}
-
-// assign is the tail both engines share: the sample's cores, in sample
-// order, are clustered off the merger's forest, every other point joins
-// its closest core within Eps (over workers), and post-processing repairs
-// the labeling from E. It sets res's labels, merge count and core mask.
-func (l *LAFDBSCANPP) assign(res *cluster.Result, sample []int, merger *cluster.WaveMerger, e *cluster.PartialNeighbors, workers int, rng *rand.Rand) {
-	cfg := l.Config
+	// The sample's cores, in sample order, are clustered off the merger's
+	// forest, every other point joins its closest core within Eps, and
+	// post-processing repairs the labeling from E.
 	core := merger.Core()
 	cores := make([]int, 0, len(sample))
 	for _, s := range sample {
@@ -107,9 +75,12 @@ func (l *LAFDBSCANPP) assign(res *cluster.Result, sample []int, merger *cluster.
 			cores = append(cores, s)
 		}
 	}
-	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), workers, cfg.BatchSize)
+	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), cfg.Workers, cfg.BatchSize)
 	if !cfg.DisablePostProcessing {
 		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
 	}
 	res.Core = core
+	res.Elapsed = time.Since(start)
+	finalize(res)
+	return res, nil
 }

@@ -2,36 +2,33 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"slices"
 	"sync"
-	"time"
 
 	"lafdbscan/internal/cluster"
 	"lafdbscan/internal/index"
 )
 
-// This file holds the multi-core engines behind LAFDBSCAN.Run and
-// LAFDBSCANPP.Run when Config.Workers != 0. The sequential formulations
-// interleave gating, querying and labeling point-by-point, but none of the
-// three depends on traversal order:
+// This file is the one neighbor-discovery pass behind LAFDBSCAN.Run and
+// LAFDBSCANPP.Run. The paper's formulation interleaves gating, querying
+// and labeling point by point, but none of the three depends on traversal
+// order:
 //
 //   - the estimator gate is a pure per-point predicate,
 //   - the range queries of the predicted-core points are independent,
 //   - clusters are the ε-connected components of the actual core points,
 //     with the border/noise rules cluster.WaveMerger.Resolve applies.
 //
-// So the parallel engines run gate → wave-streamed queries → lock-free
-// merge folded into each wave → sequential label resolution, and produce
-// labels identical to their sequential counterparts when post-processing is
-// disabled. With post-processing enabled the engines differ in one
-// deliberate way: the sequential traversal only records a partial neighbor
-// into E when the stop point was discovered before the querying point ran
-// (Algorithm 2 updates existing entries only), so its E depends on visit
-// order; the parallel engines register every predicted stop point first and
-// then apply every executed query, yielding the complete, order-free map —
-// a superset of the sequential one, which can only give Algorithm 3 more
-// repair evidence.
+// So the engines run gate → wave-streamed queries → lock-free merge folded
+// into each wave → label resolution, on a pool of Config.Workers workers;
+// the worker count changes the speed and never the result. The one
+// deliberate departure from Algorithm 2 is the partial-neighbor map: the
+// paper's traversal records a finder only for stop points it has already
+// discovered, so its E depends on visit order, while discover registers
+// every predicted stop point first and then applies every executed query.
+// That complete, order-free map is a superset of the traversal's, so it
+// can only give Algorithm 3 more repair evidence, and model maintenance
+// keeps the same map current.
 //
 // Memory: the engines keep at most one wave of neighbor lists in flight
 // (Config.WaveSize), folding core flags and union-find links into each
@@ -44,8 +41,9 @@ import (
 // by stop-point id so unrelated stop points do not contend.
 type stopStripes [16]sync.Mutex
 
-// update registers querier p with every predicted stop point in ids
-// (PartialNeighbors.Update under the stripes).
+// update is Algorithm 2 (UpdatePartialNeighbors) under the stripes: it
+// registers querier p with every point in ids that has an entry in E.
+// Points without one are left alone.
 func (s *stopStripes) update(e *cluster.PartialNeighbors, p int, ids []int) {
 	for _, q := range ids {
 		if e.Stop[q] {
@@ -75,7 +73,10 @@ func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, 
 			cands[k] = points[id]
 		}
 	}
-	pass := Gate(cands, cfg)
+	pass, err := Gate(ctx, cands, cfg)
+	if err != nil {
+		return nil, err
+	}
 	queries, qids := cands, ids
 	var e *cluster.PartialNeighbors
 	if slices.Contains(pass, false) {
@@ -98,7 +99,7 @@ func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, 
 	res.RangeQueries = len(queries)
 	res.SkippedQueries = len(cands) - len(queries)
 	var stripes stopStripes
-	err := index.BatchRangeSearchFunc(ctx, idx, queries, cfg.Eps, cfg.Workers, cfg.BatchSize, cfg.WaveSize,
+	err = index.BatchRangeSearchFunc(ctx, idx, queries, cfg.Eps, cfg.Workers, cfg.BatchSize, cfg.WaveSize,
 		func(k int, nb []int) {
 			p := k
 			if qids != nil {
@@ -110,59 +111,4 @@ func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, 
 			}
 		})
 	return e, err
-}
-
-// runParallel is LAF-DBSCAN's multi-core engine. The context is checked at
-// every wave barrier of the query phase.
-func (l *LAFDBSCAN) runParallel(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
-	cfg := l.Config
-	start := time.Now()
-	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN")}
-
-	// Gate every point (lines 6-9 and 22-27 of Algorithm 1, hoisted out of
-	// the traversal), then discover neighbors in waves. The map is read
-	// even with post-processing disabled, because border assignment of
-	// never-queried points needs it: their own neighbor list does not
-	// exist, so the queriers that found them are the only record of their
-	// adjacent cores.
-	m := cluster.NewWaveMerger(len(l.Points), cfg.Tau)
-	e, err := discover(ctx, idx, l.Points, nil, cfg, m, res)
-	if err != nil {
-		return nil, err
-	}
-	res.Labels = m.Resolve(e)
-	if !cfg.DisablePostProcessing {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
-	}
-	res.Core = m.Core()
-	res.Elapsed = time.Since(start)
-	finalize(res)
-	return res, nil
-}
-
-// runParallel is LAF-DBSCAN++'s multi-core engine. The rng stream is
-// consumed in the same order as the sequential engine (sample permutation
-// first, post-processing second), so a fixed seed selects the same sample.
-func (l *LAFDBSCANPP) runParallel(ctx context.Context, idx index.RangeSearcher) (*cluster.Result, error) {
-	cfg := l.Config
-	start := time.Now()
-	res := &cluster.Result{Algorithm: cfg.algorithm("DBSCAN++")}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	sample := l.sample(rng)
-
-	// Core detection and core-core unions fold into the waves. Neighbor
-	// lists are dropped per wave — the assignment tail recomputes
-	// point-core distances directly and needs no lists, so border stubs
-	// are not retained either.
-	merger := cluster.NewWaveMerger(len(l.Points), cfg.Tau)
-	merger.SkipStubs()
-	e, err := discover(ctx, idx, l.Points, sample, cfg, merger, res)
-	if err != nil {
-		return nil, err
-	}
-	l.assign(res, sample, merger, e, cfg.Workers, rng)
-	res.Elapsed = time.Since(start)
-	finalize(res)
-	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"lafdbscan/internal/cardest"
@@ -22,21 +23,20 @@ func parallelLAFData(t *testing.T) (*dataset.Dataset, cardest.Estimator) {
 	return d, &cardest.Exact{Index: idx}
 }
 
-// TestParallelLAFDBSCANMatchesSequential pins the parallel engine to the
-// sequential reference with post-processing disabled: labels must be
-// identical at every worker count (the engines only diverge through the
-// partial-neighbor map, which post-processing consumes).
+// TestParallelLAFDBSCANMatchesSequential pins the wave engine to the
+// reference traversal with post-processing disabled: labels must be
+// identical at every worker count.
 func TestParallelLAFDBSCANMatchesSequential(t *testing.T) {
 	d, est := parallelLAFData(t)
 	base := Config{
 		Eps: 0.5, Tau: 4, Alpha: 1.3, Estimator: est, Seed: 3,
 		DisablePostProcessing: true,
 	}
-	seq, err := (&LAFDBSCAN{Points: d.Vectors, Config: base}).Run()
+	seq, err := referenceLAFDBSCAN(&LAFDBSCAN{Points: d.Vectors, Config: base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{-1, 1, 4, runtime.NumCPU()} {
+	for _, workers := range []int{-1, 0, 1, 4, runtime.NumCPU()} {
 		cfg := base
 		cfg.Workers = workers
 		cfg.BatchSize = 8
@@ -58,13 +58,13 @@ func TestParallelLAFDBSCANMatchesSequential(t *testing.T) {
 }
 
 // TestParallelLAFDBSCANPostProcessingDeterministic asserts the full
-// parallel pipeline (post-processing enabled) is deterministic across
-// worker counts: the complete partial-neighbor map is order-free, so every
-// pool size must yield the same labeling and merge count.
+// pipeline (post-processing enabled) is deterministic across worker
+// counts: the complete partial-neighbor map is order-free, so every pool
+// size must yield the same labeling and merge count.
 func TestParallelLAFDBSCANPostProcessingDeterministic(t *testing.T) {
 	d, est := parallelLAFData(t)
 	var ref *cluster.Result
-	for _, workers := range []int{1, 3, runtime.NumCPU()} {
+	for _, workers := range []int{0, 1, 3, runtime.NumCPU()} {
 		res, err := (&LAFDBSCAN{Points: d.Vectors, Config: Config{
 			Eps: 0.5, Tau: 4, Alpha: 1.3, Estimator: est, Seed: 3,
 			Workers: workers, BatchSize: 8,
@@ -85,8 +85,8 @@ func TestParallelLAFDBSCANPostProcessingDeterministic(t *testing.T) {
 			}
 		}
 	}
-	// Quality sanity: the parallel LAF path at alpha near 1 must stay close
-	// to exact DBSCAN on the same data (the paper's whole premise).
+	// Quality sanity: LAF at alpha near 1 must stay close to exact DBSCAN
+	// on the same data (the paper's whole premise).
 	cfg := openGateConfig(0.5, 4)
 	cfg.Workers = 2
 	truth, err := (&LAFDBSCAN{Points: d.Vectors, Config: cfg}).Run()
@@ -98,12 +98,12 @@ func TestParallelLAFDBSCANPostProcessingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ari < 0.85 {
-		t.Errorf("parallel LAF-DBSCAN ARI vs DBSCAN = %v", ari)
+		t.Errorf("LAF-DBSCAN ARI vs DBSCAN = %v", ari)
 	}
 }
 
-// TestParallelLAFDBSCANPPMatchesSequential pins LAF-DBSCAN++'s parallel
-// engine to the sequential one: same seed selects the same sample, and with
+// TestParallelLAFDBSCANPPMatchesSequential pins LAF-DBSCAN++'s wave engine
+// to the reference: same seed selects the same sample, and with
 // post-processing disabled the labels must be identical.
 func TestParallelLAFDBSCANPPMatchesSequential(t *testing.T) {
 	d, est := parallelLAFData(t)
@@ -111,11 +111,11 @@ func TestParallelLAFDBSCANPPMatchesSequential(t *testing.T) {
 		Eps: 0.5, Tau: 4, Alpha: 1.0, Estimator: est, Seed: 5,
 		DisablePostProcessing: true,
 	}
-	seq, err := (&LAFDBSCANPP{Points: d.Vectors, P: 0.5, Config: base}).Run()
+	seq, err := referenceLAFDBSCANPP(&LAFDBSCANPP{Points: d.Vectors, P: 0.5, Config: base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 4} {
 		cfg := base
 		cfg.Workers = workers
 		par, err := (&LAFDBSCANPP{Points: d.Vectors, P: 0.5, Config: cfg}).Run()
@@ -134,8 +134,8 @@ func TestParallelLAFDBSCANPPMatchesSequential(t *testing.T) {
 }
 
 // TestParallelLAFDBSCANExactOracleMatchesDBSCAN repeats the package's core
-// soundness check on the parallel path: with an exact estimator and
-// alpha = 1, LAF skips only true non-core points, so the labeling must
+// soundness check on an explicit all-cores pool: with an exact estimator
+// and alpha = 1, LAF skips only true non-core points, so the labeling must
 // reproduce exact DBSCAN.
 func TestParallelLAFDBSCANExactOracleMatchesDBSCAN(t *testing.T) {
 	d, est := parallelLAFData(t)
@@ -155,7 +155,7 @@ func TestParallelLAFDBSCANExactOracleMatchesDBSCAN(t *testing.T) {
 	}
 }
 
-// TestParallelPartialNeighborsComplete pins the map the wave engines build
+// TestParallelPartialNeighborsComplete pins the map the engines build
 // to its definition: every predicted stop point has an entry, and its row
 // is exactly the set of gated points within eps of it, found here by
 // brute force; no other point has an entry.
@@ -165,14 +165,14 @@ func TestParallelPartialNeighborsComplete(t *testing.T) {
 	n := d.Len()
 	res := &cluster.Result{}
 	e, err := discover(context.Background(), index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit),
-		d.Vectors, nil, cfg, cluster.NewWaveMerger(n, cfg.Tau), res)
+		d.Vectors, nil, cfg, cluster.NewWaveMerger(n, cfg.Tau, true), res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e == nil {
 		t.Fatal("no point was gated out; the test needs stop points")
 	}
-	gated := Gate(d.Vectors, cfg)
+	gated, _ := Gate(context.Background(), d.Vectors, cfg)
 	stops := 0
 	for p := 0; p < n; p++ {
 		if e.Stop[p] == gated[p] {
@@ -199,5 +199,52 @@ func TestParallelPartialNeighborsComplete(t *testing.T) {
 	}
 	if stops == 0 || stops != res.SkippedQueries {
 		t.Fatalf("%d stop points, %d skipped queries", stops, res.SkippedQueries)
+	}
+}
+
+// cancelAfter is an estimator that cancels a context on its after-th
+// estimate and counts every estimate it is asked for.
+type cancelAfter struct {
+	cardest.Estimator
+	after  int64
+	cancel context.CancelFunc
+	calls  atomic.Int64
+}
+
+func (c *cancelAfter) Estimate(q []float32, eps float64) float64 {
+	if c.calls.Add(1) == c.after {
+		c.cancel()
+	}
+	return c.Estimator.Estimate(q, eps)
+}
+
+// TestCancelDuringGate cancels default-Workers LAF fits with the exact
+// oracle as estimator, before the fit and during its gate: both return
+// the context's error, a pre-cancelled fit runs no estimate, and a fit
+// cancelled mid-gate stops gating within a few chunks instead of running
+// the gate over every point.
+func TestCancelDuringGate(t *testing.T) {
+	d, exact := parallelLAFData(t)
+	n := int64(len(d.Vectors))
+	for _, after := range []int64{0, 10} {
+		ctx, cancel := context.WithCancel(context.Background())
+		est := &cancelAfter{Estimator: exact, after: after, cancel: cancel}
+		if after == 0 {
+			cancel()
+		}
+		l := &LAFDBSCAN{Points: d.Vectors, Config: Config{Eps: 0.35, Tau: 4, Alpha: 2, Estimator: est}}
+		if _, err := l.RunContext(ctx); err != context.Canceled {
+			t.Fatalf("cancel after %d estimates: err %v, want context.Canceled", after, err)
+		}
+		cancel()
+		// Each worker may finish its current chunk of defaultGrain points
+		// up to the next check.
+		limit := after + int64(runtime.GOMAXPROCS(0))*cluster.CtxCheckEvery
+		if after == 0 {
+			limit = 0
+		}
+		if got := est.calls.Load(); got > limit || got >= n {
+			t.Fatalf("cancel after %d estimates: %d of %d estimates ran, want at most %d", after, got, n, limit)
+		}
 	}
 }

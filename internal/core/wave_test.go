@@ -12,7 +12,7 @@ import (
 var waveSweep = []int{0, 1, 16}
 
 // TestParallelLAFDBSCANWaveSizesMatchSequential pins the wave engine to the
-// sequential reference with post-processing disabled: labels must be
+// reference traversal with post-processing disabled: labels must be
 // identical at every wave size and worker count.
 func TestParallelLAFDBSCANWaveSizesMatchSequential(t *testing.T) {
 	d, est := parallelLAFData(t)
@@ -20,7 +20,7 @@ func TestParallelLAFDBSCANWaveSizesMatchSequential(t *testing.T) {
 		Eps: 0.5, Tau: 4, Alpha: 1.3, Estimator: est, Seed: 3,
 		DisablePostProcessing: true,
 	}
-	seq, err := (&LAFDBSCAN{Points: d.Vectors, Config: base}).Run()
+	seq, err := referenceLAFDBSCAN(&LAFDBSCAN{Points: d.Vectors, Config: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestParallelLAFDBSCANPPWaveSizesMatchSequential(t *testing.T) {
 		Eps: 0.5, Tau: 4, Alpha: 1.0, Estimator: est, Seed: 5,
 		DisablePostProcessing: true,
 	}
-	seq, err := (&LAFDBSCANPP{Points: d.Vectors, P: 0.5, Config: base}).Run()
+	seq, err := referenceLAFDBSCANPP(&LAFDBSCANPP{Points: d.Vectors, P: 0.5, Config: base})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 
 // The registered backend names.
 const (
-	// BackendBrute is the exact parallel scan — the reference answer and
-	// the default index.
+	// BackendBrute is the exact scan — the reference answer and the
+	// default index.
 	BackendBrute = "brute"
 	// BackendHNSW is the layered proximity graph (approximate, sub-linear
 	// queries; see internal/index/hnsw).

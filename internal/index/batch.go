@@ -8,11 +8,9 @@ import (
 
 // This file is the parallel substrate of the index layer: a shared worker
 // pool (ForEach) that the wave driver (wave.go) and the clustering engines
-// run on. It moves the parallelism from inside one query (BruteForce's
-// per-scan sharding) to across queries, which is the right grain for the
-// parallel clustering drivers: each worker runs full serial queries, so
-// there is no fork/join overhead per query and no goroutine oversubscription
-// when thousands of queries are in flight.
+// run on. The parallelism is across queries, never inside one: each worker
+// runs full serial queries, so there is no fork/join overhead per query and
+// no goroutine oversubscription when thousands of queries are in flight.
 
 // ResolveWorkers normalizes a worker-count knob: values <= 0 select
 // GOMAXPROCS, everything else is returned unchanged.

@@ -1,5 +1,5 @@
 // Package index provides the range-query and KNN engines the clustering
-// algorithms are built on: a (parallel) brute-force scanner used by DBSCAN,
+// algorithms are built on: a brute-force scanner used by DBSCAN,
 // DBSCAN++ and the LAF variants, a cover tree used by BLOCK-DBSCAN, a
 // k-means tree used by KNN-BLOCK DBSCAN, and the sparse grid behind
 // ρ-approximate DBSCAN.
@@ -19,8 +19,8 @@
 // Three layers sit on top of the per-query engines:
 //
 //   - the pool (batch.go): a shared worker pool (ForEach) that parallelizes
-//     across queries instead of inside them — the right grain for the
-//     clustering drivers;
+//     across queries, never inside one — the only place a scan uses more
+//     than one core;
 //   - the wave driver (wave.go): BatchRangeSearchFunc, the one way to run a
 //     batch of queries, streams them in bounded waves over the pool and
 //     hands each result to a callback, so the live set is

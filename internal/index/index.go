@@ -2,8 +2,6 @@ package index
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"lafdbscan/internal/vecmath"
@@ -19,27 +17,26 @@ type RangeSearcher interface {
 	Len() int
 }
 
-// BruteForce scans every indexed point. It parallelizes large scans across
-// GOMAXPROCS workers, which is the configuration all methods share in the
-// benchmark harness so that relative timings stay meaningful.
+// BruteForce scans every indexed point, one query on one goroutine. The
+// engines run many queries at once through BatchRangeSearchFunc's worker
+// pool, the one way a scan uses several cores.
 //
 // Every scan goes through scan. With vecmath.CosineDistanceUnit as its
 // distance that is the float32 kernel vecmath.AppendCosineUnitRange, whose
 // decisions equal the per-pair loop's; any other distance keeps the
 // per-pair loop.
 type BruteForce struct {
-	points   [][]float32
-	dist     vecmath.DistanceFunc
-	unitCos  bool    // dist is vecmath.CosineDistanceUnit
-	maxNorm  float64 // ≥ every point's norm when unitCos; NaN or +Inf after a non-finite point
-	parallel bool
-	queries  atomic.Int64
+	points  [][]float32
+	dist    vecmath.DistanceFunc
+	unitCos bool    // dist is vecmath.CosineDistanceUnit
+	maxNorm float64 // ≥ every point's norm when unitCos; NaN or +Inf after a non-finite point
+	queries atomic.Int64
 }
 
 // NewBruteForce indexes points with the given distance. The points slice is
 // retained, not copied.
 func NewBruteForce(points [][]float32, dist vecmath.DistanceFunc) *BruteForce {
-	b := &BruteForce{points: points, dist: dist, parallel: true}
+	b := &BruteForce{points: points, dist: dist}
 	b.unitCos = vecmath.IsCosineUnit(dist)
 	b.growMaxNorm(points)
 	return b
@@ -78,10 +75,6 @@ func (b *BruteForce) scan(dst []int, q []float32, eps float64, lo, hi int) []int
 	return dst
 }
 
-// SetParallel toggles multi-goroutine scans (on by default). Tests use the
-// serial path for determinism-sensitive assertions.
-func (b *BruteForce) SetParallel(p bool) { b.parallel = p }
-
 // Len returns the number of indexed points.
 func (b *BruteForce) Len() int { return len(b.points) }
 
@@ -92,101 +85,30 @@ func (b *BruteForce) Queries() int64 { return b.queries.Load() }
 // ResetQueries zeroes the query counter.
 func (b *BruteForce) ResetQueries() { b.queries.Store(0) }
 
-// parallelThreshold is the scan size, in point-dims, from which RangeSearch
-// and RangeCount shard across goroutines. BenchmarkBruteScan puts the 2-core
-// break-even between 2^18 and 2^19 with the AVX2 kernels (serial wins 14 µs
-// to 26 µs at 2^17, ties at 2^18, loses 104 µs to 54 µs at 2^19); with the
-// Go loops sharding already won at 2^16. Below it the goroutine start-up
-// costs more than the halved scan saves.
-const parallelThreshold = 1 << 18
-
-// shards returns how many goroutines a scan of q is split across: 1, the
-// calling goroutine, for a serial index or a small scan, else GOMAXPROCS.
-func (b *BruteForce) shards(q []float32) int {
-	workers := runtime.GOMAXPROCS(0)
-	if !b.parallel || workers == 1 || len(b.points)*len(q) < parallelThreshold {
-		return 1
-	}
-	return workers
-}
-
-// scanShards scans the points in workers contiguous id ranges, one
-// goroutine each: range w's ids go to ids[w], or, with ids nil, only their
-// number to counts[w].
-func (b *BruteForce) scanShards(q []float32, eps float64, workers int, ids [][]int, counts []int) {
-	n := len(b.points)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			if ids != nil {
-				ids[w] = b.scan(nil, q, eps, lo, hi)
-			} else {
-				counts[w] = b.count(q, eps, lo, hi)
-			}
-		}(w, lo, min(lo+chunk, n))
-	}
-	wg.Wait()
-}
-
 // RangeSearch implements RangeSearcher.
 func (b *BruteForce) RangeSearch(q []float32, eps float64) []int {
-	b.queries.Add(1)
-	workers := b.shards(q)
-	if workers == 1 {
-		return b.scan(nil, q, eps, 0, len(b.points))
-	}
-	parts := make([][]int, workers)
-	b.scanShards(q, eps, workers, parts, nil)
-	var out []int
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+	return b.appendRangeSearch(nil, q, eps)
 }
 
-// appendRangeSearch is BruteForce's wave-driver fast path: one serial scan
-// appended to the slot's reused buffer. The wave pool already runs queries
-// in parallel, so the per-query sharding of RangeSearch would only nest
-// goroutines under it.
+// appendRangeSearch is BruteForce's wave-driver fast path: the scan
+// appended to the slot's reused buffer.
 func (b *BruteForce) appendRangeSearch(dst []int, q []float32, eps float64) []int {
 	b.queries.Add(1)
 	return b.scan(dst, q, eps, 0, len(b.points))
 }
 
-// count returns the number of points in [lo, hi) within eps of q. It
-// scans in blocks no longer than its stack buffer, so the ids never
-// outgrow it and counting allocates nothing.
-func (b *BruteForce) count(q []float32, eps float64, lo, hi int) int {
-	var buf [256]int
-	c := 0
-	for ; lo < hi; lo += len(buf) {
-		c += len(b.scan(buf[:0], q, eps, lo, min(lo+len(buf), hi)))
-	}
-	return c
-}
-
 // RangeCount returns len(RangeSearch(q, eps)) without materializing the
-// ids. The exact cardinality estimator counts through it.
+// ids. The exact cardinality estimator counts through it. It scans in
+// blocks no longer than its stack buffer, so the ids never outgrow it and
+// counting allocates nothing.
 func (b *BruteForce) RangeCount(q []float32, eps float64) int {
 	b.queries.Add(1)
-	workers := b.shards(q)
-	if workers == 1 {
-		return b.count(q, eps, 0, len(b.points))
+	var buf [256]int
+	n, c := len(b.points), 0
+	for lo := 0; lo < n; lo += len(buf) {
+		c += len(b.scan(buf[:0], q, eps, lo, min(lo+len(buf), n)))
 	}
-	counts := make([]int, workers)
-	b.scanShards(q, eps, workers, nil, counts)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total
+	return c
 }
 
 var _ RangeSearcher = (*BruteForce)(nil)

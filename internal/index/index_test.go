@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -98,27 +97,6 @@ func TestBruteForceEmpty(t *testing.T) {
 	}
 }
 
-func TestBruteForceParallelMatchesSerial(t *testing.T) {
-	// Enough points that RangeSearch and RangeCount shard.
-	pts := randomUnitPoints(parallelThreshold/64+1000, 64, 5)
-	par := NewBruteForce(pts, vecmath.CosineDistanceUnit)
-	ser := NewBruteForce(pts, vecmath.CosineDistanceUnit)
-	ser.SetParallel(false)
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 10; i++ {
-		q := vecmath.RandomUnit(64, rng)
-		eps := 0.5 + rng.Float64()*0.5
-		a := par.RangeSearch(q, eps)
-		b := ser.RangeSearch(q, eps)
-		if !equalIDs(a, b) {
-			t.Fatalf("parallel/serial mismatch: %d vs %d ids", len(a), len(b))
-		}
-		if par.RangeCount(q, eps) != len(a) {
-			t.Fatal("count mismatch")
-		}
-	}
-}
-
 // perPairRange is the reference every BruteForce entry point must match:
 // the plain loop over the current points, ids ascending.
 func perPairRange(pts [][]float32, q []float32, eps float64) []int {
@@ -131,7 +109,7 @@ func perPairRange(pts [][]float32, q []float32, eps float64) []int {
 	return out
 }
 
-// checkEntryPoints runs RangeSearch (sharded at this size), RangeCount and
+// checkEntryPoints runs RangeSearch, RangeCount and
 // the streaming wave path for every query at
 // eps and at the exact distance from each query to the boundary points,
 // give or take one ulp, and compares each with the per-pair loop.
@@ -175,7 +153,7 @@ func checkEntryPoints(t *testing.T, stage string, bf *BruteForce, mirror, querie
 // larger maxNorm must still give the same answers.
 func TestBruteForceScanMatchesPerPairAfterMutation(t *testing.T) {
 	const dim = 48
-	pts := clusteredPoints(parallelThreshold/dim+1000, dim, 11)
+	pts := clusteredPoints(6000, dim, 11)
 	mirror := append([][]float32(nil), pts...)
 	bf := NewBruteForce(append([][]float32(nil), pts...), vecmath.CosineDistanceUnit)
 	queries := append([][]float32{}, pts[:4]...)
@@ -218,7 +196,6 @@ func TestBruteForceScanMatchesPerPairAfterMutation(t *testing.T) {
 func TestCoverTreeMatchesBruteForce(t *testing.T) {
 	pts := clusteredPoints(400, 24, 7)
 	bf := NewBruteForce(pts, vecmath.EuclideanDistance)
-	bf.SetParallel(false)
 	ct := NewCoverTree(pts, vecmath.EuclideanDistance, 2.0)
 	if ct.Len() != len(pts) {
 		t.Fatalf("cover tree Len = %d", ct.Len())
@@ -253,7 +230,6 @@ func TestCoverTreeExactForAnyBase(t *testing.T) {
 		base := 1.1 + rng.Float64()*3.9 // the paper sweeps 1.1 - 5
 		pts := clusteredPoints(150, 12, seed)
 		bf := NewBruteForce(pts, vecmath.EuclideanDistance)
-		bf.SetParallel(false)
 		ct := NewCoverTree(pts, vecmath.EuclideanDistance, base)
 		for i := 0; i < 5; i++ {
 			q := pts[rng.Intn(len(pts))]
@@ -400,7 +376,6 @@ func TestGridMatchesBruteForceAtRhoZero(t *testing.T) {
 	pts := clusteredPoints(300, 8, 17)
 	g := NewGrid(pts, 0.5, 0)
 	bf := NewBruteForce(pts, vecmath.EuclideanDistance)
-	bf.SetParallel(false)
 	rng := rand.New(rand.NewSource(18))
 	for i := 0; i < 20; i++ {
 		q := pts[rng.Intn(len(pts))]
@@ -500,29 +475,19 @@ func TestBruteForceStreamingConcurrentCalls(t *testing.T) {
 
 var scanSink int
 
-// BenchmarkBruteScan places parallelThreshold: one cosine range query over
-// 2^16 to 2^20 point-dims (256-d unit points), scanned serially by the
-// calling goroutine and sharded across GOMAXPROCS goroutines as RangeSearch
-// shards it above the threshold. The break-even is the smallest size at
-// which sharded beats serial.
+// BenchmarkBruteScan times one serial cosine range query over 2^16 to
+// 2^20 point-dims (256-d unit points), scanned by the calling goroutine.
 func BenchmarkBruteScan(b *testing.B) {
 	const dim = 256
 	pts := randomUnitPoints((1<<20)/dim, dim, 21)
 	for pd := 1 << 16; pd <= 1<<20; pd <<= 1 {
 		bf := NewBruteForce(pts[:pd/dim], vecmath.CosineDistanceUnit)
-		n, workers := bf.Len(), runtime.GOMAXPROCS(0)
+		n := bf.Len()
 		b.Run(fmt.Sprintf("pointdims%d/serial", pd), func(b *testing.B) {
 			var buf []int
 			for i := 0; i < b.N; i++ {
 				buf = bf.scan(buf[:0], pts[i%n], 0.5, 0, n)
 				scanSink += len(buf)
-			}
-		})
-		b.Run(fmt.Sprintf("pointdims%d/sharded", pd), func(b *testing.B) {
-			parts := make([][]int, workers)
-			for i := 0; i < b.N; i++ {
-				bf.scanShards(pts[i%n], 0.5, workers, parts, nil)
-				scanSink += len(parts[0])
 			}
 		})
 	}

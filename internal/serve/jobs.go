@@ -162,8 +162,9 @@ func (j *Job) status() JobStatus {
 type Options struct {
 	// Workers is the number of jobs allowed to run concurrently; <= 0
 	// selects GOMAXPROCS. This is the oversubscription guard: each job may
-	// itself fan out over Params.Workers cores, so the product
-	// Workers × Params.Workers is the operator's concurrency budget.
+	// itself fan out over Params.Workers cores (one unless the request asks
+	// for more), so the product Workers × Params.Workers is the operator's
+	// concurrency budget.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-not-running jobs;
 	// <= 0 selects 64. Beyond it Submit returns ErrQueueFull.
@@ -234,9 +235,8 @@ type runFunc func(ctx context.Context, points [][]float32, m lafdbscan.Method, p
 
 // Engine is the asynchronous job engine: Submit hands a clustering job to
 // a bounded worker pool and returns immediately; Status/Result poll it;
-// Cancel aborts it (within one neighbor-discovery wave for the parallel
-// engines, a few dozen queries for the sequential ones) and frees its
-// worker slot.
+// Cancel aborts it (within one neighbor-discovery wave for the LAF engines,
+// a few dozen queries for the baselines) and frees its worker slot.
 type Engine struct {
 	reg *Registry
 	est *EstimatorCache

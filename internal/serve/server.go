@@ -245,13 +245,21 @@ type paramsJSON struct {
 	IndexBackend string `json:"index_backend,omitempty"`
 }
 
+// toParams converts the wire params. An omitted or 0 workers selects one
+// core for the job, fit, and the fitted model's predict and maintenance,
+// because the server already runs -job-workers of them side by side; -1
+// selects every core, as the library's 0 does.
 func (p paramsJSON) toParams() (lafdbscan.Params, error) {
+	workers := p.Workers
+	if workers == 0 {
+		workers = 1
+	}
 	out := lafdbscan.Params{
 		Eps: p.Eps, Tau: p.Tau, Alpha: p.Alpha,
 		SampleFraction: p.SampleFraction,
 		Branching:      p.Branching, LeavesRatio: p.LeavesRatio,
 		Base: p.Base, RNT: p.RNT, Rho: p.Rho,
-		Seed: p.Seed, Workers: p.Workers, BatchSize: p.BatchSize,
+		Seed: p.Seed, Workers: workers, BatchSize: p.BatchSize,
 		WaveSize:              p.WaveSize,
 		DisablePostProcessing: p.DisablePostProcessing,
 		IndexBackend:          p.IndexBackend,

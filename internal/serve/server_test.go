@@ -564,3 +564,19 @@ func TestEstimatorConfigRejected(t *testing.T) {
 		t.Fatalf("stats after the rejected configs: %d %v", code, body)
 	}
 }
+
+// TestParamsWorkersDefault pins the wire default of params.workers: an
+// omitted or 0 value runs on one core, because the server runs
+// -job-workers jobs and fits side by side; -1 and explicit counts pass
+// through to the library.
+func TestParamsWorkersDefault(t *testing.T) {
+	for _, tc := range []struct{ wire, want int }{{0, 1}, {1, 1}, {3, 3}, {-1, -1}} {
+		p, err := paramsJSON{Eps: 0.5, Tau: 4, Workers: tc.wire}.toParams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Workers != tc.want {
+			t.Errorf("workers %d: got %d, want %d", tc.wire, p.Workers, tc.want)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package trace is lafdbscan's request-scoped tracing kernel: spans that
 // follow one request from its HTTP handler through job queueing, estimator
-// lookup, and every wave barrier of the parallel engines, recorded into a
+// lookup, and every wave barrier of the clustering engines, recorded into a
 // fixed-capacity in-process ring buffer.
 //
 // Like internal/telemetry it is dependency-free by design — no OpenTelemetry,

@@ -73,29 +73,25 @@ type Params struct {
 	// Seed drives all randomized components.
 	Seed int64
 
-	// Workers selects the clustering engine for DBSCAN, DBSCANPP,
-	// LAFDBSCAN and LAFDBSCANPP, which all run on the same engines. The
-	// zero value runs the sequential reference implementation (the
-	// paper's formulation); a positive value runs the parallel engine
-	// with that many workers; WorkersAuto sizes the pool to GOMAXPROCS.
-	// The parallel DBSCAN and DBSCAN++ engines produce labels identical to
-	// the sequential ones; the parallel LAF engines match their sequential
-	// counterparts exactly when post-processing is disabled and use the
-	// complete (traversal-order-free) partial-neighbor map when it is
-	// enabled. The three baselines ignore the knob.
+	// Workers is the number of cores DBSCAN, DBSCANPP, LAFDBSCAN and
+	// LAFDBSCANPP cluster on: the size of the worker pool their one engine
+	// runs its gate, range queries and assignment on. The zero value and
+	// WorkersAuto use every core (GOMAXPROCS); 1 runs everything on one
+	// core, the setting for paper-figure timings. The knob changes speed
+	// only: labels, core flags, merges and query counts are identical at
+	// every setting. Predict and model maintenance size their pools from
+	// it too. The three baselines ignore it.
 	Workers int
-	// BatchSize is the number of range queries a parallel worker claims
-	// at a time; 0 selects a load-balancing default. Ignored by the
-	// sequential engines.
+	// BatchSize is the number of range queries a worker claims at a time;
+	// 0 selects a load-balancing default.
 	BatchSize int
-	// WaveSize bounds the parallel engines' memory: neighbor discovery
-	// runs in waves of this many range queries, and each wave's neighbor
-	// lists are dropped as soon as core flags, cluster links and border
-	// stubs are folded in — peak extra memory is O(WaveSize·avg|N|)
-	// instead of the O(Σ|N(p)|) of buffering every list. 0 selects a
-	// default (index.DefaultWaveSize); negative values are rejected.
-	// Labels are identical at every setting. Ignored by the sequential
-	// engines.
+	// WaveSize bounds the engines' memory: neighbor discovery runs in
+	// waves of this many range queries, and each wave's neighbor lists are
+	// dropped as soon as core flags, cluster links and border stubs are
+	// folded in — peak extra memory is O(WaveSize·avg|N|) instead of the
+	// O(Σ|N(p)|) of buffering every list. 0 selects a default
+	// (index.DefaultWaveSize); negative values are rejected. Labels are
+	// identical at every setting.
 	WaveSize int
 
 	// Index optionally supplies a pre-built range-query engine, letting a
@@ -129,8 +125,8 @@ type Params struct {
 // is safe for concurrent use across clustering runs.
 type RangeIndex = index.RangeSearcher
 
-// NewBruteForceIndex builds the default parallel brute-force range-query
-// engine over points under the given metric — the index the clustering
+// NewBruteForceIndex builds the default brute-force range-query engine
+// over points under the given metric — the index the clustering
 // entry points construct per run when Params.Index is nil and IndexBackend
 // is empty. It is equivalent to Params{}.NewIndex, kept as the stable
 // pre-registry constructor.
@@ -211,7 +207,8 @@ func materializeIndex(p *Params, points [][]float32, m DistanceMetric) error {
 	return nil
 }
 
-// WorkersAuto sizes the parallel engine's worker pool to GOMAXPROCS.
+// WorkersAuto sizes the engines' worker pool to GOMAXPROCS, as Workers 0
+// does. It is kept as an alias because saved models and scripts pass -1.
 const WorkersAuto = -1
 
 // DistanceMetric identifies a distance function.
@@ -235,17 +232,14 @@ func EuclideanToCosine(deuc float64) float64 { return vecmath.EuclideanToCosine(
 
 // DBSCAN runs exact DBSCAN; its labeling is the ground truth the paper
 // scores every approximate method against. It runs on the LAF engines with
-// the open gate (every point passes, nothing is skipped or repaired). With
-// Params.Workers set it runs the parallel engine, whose labels are
-// identical to the sequential one's.
+// the open gate (every point passes, nothing is skipped or repaired).
 func DBSCAN(points [][]float32, p Params) (*Result, error) {
 	return DBSCANContext(context.Background(), points, p)
 }
 
-// DBSCANContext is DBSCAN under a cancellation context: the parallel engine
-// checks it at each wave barrier (aborting within one wave at zero hot-path
-// cost), the sequential engine every few dozen range queries. On
-// cancellation it returns ctx.Err() and no result.
+// DBSCANContext is DBSCAN under a cancellation context: the engine checks
+// it during the gate and at each wave barrier (aborting within one wave
+// at zero hot-path cost). On cancellation it returns ctx.Err() and no result.
 func DBSCANContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -262,8 +256,7 @@ func DBSCANPP(points [][]float32, p Params) (*Result, error) {
 }
 
 // DBSCANPPContext is DBSCANPP under a cancellation context. Like DBSCAN it
-// runs on the LAF engines with the open gate, so Params.Workers selects the
-// parallel engine, whose labels are identical to the sequential one's.
+// runs on the LAF engines with the open gate.
 func DBSCANPPContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -426,9 +419,9 @@ func Cluster(points [][]float32, m Method, p Params) (*Result, error) {
 }
 
 // ClusterContext dispatches to the named method under a cancellation
-// context. The parallel engines abort within one neighbor-discovery wave of
-// a cancellation, the sequential engines within a few dozen range queries;
-// on cancellation the error is ctx.Err() and no result is returned.
+// context. The engines abort within one neighbor-discovery wave of a
+// cancellation; on cancellation the error is ctx.Err() and no result is
+// returned.
 func ClusterContext(ctx context.Context, points [][]float32, m Method, p Params) (*Result, error) {
 	switch m {
 	case MethodDBSCAN:

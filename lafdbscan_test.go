@@ -38,9 +38,9 @@ func TestFacadeDBSCANAndLAF(t *testing.T) {
 	}
 }
 
-// TestFacadeWorkersKnob pins the public contract of Params.Workers: the
-// parallel engines must reproduce the sequential labelings exactly (DBSCAN
-// always; LAF with post-processing disabled) at every pool size.
+// TestFacadeWorkersKnob pins the public contract of Params.Workers: every
+// pool size reproduces the default's labelings exactly (TestEngineInvariance
+// covers post-processing and the full result).
 func TestFacadeWorkersKnob(t *testing.T) {
 	d := testData()
 	p := Params{Eps: 0.5, Tau: 4}
@@ -58,7 +58,7 @@ func TestFacadeWorkersKnob(t *testing.T) {
 		}
 		for i := range seq.Labels {
 			if par.Labels[i] != seq.Labels[i] {
-				t.Fatalf("workers=%d: DBSCAN label[%d] = %d, sequential %d",
+				t.Fatalf("workers=%d: DBSCAN label[%d] = %d, workers=0 %d",
 					workers, i, par.Labels[i], seq.Labels[i])
 			}
 		}
@@ -79,7 +79,7 @@ func TestFacadeWorkersKnob(t *testing.T) {
 	}
 	for i := range lseq.Labels {
 		if lpar.Labels[i] != lseq.Labels[i] {
-			t.Fatalf("LAF label[%d] = %d, sequential %d", i, lpar.Labels[i], lseq.Labels[i])
+			t.Fatalf("LAF label[%d] = %d, workers=0 %d", i, lpar.Labels[i], lseq.Labels[i])
 		}
 	}
 
@@ -98,7 +98,7 @@ func TestFacadeWorkersKnob(t *testing.T) {
 	}
 	for i := range sseq.Labels {
 		if spar.Labels[i] != sseq.Labels[i] {
-			t.Fatalf("LAF++ label[%d] = %d, sequential %d", i, spar.Labels[i], sseq.Labels[i])
+			t.Fatalf("LAF++ label[%d] = %d, workers=0 %d", i, spar.Labels[i], sseq.Labels[i])
 		}
 	}
 }

@@ -67,15 +67,15 @@ func WithMetric(m DistanceMetric) FitOption { return func(p *Params) { p.Metric 
 // WithSeed seeds every randomized component.
 func WithSeed(seed int64) FitOption { return func(p *Params) { p.Seed = seed } }
 
-// WithWorkers selects the parallel engine with that many workers
-// (WorkersAuto = all cores; 0 = the sequential reference engine). Predict
-// also sizes its query pool from it.
+// WithWorkers sets how many cores the fit runs on (0 or WorkersAuto = all
+// cores, 1 = one core); labels are identical at every setting. Predict and
+// maintenance also size their query pools from it.
 func WithWorkers(w int) FitOption { return func(p *Params) { p.Workers = w } }
 
-// WithBatchSize sets the parallel engines' per-worker claim size.
+// WithBatchSize sets the engines' per-worker claim size.
 func WithBatchSize(b int) FitOption { return func(p *Params) { p.BatchSize = b } }
 
-// WithWaveSize bounds the parallel engines' neighbor-discovery memory.
+// WithWaveSize bounds the engines' neighbor-discovery memory.
 func WithWaveSize(w int) FitOption { return func(p *Params) { p.WaveSize = w } }
 
 // WithIndex supplies a pre-built shared range index (see Params.Index). The

@@ -16,26 +16,22 @@ import (
 // This file is online model maintenance: Model.Insert and Model.Remove
 // evolve a fitted clustering with the data instead of re-clustering from
 // scratch — incremental DBSCAN in the spirit of Ester et al. (1998), built
-// on the order-free facts the parallel engines established (PR 1-2): a
-// labeling is a pure function of the core set, the ε-connectivity among
-// core points, each point's adjacent cores, and (for LAF post-processing)
-// the complete partial-neighbor map. The maintenance overlay (incState)
+// on the order-free facts the wave engines rest on: a labeling is a pure
+// function of the core set, the ε-connectivity among core points, each
+// point's adjacent cores, and (for LAF post-processing) the complete
+// partial-neighbor map. The maintenance overlay (incState)
 // keeps exactly those facts and updates them from the Eps-neighborhoods of
 // the changed points only; labels are then re-resolved canonically
 // (cluster.ResolveCanonical) in memory, with no further range queries.
 //
 // Equality contract. After any sequence of Insert/Remove the model's
 // labels are bit-identical to a fresh Fit on the resulting point set for
-// the traversal engines:
+// the traversal methods, at every Workers/WaveSize setting:
 //
-//   - MethodDBSCAN, sequential and parallel, at every Workers/WaveSize;
-//   - MethodLAFDBSCAN with post-processing disabled, sequential and
-//     parallel;
-//   - MethodLAFDBSCAN with post-processing enabled under the parallel
-//     engines' complete partial-neighbor map (the sequential traversal's
-//     map depends on visit order and is not locally maintainable; the
-//     complete map is its order-free superset, so the incremental repair
-//     pass sees at least as much evidence).
+//   - MethodDBSCAN;
+//   - MethodLAFDBSCAN, with post-processing disabled or enabled. The
+//     engine and the overlay both keep the complete partial-neighbor map,
+//     which depends on the point set alone.
 //
 // The sampling/block methods (the ++ variants, KNN-BLOCK, BLOCK-DBSCAN,
 // ρ-approximate) keep their fitted core structure and absorb mutations
@@ -168,7 +164,10 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 
 	var gated []bool
 	if m.gatedMethod() {
-		gated = core.Gate(points, lafConfig(m.params))
+		var err error
+		if gated, err = core.Gate(ctx, points, lafConfig(m.params)); err != nil {
+			return err
+		}
 	}
 	counts, adj, stop, err := m.scanFacts(ctx, dyn, points, m.core, gated, workers, grain, wave)
 	if err != nil {
@@ -326,7 +325,9 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	}
 	var newGated []bool
 	if inc.gated != nil {
-		newGated = core.Gate(vectors, lafConfig(m.params))
+		if newGated, err = core.Gate(ctx, vectors, lafConfig(m.params)); err != nil {
+			return UpdateReport{}, err
+		}
 	}
 	// Core transitions: new points by the (gated) density criterion,
 	// existing non-core points crossing Tau promoted.
@@ -773,7 +774,10 @@ func (m *Model) regateLocked(ctx context.Context) error {
 	inc := m.inc
 	n := len(m.points)
 	workers, grain, wave := m.pool()
-	gated := core.Gate(m.points, lafConfig(m.params))
+	gated, err := core.Gate(ctx, m.points, lafConfig(m.params))
+	if err != nil {
+		return err
+	}
 	coreMask := make([]bool, n)
 	for i := range coreMask {
 		coreMask[i] = gated[i] && inc.counts[i] >= m.params.Tau

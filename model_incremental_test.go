@@ -14,10 +14,9 @@ import (
 
 // incrementalEngines enumerates the traversal-engine configurations whose
 // Insert/Remove results are pinned bit-identical to a fresh Fit on the
-// resulting point set: DBSCAN under the sequential and the parallel wave
-// engine, LAF-DBSCAN under both engines with post-processing disabled, and
-// LAF-DBSCAN under the parallel engines' complete partial-neighbor map
-// with post-processing enabled.
+// resulting point set: DBSCAN and LAF-DBSCAN, with post-processing off and
+// on, at the default Workers 0 and at an explicit pool with small waves.
+// The *-sequential rows are the Workers 0 rows under their older names.
 func incrementalEngines(points [][]float32) []struct {
 	name   string
 	method Method
@@ -33,6 +32,7 @@ func incrementalEngines(points [][]float32) []struct {
 		{"dbscan-parallel-wave", MethodDBSCAN, Params{Eps: 0.4, Tau: 4, Workers: 2, WaveSize: 7}},
 		{"laf-sequential-nopp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, DisablePostProcessing: true}},
 		{"laf-parallel-nopp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, Workers: 2, DisablePostProcessing: true}},
+		{"laf-default-pp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7}},
 		{"laf-parallel-pp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, Workers: 2, WaveSize: 16}},
 	}
 }
@@ -589,4 +589,34 @@ func TestUpdateCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMatchesFreshFit(t, model, "after recovery from cancellation")
+}
+
+// TestMaintenanceWithMergesMatchesFreshFit pins the equality contract
+// where Algorithm 3 merges. The mixtures of the tests above fit with no
+// post-processing merge at all, so this one fits LAF-DBSCAN at the default
+// Workers 0 on GloVe-like points whose exact-oracle gate at α 2 makes
+// post-processing merge, then inserts and removes.
+func TestMaintenanceWithMergesMatchesFreshFit(t *testing.T) {
+	d := GloVeLike(440, 17)
+	base, rest := d.Vectors[:400], d.Vectors[400:]
+	model, err := FitParams(context.Background(), slices.Clone(base), MethodLAFDBSCAN,
+		Params{Eps: 0.55, Tau: 4, Alpha: 2, Estimator: ExactEstimator(d.Vectors), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if model.Result().PostMerges == 0 {
+		t.Fatal("post-processing merged nothing; the test needs merges")
+	}
+	for _, batch := range [][][]float32{rest[:1], rest[1:]} {
+		if _, err := model.Insert(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesFreshFit(t, model, fmt.Sprintf("after +%d", len(batch)))
+	}
+	for _, ids := range [][]int{{0}, {5, 17, 42, 99, 230}} {
+		if _, err := model.Remove(context.Background(), ids); err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesFreshFit(t, model, fmt.Sprintf("after -%v", ids))
+	}
 }

@@ -13,9 +13,9 @@ import "fmt"
 // Alpha 0 selects the neutral 1.0, SampleFraction matters only to the ++
 // variants (which additionally require it to be positive), Branching /
 // LeavesRatio / Base / RNT / Rho fall back to the paper's settings, and
-// Workers 0 selects the sequential engine. IndexBackend must be "" (exact
-// default), IndexBackendAuto, or a registered name ("brute", "hnsw");
-// anything else fails with an error wrapping ErrUnknownIndexBackend.
+// Workers 0 uses every core. IndexBackend must be "" (exact default),
+// IndexBackendAuto, or a registered name ("brute", "hnsw"); anything else
+// fails with an error wrapping ErrUnknownIndexBackend.
 func (p Params) Validate() error {
 	// Every rejection names the offending field and the value it carried in
 	// one uniform shape, so a CLI usage error, an HTTP 400 body and a test

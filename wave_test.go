@@ -11,7 +11,7 @@ import (
 
 // TestWaveSizeKnobLabelEquality pins the facade-level WaveSize knob: every
 // setting — auto (0) and explicit wave sizes — must produce labels
-// identical to sequential DBSCAN.
+// identical to DBSCAN's at the default settings.
 func TestWaveSizeKnobLabelEquality(t *testing.T) {
 	d := GenerateMixture("wave-knob", MixtureConfig{
 		N: 400, Dim: 32, Clusters: 6, MinSpread: 0.25, MaxSpread: 0.5,
@@ -31,11 +31,11 @@ func TestWaveSizeKnobLabelEquality(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.RangeQueries != seq.RangeQueries {
-			t.Errorf("wave=%d: %d queries, sequential %d", wave, res.RangeQueries, seq.RangeQueries)
+			t.Errorf("wave=%d: %d queries, default %d", wave, res.RangeQueries, seq.RangeQueries)
 		}
 		for i := range seq.Labels {
 			if res.Labels[i] != seq.Labels[i] {
-				t.Fatalf("wave=%d: label[%d] = %d, sequential %d", wave, i, res.Labels[i], seq.Labels[i])
+				t.Fatalf("wave=%d: label[%d] = %d, default %d", wave, i, res.Labels[i], seq.Labels[i])
 			}
 		}
 		ari, err := ARI(seq.Labels, res.Labels)
@@ -49,9 +49,8 @@ func TestWaveSizeKnobLabelEquality(t *testing.T) {
 }
 
 // TestDBSCANPPEngineInvariance pins DBSCAN++'s Workers and WaveSize knobs:
-// the wave engine draws the same sample and finds the same cores as the
-// sequential one, so every setting fits the same labels, core mask, forest
-// and query count.
+// every setting draws the same sample and finds the same cores as the
+// default, so it fits the same labels, core mask, forest and query count.
 func TestDBSCANPPEngineInvariance(t *testing.T) {
 	d := GenerateMixture("pp-engines", MixtureConfig{
 		N: 400, Dim: 32, Clusters: 6, MinSpread: 0.25, MaxSpread: 0.5,
@@ -68,23 +67,23 @@ func TestDBSCANPPEngineInvariance(t *testing.T) {
 	}
 	seq := fit(0, 0)
 	if seq.Algorithm != "DBSCAN++" || seq.NumClusters == 0 {
-		t.Fatalf("sequential fit: algorithm %q, %d clusters", seq.Algorithm, seq.NumClusters)
+		t.Fatalf("default fit: algorithm %q, %d clusters", seq.Algorithm, seq.NumClusters)
 	}
 	for _, workers := range []int{0, 1, 2, 4} {
 		for _, wave := range []int{0, 1, 16} {
 			res := fit(workers, wave)
 			name := fmt.Sprintf("workers=%d/wave=%d", workers, wave)
 			if !slices.Equal(res.Labels, seq.Labels) {
-				t.Errorf("%s: labels differ from the sequential engine's", name)
+				t.Errorf("%s: labels differ from the default fit's", name)
 			}
 			if !slices.Equal(res.Core, seq.Core) {
-				t.Errorf("%s: core mask differs from the sequential engine's", name)
+				t.Errorf("%s: core mask differs from the default fit's", name)
 			}
 			if !slices.Equal(res.Forest, seq.Forest) {
-				t.Errorf("%s: forest differs from the sequential engine's", name)
+				t.Errorf("%s: forest differs from the default fit's", name)
 			}
 			if res.RangeQueries != seq.RangeQueries {
-				t.Errorf("%s: %d queries, sequential %d", name, res.RangeQueries, seq.RangeQueries)
+				t.Errorf("%s: %d queries, default %d", name, res.RangeQueries, seq.RangeQueries)
 			}
 		}
 	}
@@ -147,4 +146,55 @@ func fmtBytes(b uint64) string {
 		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
 	}
 	return fmt.Sprintf("%d B", b)
+}
+
+// TestEngineInvariance pins Params.Workers to speed alone: DBSCAN,
+// DBSCAN++, LAF-DBSCAN and LAF-DBSCAN++, with post-processing on and off,
+// fit identical labels, core masks, forests, cluster counts, merge counts
+// and query counts at every worker count, the default 0 and WorkersAuto
+// included. The LAF fits gate with α 2 over the exact oracle, so
+// post-processing merges: an engine whose partial-neighbor map depended on
+// the order it visited points would repair differently and fail here.
+func TestEngineInvariance(t *testing.T) {
+	d := GloVeLike(400, 17)
+	est := ExactEstimator(d.Vectors)
+	for _, m := range []Method{MethodDBSCAN, MethodDBSCANPP, MethodLAFDBSCAN, MethodLAFDBSCANPP} {
+		laf := m == MethodLAFDBSCAN || m == MethodLAFDBSCANPP
+		for _, post := range []bool{true, false} {
+			var ref *Result
+			merges := 0
+			for _, workers := range []int{0, 1, 2, 4, WorkersAuto} {
+				opts := []FitOption{WithEps(0.55), WithTau(4), WithSeed(3), WithSampleFraction(0.8), WithWorkers(workers)}
+				if laf {
+					opts = append(opts, WithAlpha(2), WithEstimator(est))
+				}
+				if !post {
+					opts = append(opts, WithoutPostProcessing())
+				}
+				model, err := Fit(context.Background(), d.Vectors, m, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := model.Result()
+				merges = max(merges, res.PostMerges)
+				if ref == nil {
+					ref = res
+					continue
+				}
+				name := fmt.Sprintf("%s/post=%v/workers=%d", m, post, workers)
+				if !slices.Equal(res.Labels, ref.Labels) || !slices.Equal(res.Core, ref.Core) || !slices.Equal(res.Forest, ref.Forest) {
+					t.Errorf("%s: labels, core mask or forest differ from workers=0", name)
+				}
+				if res.NumClusters != ref.NumClusters || res.PostMerges != ref.PostMerges ||
+					res.RangeQueries != ref.RangeQueries || res.SkippedQueries != ref.SkippedQueries {
+					t.Errorf("%s: %d clusters, %d merges, %d/%d queries; workers=0 %d, %d, %d/%d", name,
+						res.NumClusters, res.PostMerges, res.RangeQueries, res.SkippedQueries,
+						ref.NumClusters, ref.PostMerges, ref.RangeQueries, ref.SkippedQueries)
+				}
+			}
+			if laf && post && merges == 0 {
+				t.Errorf("%s: post-processing merged nothing; the test needs merges", m)
+			}
+		}
+	}
 }
