@@ -192,7 +192,7 @@ func BenchmarkAblationPostProcessing(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := LAFDBSCAN(d.Vectors, Params{
+				_, err := Cluster(d.Vectors, MethodLAFDBSCAN, Params{
 					Eps: 0.5, Tau: 4, Alpha: 2.0, Estimator: est,
 					DisablePostProcessing: !on,
 				})
@@ -233,7 +233,7 @@ func BenchmarkAblationEstimators(b *testing.B) {
 		{"sampling", SamplingEstimator(test.Vectors, test.Len()/5, 1)},
 		{"histogram", HistogramEstimator(test.Vectors, 20, 1)},
 	}
-	truth, err := DBSCAN(test.Vectors, Params{Eps: 0.5, Tau: 4})
+	truth, err := Cluster(test.Vectors, MethodDBSCAN, Params{Eps: 0.5, Tau: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func BenchmarkAblationEstimators(b *testing.B) {
 		b.Run(e.name, func(b *testing.B) {
 			var lastARI float64
 			for i := 0; i < b.N; i++ {
-				res, err := LAFDBSCAN(test.Vectors, Params{
+				res, err := Cluster(test.Vectors, MethodLAFDBSCAN, Params{
 					Eps: 0.5, Tau: 4, Alpha: 1.5, Estimator: e.e,
 				})
 				if err != nil {
@@ -266,7 +266,7 @@ func BenchmarkParallelDBSCAN(b *testing.B) {
 		NoiseFrac: 0.2, SizeSkew: 1.1, EffectiveDim: 48, Seed: 77,
 	})
 	p := Params{Eps: 0.5, Tau: 4}
-	ref, err := DBSCAN(d.Vectors, p)
+	ref, err := Cluster(d.Vectors, MethodDBSCAN, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func BenchmarkParallelDBSCAN(b *testing.B) {
 	for _, wkr := range workerCounts[1:] {
 		pp := p
 		pp.Workers = wkr
-		res, err := DBSCAN(d.Vectors, pp)
+		res, err := Cluster(d.Vectors, MethodDBSCAN, pp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func BenchmarkParallelDBSCAN(b *testing.B) {
 			pp := p
 			pp.Workers = wkr
 			for i := 0; i < b.N; i++ {
-				if _, err := DBSCAN(d.Vectors, pp); err != nil {
+				if _, err := Cluster(d.Vectors, MethodDBSCAN, pp); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -311,7 +311,7 @@ func BenchmarkParallelLAFDBSCAN(b *testing.B) {
 			pp := p
 			pp.Workers = wkr
 			for i := 0; i < b.N; i++ {
-				if _, err := LAFDBSCAN(d.Vectors, pp); err != nil {
+				if _, err := Cluster(d.Vectors, MethodLAFDBSCAN, pp); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -347,7 +347,7 @@ func BenchmarkWaveEngineMemory(b *testing.B) {
 		pp.WaveSize = c.wave
 		start := time.Now()
 		sample := bench.MeasureMem(func() {
-			if _, err := DBSCAN(d.Vectors, pp); err != nil {
+			if _, err := Cluster(d.Vectors, MethodDBSCAN, pp); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -359,7 +359,7 @@ func BenchmarkWaveEngineMemory(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := DBSCAN(d.Vectors, pp); err != nil {
+				if _, err := Cluster(d.Vectors, MethodDBSCAN, pp); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -410,7 +410,7 @@ func BenchmarkModelPredict(b *testing.B) {
 	}
 	predictT := time.Since(start)
 	start = time.Now()
-	if _, err := DBSCAN(reclustered, Params{Eps: 0.5, Tau: 4, Workers: 2}); err != nil {
+	if _, err := Cluster(reclustered, MethodDBSCAN, Params{Eps: 0.5, Tau: 4, Workers: 2}); err != nil {
 		b.Fatal(err)
 	}
 	reclusterT := time.Since(start)
@@ -431,7 +431,7 @@ func BenchmarkModelPredict(b *testing.B) {
 	b.Run("recluster-100", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DBSCAN(reclustered, Params{Eps: 0.5, Tau: 4, Workers: 2}); err != nil {
+			if _, err := Cluster(reclustered, MethodDBSCAN, Params{Eps: 0.5, Tau: 4, Workers: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}

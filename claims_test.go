@@ -35,11 +35,11 @@ func TestClaimLAFReducesQueriesAtHighQuality(t *testing.T) {
 	}
 	_, test, est := claimData(t, 1500)
 	p := Params{Eps: 0.55, Tau: 5, Alpha: 1.2, Estimator: est, Seed: 81}
-	truth, err := DBSCAN(test.Vectors, p)
+	truth, err := Cluster(test.Vectors, MethodDBSCAN, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := LAFDBSCAN(test.Vectors, p)
+	res, err := Cluster(test.Vectors, MethodLAFDBSCAN, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +66,15 @@ func TestClaimLAFAcceleratesDBSCANPP(t *testing.T) {
 	_, test, est := claimData(t, 1500)
 	p := Params{Eps: 0.55, Tau: 5, Alpha: 1.0, Estimator: est,
 		SampleFraction: 0.4, Seed: 81}
-	truth, err := DBSCAN(test.Vectors, p)
+	truth, err := Cluster(test.Vectors, MethodDBSCAN, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := DBSCANPP(test.Vectors, p)
+	base, err := Cluster(test.Vectors, MethodDBSCANPP, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	laf, err := LAFDBSCANPP(test.Vectors, p)
+	laf, err := Cluster(test.Vectors, MethodLAFDBSCANPP, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestClaimRhoApproxLosesInHighDimensions(t *testing.T) {
 	}
 	d := MSLike(600, 82)
 	p := Params{Eps: 0.55, Tau: 5, Rho: 1.0}
-	truth, err := DBSCAN(d.Vectors, p)
+	truth, err := Cluster(d.Vectors, MethodDBSCAN, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rho, err := RhoApproxDBSCAN(d.Vectors, p)
+	rho, err := Cluster(d.Vectors, MethodRhoApprox, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestClaimAlphaDialsSkippedQueries(t *testing.T) {
 	_, test, est := claimData(t, 1000)
 	prev := -1
 	for _, alpha := range []float64{1.0, 2.0, 4.0, 8.0, 15.0} {
-		res, err := LAFDBSCAN(test.Vectors, Params{
+		res, err := Cluster(test.Vectors, MethodLAFDBSCAN, Params{
 			Eps: 0.5, Tau: 3, Alpha: alpha, Estimator: est, Seed: 81,
 		})
 		if err != nil {

@@ -30,7 +30,6 @@ func main() {
 		"which experiment to run: all, table1..table6, figure1..figure4, ablation")
 	workers := flag.Int("workers", 0,
 		"cores for DBSCAN, DBSCAN++ and the LAF variants: 0 = all cores, 1 = one core (for paper-figure timing); labels are identical at every setting")
-	batchSize := flag.Int("batch", 0, "queries per parallel work unit (0 = auto)")
 	waveSize := flag.Int("wave", 0,
 		"range queries per neighbor-discovery wave (0 = auto)")
 	flag.Parse()
@@ -41,7 +40,7 @@ func main() {
 	// points — with placeholder density parameters.
 	knobs := lafdbscan.Params{
 		Eps: 1, Tau: 1,
-		Workers: *workers, BatchSize: *batchSize, WaveSize: *waveSize,
+		Workers: *workers, WaveSize: *waveSize,
 	}
 	if err := knobs.Validate(); err != nil {
 		log.Print(err)
@@ -51,7 +50,6 @@ func main() {
 
 	cfg := bench.DefaultConfig()
 	cfg.Workers = *workers
-	cfg.BatchSize = *batchSize
 	cfg.WaveSize = *waveSize
 	w := bench.NewWorkbench(cfg)
 	run := func(name string, f func() error) {

@@ -74,7 +74,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed")
 		compare     = flag.Bool("compare", false, "also run exact DBSCAN and report ARI/AMI")
 		workers     = flag.Int("workers", 0, "cores for dbscan, dbscan++ and the laf methods: 0 = all cores, 1 = one core (for paper-figure timing); labels are identical at every setting")
-		batchSize   = flag.Int("batch", 0, "queries per parallel work unit (0 = auto)")
 		waveSize    = flag.Int("wave", 0, "range queries per neighbor-discovery wave (0 = auto)")
 		savePath    = flag.String("save", "", "persist the (fitted or evolved) model to this file")
 		loadPath    = flag.String("load", "", "load a model from this file instead of clustering")
@@ -163,7 +162,7 @@ func main() {
 	params := lafdbscan.Params{
 		Eps: *eps, Tau: *tau, Alpha: *alpha,
 		SampleFraction: *p, Rho: 1.0, Seed: *seed,
-		Workers: *workers, BatchSize: *batchSize, WaveSize: *waveSize,
+		Workers: *workers, WaveSize: *waveSize,
 		IndexBackend: *idxBackend, EfSearch: *efSearch,
 	}
 	// One validation covers every flag-fed parameter — the same domain the
@@ -223,7 +222,7 @@ func main() {
 	}
 
 	if *compare && m != lafdbscan.MethodDBSCAN {
-		truth, err := lafdbscan.DBSCAN(data.Vectors, params)
+		truth, err := lafdbscan.Cluster(data.Vectors, lafdbscan.MethodDBSCAN, params)
 		if err != nil {
 			log.Fatalf("ground truth: %v", err)
 		}

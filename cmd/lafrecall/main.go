@@ -81,7 +81,10 @@ func main() {
 		N: *n, Dim: *dim, Clusters: clusters,
 		MinSpread: 0.08, MaxSpread: 0.15, NoiseFrac: 0.1, Seed: *seed,
 	})
-	exact := lafdbscan.NewBruteForceIndex(d.Vectors, lafdbscan.MetricCosine)
+	exact, _, err := lafdbscan.Params{}.NewIndex(d.Vectors, lafdbscan.MetricCosine)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The exact neighborhoods are the shared ground truth of the sweep,
 	// scanned on every core through the wave driver; its result lists are

@@ -44,11 +44,11 @@
 // concurrently, mutations serialize behind a write lock, and a reader
 // never observes a half-applied update.
 //
-// The original flat-Params entry points remain as the compatibility path
-// and produce labels bit-identical to Fit with the same knobs — they run
-// the same engines and simply discard the fitted artifacts:
+// Cluster runs one method over a flat Params value and returns only the
+// Result. Its labels are bit-identical to Fit with the same knobs: it runs
+// the same engines and discards the fitted artifacts:
 //
-//	res, _ := lafdbscan.LAFDBSCAN(test.Vectors, lafdbscan.Params{
+//	res, _ := lafdbscan.Cluster(test.Vectors, lafdbscan.MethodLAFDBSCAN, lafdbscan.Params{
 //		Eps: 0.55, Tau: 5, Alpha: 2.0, Estimator: est,
 //	})
 //	fmt.Println(res.NumClusters, res.Elapsed)

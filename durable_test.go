@@ -38,7 +38,7 @@ func durableEngines(t testing.TB, train [][]float32) []struct {
 		method Method
 		params Params
 	}{
-		{"dbscan-sequential", MethodDBSCAN, Params{Eps: 0.4, Tau: 4}},
+		{"dbscan-default", MethodDBSCAN, Params{Eps: 0.4, Tau: 4}},
 		{"dbscan-parallel-wave", MethodDBSCAN, Params{Eps: 0.4, Tau: 4, Workers: 2, WaveSize: 7}},
 		{"laf-parallel-pp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, Workers: 2, WaveSize: 16}},
 	}

@@ -54,12 +54,13 @@ func ExampleFit() {
 }
 
 // The full pipeline: generate data, train the learned estimator on the 80%
-// split, cluster the 20% split with LAF-DBSCAN. The training budget here is
+// split, cluster the 20% split with LAF-DBSCAN. Cluster runs every method;
+// the Method picks the algorithm and Params carries its knobs. The training budget here is
 // documentation-sized so the example stays fast; real runs can drop the
 // Hidden/Epochs/MaxQueries overrides to get the defaults. Examples always
 // execute under go test (they cannot consult testing.Short), so this is
 // what keeps the root package's -short runs quick.
-func ExampleLAFDBSCAN() {
+func ExampleCluster() {
 	data := lafdbscan.MSLike(400, 1)
 	train, test, err := lafdbscan.Split(data, 0.8, 42)
 	if err != nil {
@@ -76,7 +77,7 @@ func ExampleLAFDBSCAN() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := lafdbscan.LAFDBSCAN(test.Vectors, lafdbscan.Params{
+	res, err := lafdbscan.Cluster(test.Vectors, lafdbscan.MethodLAFDBSCAN, lafdbscan.Params{
 		Eps: 0.55, Tau: 5, Alpha: 1.2, Estimator: est,
 		Workers: lafdbscan.WorkersAuto, // parallel engine across all cores
 	})

@@ -51,11 +51,11 @@ func main() {
 	// needs at least 3 members to be worth deduplicating.
 	params := lafdbscan.Params{Eps: 0.4, Tau: 3, Alpha: 1.5, Estimator: est}
 
-	res, err := lafdbscan.LAFDBSCAN(index.Vectors, params)
+	res, err := lafdbscan.Cluster(index.Vectors, lafdbscan.MethodLAFDBSCAN, params)
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth, err := lafdbscan.DBSCAN(index.Vectors, params)
+	truth, err := lafdbscan.Cluster(index.Vectors, lafdbscan.MethodDBSCAN, params)
 	if err != nil {
 		log.Fatal(err)
 	}

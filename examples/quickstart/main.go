@@ -45,23 +45,20 @@ func main() {
 	// 3. Cluster the test split.
 	params := lafdbscan.Params{Eps: 0.55, Tau: 5, Alpha: 1.5, Estimator: est, SampleFraction: 0.4}
 
-	truth, err := lafdbscan.DBSCAN(test.Vectors, params)
+	//    Cluster runs any method; each reads the Params fields it needs.
+	truth, err := lafdbscan.Cluster(test.Vectors, lafdbscan.MethodDBSCAN, params)
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("DBSCAN (ground truth)", truth, truth)
 
-	laf, err := lafdbscan.LAFDBSCAN(test.Vectors, params)
-	if err != nil {
-		log.Fatal(err)
+	for _, m := range []lafdbscan.Method{lafdbscan.MethodLAFDBSCAN, lafdbscan.MethodLAFDBSCANPP} {
+		res, err := lafdbscan.Cluster(test.Vectors, m, params)
+		if err != nil {
+			log.Fatal(err)
+		}
+		report(res.Algorithm, res, truth)
 	}
-	report("LAF-DBSCAN", laf, truth)
-
-	lafpp, err := lafdbscan.LAFDBSCANPP(test.Vectors, params)
-	if err != nil {
-		log.Fatal(err)
-	}
-	report("LAF-DBSCAN++", lafpp, truth)
 
 	// 4. Fit once, predict forever: the model API retains the fitted
 	//    artifacts (cores, forest, index, estimator), so assigning new

@@ -39,7 +39,7 @@ func main() {
 	}
 
 	base := lafdbscan.Params{Eps: 0.5, Tau: 4, Estimator: est}
-	truth, err := lafdbscan.DBSCAN(words.Vectors, base)
+	truth, err := lafdbscan.Cluster(words.Vectors, lafdbscan.MethodDBSCAN, base)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 	for _, alpha := range []float64{1.0, 1.5, 2.5, 4.0, 8.0} {
 		p := base
 		p.Alpha = alpha
-		res, err := lafdbscan.LAFDBSCAN(words.Vectors, p)
+		res, err := lafdbscan.Cluster(words.Vectors, lafdbscan.MethodLAFDBSCAN, p)
 		if err != nil {
 			log.Fatal(err)
 		}

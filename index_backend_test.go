@@ -62,12 +62,12 @@ func TestDBSCANOverHNSWApproximation(t *testing.T) {
 		NoiseFrac: 0.15, Seed: 17,
 	})
 	exactParams := Params{Eps: 0.4, Tau: 5}
-	exact, err := DBSCAN(d.Vectors, exactParams)
+	exact, err := Cluster(d.Vectors, MethodDBSCAN, exactParams)
 	if err != nil {
 		t.Fatal(err)
 	}
 	approxParams := Params{Eps: 0.4, Tau: 5, IndexBackend: "hnsw", Seed: 3}
-	approx, err := DBSCAN(d.Vectors, approxParams)
+	approx, err := Cluster(d.Vectors, MethodDBSCAN, approxParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDBSCANOverHNSWApproximation(t *testing.T) {
 	}
 
 	// Determinism: the same seed reruns to identical labels.
-	again, err := DBSCAN(d.Vectors, approxParams)
+	again, err := Cluster(d.Vectors, MethodDBSCAN, approxParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,10 @@ func TestHNSWRangeRecallDefaultKnob(t *testing.T) {
 	const eps = 0.4
 	p := Params{Eps: eps, Tau: 5, Seed: 1}
 
-	exactIdx := NewBruteForceIndex(d.Vectors, MetricCosine)
+	exactIdx, _, err := p.NewIndex(d.Vectors, MetricCosine)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.IndexBackend = "hnsw"
 	hnswIdx, name, err := p.NewIndex(d.Vectors, MetricCosine)
 	if err != nil {
@@ -227,7 +230,7 @@ func TestModelIndexBackendRoundTrip(t *testing.T) {
 func TestEntryPointsRejectBadBackend(t *testing.T) {
 	pts := [][]float32{{1, 0}, {0, 1}}
 	bad := Params{Eps: 0.5, Tau: 2, IndexBackend: "bogus"}
-	if _, err := DBSCAN(pts, bad); err == nil || !strings.Contains(err.Error(), "invalid IndexBackend") {
+	if _, err := Cluster(pts, MethodDBSCAN, bad); err == nil || !strings.Contains(err.Error(), "invalid IndexBackend") {
 		t.Errorf("DBSCAN with unknown backend: err = %v, want invalid IndexBackend", err)
 	}
 	// Validate reports ResolveIndexBackend's own rejection behind the

@@ -32,8 +32,6 @@ type Config struct {
 	// single-threaded figures). Labels are identical at every setting, so
 	// ground truths stay exact.
 	Workers int
-	// BatchSize is the engines' per-worker query chunk (0 = auto).
-	BatchSize int
 	// WaveSize bounds the engines' neighbor-discovery memory: queries per
 	// wave (0 = auto).
 	WaveSize int

@@ -180,8 +180,7 @@ func (w *Workbench) openGate(s Setting) core.Config {
 	return core.Config{
 		Eps: s.Eps, Tau: s.Tau, Alpha: 1, Estimator: core.OpenGate,
 		Seed: w.Cfg.Seed, DisablePostProcessing: true,
-		Workers: w.Cfg.Workers, BatchSize: w.Cfg.BatchSize,
-		WaveSize: w.Cfg.WaveSize,
+		Workers: w.Cfg.Workers, WaveSize: w.Cfg.WaveSize,
 	}
 }
 
@@ -242,8 +241,7 @@ func (w *Workbench) RunMethod(method, key string, s Setting) (*cluster.Result, e
 		return (&core.LAFDBSCAN{Points: pts, Config: core.Config{
 			Eps: s.Eps, Tau: s.Tau, Alpha: w.Alpha(key),
 			Estimator: est, Seed: w.Cfg.Seed,
-			Workers: w.Cfg.Workers, BatchSize: w.Cfg.BatchSize,
-			WaveSize: w.Cfg.WaveSize,
+			Workers: w.Cfg.Workers, WaveSize: w.Cfg.WaveSize,
 		}}).Run()
 	case "LAF-DBSCAN++":
 		est, err := w.Estimator(key)
@@ -257,8 +255,7 @@ func (w *Workbench) RunMethod(method, key string, s Setting) (*cluster.Result, e
 		return (&core.LAFDBSCANPP{Points: pts, P: p, Config: core.Config{
 			Eps: s.Eps, Tau: s.Tau, Alpha: 1.0, // the paper fixes alpha=1 here
 			Estimator: est, Seed: w.Cfg.Seed,
-			Workers: w.Cfg.Workers, BatchSize: w.Cfg.BatchSize,
-			WaveSize: w.Cfg.WaveSize,
+			Workers: w.Cfg.Workers, WaveSize: w.Cfg.WaveSize,
 		}}).Run()
 	case "rho-approx":
 		return (&cluster.RhoApprox{Points: pts, Eps: s.Eps, Tau: s.Tau, Rho: 1.0}).Run()

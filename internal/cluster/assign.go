@@ -13,8 +13,8 @@ import (
 // joins the cluster of its closest core point when within eps, or is
 // noise. The per-point assignment is spread over a worker pool (each
 // point's assignment is independent, so the labeling is identical at any
-// worker count); workers <= 0 selects GOMAXPROCS, batch sizes the chunks.
-func ClusterCoresAndAssignUnionWorkers(points [][]float32, eps float64, cores []int, uf *AtomicUnionFind, workers, batch int) []int {
+// worker count); workers <= 0 selects GOMAXPROCS.
+func ClusterCoresAndAssignUnionWorkers(points [][]float32, eps float64, cores []int, uf *AtomicUnionFind, workers int) []int {
 	n := len(points)
 	labels := make([]int, n)
 	for i := range labels {
@@ -33,7 +33,7 @@ func ClusterCoresAndAssignUnionWorkers(points [][]float32, eps float64, cores []
 		labels[c] = id
 	}
 	// Assign all remaining points to the closest core point within eps.
-	index.ForEach(n, workers, batch, func(i int) {
+	index.ForEach(n, workers, 0, func(i int) {
 		if labels[i] != Undefined {
 			return
 		}

@@ -24,9 +24,9 @@ func openGate(eps float64, tau int) core.Config {
 }
 
 // waveConfig is openGate on the wave engine.
-func waveConfig(eps float64, tau, workers, batch, wave int) core.Config {
+func waveConfig(eps float64, tau, workers, wave int) core.Config {
 	cfg := openGate(eps, tau)
-	cfg.Workers, cfg.BatchSize, cfg.WaveSize = workers, batch, wave
+	cfg.Workers, cfg.WaveSize = workers, wave
 	return cfg
 }
 
@@ -233,14 +233,14 @@ func TestDBSCANCorePointInvariants(t *testing.T) {
 }
 
 func TestParallelDBSCANValidation(t *testing.T) {
-	if _, err := (&core.LAFDBSCAN{Points: nil, Config: waveConfig(0.5, 3, -1, 0, 0)}).Run(); err == nil {
+	if _, err := (&core.LAFDBSCAN{Points: nil, Config: waveConfig(0.5, 3, -1, 0)}).Run(); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	d := dataset.TwoBlobs(5, 1)
-	if _, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(-1, 3, -1, 0, 0)}).Run(); err == nil {
+	if _, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(-1, 3, -1, 0)}).Run(); err == nil {
 		t.Error("negative eps accepted")
 	}
-	if _, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(0.5, 0, -1, 0, 0)}).Run(); err == nil {
+	if _, err := (&core.LAFDBSCAN{Points: d.Vectors, Config: waveConfig(0.5, 0, -1, 0)}).Run(); err == nil {
 		t.Error("zero tau accepted")
 	}
 }

@@ -104,7 +104,7 @@ func TestClusterCoresAndAssignUnionWorkersMatchesSerial(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{0, 2, 5} {
-		par := ClusterCoresAndAssignUnionWorkers(d.Vectors, eps, cores, m.UnionFind(), workers, 8)
+		par := ClusterCoresAndAssignUnionWorkers(d.Vectors, eps, cores, m.UnionFind(), workers)
 		for i := range serial {
 			if par[i] != serial[i] {
 				t.Fatalf("workers=%d: label[%d] = %d, serial %d", workers, i, par[i], serial[i])

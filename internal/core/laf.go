@@ -105,9 +105,6 @@ type Config struct {
 	// result is identical at every setting. The Estimator must be safe for
 	// concurrent use (all implementations in internal/cardest are).
 	Workers int
-	// BatchSize is the number of queries a worker claims at a time; <= 0
-	// selects a load-balancing default.
-	BatchSize int
 	// WaveSize bounds the engine's neighbor-discovery memory: range
 	// queries run in waves of this many and each wave's lists are dropped
 	// as soon as their facts are folded in. <= 0 selects
@@ -146,7 +143,7 @@ func (c *Config) validate(n int) error {
 // Gate is LAF's estimator gate over points: mask[i] reports whether
 // point i is predicted core (CardEst >= Alpha·Tau) and so runs its range
 // query. The points are estimated in parallel over cfg.Workers workers
-// (<= 0 selects GOMAXPROCS) in chunks of cfg.BatchSize. ctx is checked
+// (<= 0 selects GOMAXPROCS). ctx is checked
 // before the first estimate and before every cluster.CtxCheckEvery-th;
 // once it is done no further estimate starts and Gate returns ctx.Err().
 func Gate(ctx context.Context, points [][]float32, cfg Config) ([]bool, error) {
@@ -155,7 +152,7 @@ func Gate(ctx context.Context, points [][]float32, cfg Config) ([]bool, error) {
 	}
 	mask := make([]bool, len(points))
 	var stopped atomic.Bool
-	index.ForEach(len(points), cfg.Workers, cfg.BatchSize, func(i int) {
+	index.ForEach(len(points), cfg.Workers, 0, func(i int) {
 		if stopped.Load() {
 			return
 		}

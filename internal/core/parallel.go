@@ -99,7 +99,7 @@ func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, 
 	res.RangeQueries = len(queries)
 	res.SkippedQueries = len(cands) - len(queries)
 	var stripes stopStripes
-	err = index.BatchRangeSearchFunc(ctx, idx, queries, cfg.Eps, cfg.Workers, cfg.BatchSize, cfg.WaveSize,
+	err = index.BatchRangeSearchFunc(ctx, idx, queries, cfg.Eps, cfg.Workers, 0, cfg.WaveSize,
 		func(k int, nb []int) {
 			p := k
 			if qids != nil {

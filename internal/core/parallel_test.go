@@ -39,7 +39,6 @@ func TestParallelLAFDBSCANMatchesSequential(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 4, runtime.NumCPU()} {
 		cfg := base
 		cfg.Workers = workers
-		cfg.BatchSize = 8
 		par, err := (&LAFDBSCAN{Points: d.Vectors, Config: cfg}).Run()
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +66,7 @@ func TestParallelLAFDBSCANPostProcessingDeterministic(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, runtime.NumCPU()} {
 		res, err := (&LAFDBSCAN{Points: d.Vectors, Config: Config{
 			Eps: 0.5, Tau: 4, Alpha: 1.3, Estimator: est, Seed: 3,
-			Workers: workers, BatchSize: 8,
+			Workers: workers,
 		}}).Run()
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +160,7 @@ func TestParallelLAFDBSCANExactOracleMatchesDBSCAN(t *testing.T) {
 // brute force; no other point has an entry.
 func TestParallelPartialNeighborsComplete(t *testing.T) {
 	d, est := parallelLAFData(t)
-	cfg := Config{Eps: 0.5, Tau: 4, Alpha: 1.3, Estimator: est, Workers: 4, BatchSize: 8, WaveSize: 7}
+	cfg := Config{Eps: 0.5, Tau: 4, Alpha: 1.3, Estimator: est, Workers: 4, WaveSize: 7}
 	n := d.Len()
 	res := &cluster.Result{}
 	e, err := discover(context.Background(), index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit),

@@ -178,7 +178,7 @@ func referenceLAFDBSCANPP(l *LAFDBSCANPP) (*cluster.Result, error) {
 			cores = append(cores, s)
 		}
 	}
-	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), 1, cfg.BatchSize)
+	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), 1)
 	if !cfg.DisablePostProcessing {
 		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
 	}
@@ -188,9 +188,9 @@ func referenceLAFDBSCANPP(l *LAFDBSCANPP) (*cluster.Result, error) {
 }
 
 // waveConfig is openGateConfig with the wave engine's knobs set.
-func waveConfig(eps float64, tau, workers, batch, wave int) Config {
+func waveConfig(eps float64, tau, workers, wave int) Config {
 	cfg := openGateConfig(eps, tau)
-	cfg.Workers, cfg.BatchSize, cfg.WaveSize = workers, batch, wave
+	cfg.Workers, cfg.WaveSize = workers, wave
 	return cfg
 }
 
@@ -229,7 +229,7 @@ func TestParallelDBSCANMatchesSequential(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4, runtime.NumCPU()} {
 				name := fmt.Sprintf("%s/eps=%v,tau=%d/w=%d", d.Name, s.eps, s.tau, workers)
-				par, err := (&LAFDBSCAN{Points: d.Vectors, Config: waveConfig(s.eps, s.tau, workers, 8, 0)}).Run()
+				par, err := (&LAFDBSCAN{Points: d.Vectors, Config: waveConfig(s.eps, s.tau, workers, 0)}).Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +271,7 @@ func TestWaveEngineMatchesSequentialAcrossWaveSizes(t *testing.T) {
 		for _, wave := range []int{0, 1, 7, 64, 100000} {
 			for _, workers := range []int{1, 4, runtime.NumCPU()} {
 				name := fmt.Sprintf("%s/wave=%d/w=%d", d.Name, wave, workers)
-				par, err := (&LAFDBSCAN{Points: d.Vectors, Config: waveConfig(0.5, 4, workers, 8, wave)}).Run()
+				par, err := (&LAFDBSCAN{Points: d.Vectors, Config: waveConfig(0.5, 4, workers, wave)}).Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -393,7 +393,7 @@ func TestEnginesMatchReferenceWithPostProcessing(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 3} {
 		c := cfg
-		c.Workers, c.BatchSize = workers, 8
+		c.Workers = workers
 		res, err := (&LAFDBSCAN{Points: d.Vectors, Config: c}).Run()
 		if err != nil {
 			t.Fatal(err)

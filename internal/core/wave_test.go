@@ -8,8 +8,11 @@ import (
 )
 
 // waveSweep is the WaveSize settings the equivalence tests cover: the auto
-// default, one query per wave, and a mid-sized wave.
-var waveSweep = []int{0, 1, 16}
+// default, one query per wave, and a mid-sized wave. 40 is more than twice
+// index.ForEach's default grain, so each wave of the mid size splits over
+// several workers, and it still cuts the 240 LAF-DBSCAN and 129
+// LAF-DBSCAN++ queries of parallelLAFData into several waves.
+var waveSweep = []int{0, 1, 40}
 
 // TestParallelLAFDBSCANWaveSizesMatchSequential pins the wave engine to the
 // reference traversal with post-processing disabled: labels must be
@@ -28,7 +31,6 @@ func TestParallelLAFDBSCANWaveSizesMatchSequential(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			cfg := base
 			cfg.Workers = workers
-			cfg.BatchSize = 8
 			cfg.WaveSize = wave
 			par, err := (&LAFDBSCAN{Points: d.Vectors, Config: cfg}).Run()
 			if err != nil {
@@ -59,7 +61,7 @@ func TestParallelLAFDBSCANWavePostProcessingDeterministic(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			res, err := (&LAFDBSCAN{Points: d.Vectors, Config: Config{
 				Eps: 0.5, Tau: 4, Alpha: 1.3, Estimator: est, Seed: 3,
-				Workers: workers, BatchSize: 8, WaveSize: wave,
+				Workers: workers, WaveSize: wave,
 			}}).Run()
 			if err != nil {
 				t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"lafdbscan"
@@ -164,6 +165,26 @@ func TestModelEndpointsLifecycle(t *testing.T) {
 	ms := body["models"].(map[string]any)
 	if ms["fitted"].(float64) < 1 || ms["loaded"].(float64) < 1 || ms["deleted"].(float64) < 1 {
 		t.Fatalf("model stats: %v", ms)
+	}
+}
+
+// TestServeRejectsBatchSize: params carries no batch_size (the engines'
+// per-worker claim size is not a knob), so a fit or job that sends one is
+// refused with a 400 naming the field instead of being silently ignored.
+func TestServeRejectsBatchSize(t *testing.T) {
+	base, _, cleanup := modelServer(t, Options{Workers: 1, QueueDepth: 4})
+	defer cleanup()
+	for _, endpoint := range []string{"/v1/models", "/v1/jobs"} {
+		code, body := postJSON(t, base+endpoint, map[string]any{
+			"dataset": "mdl", "method": "dbscan",
+			"params": map[string]any{"eps": 0.5, "tau": 4, "batch_size": 16},
+		})
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: code %d %v, want 400", endpoint, code, body)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, `"batch_size"`) {
+			t.Errorf("%s: error %q does not name batch_size", endpoint, msg)
+		}
 	}
 }
 

@@ -235,7 +235,6 @@ type paramsJSON struct {
 	Metric                string  `json:"metric,omitempty"` // "cosine" (default) or "euclidean"
 	Seed                  int64   `json:"seed,omitempty"`
 	Workers               int     `json:"workers,omitempty"`
-	BatchSize             int     `json:"batch_size,omitempty"`
 	WaveSize              int     `json:"wave_size,omitempty"`
 	DisablePostProcessing bool    `json:"disable_post_processing,omitempty"`
 	// IndexBackend names the range-index implementation ("brute", "hnsw",
@@ -259,8 +258,7 @@ func (p paramsJSON) toParams() (lafdbscan.Params, error) {
 		SampleFraction: p.SampleFraction,
 		Branching:      p.Branching, LeavesRatio: p.LeavesRatio,
 		Base: p.Base, RNT: p.RNT, Rho: p.Rho,
-		Seed: p.Seed, Workers: workers, BatchSize: p.BatchSize,
-		WaveSize:              p.WaveSize,
+		Seed: p.Seed, Workers: workers, WaveSize: p.WaveSize,
 		DisablePostProcessing: p.DisablePostProcessing,
 		IndexBackend:          p.IndexBackend,
 	}

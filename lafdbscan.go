@@ -28,8 +28,9 @@ const Noise = cluster.Noise
 // the construction helpers in this package.
 type Estimator = cardest.Estimator
 
-// Params collects the parameters shared by all clustering entry points.
-// Zero values of optional fields select the paper's defaults.
+// Params collects the parameters of every method that Cluster and Fit
+// dispatch. Zero values of optional fields select the paper's defaults.
+// Each field names the methods that read it; the others ignore it.
 type Params struct {
 	// Eps is the cosine-distance threshold of the range queries.
 	Eps float64
@@ -38,12 +39,12 @@ type Params struct {
 	Tau int
 
 	// Alpha is LAF's error factor: a point is predicted core when the
-	// estimated cardinality is at least Alpha*Tau. Used by LAFDBSCAN and
-	// LAFDBSCANPP only. The paper tunes it per dataset (Table 1); 1.0 is
-	// the neutral setting.
+	// estimated cardinality is at least Alpha*Tau. Used by MethodLAFDBSCAN
+	// and MethodLAFDBSCANPP only. The paper tunes it per dataset (Table 1);
+	// 1.0 is the neutral setting.
 	Alpha float64
-	// Estimator is the cardinality estimator. Required for LAFDBSCAN and
-	// LAFDBSCANPP, ignored elsewhere.
+	// Estimator is the cardinality estimator. Required for MethodLAFDBSCAN
+	// and MethodLAFDBSCANPP, ignored elsewhere.
 	Estimator Estimator
 	// DisablePostProcessing turns off LAF's repair pass (ablation).
 	DisablePostProcessing bool
@@ -64,7 +65,8 @@ type Params struct {
 	// Rho is ρ-approximate DBSCAN's approximation factor (paper: 1.0).
 	Rho float64
 
-	// Metric selects the distance function for DBSCAN and LAFDBSCAN. The
+	// Metric selects the distance function for MethodDBSCAN and
+	// MethodLAFDBSCAN; the other methods run under cosine distance. The
 	// zero value, MetricCosine, is the paper's setting; MetricEuclidean
 	// implements its future-work extension (train the estimator with
 	// EstimatorConfig.Metric set accordingly).
@@ -73,18 +75,15 @@ type Params struct {
 	// Seed drives all randomized components.
 	Seed int64
 
-	// Workers is the number of cores DBSCAN, DBSCANPP, LAFDBSCAN and
-	// LAFDBSCANPP cluster on: the size of the worker pool their one engine
-	// runs its gate, range queries and assignment on. The zero value and
-	// WorkersAuto use every core (GOMAXPROCS); 1 runs everything on one
-	// core, the setting for paper-figure timings. The knob changes speed
-	// only: labels, core flags, merges and query counts are identical at
-	// every setting. Predict and model maintenance size their pools from
-	// it too. The three baselines ignore it.
+	// Workers is the number of cores the four engine methods (DBSCAN,
+	// DBSCAN++ and their LAF variants) cluster on: the size of the worker
+	// pool their one engine runs its gate, range queries and assignment
+	// on. The zero value and WorkersAuto use every core (GOMAXPROCS); 1
+	// runs everything on one core, the setting for paper-figure timings.
+	// The knob changes speed only: labels, core flags, merges and query
+	// counts are identical at every setting. Predict and model maintenance
+	// size their pools from it too. The three baselines ignore it.
 	Workers int
-	// BatchSize is the number of range queries a worker claims at a time;
-	// 0 selects a load-balancing default.
-	BatchSize int
 	// WaveSize bounds the engines' memory: neighbor discovery runs in
 	// waves of this many range queries, and each wave's neighbor lists are
 	// dropped as soon as core flags, cluster links and border stubs are
@@ -97,8 +96,8 @@ type Params struct {
 	// Index optionally supplies a pre-built range-query engine, letting a
 	// long-running caller (the lafserve registry) build one index per
 	// dataset and share it across requests instead of rebuilding per run.
-	// It must index exactly the points passed to the entry point, under
-	// the same metric as Params.Metric. Honored by DBSCAN, DBSCAN++ and
+	// It must index exactly the points passed to Cluster or Fit, under
+	// the method's metric (see Metric). Honored by DBSCAN, DBSCAN++ and
 	// the LAF variants; KNN-BLOCK, BLOCK-DBSCAN and ρ-approximate build
 	// their own specialized structures and ignore it. Labels are identical
 	// with or without a shared index. When set, IndexBackend is ignored.
@@ -124,15 +123,6 @@ type Params struct {
 // Params.Index. The brute-force implementation behind the default engines
 // is safe for concurrent use across clustering runs.
 type RangeIndex = index.RangeSearcher
-
-// NewBruteForceIndex builds the default brute-force range-query engine
-// over points under the given metric — the index the clustering
-// entry points construct per run when Params.Index is nil and IndexBackend
-// is empty. It is equivalent to Params{}.NewIndex, kept as the stable
-// pre-registry constructor.
-func NewBruteForceIndex(points [][]float32, m DistanceMetric) RangeIndex {
-	return index.NewBruteForce(points, m.Func())
-}
 
 // IndexBackendAuto selects the approximate default for
 // Params.IndexBackend: the HNSW graph, which answers under both metrics.
@@ -192,21 +182,6 @@ func ResolveIndexBackend(backend string) (string, error) {
 	return backend, nil
 }
 
-// materializeIndex builds Params.IndexBackend into Params.Index under
-// metric m for the entry points that honor a shared index. An explicit
-// Index wins.
-func materializeIndex(p *Params, points [][]float32, m DistanceMetric) error {
-	if p.Index != nil {
-		return nil
-	}
-	idx, _, err := p.NewIndex(points, m)
-	if err != nil {
-		return err
-	}
-	p.Index = idx
-	return nil
-}
-
 // WorkersAuto sizes the engines' worker pool to GOMAXPROCS, as Workers 0
 // does. It is kept as an alias because saved models and scripts pass -1.
 const WorkersAuto = -1
@@ -230,78 +205,6 @@ func CosineToEuclidean(dcos float64) float64 { return vecmath.CosineToEuclidean(
 // EuclideanToCosine is the inverse of CosineToEuclidean for unit vectors.
 func EuclideanToCosine(deuc float64) float64 { return vecmath.EuclideanToCosine(deuc) }
 
-// DBSCAN runs exact DBSCAN; its labeling is the ground truth the paper
-// scores every approximate method against. It runs on the LAF engines with
-// the open gate (every point passes, nothing is skipped or repaired).
-func DBSCAN(points [][]float32, p Params) (*Result, error) {
-	return DBSCANContext(context.Background(), points, p)
-}
-
-// DBSCANContext is DBSCAN under a cancellation context: the engine checks
-// it during the gate and at each wave barrier (aborting within one wave
-// at zero hot-path cost). On cancellation it returns ctx.Err() and no result.
-func DBSCANContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := materializeIndex(&p, points, p.Metric); err != nil {
-		return nil, err
-	}
-	return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: openGateConfig(p)}).RunContext(ctx)
-}
-
-// DBSCANPP runs DBSCAN++ with sample fraction p.SampleFraction.
-func DBSCANPP(points [][]float32, p Params) (*Result, error) {
-	return DBSCANPPContext(context.Background(), points, p)
-}
-
-// DBSCANPPContext is DBSCANPP under a cancellation context. Like DBSCAN it
-// runs on the LAF engines with the open gate.
-func DBSCANPPContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	// The ++ driver is hardwired to cosine distance, so the backend is
-	// materialized under that metric regardless of Params.Metric.
-	if err := materializeIndex(&p, points, MetricCosine); err != nil {
-		return nil, err
-	}
-	return (&core.LAFDBSCANPP{Points: points, P: p.SampleFraction, Index: p.Index, Config: openGateConfig(p)}).RunContext(ctx)
-}
-
-// LAFDBSCAN runs the paper's LAF-enhanced DBSCAN (Algorithm 1).
-func LAFDBSCAN(points [][]float32, p Params) (*Result, error) {
-	return LAFDBSCANContext(context.Background(), points, p)
-}
-
-// LAFDBSCANContext is LAFDBSCAN under a cancellation context.
-func LAFDBSCANContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := materializeIndex(&p, points, p.Metric); err != nil {
-		return nil, err
-	}
-	return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: lafConfig(p)}).RunContext(ctx)
-}
-
-// LAFDBSCANPP runs LAF-enhanced DBSCAN++ (the paper fixes its Alpha to 1.0;
-// pass Alpha explicitly to override).
-func LAFDBSCANPP(points [][]float32, p Params) (*Result, error) {
-	return LAFDBSCANPPContext(context.Background(), points, p)
-}
-
-// LAFDBSCANPPContext is LAFDBSCANPP under a cancellation context.
-func LAFDBSCANPPContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := materializeIndex(&p, points, MetricCosine); err != nil {
-		return nil, err
-	}
-	return (&core.LAFDBSCANPP{Points: points, P: p.SampleFraction, Index: p.Index, Config: lafConfig(p)}).RunContext(ctx)
-}
-
 // lafConfig maps Params onto the LAF engines' Config; a zero Alpha selects
 // the neutral 1.0.
 func lafConfig(p Params) core.Config {
@@ -312,8 +215,7 @@ func lafConfig(p Params) core.Config {
 		Eps: p.Eps, Tau: p.Tau, Alpha: p.Alpha,
 		Estimator: p.Estimator, Seed: p.Seed,
 		DisablePostProcessing: p.DisablePostProcessing,
-		Workers:               p.Workers, BatchSize: p.BatchSize,
-		WaveSize: p.WaveSize,
+		Workers:               p.Workers, WaveSize: p.WaveSize,
 	}
 }
 
@@ -325,53 +227,6 @@ func openGateConfig(p Params) core.Config {
 	return cfg
 }
 
-// KNNBlockDBSCAN runs the KNN-BLOCK DBSCAN baseline.
-func KNNBlockDBSCAN(points [][]float32, p Params) (*Result, error) {
-	return KNNBlockDBSCANContext(context.Background(), points, p)
-}
-
-// KNNBlockDBSCANContext is KNNBlockDBSCAN under a cancellation context.
-func KNNBlockDBSCANContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return (&cluster.KNNBlock{
-		Points: points, Eps: p.Eps, Tau: p.Tau,
-		Branching: p.Branching, LeavesRatio: p.LeavesRatio, Seed: p.Seed,
-	}).RunContext(ctx)
-}
-
-// BlockDBSCAN runs the BLOCK-DBSCAN baseline.
-func BlockDBSCAN(points [][]float32, p Params) (*Result, error) {
-	return BlockDBSCANContext(context.Background(), points, p)
-}
-
-// BlockDBSCANContext is BlockDBSCAN under a cancellation context.
-func BlockDBSCANContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return (&cluster.BlockDBSCAN{
-		Points: points, Eps: p.Eps, Tau: p.Tau,
-		Base: p.Base, RNT: p.RNT, Seed: p.Seed,
-	}).RunContext(ctx)
-}
-
-// RhoApproxDBSCAN runs the ρ-approximate DBSCAN baseline.
-func RhoApproxDBSCAN(points [][]float32, p Params) (*Result, error) {
-	return RhoApproxDBSCANContext(context.Background(), points, p)
-}
-
-// RhoApproxDBSCANContext is RhoApproxDBSCAN under a cancellation context.
-func RhoApproxDBSCANContext(ctx context.Context, points [][]float32, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return (&cluster.RhoApprox{
-		Points: points, Eps: p.Eps, Tau: p.Tau, Rho: p.Rho,
-	}).RunContext(ctx)
-}
-
 // PredictedCoreRatio returns Rc, the fraction of points the estimator
 // predicts as core. The paper sets DBSCAN++'s sample fraction to
 // delta + Rc with delta in 0.1-0.3.
@@ -379,8 +234,7 @@ func PredictedCoreRatio(points [][]float32, est Estimator, eps float64, tau int,
 	return core.PredictedCoreRatio(points, est, eps, tau, alpha)
 }
 
-// Method names a clustering algorithm for the generic Cluster entry point
-// and the CLI tools.
+// Method names a clustering algorithm for Cluster, Fit and the CLI tools.
 type Method string
 
 // The supported methods.
@@ -413,33 +267,85 @@ func AllMethods() []Method {
 	return append(Methods(), MethodRhoApprox)
 }
 
-// Cluster dispatches to the named method.
+// Cluster runs the named method over points: the library's one clustering
+// entry point (Fit is the same run, keeping its artifacts in a Model).
 func Cluster(points [][]float32, m Method, p Params) (*Result, error) {
 	return ClusterContext(context.Background(), points, m, p)
 }
 
-// ClusterContext dispatches to the named method under a cancellation
-// context. The engines abort within one neighbor-discovery wave of a
-// cancellation; on cancellation the error is ctx.Err() and no result is
-// returned.
+// ClusterContext is Cluster under a cancellation context. It rejects an
+// unknown method or invalid Params before any work, and builds the range
+// index (p.IndexBackend under the method's metric) only for the four
+// engine methods, unless p.Index supplies one; the three baselines build
+// their own structures. The engines abort within one neighbor-discovery
+// wave of a cancellation; on cancellation the error is ctx.Err() and no
+// result is returned.
 func ClusterContext(ctx context.Context, points [][]float32, m Method, p Params) (*Result, error) {
+	if err := validate(m, p); err != nil {
+		return nil, err
+	}
+	if engineMethod(m) {
+		var err error
+		if p.Index, _, err = indexFor(points, m, p); err != nil {
+			return nil, err
+		}
+	}
+	return run(ctx, points, m, p)
+}
+
+// validate is the one check of Cluster and Fit: m must be dispatchable and
+// p must pass Params.Validate.
+func validate(m Method, p Params) error {
+	if !slices.Contains(AllMethods(), m) {
+		return fmt.Errorf("lafdbscan: unknown method %q", m)
+	}
+	return p.Validate()
+}
+
+// engineMethod reports whether m runs on the LAF engines (exact DBSCAN and
+// DBSCAN++ with the open gate), the methods that query Params.Index.
+func engineMethod(m Method) bool {
+	switch m {
+	case MethodDBSCAN, MethodDBSCANPP, MethodLAFDBSCAN, MethodLAFDBSCANPP:
+		return true
+	}
+	return false
+}
+
+// indexFor returns p.Index when the caller supplied one (backend ""), and
+// otherwise builds p.IndexBackend over points under m's metric (see
+// modelMetric) and returns it with its resolved backend name.
+func indexFor(points [][]float32, m Method, p Params) (RangeIndex, string, error) {
+	if p.Index != nil {
+		return p.Index, "", nil
+	}
+	return p.NewIndex(points, modelMetric(m, p.Metric))
+}
+
+// run executes m over points with validated p; the engine methods query
+// p.Index, which the caller has set.
+func run(ctx context.Context, points [][]float32, m Method, p Params) (*Result, error) {
 	switch m {
 	case MethodDBSCAN:
-		return DBSCANContext(ctx, points, p)
+		return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: openGateConfig(p)}).RunContext(ctx)
 	case MethodDBSCANPP:
-		return DBSCANPPContext(ctx, points, p)
+		return (&core.LAFDBSCANPP{Points: points, P: p.SampleFraction, Index: p.Index, Config: openGateConfig(p)}).RunContext(ctx)
 	case MethodLAFDBSCAN:
-		return LAFDBSCANContext(ctx, points, p)
+		return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: lafConfig(p)}).RunContext(ctx)
 	case MethodLAFDBSCANPP:
-		return LAFDBSCANPPContext(ctx, points, p)
+		return (&core.LAFDBSCANPP{Points: points, P: p.SampleFraction, Index: p.Index, Config: lafConfig(p)}).RunContext(ctx)
 	case MethodKNNBlock:
-		return KNNBlockDBSCANContext(ctx, points, p)
+		return (&cluster.KNNBlock{
+			Points: points, Eps: p.Eps, Tau: p.Tau,
+			Branching: p.Branching, LeavesRatio: p.LeavesRatio, Seed: p.Seed,
+		}).RunContext(ctx)
 	case MethodBlockDBSCAN:
-		return BlockDBSCANContext(ctx, points, p)
-	case MethodRhoApprox:
-		return RhoApproxDBSCANContext(ctx, points, p)
-	default:
-		return nil, fmt.Errorf("lafdbscan: unknown method %q", m)
+		return (&cluster.BlockDBSCAN{
+			Points: points, Eps: p.Eps, Tau: p.Tau,
+			Base: p.Base, RNT: p.RNT, Seed: p.Seed,
+		}).RunContext(ctx)
+	default: // MethodRhoApprox; validate admits nothing else
+		return (&cluster.RhoApprox{Points: points, Eps: p.Eps, Tau: p.Tau, Rho: p.Rho}).RunContext(ctx)
 	}
 }
 

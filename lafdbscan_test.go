@@ -16,7 +16,7 @@ func testData() *Dataset {
 func TestFacadeDBSCANAndLAF(t *testing.T) {
 	d := testData()
 	p := Params{Eps: 0.5, Tau: 4}
-	truth, err := DBSCAN(d.Vectors, p)
+	truth, err := Cluster(d.Vectors, MethodDBSCAN, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestFacadeDBSCANAndLAF(t *testing.T) {
 	}
 	p.Estimator = ExactEstimator(d.Vectors)
 	p.Alpha = 1
-	res, err := LAFDBSCAN(d.Vectors, p)
+	res, err := Cluster(d.Vectors, MethodLAFDBSCAN, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +44,14 @@ func TestFacadeDBSCANAndLAF(t *testing.T) {
 func TestFacadeWorkersKnob(t *testing.T) {
 	d := testData()
 	p := Params{Eps: 0.5, Tau: 4}
-	seq, err := DBSCAN(d.Vectors, p)
+	seq, err := Cluster(d.Vectors, MethodDBSCAN, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{WorkersAuto, 1, 4} {
 		pp := p
 		pp.Workers = workers
-		pp.BatchSize = 16
-		par, err := DBSCAN(d.Vectors, pp)
+		par, err := Cluster(d.Vectors, MethodDBSCAN, pp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,12 +67,12 @@ func TestFacadeWorkersKnob(t *testing.T) {
 		Eps: 0.5, Tau: 4, Alpha: 1, Estimator: ExactEstimator(d.Vectors),
 		DisablePostProcessing: true,
 	}
-	lseq, err := LAFDBSCAN(d.Vectors, lp)
+	lseq, err := Cluster(d.Vectors, MethodLAFDBSCAN, lp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lp.Workers = WorkersAuto
-	lpar, err := LAFDBSCAN(d.Vectors, lp)
+	lpar, err := Cluster(d.Vectors, MethodLAFDBSCAN, lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +86,12 @@ func TestFacadeWorkersKnob(t *testing.T) {
 		Eps: 0.5, Tau: 4, Alpha: 1, Estimator: ExactEstimator(d.Vectors),
 		SampleFraction: 0.5, Seed: 9, DisablePostProcessing: true,
 	}
-	sseq, err := LAFDBSCANPP(d.Vectors, sp)
+	sseq, err := Cluster(d.Vectors, MethodLAFDBSCANPP, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp.Workers = 3
-	spar, err := LAFDBSCANPP(d.Vectors, sp)
+	spar, err := Cluster(d.Vectors, MethodLAFDBSCANPP, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestFacadeWorkersKnob(t *testing.T) {
 
 func TestFacadeAlphaDefaultsToOne(t *testing.T) {
 	d := testData()
-	res, err := LAFDBSCAN(d.Vectors, Params{
+	res, err := Cluster(d.Vectors, MethodLAFDBSCAN, Params{
 		Eps: 0.5, Tau: 4, Estimator: ExactEstimator(d.Vectors),
 	})
 	if err != nil {
@@ -174,7 +173,7 @@ func TestTrainRMIEstimatorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := LAFDBSCAN(test.Vectors, Params{Eps: 0.5, Tau: 3, Alpha: 1, Estimator: est})
+	res, err := Cluster(test.Vectors, MethodLAFDBSCAN, Params{Eps: 0.5, Tau: 3, Alpha: 1, Estimator: est})
 	if err != nil {
 		t.Fatal(err)
 	}

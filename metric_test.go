@@ -14,11 +14,11 @@ func TestDBSCANMetricEquivalenceEquationOne(t *testing.T) {
 		NoiseFrac: 0.2, Seed: 91,
 	})
 	const epsCos = 0.5
-	cosRes, err := DBSCAN(d.Vectors, Params{Eps: epsCos, Tau: 4, Metric: MetricCosine})
+	cosRes, err := Cluster(d.Vectors, MethodDBSCAN, Params{Eps: epsCos, Tau: 4, Metric: MetricCosine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eucRes, err := DBSCAN(d.Vectors, Params{
+	eucRes, err := Cluster(d.Vectors, MethodDBSCAN, Params{
 		Eps: CosineToEuclidean(epsCos), Tau: 4, Metric: MetricEuclidean,
 	})
 	if err != nil {
@@ -53,11 +53,11 @@ func TestLAFDBSCANEuclideanMetricEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	epsEuc := CosineToEuclidean(0.5)
-	truth, err := DBSCAN(test.Vectors, Params{Eps: epsEuc, Tau: 4, Metric: MetricEuclidean})
+	truth, err := Cluster(test.Vectors, MethodDBSCAN, Params{Eps: epsEuc, Tau: 4, Metric: MetricEuclidean})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := LAFDBSCAN(test.Vectors, Params{
+	res, err := Cluster(test.Vectors, MethodLAFDBSCAN, Params{
 		Eps: epsEuc, Tau: 4, Alpha: 1.0, Estimator: est,
 		Metric: MetricEuclidean, Seed: 1,
 	})

@@ -11,13 +11,14 @@ import (
 	"slices"
 	"sync"
 
+	"lafdbscan/internal/core"
 	"lafdbscan/internal/index"
 	"lafdbscan/internal/vecmath"
 )
 
 // A FitOption configures Fit. Options are the growing surface of the model
 // API — each one sets a single named knob — while the flat Params struct
-// remains the compatibility surface of the original Cluster entry points.
+// is what Cluster and FitParams take.
 // Every option maps onto a Params field, so Fit and Cluster accept and
 // reject exactly the same configurations (Params.Validate runs on the
 // assembled value either way).
@@ -71,9 +72,6 @@ func WithSeed(seed int64) FitOption { return func(p *Params) { p.Seed = seed } }
 // cores, 1 = one core); labels are identical at every setting. Predict and
 // maintenance also size their query pools from it.
 func WithWorkers(w int) FitOption { return func(p *Params) { p.Workers = w } }
-
-// WithBatchSize sets the engines' per-worker claim size.
-func WithBatchSize(b int) FitOption { return func(p *Params) { p.BatchSize = b } }
 
 // WithWaveSize bounds the engines' neighbor-discovery memory.
 func WithWaveSize(w int) FitOption { return func(p *Params) { p.WaveSize = w } }
@@ -145,8 +143,8 @@ type Model struct {
 // Fit clusters points with the named method and returns the fitted model.
 // The labels are bit-identical to the corresponding Cluster call with the
 // same knobs and seed — Fit runs the same engines and additionally retains
-// their artifacts. Options assemble a Params value validated by the same
-// Params.Validate as every other entry point.
+// their artifacts. Options assemble a Params value, validated once by the
+// same check as Cluster's.
 func Fit(ctx context.Context, points [][]float32, m Method, opts ...FitOption) (*Model, error) {
 	var p Params
 	for _, o := range opts {
@@ -158,32 +156,20 @@ func Fit(ctx context.Context, points [][]float32, m Method, opts ...FitOption) (
 // FitParams is Fit over a flat Params value, the bridge for callers that
 // already hold one (the CLI tools, the lafserve job specs).
 func FitParams(ctx context.Context, points [][]float32, m Method, p Params) (*Model, error) {
-	if !slices.Contains(AllMethods(), m) {
-		return nil, fmt.Errorf("lafdbscan: unknown method %q", m)
-	}
-	if err := p.Validate(); err != nil {
+	if err := validate(m, p); err != nil {
 		return nil, err
 	}
-	// The driver's range queries and the model's prediction queries must
-	// run under the same metric (modelMetric: only DBSCAN and LAF-DBSCAN
-	// honor Params.Metric; every other method is hardwired to cosine).
-	metric := modelMetric(m, p.Metric)
 	// The specialized methods (KNN-BLOCK, BLOCK-DBSCAN, ρ-approximate)
 	// build their own structures and never read p.Index; prediction still
 	// needs a plain range index over the training points, so one is built
-	// (or the caller's shared one retained) either way. Construction goes
-	// through the backend registry: the zero IndexBackend resolves to the
-	// exact brute-force scan, preserving bit-identical labels.
-	resolvedBackend := ""
-	if p.Index == nil {
-		idx, name, err := p.NewIndex(points, metric)
-		if err != nil {
-			return nil, err
-		}
-		p.Index = idx
-		resolvedBackend = name
+	// (or the caller's shared one retained) for every method, under the
+	// metric the fit's range queries run under.
+	idx, resolvedBackend, err := indexFor(points, m, p)
+	if err != nil {
+		return nil, err
 	}
-	res, err := ClusterContext(ctx, points, m, p)
+	p.Index = idx
+	res, err := run(ctx, points, m, p)
 	if err != nil {
 		return nil, err
 	}
@@ -418,10 +404,15 @@ func (m *Model) PredictWithOptions(ctx context.Context, vectors [][]float32, o P
 		if threshold <= 0 {
 			threshold = 1
 		}
-		pass := make([]bool, len(vectors))
-		index.ForEach(len(vectors), m.params.Workers, m.params.BatchSize, func(i int) {
-			pass[i] = est.Estimate(vectors[i], m.params.Eps) >= threshold
+		// The fit's gate loop with Alpha·Tau = threshold·1, which is exactly
+		// threshold: it honors ctx and starts no estimate once it is done.
+		pass, err := core.Gate(ctx, vectors, core.Config{
+			Eps: m.params.Eps, Tau: 1, Alpha: threshold, Estimator: est,
+			Workers: m.params.Workers,
 		})
+		if err != nil {
+			return nil, 0, err
+		}
 		queries = make([][]float32, 0, len(vectors))
 		qmap = make([]int, 0, len(vectors))
 		for i, ok := range pass {
@@ -436,7 +427,7 @@ func (m *Model) PredictWithOptions(ctx context.Context, vectors [][]float32, o P
 	}
 	nearest := m.nearestCoreSemantics()
 	err = index.BatchRangeSearchFunc(ctx, m.index, queries, m.params.Eps,
-		m.params.Workers, m.params.BatchSize, m.params.WaveSize,
+		m.params.Workers, 0, m.params.WaveSize,
 		func(k int, ids []int) {
 			i := k
 			if qmap != nil {
@@ -515,7 +506,9 @@ var modelMagic = [4]byte{'L', 'A', 'F', 'M'}
 const modelVersion uint32 = 2
 
 // modelParamsV1 is the persistable subset of Params (Estimator and Index
-// travel separately or are rebuilt on load).
+// travel separately or are rebuilt on load). Files written before the
+// per-worker claim size was removed also carry a BatchSize field, which
+// gob skips on decode.
 type modelParamsV1 struct {
 	Eps                   float64
 	Tau                   int
@@ -530,7 +523,6 @@ type modelParamsV1 struct {
 	Seed                  int64
 	DisablePostProcessing bool
 	Workers               int
-	BatchSize             int
 	WaveSize              int
 	// IndexBackend and EfSearch joined with the backend registry; gob
 	// zeroes them when decoding older streams, which resolves to the exact
@@ -599,7 +591,7 @@ func (m *Model) Save(w io.Writer) error {
 			Base: p.Base, RNT: p.RNT, Rho: p.Rho,
 			Metric: int32(p.Metric), Seed: p.Seed,
 			DisablePostProcessing: p.DisablePostProcessing,
-			Workers:               p.Workers, BatchSize: p.BatchSize, WaveSize: p.WaveSize,
+			Workers:               p.Workers, WaveSize: p.WaveSize,
 			IndexBackend: p.IndexBackend, EfSearch: p.EfSearch,
 		},
 		Points:      m.points,
@@ -695,7 +687,7 @@ func loadModelV1(r io.Reader) (*Model, error) {
 		Base: pp.Base, RNT: pp.RNT, Rho: pp.Rho,
 		Metric: DistanceMetric(pp.Metric), Seed: pp.Seed,
 		DisablePostProcessing: pp.DisablePostProcessing,
-		Workers:               pp.Workers, BatchSize: pp.BatchSize, WaveSize: pp.WaveSize,
+		Workers:               pp.Workers, WaveSize: pp.WaveSize,
 		IndexBackend: pp.IndexBackend, EfSearch: pp.EfSearch,
 	}
 	if err := p.Validate(); err != nil {

@@ -135,11 +135,6 @@ func (m *Model) trackStop() bool {
 	return m.method == MethodLAFDBSCAN && !m.params.DisablePostProcessing
 }
 
-// pool returns the maintenance worker-pool knobs, shared with Predict.
-func (m *Model) pool() (workers, grain, wave int) {
-	return m.params.Workers, m.params.BatchSize, m.params.WaveSize
-}
-
 // ensureIncLocked builds the maintenance overlay on first use: it clones
 // the point slice (the fitted one may be shared), replaces the model's
 // index with an owned dynamic brute-force index over the clone (exact
@@ -160,7 +155,6 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 	points := slices.Clone(m.points)
 	dist := modelMetric(m.method, m.params.Metric).Func()
 	dyn := index.NewBruteForce(slices.Clone(points), dist)
-	workers, grain, wave := m.pool()
 
 	var gated []bool
 	if m.gatedMethod() {
@@ -169,7 +163,7 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 			return err
 		}
 	}
-	counts, adj, stop, err := m.scanFacts(ctx, dyn, points, m.core, gated, workers, grain, wave)
+	counts, adj, stop, err := m.scanFacts(ctx, dyn, points, m.core, gated)
 	if err != nil {
 		return err
 	}
@@ -195,9 +189,8 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 // caller holds mu. The callback runs on pool workers and writes only its
 // own row; the context aborts within one wave.
 func (m *Model) neighborRowsLocked(ctx context.Context, queries [][]float32) ([][]int32, error) {
-	workers, grain, wave := m.pool()
 	rows := make([][]int32, len(queries))
-	err := index.BatchRangeSearchFunc(ctx, m.index, queries, m.params.Eps, workers, grain, wave,
+	err := index.BatchRangeSearchFunc(ctx, m.index, queries, m.params.Eps, m.params.Workers, 0, m.params.WaveSize,
 		func(i int, ids []int) {
 			row := make([]int32, len(ids))
 			for j, id := range ids {
@@ -215,14 +208,14 @@ func (m *Model) neighborRowsLocked(ctx context.Context, queries [][]float32) ([]
 // each list into counts, adjacency to coreMask, and (when both gated and
 // stop tracking apply) the complete partial-neighbor map. Lists are
 // dropped per wave; the context aborts within one wave.
-func (m *Model) scanFacts(ctx context.Context, idx RangeIndex, points [][]float32, coreMask, gated []bool, workers, grain, wave int) (counts []int, adj [][]int32, stop *cluster.PartialNeighbors, err error) {
+func (m *Model) scanFacts(ctx context.Context, idx RangeIndex, points [][]float32, coreMask, gated []bool) (counts []int, adj [][]int32, stop *cluster.PartialNeighbors, err error) {
 	n := len(points)
 	counts = make([]int, n)
 	adj = make([][]int32, n)
 	if gated != nil && m.trackStop() {
 		stop = cluster.NewPartialNeighbors(n)
 	}
-	err = index.BatchRangeSearchFunc(ctx, idx, points, m.params.Eps, workers, grain, wave,
+	err = index.BatchRangeSearchFunc(ctx, idx, points, m.params.Eps, m.params.Workers, 0, m.params.WaveSize,
 		func(i int, ids []int) {
 			counts[i] = len(ids)
 			var a []int32
@@ -284,7 +277,6 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	n := len(m.points)
 	b := len(vectors)
 	eps, tau := m.params.Eps, m.params.Tau
-	workers, grain, _ := m.pool()
 
 	// Phase A (cancellable, no state changes): neighborhoods of the new
 	// vectors over the existing points.
@@ -303,7 +295,7 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 			return UpdateReport{}, err
 		}
 		hi := min(lo+pairChunk, b)
-		index.ForEach(hi-lo, workers, grain, func(k int) {
+		index.ForEach(hi-lo, m.params.Workers, 0, func(k int) {
 			i := lo + k
 			var row []int32
 			for j := 0; j < b; j++ {
@@ -773,7 +765,6 @@ func (m *Model) maybeRetrainLocked(ctx context.Context, report UpdateReport) (Up
 func (m *Model) regateLocked(ctx context.Context) error {
 	inc := m.inc
 	n := len(m.points)
-	workers, grain, wave := m.pool()
 	gated, err := core.Gate(ctx, m.points, lafConfig(m.params))
 	if err != nil {
 		return err
@@ -782,7 +773,7 @@ func (m *Model) regateLocked(ctx context.Context) error {
 	for i := range coreMask {
 		coreMask[i] = gated[i] && inc.counts[i] >= m.params.Tau
 	}
-	counts, adj, stop, err := m.scanFacts(ctx, m.index, m.points, coreMask, gated, workers, grain, wave)
+	counts, adj, stop, err := m.scanFacts(ctx, m.index, m.points, coreMask, gated)
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,9 @@ import (
 // Insert/Remove results are pinned bit-identical to a fresh Fit on the
 // resulting point set: DBSCAN and LAF-DBSCAN, with post-processing off and
 // on, at the default Workers 0 and at an explicit pool with small waves.
-// The *-sequential rows are the Workers 0 rows under their older names.
+// On the mixtures of the tests that use it, the -pp rows fit with no
+// post-processing merge, so they pin maintenance only where Algorithm 3
+// merges nothing; TestMaintenanceWithMergesMatchesFreshFit covers merging.
 func incrementalEngines(points [][]float32) []struct {
 	name   string
 	method Method
@@ -28,9 +30,9 @@ func incrementalEngines(points [][]float32) []struct {
 		method Method
 		params Params
 	}{
-		{"dbscan-sequential", MethodDBSCAN, Params{Eps: 0.4, Tau: 4}},
+		{"dbscan-default", MethodDBSCAN, Params{Eps: 0.4, Tau: 4}},
 		{"dbscan-parallel-wave", MethodDBSCAN, Params{Eps: 0.4, Tau: 4, Workers: 2, WaveSize: 7}},
-		{"laf-sequential-nopp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, DisablePostProcessing: true}},
+		{"laf-default-nopp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, DisablePostProcessing: true}},
 		{"laf-parallel-nopp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, Workers: 2, DisablePostProcessing: true}},
 		{"laf-default-pp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7}},
 		{"laf-parallel-pp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, Workers: 2, WaveSize: 16}},
@@ -39,8 +41,9 @@ func incrementalEngines(points [][]float32) []struct {
 
 // assertMatchesFreshFit pins the equality contract: the mutated model's
 // labels, cores and forest are bit-identical (and ARI == 1.0) to a fresh
-// Fit on its current point set with the model's own parameters.
-func assertMatchesFreshFit(t *testing.T, model *Model, stage string) {
+// Fit on its current point set with the model's own parameters. It returns
+// that fresh fit.
+func assertMatchesFreshFit(t *testing.T, model *Model, stage string) *Model {
 	t.Helper()
 	fresh, err := FitParams(context.Background(), model.snapshotPoints(), model.Method(), model.Params())
 	if err != nil {
@@ -63,6 +66,7 @@ func assertMatchesFreshFit(t *testing.T, model *Model, stage string) {
 	if model.NumClusters() != fresh.NumClusters() {
 		t.Fatalf("%s: clusters = %d, fresh fit has %d", stage, model.NumClusters(), fresh.NumClusters())
 	}
+	return fresh
 }
 
 // snapshotPoints exposes the model's current point slice for the fresh-fit
@@ -593,30 +597,62 @@ func TestUpdateCancellation(t *testing.T) {
 
 // TestMaintenanceWithMergesMatchesFreshFit pins the equality contract
 // where Algorithm 3 merges. The mixtures of the tests above fit with no
-// post-processing merge at all, so this one fits LAF-DBSCAN at the default
-// Workers 0 on GloVe-like points whose exact-oracle gate at α 2 makes
-// post-processing merge, then inserts and removes.
+// post-processing merge at all, so this one fits LAF-DBSCAN on GloVe-like
+// points whose exact-oracle gate at α 2 makes post-processing merge, at
+// Workers 0, 1 and 2, then inserts and removes: all inserts before the
+// removals, and interleaved. Every fit, the first and each fresh one the
+// model is compared with, must merge.
 func TestMaintenanceWithMergesMatchesFreshFit(t *testing.T) {
 	d := GloVeLike(440, 17)
 	base, rest := d.Vectors[:400], d.Vectors[400:]
-	model, err := FitParams(context.Background(), slices.Clone(base), MethodLAFDBSCAN,
-		Params{Eps: 0.55, Tau: 4, Alpha: 2, Estimator: ExactEstimator(d.Vectors), Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	est := ExactEstimator(d.Vectors)
+	type step struct {
+		insert [][]float32
+		remove []int
 	}
-	if model.Result().PostMerges == 0 {
-		t.Fatal("post-processing merged nothing; the test needs merges")
+	sequences := []struct {
+		name  string
+		steps []step
+	}{
+		{"inserts-then-removals", []step{
+			{insert: rest[:1]}, {insert: rest[1:]},
+			{remove: []int{0}}, {remove: []int{5, 17, 42, 99, 230}},
+		}},
+		{"interleaved", []step{
+			{insert: rest[:1]}, {remove: []int{0}},
+			{insert: rest[1:25]}, {remove: []int{5, 17, 42, 99, 230}},
+			{insert: rest[25:]}, {remove: []int{3, 250, 410}},
+		}},
 	}
-	for _, batch := range [][][]float32{rest[:1], rest[1:]} {
-		if _, err := model.Insert(context.Background(), batch); err != nil {
-			t.Fatal(err)
+	requireMerges := func(t *testing.T, m *Model, stage string) {
+		t.Helper()
+		if m.Result().PostMerges == 0 {
+			t.Fatalf("%s: post-processing merged nothing; the test needs merges", stage)
 		}
-		assertMatchesFreshFit(t, model, fmt.Sprintf("after +%d", len(batch)))
 	}
-	for _, ids := range [][]int{{0}, {5, 17, 42, 99, 230}} {
-		if _, err := model.Remove(context.Background(), ids); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{0, 1, 2} {
+		for _, seq := range sequences {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, seq.name), func(t *testing.T) {
+				model, err := FitParams(context.Background(), slices.Clone(base), MethodLAFDBSCAN,
+					Params{Eps: 0.55, Tau: 4, Alpha: 2, Estimator: est, Seed: 3, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireMerges(t, model, "fit")
+				for _, s := range seq.steps {
+					stage := fmt.Sprintf("after +%d", len(s.insert))
+					if s.remove != nil {
+						stage = fmt.Sprintf("after -%v", s.remove)
+						_, err = model.Remove(context.Background(), s.remove)
+					} else {
+						_, err = model.Insert(context.Background(), s.insert)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireMerges(t, assertMatchesFreshFit(t, model, stage), stage)
+				}
+			})
 		}
-		assertMatchesFreshFit(t, model, fmt.Sprintf("after -%v", ids))
 	}
 }

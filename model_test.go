@@ -3,10 +3,12 @@ package lafdbscan
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -157,7 +159,6 @@ func TestValidateNamesFieldAndValue(t *testing.T) {
 		{func(p *Params) { p.Rho = -0.1 }, "Rho", "-0.1"},
 		{func(p *Params) { p.Metric = 99 }, "Metric", "Metric(99)"},
 		{func(p *Params) { p.Workers = -2 }, "Workers", "-2"},
-		{func(p *Params) { p.BatchSize = -1 }, "BatchSize", "-1"},
 		{func(p *Params) { p.WaveSize = -1 }, "WaveSize", "-1"},
 	}
 	for _, c := range cases {
@@ -251,14 +252,17 @@ func TestPredictHeldOutAgreesWithRecluster(t *testing.T) {
 	}
 
 	combined := append(append([][]float32{}, train.Vectors...), test.Vectors...)
-	full, err := DBSCAN(combined, Params{Eps: eps, Tau: tau})
+	full, err := Cluster(combined, MethodDBSCAN, Params{Eps: eps, Tau: tau})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	fitted := model.Labels()
 	core := model.CoreMask()
-	idx := NewBruteForceIndex(train.Vectors, MetricCosine)
+	idx, _, err := Params{}.NewIndex(train.Vectors, MetricCosine)
+	if err != nil {
+		t.Fatal(err)
+	}
 	assigned := 0
 	for i, v := range test.Vectors {
 		// The witness core: lowest-labeled fitted core within Eps, the same
@@ -346,6 +350,46 @@ func TestPredictGate(t *testing.T) {
 	}
 	if _, _, err := ungated.PredictWithOptions(context.Background(), test.Vectors, PredictOptions{Gate: true}); err == nil {
 		t.Error("gate accepted on a model without an estimator")
+	}
+}
+
+// countingEstimator is ExactEstimator that counts its Estimate calls.
+type countingEstimator struct {
+	Estimator
+	calls atomic.Int64
+}
+
+func (c *countingEstimator) Estimate(q []float32, eps float64) float64 {
+	c.calls.Add(1)
+	return c.Estimator.Estimate(q, eps)
+}
+
+// TestPredictGateHonorsCancellation pins that the prediction gate is the
+// fit's gate loop: under a context cancelled beforehand a gated Predict
+// fails without starting a single estimate, and under a live one it makes
+// exactly one estimate per vector.
+func TestPredictGateHonorsCancellation(t *testing.T) {
+	train, test := modelTestData(t)
+	est := &countingEstimator{Estimator: ExactEstimator(train.Vectors)}
+	model, err := Fit(context.Background(), train.Vectors, MethodLAFDBSCAN,
+		WithEps(0.4), WithTau(4), WithEstimator(est), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	est.calls.Store(0)
+	if _, _, err := model.PredictWithOptions(ctx, test.Vectors, PredictOptions{Gate: true}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled gated predict: err = %v, want context.Canceled", err)
+	}
+	if n := est.calls.Load(); n != 0 {
+		t.Errorf("cancelled gated predict made %d estimates, want 0", n)
+	}
+	if _, _, err := model.PredictWithOptions(context.Background(), test.Vectors, PredictOptions{Gate: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n := est.calls.Load(); n != int64(test.Len()) {
+		t.Errorf("gated predict made %d estimates, want one per vector (%d)", n, test.Len())
 	}
 }
 
@@ -579,6 +623,104 @@ func TestLoadModelMapsNegativeWaveSize(t *testing.T) {
 	}
 }
 
+// batchSizeParams is the params record of model files written while
+// Params had BatchSize, the engines' per-worker claim size: modelParamsV1
+// plus that field.
+type batchSizeParams struct {
+	Eps                   float64
+	Tau                   int
+	Alpha                 float64
+	SampleFraction        float64
+	Branching             int
+	LeavesRatio           float64
+	Base                  float64
+	RNT                   int
+	Rho                   float64
+	Metric                int32
+	Seed                  int64
+	DisablePostProcessing bool
+	Workers               int
+	BatchSize             int
+	WaveSize              int
+	IndexBackend          string
+	EfSearch              int
+}
+
+// batchSizePayload is modelPayloadV1 around batchSizeParams.
+type batchSizePayload struct {
+	Method       string
+	Algorithm    string
+	Params       batchSizeParams
+	Points       [][]float32
+	Labels       []int32
+	Core         []bool
+	Forest       []int32
+	NumClusters  int
+	HasEstimator bool
+	Estimator    estimatorPayload
+	Updates      int64
+}
+
+// TestLoadModelWithBatchSize: a model file whose params carry BatchSize
+// (here 16), as files saved before the knob was removed do, still loads
+// and predicts exactly like the model that was saved.
+func TestLoadModelWithBatchSize(t *testing.T) {
+	train, test := modelTestData(t)
+	model, err := Fit(context.Background(), train.Vectors, MethodDBSCAN,
+		WithEps(0.4), WithTau(4), WithWorkers(2), WithWaveSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := model.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	header := saved.Next(8) // magic and version
+	var cur modelPayloadV1
+	if err := gob.NewDecoder(&saved).Decode(&cur); err != nil {
+		t.Fatal(err)
+	}
+	p := cur.Params
+	old := batchSizePayload{
+		Method: cur.Method, Algorithm: cur.Algorithm,
+		Params: batchSizeParams{
+			Eps: p.Eps, Tau: p.Tau, Alpha: p.Alpha, SampleFraction: p.SampleFraction,
+			Branching: p.Branching, LeavesRatio: p.LeavesRatio, Base: p.Base, RNT: p.RNT, Rho: p.Rho,
+			Metric: p.Metric, Seed: p.Seed, DisablePostProcessing: p.DisablePostProcessing,
+			Workers: p.Workers, BatchSize: 16, WaveSize: p.WaveSize,
+			IndexBackend: p.IndexBackend, EfSearch: p.EfSearch,
+		},
+		Points: cur.Points, Labels: cur.Labels, Core: cur.Core, Forest: cur.Forest,
+		NumClusters: cur.NumClusters, Updates: cur.Updates,
+	}
+	file := bytes.NewBuffer(slices.Clone(header))
+	if err := gob.NewEncoder(file).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(file)
+	if err != nil {
+		t.Fatalf("LoadModel: %v", err)
+	}
+	if got, want := loaded.Params(), model.Params(); got.Workers != want.Workers || got.WaveSize != want.WaveSize {
+		t.Errorf("loaded Workers/WaveSize = %d/%d, want %d/%d", got.Workers, got.WaveSize, want.Workers, want.WaveSize)
+	}
+	if !slices.Equal(loaded.Labels(), model.Labels()) || !slices.Equal(loaded.CoreMask(), model.CoreMask()) ||
+		!slices.Equal(loaded.Forest(), model.Forest()) {
+		t.Fatal("labels, cores or forest differ after load")
+	}
+	want, err := model.Predict(context.Background(), test.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Predict(context.Background(), test.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("loaded model predicts differently from the saved one")
+	}
+}
+
 // TestPredictSpeedupOverRecluster pins the model API's economics: assigning
 // 100 held-out points through a fitted model must be at least 10x faster
 // than re-clustering the dataset with them included (theoretical gap on
@@ -615,7 +757,7 @@ func TestPredictSpeedupOverRecluster(t *testing.T) {
 	}
 	combined := append(append([][]float32{}, d.Vectors...), held.Vectors...)
 	start := time.Now()
-	if _, err := DBSCAN(combined, p); err != nil {
+	if _, err := Cluster(combined, MethodDBSCAN, p); err != nil {
 		t.Fatal(err)
 	}
 	reclusterT := time.Since(start)

@@ -3,7 +3,7 @@ package lafdbscan
 import "fmt"
 
 // Validate checks that every set field of p lies in its documented domain.
-// All clustering entry points call it before running, so a bad parameter
+// Cluster and Fit call it once before running, so a bad parameter
 // fails fast with a descriptive error instead of producing a degenerate
 // clustering; the CLI tools and the lafserve HTTP server reuse it for their
 // usage errors and 400 responses, keeping the accepted domain identical
@@ -68,12 +68,9 @@ func (p Params) Validate() error {
 		return fail("EfSearch", p.EfSearch, "must be non-negative (0 selects the default)")
 	}
 	// Below zero only -1 has a defined meaning, for Workers (all cores);
-	// BatchSize and WaveSize are sizes with no negative interpretation.
+	// WaveSize is a size with no negative interpretation.
 	if p.Workers < WorkersAuto {
 		return fail("Workers", p.Workers, "must be at least -1 (-1 = all cores)")
-	}
-	if p.BatchSize < 0 {
-		return fail("BatchSize", p.BatchSize, "must be non-negative (0 = auto)")
 	}
 	if p.WaveSize < 0 {
 		return fail("WaveSize", p.WaveSize, "must be non-negative (0 = auto)")

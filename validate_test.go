@@ -12,7 +12,7 @@ func TestParamsValidate(t *testing.T) {
 	full := Params{
 		Eps: 2, Tau: 1, Alpha: 2.5, SampleFraction: 1,
 		Branching: 10, LeavesRatio: 0.6, Base: 2, RNT: 10, Rho: 1,
-		Metric: MetricEuclidean, Workers: WorkersAuto, BatchSize: 8, WaveSize: 1,
+		Metric: MetricEuclidean, Workers: WorkersAuto, WaveSize: 1,
 		IndexBackend: "hnsw", EfSearch: 128,
 	}
 	if err := full.Validate(); err != nil {
@@ -35,7 +35,6 @@ func TestParamsValidate(t *testing.T) {
 		{"rho negative", func(p *Params) { p.Rho = -0.1 }},
 		{"metric unknown", func(p *Params) { p.Metric = 99 }},
 		{"workers below -1", func(p *Params) { p.Workers = -2 }},
-		{"batch negative", func(p *Params) { p.BatchSize = -1 }},
 		{"wave negative", func(p *Params) { p.WaveSize = -1 }},
 		{"index backend unknown", func(p *Params) { p.IndexBackend = "bogus" }},
 		// The grid is built by ρ-approximate DBSCAN itself; it is not a

@@ -18,7 +18,7 @@ func TestWaveSizeKnobLabelEquality(t *testing.T) {
 		NoiseFrac: 0.2, Seed: 91,
 	})
 	p := Params{Eps: 0.5, Tau: 4}
-	seq, err := DBSCAN(d.Vectors, p)
+	seq, err := Cluster(d.Vectors, MethodDBSCAN, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestWaveSizeKnobLabelEquality(t *testing.T) {
 		pp := p
 		pp.Workers = 2
 		pp.WaveSize = wave
-		res, err := DBSCAN(d.Vectors, pp)
+		res, err := Cluster(d.Vectors, MethodDBSCAN, pp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestWaveEngineMemoryFootprint(t *testing.T) {
 		var res *Result
 		var err error
 		sample := bench.MeasureMem(func() {
-			res, err = DBSCAN(d.Vectors, Params{
+			res, err = Cluster(d.Vectors, MethodDBSCAN, Params{
 				Eps: 0.5, Tau: 4, Workers: 2, WaveSize: wave,
 			})
 		})
