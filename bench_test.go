@@ -479,6 +479,31 @@ func BenchmarkModelInsert(b *testing.B) {
 	})
 }
 
+// BenchmarkModelFirstInsert measures a model's first mutation, the one
+// that builds the maintenance overlay, the way perfbench's stream-glove
+// warm-up pays it: per op, exact DBSCAN is fitted on 3,000 GloVe-like
+// points (eps 0.4, tau 5) with the timer stopped, then one 16-vector
+// Insert is timed. Each op pays a whole fit, so run it with a fixed
+// -benchtime count (the CI bench job uses 2x); the job gates its
+// allocs/op.
+func BenchmarkModelFirstInsert(b *testing.B) {
+	ctx := context.Background()
+	d := GloVeLike(3016, 11)
+	points, batch := d.Vectors[:3000], d.Vectors[3000:]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		model, err := Fit(ctx, points, MethodDBSCAN, WithEps(0.4), WithTau(5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := model.Insert(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchWorkerCounts is the 1/4/NumCPU sweep of the parallel benchmarks,
 // deduplicated for machines where those coincide.
 func benchWorkerCounts() []int {

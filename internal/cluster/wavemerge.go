@@ -24,12 +24,14 @@ import "sync/atomic"
 // list, necessarily shorter than tau — because a border point's own list
 // contains every core within ε of it (symmetry again), which is all that
 // border assignment needs. The big lists, the core points' — the bulk of
-// the O(Σ|N(p)|) it would take to hold every list — are never copied.
+// the O(Σ|N(p)|) it would take to hold every list — are copied only after
+// KeepRows, for a caller that goes on to maintain the clustering.
 type WaveMerger struct {
-	tau    int
-	status []atomic.Int32 // 0 unpublished, 1 non-core, 2 core
-	stubs  [][]int
-	uf     *AtomicUnionFind
+	tau     int
+	status  []atomic.Int32 // 0 unpublished, 1 non-core, 2 core
+	stubs   [][]int32      // row of every absorbed non-core point; of every absorbed point after KeepRows
+	keepAll bool           // KeepRows was called
+	uf      *AtomicUnionFind
 }
 
 const (
@@ -47,10 +49,22 @@ const (
 func NewWaveMerger(n, tau int, resolve bool) *WaveMerger {
 	m := &WaveMerger{tau: tau, status: make([]atomic.Int32, n), uf: NewAtomicUnionFind(n)}
 	if resolve {
-		m.stubs = make([][]int, n)
+		m.stubs = make([][]int32, n)
 	}
 	return m
 }
+
+// KeepRows makes the merger keep every absorbed point's own neighbor list,
+// core points' included, for Rows. Call it before the first Absorb, on a
+// merger built with resolve. A non-core point's row is its stub, so no list
+// is copied twice.
+func (m *WaveMerger) KeepRows() { m.keepAll = true }
+
+// Rows returns the neighbor lists kept since KeepRows: row p is p's own
+// range-query result (p included) for every absorbed point, nil for points
+// never absorbed. The rows are the merger's own; Resolve reads the non-core
+// ones, so a caller may take them over only after it has resolved.
+func (m *WaveMerger) Rows() [][]int32 { return m.stubs }
 
 // Absorb folds the range-query result of point p into the merger and
 // returns whether p is core. Safe for concurrent use on distinct p; ids is
@@ -59,7 +73,16 @@ func NewWaveMerger(n, tau int, resolve bool) *WaveMerger {
 //
 //lafvet:hotpath
 func (m *WaveMerger) Absorb(p int, ids []int) bool {
-	if len(ids) >= m.tau {
+	core := len(ids) >= m.tau
+	if m.stubs != nil && (m.keepAll || !core) {
+		//lafvet:allow hotalloc the stub copy is the design: one short (<tau) allocation per NON-core point replaces buffering every neighbor list; every point's only after KeepRows
+		row := make([]int32, len(ids))
+		for k, q := range ids {
+			row[k] = int32(q)
+		}
+		m.stubs[p] = row
+	}
+	if core {
 		m.status[p].Store(waveCore)
 		for _, q := range ids {
 			if q != p && m.status[q].Load() == waveCore {
@@ -67,12 +90,6 @@ func (m *WaveMerger) Absorb(p int, ids []int) bool {
 			}
 		}
 		return true
-	}
-	if m.stubs != nil {
-		//lafvet:allow hotalloc the stub copy is the design: one short (<tau) allocation per NON-core point replaces buffering every neighbor list
-		stub := make([]int, len(ids))
-		copy(stub, ids)
-		m.stubs[p] = stub
 	}
 	m.status[p].Store(waveNonCore)
 	return false
@@ -133,7 +150,7 @@ func (m *WaveMerger) Resolve(stop *PartialNeighbors) []int {
 			continue
 		}
 		for _, nb := range m.stubs[q] {
-			claim(q, nb)
+			claim(q, int(nb))
 		}
 		if stop != nil && stop.Stop[q] && labels[q] == 0 {
 			for _, nb := range stop.Rows[q] {

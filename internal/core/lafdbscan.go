@@ -21,6 +21,24 @@ type LAFDBSCAN struct {
 	// Index optionally overrides the range-query engine (default: parallel
 	// brute force under the unit-cosine metric).
 	Index index.RangeSearcher
+	// Facts, when non-nil, receives the run's neighbor facts (see Facts).
+	// The run then keeps every queried point's neighbor list, one int32
+	// per ε-pair, instead of dropping the core points' lists.
+	Facts *Facts
+}
+
+// Facts are what a LAFDBSCAN run saw, kept for a caller that goes on to
+// maintain the clustering without querying the points again.
+type Facts struct {
+	// Pass[i] is the gate's decision for point i: true when i ran its
+	// range query.
+	Pass []bool
+	// Rows[i] is queried point i's own neighbor list, i included, in
+	// unspecified order; nil for a stop point.
+	Rows [][]int32
+	// E is the complete partial-neighbor map the run resolved and
+	// post-processed with; nil when every point passed the gate.
+	E *cluster.PartialNeighbors
 }
 
 // Run clusters the points.
@@ -48,7 +66,10 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 	// exist, so the queriers that found them are the only record of their
 	// adjacent cores.
 	m := cluster.NewWaveMerger(len(l.Points), cfg.Tau, true)
-	e, err := discover(ctx, idx, l.Points, nil, cfg, m, res)
+	if l.Facts != nil {
+		m.KeepRows()
+	}
+	pass, e, err := discover(ctx, idx, l.Points, nil, cfg, m, res)
 	if err != nil {
 		return nil, err
 	}
@@ -56,6 +77,9 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 	if !cfg.DisablePostProcessing {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
+	}
+	if l.Facts != nil {
+		*l.Facts = Facts{Pass: pass, Rows: m.Rows(), E: e}
 	}
 	res.Core = m.Core()
 	res.Elapsed = time.Since(start)

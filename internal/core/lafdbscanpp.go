@@ -61,7 +61,7 @@ func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 	// The assignment below recomputes point-core distances and needs no
 	// lists, so the merger keeps no border stubs either.
 	merger := cluster.NewWaveMerger(n, cfg.Tau, false)
-	e, err := discover(ctx, idx, l.Points, sample, cfg, merger, res)
+	_, e, err := discover(ctx, idx, l.Points, sample, cfg, merger, res)
 	if err != nil {
 		return nil, err
 	}

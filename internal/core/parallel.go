@@ -33,7 +33,8 @@ import (
 // Memory: the engines keep at most one wave of neighbor lists in flight
 // (Config.WaveSize), folding core flags and union-find links into each
 // wave via cluster.WaveMerger and dropping the lists; only non-core stubs
-// (< Tau entries each) and the partial-neighbor map survive.
+// (< Tau entries each) and the partial-neighbor map survive, unless the
+// caller asks LAFDBSCAN for its Facts.
 
 // stopStripes guards concurrent Algorithm-2 appends to the rows of the
 // partial-neighbor map during a wave. The stop mask is fully populated
@@ -64,8 +65,9 @@ func (s *stopStripes) update(e *cluster.PartialNeighbors, p int, ids []int) {
 // before any query runs, so every executed query registers with every
 // stop point it finds. When every candidate passes the gate the candidates
 // themselves are the queries, and the returned map is nil (it would have
-// no entries). It sets res's query counts.
-func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, ids []int, cfg Config, m *cluster.WaveMerger, res *cluster.Result) (*cluster.PartialNeighbors, error) {
+// no entries). It returns the gate's decisions, pass[k] for candidate k,
+// with the map, and sets res's query counts.
+func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, ids []int, cfg Config, m *cluster.WaveMerger, res *cluster.Result) (pass []bool, e *cluster.PartialNeighbors, err error) {
 	cands := points
 	if ids != nil {
 		cands = make([][]float32, len(ids))
@@ -73,12 +75,10 @@ func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, 
 			cands[k] = points[id]
 		}
 	}
-	pass, err := Gate(ctx, cands, cfg)
-	if err != nil {
-		return nil, err
+	if pass, err = Gate(ctx, cands, cfg); err != nil {
+		return nil, nil, err
 	}
 	queries, qids := cands, ids
-	var e *cluster.PartialNeighbors
 	if slices.Contains(pass, false) {
 		e = cluster.NewPartialNeighbors(len(points))
 		queries = make([][]float32, 0, len(cands))
@@ -110,5 +110,5 @@ func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, 
 				stripes.update(e, p, nb)
 			}
 		})
-	return e, err
+	return pass, e, err
 }

@@ -163,7 +163,7 @@ func TestParallelPartialNeighborsComplete(t *testing.T) {
 	cfg := Config{Eps: 0.5, Tau: 4, Alpha: 1.3, Estimator: est, Workers: 4, WaveSize: 7}
 	n := d.Len()
 	res := &cluster.Result{}
-	e, err := discover(context.Background(), index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit),
+	_, e, err := discover(context.Background(), index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit),
 		d.Vectors, nil, cfg, cluster.NewWaveMerger(n, cfg.Tau, true), res)
 	if err != nil {
 		t.Fatal(err)

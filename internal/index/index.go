@@ -75,6 +75,12 @@ func (b *BruteForce) scan(dst []int, q []float32, eps float64, lo, hi int) []int
 	return dst
 }
 
+// Measures reports whether the index answers under dist itself: then its
+// range queries decide exactly what a new BruteForce with dist would.
+func (b *BruteForce) Measures(dist vecmath.DistanceFunc) bool {
+	return vecmath.SameDistance(b.dist, dist)
+}
+
 // Len returns the number of indexed points.
 func (b *BruteForce) Len() int { return len(b.points) }
 

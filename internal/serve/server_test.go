@@ -136,6 +136,7 @@ func TestServerSmoke(t *testing.T) {
 	if state != "done" {
 		t.Fatalf("job ended %q: %v", state, body["error"])
 	}
+	jobQueries := body["queries_done"].(float64)
 	if !body["estimator_cached"].(bool) {
 		t.Error("job did not hit the estimator cache")
 	}
@@ -270,6 +271,7 @@ func TestServerSmoke(t *testing.T) {
 	if state != "done" {
 		t.Fatalf("insert job ended %q: %v", state, body["error"])
 	}
+	insertQueries := body["queries_done"].(float64)
 	code, body = getJSON(t, base+"/v1/models/"+modelID)
 	if code != http.StatusOK {
 		t.Fatalf("model info: %d %v", code, body)
@@ -335,6 +337,7 @@ func TestServerSmoke(t *testing.T) {
 	if state != "done" {
 		t.Fatalf("stream job ended %q: %v", state, body["error"])
 	}
+	streamQueries := body["queries_done"].(float64)
 	code, body = getJSON(t, base+"/v1/models/"+modelID)
 	if code != http.StatusOK || body["points"].(float64) != float64(n+grow+streamN) {
 		t.Fatalf("model after stream: %d %v, want %d points", code, body, n+grow+streamN)
@@ -388,8 +391,20 @@ func TestServerSmoke(t *testing.T) {
 	if models["inserts"].(float64) < 1 || models["points_inserted"].(float64) < grow {
 		t.Errorf("update counters not reflected in stats: %v", models)
 	}
-	if qd, ok := body["jobs"].(map[string]any)["queries_done"].(float64); !ok || qd < float64(n) {
-		t.Errorf("stats jobs queries_done = %v, want >= %d", body["jobs"].(map[string]any)["queries_done"], n)
+	// The engine-wide counter covers the three jobs' own (a long-lived
+	// server also counts earlier runs'): the clustering job ran the
+	// library run's queries, and each maintenance job at least one per
+	// vector it folded in (the first mutation builds the overlay from the
+	// fit, with no query over the stored points).
+	if jobQueries != float64(want.RangeQueries) {
+		t.Errorf("clustering job queries_done = %v, library run %d", jobQueries, want.RangeQueries)
+	}
+	if insertQueries < grow || streamQueries < streamN {
+		t.Errorf("maintenance jobs queries_done = %v and %v, want >= %d and %d", insertQueries, streamQueries, grow, streamN)
+	}
+	totalQueries := jobQueries + insertQueries + streamQueries
+	if qd, ok := body["jobs"].(map[string]any)["queries_done"].(float64); !ok || qd < totalQueries {
+		t.Errorf("stats jobs queries_done = %v, want >= the jobs' sum %v", body["jobs"].(map[string]any)["queries_done"], totalQueries)
 	}
 
 	// 13. /metrics parses as Prometheus text format and carries the request
@@ -408,8 +423,8 @@ func TestServerSmoke(t *testing.T) {
 	if got := samples[`laf_http_requests_total{code="202",endpoint="POST /v1/jobs"}`]; got < 1 {
 		t.Errorf("POST /v1/jobs 202 counter = %v, want >= 1", got)
 	}
-	if got := samples["laf_wave_queries_total"]; got < float64(n) {
-		t.Errorf("laf_wave_queries_total = %v, want >= %d", got, n)
+	if got := samples["laf_wave_queries_total"]; got < totalQueries {
+		t.Errorf("laf_wave_queries_total = %v, want >= the jobs' sum %v", got, totalQueries)
 	}
 
 	t.Logf("smoke OK: ARI=1.0 (job + post-insert), estimator cache %v, jobs %v, models %v, %d metric families",

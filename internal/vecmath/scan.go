@@ -15,8 +15,12 @@ const maxFastNorm = 0x1p100
 // IsCosineUnit reports whether f is CosineDistanceUnit itself: the one
 // distance whose threshold tests the float32 kernels (AppendCosineUnitRange,
 // CosineUnitLess) decide exactly. A wrapper around it reports false.
-func IsCosineUnit(f DistanceFunc) bool {
-	return reflect.ValueOf(f).Pointer() == reflect.ValueOf(CosineDistanceUnit).Pointer()
+func IsCosineUnit(f DistanceFunc) bool { return SameDistance(f, CosineDistanceUnit) }
+
+// SameDistance reports whether f and g are the same function. Two wrappers
+// around one function are different functions.
+func SameDistance(f, g DistanceFunc) bool {
+	return reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer()
 }
 
 // CosineUnitBound returns the bound CosineUnitLess needs for vectors of

@@ -88,7 +88,9 @@ type Params struct {
 	// waves of this many range queries, and each wave's neighbor lists are
 	// dropped as soon as core flags, cluster links and border stubs are
 	// folded in — peak extra memory is O(WaveSize·avg|N|) instead of the
-	// O(Σ|N(p)|) of buffering every list. 0 selects a default
+	// O(Σ|N(p)|) of buffering every list. (A Fit of DBSCAN or LAF-DBSCAN
+	// on the exact scan keeps every queried point's list anyway, as an
+	// int32 row, for its first mutation.) 0 selects a default
 	// (index.DefaultWaveSize); negative values are rejected. Labels are
 	// identical at every setting.
 	WaveSize int
@@ -290,7 +292,7 @@ func ClusterContext(ctx context.Context, points [][]float32, m Method, p Params)
 			return nil, err
 		}
 	}
-	return run(ctx, points, m, p)
+	return run(ctx, points, m, p, nil)
 }
 
 // validate is the one check of Cluster and Fit: m must be dispatchable and
@@ -323,15 +325,16 @@ func indexFor(points [][]float32, m Method, p Params) (RangeIndex, string, error
 }
 
 // run executes m over points with validated p; the engine methods query
-// p.Index, which the caller has set.
-func run(ctx context.Context, points [][]float32, m Method, p Params) (*Result, error) {
+// p.Index, which the caller has set. A non-nil facts receives the
+// neighbor facts of a DBSCAN or LAF-DBSCAN run (core.LAFDBSCAN.Facts).
+func run(ctx context.Context, points [][]float32, m Method, p Params, facts *core.Facts) (*Result, error) {
 	switch m {
 	case MethodDBSCAN:
-		return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: openGateConfig(p)}).RunContext(ctx)
+		return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: openGateConfig(p), Facts: facts}).RunContext(ctx)
 	case MethodDBSCANPP:
 		return (&core.LAFDBSCANPP{Points: points, P: p.SampleFraction, Index: p.Index, Config: openGateConfig(p)}).RunContext(ctx)
 	case MethodLAFDBSCAN:
-		return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: lafConfig(p)}).RunContext(ctx)
+		return (&core.LAFDBSCAN{Points: points, Index: p.Index, Config: lafConfig(p), Facts: facts}).RunContext(ctx)
 	case MethodLAFDBSCANPP:
 		return (&core.LAFDBSCANPP{Points: points, P: p.SampleFraction, Index: p.Index, Config: lafConfig(p)}).RunContext(ctx)
 	case MethodKNNBlock:

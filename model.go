@@ -125,12 +125,18 @@ type Model struct {
 	index   RangeIndex
 	// indexBackend is the registry name the model's index was resolved to
 	// ("" when the caller supplied a pre-built index). The first mutation
-	// resets it to the exact scan the maintenance overlay installs.
+	// resets it to the exact scan the maintenance overlay installs, over
+	// its own copy of the points.
 	indexBackend string
 	result       *Result
 
+	// fit holds the fit's neighbor facts (core.Facts) until the first
+	// mutation derives the overlay from them with no range query; nil for
+	// models whose first mutation scans instead (see overlayFromFit).
+	fit *core.Facts
 	// inc is the incremental-maintenance overlay, built lazily by the
-	// first Insert or Remove (see model_incremental.go).
+	// first Insert or Remove from fit, or by one neighborhood pass when
+	// fit is nil (see model_incremental.go).
 	inc *incState
 	// updates counts applied point mutations over the model's lifetime
 	// (persisted); staleness counts them since the last estimator
@@ -169,20 +175,37 @@ func FitParams(ctx context.Context, points [][]float32, m Method, p Params) (*Mo
 		return nil, err
 	}
 	p.Index = idx
-	res, err := run(ctx, points, m, p)
+	var facts *core.Facts
+	if overlayFromFit(m, p) {
+		facts = new(core.Facts)
+	}
+	res, err := run(ctx, points, m, p, facts)
 	if err != nil {
 		return nil, err
 	}
 	if (m == MethodLAFDBSCAN || m == MethodLAFDBSCANPP) && p.Alpha == 0 {
 		p.Alpha = 1 // the dispatch's neutral default, made visible
 	}
-	return newModel(m, p, points, res, resolvedBackend), nil
+	return newModel(m, p, points, res, resolvedBackend, facts), nil
+}
+
+// overlayFromFit reports whether a fit of m with p keeps the engine's
+// neighbor facts for the first mutation's overlay: the traversal methods
+// on the exact scan under the model's metric, whose lists are the ones
+// the overlay's own index would return.
+func overlayFromFit(m Method, p Params) bool {
+	if m != MethodDBSCAN && m != MethodLAFDBSCAN {
+		return false
+	}
+	b, ok := p.Index.(*index.BruteForce)
+	return ok && b.Measures(modelMetric(m, p.Metric).Func())
 }
 
 // newModel wraps a finished clustering into a Model. p.Index must be the
 // prediction index over points; indexBackend is the registry name it was
-// resolved to ("" for a caller-supplied index).
-func newModel(m Method, p Params, points [][]float32, res *Result, indexBackend string) *Model {
+// resolved to ("" for a caller-supplied index); fit is the run's neighbor
+// facts, or nil.
+func newModel(m Method, p Params, points [][]float32, res *Result, indexBackend string, fit *core.Facts) *Model {
 	coreIDs := make([]int, 0, len(res.Core)/2)
 	for i, c := range res.Core {
 		if c {
@@ -200,6 +223,7 @@ func newModel(m Method, p Params, points [][]float32, res *Result, indexBackend 
 		index:        p.Index,
 		indexBackend: indexBackend,
 		result:       res,
+		fit:          fit,
 	}
 }
 
@@ -725,7 +749,7 @@ func loadModelV1(r io.Reader) (*Model, error) {
 		Core:        payload.Core,
 		Forest:      payload.Forest,
 	}
-	model := newModel(m, p, payload.Points, res, resolvedBackend)
+	model := newModel(m, p, payload.Points, res, resolvedBackend, nil)
 	//lafvet:allow lockcheck the model is freshly deserialized and not yet visible to any other goroutine
 	model.updates = payload.Updates
 	return model, nil

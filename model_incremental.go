@@ -23,6 +23,10 @@ import (
 // keeps exactly those facts and updates them from the Eps-neighborhoods of
 // the changed points only; labels are then re-resolved canonically
 // (cluster.ResolveCanonical) in memory, with no further range queries.
+// The overlay's first facts are the fit's own neighbor lists when the
+// model was fitted with DBSCAN or LAF-DBSCAN on the exact scan, so the
+// first mutation queries no existing point; any other model pays one
+// batched pass over its points for them.
 //
 // Equality contract. After any sequence of Insert/Remove the model's
 // labels are bit-identical to a fresh Fit on the resulting point set for
@@ -47,8 +51,12 @@ import (
 // It owns its point slice and range index (the fitted ones may be shared
 // with the caller or the lafserve registry and are never mutated).
 type incState struct {
-	// counts[i] is |N(i)|, the true Eps-neighbor count including i itself,
-	// for every model point — the density side of the core criterion.
+	// counts[i] is |N(i)|, the true Eps-neighbor count including i itself
+	// — the density side of the core criterion. It is kept for every point
+	// that runs its query (every point for the ungated methods); a stop
+	// point's count is unread, since a stop point is never promoted and a
+	// re-gate counts from its own pass, and for an overlay built from the
+	// fit it is not known.
 	counts []int
 	// gated[i] is the LAF estimator gate decision for point i (estimate >=
 	// Alpha*Tau, core.Gate), nil for non-LAF methods. Gating is a pure
@@ -136,13 +144,16 @@ func (m *Model) trackStop() bool {
 }
 
 // ensureIncLocked builds the maintenance overlay on first use: it clones
-// the point slice (the fitted one may be shared), replaces the model's
+// the point slice (the fitted one may be shared) and replaces the model's
 // index with an owned dynamic brute-force index over the clone (exact
-// under the model's metric, so predictions are unchanged), and runs one
-// batched neighborhood pass to seed counts, core adjacency and — for LAF —
-// gate flags and the complete partial-neighbor map. The fitted core set is
-// the baseline: for the exact methods it equals the density criterion the
-// overlay maintains; for the sampling/block methods it is the fitted
+// under the model's metric, so predictions are unchanged). The facts it
+// seeds — counts, core adjacency and, for LAF, gate flags and the complete
+// partial-neighbor map — come from the fit's neighbor lists when the model
+// kept them (factsFromFitLocked), with no range query; otherwise (HNSW
+// fits, the sampling/block methods, loaded and recovered models) from one
+// batched neighborhood pass over the existing points. The fitted core set
+// is the baseline: for the exact methods it equals the density criterion
+// the overlay maintains; for the sampling/block methods it is the fitted
 // approximation mutations build on. On error (cancellation included) the
 // model is left unmodified.
 func (m *Model) ensureIncLocked(ctx context.Context) error {
@@ -155,18 +166,21 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 	points := slices.Clone(m.points)
 	dist := modelMetric(m.method, m.params.Metric).Func()
 	dyn := index.NewBruteForce(slices.Clone(points), dist)
-
-	var gated []bool
-	if m.gatedMethod() {
+	inc := &incState{dyn: dyn, dist: dist}
+	if m.fit != nil {
+		m.factsFromFitLocked(inc)
+	} else {
 		var err error
-		if gated, err = core.Gate(ctx, points, lafConfig(m.params)); err != nil {
+		if m.gatedMethod() {
+			if inc.gated, err = core.Gate(ctx, points, lafConfig(m.params)); err != nil {
+				return err
+			}
+		}
+		if inc.counts, inc.adj, inc.stop, err = m.scanFacts(ctx, dyn, points, m.core, inc.gated); err != nil {
 			return err
 		}
 	}
-	counts, adj, stop, err := m.scanFacts(ctx, dyn, points, m.core, gated)
-	if err != nil {
-		return err
-	}
+	m.fit = nil
 	m.points = points
 	m.index = dyn
 	m.indexBackend = index.BackendBrute
@@ -180,8 +194,49 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 	m.params.Index = nil
 	m.params.IndexBackend = index.BackendBrute
 	m.params.EfSearch = 0
-	m.inc = &incState{counts: counts, gated: gated, adj: adj, stop: stop, dyn: dyn, dist: dist}
+	m.inc = inc
 	return nil
+}
+
+// factsFromFitLocked fills inc's counts, gate flags, adjacency and
+// partial-neighbor map from the fit's facts, taking their rows over. A
+// queried point's count is the length of its row, and its adjacency the
+// row filtered in place to the other cores. A stop point's adjacency is
+// its row of the complete partial-neighbor map filtered to cores: every
+// core ran its query, so that row names every core within Eps. A stop
+// point's count stays 0 (see incState.counts).
+func (m *Model) factsFromFitLocked(inc *incState) {
+	f := m.fit
+	inc.counts = make([]int, len(f.Rows))
+	inc.adj = f.Rows
+	for i, row := range f.Rows {
+		if !f.Pass[i] {
+			inc.adj[i] = appendCores(nil, f.E.Rows[i], m.core, i)
+			continue
+		}
+		inc.counts[i] = len(row)
+		inc.adj[i] = appendCores(row[:0], row, m.core, i)
+	}
+	if m.gatedMethod() {
+		inc.gated = f.Pass
+	}
+	if m.trackStop() {
+		inc.stop = f.E
+		if inc.stop == nil { // every point passed the gate
+			inc.stop = cluster.NewPartialNeighbors(len(f.Rows))
+		}
+	}
+}
+
+// appendCores appends to dst the ids in row that are core, other than
+// self. dst may be row[:0], which filters row in place.
+func appendCores(dst, row []int32, core []bool, self int) []int32 {
+	for _, q := range row {
+		if int(q) != self && core[q] {
+			dst = append(dst, q)
+		}
+	}
+	return dst
 }
 
 // neighborRowsLocked runs one batched Eps-neighborhood query per vector
@@ -257,9 +312,11 @@ func (m *Model) scanFacts(ctx context.Context, idx RangeIndex, points [][]float3
 // of this file); total work is proportional to the changed neighborhoods,
 // not the dataset.
 //
-// The first mutation builds the maintenance overlay with one batched pass
-// over the existing points and replaces the model's range index with an
-// owned exact one. On error — cancellation included — the model is left
+// The first mutation builds the maintenance overlay and replaces the
+// model's range index with an owned exact one. A DBSCAN or LAF-DBSCAN
+// model fitted on the exact scan builds it from the fit's neighbor lists
+// with no range query; any other model pays one batched pass over its
+// existing points. On error — cancellation included — the model is left
 // exactly as it was; cancellation aborts within one query wave.
 func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, error) {
 	m.mu.Lock()
@@ -494,7 +551,8 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 //
 // The equality and atomicity guarantees of Insert apply: traversal-engine
 // labels match a fresh Fit bit for bit, and a failed or cancelled call
-// leaves the model untouched.
+// leaves the model untouched. The first mutation builds the overlay as
+// Insert describes.
 func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -748,8 +806,8 @@ func (m *Model) maybeRetrainLocked(ctx context.Context, report UpdateReport) (Up
 	report.Staleness = 0
 	if m.method == MethodLAFDBSCAN {
 		// Re-gate: the new estimator changes which points query, hence the
-		// core set; rebuild the maintained facts with one batched pass and
-		// re-resolve. This is the incremental analogue of refitting with
+		// core set; rebuild the maintained facts, core set included, with
+		// one batched pass and re-resolve. This is the incremental analogue of refitting with
 		// the retrained estimator.
 		if err := m.regateLocked(ctx); err != nil {
 			return report, fmt.Errorf("lafdbscan: re-gating after retrain: %w", err)
@@ -759,23 +817,28 @@ func (m *Model) maybeRetrainLocked(ctx context.Context, report UpdateReport) (Up
 	return report, nil
 }
 
-// regateLocked recomputes gate flags under the current estimator, derives
-// the new core set from the maintained density counts, and rebuilds
-// adjacency and the partial-neighbor map with one batched pass.
+// regateLocked recomputes gate flags under the current estimator and
+// rebuilds counts, the core set, adjacency and the partial-neighbor map
+// with one batched pass. The core set comes from that pass's counts: a
+// point the old estimator gated out has no maintained count. It lies
+// within the gated points, so the pass keeps the gated neighbors and they
+// are filtered to the cores once every count is in.
 func (m *Model) regateLocked(ctx context.Context) error {
 	inc := m.inc
-	n := len(m.points)
 	gated, err := core.Gate(ctx, m.points, lafConfig(m.params))
 	if err != nil {
 		return err
 	}
-	coreMask := make([]bool, n)
-	for i := range coreMask {
-		coreMask[i] = gated[i] && inc.counts[i] >= m.params.Tau
-	}
-	counts, adj, stop, err := m.scanFacts(ctx, m.index, m.points, coreMask, gated)
+	counts, adj, stop, err := m.scanFacts(ctx, m.index, m.points, gated, gated)
 	if err != nil {
 		return err
+	}
+	coreMask := make([]bool, len(m.points))
+	for i := range coreMask {
+		coreMask[i] = gated[i] && counts[i] >= m.params.Tau
+	}
+	for i, a := range adj {
+		adj[i] = appendCores(a[:0], a, coreMask, i)
 	}
 	inc.counts, inc.gated, inc.adj, inc.stop = counts, gated, adj, stop
 	m.core = coreMask

@@ -10,6 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"lafdbscan/internal/index"
+	"lafdbscan/internal/vecmath"
 )
 
 // incrementalEngines enumerates the traversal-engine configurations whose
@@ -654,5 +657,218 @@ func TestMaintenanceWithMergesMatchesFreshFit(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// overlayOf fits method with p over points and builds the model's
+// maintenance overlay: from the fit's neighbor facts, or, with scan, from
+// the full neighborhood pass every model without them takes.
+func overlayOf(t *testing.T, points [][]float32, method Method, p Params, scan bool) *incState {
+	t.Helper()
+	model, err := FitParams(context.Background(), slices.Clone(points), method, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.mu.Lock()
+	defer model.mu.Unlock()
+	if model.fit == nil {
+		t.Fatal("the fit kept no neighbor facts")
+	}
+	if scan {
+		model.fit = nil
+	}
+	if err := model.ensureIncLocked(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if model.fit != nil {
+		t.Fatal("the overlay left the fit's facts on the model")
+	}
+	return model.inc
+}
+
+// sameIDSet reports whether a and b hold the same ids, in any order.
+func sameIDSet(a, b []int32) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
+}
+
+// TestOverlayFromFitMatchesScan pins the overlay the first mutation
+// derives from the fit's neighbor lists to the one a full neighborhood
+// pass builds for the same model: the gate flags, the count of every point
+// that ran its query, every adjacency row and the partial-neighbor map,
+// rows compared as sets. It covers DBSCAN and LAF-DBSCAN with
+// post-processing on and off, at Workers 0, 1 and 2, on the brute backend
+// the model resolves and on a brute-force index the caller supplies.
+func TestOverlayFromFitMatchesScan(t *testing.T) {
+	d := GloVeLike(400, 17)
+	est := ExactEstimator(d.Vectors)
+	configs := []struct {
+		name   string
+		method Method
+		params Params
+	}{
+		{"dbscan", MethodDBSCAN, Params{Eps: 0.55, Tau: 4}},
+		{"laf-nopp", MethodLAFDBSCAN, Params{Eps: 0.55, Tau: 4, Alpha: 2, Estimator: est, Seed: 3, DisablePostProcessing: true}},
+		{"laf-pp", MethodLAFDBSCAN, Params{Eps: 0.55, Tau: 4, Alpha: 2, Estimator: est, Seed: 3}},
+	}
+	indexes := []struct {
+		name string
+		set  func(*Params)
+	}{
+		{"resolved-brute", func(p *Params) { p.IndexBackend = index.BackendBrute }},
+		{"caller-brute", func(p *Params) { p.Index = index.NewBruteForce(d.Vectors, p.Metric.Func()) }},
+	}
+	for _, c := range configs {
+		for _, workers := range []int{0, 1, 2} {
+			for _, ix := range indexes {
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", c.name, workers, ix.name), func(t *testing.T) {
+					p := c.params
+					p.Workers = workers
+					ix.set(&p)
+					got := overlayOf(t, d.Vectors, c.method, p, false)
+					want := overlayOf(t, d.Vectors, c.method, p, true)
+					if !slices.Equal(got.gated, want.gated) {
+						t.Fatal("gate flags differ")
+					}
+					stopAdj := 0
+					for i, g := range want.gated {
+						if !g && len(want.adj[i]) > 0 {
+							stopAdj++
+						}
+					}
+					if c.method == MethodLAFDBSCAN && stopAdj == 0 {
+						t.Fatal("no stop point has a core within Eps; the test needs some")
+					}
+					for i := range want.counts {
+						if (want.gated == nil || want.gated[i]) && got.counts[i] != want.counts[i] {
+							t.Fatalf("count[%d] = %d, scan has %d", i, got.counts[i], want.counts[i])
+						}
+						if !sameIDSet(got.adj[i], want.adj[i]) {
+							t.Fatalf("adj[%d] = %v, scan has %v", i, got.adj[i], want.adj[i])
+						}
+					}
+					if (got.stop == nil) != (want.stop == nil) {
+						t.Fatalf("partial-neighbor map kept %v, scan %v", got.stop != nil, want.stop != nil)
+					}
+					if want.stop == nil {
+						return
+					}
+					if !slices.Equal(got.stop.Stop, want.stop.Stop) {
+						t.Fatal("partial-neighbor entries differ")
+					}
+					for i := range want.stop.Rows {
+						if !sameIDSet(got.stop.Rows[i], want.stop.Rows[i]) {
+							t.Fatalf("E row %d = %v, scan has %v", i, got.stop.Rows[i], want.stop.Rows[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOverlayScansWithoutExactFit pins the models whose first mutation
+// still scans: a fit on the HNSW graph, on a brute-force index under a
+// distance other than the model's own function, and the sampling methods
+// keep no neighbor facts. The HNSW model's labels after an Insert equal
+// those of the same model reloaded from its Save bytes, which carries no
+// facts either.
+func TestOverlayScansWithoutExactFit(t *testing.T) {
+	ctx := context.Background()
+	d := GloVeLike(440, 5)
+	base, rest := d.Vectors[:400], d.Vectors[400:]
+	wrapped := func(a, b []float32) float64 { return vecmath.CosineDistanceUnit(a, b) }
+	cases := []struct {
+		name   string
+		method Method
+		params Params
+	}{
+		{"dbscan-hnsw", MethodDBSCAN, Params{Eps: 0.4, Tau: 5, Seed: 3, IndexBackend: "hnsw"}},
+		{"laf-hnsw", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 5, Seed: 3, IndexBackend: "hnsw", Estimator: ExactEstimator(base)}},
+		{"dbscan-wrapped-brute", MethodDBSCAN, Params{Eps: 0.4, Tau: 5, Index: index.NewBruteForce(base, wrapped)}},
+		{"dbscan++", MethodDBSCANPP, Params{Eps: 0.4, Tau: 5, Seed: 3, SampleFraction: 0.5}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			model, err := FitParams(ctx, slices.Clone(base), c.method, c.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model.mu.RLock()
+			kept := model.fit != nil
+			model.mu.RUnlock()
+			if kept {
+				t.Fatal("the fit kept neighbor facts")
+			}
+		})
+	}
+	model, err := FitParams(ctx, slices.Clone(base), MethodDBSCAN, cases[0].params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Model{model, loaded} {
+		if _, err := m.Insert(ctx, rest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(model.Labels(), loaded.Labels()) || !slices.Equal(model.CoreMask(), loaded.CoreMask()) {
+		t.Fatal("the HNSW-fitted model's labels after Insert differ from its reload's")
+	}
+}
+
+// gateAll is an estimator whose estimate is +Inf: every point passes the
+// gate.
+type gateAll struct{}
+
+func (gateAll) Estimate([]float32, float64) float64 { return math.Inf(1) }
+func (gateAll) Name() string                        { return "gate-all" }
+
+// TestRetrainGatesFormerStopPoints retrains a LAF-DBSCAN model, whose
+// overlay came from the fit, to an estimator that gates every point. The
+// points the fit gated out now run their queries, and some of them are
+// core; the overlay never knew their counts, so the re-gate must take the
+// core set from its own pass. Labels equal a fresh fit with the new
+// estimator.
+func TestRetrainGatesFormerStopPoints(t *testing.T) {
+	d := GloVeLike(440, 17)
+	base, rest := d.Vectors[:400], d.Vectors[400:]
+	model, err := FitParams(context.Background(), slices.Clone(base), MethodLAFDBSCAN,
+		Params{Eps: 0.55, Tau: 4, Alpha: 2, Estimator: ExactEstimator(d.Vectors), Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.mu.RLock()
+	pass := slices.Clone(model.fit.Pass)
+	model.mu.RUnlock()
+	model.SetRetrainPolicy(RetrainPolicy{
+		After: 1,
+		Train: func(context.Context, [][]float32) (Estimator, error) { return gateAll{}, nil },
+	})
+	rep, err := model.Insert(context.Background(), rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Retrained {
+		t.Fatalf("retrain did not trigger: %+v", rep)
+	}
+	assertMatchesFreshFit(t, model, "after re-gating every point")
+	promoted := 0
+	for i, c := range model.CoreMask()[:len(base)] {
+		if c && !pass[i] {
+			promoted++
+		}
+	}
+	if promoted == 0 {
+		t.Fatal("no former stop point became core; the test needs some")
 	}
 }
