@@ -289,6 +289,9 @@ func OpenDurable(ctx context.Context, dir string, opts DurableOptions) (*Durable
 		}
 		r, err := wal.Replay(fsys, filepath.Join(dir, walSegName(segLSN)), func(rec *wal.Record) error {
 			urep, aerr := applyRecord(ctx, model, rec)
+			if errors.Is(aerr, ErrRetrainFailed) {
+				aerr = nil // applied; as on the live path, only the retrain failed
+			}
 			rep.Inserted += urep.Inserted
 			rep.Removed += urep.Removed
 			return aerr
@@ -358,7 +361,9 @@ func loadSnapshot(fsys wal.FS, path string) (*Model, error) {
 // Insert journals the batch, then applies it to the model. The append is
 // the commit point: once it returns under SyncAlways the batch survives
 // any crash. An apply rejection (for example a dimension mismatch) annuls
-// the journaled record so replay and the in-memory model never diverge.
+// the journaled record so replay and the in-memory model never diverge. A
+// failed retrain (ErrRetrainFailed) is no rejection: the batch is applied,
+// so its record stays, and the report is returned with the error.
 func (d *DurableModel) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, error) {
 	if len(vectors) == 0 {
 		d.mu.Lock()
@@ -396,7 +401,7 @@ func (d *DurableModel) mutate(ctx context.Context, rec *wal.Record) (UpdateRepor
 		return UpdateReport{}, fmt.Errorf("lafdbscan: journaling mutation: %w", err)
 	}
 	urep, err := applyRecord(ctx, d.model, rec)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrRetrainFailed) {
 		// The model rejected the mutation, so the journaled record must not
 		// replay: annul it. If even that fails the journal and model have
 		// diverged and the handle is poisoned.
@@ -406,13 +411,15 @@ func (d *DurableModel) mutate(ctx context.Context, rec *wal.Record) (UpdateRepor
 		}
 		return UpdateReport{}, err
 	}
+	// Applied, though its retrain may have failed (err wraps
+	// ErrRetrainFailed): the record stays and is returned with the error.
 	d.lsn++
 	if d.opts.SnapshotEvery > 0 && d.lsn-d.segStart >= int64(d.opts.SnapshotEvery) {
 		if _, serr := d.snapshotLocked(); serr != nil {
-			return urep, fmt.Errorf("lafdbscan: mutation committed but snapshot failed: %w", serr)
+			return urep, errors.Join(err, fmt.Errorf("lafdbscan: mutation committed but snapshot failed: %w", serr))
 		}
 	}
-	return urep, nil
+	return urep, err
 }
 
 // applyRecord applies one journal record to the model: the one mapping

@@ -588,6 +588,60 @@ func TestDurableAnnulment(t *testing.T) {
 	assertState(t, re.Model(), want, "recovered")
 }
 
+// TestDurableRetrainFailureKeepsRecord pins that a failed estimator
+// retrain is no rejection: the Insert that tripped it is applied, so its
+// record must stay in the journal (the LSN advances), and recovery, whose
+// replay fails the same retrain, must count it as applied and rebuild the
+// live model.
+func TestDurableRetrainFailureKeepsRecord(t *testing.T) {
+	data := GenerateMixture("durable-retrain", MixtureConfig{
+		N: 100, Dim: 8, Clusters: 3, MinSpread: 0.15, MaxSpread: 0.3,
+		NoiseFrac: 0.2, Seed: 53,
+	})
+	ctx := context.Background()
+	engine := durableEngines(t, data.Vectors[:90])[2]
+	model, err := FitParams(ctx, slices.Clone(data.Vectors[:90]), engine.method, engine.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainErr := errors.New("no training data today")
+	opts := DurableOptions{Retrain: &RetrainPolicy{
+		After: 1,
+		Train: func(context.Context, [][]float32) (Estimator, error) { return nil, trainErr },
+	}}
+	dir := filepath.Join(t.TempDir(), "journal")
+	d, err := NewDurable(model, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := d.Insert(ctx, data.Vectors[90:])
+	if !errors.Is(err, ErrRetrainFailed) || !errors.Is(err, trainErr) {
+		t.Fatalf("insert error = %v, want ErrRetrainFailed wrapping the Train error", err)
+	}
+	if rep.Inserted != 10 || rep.Retrained {
+		t.Fatalf("report = %+v, want the applied 10-point insert and no retrain", rep)
+	}
+	if st := d.Stats(); st.LSN != 1 || st.SegmentRecords != 1 {
+		t.Fatalf("stats = %+v, want the applied record kept at LSN 1", st)
+	}
+	want := captureState(d.Model())
+	if len(want.points) != 100 {
+		t.Fatalf("live model holds %d points, want 100", len(want.points))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, rrep, err := OpenDurable(ctx, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rrep.Records != 1 || rrep.Inserted != 10 {
+		t.Fatalf("recovery = %+v, want the one 10-point record replayed", rrep)
+	}
+	assertState(t, re.Model(), want, "recovered")
+}
+
 // TestDurableCrashMidStream runs the walfs crash model end to end: the
 // write budget dies partway through a batch, the in-memory model keeps
 // running ahead of the disk, and a reboot onto a healthy filesystem

@@ -132,11 +132,12 @@ type Model struct {
 
 	// fit holds the fit's neighbor facts (core.Facts) until the first
 	// mutation derives the overlay from them with no range query; nil for
-	// models whose first mutation scans instead (see overlayFromFit).
+	// models whose first mutation runs an engine pass for them instead
+	// (see overlayFromFit).
 	fit *core.Facts
 	// inc is the incremental-maintenance overlay, built lazily by the
-	// first Insert or Remove from fit, or by one neighborhood pass when
-	// fit is nil (see model_incremental.go).
+	// first Insert or Remove from the engine's facts: fit, or one engine
+	// pass when fit is nil (see model_incremental.go).
 	inc *incState
 	// updates counts applied point mutations over the model's lifetime
 	// (persisted); staleness counts them since the last estimator

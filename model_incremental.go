@@ -2,6 +2,7 @@ package lafdbscan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -23,10 +24,11 @@ import (
 // keeps exactly those facts and updates them from the Eps-neighborhoods of
 // the changed points only; labels are then re-resolved canonically
 // (cluster.ResolveCanonical) in memory, with no further range queries.
-// The overlay's first facts are the fit's own neighbor lists when the
-// model was fitted with DBSCAN or LAF-DBSCAN on the exact scan, so the
-// first mutation queries no existing point; any other model pays one
-// batched pass over its points for them.
+// The overlay's facts always come from the engine: the fit's own
+// neighbor lists when the model was fitted with DBSCAN or LAF-DBSCAN on
+// the exact scan, so the first mutation queries no existing point; one
+// engine pass over its points for any other model, and for every re-gate
+// after a retrain.
 //
 // Equality contract. After any sequence of Insert/Remove the model's
 // labels are bit-identical to a fresh Fit on the resulting point set for
@@ -54,9 +56,8 @@ type incState struct {
 	// counts[i] is |N(i)|, the true Eps-neighbor count including i itself
 	// — the density side of the core criterion. It is kept for every point
 	// that runs its query (every point for the ungated methods); a stop
-	// point's count is unread, since a stop point is never promoted and a
-	// re-gate counts from its own pass, and for an overlay built from the
-	// fit it is not known.
+	// point's count is 0 and unread, since a stop point is never promoted
+	// and a re-gate takes its facts from a new engine pass.
 	counts []int
 	// gated[i] is the LAF estimator gate decision for point i (estimate >=
 	// Alpha*Tau, core.Gate), nil for non-LAF methods. Gating is a pure
@@ -102,8 +103,10 @@ type UpdateReport struct {
 // mutations since the last (re)training, the next Insert/Remove calls Train
 // over the model's current points and swaps the estimator in. For
 // MethodLAFDBSCAN the model then re-gates every point and re-resolves
-// labels (one batched pass — the incremental analogue of refitting with the
+// labels (one engine pass — the incremental analogue of refitting with the
 // new estimator); for MethodLAFDBSCANPP only future gate decisions change.
+// A failed retrain leaves the applied mutation in place and returns
+// ErrRetrainFailed.
 // A zero policy (the default) never retrains; Staleness still counts, so
 // callers can drive retraining themselves.
 type RetrainPolicy struct {
@@ -148,14 +151,13 @@ func (m *Model) trackStop() bool {
 // index with an owned dynamic brute-force index over the clone (exact
 // under the model's metric, so predictions are unchanged). The facts it
 // seeds — counts, core adjacency and, for LAF, gate flags and the complete
-// partial-neighbor map — come from the fit's neighbor lists when the model
-// kept them (factsFromFitLocked), with no range query; otherwise (HNSW
-// fits, the sampling/block methods, loaded and recovered models) from one
-// batched neighborhood pass over the existing points. The fitted core set
-// is the baseline: for the exact methods it equals the density criterion
-// the overlay maintains; for the sampling/block methods it is the fitted
-// approximation mutations build on. On error (cancellation included) the
-// model is left unmodified.
+// partial-neighbor map — are the engine's: the fit's own when the model
+// kept them, otherwise (HNSW fits, the sampling/block methods, loaded and
+// recovered models) those of one engine pass over the owned index
+// (engineFactsLocked). The fitted core set is the baseline: for the exact
+// methods it equals the density criterion the overlay maintains; for the
+// sampling/block methods it is the fitted approximation mutations build
+// on. On error (cancellation included) the model is left unmodified.
 func (m *Model) ensureIncLocked(ctx context.Context) error {
 	if m.inc != nil {
 		return nil
@@ -167,19 +169,21 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 	dist := modelMetric(m.method, m.params.Metric).Func()
 	dyn := index.NewBruteForce(slices.Clone(points), dist)
 	inc := &incState{dyn: dyn, dist: dist}
-	if m.fit != nil {
-		m.factsFromFitLocked(inc)
-	} else {
-		var err error
-		if m.gatedMethod() {
-			if inc.gated, err = core.Gate(ctx, points, lafConfig(m.params)); err != nil {
-				return err
-			}
-		}
-		if inc.counts, inc.adj, inc.stop, err = m.scanFacts(ctx, dyn, points, m.core, inc.gated); err != nil {
+	facts := m.fit
+	var err error
+	if facts == nil {
+		if facts, _, err = m.engineFactsLocked(ctx, dyn, points, m.params.Estimator); err != nil {
 			return err
 		}
 	}
+	if m.method == MethodLAFDBSCANPP {
+		// Its engine pass queried every point; the gate flags future
+		// promotions read are the estimator's.
+		if inc.gated, err = core.Gate(ctx, points, lafConfig(m.params)); err != nil {
+			return err
+		}
+	}
+	m.adoptFactsLocked(inc, facts)
 	m.fit = nil
 	m.points = points
 	m.index = dyn
@@ -198,15 +202,38 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 	return nil
 }
 
-// factsFromFitLocked fills inc's counts, gate flags, adjacency and
-// partial-neighbor map from the fit's facts, taking their rows over. A
+// engineFactsLocked runs the engine over points on idx, with
+// post-processing off (the partial-neighbor map does not depend on it),
+// and returns its neighbor facts and result. A LAF-DBSCAN model runs
+// LAF-DBSCAN under est; every other model runs exact DBSCAN, the open
+// gate querying every point, so every row is a complete neighbor list in
+// the index's ascending id order.
+func (m *Model) engineFactsLocked(ctx context.Context, idx RangeIndex, points [][]float32, est Estimator) (*core.Facts, *Result, error) {
+	method := MethodDBSCAN
+	p := m.params
+	if m.method == MethodLAFDBSCAN {
+		method = MethodLAFDBSCAN
+		p.Estimator = est
+	}
+	p.Index = idx
+	p.DisablePostProcessing = true
+	facts := new(core.Facts)
+	res, err := run(ctx, points, method, p, facts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return facts, res, nil
+}
+
+// adoptFactsLocked fills inc's counts, adjacency and partial-neighbor map,
+// and a LAF-DBSCAN model's gate flags, from an engine run's facts, taking
+// their rows over; adjacency is filtered to the model's core set. A
 // queried point's count is the length of its row, and its adjacency the
 // row filtered in place to the other cores. A stop point's adjacency is
 // its row of the complete partial-neighbor map filtered to cores: every
 // core ran its query, so that row names every core within Eps. A stop
 // point's count stays 0 (see incState.counts).
-func (m *Model) factsFromFitLocked(inc *incState) {
-	f := m.fit
+func (m *Model) adoptFactsLocked(inc *incState, f *core.Facts) {
 	inc.counts = make([]int, len(f.Rows))
 	inc.adj = f.Rows
 	for i, row := range f.Rows {
@@ -217,7 +244,7 @@ func (m *Model) factsFromFitLocked(inc *incState) {
 		inc.counts[i] = len(row)
 		inc.adj[i] = appendCores(row[:0], row, m.core, i)
 	}
-	if m.gatedMethod() {
+	if m.method == MethodLAFDBSCAN {
 		inc.gated = f.Pass
 	}
 	if m.trackStop() {
@@ -259,44 +286,6 @@ func (m *Model) neighborRowsLocked(ctx context.Context, queries [][]float32) ([]
 	return rows, nil
 }
 
-// scanFacts runs one batched neighborhood pass over every point, folding
-// each list into counts, adjacency to coreMask, and (when both gated and
-// stop tracking apply) the complete partial-neighbor map. Lists are
-// dropped per wave; the context aborts within one wave.
-func (m *Model) scanFacts(ctx context.Context, idx RangeIndex, points [][]float32, coreMask, gated []bool) (counts []int, adj [][]int32, stop *cluster.PartialNeighbors, err error) {
-	n := len(points)
-	counts = make([]int, n)
-	adj = make([][]int32, n)
-	if gated != nil && m.trackStop() {
-		stop = cluster.NewPartialNeighbors(n)
-	}
-	err = index.BatchRangeSearchFunc(ctx, idx, points, m.params.Eps, m.params.Workers, 0, m.params.WaveSize,
-		func(i int, ids []int) {
-			counts[i] = len(ids)
-			var a []int32
-			for _, q := range ids {
-				if q != i && coreMask[q] {
-					a = append(a, int32(q))
-				}
-			}
-			adj[i] = a
-			if stop != nil && !gated[i] {
-				var s []int32
-				for _, q := range ids {
-					if gated[q] {
-						s = append(s, int32(q))
-					}
-				}
-				stop.Stop[i] = true
-				stop.Rows[i] = s
-			}
-		})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return counts, adj, stop, nil
-}
-
 // Insert adds vectors to the model and folds them into the clustering
 // online: each new point's Eps-neighborhood is queried once (batched
 // through the wave engine, like fitting and prediction), neighbor counts
@@ -315,9 +304,10 @@ func (m *Model) scanFacts(ctx context.Context, idx RangeIndex, points [][]float3
 // The first mutation builds the maintenance overlay and replaces the
 // model's range index with an owned exact one. A DBSCAN or LAF-DBSCAN
 // model fitted on the exact scan builds it from the fit's neighbor lists
-// with no range query; any other model pays one batched pass over its
+// with no range query; any other model pays one engine pass over its
 // existing points. On error — cancellation included — the model is left
-// exactly as it was; cancellation aborts within one query wave.
+// exactly as it was, and cancellation aborts within one query wave; the
+// exception is ErrRetrainFailed, returned after the insert was applied.
 func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -788,9 +778,20 @@ func (m *Model) reportLocked(r UpdateReport) UpdateReport {
 	return r
 }
 
+// ErrRetrainFailed reports that an Insert or Remove was applied but the
+// RetrainPolicy it tripped failed: training erred, or the re-gate under
+// the new estimator was cancelled. The returned report describes the
+// applied update; the model keeps its stale estimator, gate flags, core
+// set and staleness, so the next mutation retries the retrain.
+var ErrRetrainFailed = errors.New("lafdbscan: estimator retrain failed")
+
 // maybeRetrainLocked applies the RetrainPolicy after a committed update.
-// The update itself is already applied; a retrain failure is returned with
-// the (valid) report, and the stale estimator stays in place.
+// The update itself is already applied; a retrain failure is returned,
+// wrapping ErrRetrainFailed, with the (valid) report, and the stale
+// estimator stays in place. For MethodLAFDBSCAN the retrain re-gates: one
+// engine pass under the new estimator gives the facts and the core set
+// (the incremental analogue of refitting with it), and the estimator, the
+// facts and the core set are committed together once the pass succeeds.
 func (m *Model) maybeRetrainLocked(ctx context.Context, report UpdateReport) (UpdateReport, error) {
 	if m.retrain.After <= 0 || m.retrain.Train == nil || m.staleness < m.retrain.After ||
 		!m.gatedMethod() || m.params.Estimator == nil {
@@ -798,50 +799,19 @@ func (m *Model) maybeRetrainLocked(ctx context.Context, report UpdateReport) (Up
 	}
 	est, err := m.retrain.Train(ctx, m.points)
 	if err != nil {
-		return report, fmt.Errorf("lafdbscan: estimator retrain after %d updates: %w", m.staleness, err)
+		return report, fmt.Errorf("%w after %d updates: %w", ErrRetrainFailed, m.staleness, err)
+	}
+	if m.method == MethodLAFDBSCAN {
+		facts, res, err := m.engineFactsLocked(ctx, m.index, m.points, est)
+		if err != nil {
+			return report, fmt.Errorf("%w: re-gating after %d updates: %w", ErrRetrainFailed, m.staleness, err)
+		}
+		m.core = res.Core
+		m.adoptFactsLocked(m.inc, facts)
+		m.relabelLocked()
 	}
 	m.params.Estimator = est
 	m.staleness = 0
 	report.Retrained = true
-	report.Staleness = 0
-	if m.method == MethodLAFDBSCAN {
-		// Re-gate: the new estimator changes which points query, hence the
-		// core set; rebuild the maintained facts, core set included, with
-		// one batched pass and re-resolve. This is the incremental analogue of refitting with
-		// the retrained estimator.
-		if err := m.regateLocked(ctx); err != nil {
-			return report, fmt.Errorf("lafdbscan: re-gating after retrain: %w", err)
-		}
-		report = m.reportLocked(report)
-	}
-	return report, nil
-}
-
-// regateLocked recomputes gate flags under the current estimator and
-// rebuilds counts, the core set, adjacency and the partial-neighbor map
-// with one batched pass. The core set comes from that pass's counts: a
-// point the old estimator gated out has no maintained count. It lies
-// within the gated points, so the pass keeps the gated neighbors and they
-// are filtered to the cores once every count is in.
-func (m *Model) regateLocked(ctx context.Context) error {
-	inc := m.inc
-	gated, err := core.Gate(ctx, m.points, lafConfig(m.params))
-	if err != nil {
-		return err
-	}
-	counts, adj, stop, err := m.scanFacts(ctx, m.index, m.points, gated, gated)
-	if err != nil {
-		return err
-	}
-	coreMask := make([]bool, len(m.points))
-	for i := range coreMask {
-		coreMask[i] = gated[i] && counts[i] >= m.params.Tau
-	}
-	for i, a := range adj {
-		adj[i] = appendCores(a[:0], a, coreMask, i)
-	}
-	inc.counts, inc.gated, inc.adj, inc.stop = counts, gated, adj, stop
-	m.core = coreMask
-	m.relabelLocked()
-	return nil
+	return m.reportLocked(report), nil
 }

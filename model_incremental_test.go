@@ -3,6 +3,7 @@ package lafdbscan
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -660,22 +661,14 @@ func TestMaintenanceWithMergesMatchesFreshFit(t *testing.T) {
 	}
 }
 
-// overlayOf fits method with p over points and builds the model's
-// maintenance overlay: from the fit's neighbor facts, or, with scan, from
-// the full neighborhood pass every model without them takes.
-func overlayOf(t *testing.T, points [][]float32, method Method, p Params, scan bool) *incState {
+// overlayOf builds model's maintenance overlay and returns it. kept
+// states whether the fit must have kept its neighbor facts for it.
+func overlayOf(t *testing.T, model *Model, kept bool) *incState {
 	t.Helper()
-	model, err := FitParams(context.Background(), slices.Clone(points), method, p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	model.mu.Lock()
 	defer model.mu.Unlock()
-	if model.fit == nil {
-		t.Fatal("the fit kept no neighbor facts")
-	}
-	if scan {
-		model.fit = nil
+	if (model.fit != nil) != kept {
+		t.Fatalf("the fit kept neighbor facts: %v, want %v", model.fit != nil, kept)
 	}
 	if err := model.ensureIncLocked(context.Background()); err != nil {
 		t.Fatal(err)
@@ -694,14 +687,106 @@ func sameIDSet(a, b []int32) bool {
 	return slices.Equal(a, b)
 }
 
-// TestOverlayFromFitMatchesScan pins the overlay the first mutation
-// derives from the fit's neighbor lists to the one a full neighborhood
-// pass builds for the same model: the gate flags, the count of every point
-// that ran its query, every adjacency row and the partial-neighbor map,
-// rows compared as sets. It covers DBSCAN and LAF-DBSCAN with
-// post-processing on and off, at Workers 0, 1 and 2, on the brute backend
-// the model resolves and on a brute-force index the caller supplies.
+// definedOverlay is the overlay a model's facts are defined to be,
+// computed point by point with RangeSearch on a fresh brute-force index
+// under the model's metric: gated[i] is the estimator gate CardEst >=
+// Alpha·Tau (nil for an ungated method), counts[i] is |N(i)|, adj[i] lists
+// the model's cores within Eps of i other than i in ascending id order,
+// and, when the model keeps the partial-neighbor map, e[i] of every stop
+// point lists the gated points within Eps of it.
+func definedOverlay(m *Model) (gated []bool, counts []int, adj, e [][]int32) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	p := m.params
+	idx := index.NewBruteForce(m.points, modelMetric(m.method, p.Metric).Func())
+	n := len(m.points)
+	if m.gatedMethod() {
+		gated = make([]bool, n)
+		for i, x := range m.points {
+			gated[i] = p.Estimator.Estimate(x, p.Eps) >= p.Alpha*float64(p.Tau)
+		}
+	}
+	counts = make([]int, n)
+	adj = make([][]int32, n)
+	if m.trackStop() {
+		e = make([][]int32, n)
+	}
+	for i, x := range m.points {
+		ids := idx.RangeSearch(x, p.Eps)
+		counts[i] = len(ids)
+		for _, q := range ids {
+			if q != i && m.core[q] {
+				adj[i] = append(adj[i], int32(q))
+			}
+			if e != nil && !gated[i] && gated[q] {
+				e[i] = append(e[i], int32(q))
+			}
+		}
+	}
+	return gated, counts, adj, e
+}
+
+// assertDefinedOverlay builds model's overlay and compares it with
+// definedOverlay: the gate flags, the count of every point that ran its
+// query (every point but LAF-DBSCAN's stop points, since every other
+// overlay comes from an open-gate run), every adjacency row and the
+// partial-neighbor map. Rows are compared as sets, except the adjacency
+// of the nearest-core methods, whose tie-break reads candidates in order:
+// those rows must be the exact ascending slices.
+func assertDefinedOverlay(t *testing.T, model *Model, kept bool) {
+	t.Helper()
+	gated, counts, adj, e := definedOverlay(model)
+	got := overlayOf(t, model, kept)
+	if !slices.Equal(got.gated, gated) {
+		t.Fatal("gate flags differ")
+	}
+	if model.Method() == MethodLAFDBSCAN {
+		stopAdj := 0
+		for i, g := range gated {
+			if !g && len(adj[i]) > 0 {
+				stopAdj++
+			}
+		}
+		if stopAdj == 0 {
+			t.Fatal("no stop point has a core within Eps; the test needs some")
+		}
+	}
+	exact := model.nearestCoreSemantics()
+	for i := range counts {
+		if (model.Method() != MethodLAFDBSCAN || gated[i]) && got.counts[i] != counts[i] {
+			t.Fatalf("count[%d] = %d, want %d", i, got.counts[i], counts[i])
+		}
+		if (exact && !slices.Equal(got.adj[i], adj[i])) || !sameIDSet(got.adj[i], adj[i]) {
+			t.Fatalf("adj[%d] = %v, want %v", i, got.adj[i], adj[i])
+		}
+	}
+	if (got.stop == nil) != (e == nil) {
+		t.Fatalf("partial-neighbor map kept %v, want %v", got.stop != nil, e != nil)
+	}
+	if e == nil {
+		return
+	}
+	for i, g := range gated {
+		if got.stop.Stop[i] == g {
+			t.Fatalf("partial-neighbor entry of %d is %v, want %v", i, got.stop.Stop[i], !g)
+		}
+		if !sameIDSet(got.stop.Rows[i], e[i]) {
+			t.Fatalf("E row %d = %v, want %v", i, got.stop.Rows[i], e[i])
+		}
+	}
+}
+
+// TestOverlayFromFitMatchesScan pins the overlay the first mutation builds
+// to its definition (definedOverlay), computed by a per-point scan in this
+// test. Overlays from the fit's kept neighbor facts are checked for DBSCAN
+// and LAF-DBSCAN with post-processing on and off, at Workers 0, 1 and 2,
+// on the brute backend the model resolves and on a brute-force index the
+// caller supplies. Overlays from an engine pass, for models that keep no
+// facts, are checked for DBSCAN and LAF-DBSCAN on HNSW, DBSCAN++,
+// LAF-DBSCAN++, KNN-BLOCK, and a LAF-DBSCAN model reloaded from its Save
+// bytes.
 func TestOverlayFromFitMatchesScan(t *testing.T) {
+	ctx := context.Background()
 	d := GloVeLike(400, 17)
 	est := ExactEstimator(d.Vectors)
 	configs := []struct {
@@ -727,55 +812,62 @@ func TestOverlayFromFitMatchesScan(t *testing.T) {
 					p := c.params
 					p.Workers = workers
 					ix.set(&p)
-					got := overlayOf(t, d.Vectors, c.method, p, false)
-					want := overlayOf(t, d.Vectors, c.method, p, true)
-					if !slices.Equal(got.gated, want.gated) {
-						t.Fatal("gate flags differ")
+					model, err := FitParams(ctx, slices.Clone(d.Vectors), c.method, p)
+					if err != nil {
+						t.Fatal(err)
 					}
-					stopAdj := 0
-					for i, g := range want.gated {
-						if !g && len(want.adj[i]) > 0 {
-							stopAdj++
-						}
-					}
-					if c.method == MethodLAFDBSCAN && stopAdj == 0 {
-						t.Fatal("no stop point has a core within Eps; the test needs some")
-					}
-					for i := range want.counts {
-						if (want.gated == nil || want.gated[i]) && got.counts[i] != want.counts[i] {
-							t.Fatalf("count[%d] = %d, scan has %d", i, got.counts[i], want.counts[i])
-						}
-						if !sameIDSet(got.adj[i], want.adj[i]) {
-							t.Fatalf("adj[%d] = %v, scan has %v", i, got.adj[i], want.adj[i])
-						}
-					}
-					if (got.stop == nil) != (want.stop == nil) {
-						t.Fatalf("partial-neighbor map kept %v, scan %v", got.stop != nil, want.stop != nil)
-					}
-					if want.stop == nil {
-						return
-					}
-					if !slices.Equal(got.stop.Stop, want.stop.Stop) {
-						t.Fatal("partial-neighbor entries differ")
-					}
-					for i := range want.stop.Rows {
-						if !sameIDSet(got.stop.Rows[i], want.stop.Rows[i]) {
-							t.Fatalf("E row %d = %v, scan has %v", i, got.stop.Rows[i], want.stop.Rows[i])
-						}
-					}
+					assertDefinedOverlay(t, model, true)
 				})
 			}
 		}
 	}
+
+	rmi, err := TrainRMIEstimator(d.Vectors, EstimatorConfig{MaxQueries: 80, Hidden: []int{16, 8}, Epochs: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := []struct {
+		name   string
+		method Method
+		params Params
+		reload bool
+	}{
+		{"dbscan-hnsw", MethodDBSCAN, Params{Eps: 0.55, Tau: 4, Seed: 3, IndexBackend: "hnsw"}, false},
+		{"laf-hnsw", MethodLAFDBSCAN, Params{Eps: 0.55, Tau: 4, Alpha: 2, Estimator: est, Seed: 3, IndexBackend: "hnsw"}, false},
+		{"dbscan++", MethodDBSCANPP, Params{Eps: 0.55, Tau: 4, Seed: 3, SampleFraction: 0.5}, false},
+		{"laf-dbscan++", MethodLAFDBSCANPP, Params{Eps: 0.55, Tau: 4, Alpha: 2, Estimator: est, Seed: 3, SampleFraction: 0.5}, false},
+		{"knn-block", MethodKNNBlock, Params{Eps: 0.55, Tau: 4, Seed: 3}, false},
+		{"laf-loaded", MethodLAFDBSCAN, Params{Eps: 0.55, Tau: 4, Alpha: 1.5, Estimator: rmi, Seed: 3}, true},
+	}
+	for _, c := range none {
+		t.Run("no-facts/"+c.name, func(t *testing.T) {
+			p := c.params
+			p.Workers = 2
+			model, err := FitParams(ctx, slices.Clone(d.Vectors), c.method, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.reload {
+				var buf bytes.Buffer
+				if err := model.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if model, err = LoadModel(&buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertDefinedOverlay(t, model, false)
+		})
+	}
 }
 
-// TestOverlayScansWithoutExactFit pins the models whose first mutation
-// still scans: a fit on the HNSW graph, on a brute-force index under a
-// distance other than the model's own function, and the sampling methods
-// keep no neighbor facts. The HNSW model's labels after an Insert equal
-// those of the same model reloaded from its Save bytes, which carries no
-// facts either.
-func TestOverlayScansWithoutExactFit(t *testing.T) {
+// TestFitsOffTheExactScanKeepNoFacts pins which fits keep no neighbor
+// facts, so their first mutation runs an engine pass for its overlay: a
+// fit on the HNSW graph, on a brute-force index under a distance other
+// than the model's own function, and the sampling methods. The HNSW
+// model's labels after an Insert equal those of the same model reloaded
+// from its Save bytes, which carries no facts either.
+func TestFitsOffTheExactScanKeepNoFacts(t *testing.T) {
 	ctx := context.Background()
 	d := GloVeLike(440, 5)
 	base, rest := d.Vectors[:400], d.Vectors[400:]
@@ -871,4 +963,57 @@ func TestRetrainGatesFormerStopPoints(t *testing.T) {
 	if promoted == 0 {
 		t.Fatal("no former stop point became core; the test needs some")
 	}
+}
+
+// TestCancelledRegateKeepsStaleEstimator retrains a LAF-DBSCAN model with
+// a Train that cancels the mutation's context and returns gateAll, so the
+// re-gate under the new estimator cannot run. The Insert stays applied
+// and fails with ErrRetrainFailed; the model keeps its old estimator, its
+// staleness, and labels equal to a fresh fit with the old estimator. The
+// next Insert, under a live context, retrains and matches a fresh fit
+// with gateAll.
+func TestCancelledRegateKeepsStaleEstimator(t *testing.T) {
+	d := GloVeLike(440, 17)
+	base, rest := d.Vectors[:400], d.Vectors[400:]
+	old := ExactEstimator(d.Vectors)
+	model, err := FitParams(context.Background(), slices.Clone(base), MethodLAFDBSCAN,
+		Params{Eps: 0.55, Tau: 4, Alpha: 2, Estimator: old, Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	model.SetRetrainPolicy(RetrainPolicy{
+		After: 1,
+		Train: func(context.Context, [][]float32) (Estimator, error) {
+			cancel()
+			return gateAll{}, nil
+		},
+	})
+	rep, err := model.Insert(ctx, rest[:20])
+	if !errors.Is(err, ErrRetrainFailed) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("insert error = %v, want ErrRetrainFailed wrapping context.Canceled", err)
+	}
+	if rep.Inserted != 20 || rep.Retrained {
+		t.Fatalf("report = %+v, want the applied 20-point insert and no retrain", rep)
+	}
+	if model.Params().Estimator != old {
+		t.Fatalf("estimator = %v after the failed re-gate, want the old one", model.Params().Estimator)
+	}
+	if model.Staleness() != 20 {
+		t.Fatalf("staleness = %d after the failed re-gate, want 20", model.Staleness())
+	}
+	assertMatchesFreshFit(t, model, "after the cancelled re-gate")
+
+	rep, err = model.Insert(context.Background(), rest[20:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Retrained || model.Staleness() != 0 {
+		t.Fatalf("retrain did not complete: %+v staleness=%d", rep, model.Staleness())
+	}
+	if _, ok := model.Params().Estimator.(gateAll); !ok {
+		t.Fatalf("estimator = %v after the retrain, want gateAll", model.Params().Estimator)
+	}
+	assertMatchesFreshFit(t, model, "after the retrain")
 }
