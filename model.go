@@ -493,27 +493,35 @@ func (m *Model) minClusterLabelLocked(ids []int) int {
 	return best
 }
 
-// nearestCoreLabelLocked returns the label of the closest core point in ids
-// under cosine distance (the metric every nearest-core method is hardwired
-// to), or Noise when none is core. Ties keep the lowest index, matching the
-// strict-improvement scan of the fitting drivers. The caller must hold mu.
+// nearestCoreLabelLocked returns the label of q's nearest core in ids (see
+// nearestCoreLocked), or Noise when ids hold no core. The caller must hold mu.
 func (m *Model) nearestCoreLabelLocked(q []float32, ids []int) int {
+	best := nearestCoreLocked(m, q, ids)
+	if best < 0 {
+		return Noise
+	}
+	return m.labels[best]
+}
+
+// nearestCoreLocked returns the closest core point to q in ids under cosine
+// distance (the metric every nearest-core method is hardwired to), or -1
+// when ids hold no core. Ties keep the earliest id in ids, matching the
+// strict-improvement scan of the fitting drivers. Prediction and
+// maintenance's relabeling both pick through it. The caller must hold
+// m.mu.
+func nearestCoreLocked[T int | int32](m *Model, q []float32, ids []T) int {
 	best, bestD := -1, m.params.Eps
 	for _, id := range ids {
 		if !m.core[id] {
 			continue
 		}
 		if d := vecmath.CosineDistanceUnit(q, m.points[id]); d < bestD {
-			best, bestD = id, d
+			best, bestD = int(id), d
 		}
 	}
-	if best < 0 {
-		// All in-range cores tie at exactly Eps — impossible, since the
-		// range query returns strictly-closer points only — or ids held no
-		// core at all.
-		return Noise
-	}
-	return m.labels[best]
+	// An in-range core at exactly Eps is impossible, since the range query
+	// returns strictly-closer points only.
+	return best
 }
 
 // --- persistence ---

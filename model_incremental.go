@@ -11,7 +11,6 @@ import (
 	"lafdbscan/internal/cluster"
 	"lafdbscan/internal/core"
 	"lafdbscan/internal/index"
-	"lafdbscan/internal/vecmath"
 )
 
 // This file is online model maintenance: Model.Insert and Model.Remove
@@ -28,7 +27,9 @@ import (
 // neighbor lists when the model was fitted with DBSCAN or LAF-DBSCAN on
 // the exact scan, so the first mutation queries no existing point; one
 // engine pass over its points for any other model, and for every re-gate
-// after a retrain.
+// after a retrain. Every ε-row a mutation reads comes from range queries
+// (neighborRowsLocked), over the model's index and, for an Insert, over
+// the batch being added: maintenance computes no distance of its own.
 //
 // Equality contract. After any sequence of Insert/Remove the model's
 // labels are bit-identical to a fresh Fit on the resulting point set for
@@ -77,9 +78,6 @@ type incState struct {
 	// cloned points; it is Model.index from then on, and Insert/Remove
 	// mutate it in step with the point slice.
 	dyn index.DynamicIndex
-	// dist is the model's metric function, for new-point pair distances
-	// and nearest-core tie-breaks.
-	dist vecmath.DistanceFunc
 }
 
 // UpdateReport summarizes one Insert or Remove.
@@ -166,9 +164,8 @@ func (m *Model) ensureIncLocked(ctx context.Context) error {
 		return fmt.Errorf("lafdbscan: %s maintenance requires the estimator gate, and this model carries none (loaded from a save that could not serialize it?)", m.method)
 	}
 	points := slices.Clone(m.points)
-	dist := modelMetric(m.method, m.params.Metric).Func()
-	dyn := index.NewBruteForce(slices.Clone(points), dist)
-	inc := &incState{dyn: dyn, dist: dist}
+	dyn := index.NewBruteForce(slices.Clone(points), modelMetric(m.method, m.params.Metric).Func())
+	inc := &incState{dyn: dyn}
 	facts := m.fit
 	var err error
 	if facts == nil {
@@ -267,34 +264,49 @@ func appendCores(dst, row []int32, core []bool, self int) []int32 {
 }
 
 // neighborRowsLocked runs one batched Eps-neighborhood query per vector
-// over the model's index and returns row i as query i's neighbor ids. The
-// caller holds mu. The callback runs on pool workers and writes only its
-// own row; the context aborts within one wave.
-func (m *Model) neighborRowsLocked(ctx context.Context, queries [][]float32) ([][]int32, error) {
+// over the model's index and, when batch is non-empty, over a throwaway
+// brute-force index of batch (the vectors an Insert is adding), and
+// returns row i as query i's complete neighbor ids: the index's ids
+// ascending, then batch position j as id Len()+j ascending. A query finds
+// itself only where an index returns it, as a fitted point does. It is
+// maintenance's one source of ε-rows. The caller holds mu. The callback
+// runs on pool workers and writes only its own row; the context aborts
+// within one wave.
+func (m *Model) neighborRowsLocked(ctx context.Context, queries, batch [][]float32) ([][]int32, error) {
 	rows := make([][]int32, len(queries))
-	err := index.BatchRangeSearchFunc(ctx, m.index, queries, m.params.Eps, m.params.Workers, 0, m.params.WaveSize,
-		func(i int, ids []int) {
-			row := make([]int32, len(ids))
-			for j, id := range ids {
-				row[j] = int32(id)
-			}
-			rows[i] = row
-		})
-	if err != nil {
+	search := func(idx RangeIndex, base int) error {
+		return index.BatchRangeSearchFunc(ctx, idx, queries, m.params.Eps, m.params.Workers, 0, m.params.WaveSize,
+			func(i int, ids []int) {
+				row := slices.Grow(rows[i], len(ids))
+				for _, id := range ids {
+					row = append(row, int32(base+id))
+				}
+				rows[i] = row
+			})
+	}
+	if err := search(m.index, 0); err != nil {
 		return nil, err
+	}
+	if len(batch) > 0 {
+		dist := modelMetric(m.method, m.params.Metric).Func()
+		if err := search(index.NewBruteForce(batch, dist), m.index.Len()); err != nil {
+			return nil, err
+		}
 	}
 	return rows, nil
 }
 
 // Insert adds vectors to the model and folds them into the clustering
-// online: each new point's Eps-neighborhood is queried once (batched
-// through the wave engine, like fitting and prediction), neighbor counts
-// update, existing points crossing Tau are promoted to core (one
-// neighborhood query each), new core points may merge existing clusters
-// through the ε-connectivity forest, and labels are re-resolved in memory.
-// New points get ids Len()..Len()+k-1. Vectors must be unit-normalized
-// with the model's dimensionality; any other length fails the whole batch
-// with ErrDimensionMismatch.
+// online: each new point's Eps-neighborhood is queried once over the
+// model's index and the batch (batched through the wave engine, like
+// fitting and prediction), neighbor counts update, existing points
+// crossing Tau are promoted to core (one neighborhood query each, over
+// the same two), new core points may merge existing clusters through the
+// ε-connectivity forest, and labels are re-resolved in memory. A new
+// point counts itself as its neighbor only when the range query returns
+// it, exactly as a fit counts it. New points get ids Len()..Len()+k-1.
+// Vectors must be unit-normalized with the model's dimensionality; any
+// other length fails the whole batch with ErrDimensionMismatch.
 //
 // For the traversal engines the resulting labels are bit-identical to a
 // fresh Fit on the grown point set (see the equality contract at the top
@@ -323,43 +335,21 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	inc := m.inc
 	n := len(m.points)
 	b := len(vectors)
-	eps, tau := m.params.Eps, m.params.Tau
+	tau := m.params.Tau
 
-	// Phase A (cancellable, no state changes): neighborhoods of the new
-	// vectors over the existing points.
-	lists, err := m.neighborRowsLocked(ctx, vectors)
+	// Phase A (cancellable, no state changes): the new vectors' complete
+	// neighborhoods, over the existing points and the batch.
+	rows, err := m.neighborRowsLocked(ctx, vectors, vectors)
 	if err != nil {
 		return UpdateReport{}, err
 	}
-	// Pairwise adjacency among the new vectors themselves: row-parallel
-	// over the worker pool (each iteration writes only its own row, paying
-	// each distance from both sides for race freedom), in bounded chunks
-	// so cancellation keeps wave-scale latency on bulk batches.
-	newNbrs := make([][]int32, b)
-	const pairChunk = 1024
-	for lo := 0; lo < b; lo += pairChunk {
-		if err := ctx.Err(); err != nil {
-			return UpdateReport{}, err
-		}
-		hi := min(lo+pairChunk, b)
-		index.ForEach(hi-lo, m.params.Workers, 0, func(k int) {
-			i := lo + k
-			var row []int32
-			for j := 0; j < b; j++ {
-				if j != i && inc.dist(vectors[i], vectors[j]) < eps {
-					row = append(row, int32(j))
-				}
-			}
-			newNbrs[i] = row
-		})
-	}
 	// Count updates and gate decisions.
-	newCounts := make([]int, b)
 	delta := make(map[int]int)
-	for k := range vectors {
-		newCounts[k] = len(lists[k]) + 1 + len(newNbrs[k])
-		for _, u := range lists[k] {
-			delta[int(u)]++
+	for _, row := range rows {
+		for _, u := range row {
+			if int(u) < n {
+				delta[int(u)]++
+			}
 		}
 	}
 	var newGated []bool
@@ -371,8 +361,8 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	// Core transitions: new points by the (gated) density criterion,
 	// existing non-core points crossing Tau promoted.
 	newCore := make([]bool, b)
-	for k := range vectors {
-		newCore[k] = (newGated == nil || newGated[k]) && newCounts[k] >= tau
+	for k, row := range rows {
+		newCore[k] = (newGated == nil || newGated[k]) && len(row) >= tau
 	}
 	var promoted []int
 	for u, d := range delta {
@@ -382,48 +372,31 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	}
 	sort.Ints(promoted)
 
-	// Phase B (cancellable): neighborhoods of the promoted points, the
-	// bounded re-expansion that wires them into the core graph. Rows come
-	// back indexed by query position; the map is built after the pool
-	// barrier.
-	plists := make(map[int][]int32, len(promoted))
+	// Phase B (cancellable): the promoted points' complete neighborhoods,
+	// the bounded re-expansion that wires them into the core graph.
+	var prows [][]int32
 	if len(promoted) > 0 {
 		queries := make([][]float32, len(promoted))
 		for i, w := range promoted {
 			queries[i] = m.points[w]
 		}
-		rows, err := m.neighborRowsLocked(ctx, queries)
-		if err != nil {
+		if prows, err = m.neighborRowsLocked(ctx, queries, vectors); err != nil {
 			return UpdateReport{}, err
-		}
-		for i, w := range promoted {
-			plists[w] = rows[i]
-		}
-	}
-	// New-point neighbors of each promoted point, read off phase A's lists
-	// by symmetry (no extra distance work).
-	promotedNew := make(map[int][]int32, len(promoted))
-	promotedSet := make(map[int]bool, len(promoted))
-	for _, w := range promoted {
-		promotedSet[w] = true
-	}
-	for k := range vectors {
-		for _, u := range lists[k] {
-			if promotedSet[int(u)] {
-				promotedNew[int(u)] = append(promotedNew[int(u)], int32(n+k))
-			}
 		}
 	}
 
 	// ---- Commit: in-memory only, no cancellation points below. ----
-	inc.counts = append(inc.counts, newCounts...)
+	for _, row := range rows {
+		inc.counts = append(inc.counts, len(row))
+	}
 	for u, d := range delta {
 		inc.counts[u] += d
 	}
 	if inc.gated != nil {
 		inc.gated = append(inc.gated, newGated...)
 	}
-	coreMask := slices.Clone(m.core)
+	wasCore := m.core
+	coreMask := slices.Clone(wasCore)
 	coreMask = append(coreMask, newCore...)
 	for _, w := range promoted {
 		coreMask[w] = true
@@ -439,79 +412,40 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 		inc.stop.Rows = append(inc.stop.Rows, make([][]int32, b)...)
 	}
 
-	// fullOf assembles a changed point's complete neighbor id set (old
-	// neighbors from the phase queries, new ones from phase A's symmetry).
-	fullOf := func(c int) []int32 {
-		if c >= n {
-			k := c - n
-			full := slices.Clone(lists[k])
-			for _, j := range newNbrs[k] {
-				full = append(full, int32(n)+j)
-			}
-			return full
-		}
-		return append(slices.Clone(plists[c]), promotedNew[c]...)
-	}
-	newlyCore := make(map[int]bool, len(promoted)+b)
-	for _, w := range promoted {
-		newlyCore[w] = true
-	}
-	var newlyCoreIDs []int
-	newlyCoreIDs = append(newlyCoreIDs, promoted...)
+	// The changed points, promoted then new, and their complete rows. Each
+	// one's adjacency is rebuilt from its row: the cores within Eps. A
+	// newly-core one also joins the adjacency of its neighbors whose rows
+	// are not rebuilt: old points whose core flag did not flip.
+	changed := slices.Clone(promoted)
 	for k := range vectors {
-		if newCore[k] {
-			newlyCore[n+k] = true
-			newlyCoreIDs = append(newlyCoreIDs, n+k)
-		}
+		changed = append(changed, n+k)
 	}
-	// Wire every newly-core point into the adjacency: its own row holds
-	// its core neighbors; every neighbor outside the newly-core set gains
-	// it (pairs within the set are covered symmetrically by their own
-	// rows).
-	for _, c := range newlyCoreIDs {
-		full := fullOf(c)
-		var a []int32
-		for _, u := range full {
-			ui := int(u)
-			if ui == c {
-				continue
-			}
-			if m.core[ui] {
-				a = append(a, u)
-			}
-			if !newlyCore[ui] {
-				inc.adj[ui] = append(inc.adj[ui], int32(c))
-			}
-		}
-		inc.adj[c] = a
-	}
-	// Rows for the new non-core points: their adjacent cores.
-	for k := range vectors {
-		if newCore[k] {
+	for i, row := range append(prows, rows...) {
+		c := changed[i]
+		inc.adj[c] = appendCores(nil, row, m.core, c)
+		if !m.core[c] {
 			continue
 		}
-		var a []int32
-		for _, u := range fullOf(n + k) {
-			if int(u) != n+k && m.core[u] {
-				a = append(a, u)
+		for _, u := range row {
+			if int(u) < n && wasCore[u] == m.core[u] {
+				inc.adj[u] = append(inc.adj[u], int32(c))
 			}
 		}
-		inc.adj[n+k] = a
 	}
 	// Complete partial-neighbor map: new gated points register with their
 	// old stop neighbors (Algorithm 2); new stop points collect their gated
 	// neighbors (old and new) from their own side.
 	if e := inc.stop; e != nil {
-		for k := range vectors {
+		for k, row := range rows {
 			if newGated[k] {
-				for _, u := range lists[k] {
-					if e.Stop[u] {
+				for _, u := range row {
+					if int(u) < n && e.Stop[u] {
 						e.Rows[u] = append(e.Rows[u], int32(n+k))
 					}
 				}
 			} else {
 				var s []int32
-				for _, u := range fullOf(n + k) {
+				for _, u := range row {
 					if inc.gated[u] {
 						s = append(s, u)
 					}
@@ -578,7 +512,7 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	for i, id := range ids {
 		queries[i] = m.points[id]
 	}
-	rlists, err := m.neighborRowsLocked(ctx, queries)
+	rlists, err := m.neighborRowsLocked(ctx, queries, nil)
 	if err != nil {
 		return UpdateReport{}, err
 	}
@@ -600,20 +534,15 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	sort.Ints(demoted)
 
 	// Phase B (cancellable): neighborhoods of the demoted points, needed
-	// to unhook them from their neighbors' adjacency. Same slice-then-map
-	// shape as Insert's phase B.
-	dlists := make(map[int][]int32, len(demoted))
+	// to unhook them from their neighbors' adjacency; row i is demoted[i]'s.
+	var drows [][]int32
 	if len(demoted) > 0 {
 		dq := make([][]float32, len(demoted))
 		for i, d := range demoted {
 			dq[i] = m.points[d]
 		}
-		rows, err := m.neighborRowsLocked(ctx, dq)
-		if err != nil {
+		if drows, err = m.neighborRowsLocked(ctx, dq, nil); err != nil {
 			return UpdateReport{}, err
-		}
-		for i, d := range demoted {
-			dlists[d] = rows[i]
 		}
 	}
 
@@ -641,8 +570,8 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	// Unhook demoted points from their neighbors' adjacency (their own
 	// rows already hold their core neighbors, which is what a border
 	// needs; gate state is untouched, so stop sets are too).
-	for _, d := range demoted {
-		for _, u := range dlists[d] {
+	for i, d := range demoted {
+		for _, u := range drows[i] {
 			if !rm[u] && int(u) != d {
 				dropID(inc.adj, int(u), int32(d))
 			}
@@ -731,16 +660,7 @@ func (m *Model) relabelLocked() {
 	var nearest func(i int, cands []int32) int32
 	if m.nearestCoreSemantics() {
 		nearest = func(i int, cands []int32) int32 {
-			best, bestD := int32(-1), m.params.Eps
-			for _, c := range cands {
-				if !m.core[c] {
-					continue
-				}
-				if d := vecmath.CosineDistanceUnit(m.points[i], m.points[c]); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			return best
+			return int32(nearestCoreLocked(m, m.points[i], cands))
 		}
 	}
 	labels := cluster.ResolveCanonical(m.core, inc.adj, nearest)

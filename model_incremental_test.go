@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"lafdbscan/internal/cardest"
 	"lafdbscan/internal/index"
 	"lafdbscan/internal/vecmath"
 )
@@ -23,12 +25,18 @@ import (
 // On the mixtures of the tests that use it, the -pp rows fit with no
 // post-processing merge, so they pin maintenance only where Algorithm 3
 // merges nothing; TestMaintenanceWithMergesMatchesFreshFit covers merging.
+// The -euclidean rows run under MetricEuclidean, where every range query
+// maintenance makes, an Insert's batch included, takes BruteForce's
+// per-pair branch instead of the cosine kernel; their LAF gate is an exact
+// Euclidean range count, which gates points out on each mixture.
 func incrementalEngines(points [][]float32) []struct {
 	name   string
 	method Method
 	params Params
 } {
 	est := ExactEstimator(points)
+	eucEst := &cardest.Exact{Index: index.NewBruteForce(points, MetricEuclidean.Func())}
+	eucEps := CosineToEuclidean(0.4)
 	return []struct {
 		name   string
 		method Method
@@ -40,6 +48,9 @@ func incrementalEngines(points [][]float32) []struct {
 		{"laf-parallel-nopp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, Workers: 2, DisablePostProcessing: true}},
 		{"laf-default-pp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7}},
 		{"laf-parallel-pp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, Workers: 2, WaveSize: 16}},
+		{"dbscan-euclidean", MethodDBSCAN, Params{Eps: eucEps, Tau: 4, Metric: MetricEuclidean, Workers: 2, WaveSize: 7}},
+		{"laf-euclidean-nopp", MethodLAFDBSCAN, Params{Eps: eucEps, Tau: 4, Metric: MetricEuclidean, Alpha: 1.2, Estimator: eucEst, Seed: 7, DisablePostProcessing: true}},
+		{"laf-euclidean-pp", MethodLAFDBSCAN, Params{Eps: eucEps, Tau: 4, Metric: MetricEuclidean, Alpha: 1.2, Estimator: eucEst, Seed: 7, Workers: 2, WaveSize: 16}},
 	}
 }
 
@@ -1016,4 +1027,126 @@ func TestCancelledRegateKeepsStaleEstimator(t *testing.T) {
 		t.Fatalf("estimator = %v after the retrain, want gateAll", model.Params().Estimator)
 	}
 	assertMatchesFreshFit(t, model, "after the retrain")
+}
+
+// TestInsertZeroVectorMatchesFreshFit pins a new point's count to its own
+// range query. A zero vector is at cosine distance 1 from every point,
+// itself included, so at Eps 0.4 its neighborhood is empty: a fresh fit
+// at Tau 1 leaves it noise, and so must Insert, which may not count the
+// point as its own neighbor unless the query returns it. Tau 2 is the
+// control, where the zero vector is noise either way.
+func TestInsertZeroVectorMatchesFreshFit(t *testing.T) {
+	d := GenerateMixture("inc-zero", MixtureConfig{
+		N: 120, Dim: 16, Clusters: 3, MinSpread: 0.15, MaxSpread: 0.3,
+		NoiseFrac: 0.2, Seed: 79,
+	})
+	for _, tau := range []int{1, 2} {
+		t.Run(fmt.Sprintf("tau=%d", tau), func(t *testing.T) {
+			model, err := Fit(context.Background(), slices.Clone(d.Vectors), MethodDBSCAN, WithEps(0.4), WithTau(tau))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := model.Insert(context.Background(), [][]float32{make([]float32, 16)}); err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesFreshFit(t, model, "after inserting a zero vector")
+			if l := model.Labels()[model.Len()-1]; l != Noise {
+				t.Fatalf("zero vector label = %d, want noise", l)
+			}
+		})
+	}
+}
+
+// maintenanceState copies everything an Insert or Remove may change: the
+// model's Save bytes, its staleness and index size, and the overlay's
+// facts.
+func maintenanceState(t *testing.T, m *Model) []any {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	rows := func(r [][]int32) [][]int32 {
+		out := make([][]int32, len(r))
+		for i, row := range r {
+			out[i] = slices.Clone(row)
+		}
+		return out
+	}
+	inc := m.inc
+	state := []any{buf.Bytes(), m.staleness, m.index.Len(), slices.Clone(inc.counts), slices.Clone(inc.gated), rows(inc.adj)}
+	if inc.stop != nil {
+		state = append(state, slices.Clone(inc.stop.Stop), rows(inc.stop.Rows))
+	}
+	return state
+}
+
+// TestInsertCancelledAtEveryWave cancels an Insert after each of its query
+// waves in turn, through index.WithWaveProgress at WaveSize 4, on a batch
+// that promotes existing points: the cuts fall inside phase A, after its
+// last wave, and inside phase B, the promoted points' queries. Every
+// cancelled call must fail with context.Canceled and leave the model
+// bit-identical to its state before the call; the first cut past the last
+// wave lets the Insert through, and it matches a fresh fit. The points are
+// TestInsertMassPromotion's isolated pairs, each promoted by its bridging
+// point, plus isolated singletons that LAF-DBSCAN's gate stops.
+func TestInsertCancelledAtEveryWave(t *testing.T) {
+	const pairs = 12
+	var base, bridges [][]float32
+	at := func(a float64) []float32 {
+		return []float32{float32(math.Cos(a)), float32(math.Sin(a))}
+	}
+	for i := 0; i < pairs; i++ {
+		b := 0.06 * float64(i)
+		base = append(base, at(b), at(b+0.012), at(b+0.03))
+		bridges = append(bridges, at(b+0.006))
+	}
+	est := ExactEstimator(append(slices.Clone(base), bridges...))
+	engines := []struct {
+		name   string
+		method Method
+		params Params
+	}{
+		{"dbscan", MethodDBSCAN, Params{Eps: 1e-4, Tau: 3, Workers: 2, WaveSize: 4}},
+		{"laf-pp", MethodLAFDBSCAN, Params{Eps: 1e-4, Tau: 3, Alpha: 1, Estimator: est, Seed: 7, Workers: 2, WaveSize: 4}},
+	}
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			model, err := FitParams(context.Background(), slices.Clone(base), eng.method, eng.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Build the overlay, so that every cut sees the same state.
+			if _, err := model.Insert(context.Background(), bridges[:1]); err != nil {
+				t.Fatal(err)
+			}
+			before := maintenanceState(t, model)
+			for cut := 1; ; cut++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				waves := 0
+				ctx = index.WithWaveProgress(ctx, func(int) {
+					if waves++; waves == cut {
+						cancel()
+					}
+				})
+				rep, err := model.Insert(ctx, bridges[1:])
+				cancel()
+				if err == nil {
+					if rep.Promoted != 2*(pairs-1) {
+						t.Fatalf("promoted = %d, want %d", rep.Promoted, 2*(pairs-1))
+					}
+					assertMatchesFreshFit(t, model, fmt.Sprintf("after %d cancelled inserts", cut-1))
+					return
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cut after wave %d: error = %v, want context.Canceled", cut, err)
+				}
+				if !reflect.DeepEqual(maintenanceState(t, model), before) {
+					t.Fatalf("cut after wave %d of %d: the cancelled insert changed the model", cut, waves)
+				}
+			}
+		})
+	}
 }
