@@ -536,35 +536,48 @@ func BenchmarkExactEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkBruteScan measures the raw cost LAF amortizes away: one
-// brute-force cosine range query through BatchRangeSearchFunc (the path
-// Fit, Predict and Insert take) over 2,000 unit points. The CI bench gate
-// pins it at 0 allocs/op: the wave path reuses its result buffers.
+// BenchmarkBruteScan measures the raw cost LAF amortizes away: brute-force
+// cosine range queries through BatchRangeSearchFunc (the path Fit, Predict
+// and Insert take) over 2,000 unit points, one query per call (dimN, the
+// single-vector Predict path: one query scored against four rows per
+// kernel call) and a 256-query wave per call at one worker
+// (wave256/dimN, the batch path: tiles of four queries scored against each
+// row). The CI bench gate pins every row at 0 allocs/op: the wave path
+// reuses its result buffers, one per wave slot, and an untimed pass over
+// every batch the timed loop runs grows each to its largest result first.
 func BenchmarkBruteScan(b *testing.B) {
 	for _, dim := range []int{200, 768} {
 		d := GenerateMixture("scan", MixtureConfig{
 			N: 2000, Dim: dim, Clusters: 10, NoiseFrac: 0.2, Seed: 74,
 		})
 		bf := index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit)
-		b.Run(fmt.Sprintf("dim%d", dim), func(b *testing.B) {
-			hits := 0
-			count := func(_ int, ids []int) { hits += len(ids) }
-			// One untimed query grows the pooled buffers.
-			if err := index.BatchRangeSearchFunc(context.Background(), bf, d.Vectors[:1], 0.5, 1, 0, 0, count); err != nil {
-				b.Fatal(err)
+		for _, batch := range []int{1, 256} {
+			name := fmt.Sprintf("dim%d", dim)
+			if batch > 1 {
+				name = fmt.Sprintf("wave%d/dim%d", batch, dim)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := d.Vectors[i%d.Len() : i%d.Len()+1]
-				if err := index.BatchRangeSearchFunc(context.Background(), bf, q, 0.5, 1, 0, 0, count); err != nil {
-					b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				hits := 0
+				count := func(_ int, ids []int) { hits += len(ids) }
+				batches := d.Len() / batch
+				for k := 0; k < batches; k++ {
+					if err := index.BatchRangeSearchFunc(context.Background(), bf, d.Vectors[k*batch:(k+1)*batch], 0.5, 1, 0, 0, count); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			if hits == 0 {
-				b.Fatal("no query found a neighbor")
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					lo := i % batches * batch
+					if err := index.BatchRangeSearchFunc(context.Background(), bf, d.Vectors[lo:lo+batch], 0.5, 1, 0, 0, count); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if hits == 0 {
+					b.Fatal("no query found a neighbor")
+				}
+			})
+		}
 	}
 }
 

@@ -70,7 +70,8 @@ func TestClusterDirectivesAreLoadBearing(t *testing.T) {
 var hotpathRoster = map[string][]string{
 	"../vecmath/vector.go":          {"Dot", "dotGeneric", "Norm", "SquaredNorm", "Normalize", "AXPY", "Scale"},
 	"../vecmath/distance.go":        {"CosineDistance", "CosineDistanceUnit", "EuclideanDistance", "SquaredEuclidean"},
-	"../vecmath/scan.go":            {"AppendCosineUnitRange", "CosineUnitLess", "dot32", "dot32Generic"},
+	"../vecmath/scan.go":            {"AppendCosineUnitRange", "AppendCosineUnitRange4", "CosineUnitLess", "unitLess", "dot32", "dot32x4", "dot32Generic"},
+	"../index/index.go":             {"scanTile"},
 	"../cluster/atomicunionfind.go": {"Find", "Union", "Same"},
 	"../cluster/wavemerge.go":       {"Absorb"},
 	"../telemetry/metrics.go":       {"Inc", "Add", "Set", "Dec", "Observe"},

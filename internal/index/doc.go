@@ -22,10 +22,11 @@
 //     across queries, never inside one — the only place a scan uses more
 //     than one core;
 //   - the wave driver (wave.go): BatchRangeSearchFunc, the one way to run a
-//     batch of queries, streams them in bounded waves over the pool and
-//     hands each result to a callback, so the live set is
-//     O(WaveSize·avg|N|) regardless of dataset size; the wave barrier is
-//     also the cancellation and progress point;
+//     batch of queries, streams them in bounded waves over the pool, one
+//     tile of four queries per claim (a BruteForce scores a tile's queries
+//     against each row in one pass), and hands each result to a callback,
+//     so the live set is O(WaveSize·avg|N|) regardless of dataset size;
+//     the wave barrier is also the cancellation and progress point;
 //   - the dynamic layer (dynamic.go): the DynamicIndex contract (Insert
 //     and DeleteMany) behind online model maintenance, implemented by the
 //     two backends a model mutates — BruteForce and hnsw.Graph — with

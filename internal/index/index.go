@@ -17,14 +17,17 @@ type RangeSearcher interface {
 	Len() int
 }
 
-// BruteForce scans every indexed point, one query on one goroutine. The
-// engines run many queries at once through BatchRangeSearchFunc's worker
-// pool, the one way a scan uses several cores.
+// BruteForce scans every indexed point, one tile of queries on one
+// goroutine. The engines run many queries at once through
+// BatchRangeSearchFunc's worker pool, the one way a scan uses several
+// cores.
 //
-// Every scan goes through scan. With vecmath.CosineDistanceUnit as its
-// distance that is the float32 kernel vecmath.AppendCosineUnitRange, whose
-// decisions equal the per-pair loop's; any other distance keeps the
-// per-pair loop.
+// Every query goes through scanTile. With vecmath.CosineDistanceUnit as
+// its distance, a tile of four queries scores each row against all four
+// with one kernel call (vecmath.AppendCosineUnitRange4) and a smaller tile
+// scores each query against four rows per call
+// (vecmath.AppendCosineUnitRange); both decide exactly as the per-pair
+// loop does. Any other distance keeps the per-pair loop.
 type BruteForce struct {
 	points  [][]float32
 	dist    vecmath.DistanceFunc
@@ -55,9 +58,32 @@ func (b *BruteForce) growMaxNorm(vecs [][]float32) {
 	}
 }
 
+// tileSize is the number of queries one scanTile call scores against each
+// row: the lanes of the vecmath tile kernel.
+const tileSize = 4
+
+// scanTile answers a tile of one to tileSize queries: dst[k] is reset and
+// gets the ids of the points within eps of qs[k], in increasing order. It
+// is BruteForce's one wave path.
+//
+//lafvet:hotpath
+func (b *BruteForce) scanTile(dst [][]int, qs [][]float32, eps float64) {
+	b.queries.Add(int64(len(qs)))
+	if b.unitCos && len(qs) == tileSize {
+		d := (*[tileSize][]int)(dst)
+		for k := range d {
+			d[k] = d[k][:0]
+		}
+		vecmath.AppendCosineUnitRange4(d, (*[tileSize][]float32)(qs), b.points, eps, b.maxNorm)
+		return
+	}
+	for k, q := range qs {
+		dst[k] = b.scan(dst[k][:0], q, eps, 0, len(b.points))
+	}
+}
+
 // scan appends to dst the ids in [lo, hi) of the points within eps of q,
-// in increasing order. It is the one scan loop of every BruteForce query
-// path.
+// in increasing order: the scan of one query.
 func (b *BruteForce) scan(dst []int, q []float32, eps float64, lo, hi int) []int {
 	if b.unitCos {
 		start := len(dst)
@@ -93,14 +119,8 @@ func (b *BruteForce) ResetQueries() { b.queries.Store(0) }
 
 // RangeSearch implements RangeSearcher.
 func (b *BruteForce) RangeSearch(q []float32, eps float64) []int {
-	return b.appendRangeSearch(nil, q, eps)
-}
-
-// appendRangeSearch is BruteForce's wave-driver fast path: the scan
-// appended to the slot's reused buffer.
-func (b *BruteForce) appendRangeSearch(dst []int, q []float32, eps float64) []int {
 	b.queries.Add(1)
-	return b.scan(dst, q, eps, 0, len(b.points))
+	return b.scan(nil, q, eps, 0, len(b.points))
 }
 
 // RangeCount returns len(RangeSearch(q, eps)) without materializing the

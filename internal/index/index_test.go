@@ -110,7 +110,7 @@ func perPairRange(pts [][]float32, q []float32, eps float64) []int {
 }
 
 // checkEntryPoints runs RangeSearch, RangeCount and
-// the streaming wave path for every query at
+// the streaming wave path (in tiles of two and of four) for every query at
 // eps and at the exact distance from each query to the boundary points,
 // give or take one ulp, and compares each with the per-pair loop.
 func checkEntryPoints(t *testing.T, stage string, bf *BruteForce, mirror, queries [][]float32, eps float64, boundary [][]float32) {
@@ -133,14 +133,18 @@ func checkEntryPoints(t *testing.T, stage string, bf *BruteForce, mirror, querie
 				t.Fatalf("%s: RangeCount(q%d, %v) = %d, per-pair %d", stage, i, e, got, len(want[i]))
 			}
 		}
-		streamed := collectStream(len(queries), func(fn func(int, []int)) {
-			if err := BatchRangeSearchFunc(context.Background(), bf, queries, e, 2, 1, 2, fn); err != nil {
-				t.Fatal(err)
-			}
-		})
-		for i, got := range streamed {
-			if !equalIDs(got, want[i]) {
-				t.Fatalf("%s: BatchRangeSearchFunc q%d at %v: %d ids, per-pair %d", stage, i, e, len(got), len(want[i]))
+		// Waves of two run tiles of two queries, each scanned alone; the
+		// default wave runs the four-query tile.
+		for _, wave := range []int{2, 0} {
+			streamed := collectStream(len(queries), func(fn func(int, []int)) {
+				if err := BatchRangeSearchFunc(context.Background(), bf, queries, e, 2, 1, wave, fn); err != nil {
+					t.Fatal(err)
+				}
+			})
+			for i, got := range streamed {
+				if !equalIDs(got, want[i]) {
+					t.Fatalf("%s: BatchRangeSearchFunc q%d at %v, wave %d: %d ids, per-pair %d", stage, i, e, wave, len(got), len(want[i]))
+				}
 			}
 		}
 	}

@@ -56,14 +56,6 @@ func waveProgress(ctx context.Context) func(int) {
 	return fn
 }
 
-// appendSearcher is the one native fast path the wave driver knows:
-// appendRangeSearch appends the ids within eps of q to dst and returns it,
-// so each wave slot can reuse one result buffer. BruteForce provides it;
-// every other index is served through RangeSearch.
-type appendSearcher interface {
-	appendRangeSearch(dst []int, q []float32, eps float64) []int
-}
-
 // BatchRangeSearchFunc answers queries[i] in waves of at most wave queries
 // over a worker pool, invoking fn(i, ids) once per query with the ids of
 // points within eps of queries[i]. Waves run back to back with a barrier
@@ -78,34 +70,44 @@ type appendSearcher interface {
 // fn is invoked concurrently from pool workers (on distinct i) and must be
 // safe for that; ids is only valid for the duration of the call and may be
 // recycled afterwards — callers that need to retain ids must copy them.
-// workers <= 0 selects GOMAXPROCS, grain <= 0 a default chunk size, and
-// wave <= 0 DefaultWaveSize. Results are identical to per-query RangeSearch
-// calls.
+// workers <= 0 selects GOMAXPROCS and wave <= 0 DefaultWaveSize. A wave is
+// cut into tiles of four consecutive queries (the last may be shorter),
+// and a worker claims one tile at a time, or with grain > 0 as many whole
+// tiles as cover grain queries. Results are identical to per-query
+// RangeSearch calls.
 //
-// An index with the appendSearcher fast path gets one result buffer per
-// wave slot, reset and reused wave after wave; slot 0's is kept call after
-// call in waveScratchPool, so a warm single-vector call allocates nothing.
-// Within a wave a slot is touched by exactly one worker, and the pool
-// barrier between waves orders the reuse.
+// A BruteForce answers each tile with scanTile, into one result buffer per
+// wave slot, reset and reused wave after wave. Within a wave a slot is
+// touched by exactly one worker, and the pool barrier between waves orders
+// the reuse. The buffers of up to DefaultWaveSize slots are kept call
+// after call in waveScratchPool, so a warm call whose waves are no larger
+// allocates nothing. Every other index answers each query of a tile
+// through RangeSearch.
 func BatchRangeSearchFunc(ctx context.Context, s RangeSearcher, queries [][]float32, eps float64, workers, grain, wave int, fn func(i int, ids []int)) error {
 	n := len(queries)
 	if n == 0 {
 		return ctx.Err()
 	}
 	wave = ResolveWaveSize(wave)
+	claim := 1
+	if grain > 0 {
+		claim = (grain + tileSize - 1) / tileSize
+	}
 	progress := waveProgress(ctx)
 	w := waveScratchPool.Get().(*waveScratch)
 	defer func() {
-		// Keep only slot 0's buffer, all a single-vector call needs: a
-		// batch's other slots would pin up to wave·Len() ids in the pool.
-		if len(w.bufs) > 1 {
-			clear(w.bufs[1:])
+		// Keep the buffers of one default wave at most: a default-wave
+		// call holds that many in flight anyway, while a larger wave's
+		// other slots would pin up to wave·Len() ids in the pool.
+		if len(w.bufs) > DefaultWaveSize {
+			clear(w.bufs[DefaultWaveSize:])
+			w.bufs = w.bufs[:DefaultWaveSize]
 		}
-		w.s, w.app, w.queries, w.fn = nil, nil, nil, nil
+		w.s, w.bf, w.queries, w.fn = nil, nil, nil, nil
 		waveScratchPool.Put(w)
 	}()
 	w.s, w.queries, w.eps, w.fn = s, queries, eps, fn
-	if w.app, _ = s.(appendSearcher); w.app != nil {
+	if w.bf, _ = s.(*BruteForce); w.bf != nil {
 		if slots := min(wave, n); len(w.bufs) < slots {
 			w.bufs = append(w.bufs, make([][]int, slots-len(w.bufs))...)
 		}
@@ -115,8 +117,8 @@ func BatchRangeSearchFunc(ctx context.Context, s RangeSearcher, queries [][]floa
 			return err
 		}
 		hi := min(base+wave, n)
-		w.lo = base
-		ForEach(hi-base, workers, grain, w.run)
+		w.lo, w.hi = base, hi
+		ForEach((hi-base+tileSize-1)/tileSize, workers, claim, w.run)
 		if progress != nil {
 			progress(hi - base)
 		}
@@ -129,25 +131,31 @@ func BatchRangeSearchFunc(ctx context.Context, s RangeSearcher, queries [][]floa
 // scratch so that passing it to ForEach allocates nothing.
 type waveScratch struct {
 	s       RangeSearcher
-	app     appendSearcher // s's fast path, or nil
+	bf      *BruteForce // s, when it is one
 	queries [][]float32
 	eps     float64
-	lo      int // first query of the current wave
+	lo, hi  int // the current wave's queries
 	fn      func(i int, ids []int)
 	bufs    [][]int
-	run     func(k int)
+	run     func(tile int)
 }
 
 var waveScratchPool = sync.Pool{New: func() any {
 	w := new(waveScratch)
-	w.run = func(k int) {
-		q := w.queries[w.lo+k]
-		if w.app == nil {
-			w.fn(w.lo+k, w.s.RangeSearch(q, w.eps))
+	w.run = func(tile int) {
+		lo := w.lo + tile*tileSize
+		hi := min(lo+tileSize, w.hi)
+		if w.bf == nil {
+			for i := lo; i < hi; i++ {
+				w.fn(i, w.s.RangeSearch(w.queries[i], w.eps))
+			}
 			return
 		}
-		w.bufs[k] = w.app.appendRangeSearch(w.bufs[k][:0], q, w.eps)
-		w.fn(w.lo+k, w.bufs[k])
+		bufs := w.bufs[lo-w.lo : hi-w.lo]
+		w.bf.scanTile(bufs, w.queries[lo:hi], w.eps)
+		for k, ids := range bufs {
+			w.fn(lo+k, ids)
+		}
 	}
 	return w
 }}

@@ -3,6 +3,9 @@ package index
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,9 +42,10 @@ func assertSameIDs(t *testing.T, label string, got, want []int) {
 	}
 }
 
-// TestBruteForceStreamingMatchesSerial pins brute force's buffer-recycling
-// fast path through the wave driver against serial RangeSearch at wave sizes that force buffer
-// reuse (wave < number of queries), including one query per wave.
+// TestBruteForceStreamingMatchesSerial pins brute force's tile path
+// through the wave driver against serial RangeSearch at wave sizes that
+// force buffer reuse (wave < number of queries), including one query per
+// wave.
 func TestBruteForceStreamingMatchesSerial(t *testing.T) {
 	pts := batchTestPoints(300, 16, 11)
 	b := NewBruteForce(pts, vecmath.CosineDistanceUnit)
@@ -53,6 +57,95 @@ func TestBruteForceStreamingMatchesSerial(t *testing.T) {
 		})
 		for i, q := range queries {
 			assertSameIDs(t, "brute force", got[i], b.RangeSearch(q, eps))
+		}
+	}
+}
+
+// tileTestSets returns rows and queries that reach every fallback inside a
+// tile, at a dimension whose last block is a tail: unit, zero and non-unit
+// rows; the same rows with one whose norm is past maxFastNorm, or with a
+// NaN one, either of which makes every query with a nonzero norm fall
+// back; and unit, zero, non-unit, NaN and past-maxFastNorm queries, which
+// fall back lane by lane against the plain rows.
+func tileTestSets() (rows, hugeRows, nanRows, queries [][]float32) {
+	const dim = 19
+	rng := rand.New(rand.NewSource(31))
+	rows = batchTestPoints(150, dim, 32)
+	for i := 0; i < 10; i++ {
+		rows = append(rows, vecmath.Scale(float32(0.25+3*rng.Float64()), vecmath.Clone(rows[i])))
+	}
+	rows = append(rows, make([]float32, dim), make([]float32, dim))
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	hugeRows = append(slices.Clone(rows), vecmath.Scale(0x1p101, vecmath.Clone(rows[3])))
+	nanRow := vecmath.Clone(rows[7])
+	nanRow[dim/2] = float32(math.NaN())
+	nanRows = append(slices.Clone(rows), nanRow)
+
+	queries = append(queries, rows[:24]...)
+	queries = append(queries, make([]float32, dim), vecmath.Scale(2.5, vecmath.Clone(rows[5])))
+	nanQ := vecmath.Clone(rows[9])
+	nanQ[0] = float32(math.NaN())
+	queries = append(queries, nanQ, vecmath.Scale(0x1p100, vecmath.Clone(rows[11])))
+	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+	return rows, hugeRows, nanRows, queries
+}
+
+// TestBatchRangeSearchTilesMatchRangeSearch pins the tile path of the wave
+// driver to per-query RangeSearch: the same ids in the same ascending
+// order, for query counts 1–9 and 4k±1 around the default wave boundary,
+// wave sizes 1–5 and the default, and one and two workers, on a cosine
+// index whose queries fall back lane by lane, ones where a huge or a NaN
+// row makes the queries fall back, and a Euclidean one.
+func TestBatchRangeSearchTilesMatchRangeSearch(t *testing.T) {
+	rows, hugeRows, nanRows, pool := tileTestSets()
+	indexes := []struct {
+		name string
+		b    *BruteForce
+		eps  float64
+	}{
+		{"cosine", NewBruteForce(rows, vecmath.CosineDistanceUnit), 0.6},
+		{"cosine with a huge row", NewBruteForce(hugeRows, vecmath.CosineDistanceUnit), 0.6},
+		{"cosine with a NaN row", NewBruteForce(nanRows, vecmath.CosineDistanceUnit), 0.6},
+		{"euclidean", NewBruteForce(rows, vecmath.EuclideanDistance), 1.1},
+	}
+	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, DefaultWaveSize - 1, DefaultWaveSize + 1}
+	queries := make([][]float32, DefaultWaveSize+1)
+	for i := range queries {
+		queries[i] = pool[i%len(pool)]
+	}
+	for _, ix := range indexes {
+		want := make([][]int, len(pool))
+		for i, q := range pool {
+			want[i] = ix.b.RangeSearch(q, ix.eps)
+		}
+		for _, n := range counts {
+			for _, wave := range []int{1, 2, 3, 4, 5, 0} {
+				for _, workers := range []int{1, 2} {
+					calls := 0
+					var mu sync.Mutex
+					got := collectStream(n, func(fn func(int, []int)) {
+						err := BatchRangeSearchFunc(context.Background(), ix.b, queries[:n], ix.eps, workers, 0, wave,
+							func(i int, ids []int) {
+								mu.Lock()
+								calls++
+								mu.Unlock()
+								fn(i, ids)
+							})
+						if err != nil {
+							t.Fatal(err)
+						}
+					})
+					if calls != n {
+						t.Fatalf("%s, %d queries, wave %d, workers %d: %d callbacks", ix.name, n, wave, workers, calls)
+					}
+					for i := range got {
+						if w := want[i%len(pool)]; !slices.Equal(got[i], w) {
+							t.Fatalf("%s, %d queries, wave %d, workers %d, query %d: %v, RangeSearch %v",
+								ix.name, n, wave, workers, i, got[i], w)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -155,8 +248,8 @@ func TestGridAndKMeansTreeStreaming(t *testing.T) {
 // TestStreamingCancelAbortsWithinOneWave pins the wave engines' cancellation
 // contract: a context cancelled mid-wave lets the in-flight wave finish (its
 // callbacks all run) and stops at the next wave barrier, so no more than one
-// wave of callbacks follows the cancellation. Both the brute-force fast path
-// and the plain RangeSearch path are exercised.
+// wave of callbacks follows the cancellation. Both the brute-force tile
+// path and the plain RangeSearch path are exercised.
 func TestStreamingCancelAbortsWithinOneWave(t *testing.T) {
 	pts := batchTestPoints(200, 8, 15)
 	const wave = 10

@@ -32,6 +32,13 @@ func detectAVX2() bool {
 //go:noescape
 func dot32AVX2(a, b []float32) float32
 
+// dot32x4AVX2 is four dot32AVX2 calls in one pass: out[k] gets the bits of
+// dot32AVX2(a, bk), with each block of a loaded once. Every bk must have
+// len(a) elements.
+//
+//go:noescape
+func dot32x4AVX2(a, b0, b1, b2, b3 []float32, out *[4]float32)
+
 // dotAVX2 is dotGeneric in AVX2: the same operations in the same order, so
 // the same bits. len(b) must equal len(a).
 //

@@ -74,6 +74,114 @@ reduce:
 	VZEROUPPER
 	RET
 
+// func dot32x4AVX2(a, b0, b1, b2, b3 []float32, out *[4]float32)
+//
+// Four dot32AVX2 runs side by side: Y0..Y3 are the eight accumulators of
+// a·b0 .. a·b3, each updated by exactly dot32AVX2's multiply-then-add per
+// 8-lane step, tail into lane 0 and VHADDPS tree. Each block of a is
+// loaded once for the four. AX is the byte offset into every slice.
+TEXT ·dot32x4AVX2(SB), NOSPLIT, $0-128
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b0_base+24(FP), DI
+	MOVQ   b1_base+48(FP), R8
+	MOVQ   b2_base+72(FP), R9
+	MOVQ   b3_base+96(FP), R10
+	MOVQ   out+120(FP), R11
+	XORQ   AX, AX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+	// Two steps per iteration: every accumulator takes its first step's
+	// add before its second's.
+loop16:
+	CMPQ    CX, $16
+	JLT     step8
+	VMOVUPS (SI)(AX*1), Y4
+	VMOVUPS 32(SI)(AX*1), Y5
+	VMULPS  (DI)(AX*1), Y4, Y6
+	VMULPS  (R8)(AX*1), Y4, Y7
+	VMULPS  (R9)(AX*1), Y4, Y8
+	VMULPS  (R10)(AX*1), Y4, Y9
+	VMULPS  32(DI)(AX*1), Y5, Y10
+	VMULPS  32(R8)(AX*1), Y5, Y11
+	VMULPS  32(R9)(AX*1), Y5, Y12
+	VMULPS  32(R10)(AX*1), Y5, Y13
+	VADDPS  Y6, Y0, Y0
+	VADDPS  Y7, Y1, Y1
+	VADDPS  Y8, Y2, Y2
+	VADDPS  Y9, Y3, Y3
+	VADDPS  Y10, Y0, Y0
+	VADDPS  Y11, Y1, Y1
+	VADDPS  Y12, Y2, Y2
+	VADDPS  Y13, Y3, Y3
+	ADDQ    $64, AX
+	SUBQ    $16, CX
+	JMP     loop16
+
+step8:
+	// At most one step is left before the tail.
+	CMPQ    CX, $8
+	JLT     tail
+	VMOVUPS (SI)(AX*1), Y4
+	VMULPS  (DI)(AX*1), Y4, Y6
+	VMULPS  (R8)(AX*1), Y4, Y7
+	VMULPS  (R9)(AX*1), Y4, Y8
+	VMULPS  (R10)(AX*1), Y4, Y9
+	VADDPS  Y6, Y0, Y0
+	VADDPS  Y7, Y1, Y1
+	VADDPS  Y8, Y2, Y2
+	VADDPS  Y9, Y3, Y3
+	ADDQ    $32, AX
+	SUBQ    $8, CX
+
+tail:
+	// X8..X11 = s4..s7 of each accumulator; X0..X3 keep s0..s3.
+	VEXTRACTF128 $1, Y0, X8
+	VEXTRACTF128 $1, Y1, X9
+	VEXTRACTF128 $1, Y2, X10
+	VEXTRACTF128 $1, Y3, X11
+	TESTQ        CX, CX
+	JEQ          reduce
+
+tail1:
+	// s0 += a[i]*bk[i] for each k
+	VMOVSS (SI)(AX*1), X4
+	VMULSS (DI)(AX*1), X4, X6
+	VMULSS (R8)(AX*1), X4, X7
+	VMULSS (R9)(AX*1), X4, X12
+	VMULSS (R10)(AX*1), X4, X13
+	VADDSS X6, X0, X0
+	VADDSS X7, X1, X1
+	VADDSS X12, X2, X2
+	VADDSS X13, X3, X3
+	ADDQ   $4, AX
+	DECQ   CX
+	JNZ    tail1
+
+reduce:
+	// ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)) for each k
+	VHADDPS X8, X0, X0
+	VHADDPS X9, X1, X1
+	VHADDPS X10, X2, X2
+	VHADDPS X11, X3, X3
+	VHADDPS X0, X0, X0
+	VHADDPS X1, X1, X1
+	VHADDPS X2, X2, X2
+	VHADDPS X3, X3, X3
+	VHADDPS X0, X0, X0
+	VHADDPS X1, X1, X1
+	VHADDPS X2, X2, X2
+	VHADDPS X3, X3, X3
+	VMOVSS  X0, (R11)
+	VMOVSS  X1, 4(R11)
+	VMOVSS  X2, 8(R11)
+	VMOVSS  X3, 12(R11)
+	VZEROUPPER
+	RET
+
 // func dotAVX2(a, b []float32) float64
 TEXT ·dotAVX2(SB), NOSPLIT, $0-56
 	MOVQ a_base+0(FP), SI

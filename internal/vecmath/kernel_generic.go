@@ -11,6 +11,10 @@ const haveAVX2 = false
 // assembly comparison.
 func dot32AVX2(a, b []float32) float32 { panic("vecmath: no AVX2 kernel in this build") }
 
+func dot32x4AVX2(a, b0, b1, b2, b3 []float32, out *[4]float32) {
+	panic("vecmath: no AVX2 kernel in this build")
+}
+
 func dotAVX2(a, b []float32) float64 { panic("vecmath: no AVX2 kernel in this build") }
 
 func affine16AVX2(w, x, b, out []float64) { panic("vecmath: no AVX2 kernel in this build") }

@@ -38,8 +38,9 @@ func SameDistance(f, g DistanceFunc) bool {
 // and the float64 subtraction 1 − dot in both the fast pass and the
 // reference. Clamping to [0, 2] cannot widen a gap, so a fast distance
 // farther than the bound from a threshold is on the same side of it as the
-// exact one. The AVX2 kernel keeps dot32Generic's eight-accumulator order
-// and roundings bit for bit, so the bound covers it unchanged.
+// exact one. The AVX2 kernels, dot32 and every lane of dot32x4, keep
+// dot32Generic's eight-accumulator order and roundings bit for bit, so the
+// bound covers them unchanged.
 func CosineUnitBound(dim int, scale float64) (float64, bool) {
 	if !(scale <= maxFastNorm) {
 		return 0, false
@@ -55,7 +56,17 @@ func CosineUnitBound(dim int, scale float64) (float64, bool) {
 //
 //lafvet:hotpath
 func CosineUnitLess(q, p []float32, t, bound float64) bool {
-	d := 1 - float64(dot32(q, p))
+	return unitLess(dot32(q, p), q, p, t, bound)
+}
+
+// unitLess is CosineUnitLess given dot = dot32(q, p): the distance the
+// float32 dot product implies, replaced by CosineDistanceUnit(q, p) when
+// it is within bound of t or NaN. An infinite bound decides every pair
+// with CosineDistanceUnit.
+//
+//lafvet:hotpath
+func unitLess(dot float32, q, p []float32, t, bound float64) bool {
+	d := 1 - float64(dot)
 	if d < 0 {
 		d = 0
 	} else if d > 2 {
@@ -67,31 +78,69 @@ func CosineUnitLess(q, p []float32, t, bound float64) bool {
 	return d < t
 }
 
+// scanBound is the bound unitLess needs for q against points of norm at
+// most maxNorm: CosineUnitBound's, or +Inf where the float32 pass must not
+// run, so that every pair of q goes to CosineDistanceUnit.
+func scanBound(q []float32, maxNorm float64) float64 {
+	if bound, fast := CosineUnitBound(len(q), Norm(q)*maxNorm); fast {
+		return bound
+	}
+	return math.Inf(1)
+}
+
 // AppendCosineUnitRange appends to dst, in increasing order, every j with
 // CosineDistanceUnit(q, pts[j]) < eps, and returns the extended slice. The
 // decisions are exactly those of the per-pair CosineDistanceUnit loop for
 // any input, unit-norm or not; maxNorm must be at least the largest
-// Norm(pts[j]) (a larger value only costs speed). A NaN or infinite
-// ‖q‖·maxNorm, or one past maxFastNorm, runs the per-pair loop; otherwise
-// every pair is decided by CosineUnitLess.
+// Norm(pts[j]) (a larger value only costs speed). Every pair is decided by
+// unitLess, with the float32 dot products of q and four rows at a time
+// from one dot32x4 call; a NaN or infinite ‖q‖·maxNorm, or one past
+// maxFastNorm, sends every pair to CosineDistanceUnit.
 //
 //lafvet:hotpath
 func AppendCosineUnitRange(dst []int, q []float32, pts [][]float32, eps, maxNorm float64) []int {
-	bound, fast := CosineUnitBound(len(q), Norm(q)*maxNorm)
-	if !fast {
-		for j, p := range pts {
-			if CosineDistanceUnit(q, p) < eps {
-				dst = append(dst, j) //lafvet:allow hotalloc appends to the caller's reused buffer
+	bound := scanBound(q, maxNorm)
+	var dot [4]float32
+	j := 0
+	for ; j+4 <= len(pts); j += 4 {
+		p := pts[j : j+4 : j+4]
+		dot32x4(q, p[0], p[1], p[2], p[3], &dot)
+		for k, d := range dot {
+			if unitLess(d, q, p[k], eps, bound) {
+				dst = append(dst, j+k) //lafvet:allow hotalloc appends to the caller's reused buffer
 			}
 		}
-		return dst
 	}
-	for j, p := range pts {
-		if CosineUnitLess(q, p, eps, bound) {
+	for ; j < len(pts); j++ {
+		if CosineUnitLess(q, pts[j], eps, bound) {
 			dst = append(dst, j) //lafvet:allow hotalloc appends to the caller's reused buffer
 		}
 	}
 	return dst
+}
+
+// AppendCosineUnitRange4 is AppendCosineUnitRange for a tile of four
+// queries: it appends to dst[k], in increasing order, every j with
+// CosineDistanceUnit(q[k], pts[j]) < eps. Each row is scored against the
+// four queries by one dot32x4 call while it is in cache, and each pair is
+// decided as AppendCosineUnitRange decides it, so dst[k] gets exactly the
+// ids AppendCosineUnitRange(dst[k], q[k], pts, eps, maxNorm) would append.
+//
+//lafvet:hotpath
+func AppendCosineUnitRange4(dst *[4][]int, q *[4][]float32, pts [][]float32, eps, maxNorm float64) {
+	var bound [4]float64
+	for k, qk := range q {
+		bound[k] = scanBound(qk, maxNorm)
+	}
+	var dot [4]float32
+	for j, p := range pts {
+		dot32x4(p, q[0], q[1], q[2], q[3], &dot)
+		for k, d := range dot {
+			if unitLess(d, q[k], p, eps, bound[k]) {
+				dst[k] = append(dst[k], j) //lafvet:allow hotalloc appends to the caller's reused buffer
+			}
+		}
+	}
 }
 
 // dot32 is the float32 inner product of the fast pass. It runs the AVX2
@@ -107,6 +156,25 @@ func dot32(a, b []float32) float32 {
 		return dot32AVX2(a, b)
 	}
 	return dot32Generic(a, b)
+}
+
+// dot32x4 sets out[k] to dot32(a, bk) for the four bk, bit for bit: the
+// AVX2 kernel runs dot32AVX2's operations once per bk and loads each block
+// of a once for the four; elsewhere it is four dot32Generic calls.
+//
+//lafvet:hotpath
+func dot32x4(a, b0, b1, b2, b3 []float32, out *[4]float32) {
+	if n := len(a); len(b0) != n || len(b1) != n || len(b2) != n || len(b3) != n {
+		panic(fmt.Sprintf("vecmath: dot of length %d with lengths %d, %d, %d and %d", n, len(b0), len(b1), len(b2), len(b3)))
+	}
+	if haveAVX2 {
+		dot32x4AVX2(a, b0, b1, b2, b3, out)
+		return
+	}
+	out[0] = dot32Generic(a, b0)
+	out[1] = dot32Generic(a, b1)
+	out[2] = dot32Generic(a, b2)
+	out[3] = dot32Generic(a, b3)
 }
 
 // dot32Generic is dot32 in Go: eight independent accumulators, so the adds

@@ -46,10 +46,29 @@ func checkRange(t *testing.T, name string, q []float32, pts [][]float32, eps flo
 		}
 	}
 	maxNorm := maxNormOf(pts)
+	// The tile holds q and, as the other three queries, the first points
+	// (q again where there are fewer), so every lane meets its own query.
+	tile := [4][]float32{q, q, q, q}
+	for k := 1; k < 4 && k <= len(pts); k++ {
+		tile[k] = pts[k-1]
+	}
+	tileNorm := maxNorm
+	for _, qk := range tile {
+		if n := Norm(qk); n > tileNorm || math.IsNaN(n) {
+			tileNorm = n
+		}
+	}
 	for _, e := range epss {
 		got := AppendCosineUnitRange(nil, q, pts, e, maxNorm)
 		if want := perPairRange(q, pts, e); !slices.Equal(got, want) {
 			t.Fatalf("%s, dim %d, eps %v: kernel %v, per-pair %v", name, len(q), e, got, want)
+		}
+		var dst [4][]int
+		AppendCosineUnitRange4(&dst, &tile, pts, e, tileNorm)
+		for k, qk := range tile {
+			if want := perPairRange(qk, pts, e); !slices.Equal(dst[k], want) {
+				t.Fatalf("%s, dim %d, eps %v: tile lane %d %v, per-pair %v", name, len(q), e, k, dst[k], want)
+			}
 		}
 	}
 }
@@ -128,14 +147,24 @@ func TestAppendCosineUnitRangeNonFinite(t *testing.T) {
 }
 
 // TestAppendCosineUnitRangeAppends checks the buffer contract: ids are
-// appended after dst's contents, in increasing order.
+// appended after dst's contents, in increasing order, by the single-query
+// scan and by every lane of the tile.
 func TestAppendCosineUnitRangeAppends(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	q := RandomUnit(16, rng)
-	pts := [][]float32{Clone(q), RandomUnit(16, rng), Clone(q)}
+	pts := [][]float32{Clone(q), RandomUnit(16, rng), Clone(q), RandomUnit(16, rng), RandomUnit(16, rng), Clone(q)}
 	got := AppendCosineUnitRange([]int{-1}, q, pts, 0.01, 1)
-	if want := []int{-1, 0, 2}; !slices.Equal(got, want) {
+	if want := []int{-1, 0, 2, 5}; !slices.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
+	}
+	dst := [4][]int{{-1}, {-2}, {-3}, {-4}}
+	tile := [4][]float32{q, pts[1], pts[3], q}
+	AppendCosineUnitRange4(&dst, &tile, pts, 0.01, 1)
+	want := [4][]int{{-1, 0, 2, 5}, {-2, 1}, {-3, 3}, {-4, 0, 2, 5}}
+	for k := range dst {
+		if !slices.Equal(dst[k], want[k]) {
+			t.Fatalf("tile lane %d: got %v, want %v", k, dst[k], want[k])
+		}
 	}
 }
 
@@ -146,6 +175,17 @@ func TestAppendCosineUnitRangeMismatchedLengthsPanics(t *testing.T) {
 		}
 	}()
 	AppendCosineUnitRange(nil, []float32{1, 0}, [][]float32{{1, 0, 0}}, 0.5, 1)
+}
+
+func TestAppendCosineUnitRange4MismatchedLengthsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on mismatched lengths")
+		}
+	}()
+	var dst [4][]int
+	q := []float32{1, 0}
+	AppendCosineUnitRange4(&dst, &[4][]float32{q, q, {0, 1, 0}, q}, [][]float32{{1, 0}}, 0.5, 1)
 }
 
 // FuzzAppendCosineUnitRange checks the kernel against the per-pair loop

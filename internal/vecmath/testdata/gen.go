@@ -3,12 +3,13 @@
 // 7, 8, 9, 200 and 768, non-unit norms in [0.5, 2], zero vectors, NaN,
 // ±Inf, subnormal and overflowing components, at eps 1e-9, 0.55, 2 and
 // 2.5. FuzzCosineUnitLess gets single pairs of the same kinds, plus norms
-// up to 1e6. FuzzDotKernels gets pairs at the lengths around every loop
-// boundary of the assembly kernels, 200 and 768, with wide magnitudes,
-// subnormal, ±0, ±Inf, NaN and overflowing components. FuzzTrainKernels
-// gets float64 inputs at the lengths around every loop boundary of the
-// training kernels and the estimator's 769, with wide magnitudes,
-// subnormals, overflow, ±0, NaN and zero deltas against ±Inf. Plain
+// up to 1e6. FuzzDotKernels gets a vector and the four operands of
+// dot32x4's lanes at the lengths around every loop boundary of the
+// assembly kernels, 200 and 768, with wide magnitudes, subnormal, ±0,
+// ±Inf, NaN and overflowing components. FuzzTrainKernels gets float64
+// inputs at the lengths around every loop boundary of the training
+// kernels and the estimator's 769, with wide magnitudes, subnormals,
+// overflow, ±0, NaN and zero deltas against ±Inf. Plain
 // `go test ./internal/vecmath` replays them without the fuzzing engine.
 // Run from the repository root:
 //
@@ -143,30 +144,43 @@ func main() {
 	}
 	write(filepath.Join(*out, "FuzzCosineUnitLess"), pairs)
 
+	// Each FuzzDotKernels seed holds five vectors of n values: a and the
+	// four operands of dot32x4's lanes.
 	rng = rand.New(rand.NewSource(3))
 	dots := map[string][]float32{}
-	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 31, 32, 33, 200, 768} {
-		dots[fmt.Sprintf("normal-d%d", n)] = vecmath.RandomGaussian(2*n, 0, 1, rng)
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 200, 768} {
+		dots[fmt.Sprintf("normal-d%d", n)] = vecmath.RandomGaussian(5*n, 0, 1, rng)
 	}
 	for _, n := range []int{200, 768} {
-		v := vecmath.RandomGaussian(2*n, 0, 1, rng)
+		v := vecmath.RandomGaussian(5*n, 0, 1, rng)
 		for i := range v {
 			v[i] = float32(math.Ldexp(float64(v[i]), rng.Intn(121)-60))
 		}
 		dots[fmt.Sprintf("wide-d%d", n)] = v
 	}
-	sub := make([]float32, 2*33)
+	sub := make([]float32, 5*33)
 	for i := range sub {
 		sub[i] = math.Float32frombits(rng.Uint32() & 0x807fffff)
 	}
 	dots["subnormal-d33"] = sub
-	dots["huge-d9"] = vecmath.Scale(0x1p100, vecmath.RandomGaussian(2*9, 0, 1, rng))
+	dots["huge-d9"] = vecmath.Scale(0x1p100, vecmath.RandomGaussian(5*9, 0, 1, rng))
 	negZero := float32(math.Copysign(0, -1))
-	dots["signed-zero-d5"] = []float32{negZero, negZero, 0, negZero, negZero, 1, 1, 1, 1, 1}
-	specials := vecmath.RandomGaussian(2*11, 0, 1, rng)
-	specials[2], specials[13] = float32(math.Inf(1)), float32(math.Inf(-1))
+	signedZero := make([]float32, 5*5)
+	for i := range signedZero {
+		signedZero[i] = negZero
+		if i%3 == 0 {
+			signedZero[i] = 0
+		}
+		if i >= 5 && i%5 == 4 {
+			signedZero[i] = 1
+		}
+	}
+	dots["signed-zero-d5"] = signedZero
+	// One ±Inf in a and in two lanes; then a NaN in a third lane.
+	specials := vecmath.RandomGaussian(5*11, 0, 1, rng)
+	specials[2], specials[13], specials[40] = float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Inf(1))
 	dots["inf-d11"] = vecmath.Clone(specials)
-	specials[9] = float32(math.NaN())
+	specials[31] = float32(math.NaN())
 	dots["nan-d11"] = specials
 	writeDots(filepath.Join(*out, "FuzzDotKernels"), dots)
 
@@ -231,7 +245,7 @@ func writeTrains(dir string, seeds map[string][]float64) {
 	}
 }
 
-// writeDots stores each FuzzDotKernels seed, a and then b, in dir as a file
+// writeDots stores each FuzzDotKernels seed, a and then b0..b3, in dir as a file
 // named after its key.
 func writeDots(dir string, seeds map[string][]float32) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
