@@ -537,15 +537,19 @@ func BenchmarkExactEstimate(b *testing.B) {
 }
 
 // BenchmarkBruteScan measures the raw cost LAF amortizes away: brute-force
-// cosine range queries through BatchRangeSearchFunc (the path Fit, Predict
-// and Insert take) over 2,000 unit points, one query per call (dimN, the
+// cosine range queries through BatchRangeSearchFunc (the path Predict and
+// Insert take) over 2,000 unit points, one query per call (dimN, the
 // single-vector Predict path: one query scored against four rows per
 // kernel call) and a 256-query wave per call at one worker
 // (wave256/dimN, the batch path: tiles of four queries scored against each
-// row). The CI bench gate pins every row at 0 allocs/op: the wave path
-// reuses its result buffers, one per wave slot, and an untimed pass over
-// every batch the timed loop runs grows each to its largest result first.
+// row), and every point queried against the rest through
+// BatchSelfSearchFunc (self/dim200, the path a fit takes: each pair scored
+// once). The CI bench gate pins every row at 0 allocs/op: the wave path
+// reuses its result buffers, one per wave slot, and the self-join its
+// carried-pair buffers, and an untimed pass over every batch the timed
+// loop runs grows each to its largest first.
 func BenchmarkBruteScan(b *testing.B) {
+	ctx := context.Background()
 	for _, dim := range []int{200, 768} {
 		d := GenerateMixture("scan", MixtureConfig{
 			N: 2000, Dim: dim, Clusters: 10, NoiseFrac: 0.2, Seed: 74,
@@ -561,7 +565,7 @@ func BenchmarkBruteScan(b *testing.B) {
 				count := func(_ int, ids []int) { hits += len(ids) }
 				batches := d.Len() / batch
 				for k := 0; k < batches; k++ {
-					if err := index.BatchRangeSearchFunc(context.Background(), bf, d.Vectors[k*batch:(k+1)*batch], 0.5, 1, 0, 0, count); err != nil {
+					if err := index.BatchRangeSearchFunc(ctx, bf, d.Vectors[k*batch:(k+1)*batch], 0.5, 1, 0, 0, count); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -569,7 +573,7 @@ func BenchmarkBruteScan(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					lo := i % batches * batch
-					if err := index.BatchRangeSearchFunc(context.Background(), bf, d.Vectors[lo:lo+batch], 0.5, 1, 0, 0, count); err != nil {
+					if err := index.BatchRangeSearchFunc(ctx, bf, d.Vectors[lo:lo+batch], 0.5, 1, 0, 0, count); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -578,6 +582,26 @@ func BenchmarkBruteScan(b *testing.B) {
 				}
 			})
 		}
+		if dim != 200 {
+			continue
+		}
+		b.Run(fmt.Sprintf("self/dim%d", dim), func(b *testing.B) {
+			hits := 0
+			count := func(_ int, ids []int) { hits += len(ids) }
+			if err := index.BatchSelfSearchFunc(ctx, bf, d.Vectors, nil, 0.5, 1, 0, 0, count); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := index.BatchSelfSearchFunc(ctx, bf, d.Vectors, nil, 0.5, 1, 0, 0, count); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if hits == 0 {
+				b.Fatal("no query found a neighbor")
+			}
+		})
 	}
 }
 

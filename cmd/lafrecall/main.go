@@ -87,10 +87,11 @@ func main() {
 	}
 
 	// The exact neighborhoods are the shared ground truth of the sweep,
-	// scanned on every core through the wave driver; its result lists are
-	// recycled, so each is copied.
+	// scanned on every core through the wave driver as a self-join of the
+	// points, each pair scored once; its result lists are recycled, so
+	// each is copied.
 	truth := make([][]int, len(d.Vectors))
-	if err := index.BatchRangeSearchFunc(context.Background(), exact, d.Vectors, *eps, 0, 0, 0,
+	if err := index.BatchSelfSearchFunc(context.Background(), exact, d.Vectors, nil, *eps, 0, 0, 0,
 		func(i int, ids []int) { truth[i] = slices.Clone(ids) }); err != nil {
 		log.Fatal(err)
 	}

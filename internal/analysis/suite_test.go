@@ -72,6 +72,7 @@ var hotpathRoster = map[string][]string{
 	"../vecmath/distance.go":        {"CosineDistance", "CosineDistanceUnit", "EuclideanDistance", "SquaredEuclidean"},
 	"../vecmath/scan.go":            {"AppendCosineUnitRange", "AppendCosineUnitRange4", "CosineUnitLess", "unitLess", "dot32", "dot32x4", "dot32Generic"},
 	"../index/index.go":             {"scanTile"},
+	"../index/wave.go":              {"carryForward", "carryTo", "mergeCarried"},
 	"../cluster/atomicunionfind.go": {"Find", "Union", "Same"},
 	"../cluster/wavemerge.go":       {"Absorb"},
 	"../telemetry/metrics.go":       {"Inc", "Add", "Set", "Dec", "Observe"},

@@ -65,8 +65,10 @@ func (s *stopStripes) update(e *cluster.PartialNeighbors, p int, ids []int) {
 // before any query runs, so every executed query registers with every
 // stop point it finds. When every candidate passes the gate the candidates
 // themselves are the queries, and the returned map is nil (it would have
-// no entries). It returns the gate's decisions, pass[k] for candidate k,
-// with the map, and sets res's query counts.
+// no entries). A unit-cosine brute-force idx over the very rows of points
+// scores each ε-pair once (index.BatchSelfSearchFunc). It returns the
+// gate's decisions, pass[k] for candidate k, with the map, and sets res's
+// query counts.
 func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, ids []int, cfg Config, m *cluster.WaveMerger, res *cluster.Result) (pass []bool, e *cluster.PartialNeighbors, err error) {
 	cands := points
 	if ids != nil {
@@ -78,10 +80,9 @@ func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, 
 	if pass, err = Gate(ctx, cands, cfg); err != nil {
 		return nil, nil, err
 	}
-	queries, qids := cands, ids
+	qids := ids
 	if slices.Contains(pass, false) {
 		e = cluster.NewPartialNeighbors(len(points))
-		queries = make([][]float32, 0, len(cands))
 		qids = make([]int, 0, len(cands))
 		for k, ok := range pass {
 			id := k
@@ -89,17 +90,19 @@ func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, 
 				id = ids[k]
 			}
 			if ok {
-				queries = append(queries, cands[k])
 				qids = append(qids, id)
 			} else {
 				e.Ensure(id)
 			}
 		}
 	}
-	res.RangeQueries = len(queries)
-	res.SkippedQueries = len(cands) - len(queries)
+	res.RangeQueries = len(cands)
+	if qids != nil {
+		res.RangeQueries = len(qids)
+	}
+	res.SkippedQueries = len(cands) - res.RangeQueries
 	var stripes stopStripes
-	err = index.BatchRangeSearchFunc(ctx, idx, queries, cfg.Eps, cfg.Workers, 0, cfg.WaveSize,
+	err = index.BatchSelfSearchFunc(ctx, idx, points, qids, cfg.Eps, cfg.Workers, 0, cfg.WaveSize,
 		func(k int, nb []int) {
 			p := k
 			if qids != nil {

@@ -26,7 +26,14 @@
 //     tile of four queries per claim (a BruteForce scores a tile's queries
 //     against each row in one pass), and hands each result to a callback,
 //     so the live set is O(WaveSize·avg|N|) regardless of dataset size;
-//     the wave barrier is also the cancellation and progress point;
+//     the wave barrier is also the cancellation and progress point.
+//     BatchSelfSearchFunc runs the same waves for queries that are indexed
+//     points, as a fit's are: on a unit-cosine BruteForce over those very
+//     rows each ε-pair is scored once, by the earlier query's tile, and
+//     carried forward to the later query, so the live set is
+//     O(WaveSize·avg|N|) plus the carried pairs, at most half the ε-pairs
+//     among the queried points, 4 B each (8 B while a pair waits for a
+//     later wave);
 //   - the dynamic layer (dynamic.go): the DynamicIndex contract (Insert
 //     and DeleteMany) behind online model maintenance, implemented by the
 //     two backends a model mutates — BruteForce and hnsw.Graph — with

@@ -62,40 +62,36 @@ func (b *BruteForce) growMaxNorm(vecs [][]float32) {
 // row: the lanes of the vecmath tile kernel.
 const tileSize = 4
 
-// scanTile answers a tile of one to tileSize queries: dst[k] is reset and
-// gets the ids of the points within eps of qs[k], in increasing order. It
-// is BruteForce's one wave path.
+// scanTile answers a tile of one to tileSize queries against pts, the
+// index's rows or a view of them: dst[k] is reset and gets the positions j
+// in pts of the rows within eps of qs[k], in increasing order. It is
+// BruteForce's one wave path.
 //
 //lafvet:hotpath
-func (b *BruteForce) scanTile(dst [][]int, qs [][]float32, eps float64) {
+func (b *BruteForce) scanTile(dst [][]int, qs, pts [][]float32, eps float64) {
 	b.queries.Add(int64(len(qs)))
 	if b.unitCos && len(qs) == tileSize {
 		d := (*[tileSize][]int)(dst)
 		for k := range d {
 			d[k] = d[k][:0]
 		}
-		vecmath.AppendCosineUnitRange4(d, (*[tileSize][]float32)(qs), b.points, eps, b.maxNorm)
+		vecmath.AppendCosineUnitRange4(d, (*[tileSize][]float32)(qs), pts, eps, b.maxNorm)
 		return
 	}
 	for k, q := range qs {
-		dst[k] = b.scan(dst[k][:0], q, eps, 0, len(b.points))
+		dst[k] = b.scan(dst[k][:0], q, pts, eps)
 	}
 }
 
-// scan appends to dst the ids in [lo, hi) of the points within eps of q,
+// scan appends to dst the positions j in pts of the rows within eps of q,
 // in increasing order: the scan of one query.
-func (b *BruteForce) scan(dst []int, q []float32, eps float64, lo, hi int) []int {
+func (b *BruteForce) scan(dst []int, q []float32, pts [][]float32, eps float64) []int {
 	if b.unitCos {
-		start := len(dst)
-		dst = vecmath.AppendCosineUnitRange(dst, q, b.points[lo:hi], eps, b.maxNorm)
-		for i := start; lo != 0 && i < len(dst); i++ {
-			dst[i] += lo
-		}
-		return dst
+		return vecmath.AppendCosineUnitRange(dst, q, pts, eps, b.maxNorm)
 	}
-	for i := lo; i < hi; i++ {
-		if b.dist(q, b.points[i]) < eps {
-			dst = append(dst, i)
+	for j, p := range pts {
+		if b.dist(q, p) < eps {
+			dst = append(dst, j)
 		}
 	}
 	return dst
@@ -120,7 +116,7 @@ func (b *BruteForce) ResetQueries() { b.queries.Store(0) }
 // RangeSearch implements RangeSearcher.
 func (b *BruteForce) RangeSearch(q []float32, eps float64) []int {
 	b.queries.Add(1)
-	return b.scan(nil, q, eps, 0, len(b.points))
+	return b.scan(nil, q, b.points, eps)
 }
 
 // RangeCount returns len(RangeSearch(q, eps)) without materializing the
@@ -132,7 +128,7 @@ func (b *BruteForce) RangeCount(q []float32, eps float64) int {
 	var buf [256]int
 	n, c := len(b.points), 0
 	for lo := 0; lo < n; lo += len(buf) {
-		c += len(b.scan(buf[:0], q, eps, lo, min(lo+len(buf), n)))
+		c += len(b.scan(buf[:0], q, b.points[lo:min(lo+len(buf), n)], eps))
 	}
 	return c
 }

@@ -490,7 +490,7 @@ func BenchmarkBruteScan(b *testing.B) {
 		b.Run(fmt.Sprintf("pointdims%d/serial", pd), func(b *testing.B) {
 			var buf []int
 			for i := 0; i < b.N; i++ {
-				buf = bf.scan(buf[:0], pts[i%n], 0.5, 0, n)
+				buf = bf.scan(buf[:0], pts[i%n], bf.points, 0.5)
 				scanSink += len(buf)
 			}
 		})

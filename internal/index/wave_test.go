@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -298,5 +299,230 @@ func TestWaveProgressHook(t *testing.T) {
 	}
 	if waves != 5 { // ceil(37/8)
 		t.Errorf("progress callbacks = %d, want 5", waves)
+	}
+}
+
+// selfJoinTestPoints returns 1025 rows at a dimension whose last block is
+// a tail: clustered unit rows, so the queries share many pairs, random
+// unit rows, non-unit and zero rows, shuffled.
+func selfJoinTestPoints() [][]float32 {
+	const dim = 19
+	rng := rand.New(rand.NewSource(41))
+	rows := append(clusteredPoints(600, dim, 42), batchTestPoints(400, dim, 43)...)
+	for i := 0; i < 20; i++ {
+		rows = append(rows, vecmath.Scale(float32(0.25+3*rng.Float64()), vecmath.Clone(rows[i])))
+	}
+	for len(rows) < DefaultWaveSize+1 {
+		rows = append(rows, make([]float32, dim))
+	}
+	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	return rows
+}
+
+// selfJoinQueries returns the query id sets the self-join tests run for n
+// points: every point, an ascending subset and a rng.Perm order.
+func selfJoinQueries(n int, rng *rand.Rand) map[string][]int {
+	var subset []int
+	for id := 0; id < n; id++ {
+		if id%3 != 1 {
+			subset = append(subset, id)
+		}
+	}
+	return map[string][]int{
+		"every point": nil,
+		"subset":      subset,
+		"perm":        rng.Perm(n)[:max(1, n*2/3)],
+	}
+}
+
+// TestBatchSelfSearchMatchesBatchRangeSearch pins the self-join to the
+// query path list by list: each query gets the ids BatchRangeSearchFunc
+// gives it for the same vector, in the same ascending order, for every
+// point, an ascending subset and a rng.Perm order of queries, point counts
+// 1–9 and 4k±1 around the default wave boundary, wave sizes 1, 3, 4, 5 and
+// the default, and one and two workers, on plain rows and on rows where a
+// NaN or a past-2¹⁰⁰ row sends pairs to CosineDistanceUnit. -short runs
+// the large counts at waves 4 and the default only.
+func TestBatchSelfSearchMatchesBatchRangeSearch(t *testing.T) {
+	pool := selfJoinTestPoints()
+	nanRow := vecmath.Clone(pool[7])
+	nanRow[3] = float32(math.NaN())
+	hugeRow := vecmath.Scale(0x1p101, vecmath.Clone(pool[11]))
+	rng := rand.New(rand.NewSource(44))
+	const eps = 0.6
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, DefaultWaveSize - 1, DefaultWaveSize + 1} {
+		for _, special := range []struct {
+			name string
+			row  []float32
+		}{{"plain", nil}, {"NaN row", nanRow}, {"huge row", hugeRow}} {
+			points := slices.Clone(pool[:n])
+			if special.row != nil {
+				points[n/2] = special.row
+			}
+			b := NewBruteForce(points, vecmath.CosineDistanceUnit)
+			for qname, qids := range selfJoinQueries(n, rng) {
+				if w := selfJoin(b, points, qids); w == nil {
+					t.Fatalf("%d points, %s, %s: the self-join was not taken", n, special.name, qname)
+				} else {
+					w.release()
+				}
+				queries := points
+				if qids != nil {
+					queries = make([][]float32, len(qids))
+					for i, id := range qids {
+						queries[i] = points[id]
+					}
+				}
+				want := collectStream(len(queries), func(fn func(int, []int)) {
+					if err := BatchRangeSearchFunc(context.Background(), b, queries, eps, 1, 0, 0, fn); err != nil {
+						t.Fatal(err)
+					}
+				})
+				for _, wave := range []int{1, 3, 4, 5, 0} {
+					if testing.Short() && n > 9 && wave != 4 && wave != 0 {
+						continue
+					}
+					for _, workers := range []int{1, 2} {
+						label := fmt.Sprintf("%d points, %s, %s, wave %d, workers %d", n, special.name, qname, wave, workers)
+						checkSelfSearch(t, label, b, points, qids, eps, workers, wave, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkSelfSearch runs BatchSelfSearchFunc and compares every list with
+// want, in order, and the callback count with the query count.
+func checkSelfSearch(t *testing.T, label string, s RangeSearcher, points [][]float32, qids []int, eps float64, workers, wave int, want [][]int) {
+	t.Helper()
+	var calls atomic.Int64
+	got := collectStream(len(want), func(fn func(int, []int)) {
+		err := BatchSelfSearchFunc(context.Background(), s, points, qids, eps, workers, 0, wave,
+			func(i int, ids []int) {
+				calls.Add(1)
+				fn(i, ids)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if int(calls.Load()) != len(want) {
+		t.Fatalf("%s: %d callbacks, want %d", label, calls.Load(), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s, query %d: %v, BatchRangeSearchFunc %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestBatchSelfSearchQueryPath pins which calls self-join: an index over
+// the same row slices does, even through a copy of the outer slice, while
+// an index over a copy of the rows or over fewer of them, one under
+// another distance, a cover tree and a query set that repeats an id take
+// the query path. Every list is BatchRangeSearchFunc's, in its order.
+func TestBatchSelfSearchQueryPath(t *testing.T) {
+	points := selfJoinTestPoints()[:300]
+	copied := make([][]float32, len(points))
+	for i, p := range points {
+		copied[i] = vecmath.Clone(p)
+	}
+	rng := rand.New(rand.NewSource(45))
+	cases := []struct {
+		name string
+		s    RangeSearcher
+		eps  float64
+		qids []int
+		join bool
+	}{
+		{"same rows", NewBruteForce(points, vecmath.CosineDistanceUnit), 0.6, nil, true},
+		{"outer slice copied", NewBruteForce(slices.Clone(points), vecmath.CosineDistanceUnit), 0.6, rng.Perm(len(points)), true},
+		{"rows copied", NewBruteForce(copied, vecmath.CosineDistanceUnit), 0.6, nil, false},
+		{"euclidean", NewBruteForce(points, vecmath.EuclideanDistance), 1.1, nil, false},
+		{"cover tree", NewCoverTree(points, vecmath.EuclideanDistance, 2.0), 1.1, nil, false},
+		{"repeated id", NewBruteForce(points, vecmath.CosineDistanceUnit), 0.6, []int{5, 9, 5, 2}, false},
+		{"fewer rows", NewBruteForce(points[:299], vecmath.CosineDistanceUnit), 0.6, []int{0, 1, 2}, false},
+	}
+	for _, c := range cases {
+		w := selfJoin(c.s, points, c.qids)
+		if (w != nil) != c.join {
+			t.Fatalf("%s: self-join taken %v, want %v", c.name, w != nil, c.join)
+		}
+		if w != nil {
+			w.release()
+		}
+		queries := points
+		if c.qids != nil {
+			queries = make([][]float32, len(c.qids))
+			for i, id := range c.qids {
+				queries[i] = points[id]
+			}
+		}
+		want := collectStream(len(queries), func(fn func(int, []int)) {
+			if err := BatchRangeSearchFunc(context.Background(), c.s, queries, c.eps, 1, 0, 0, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		checkSelfSearch(t, c.name, c.s, points, c.qids, c.eps, 2, 7, want)
+	}
+}
+
+// TestBatchSelfSearchCancelAtEveryBarrier cancels a self-join during each
+// wave in turn: the call returns context.Canceled once that wave has
+// delivered, and no callback runs past its barrier. It also checks that
+// the progress hook's counts sum to the query count of a whole call.
+func TestBatchSelfSearchCancelAtEveryBarrier(t *testing.T) {
+	points := selfJoinTestPoints()[:150]
+	b := NewBruteForce(points, vecmath.CosineDistanceUnit)
+	qids := rand.New(rand.NewSource(46)).Perm(len(points))[:37]
+	const wave = 8
+	waves := (len(qids) + wave - 1) / wave
+	for stop := 0; stop < waves; stop++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls, late atomic.Int64
+		err := BatchSelfSearchFunc(ctx, b, points, qids, 0.6, 2, 0, wave, func(i int, _ []int) {
+			calls.Add(1)
+			if i/wave > stop {
+				late.Add(1)
+			}
+			if i/wave == stop {
+				cancel()
+			}
+		})
+		cancel()
+		if stop == waves-1 {
+			if err != nil {
+				t.Fatalf("cancelled in the last wave: err = %v, want nil", err)
+			}
+		} else if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled in wave %d: err = %v, want context.Canceled", stop, err)
+		}
+		if want := min((stop+1)*wave, len(qids)); calls.Load() != int64(want) || late.Load() != 0 {
+			t.Fatalf("cancelled in wave %d: %d callbacks, %d past the barrier; want %d and 0", stop, calls.Load(), late.Load(), want)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := BatchSelfSearchFunc(ctx, b, points, qids, 0.6, 2, 0, wave, func(int, []int) {
+		t.Fatal("callback ran under a context cancelled before the call")
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled before the call: err = %v, want context.Canceled", err)
+	}
+
+	var total, reports atomic.Int64
+	ctx = WithWaveProgress(context.Background(), func(q int) {
+		total.Add(int64(q))
+		reports.Add(1)
+	})
+	b.ResetQueries()
+	if err := BatchSelfSearchFunc(ctx, b, points, qids, 0.6, 2, 0, wave, func(int, []int) {}); err != nil {
+		t.Fatal(err)
+	}
+	if total.Load() != int64(len(qids)) || reports.Load() != int64(waves) {
+		t.Errorf("progress: %d queries in %d reports, want %d in %d", total.Load(), reports.Load(), len(qids), waves)
+	}
+	if got := b.Queries(); got != int64(len(qids)) {
+		t.Errorf("query counter = %d, want %d", got, len(qids))
 	}
 }

@@ -41,6 +41,13 @@ func SameDistance(f, g DistanceFunc) bool {
 // exact one. The AVX2 kernels, dot32 and every lane of dot32x4, keep
 // dot32Generic's eight-accumulator order and roundings bit for bit, so the
 // bound covers them unchanged.
+//
+// The decisions are symmetric: CosineDistanceUnit(q, p) and
+// CosineDistanceUnit(p, q) are the same bits (Dot multiplies pairwise and
+// sums in index order; only a NaN's payload may follow its operand, and
+// every NaN decides alike), and each decision is that distance's, so p is
+// within t of q exactly when q is within t of p, whatever scale each side
+// bounds with. A self-join may score a pair from either end.
 func CosineUnitBound(dim int, scale float64) (float64, bool) {
 	if !(scale <= maxFastNorm) {
 		return 0, false

@@ -32,7 +32,8 @@ func maxNormOf(pts [][]float32) float64 {
 
 // checkRange compares the kernel with the per-pair loop at eps and at the
 // exact reference distance of the first few points, shifted by up to four
-// float64 ulps either way: the pairs whose distance sits right at eps.
+// float64 ulps either way: the pairs whose distance sits right at eps. It
+// also checks that the decisions are symmetric (see checkSymmetric).
 func checkRange(t *testing.T, name string, q []float32, pts [][]float32, eps float64) {
 	t.Helper()
 	epss := []float64{eps}
@@ -68,6 +69,37 @@ func checkRange(t *testing.T, name string, q []float32, pts [][]float32, eps flo
 		for k, qk := range tile {
 			if want := perPairRange(qk, pts, e); !slices.Equal(dst[k], want) {
 				t.Fatalf("%s, dim %d, eps %v: tile lane %d %v, per-pair %v", name, len(q), e, k, dst[k], want)
+			}
+		}
+		checkSymmetric(t, name, q, pts, got, e)
+	}
+}
+
+// checkSymmetric checks that pts[j] is in q's range, fwd, exactly when q
+// is in pts[j]'s, scanned the other way round with its own maxNorm,
+// Norm(q), as a suffix scan of a self-join scans with the bound of its own
+// rows: by the single-query scan and by every lane of a four-query tile
+// whose rows are q alone. The distance is symmetric too, bit for bit: a
+// NaN may carry either operand's payload, and any NaN decides the same.
+func checkSymmetric(t *testing.T, name string, q []float32, pts [][]float32, fwd []int, eps float64) {
+	t.Helper()
+	row := [][]float32{q}
+	in := func(j int) bool { return slices.Contains(fwd, j) }
+	for j, p := range pts {
+		if rev := AppendCosineUnitRange(nil, p, row, eps, Norm(q)); in(j) != (len(rev) == 1) {
+			t.Fatalf("%s, dim %d, eps %v: point %d in q's range %v, q in its range %v", name, len(q), eps, j, in(j), len(rev) == 1)
+		}
+		a, b := CosineDistanceUnit(q, p), CosineDistanceUnit(p, q)
+		if math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+			t.Fatalf("%s, dim %d: CosineDistanceUnit(q, point %d) = %v, swapped %v", name, len(q), j, a, b)
+		}
+	}
+	for j := 0; j+4 <= len(pts); j += 4 {
+		var dst [4][]int
+		AppendCosineUnitRange4(&dst, (*[4][]float32)(pts[j:j+4]), row, eps, Norm(q))
+		for k := range dst {
+			if in(j+k) != (len(dst[k]) == 1) {
+				t.Fatalf("%s, dim %d, eps %v: point %d in q's range %v, q in its tile lane's range %v", name, len(q), eps, j+k, in(j+k), len(dst[k]) == 1)
 			}
 		}
 	}
@@ -140,9 +172,21 @@ func TestAppendCosineUnitRangeNonFinite(t *testing.T) {
 				checkRange(t, "non-finite query", badQ, pts[:1], eps)
 			}
 		}
-		// Finite inputs whose float32 products would overflow.
+		// Finite inputs whose float32 products would overflow, and a row
+		// whose own norm is past 2¹⁰⁰.
 		huge := [][]float32{scaled(q, 1e30), RandomUnit(dim, rng)}
 		checkRange(t, "huge norms", scaled(q, 1e30), huge, 0.55)
+		past := [][]float32{nearPair(q, 0.55, rng), scaled(q, 0x1p101), RandomUnit(dim, rng), Clone(q), nearPair(q, 0.3, rng)}
+		for _, eps := range []float64{0.55, 2} {
+			checkRange(t, "row past 2^100", q, past, eps)
+		}
+		// A subnormal component keeps every pass finite.
+		sub := [][]float32{nearPair(q, 0.55, rng), RandomUnit(dim, rng), Clone(q), nearPair(q, 0.55, rng)}
+		sub[1][dim/2] = math.Float32frombits(1)
+		subQ := Clone(q)
+		subQ[dim-1] = math.Float32frombits(3)
+		checkRange(t, "subnormal point", q, sub, 0.55)
+		checkRange(t, "subnormal query", subQ, sub, 0.55)
 	}
 }
 
@@ -188,13 +232,14 @@ func TestAppendCosineUnitRange4MismatchedLengthsPanics(t *testing.T) {
 	AppendCosineUnitRange4(&dst, &[4][]float32{q, q, {0, 1, 0}, q}, [][]float32{{1, 0}}, 0.5, 1)
 }
 
-// FuzzAppendCosineUnitRange checks the kernel against the per-pair loop
-// on arbitrary float32 bit patterns. raw holds the query and then the
-// points, dim float32 values each (little-endian); checkRange adds the
-// eps values that sit on each of the first points' exact distance. The
-// committed corpus under testdata/fuzz covers near-eps pairs, non-unit
-// norms, zero, NaN, ±Inf and subnormal components at the tested
-// dimensions; regenerate it with `go run ./internal/vecmath/testdata`.
+// FuzzAppendCosineUnitRange checks the kernel against the per-pair loop,
+// and the symmetry of its decisions, on arbitrary float32 bit patterns.
+// raw holds the query and then the points, dim float32 values each
+// (little-endian); checkRange adds the eps values that sit on each of the
+// first points' exact distance. The committed corpus under testdata/fuzz
+// covers near-eps pairs, non-unit norms, zero, NaN, ±Inf and subnormal
+// components and a row past 2¹⁰⁰ at the tested dimensions; regenerate it
+// with `go run ./internal/vecmath/testdata`.
 func FuzzAppendCosineUnitRange(f *testing.F) {
 	f.Fuzz(func(t *testing.T, eps float64, dim uint16, raw []byte) {
 		d := 1 + int(dim)%1024

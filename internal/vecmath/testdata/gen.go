@@ -1,8 +1,9 @@
 // Command gen regenerates the committed fuzz seed corpora of the vecmath
 // kernels. FuzzAppendCosineUnitRange gets near-eps pairs at dimensions 1,
 // 7, 8, 9, 200 and 768, non-unit norms in [0.5, 2], zero vectors, NaN,
-// ±Inf, subnormal and overflowing components, at eps 1e-9, 0.55, 2 and
-// 2.5. FuzzCosineUnitLess gets single pairs of the same kinds, plus norms
+// ±Inf, subnormal and overflowing components and a row whose norm is past
+// 2¹⁰⁰, at eps 1e-9, 0.55, 2 and 2.5; its check covers both directions of
+// every pair. FuzzCosineUnitLess gets single pairs of the same kinds, plus norms
 // up to 1e6. FuzzDotKernels gets a vector and the four operands of
 // dot32x4's lanes at the lengths around every loop boundary of the
 // assembly kernels, 200 and 768, with wide magnitudes, subnormal, ±0,
@@ -120,6 +121,9 @@ func main() {
 	zero.pts = append(zero.pts, make([]float32, 8))
 	seeds["zero-point-d8"] = zero
 	seeds["zero-query-d7"] = seed{eps: 1, q: make([]float32, 7), pts: [][]float32{vecmath.RandomUnit(7, rng)}}
+	past := nearSeed(9, 4, 0.55, 0.55, rng)
+	vecmath.Scale(0x1p101, past.pts[1])
+	seeds["past-2p100-row-d9"] = past
 	write(filepath.Join(*out, "FuzzAppendCosineUnitRange"), seeds)
 
 	rng = rand.New(rand.NewSource(2))
