@@ -78,9 +78,9 @@ var hotpathRoster = map[string][]string{
 	"../telemetry/metrics.go":       {"Inc", "Add", "Set", "Dec", "Observe"},
 	"../index/hnsw/hnsw.go":         {"searchLayer", "selectNeighbors", "link"},
 	"../trace/trace.go":             {"Finish", "record"},
-	"../nn/network.go":              {"forward", "accumulate"},
-	"../vecmath/train.go": {"Affine16", "affine16Generic", "AddScaled4", "addScaled4Generic",
-		"AddScaled", "addScaledGeneric", "AdamStep", "adamStepGeneric"},
+	"../nn/network.go":              {"forward", "forwardTile", "backward", "accumulate"},
+	"../vecmath/train.go": {"Affine16", "affine16Generic", "Affine8x4", "affine8x4Generic",
+		"AddScaledTile", "addScaledTileGeneric", "AdamStep", "adamStepGeneric"},
 }
 
 func TestHotpathRoster(t *testing.T) {

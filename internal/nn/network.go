@@ -178,25 +178,77 @@ func (n *Network) OutDim() int { return n.Layers[len(n.Layers)-1].Out }
 // one summation order every caller has always used, so activations are the
 // same bits whichever path computes them. Blocks of 16 rows go to
 // vecmath.Affine16, which reads the packed copy of W and holds one row per
-// vector lane; the last Out%16 rows (all of them in a layer without a
-// packed copy) share passes over x four at a time, so their add chains
-// overlap instead of each waiting on the latency of its own previous add.
+// vector lane; the rest go to rows.
 //
 //lafvet:hotpath
 func (l *Dense) forward(x, out []float64) {
-	if len(x) != l.In || len(out) < l.Out {
-		panic(fmt.Sprintf("nn: layer %d->%d given %d inputs and %d outputs", l.In, l.Out, len(x), len(out)))
-	}
-	in := l.In
+	l.check(x, out)
 	o := 0
-	if len(l.packed) == (l.Out&^15)*in {
+	if l.isPacked() {
 		for ; o+16 <= l.Out; o += 16 {
-			vecmath.Affine16(l.packed[o*in:(o+16)*in], x, l.B[o:o+16], out[o:o+16])
+			vecmath.Affine16(l.packed[o*l.In:(o+16)*l.In], x, l.B[o:o+16], out[o:o+16])
 			for k, s := range out[o : o+16] {
 				out[o+k] = l.Act.apply(s)
 			}
 		}
 	}
+	l.rows(x, out, o)
+}
+
+// forwardTile is forward for the first k ≤ 4 inputs of a tile: out[s]
+// gets x[s]'s activations, forward's bits. The packed rows go eight at a
+// time to vecmath.Affine8x4, which reads each weight once for the four
+// samples (a short tile repeats x[0] and drops its sums); the rest run per
+// sample through rows. A tile of one is forward.
+//
+//lafvet:hotpath
+func (l *Dense) forwardTile(x, out *[4][]float64, k int) {
+	if k == 1 {
+		l.forward(x[0], out[0])
+		return
+	}
+	xs := *x
+	for s := range xs {
+		if s >= k {
+			xs[s] = xs[0]
+			continue
+		}
+		l.check(xs[s], out[s])
+	}
+	o := 0
+	if l.isPacked() {
+		var sums [4][8]float64
+		for ; o+8 <= l.Out&^15; o += 8 {
+			vecmath.Affine8x4(l.packed[o*l.In:(o+8)*l.In], &xs, l.B[o:o+8], &sums)
+			for s := range sums[:k] {
+				for r, v := range sums[s] {
+					out[s][o+r] = l.Act.apply(v)
+				}
+			}
+		}
+	}
+	for s := range xs[:k] {
+		l.rows(xs[s], out[s], o)
+	}
+}
+
+// check panics unless x has the layer's input width and out room for its
+// outputs.
+func (l *Dense) check(x, out []float64) {
+	if len(x) != l.In || len(out) < l.Out {
+		panic(fmt.Sprintf("nn: layer %d->%d given %d inputs and %d outputs", l.In, l.Out, len(x), len(out)))
+	}
+}
+
+// isPacked reports whether the layer's packed copy of W is current in
+// size, so forward may read its blocks of 16 rows.
+func (l *Dense) isPacked() bool { return len(l.packed) == (l.Out&^15)*l.In }
+
+// rows computes forward's outputs o.. from W: four rows share each pass
+// over x, so their add chains overlap instead of each waiting on the
+// latency of its own previous add, and the last Out%4 run alone.
+func (l *Dense) rows(x, out []float64, o int) {
+	in := l.In
 	for ; o+4 <= l.Out; o += 4 {
 		r0 := l.W[o*in : (o+1)*in][:len(x)]
 		r1 := l.W[(o+1)*in : (o+2)*in][:len(x)]
@@ -264,11 +316,22 @@ type Scratch struct {
 
 // NewScratch allocates buffers matching the network's layer widths.
 func NewScratch(n *Network) *Scratch {
-	s := &Scratch{acts: make([][]float64, len(n.Layers))}
-	for i, l := range n.Layers {
-		s.acts[i] = make([]float64, l.Out)
+	return &Scratch{acts: layerBufs(n)}
+}
+
+// layerBufs returns one buffer per layer, as wide as the layer's output,
+// all cut from one allocation.
+func layerBufs(n *Network) [][]float64 {
+	size := 0
+	for _, l := range n.Layers {
+		size += l.Out
 	}
-	return s
+	slab := make([]float64, size)
+	bufs := make([][]float64, len(n.Layers))
+	for i, l := range n.Layers {
+		bufs[i], slab = slab[:l.Out:l.Out], slab[l.Out:]
+	}
+	return bufs
 }
 
 // Grads holds parameter gradients with the same shapes as the network.
@@ -284,12 +347,11 @@ func NewGrads(n *Network) *Grads {
 	g := &Grads{
 		W:      make([][]float64, len(n.Layers)),
 		B:      make([][]float64, len(n.Layers)),
-		deltas: make([][]float64, len(n.Layers)),
+		deltas: layerBufs(n),
 	}
 	for i, l := range n.Layers {
 		g.W[i] = make([]float64, len(l.W))
 		g.B[i] = make([]float64, len(l.B))
-		g.deltas[i] = make([]float64, l.Out)
 	}
 	return g
 }
@@ -309,77 +371,130 @@ func (g *Grads) Zero() {
 // BackwardMSE runs a forward pass on x, then backpropagates the gradient of
 // 0.5*(pred-target)^2 summed over outputs, accumulating into g. It returns
 // the sample's squared error. scratch must belong to the same network.
+// It is a tile of one sample.
 func (n *Network) BackwardMSE(x, target []float64, scratch *Scratch, g *Grads) float64 {
-	n.run(x, scratch)
-	// output delta
-	last := len(n.Layers) - 1
-	var se float64
-	for o := range g.deltas[last] {
-		diff := scratch.acts[last][o] - target[o]
-		se += diff * diff
-		g.deltas[last][o] = diff * n.Layers[last].Act.derivFromOutput(scratch.acts[last][o])
+	t := tile{k: 1}
+	t.x[0], t.target[0], t.acts[0], t.deltas[0] = x, target, scratch.acts, g.deltas
+	return n.backward(&t, g)[0]
+}
+
+// tile is up to four samples that run forward and backward together, so
+// each weight read serves all of them: the first k entries of every array
+// are in use, and acts[s] and deltas[s] hold sample s's activations and
+// deltas, one buffer per layer.
+type tile struct {
+	k            int
+	x, target    [4][]float64
+	acts, deltas [4][][]float64
+}
+
+// newTile allocates a tile's activation and delta buffers for n.
+func newTile(n *Network) *tile {
+	t := &tile{}
+	for s := range t.acts {
+		t.acts[s], t.deltas[s] = layerBufs(n), layerBufs(n)
 	}
-	// backprop
+	return t
+}
+
+// input returns sample s's input to layer li.
+func (t *tile) input(s, li int) []float64 {
+	if li == 0 {
+		return t.x[s]
+	}
+	return t.acts[s][li-1]
+}
+
+// backward runs the tile's samples forward, then backpropagates each
+// one's gradient of 0.5*(pred-target)^2 into g, and returns their squared
+// errors. Every activation, delta and squared error is the one the sample
+// gets alone, and every gradient element adds the samples in tile order,
+// so a run of tiles leaves g as the same samples one at a time would.
+//
+//lafvet:hotpath
+func (n *Network) backward(t *tile, g *Grads) (se [4]float64) {
+	k, last := t.k, len(n.Layers)-1
+	var x, out [4][]float64
+	for li, l := range n.Layers {
+		for s := range x[:k] {
+			x[s], out[s] = t.input(s, li), t.acts[s][li]
+		}
+		l.forwardTile(&x, &out, k)
+	}
+	act := n.Layers[last].Act
+	for s := range se[:k] {
+		y, d := t.acts[s][last], t.deltas[s][last]
+		for o := range d {
+			diff := y[o] - t.target[s][o]
+			se[s] += diff * diff
+			d[o] = diff * act.derivFromOutput(y[o])
+		}
+	}
+	var d [4][]float64
 	for li := last; li >= 0; li-- {
 		l := n.Layers[li]
-		input := x
-		if li > 0 {
-			input = scratch.acts[li-1]
+		for s := range x[:k] {
+			x[s], d[s] = t.input(s, li), t.deltas[s][li]
 		}
-		delta := g.deltas[li]
-		l.accumulate(input, delta, g.W[li], g.B[li])
-		if li > 0 {
-			// prev[i] = (Σ_o delta[o]·W[o,i]) · f'(act[i]), the sum from +0
-			// in increasing o, built one row of W at a time so the vector
-			// lanes run along i.
-			prev := g.deltas[li-1]
-			prevAct := scratch.acts[li-1]
-			lPrev := n.Layers[li-1]
+		l.accumulate(&x, &d, k, g.W[li], g.B[li])
+		if li == 0 {
+			break
+		}
+		// prev_s[i] = (Σ_o d_s[o]·W[o,i]) · f'(x_s[i]), the sum from +0 in
+		// increasing o, zero deltas included: AddScaledTile adds four rows
+		// of W at a time, in order, with the vector lanes along i.
+		lPrev := n.Layers[li-1]
+		for s := range x[:k] {
+			prev := t.deltas[s][li-1]
 			clear(prev)
-			for o, do := range delta[:l.Out] {
-				vecmath.AddScaled(l.W[o*l.In:(o+1)*l.In], do, prev)
+			for o := 0; o < l.Out; o += 4 {
+				var rows [4][]float64
+				var ds [4]float64
+				m := min(4, l.Out-o)
+				for j := range rows[:m] {
+					rows[j], ds[j] = l.W[(o+j)*l.In:(o+j+1)*l.In], d[s][o+j]
+				}
+				vecmath.AddScaledTile(&rows, &ds, m, prev)
 			}
-			for i, s := range prev {
-				prev[i] = s * lPrev.Act.derivFromOutput(prevAct[i])
+			for i, v := range prev {
+				prev[i] = v * lPrev.Act.derivFromOutput(x[s][i])
 			}
 		}
 	}
 	return se
 }
 
-// accumulate adds the layer's parameter gradients for one sample: d[o] into
-// gb[o] and d[o]*x[i] into gw[o,i], skipping every output whose delta is
-// zero (so a dead unit's row keeps its exact bits, signed zeros included,
-// and an infinite input never meets a zero delta). Every element is
-// updated once with the same product as a row-at-a-time loop, so the
-// result does not depend on the blocking: four live rows share each pass
-// of vecmath.AddScaled4 over x, whose vector lanes run along i, and the
-// last live rows go one at a time through vecmath.AddScaled.
+// accumulate adds the layer's parameter gradients for the first k samples
+// of a tile, whose inputs are x and deltas d: for each output o, each
+// sample s in order whose d[s][o] is not zero adds d[s][o] to gb[o] and
+// d[s][o]*x[s][i] to gw[o,i]. A zero delta is skipped per sample (so a
+// dead unit's row keeps its exact bits, signed zeros included, and an
+// infinite input never meets a zero delta). A row's live samples share one
+// pass of vecmath.AddScaledTile over it, which adds them in order, so
+// every element gets the bits of a sample-at-a-time loop.
 //
 //lafvet:hotpath
-func (l *Dense) accumulate(x, d, gw, gb []float64) {
-	if len(x) != l.In || len(d) < l.Out || len(gw) < l.In*l.Out || len(gb) < l.Out {
-		panic(fmt.Sprintf("nn: layer %d->%d given %d inputs, %d deltas, %d+%d gradients", l.In, l.Out, len(x), len(d), len(gw), len(gb)))
-	}
+func (l *Dense) accumulate(x, d *[4][]float64, k int, gw, gb []float64) {
 	in := l.In
-	var live [4]int
-	k := 0
-	for o, do := range d[:l.Out] {
-		if do == 0 {
-			continue
+	for s := range x[:k] {
+		if len(x[s]) != in || len(d[s]) < l.Out || len(gw) < in*l.Out || len(gb) < l.Out {
+			panic(fmt.Sprintf("nn: layer %d->%d given %d inputs, %d deltas, %d+%d gradients", l.In, l.Out, len(x[s]), len(d[s]), len(gw), len(gb)))
 		}
-		gb[o] += do
-		live[k] = o
-		if k++; k < len(live) {
-			continue
-		}
-		k = 0
-		o0, o1, o2, o3 := live[0], live[1], live[2], live[3]
-		vecmath.AddScaled4(x, d[o0], d[o1], d[o2], d[o3],
-			gw[o0*in:(o0+1)*in], gw[o1*in:(o1+1)*in], gw[o2*in:(o2+1)*in], gw[o3*in:(o3+1)*in])
 	}
-	for _, o := range live[:k] {
-		vecmath.AddScaled(x, d[o], gw[o*in:(o+1)*in])
+	for o := 0; o < l.Out; o++ {
+		var lx [4][]float64
+		var ld [4]float64
+		live := 0
+		for s := range x[:k] {
+			if ds := d[s][o]; ds != 0 {
+				gb[o] += ds
+				lx[live], ld[live] = x[s], ds
+				live++
+			}
+		}
+		if live > 0 {
+			vecmath.AddScaledTile(&lx, &ld, live, gw[o*in:(o+1)*in])
+		}
 	}
 }
 

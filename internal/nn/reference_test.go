@@ -126,8 +126,11 @@ func (a *refAdam) Step(n *Network, g *Grads) {
 
 // refFit is the original training loop. Its workers add their squared
 // errors in worker order, the order Fit now guarantees; the gradient sum
-// was always in worker order.
-func refFit(n *Network, inputs, targets [][]float64, cfg TrainConfig) float64 {
+// was always in worker order. It also returns, for the tiles Fit forms (a
+// part's samples four at a time from its start), how many times a
+// layer-0 row had each number 0–4 of samples with a non-zero delta, the
+// samples that Fit's tile kernel adds into the row together.
+func refFit(n *Network, inputs, targets [][]float64, cfg TrainConfig) (float64, [5]int) {
 	opt := &refAdam{LR: cfg.LR, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(len(inputs))
@@ -135,6 +138,7 @@ func refFit(n *Network, inputs, targets [][]float64, cfg TrainConfig) float64 {
 	grads := make([]*Grads, workers)
 	scratches := make([]*Scratch, workers)
 	ses := make([]float64, workers)
+	lives := make([][5]int, workers)
 	for w := range grads {
 		grads[w] = NewGrads(n)
 		scratches[w] = NewScratch(n)
@@ -163,8 +167,20 @@ func refFit(n *Network, inputs, targets [][]float64, cfg TrainConfig) float64 {
 					defer wg.Done()
 					grads[w].Zero()
 					var se float64
-					for _, idx := range batch[lo:hi] {
+					live := make([]int, n.Layers[0].Out)
+					for j, idx := range batch[lo:hi] {
 						se += refBackwardMSE(n, inputs[idx], targets[idx], scratches[w], grads[w])
+						for o, d := range grads[w].deltas[0] {
+							if d != 0 {
+								live[o]++
+							}
+						}
+						if j%4 == 3 || lo+j+1 == hi {
+							for o, c := range live {
+								lives[w][c]++
+								live[o] = 0
+							}
+						}
 					}
 					ses[w] = se
 				}(w, lo, hi)
@@ -191,7 +207,13 @@ func refFit(n *Network, inputs, targets [][]float64, cfg TrainConfig) float64 {
 		}
 		lastMSE = epochSE / float64(len(inputs))
 	}
-	return lastMSE
+	var live [5]int
+	for _, l := range lives {
+		for c, k := range l {
+			live[c] += k
+		}
+	}
+	return lastMSE, live
 }
 
 // sameBits reports whether a and b are the same float64, counting any NaN
@@ -308,28 +330,45 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestFitMatchesReference trains with a ragged last batch (101 samples,
-// batch 16: the last batch of 5 makes 1/len(batch) inexact) at several
+// TestFitMatchesReference trains with a ragged last batch at several
 // worker counts, including ones that leave workers without a part of the
 // last batch and split tensors unevenly, then predicts with the result.
+// The small shapes run 101 samples in batches of 16 (the last batch of 5
+// makes 1/len(batch) inexact); the estimator's own 769->32->16->1 shape
+// runs them in batches of 22, whose parts are not multiples of four, so
+// every worker count ends some part with a short tile, and the test checks
+// that layer-0 rows with every live count 0–4 occurred in a tile.
 func TestFitMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(12))
-	inputs := make([][]float64, 101)
-	targets := make([][]float64, 101)
-	for i := range inputs {
-		x := make([]float64, 40)
-		for j := range x {
-			x[j] = rng.NormFloat64()
+	samples := func(in int) (inputs, targets [][]float64) {
+		inputs = make([][]float64, 101)
+		targets = make([][]float64, 101)
+		for i := range inputs {
+			x := make([]float64, in)
+			for j := range x {
+				x[j] = rng.NormFloat64()
+			}
+			inputs[i] = x
+			targets[i] = []float64{rng.Float64()}
 		}
-		inputs[i] = x
-		targets[i] = []float64{rng.Float64()}
+		return inputs, targets
 	}
-	cfg := TrainConfig{Epochs: 3, BatchSize: 16, LR: 2e-3, Seed: 5}
 	// The second shape has 16-row blocks, whose packed weights every
-	// worker rewrites for its own range of W after each step.
-	for _, widths := range [][]int{{40, 8, 4, 1}, {40, 33, 17, 1}} {
-		base := NewNetwork(widths, ReLU, Sigmoid, rng)
+	// worker rewrites for its own range of W after each step; the third is
+	// the estimator's.
+	for _, tc := range []struct {
+		widths []int
+		batch  int
+	}{
+		{[]int{40, 8, 4, 1}, 16},
+		{[]int{40, 33, 17, 1}, 16},
+		{[]int{769, 32, 16, 1}, 22},
+	} {
+		inputs, targets := samples(tc.widths[0])
+		cfg := TrainConfig{Epochs: 3, BatchSize: tc.batch, LR: 2e-3, Seed: 5}
+		base := NewNetwork(tc.widths, ReLU, Sigmoid, rng)
+		var live [5]int
 		for _, procs := range []int{1, 2, 3, 8} {
 			runtime.GOMAXPROCS(procs)
 			got, want := cloneNetwork(base), cloneNetwork(base)
@@ -337,13 +376,24 @@ func TestFitMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantMSE := refFit(want, inputs, targets, cfg); !sameBits(mse, wantMSE) {
-				t.Fatalf("widths %v GOMAXPROCS=%d: MSE %v, want %v", widths, procs, mse, wantMSE)
+			wantMSE, l := refFit(want, inputs, targets, cfg)
+			if !sameBits(mse, wantMSE) {
+				t.Fatalf("widths %v GOMAXPROCS=%d: MSE %v, want %v", tc.widths, procs, mse, wantMSE)
 			}
 			assertSameNetwork(t, got, want)
 			// The packed copy Fit left behind is the trained W's.
 			x := inputs[procs]
 			assertSameSlice(t, "Forward after Fit", got.Forward(x, nil), refForward(got, x, NewScratch(got)))
+			for c, k := range l {
+				live[c] += k
+			}
+		}
+		if tc.widths[0] == 769 {
+			for c, k := range live {
+				if k == 0 {
+					t.Errorf("widths %v: no layer-0 row had %d live samples in a tile (counts %v)", tc.widths, c, live)
+				}
+			}
 		}
 	}
 }

@@ -18,8 +18,10 @@
 // The float64 kernels of the estimator's neural network (internal/nn) live
 // here too (train.go): Affine16, a dense layer's forward pass over one
 // block of 16 output rows, reading the weights in Interleave4's layout;
-// AddScaled4 and AddScaled, its weight-gradient update; and AdamStep,
-// Adam's parameter step over the summed per-worker gradients.
+// Affine8x4, the same pass over 8 rows for a tile of four samples;
+// AddScaledTile, which adds up to four scaled rows into one, for the
+// weight gradients and the hidden deltas; and AdamStep, Adam's parameter
+// step over the summed per-worker gradients.
 //
 // The two dot products under every cosine distance, Dot (float64
 // accumulators) and the fast pass's float32 one (one pair, or four pairs

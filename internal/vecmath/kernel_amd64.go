@@ -51,17 +51,18 @@ func dotAVX2(a, b []float32) float64
 //go:noescape
 func affine16AVX2(w, x, b, out []float64)
 
-// addScaled4AVX2 is addScaled4Generic in AVX2 for len(x) a multiple of 4;
-// each row must hold len(x) elements.
+// affine8x4AVX2 is affine8x4Generic in AVX2: the same operations in the
+// same order, so the same bits. len(w) must be 8·len(x[0]), every x[s]
+// must hold len(x[0]) elements and b must hold 8.
 //
 //go:noescape
-func addScaled4AVX2(x []float64, d0, d1, d2, d3 float64, r0, r1, r2, r3 []float64)
+func affine8x4AVX2(w []float64, x *[4][]float64, b []float64, out *[4][8]float64)
 
-// addScaledAVX2 is addScaledGeneric in AVX2 for len(x) a multiple of 4;
-// r must hold len(x) elements.
+// addScaledTileAVX2 is addScaledTileGeneric in AVX2 for len(r) a multiple
+// of 4; x[s] for s < k must hold len(r) elements.
 //
 //go:noescape
-func addScaledAVX2(x []float64, d float64, r []float64)
+func addScaledTileAVX2(x *[4][]float64, d *[4]float64, k int, r []float64)
 
 // adamStepAVX2 is adamStepGeneric in AVX2 for len(p) a multiple of 4; m, v
 // and every part from off must hold len(p) elements.

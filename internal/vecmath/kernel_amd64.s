@@ -301,65 +301,165 @@ affine16done:
 	VZEROUPPER
 	RET
 
-// func addScaled4AVX2(x []float64, d0, d1, d2, d3 float64, r0, r1, r2, r3 []float64)
+// func affine8x4AVX2(w []float64, x *[4][]float64, b []float64, out *[4][8]float64)
 //
-// Lanes run along i: r_k[i:i+4] += d_k·x[i:i+4], each element updated once.
-TEXT ·addScaled4AVX2(SB), NOSPLIT, $0-152
-	MOVQ         x_base+0(FP), SI
-	MOVQ         x_len+8(FP), CX
-	VBROADCASTSD d0+24(FP), Y0
-	VBROADCASTSD d1+32(FP), Y1
-	VBROADCASTSD d2+40(FP), Y2
-	VBROADCASTSD d3+48(FP), Y3
-	MOVQ         r0_base+56(FP), R8
-	MOVQ         r1_base+80(FP), R9
-	MOVQ         r2_base+104(FP), R10
-	MOVQ         r3_base+128(FP), R11
-	XORQ         AX, AX
-	TESTQ        CX, CX
-	JEQ          addScaled4done
+// Y(2s) and Y(2s+1) hold sample s's sums of rows 0–3 and 4–7: lane k of
+// Y(2s+g) is row 4·g+k, which starts at b and adds W·x_s[i] in increasing
+// i. Each step loads the two groups' weights at i once (Y8, Y9) and x_s[i]
+// for the four samples (Y10..Y13), so the eight add chains are
+// independent. SI and R12 walk the two interleaved groups of w, 4·len(x)
+// float64s apart; AX is i.
+TEXT ·affine8x4AVX2(SB), NOSPLIT, $0-64
+	MOVQ    w_base+0(FP), SI
+	MOVQ    x+24(FP), BX
+	MOVQ    b_base+32(FP), DX
+	MOVQ    out+56(FP), DI
+	MOVQ    0(BX), R8
+	MOVQ    8(BX), CX
+	MOVQ    24(BX), R9
+	MOVQ    48(BX), R10
+	MOVQ    72(BX), R11
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVAPD Y0, Y2
+	VMOVAPD Y1, Y3
+	VMOVAPD Y0, Y4
+	VMOVAPD Y1, Y5
+	VMOVAPD Y0, Y6
+	VMOVAPD Y1, Y7
+	MOVQ    CX, R12
+	SHLQ    $5, R12
+	ADDQ    SI, R12
+	XORQ    AX, AX
+	TESTQ   CX, CX
+	JEQ     affine8x4done
 
-addScaled4loop:
-	VMOVUPD (SI)(AX*8), Y4
-	VMULPD  Y4, Y0, Y5
-	VMULPD  Y4, Y1, Y6
-	VMULPD  Y4, Y2, Y7
-	VMULPD  Y4, Y3, Y8
-	VADDPD  (R8)(AX*8), Y5, Y5
-	VADDPD  (R9)(AX*8), Y6, Y6
-	VADDPD  (R10)(AX*8), Y7, Y7
-	VADDPD  (R11)(AX*8), Y8, Y8
-	VMOVUPD Y5, (R8)(AX*8)
-	VMOVUPD Y6, (R9)(AX*8)
-	VMOVUPD Y7, (R10)(AX*8)
-	VMOVUPD Y8, (R11)(AX*8)
-	ADDQ    $4, AX
-	CMPQ    AX, CX
-	JLT     addScaled4loop
+affine8x4loop:
+	VMOVUPD      (SI), Y8
+	VMOVUPD      (R12), Y9
+	VBROADCASTSD (R8)(AX*8), Y10
+	VBROADCASTSD (R9)(AX*8), Y11
+	VBROADCASTSD (R10)(AX*8), Y12
+	VBROADCASTSD (R11)(AX*8), Y13
+	VMULPD       Y8, Y10, Y14
+	VMULPD       Y9, Y10, Y15
+	VADDPD       Y14, Y0, Y0
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y8, Y11, Y14
+	VMULPD       Y9, Y11, Y15
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y8, Y12, Y14
+	VMULPD       Y9, Y12, Y15
+	VADDPD       Y14, Y4, Y4
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y8, Y13, Y14
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y15, Y7, Y7
+	ADDQ         $32, SI
+	ADDQ         $32, R12
+	INCQ         AX
+	CMPQ         AX, CX
+	JLT          affine8x4loop
 
-addScaled4done:
+affine8x4done:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
 	VZEROUPPER
 	RET
 
-// func addScaledAVX2(x []float64, d float64, r []float64)
-TEXT ·addScaledAVX2(SB), NOSPLIT, $0-56
-	MOVQ         x_base+0(FP), SI
-	MOVQ         x_len+8(FP), CX
-	VBROADCASTSD d+24(FP), Y0
-	MOVQ         r_base+32(FP), R8
+// func addScaledTileAVX2(x *[4][]float64, d *[4]float64, k int, r []float64)
+//
+// Lanes run along i: r[i:i+4] is loaded once, takes d_s·x_s[i:i+4] for
+// s = 0..k−1 in order, and is stored once. One loop per k keeps the
+// sample count out of the loop body.
+TEXT ·addScaledTileAVX2(SB), NOSPLIT, $0-48
+	MOVQ         x+0(FP), BX
+	MOVQ         d+8(FP), DX
+	MOVQ         k+16(FP), R12
+	MOVQ         r_base+24(FP), DI
+	MOVQ         r_len+32(FP), CX
+	MOVQ         0(BX), R8
+	MOVQ         24(BX), R9
+	MOVQ         48(BX), R10
+	MOVQ         72(BX), R11
+	VBROADCASTSD 0(DX), Y0
+	VBROADCASTSD 8(DX), Y1
+	VBROADCASTSD 16(DX), Y2
+	VBROADCASTSD 24(DX), Y3
 	XORQ         AX, AX
 	TESTQ        CX, CX
-	JEQ          addScaleddone
+	JEQ          tiledone
+	CMPQ         R12, $2
+	JLT          tile1
+	JEQ          tile2
+	CMPQ         R12, $3
+	JEQ          tile3
 
-addScaledloop:
-	VMULPD  (SI)(AX*8), Y0, Y5
-	VADDPD  (R8)(AX*8), Y5, Y5
-	VMOVUPD Y5, (R8)(AX*8)
+tile4:
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  (R8)(AX*8), Y0, Y5
+	VADDPD  Y4, Y5, Y4
+	VMULPD  (R9)(AX*8), Y1, Y5
+	VADDPD  Y4, Y5, Y4
+	VMULPD  (R10)(AX*8), Y2, Y5
+	VADDPD  Y4, Y5, Y4
+	VMULPD  (R11)(AX*8), Y3, Y5
+	VADDPD  Y4, Y5, Y4
+	VMOVUPD Y4, (DI)(AX*8)
 	ADDQ    $4, AX
 	CMPQ    AX, CX
-	JLT     addScaledloop
+	JLT     tile4
+	JMP     tiledone
 
-addScaleddone:
+tile3:
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  (R8)(AX*8), Y0, Y5
+	VADDPD  Y4, Y5, Y4
+	VMULPD  (R9)(AX*8), Y1, Y5
+	VADDPD  Y4, Y5, Y4
+	VMULPD  (R10)(AX*8), Y2, Y5
+	VADDPD  Y4, Y5, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     tile3
+	JMP     tiledone
+
+tile2:
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  (R8)(AX*8), Y0, Y5
+	VADDPD  Y4, Y5, Y4
+	VMULPD  (R9)(AX*8), Y1, Y5
+	VADDPD  Y4, Y5, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     tile2
+	JMP     tiledone
+
+tile1:
+	// k = 0 never reaches the kernel with elements to update.
+	TESTQ   R12, R12
+	JEQ     tiledone
+
+tile1loop:
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  (R8)(AX*8), Y0, Y5
+	VADDPD  Y4, Y5, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     tile1loop
+
+tiledone:
 	VZEROUPPER
 	RET
 

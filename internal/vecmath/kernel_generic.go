@@ -19,11 +19,11 @@ func dotAVX2(a, b []float32) float64 { panic("vecmath: no AVX2 kernel in this bu
 
 func affine16AVX2(w, x, b, out []float64) { panic("vecmath: no AVX2 kernel in this build") }
 
-func addScaled4AVX2(x []float64, d0, d1, d2, d3 float64, r0, r1, r2, r3 []float64) {
+func affine8x4AVX2(w []float64, x *[4][]float64, b []float64, out *[4][8]float64) {
 	panic("vecmath: no AVX2 kernel in this build")
 }
 
-func addScaledAVX2(x []float64, d float64, r []float64) {
+func addScaledTileAVX2(x *[4][]float64, d *[4]float64, k int, r []float64) {
 	panic("vecmath: no AVX2 kernel in this build")
 }
 

@@ -6,11 +6,13 @@ import (
 )
 
 // The float64 kernels below are the inner loops of the estimator's neural
-// network (internal/nn): a dense layer's forward pass, its weight-gradient
-// update and Adam's parameter step. Like Dot, each dispatches to an AVX2
-// kernel of kernel_amd64.s that performs the Go loop's operations in the Go
-// loop's order, one independent chain per vector lane and no fused
-// multiply-add, so the results are the Go loop's bits on every host.
+// network (internal/nn): a dense layer's forward pass (one sample, or a
+// tile of four sharing each weight load), its weight-gradient update and
+// hidden deltas (up to four scaled rows added in one pass) and Adam's
+// parameter step. Like Dot, each dispatches to an AVX2 kernel of kernel_amd64.s that
+// performs the Go loop's operations in the Go loop's order, one
+// independent chain per vector lane and no fused multiply-add, so the
+// results are the Go loop's bits on every host.
 
 // Interleave4 copies the row-major weights w[lo:hi] of a matrix with in
 // columns into dst, the layout Affine16 reads: rows interleaved by four,
@@ -82,55 +84,86 @@ func affine16Generic(w, x, b, out []float64) {
 	}
 }
 
-// AddScaled4 adds d_k·x[i] to r_k[i] for the four rows k and every i < len(x):
-// one rounded multiply and one rounded add per element.
+// Affine8x4 sets out[s][r] = b[r] + Σ_i W[r, i]·x[s][i] for the 8 rows of
+// two consecutive Interleave4 groups and the four samples s, where w is
+// the 8·len(x[0]) weights of the two groups and every x[s] has len(x[0])
+// elements. Each sum is Affine16's: it starts at b[r] and adds
+// W[r, i]·x[s][i] in increasing i, a rounded multiply then a rounded add.
+// Each weight is read once for the four samples, and the 32 sums make 8
+// independent vector add chains.
 //
 //lafvet:hotpath
-func AddScaled4(x []float64, d0, d1, d2, d3 float64, r0, r1, r2, r3 []float64) {
-	n := len(x)
-	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
-	k := 0
+func Affine8x4(w []float64, x *[4][]float64, b []float64, out *[4][8]float64) {
+	n := len(x[0])
+	if len(w) != 8*n || len(x[1]) != n || len(x[2]) != n || len(x[3]) != n || len(b) < 8 {
+		panic(fmt.Sprintf("vecmath: 8-row tile given %d weights, inputs of %d, %d, %d and %d, and %d biases",
+			len(w), n, len(x[1]), len(x[2]), len(x[3]), len(b)))
+	}
 	if haveAVX2 {
-		k = n &^ 3
-		addScaled4AVX2(x[:k], d0, d1, d2, d3, r0, r1, r2, r3)
+		affine8x4AVX2(w, x, b, out)
+		return
 	}
-	addScaled4Generic(x[k:], d0, d1, d2, d3, r0[k:], r1[k:], r2[k:], r3[k:])
+	affine8x4Generic(w, x, b, out)
 }
 
-// addScaled4Generic is AddScaled4 in Go.
+// affine8x4Generic is Affine8x4 in Go: per sample, the two groups of
+// affine16Generic.
 //
 //lafvet:hotpath
-func addScaled4Generic(x []float64, d0, d1, d2, d3 float64, r0, r1, r2, r3 []float64) {
-	r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
-	for i, xi := range x {
-		r0[i] += d0 * xi
-		r1[i] += d1 * xi
-		r2[i] += d2 * xi
-		r3[i] += d3 * xi
+func affine8x4Generic(w []float64, x *[4][]float64, b []float64, out *[4][8]float64) {
+	n := len(x[0])
+	for s := range x {
+		xs := x[s][:n]
+		for g := 0; g < 2; g++ {
+			blk := w[4*g*n : 4*(g+1)*n][:4*len(xs)]
+			s0, s1, s2, s3 := b[4*g], b[4*g+1], b[4*g+2], b[4*g+3]
+			for i, xi := range xs {
+				r := blk[4*i : 4*i+4]
+				s0 += r[0] * xi
+				s1 += r[1] * xi
+				s2 += r[2] * xi
+				s3 += r[3] * xi
+			}
+			out[s][4*g], out[s][4*g+1], out[s][4*g+2], out[s][4*g+3] = s0, s1, s2, s3
+		}
 	}
 }
 
-// AddScaled is AddScaled4 for one row: r[i] += d·x[i] for every i < len(x).
+// AddScaledTile adds d[s]·x[s][i] to r[i] for the first k ≤ 4 rows s, in
+// increasing s, and every i < len(r): one rounded multiply and one rounded
+// add per row, so r gets the bits of adding the rows one at a time. The
+// rows are a tile's samples of one gradient row, or rows of W scaled by
+// one sample's deltas. Every x[s] with s < k must hold len(r) elements.
 //
 //lafvet:hotpath
-func AddScaled(x []float64, d float64, r []float64) {
-	n := len(x)
-	r = r[:n]
-	k := 0
+func AddScaledTile(x *[4][]float64, d *[4]float64, k int, r []float64) {
+	n := len(r)
+	var tail [4][]float64
+	for s, xs := range x[:k] { // k outside 0–4 panics here
+		tail[s] = xs[:n]
+	}
+	j := 0
 	if haveAVX2 {
-		k = n &^ 3
-		addScaledAVX2(x[:k], d, r)
+		j = n &^ 3
+		addScaledTileAVX2(&tail, d, k, r[:j])
 	}
-	addScaledGeneric(x[k:], d, r[k:])
+	for s, xs := range tail[:k] {
+		tail[s] = xs[j:]
+	}
+	addScaledTileGeneric(&tail, d, k, r[j:])
 }
 
-// addScaledGeneric is AddScaled in Go.
+// addScaledTileGeneric is AddScaledTile in Go, one row at a time: each
+// element still sees the rows in order.
 //
 //lafvet:hotpath
-func addScaledGeneric(x []float64, d float64, r []float64) {
-	r = r[:len(x)]
-	for i, xi := range x {
-		r[i] += d * xi
+func addScaledTileGeneric(x *[4][]float64, d *[4]float64, k int, r []float64) {
+	for s, xs := range x[:k] {
+		ds := d[s]
+		xs = xs[:len(r)]
+		for i, xi := range xs {
+			r[i] += ds * xi
+		}
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // trainCase is one input to every training kernel: Affine16 on w, x, b;
-// AddScaled4 on x, d and rows (then AddScaled on x, d[1] and rows[0]); AdamStep
-// on p, m, v and parts from off with c.
+// AddScaledTile on rows, d and x (as r) for every row count 0–4;
+// Affine8x4 on the first 8·len(x) of w, rows as the four samples and b;
+// AdamStep on p, m, v and parts from off with c.
 type trainCase struct {
 	x, w, b []float64
 	d       [4]float64
@@ -44,19 +45,12 @@ func checkTrainKernels(t testing.TB, tc *trainCase) {
 	affine16Generic(tc.w, tc.x, tc.b, want)
 	assertSameBits(t, "Affine16", n, got, want)
 
-	var ga, wa [4][]float64
-	for k, r := range tc.rows {
-		ga[k], wa[k] = clone64(r), clone64(r)
+	for k := 0; k <= 4; k++ {
+		gr, wr := clone64(tc.x), clone64(tc.x)
+		AddScaledTile(&tc.rows, &tc.d, k, gr)
+		addScaledTileGeneric(&tc.rows, &tc.d, k, wr)
+		assertSameBits(t, "AddScaledTile of "+strconv.Itoa(k), n, gr, wr)
 	}
-	d := tc.d
-	AddScaled4(tc.x, d[0], d[1], d[2], d[3], ga[0], ga[1], ga[2], ga[3])
-	addScaled4Generic(tc.x, d[0], d[1], d[2], d[3], wa[0], wa[1], wa[2], wa[3])
-	for k := range ga {
-		assertSameBits(t, "AddScaled4 row "+strconv.Itoa(k), n, ga[k], wa[k])
-	}
-	AddScaled(tc.x, d[1], ga[0])
-	addScaledGeneric(tc.x, d[1], wa[0])
-	assertSameBits(t, "AddScaled", n, ga[0], wa[0])
 
 	gp, gm, gv := clone64(tc.p), clone64(tc.m), clone64(tc.v)
 	wp, wm, wv := clone64(tc.p), clone64(tc.m), clone64(tc.v)
@@ -65,6 +59,22 @@ func checkTrainKernels(t testing.TB, tc *trainCase) {
 	assertSameBits(t, "AdamStep p", n, gp, wp)
 	assertSameBits(t, "AdamStep m", n, gm, wm)
 	assertSameBits(t, "AdamStep v", n, gv, wv)
+}
+
+// checkAffine8x4 compares Affine8x4 with its Go loop, and a sample's sums
+// with Affine16's first 8 rows.
+func checkAffine8x4(t testing.TB, tc *trainCase) {
+	t.Helper()
+	n := len(tc.x)
+	want := make([]float64, 16)
+	var gt, wt [4][8]float64
+	Affine8x4(tc.w[:8*n], &tc.rows, tc.b, &gt)
+	affine8x4Generic(tc.w[:8*n], &tc.rows, tc.b, &wt)
+	for s := range gt {
+		assertSameBits(t, "Affine8x4 sample "+strconv.Itoa(s), n, gt[s][:], wt[s][:])
+	}
+	affine16Generic(tc.w, tc.rows[n%4], tc.b, want)
+	assertSameBits(t, "Affine8x4 against Affine16", n, gt[n%4][:], want[:8])
 }
 
 var trainSpecials = []float64{
@@ -105,7 +115,9 @@ func adamCoef(t, batch int) AdamCoef {
 // larger slices (so loads are unaligned), over normal, wide and extreme
 // values. Every fourth length has a zero or negative-zero delta, Adam
 // sums 1–8 parts and, in the extreme mode, takes its coefficients from
-// the same extreme values.
+// the same extreme values. AddScaledTile adds 0–4 rows, and Affine8x4 runs
+// at one of the offsets per length. Then the short lengths and 769 run again with ±Inf, NaN, −0 and a
+// subnormal planted in every input.
 func TestTrainKernelsMatchGeneric(t *testing.T) {
 	skipWithoutAVX2(t)
 	rng := rand.New(rand.NewSource(21))
@@ -155,7 +167,45 @@ func TestTrainKernelsMatchGeneric(t *testing.T) {
 					}
 				}
 				checkTrainKernels(t, tc)
+				if off == n%8 {
+					checkAffine8x4(t, tc) // one offset per length keeps -race affordable
+				}
 			}
+		}
+	}
+
+	// Lengths 0–9 and the estimator's 769, each special value planted in
+	// every input of the tile kernels, and a delta, at a position that moves with the
+	// length and the sample, so vector bodies and tails both meet it.
+	planted := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1),
+		math.Float64frombits(1), -math.Float64frombits(0x000fffffffffffff)}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 769} {
+		for pi, sp := range planted {
+			tc := &trainCase{x: make([]float64, n), w: make([]float64, 16*n), b: make([]float64, 16),
+				p: make([]float64, n), m: make([]float64, n), v: make([]float64, n),
+				parts: [][]float64{make([]float64, n)}, c: adamCoef(1+n, 8)}
+			for _, s := range append([][]float64{tc.x, tc.w, tc.b, tc.m, tc.parts[0]}, tc.p) {
+				for i := range s {
+					s[i] = rng.NormFloat64()
+				}
+			}
+			for k := range tc.rows {
+				tc.rows[k] = make([]float64, n)
+				for i := range tc.rows[k] {
+					tc.rows[k][i] = rng.NormFloat64()
+				}
+				tc.d[k] = rng.NormFloat64()
+				if n > 0 {
+					tc.rows[k][(pi+3*k+n)%n] = sp
+				}
+			}
+			tc.d[pi%4] = sp
+			if n > 0 {
+				tc.x[(pi+n/2)%n] = sp
+				tc.w[(5*pi+n)%(8*n)] = sp
+			}
+			checkTrainKernels(t, tc)
+			checkAffine8x4(t, tc)
 		}
 	}
 }
@@ -208,12 +258,15 @@ func FuzzTrainKernels(f *testing.F) {
 			}
 		}
 		checkTrainKernels(t, tc)
+		checkAffine8x4(t, tc)
 	})
 }
 
 // BenchmarkTrainKernels times each training kernel at the estimator's
-// layer-0 shape (769 inputs, 16 rows per Affine16 block) and Adam over
-// 4,096 parameters from two parts: the Go loop against the AVX2 kernel.
+// layer-0 shape (769 inputs, 16 rows per Affine16 block, 8 rows and four
+// samples per Affine8x4 tile, four samples added into one AddScaledTile
+// row) and Adam over 4,096 parameters from two parts: the Go loop against
+// the AVX2 kernel.
 func BenchmarkTrainKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	vec := func(n int) []float64 {
@@ -225,13 +278,15 @@ func BenchmarkTrainKernels(b *testing.B) {
 	}
 	const in, params = 769, 4096
 	x, w, bias, out := vec(in), vec(16*in), vec(16), make([]float64, 16)
-	r0, r1, r2, r3 := vec(in), vec(in), vec(in), vec(in)
+	r := vec(in)
 	p, m, v := vec(params), vec(params), vec(params)
 	for i := range v {
 		v[i] = math.Abs(v[i])
 	}
 	parts := [][]float64{vec(params), vec(params)}
 	c := adamCoef(10, 64)
+	tx, td := [4][]float64{vec(in), vec(in), vec(in), vec(in)}, [4]float64{1e-3, 2e-3, 3e-3, 4e-3}
+	var tout [4][8]float64
 	kernels := []struct {
 		name         string
 		generic, asm func()
@@ -239,9 +294,12 @@ func BenchmarkTrainKernels(b *testing.B) {
 		{"affine16/d769",
 			func() { affine16Generic(w, x, bias, out) },
 			func() { Affine16(w, x, bias, out) }},
-		{"addscaled4/d769",
-			func() { addScaled4Generic(x, 1e-3, 2e-3, 3e-3, 4e-3, r0, r1, r2, r3) },
-			func() { AddScaled4(x, 1e-3, 2e-3, 3e-3, 4e-3, r0, r1, r2, r3) }},
+		{"affine8x4/d769",
+			func() { affine8x4Generic(w[:8*in], &tx, bias, &tout) },
+			func() { Affine8x4(w[:8*in], &tx, bias, &tout) }},
+		{"addscaledtile4/d769",
+			func() { addScaledTileGeneric(&tx, &td, 4, r) },
+			func() { AddScaledTile(&tx, &td, 4, r) }},
 		{"adam/n4096-parts2",
 			func() { adamStepGeneric(p, m, v, parts, 0, &c) },
 			func() { AdamStep(p, m, v, parts, 0, &c) }},
