@@ -17,10 +17,13 @@ import (
 )
 
 // durableEngines enumerates the engine configurations the crash matrix
-// pins: the PR 5 equality contract makes crash-replay testable for exactly
-// these, and the LAF leg uses the RMI estimator because it is the only
-// estimator kind that survives Model.Save (a recovered model must replay
-// with the same gate the live one had).
+// pins: the equality contract (maintenance equals a fresh fit) makes
+// crash-replay testable for every method. The DBSCAN++ and LAF-DBSCAN++
+// rows' generation-0 snapshot holds the sampled model, and recovery
+// replays the switch to the exact counterpart from the journal. The LAF
+// legs use the RMI estimator because it is the only estimator kind that
+// survives Model.Save (a recovered model must replay with the same gate
+// the live one had).
 func durableEngines(t testing.TB, train [][]float32) []struct {
 	name   string
 	method Method
@@ -41,6 +44,8 @@ func durableEngines(t testing.TB, train [][]float32) []struct {
 		{"dbscan-default", MethodDBSCAN, Params{Eps: 0.4, Tau: 4}},
 		{"dbscan-parallel-wave", MethodDBSCAN, Params{Eps: 0.4, Tau: 4, Workers: 2, WaveSize: 7}},
 		{"laf-parallel-pp", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, Workers: 2, WaveSize: 16}},
+		{"dbscan++", MethodDBSCANPP, Params{Eps: 0.4, Tau: 4, SampleFraction: 0.5, Seed: 7}},
+		{"laf-dbscan++-pp", MethodLAFDBSCANPP, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, SampleFraction: 0.5, Seed: 7, Workers: 2, WaveSize: 16}},
 	}
 }
 

@@ -20,12 +20,9 @@ package cluster
 // numbering sequential DBSCAN's scan produces and WaveMerger.Resolve
 // reproduces, because the traversal starts every cluster at its
 // lowest-indexed core point. Non-core points with at least one adjacent
-// core become borders: with a nil nearest they join the lowest-numbered
-// adjacent cluster (the traversal methods' contested-border rule); a
-// non-nil nearest selects the claiming core among the adjacent candidates
-// (the sampling/block methods' nearest-core rule; it must return one of
-// cands). Everything else is Noise.
-func ResolveCanonical(core []bool, adj [][]int32, nearest func(i int, cands []int32) int32) []int {
+// core become borders and join the lowest-numbered adjacent cluster (the
+// traversal methods' contested-border rule). Everything else is Noise.
+func ResolveCanonical(core []bool, adj [][]int32) []int {
 	n := len(core)
 	labels := make([]int, n) // 0 = unassigned, cluster ids start at 1
 	// Component discovery by BFS from each unvisited core in ascending id
@@ -55,17 +52,9 @@ func ResolveCanonical(core []bool, adj [][]int32, nearest func(i int, cands []in
 		if core[i] {
 			continue
 		}
-		if nearest != nil {
-			if len(adj[i]) > 0 {
-				if pick := nearest(i, adj[i]); pick >= 0 && core[pick] {
-					labels[i] = labels[pick]
-				}
-			}
-		} else {
-			for _, a := range adj[i] {
-				if core[a] && (labels[i] == 0 || labels[a] < labels[i]) {
-					labels[i] = labels[a]
-				}
+		for _, a := range adj[i] {
+			if core[a] && (labels[i] == 0 || labels[a] < labels[i]) {
+				labels[i] = labels[a]
 			}
 		}
 		if labels[i] == 0 {

@@ -10,7 +10,7 @@ import (
 func TestResolveCanonicalIgnoresStaleEntries(t *testing.T) {
 	core := []bool{true, false, false}
 	adj := [][]int32{{}, {0, 2}, {2}} // 2 is stale (demoted)
-	labels := ResolveCanonical(core, adj, nil)
+	labels := ResolveCanonical(core, adj)
 	want := []int{1, 1, Noise}
 	if !slices.Equal(labels, want) {
 		t.Fatalf("labels = %v, want %v", labels, want)

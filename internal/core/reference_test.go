@@ -358,7 +358,7 @@ func TestResolveCanonicalMatchesSequentialDBSCAN(t *testing.T) {
 			}
 		}
 	}
-	labels := cluster.ResolveCanonical(ref.Core, adj, nil)
+	labels := cluster.ResolveCanonical(ref.Core, adj)
 	if !slices.Equal(labels, ref.Labels) {
 		t.Fatalf("canonical resolution diverged from sequential DBSCAN")
 	}

@@ -349,9 +349,11 @@ func (s *ModelStore) CountUpdate(kind string, points int) {
 	}
 }
 
-// RefreshInfo re-snapshots a model's listed totals (points, clusters,
-// cores, update counters) after a maintenance operation. A missing id is a
-// no-op: the model may have been deleted while its update job ran.
+// RefreshInfo re-snapshots a model's listed method and totals (points,
+// clusters, cores, update counters) after a maintenance operation: the
+// first one switches a sampled or block model to its exact counterpart
+// (lafdbscan.Model.Method). A missing id is a no-op: the model may have
+// been deleted while its update job ran.
 func (s *ModelStore) RefreshInfo(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -360,6 +362,7 @@ func (s *ModelStore) RefreshInfo(id string) {
 		return
 	}
 	m := e.model
+	e.info.Method = string(m.Method())
 	e.info.Points = m.Len()
 	e.info.Clusters = m.NumClusters()
 	e.info.Cores = m.NumCores()

@@ -120,6 +120,40 @@ func TestModelUpdateEndpoints(t *testing.T) {
 	}
 }
 
+// TestInsertSwitchesListedMethod: the first insert into a dbscan++ model
+// switches it to its exact counterpart, and the model info says so.
+func TestInsertSwitchesListedMethod(t *testing.T) {
+	base, vectors, cleanup := modelServer(t, Options{Workers: 2, QueueDepth: 8})
+	defer cleanup()
+
+	code, body := postJSON(t, base+"/v1/models", map[string]any{
+		"dataset": "mdl", "method": "dbscan++",
+		"params": map[string]any{"eps": 0.5, "tau": 4, "sample_fraction": 0.5, "seed": 7},
+	})
+	if code != http.StatusCreated {
+		t.Fatalf("fit: %d %v", code, body)
+	}
+	info := body["model"].(map[string]any)
+	if info["method"] != "dbscan++" {
+		t.Fatalf("fitted method = %v, want dbscan++", info["method"])
+	}
+	id := info["id"].(string)
+	code, body = postJSON(t, base+"/v1/models/"+id+"/insert", map[string]any{"vectors": vectors[:5]})
+	if code != http.StatusAccepted {
+		t.Fatalf("insert: %d %v", code, body)
+	}
+	if state, b := pollJob(t, base, body["id"].(string)); state != "done" {
+		t.Fatalf("insert job ended %q: %v", state, b["error"])
+	}
+	code, body = getJSON(t, base+"/v1/models/"+id)
+	if code != http.StatusOK {
+		t.Fatalf("info: %d %v", code, body)
+	}
+	if body["method"] != "dbscan" {
+		t.Fatalf("method after insert = %v, want dbscan", body["method"])
+	}
+}
+
 // TestModelUpdateValidation pins the endpoints' error surface without
 // running any maintenance: unknown models 404, malformed requests 400.
 // /insert and /stream share one submit path but keep their own request

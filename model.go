@@ -109,20 +109,20 @@ func WithEfSearch(ef int) FitOption { return func(p *Params) { p.EfSearch = ef }
 // mutation that fails (context cancellation included) leaves the model
 // exactly as it was: all range queries run before any state is touched.
 type Model struct {
-	method Method
-	params Params // effective values (LAF's Alpha default resolved)
-
 	// mu orders reads (RLock: Predict, accessors, Save) against the
 	// write-locked mutations (Insert, Remove, SetRetrainPolicy).
-	mu     sync.RWMutex
+	mu sync.RWMutex
+	// method and params are the method the model's labels are a fit of and
+	// its effective parameters (LAF's Alpha default resolved). The first
+	// mutation switches both to the exact counterpart (see
+	// model_incremental.go).
+	method Method
+	params Params
 	points [][]float32
 	labels []int
 	core   []bool
 	forest []int32
-	// coreIDs is the ascending list of core point indexes, the scan set of
-	// nearest-core prediction.
-	coreIDs []int
-	index   RangeIndex
+	index  RangeIndex
 	// indexBackend is the registry name the model's index was resolved to
 	// ("" when the caller supplied a pre-built index). The first mutation
 	// resets it to the exact scan the maintenance overlay installs, over
@@ -207,12 +207,6 @@ func overlayFromFit(m Method, p Params) bool {
 // resolved to ("" for a caller-supplied index); fit is the run's neighbor
 // facts, or nil.
 func newModel(m Method, p Params, points [][]float32, res *Result, indexBackend string, fit *core.Facts) *Model {
-	coreIDs := make([]int, 0, len(res.Core)/2)
-	for i, c := range res.Core {
-		if c {
-			coreIDs = append(coreIDs, i)
-		}
-	}
 	return &Model{
 		method:       m,
 		params:       p,
@@ -220,7 +214,6 @@ func newModel(m Method, p Params, points [][]float32, res *Result, indexBackend 
 		labels:       res.Labels,
 		core:         res.Core,
 		forest:       res.Forest,
-		coreIDs:      coreIDs,
 		index:        p.Index,
 		indexBackend: indexBackend,
 		result:       res,
@@ -228,15 +221,28 @@ func newModel(m Method, p Params, points [][]float32, res *Result, indexBackend 
 	}
 }
 
-// Method returns the clustering method the model was fitted with.
-func (m *Model) Method() Method { return m.method }
+// Method returns the clustering method the model's labels are a fit of:
+// the fitted method until the first Insert/Remove, and from then on its
+// exact counterpart — MethodLAFDBSCAN for the LAF methods, MethodDBSCAN for
+// every other (see Insert).
+func (m *Model) Method() Method {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.method
+}
 
 // Params returns the effective fit parameters (Estimator included; LAF's
-// Alpha default resolved to 1). Index is the fitted range index until the
-// first Insert/Remove; after that the model's index is privately owned and
-// mutated under its lock, so Index is nil, IndexBackend is "brute" and
-// EfSearch is 0 — the exact scan the mutated model queries, which a refit
-// or a reload from these parameters builds again.
+// Alpha default resolved to 1). Until the first Insert/Remove they are the
+// fitted ones, Index included. From then on they are the counterpart's
+// that Method reports, and a FitParams of the model's points with Method
+// and Params reproduces its labels bit for bit: Metric is the one the fit
+// ran under (cosine for every method but DBSCAN and LAF-DBSCAN), the
+// sampled and block methods' knobs (SampleFraction, Branching,
+// LeavesRatio, Base, RNT, Rho) are zero, and, because the model's index is
+// then privately owned and mutated under its lock, Index is nil,
+// IndexBackend is "brute" and EfSearch is 0 — the exact scan the mutated
+// model queries, which a refit or a reload from these parameters builds
+// again.
 func (m *Model) Params() Params {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -310,7 +316,17 @@ func (m *Model) NumClusters() int {
 func (m *Model) NumCores() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.coreIDs)
+	return m.numCoresLocked()
+}
+
+func (m *Model) numCoresLocked() int {
+	n := 0
+	for _, c := range m.core {
+		if c {
+			n++
+		}
+	}
+	return n
 }
 
 // Labels returns a copy of the current labels.
@@ -398,11 +414,12 @@ type PredictOptions struct {
 // its fitting run would have chosen: the lowest-numbered adjacent cluster
 // for the traversal-based methods (DBSCAN, LAF-DBSCAN, ρ-approximate), the
 // nearest core's cluster for the assignment-based ones (the ++ variants,
-// KNN-BLOCK, BLOCK-DBSCAN). Predicting the training points themselves
-// therefore reproduces the fitted labels wherever the method's own
-// structures were exact (always for DBSCAN and the ++ variants; for the
-// approximate baselines and post-processing-repaired LAF runs, up to their
-// documented approximations).
+// KNN-BLOCK, BLOCK-DBSCAN). A mutated model is a traversal method (see
+// Method). Predicting the training points themselves therefore reproduces
+// the fitted labels wherever the method's own structures were exact
+// (always for DBSCAN and the ++ variants; for the approximate baselines
+// and post-processing-repaired LAF runs, up to their documented
+// approximations).
 func (m *Model) Predict(ctx context.Context, vectors [][]float32) ([]int, error) {
 	labels, _, err := m.PredictWithOptions(ctx, vectors, PredictOptions{})
 	return labels, err
@@ -450,7 +467,9 @@ func (m *Model) PredictWithOptions(ctx context.Context, vectors [][]float32, o P
 		}
 		skipped = len(vectors) - len(queries)
 	}
-	nearest := m.nearestCoreSemantics()
+	// The sampling and block methods give a contested border its nearest
+	// core's cluster; a mutated model is never one of them.
+	nearest := m.method != MethodDBSCAN && m.method != MethodLAFDBSCAN && m.method != MethodRhoApprox
 	err = index.BatchRangeSearchFunc(ctx, m.index, queries, m.params.Eps,
 		m.params.Workers, 0, m.params.WaveSize,
 		func(k int, ids []int) {
@@ -470,17 +489,6 @@ func (m *Model) PredictWithOptions(ctx context.Context, vectors [][]float32, o P
 	return labels, skipped, nil
 }
 
-// nearestCoreSemantics reports whether the model's method assigns border
-// points to their nearest core (the sampling and block baselines) rather
-// than to the lowest-numbered adjacent cluster (the traversal methods).
-func (m *Model) nearestCoreSemantics() bool {
-	switch m.method {
-	case MethodDBSCAN, MethodLAFDBSCAN, MethodRhoApprox:
-		return false
-	}
-	return true
-}
-
 // minClusterLabelLocked returns the minimum cluster label among the core
 // points in ids, or Noise when none is core. The caller must hold mu.
 func (m *Model) minClusterLabelLocked(ids []int) int {
@@ -493,30 +501,19 @@ func (m *Model) minClusterLabelLocked(ids []int) int {
 	return best
 }
 
-// nearestCoreLabelLocked returns the label of q's nearest core in ids (see
-// nearestCoreLocked), or Noise when ids hold no core. The caller must hold mu.
+// nearestCoreLabelLocked returns the label of the closest core point to q
+// in ids under cosine distance (the metric every nearest-core method is
+// hardwired to), or Noise when ids hold no core. Ties keep the earliest id
+// in ids, matching the strict-improvement scan of the fitting drivers. The
+// caller must hold mu.
 func (m *Model) nearestCoreLabelLocked(q []float32, ids []int) int {
-	best := nearestCoreLocked(m, q, ids)
-	if best < 0 {
-		return Noise
-	}
-	return m.labels[best]
-}
-
-// nearestCoreLocked returns the closest core point to q in ids under cosine
-// distance (the metric every nearest-core method is hardwired to), or -1
-// when ids hold no core. Ties keep the earliest id in ids, matching the
-// strict-improvement scan of the fitting drivers. Prediction and
-// maintenance's relabeling both pick through it. The caller must hold
-// m.mu.
-func nearestCoreLocked[T int | int32](m *Model, q []float32, ids []T) int {
-	best, bestD := -1, m.params.Eps
+	best, bestD := Noise, m.params.Eps
 	for _, id := range ids {
 		if !m.core[id] {
 			continue
 		}
 		if d := vecmath.CosineDistanceUnit(q, m.points[id]); d < bestD {
-			best, bestD = int(id), d
+			best, bestD = m.labels[id], d
 		}
 	}
 	// An in-range core at exactly Eps is impossible, since the range query

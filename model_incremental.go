@@ -28,27 +28,29 @@ import (
 // the exact scan, so the first mutation queries no existing point; one
 // engine pass over its points for any other model, and for every re-gate
 // after a retrain. Every ε-row a mutation reads comes from range queries
-// (neighborRowsLocked), over the model's index and, for an Insert, over
+// (overlay.neighborRows), over the model's index and, for an Insert, over
 // the batch being added: maintenance computes no distance of its own.
 //
 // Equality contract. After any sequence of Insert/Remove the model's
-// labels are bit-identical to a fresh Fit on the resulting point set for
-// the traversal methods, at every Workers/WaveSize setting:
+// labels, core mask, forest and cluster count are bit-identical to a fresh
+// FitParams of its current points with its Method() and Params(), at every
+// Workers/WaveSize setting. The overlay keeps the exact facts of two
+// methods:
 //
 //   - MethodDBSCAN;
 //   - MethodLAFDBSCAN, with post-processing disabled or enabled. The
 //     engine and the overlay both keep the complete partial-neighbor map,
 //     which depends on the point set alone.
 //
-// The sampling/block methods (the ++ variants, KNN-BLOCK, BLOCK-DBSCAN,
-// ρ-approximate) keep their fitted core structure and absorb mutations
-// under exact density semantics — inserted points become core when their
-// true neighbor count reaches Tau, removals demote and split exactly — so
-// their divergence from a fresh fit stays bounded by the method's own
-// approximation. Mutations renumber clusters canonically (ascending
-// minimum core id, the traversal numbering); for the sampling/block
-// methods the first mutation may therefore permute cluster ids while
-// preserving the partition.
+// A model of any other method becomes its exact counterpart at its first
+// mutation: LAF-DBSCAN++ becomes LAF-DBSCAN under the same estimator, and
+// DBSCAN++, KNN-BLOCK, BLOCK-DBSCAN and ρ-approximate become DBSCAN. That
+// mutation adopts the counterpart engine's core set along with its
+// neighbor rows, in place of the fitted, sampled one; Method(), Params(),
+// Save and Result().Algorithm follow the counterpart from then on. A
+// mutation is a plan, then one commit: every range query runs before the
+// model is touched, so a failed or cancelled one, the first included,
+// leaves the model exactly as it was.
 
 // incState is the maintenance overlay, built lazily by the first mutation.
 // It owns its point slice and range index (the fitted ones may be shared
@@ -74,10 +76,27 @@ type incState struct {
 	// entry, whose row lists the gated points within Eps of it. Maintained
 	// only for LAF-DBSCAN with post-processing enabled, nil otherwise.
 	stop *cluster.PartialNeighbors
-	// dyn is the owned brute-force index ensureIncLocked builds over the
+	// dyn is the owned brute-force index planOverlayLocked builds over the
 	// cloned points; it is Model.index from then on, and Insert/Remove
 	// mutate it in step with the point slice.
-	dyn index.DynamicIndex
+	dyn *index.BruteForce
+}
+
+// overlay is what a mutation plans against: the maintenance overlay and
+// the model state installed with it. For a model mutated before, it is the
+// model's own state; for the first mutation it is a new, uninstalled one
+// (planOverlayLocked), which the mutation's commit installs.
+type overlay struct {
+	inc *incState
+	// facts are the engine facts a first mutation's overlay comes from,
+	// whose rows become inc.adj at install; nil for an installed overlay.
+	facts  *core.Facts
+	points [][]float32
+	core   []bool
+	method Method
+	params Params
+	// algorithm is the Result.Algorithm of method's engine (set by a plan).
+	algorithm string
 }
 
 // UpdateReport summarizes one Insert or Remove.
@@ -85,7 +104,10 @@ type UpdateReport struct {
 	// Inserted and Removed count the points this update added or dropped.
 	Inserted int `json:"inserted,omitempty"`
 	Removed  int `json:"removed,omitempty"`
-	// Promoted and Demoted count existing points whose core status flipped.
+	// Promoted and Demoted count existing points whose core status flipped,
+	// against the core set the update started from: a model's first
+	// mutation counts them against its exact counterpart's core set, not
+	// the fitted, sampled one.
 	Promoted int `json:"promoted,omitempty"`
 	Demoted  int `json:"demoted,omitempty"`
 	// Clusters and Cores are the model totals after the update.
@@ -99,12 +121,11 @@ type UpdateReport struct {
 
 // RetrainPolicy makes a LAF model's estimator follow the data: after After
 // mutations since the last (re)training, the next Insert/Remove calls Train
-// over the model's current points and swaps the estimator in. For
-// MethodLAFDBSCAN the model then re-gates every point and re-resolves
-// labels (one engine pass — the incremental analogue of refitting with the
-// new estimator); for MethodLAFDBSCANPP only future gate decisions change.
-// A failed retrain leaves the applied mutation in place and returns
-// ErrRetrainFailed.
+// over the model's current points and swaps the estimator in. The model,
+// LAF-DBSCAN since its first mutation, then re-gates every point and
+// re-resolves labels (one engine pass — the incremental analogue of
+// refitting with the new estimator). A failed retrain leaves the applied
+// mutation in place and returns ErrRetrainFailed.
 // A zero policy (the default) never retrains; Staleness still counts, so
 // callers can drive retraining themselves.
 type RetrainPolicy struct {
@@ -132,86 +153,97 @@ func modelMetric(method Method, m DistanceMetric) DistanceMetric {
 	return MetricCosine
 }
 
-// gatedMethod reports whether the method places the LAF estimator gate
-// before range queries, making gate state part of maintenance.
-func (m *Model) gatedMethod() bool {
-	return m.method == MethodLAFDBSCAN || m.method == MethodLAFDBSCANPP
+// counterpart returns the method a model of method becomes at its first
+// mutation: the exact traversal method it approximates.
+func counterpart(method Method) Method {
+	if method == MethodLAFDBSCAN || method == MethodLAFDBSCANPP {
+		return MethodLAFDBSCAN
+	}
+	return MethodDBSCAN
 }
 
-// trackStop reports whether maintenance must keep the complete partial-
-// neighbor map (LAF-DBSCAN's post-processing replay).
-func (m *Model) trackStop() bool {
-	return m.method == MethodLAFDBSCAN && !m.params.DisablePostProcessing
+// trackStop reports whether maintenance under method and p must keep the
+// complete partial-neighbor map (LAF-DBSCAN's post-processing replay).
+func trackStop(method Method, p Params) bool {
+	return method == MethodLAFDBSCAN && !p.DisablePostProcessing
 }
 
-// ensureIncLocked builds the maintenance overlay on first use: it clones
-// the point slice (the fitted one may be shared) and replaces the model's
-// index with an owned dynamic brute-force index over the clone (exact
-// under the model's metric, so predictions are unchanged). The facts it
-// seeds — counts, core adjacency and, for LAF, gate flags and the complete
-// partial-neighbor map — are the engine's: the fit's own when the model
+// overlayLocked returns the overlay a mutation plans against: the model's
+// own once it has one, otherwise planOverlayLocked's. It changes nothing
+// on the model.
+func (m *Model) overlayLocked(ctx context.Context) (*overlay, error) {
+	if m.inc == nil {
+		return m.planOverlayLocked(ctx)
+	}
+	return &overlay{inc: m.inc, points: m.points, core: m.core, method: m.method, params: m.params}, nil
+}
+
+// planOverlayLocked builds the first mutation's overlay without touching
+// the model: it clones the point slice (the fitted one may be shared) and
+// builds an owned dynamic brute-force index over the clone, exact under
+// the model's metric. The overlay's method is the model's counterpart,
+// its parameters the counterpart's (see Model.Params), and its facts —
+// counts, core set and, for LAF-DBSCAN, gate flags and the complete
+// partial-neighbor map — are that engine's: the fit's own when the model
 // kept them, otherwise (HNSW fits, the sampling/block methods, loaded and
-// recovered models) those of one engine pass over the owned index
-// (engineFactsLocked). The fitted core set is the baseline: for the exact
-// methods it equals the density criterion the overlay maintains; for the
-// sampling/block methods it is the fitted approximation mutations build
-// on. On error (cancellation included) the model is left unmodified.
-func (m *Model) ensureIncLocked(ctx context.Context) error {
-	if m.inc != nil {
-		return nil
+// recovered models) those of one counterpart engine pass over the owned
+// index (engineFacts), whose core set the overlay adopts.
+func (m *Model) planOverlayLocked(ctx context.Context) (*overlay, error) {
+	p := m.params
+	p.Metric = modelMetric(m.method, p.Metric)
+	p.SampleFraction, p.Branching, p.LeavesRatio, p.Base, p.RNT, p.Rho = 0, 0, 0, 0, 0, 0
+	p.Index, p.IndexBackend, p.EfSearch = nil, index.BackendBrute, 0
+	ov := &overlay{method: counterpart(m.method), params: p, facts: m.fit, core: m.core, algorithm: m.result.Algorithm}
+	if ov.method == MethodLAFDBSCAN && p.Estimator == nil {
+		return nil, fmt.Errorf("lafdbscan: %s maintenance requires the estimator gate, and this model carries none (loaded from a save that could not serialize it?)", m.method)
 	}
-	if m.gatedMethod() && m.params.Estimator == nil {
-		return fmt.Errorf("lafdbscan: %s maintenance requires the estimator gate, and this model carries none (loaded from a save that could not serialize it?)", m.method)
-	}
-	points := slices.Clone(m.points)
-	dyn := index.NewBruteForce(slices.Clone(points), modelMetric(m.method, m.params.Metric).Func())
-	inc := &incState{dyn: dyn}
-	facts := m.fit
-	var err error
-	if facts == nil {
-		if facts, _, err = m.engineFactsLocked(ctx, dyn, points, m.params.Estimator); err != nil {
-			return err
+	ov.points = slices.Clone(m.points)
+	dyn := index.NewBruteForce(slices.Clone(ov.points), p.Metric.Func())
+	if ov.facts == nil {
+		facts, res, err := engineFacts(ctx, dyn, ov.points, ov.method, p)
+		if err != nil {
+			return nil, err
 		}
+		ov.facts, ov.core, ov.algorithm = facts, res.Core, res.Algorithm
 	}
-	if m.method == MethodLAFDBSCANPP {
-		// Its engine pass queried every point; the gate flags future
-		// promotions read are the estimator's.
-		if inc.gated, err = core.Gate(ctx, points, lafConfig(m.params)); err != nil {
-			return err
-		}
+	ov.inc = &incState{dyn: dyn, counts: countsOf(ov.facts)}
+	if ov.method == MethodLAFDBSCAN {
+		ov.inc.gated = ov.facts.Pass
 	}
-	m.adoptFactsLocked(inc, facts)
-	m.fit = nil
-	m.points = points
-	m.index = dyn
-	m.indexBackend = index.BackendBrute
-	// The model's index is privately owned and mutated from here on, so it
-	// must not leak through Params(): a caller holding Params().Index would
-	// race the maintenance writes and watch ids shift underneath it. With
-	// the field nil, a refit from Params() builds its own (equivalent)
-	// index — labels are identical with or without a shared one. The
-	// backend knob follows the index, so Save records the exact scan the
-	// model now queries and a reload rebuilds that, not the fitted graph.
-	m.params.Index = nil
-	m.params.IndexBackend = index.BackendBrute
-	m.params.EfSearch = 0
-	m.inc = inc
-	return nil
+	return ov, nil
 }
 
-// engineFactsLocked runs the engine over points on idx, with
-// post-processing off (the partial-neighbor map does not depend on it),
-// and returns its neighbor facts and result. A LAF-DBSCAN model runs
-// LAF-DBSCAN under est; every other model runs exact DBSCAN, the open
-// gate querying every point, so every row is a complete neighbor list in
-// the index's ascending id order.
-func (m *Model) engineFactsLocked(ctx context.Context, idx RangeIndex, points [][]float32, est Estimator) (*core.Facts, *Result, error) {
-	method := MethodDBSCAN
-	p := m.params
-	if m.method == MethodLAFDBSCAN {
-		method = MethodLAFDBSCAN
-		p.Estimator = est
+// installLocked commits a planned first overlay: the model takes over its
+// points, index, core set, counterpart method and parameters, and its
+// facts' rows become the overlay's adjacency (adoptRows). The fit's facts
+// are dropped, and the owned index replaces the fitted one: it is mutated
+// from here on, so it must not leak through Params() — a caller holding
+// Params().Index would race the maintenance writes and watch ids shift
+// underneath it. A no-op for a model mutated before.
+func (m *Model) installLocked(ov *overlay) {
+	if ov.facts == nil {
+		return
 	}
+	adoptRows(ov.inc, ov.facts, ov.core, trackStop(ov.method, ov.params))
+	m.fit = nil
+	m.inc = ov.inc
+	m.points = ov.points
+	m.core = ov.core
+	m.method = ov.method
+	m.params = ov.params
+	m.index = ov.inc.dyn
+	m.indexBackend = index.BackendBrute
+	res := *m.result
+	res.Algorithm = ov.algorithm
+	m.result = &res
+}
+
+// engineFacts runs method's engine (DBSCAN or LAF-DBSCAN) over points on
+// idx under p, with post-processing off (the partial-neighbor map does not
+// depend on it), and returns its neighbor facts and result. Under DBSCAN's
+// open gate every point queries, so every row is a complete neighbor list
+// in the index's ascending id order.
+func engineFacts(ctx context.Context, idx RangeIndex, points [][]float32, method Method, p Params) (*core.Facts, *Result, error) {
 	p.Index = idx
 	p.DisablePostProcessing = true
 	facts := new(core.Facts)
@@ -222,29 +254,36 @@ func (m *Model) engineFactsLocked(ctx context.Context, idx RangeIndex, points []
 	return facts, res, nil
 }
 
-// adoptFactsLocked fills inc's counts, adjacency and partial-neighbor map,
-// and a LAF-DBSCAN model's gate flags, from an engine run's facts, taking
-// their rows over; adjacency is filtered to the model's core set. A
-// queried point's count is the length of its row, and its adjacency the
-// row filtered in place to the other cores. A stop point's adjacency is
-// its row of the complete partial-neighbor map filtered to cores: every
-// core ran its query, so that row names every core within Eps. A stop
-// point's count stays 0 (see incState.counts).
-func (m *Model) adoptFactsLocked(inc *incState, f *core.Facts) {
-	inc.counts = make([]int, len(f.Rows))
+// countsOf returns the neighbor counts of an engine run's facts: a queried
+// point's count is the length of its row; a stop point's stays 0 (see
+// incState.counts). It leaves f as it was, so a plan that is abandoned
+// leaves the fit's kept facts intact.
+func countsOf(f *core.Facts) []int {
+	counts := make([]int, len(f.Rows))
+	for i, row := range f.Rows {
+		if f.Pass[i] {
+			counts[i] = len(row)
+		}
+	}
+	return counts
+}
+
+// adoptRows takes an engine run's facts' rows over as inc's adjacency,
+// filtered to the core set coreMask, and, when stop is set, its complete
+// partial-neighbor map. A queried point's adjacency is its row filtered in
+// place to the other cores. A stop point's is its row of the complete
+// partial-neighbor map filtered to cores: every core ran its query, so
+// that row names every core within Eps.
+func adoptRows(inc *incState, f *core.Facts, coreMask []bool, stop bool) {
 	inc.adj = f.Rows
 	for i, row := range f.Rows {
 		if !f.Pass[i] {
-			inc.adj[i] = appendCores(nil, f.E.Rows[i], m.core, i)
+			inc.adj[i] = appendCores(nil, f.E.Rows[i], coreMask, i)
 			continue
 		}
-		inc.counts[i] = len(row)
-		inc.adj[i] = appendCores(row[:0], row, m.core, i)
+		inc.adj[i] = appendCores(row[:0], row, coreMask, i)
 	}
-	if m.method == MethodLAFDBSCAN {
-		inc.gated = f.Pass
-	}
-	if m.trackStop() {
+	if stop {
 		inc.stop = f.E
 		if inc.stop == nil { // every point passed the gate
 			inc.stop = cluster.NewPartialNeighbors(len(f.Rows))
@@ -263,19 +302,19 @@ func appendCores(dst, row []int32, core []bool, self int) []int32 {
 	return dst
 }
 
-// neighborRowsLocked runs one batched Eps-neighborhood query per vector
-// over the model's index and, when batch is non-empty, over a throwaway
+// neighborRows runs one batched Eps-neighborhood query per vector over the
+// overlay's index and, when batch is non-empty, over a throwaway
 // brute-force index of batch (the vectors an Insert is adding), and
 // returns row i as query i's complete neighbor ids: the index's ids
-// ascending, then batch position j as id Len()+j ascending. A query finds
-// itself only where an index returns it, as a fitted point does. It is
-// maintenance's one source of ε-rows. The caller holds mu. The callback
-// runs on pool workers and writes only its own row; the context aborts
-// within one wave.
-func (m *Model) neighborRowsLocked(ctx context.Context, queries, batch [][]float32) ([][]int32, error) {
+// ascending, then batch position j as id len(points)+j ascending. A query
+// finds itself only where an index returns it, as a fitted point does. It
+// is maintenance's one source of ε-rows. The callback runs on pool workers
+// and writes only its own row; the context aborts within one wave.
+func (ov *overlay) neighborRows(ctx context.Context, queries, batch [][]float32) ([][]int32, error) {
 	rows := make([][]int32, len(queries))
+	p := ov.params
 	search := func(idx RangeIndex, base int) error {
-		return index.BatchRangeSearchFunc(ctx, idx, queries, m.params.Eps, m.params.Workers, 0, m.params.WaveSize,
+		return index.BatchRangeSearchFunc(ctx, idx, queries, p.Eps, p.Workers, 0, p.WaveSize,
 			func(i int, ids []int) {
 				row := slices.Grow(rows[i], len(ids))
 				for _, id := range ids {
@@ -284,12 +323,11 @@ func (m *Model) neighborRowsLocked(ctx context.Context, queries, batch [][]float
 				rows[i] = row
 			})
 	}
-	if err := search(m.index, 0); err != nil {
+	if err := search(ov.inc.dyn, 0); err != nil {
 		return nil, err
 	}
 	if len(batch) > 0 {
-		dist := modelMetric(m.method, m.params.Metric).Func()
-		if err := search(index.NewBruteForce(batch, dist), m.index.Len()); err != nil {
+		if err := search(index.NewBruteForce(batch, p.Metric.Func()), len(ov.points)); err != nil {
 			return nil, err
 		}
 	}
@@ -308,18 +346,21 @@ func (m *Model) neighborRowsLocked(ctx context.Context, queries, batch [][]float
 // Vectors must be unit-normalized with the model's dimensionality; any
 // other length fails the whole batch with ErrDimensionMismatch.
 //
-// For the traversal engines the resulting labels are bit-identical to a
-// fresh Fit on the grown point set (see the equality contract at the top
-// of this file); total work is proportional to the changed neighborhoods,
-// not the dataset.
+// The resulting labels are bit-identical to a fresh FitParams of the grown
+// point set with Method() and Params() (see the equality contract at the
+// top of this file); total work is proportional to the changed
+// neighborhoods, not the dataset.
 //
-// The first mutation builds the maintenance overlay and replaces the
-// model's range index with an owned exact one. A DBSCAN or LAF-DBSCAN
-// model fitted on the exact scan builds it from the fit's neighbor lists
-// with no range query; any other model pays one engine pass over its
-// existing points. On error — cancellation included — the model is left
-// exactly as it was, and cancellation aborts within one query wave; the
-// exception is ErrRetrainFailed, returned after the insert was applied.
+// The first mutation builds the maintenance overlay, replaces the model's
+// range index with an owned exact one, and switches a sampled or block
+// model to its exact counterpart: LAF-DBSCAN++ to LAF-DBSCAN, every other
+// method to DBSCAN (see Method). A DBSCAN or LAF-DBSCAN model fitted on
+// the exact scan builds the overlay from the fit's neighbor lists with no
+// range query; any other model pays one counterpart engine pass over its
+// existing points. On error — cancellation included, the first mutation's
+// too — the model is left exactly as it was, and cancellation aborts
+// within one query wave; the exception is ErrRetrainFailed, returned after
+// the insert was applied.
 func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -329,17 +370,18 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	if err := m.checkDimsLocked(vectors); err != nil {
 		return UpdateReport{}, err
 	}
-	if err := m.ensureIncLocked(ctx); err != nil {
+	ov, err := m.overlayLocked(ctx)
+	if err != nil {
 		return UpdateReport{}, err
 	}
-	inc := m.inc
-	n := len(m.points)
+	inc := ov.inc
+	n := len(ov.points)
 	b := len(vectors)
-	tau := m.params.Tau
+	tau := ov.params.Tau
 
 	// Phase A (cancellable, no state changes): the new vectors' complete
 	// neighborhoods, over the existing points and the batch.
-	rows, err := m.neighborRowsLocked(ctx, vectors, vectors)
+	rows, err := ov.neighborRows(ctx, vectors, vectors)
 	if err != nil {
 		return UpdateReport{}, err
 	}
@@ -354,7 +396,7 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	}
 	var newGated []bool
 	if inc.gated != nil {
-		if newGated, err = core.Gate(ctx, vectors, lafConfig(m.params)); err != nil {
+		if newGated, err = core.Gate(ctx, vectors, lafConfig(ov.params)); err != nil {
 			return UpdateReport{}, err
 		}
 	}
@@ -366,7 +408,7 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	}
 	var promoted []int
 	for u, d := range delta {
-		if !m.core[u] && inc.counts[u]+d >= tau && (inc.gated == nil || inc.gated[u]) {
+		if !ov.core[u] && inc.counts[u]+d >= tau && (inc.gated == nil || inc.gated[u]) {
 			promoted = append(promoted, u)
 		}
 	}
@@ -378,14 +420,15 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	if len(promoted) > 0 {
 		queries := make([][]float32, len(promoted))
 		for i, w := range promoted {
-			queries[i] = m.points[w]
+			queries[i] = ov.points[w]
 		}
-		if prows, err = m.neighborRowsLocked(ctx, queries, vectors); err != nil {
+		if prows, err = ov.neighborRows(ctx, queries, vectors); err != nil {
 			return UpdateReport{}, err
 		}
 	}
 
 	// ---- Commit: in-memory only, no cancellation points below. ----
+	m.installLocked(ov)
 	for _, row := range rows {
 		inc.counts = append(inc.counts, len(row))
 	}
@@ -415,12 +458,33 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	// The changed points, promoted then new, and their complete rows. Each
 	// one's adjacency is rebuilt from its row: the cores within Eps. A
 	// newly-core one also joins the adjacency of its neighbors whose rows
-	// are not rebuilt: old points whose core flag did not flip.
+	// are not rebuilt: old points whose core flag did not flip. Such a row
+	// that lacks room is reallocated once, to exactly the length it
+	// reaches: a fitted row, filtered in place, keeps one free slot, and
+	// append would double it.
 	changed := slices.Clone(promoted)
 	for k := range vectors {
 		changed = append(changed, n+k)
 	}
-	for i, row := range append(prows, rows...) {
+	changedRows := append(prows, rows...)
+	gains := make(map[int32]int, len(delta))
+	for i, row := range changedRows {
+		if !m.core[changed[i]] {
+			continue
+		}
+		for _, u := range row {
+			if int(u) < n && wasCore[u] == m.core[u] {
+				gains[u]++
+			}
+		}
+	}
+	//lafvet:orderfree each key grows its own row; no result depends on the order
+	for u, k := range gains {
+		if row := inc.adj[u]; cap(row)-len(row) < k {
+			inc.adj[u] = append(make([]int32, 0, len(row)+k), row...)
+		}
+	}
+	for i, row := range changedRows {
 		c := changed[i]
 		inc.adj[c] = appendCores(nil, row, m.core, c)
 		if !m.core[c] {
@@ -473,10 +537,10 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 // Duplicate ids are rejected; removing every point is (like fitting an
 // empty dataset) an error.
 //
-// The equality and atomicity guarantees of Insert apply: traversal-engine
-// labels match a fresh Fit bit for bit, and a failed or cancelled call
-// leaves the model untouched. The first mutation builds the overlay as
-// Insert describes.
+// The equality and atomicity guarantees of Insert apply: labels match a
+// fresh FitParams with Method() and Params() bit for bit, and a failed or
+// cancelled call leaves the model untouched. The first mutation builds the
+// overlay and switches the method as Insert describes.
 func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -497,11 +561,12 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	if len(ids) == n {
 		return UpdateReport{}, fmt.Errorf("lafdbscan: cannot remove all %d points (a model needs a non-empty point set)", n)
 	}
-	if err := m.ensureIncLocked(ctx); err != nil {
+	ov, err := m.overlayLocked(ctx)
+	if err != nil {
 		return UpdateReport{}, err
 	}
-	inc := m.inc
-	tau := m.params.Tau
+	inc := ov.inc
+	tau := ov.params.Tau
 	rm := make([]bool, n)
 	for _, id := range ids {
 		rm[id] = true
@@ -510,9 +575,9 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	// Phase A (cancellable): neighborhoods of the removed points.
 	queries := make([][]float32, len(ids))
 	for i, id := range ids {
-		queries[i] = m.points[id]
+		queries[i] = ov.points[id]
 	}
-	rlists, err := m.neighborRowsLocked(ctx, queries, nil)
+	rlists, err := ov.neighborRows(ctx, queries, nil)
 	if err != nil {
 		return UpdateReport{}, err
 	}
@@ -527,7 +592,7 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	}
 	var demoted []int
 	for u, d := range dec {
-		if m.core[u] && inc.counts[u]-d < tau {
+		if ov.core[u] && inc.counts[u]-d < tau {
 			demoted = append(demoted, u)
 		}
 	}
@@ -539,14 +604,15 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	if len(demoted) > 0 {
 		dq := make([][]float32, len(demoted))
 		for i, d := range demoted {
-			dq[i] = m.points[d]
+			dq[i] = ov.points[d]
 		}
-		if drows, err = m.neighborRowsLocked(ctx, dq, nil); err != nil {
+		if drows, err = ov.neighborRows(ctx, dq, nil); err != nil {
 			return UpdateReport{}, err
 		}
 	}
 
 	// ---- Commit: in-memory only, no cancellation points below. ----
+	m.installLocked(ov)
 	for u, d := range dec {
 		inc.counts[u] -= d
 	}
@@ -651,19 +717,13 @@ func compactIDRows(rows [][]int32, rm []bool, remap []int32) [][]int32 {
 }
 
 // relabelLocked re-resolves labels, forest and cluster statistics from the
-// maintained facts: canonical component labeling, the method's border
+// maintained facts: canonical component labeling, the traversal border
 // rule, and — for LAF-DBSCAN with post-processing — the Algorithm 3 replay
 // over the complete partial-neighbor map with the model's seed. Pure
 // in-memory work; no range queries.
 func (m *Model) relabelLocked() {
 	inc := m.inc
-	var nearest func(i int, cands []int32) int32
-	if m.nearestCoreSemantics() {
-		nearest = func(i int, cands []int32) int32 {
-			return int32(nearestCoreLocked(m, m.points[i], cands))
-		}
-	}
-	labels := cluster.ResolveCanonical(m.core, inc.adj, nearest)
+	labels := cluster.ResolveCanonical(m.core, inc.adj)
 	if inc.stop != nil {
 		rng := rand.New(rand.NewSource(m.params.Seed))
 		core.PostProcess(labels, inc.stop, m.params.Tau, rng)
@@ -671,13 +731,6 @@ func (m *Model) relabelLocked() {
 	k := cluster.RenumberAscending(labels)
 	m.labels = labels
 	m.forest = cluster.DeriveForest(labels, m.core)
-	coreIDs := make([]int, 0, len(m.coreIDs))
-	for i, c := range m.core {
-		if c {
-			coreIDs = append(coreIDs, i)
-		}
-	}
-	m.coreIDs = coreIDs
 	m.result = &Result{
 		Algorithm:      m.result.Algorithm,
 		Labels:         labels,
@@ -693,7 +746,7 @@ func (m *Model) relabelLocked() {
 // reportLocked fills an update report's model totals.
 func (m *Model) reportLocked(r UpdateReport) UpdateReport {
 	r.Clusters = m.result.NumClusters
-	r.Cores = len(m.coreIDs)
+	r.Cores = m.numCoresLocked()
 	r.Staleness = m.staleness
 	return r
 }
@@ -708,28 +761,30 @@ var ErrRetrainFailed = errors.New("lafdbscan: estimator retrain failed")
 // maybeRetrainLocked applies the RetrainPolicy after a committed update.
 // The update itself is already applied; a retrain failure is returned,
 // wrapping ErrRetrainFailed, with the (valid) report, and the stale
-// estimator stays in place. For MethodLAFDBSCAN the retrain re-gates: one
-// engine pass under the new estimator gives the facts and the core set
-// (the incremental analogue of refitting with it), and the estimator, the
-// facts and the core set are committed together once the pass succeeds.
+// estimator stays in place. The retrain re-gates the model, LAF-DBSCAN
+// since its first mutation: one engine pass under the new estimator gives
+// the facts and the core set (the incremental analogue of refitting with
+// it), and the estimator, the facts and the core set are committed
+// together once the pass succeeds.
 func (m *Model) maybeRetrainLocked(ctx context.Context, report UpdateReport) (UpdateReport, error) {
 	if m.retrain.After <= 0 || m.retrain.Train == nil || m.staleness < m.retrain.After ||
-		!m.gatedMethod() || m.params.Estimator == nil {
+		m.method != MethodLAFDBSCAN || m.params.Estimator == nil {
 		return report, nil
 	}
 	est, err := m.retrain.Train(ctx, m.points)
 	if err != nil {
 		return report, fmt.Errorf("%w after %d updates: %w", ErrRetrainFailed, m.staleness, err)
 	}
-	if m.method == MethodLAFDBSCAN {
-		facts, res, err := m.engineFactsLocked(ctx, m.index, m.points, est)
-		if err != nil {
-			return report, fmt.Errorf("%w: re-gating after %d updates: %w", ErrRetrainFailed, m.staleness, err)
-		}
-		m.core = res.Core
-		m.adoptFactsLocked(m.inc, facts)
-		m.relabelLocked()
+	p := m.params
+	p.Estimator = est
+	facts, res, err := engineFacts(ctx, m.index, m.points, m.method, p)
+	if err != nil {
+		return report, fmt.Errorf("%w: re-gating after %d updates: %w", ErrRetrainFailed, m.staleness, err)
 	}
+	m.core = res.Core
+	m.inc.counts, m.inc.gated = countsOf(facts), facts.Pass
+	adoptRows(m.inc, facts, m.core, trackStop(m.method, m.params))
+	m.relabelLocked()
 	m.params.Estimator = est
 	m.staleness = 0
 	report.Retrained = true

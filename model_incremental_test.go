@@ -18,10 +18,13 @@ import (
 	"lafdbscan/internal/vecmath"
 )
 
-// incrementalEngines enumerates the traversal-engine configurations whose
+// incrementalEngines enumerates the model configurations whose
 // Insert/Remove results are pinned bit-identical to a fresh Fit on the
-// resulting point set: DBSCAN and LAF-DBSCAN, with post-processing off and
-// on, at the default Workers 0 and at an explicit pool with small waves.
+// resulting point set with the model's Method() and Params(): DBSCAN and
+// LAF-DBSCAN, with post-processing off and on, at the default Workers 0
+// and at an explicit pool with small waves, and one row per sampled or
+// block method, which the first mutation switches to its exact
+// counterpart (LAF-DBSCAN++ with post-processing off and on).
 // On the mixtures of the tests that use it, the -pp rows fit with no
 // post-processing merge, so they pin maintenance only where Algorithm 3
 // merges nothing; TestMaintenanceWithMergesMatchesFreshFit covers merging.
@@ -51,18 +54,38 @@ func incrementalEngines(points [][]float32) []struct {
 		{"dbscan-euclidean", MethodDBSCAN, Params{Eps: eucEps, Tau: 4, Metric: MetricEuclidean, Workers: 2, WaveSize: 7}},
 		{"laf-euclidean-nopp", MethodLAFDBSCAN, Params{Eps: eucEps, Tau: 4, Metric: MetricEuclidean, Alpha: 1.2, Estimator: eucEst, Seed: 7, DisablePostProcessing: true}},
 		{"laf-euclidean-pp", MethodLAFDBSCAN, Params{Eps: eucEps, Tau: 4, Metric: MetricEuclidean, Alpha: 1.2, Estimator: eucEst, Seed: 7, Workers: 2, WaveSize: 16}},
+		{"dbscan++", MethodDBSCANPP, Params{Eps: 0.4, Tau: 4, SampleFraction: 0.5, Seed: 7}},
+		{"laf-dbscan++-nopp", MethodLAFDBSCANPP, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, SampleFraction: 0.5, Seed: 7, DisablePostProcessing: true}},
+		{"laf-dbscan++-pp", MethodLAFDBSCANPP, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, SampleFraction: 0.5, Seed: 7, Workers: 2, WaveSize: 16}},
+		{"knn-block", MethodKNNBlock, Params{Eps: 0.4, Tau: 4, Seed: 7}},
+		{"block-dbscan", MethodBlockDBSCAN, Params{Eps: 0.4, Tau: 4, Seed: 7}},
+		{"rho-approx", MethodRhoApprox, Params{Eps: 0.4, Tau: 4, Metric: MetricEuclidean}},
 	}
 }
 
 // assertMatchesFreshFit pins the equality contract: the mutated model's
 // labels, cores and forest are bit-identical (and ARI == 1.0) to a fresh
-// Fit on its current point set with the model's own parameters. It returns
-// that fresh fit.
+// Fit on its current point set with the model's own method and parameters,
+// and so is its result's algorithm name. A mutated model's method must be
+// an exact one, DBSCAN or LAF-DBSCAN, with the sampled and block methods'
+// knobs zero. It returns that fresh fit.
 func assertMatchesFreshFit(t *testing.T, model *Model, stage string) *Model {
 	t.Helper()
-	fresh, err := FitParams(context.Background(), model.snapshotPoints(), model.Method(), model.Params())
+	method, p := model.Method(), model.Params()
+	if model.Updates() > 0 {
+		if method != counterpart(method) {
+			t.Fatalf("%s: a mutated model's method is %s, want its exact counterpart %s", stage, method, counterpart(method))
+		}
+		if p.SampleFraction != 0 || p.Branching != 0 || p.LeavesRatio != 0 || p.Base != 0 || p.RNT != 0 || p.Rho != 0 {
+			t.Fatalf("%s: a mutated model keeps a sampled or block method's knobs: %+v", stage, p)
+		}
+	}
+	fresh, err := FitParams(context.Background(), model.snapshotPoints(), method, p)
 	if err != nil {
 		t.Fatalf("%s: fresh fit: %v", stage, err)
+	}
+	if got, want := model.Result().Algorithm, fresh.Result().Algorithm; got != want {
+		t.Fatalf("%s: algorithm = %q, fresh fit has %q", stage, got, want)
 	}
 	got, want := model.Labels(), fresh.Labels()
 	if !slices.Equal(got, want) {
@@ -317,7 +340,8 @@ func TestInsertRemoveSequenceMatchesFreshFit(t *testing.T) {
 // TestMutatedPredictConsistency checks the self-consistency invariant for
 // every method without post-processing: predicting the model's own points
 // reproduces its current labels (core points via their own cluster, borders
-// via the same adjacency rule the relabeling applies).
+// via the same adjacency rule the relabeling applies), and the labels
+// equal a fresh fit of the method the model became.
 func TestMutatedPredictConsistency(t *testing.T) {
 	d := GenerateMixture("inc-predict", MixtureConfig{
 		N: 320, Dim: 32, Clusters: 4, MinSpread: 0.15, MaxSpread: 0.3,
@@ -340,16 +364,19 @@ func TestMutatedPredictConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := model.Labels()
 			if _, err := model.Insert(context.Background(), rest); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := model.Remove(context.Background(), []int{3, 50, 100}); err != nil {
 				t.Fatal(err)
 			}
-			// Mutations preserve the partition structure of the surviving
-			// fitted points up to canonical renumbering and genuine local
-			// changes; at minimum the labeling must be self-consistent.
+			want := MethodDBSCAN
+			if m == MethodLAFDBSCAN || m == MethodLAFDBSCANPP {
+				want = MethodLAFDBSCAN
+			}
+			if model.Method() != want {
+				t.Fatalf("mutated %s model reports method %s, want %s", m, model.Method(), want)
+			}
 			pred, err := model.Predict(context.Background(), model.snapshotPoints())
 			if err != nil {
 				t.Fatal(err)
@@ -361,14 +388,16 @@ func TestMutatedPredictConsistency(t *testing.T) {
 					}
 				}
 			}
-			_ = before
+			assertMatchesFreshFit(t, model, "after insert and remove")
 		})
 	}
 }
 
 // TestMutatedModelSaveLoadRoundTrip pins persistence of evolved models:
-// the mutation counter and every label-level artifact survive the round
-// trip bit for bit, and the loaded model keeps evolving correctly (its
+// the mutation counter, the method and parameters (a DBSCAN++ or
+// ρ-approximate model's first mutation switched them to DBSCAN's) and
+// every label-level artifact survive the round trip bit for bit, the
+// loaded model saves the same bytes, and it keeps evolving correctly (its
 // maintenance overlay rebuilds from the payload).
 func TestMutatedModelSaveLoadRoundTrip(t *testing.T) {
 	d := GenerateMixture("inc-persist", MixtureConfig{
@@ -376,43 +405,71 @@ func TestMutatedModelSaveLoadRoundTrip(t *testing.T) {
 		NoiseFrac: 0.2, Seed: 59,
 	})
 	base, rest := d.Vectors[:240], d.Vectors[240:]
-	model, err := Fit(context.Background(), slices.Clone(base), MethodDBSCAN, WithEps(0.4), WithTau(4))
-	if err != nil {
-		t.Fatal(err)
+	configs := []struct {
+		method Method
+		params Params
+	}{
+		{MethodDBSCAN, Params{Eps: 0.4, Tau: 4}},
+		{MethodDBSCANPP, Params{Eps: 0.4, Tau: 4, SampleFraction: 0.5, Seed: 7}},
+		{MethodRhoApprox, Params{Eps: 0.4, Tau: 4, Metric: MetricEuclidean}},
 	}
-	if _, err := model.Insert(context.Background(), rest[:30]); err != nil {
-		t.Fatal(err)
+	for _, c := range configs {
+		t.Run(string(c.method), func(t *testing.T) {
+			model, err := FitParams(context.Background(), slices.Clone(base), c.method, c.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := model.Insert(context.Background(), rest[:30]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := model.Remove(context.Background(), []int{1, 2, 3, 250}); err != nil {
+				t.Fatal(err)
+			}
+			if model.Method() != MethodDBSCAN || model.Params().Metric != MetricCosine {
+				t.Fatalf("mutated %s model reports method %s under metric %v, want %s under cosine",
+					c.method, model.Method(), model.Params().Metric, MethodDBSCAN)
+			}
+			var buf bytes.Buffer
+			if err := model.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			saved := slices.Clone(buf.Bytes())
+			loaded, err := LoadModel(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Updates() != model.Updates() || loaded.Updates() != 34 {
+				t.Fatalf("Updates = %d (loaded %d), want 34", model.Updates(), loaded.Updates())
+			}
+			lp, mp := loaded.Params(), model.Params()
+			lp.Index = nil
+			if loaded.Method() != model.Method() || lp != mp {
+				t.Fatalf("loaded %s %+v, want %s %+v", loaded.Method(), lp, model.Method(), mp)
+			}
+			if !slices.Equal(loaded.Labels(), model.Labels()) || !slices.Equal(loaded.CoreMask(), model.CoreMask()) ||
+				!slices.Equal(loaded.Forest(), model.Forest()) {
+				t.Fatal("mutated model artifacts did not round-trip bit-identically")
+			}
+			if err := loaded.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), saved) {
+				t.Fatal("the loaded model saves different bytes")
+			}
+			// The loaded model must keep evolving: insert the remaining
+			// points on both models and compare against a fresh fit.
+			if _, err := model.Insert(context.Background(), rest[30:]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := loaded.Insert(context.Background(), rest[30:]); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(loaded.Labels(), model.Labels()) {
+				t.Fatal("loaded model diverged from the original under further mutation")
+			}
+			assertMatchesFreshFit(t, loaded, "loaded model after further inserts")
+		})
 	}
-	if _, err := model.Remove(context.Background(), []int{1, 2, 3, 250}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Updates() != model.Updates() || loaded.Updates() != 34 {
-		t.Fatalf("Updates = %d (loaded %d), want 34", model.Updates(), loaded.Updates())
-	}
-	if !slices.Equal(loaded.Labels(), model.Labels()) || !slices.Equal(loaded.CoreMask(), model.CoreMask()) ||
-		!slices.Equal(loaded.Forest(), model.Forest()) {
-		t.Fatal("mutated model artifacts did not round-trip bit-identically")
-	}
-	// The loaded model must keep evolving: insert the remaining points on
-	// both models and compare against a fresh fit.
-	if _, err := model.Insert(context.Background(), rest[30:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loaded.Insert(context.Background(), rest[30:]); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(loaded.Labels(), model.Labels()) {
-		t.Fatal("loaded model diverged from the original under further mutation")
-	}
-	assertMatchesFreshFit(t, loaded, "loaded model after further inserts")
 }
 
 // TestRetrainPolicy pins the staleness counter and the retrain trigger:
@@ -515,6 +572,50 @@ func TestConcurrentInsertPredict(t *testing.T) {
 	assertMatchesFreshFit(t, model, "after concurrent churn")
 }
 
+// TestConcurrentFirstInsertSwitch is the -race witness of the method
+// switch: Method(), Params() and Predict race a DBSCAN++ model's first
+// Insert, which switches it to DBSCAN. Every observed method is one of
+// the two, and the switch is final.
+func TestConcurrentFirstInsertSwitch(t *testing.T) {
+	d := GenerateMixture("inc-race-switch", MixtureConfig{
+		N: 220, Dim: 24, Clusters: 4, MinSpread: 0.15, MaxSpread: 0.3,
+		NoiseFrac: 0.2, Seed: 83,
+	})
+	base, rest := d.Vectors[:200], d.Vectors[200:]
+	model, err := Fit(context.Background(), slices.Clone(base), MethodDBSCANPP,
+		WithEps(0.4), WithTau(4), WithSampleFraction(0.5), WithSeed(7), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := slices.Clone(rest[:10])
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if m := model.Method(); m != MethodDBSCANPP && m != MethodDBSCAN {
+					t.Errorf("method = %s mid-switch", m)
+					return
+				}
+				_ = model.Params()
+				if _, err := model.Predict(context.Background(), probes); err != nil {
+					t.Errorf("predict: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	if _, err := model.Insert(context.Background(), rest); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if model.Method() != MethodDBSCAN {
+		t.Fatalf("method = %s after the first insert, want %s", model.Method(), MethodDBSCAN)
+	}
+	assertMatchesFreshFit(t, model, "after the racing first insert")
+}
+
 // TestUpdateValidation pins the error surface: dimension mismatches,
 // out-of-range and duplicate removals, removing everything, and LAF
 // maintenance without an estimator all fail cleanly without mutating the
@@ -577,37 +678,89 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
-// TestUpdateCancellation pins atomicity under cancellation: a context
-// cancelled mid-maintenance aborts within one wave and leaves the model
-// bit-identical to its pre-call state.
+// TestUpdateCancellation pins atomicity under cancellation, the first
+// mutation's included: a cancelled Insert or Remove fails with
+// context.Canceled and leaves the model's Save bytes, Params() and
+// Method() exactly as they were. It covers models fitted on the exact scan
+// (DBSCAN and LAF-DBSCAN, which keep their fit's neighbor facts), on HNSW,
+// loaded from Save bytes, and DBSCAN++, whose method must not switch. The
+// overlay the next mutation builds must then equal its definition, and the
+// model must match a fresh fit after it.
 func TestUpdateCancellation(t *testing.T) {
 	d := GenerateMixture("inc-cancel", MixtureConfig{
 		N: 200, Dim: 16, Clusters: 3, MinSpread: 0.15, MaxSpread: 0.3,
 		NoiseFrac: 0.2, Seed: 73,
 	})
 	base, rest := d.Vectors[:150], d.Vectors[150:]
-	model, err := Fit(context.Background(), slices.Clone(base), MethodDBSCAN,
-		WithEps(0.4), WithTau(4), WithWorkers(2), WithWaveSize(8))
-	if err != nil {
-		t.Fatal(err)
+	est := ExactEstimator(d.Vectors)
+	kinds := []struct {
+		name   string
+		method Method
+		params Params
+		reload bool
+		kept   bool // the fit keeps its neighbor facts
+	}{
+		{"dbscan-exact", MethodDBSCAN, Params{Eps: 0.4, Tau: 4, Workers: 2, WaveSize: 8}, false, true},
+		{"laf-exact", MethodLAFDBSCAN, Params{Eps: 0.4, Tau: 4, Alpha: 1.2, Estimator: est, Seed: 7, Workers: 2, WaveSize: 8}, false, true},
+		{"dbscan-hnsw", MethodDBSCAN, Params{Eps: 0.4, Tau: 4, Seed: 3, IndexBackend: "hnsw", Workers: 2}, false, false},
+		{"dbscan-loaded", MethodDBSCAN, Params{Eps: 0.4, Tau: 4, Workers: 2, WaveSize: 8}, true, false},
+		{"dbscan++", MethodDBSCANPP, Params{Eps: 0.4, Tau: 4, SampleFraction: 0.5, Seed: 7, Workers: 2}, false, false},
 	}
-	before := model.Labels()
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := model.Insert(ctx, rest); err == nil {
-		t.Fatal("cancelled insert did not fail")
+	ops := []struct {
+		name string
+		call func(*Model) (UpdateReport, error)
+	}{
+		{"insert", func(m *Model) (UpdateReport, error) { return m.Insert(cancelled, rest) }},
+		{"remove", func(m *Model) (UpdateReport, error) { return m.Remove(cancelled, []int{0, 1}) }},
 	}
-	if _, err := model.Remove(ctx, []int{0, 1}); err == nil {
-		t.Fatal("cancelled remove did not fail")
+	for _, k := range kinds {
+		for _, op := range ops {
+			t.Run(k.name+"/"+op.name, func(t *testing.T) {
+				model, err := FitParams(context.Background(), slices.Clone(base), k.method, k.params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k.reload {
+					var buf bytes.Buffer
+					if err := model.Save(&buf); err != nil {
+						t.Fatal(err)
+					}
+					if model, err = LoadModel(&buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				saved := func() []byte {
+					var buf bytes.Buffer
+					if err := model.Save(&buf); err != nil {
+						t.Fatal(err)
+					}
+					return buf.Bytes()
+				}
+				bytesBefore, paramsBefore, methodBefore := saved(), model.Params(), model.Method()
+				if _, err := op.call(model); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled %s: error = %v, want context.Canceled", op.name, err)
+				}
+				if !bytes.Equal(saved(), bytesBefore) {
+					t.Fatalf("cancelled %s changed the Save bytes", op.name)
+				}
+				if model.Params() != paramsBefore || model.Method() != methodBefore {
+					t.Fatalf("cancelled %s changed the model: %s %+v, want %s %+v", op.name,
+						model.Method(), model.Params(), methodBefore, paramsBefore)
+				}
+				// The model must still work after the aborted attempt.
+				assertDefinedOverlay(t, model, k.kept)
+				if _, err := model.Insert(context.Background(), rest); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := model.Remove(context.Background(), []int{0, 1}); err != nil {
+					t.Fatal(err)
+				}
+				assertMatchesFreshFit(t, model, "after recovery from cancellation")
+			})
+		}
 	}
-	if !slices.Equal(model.Labels(), before) || model.Len() != len(base) || model.Updates() != 0 {
-		t.Fatal("cancelled maintenance mutated the model")
-	}
-	// The model must still work after the aborted attempts.
-	if _, err := model.Insert(context.Background(), rest); err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesFreshFit(t, model, "after recovery from cancellation")
 }
 
 // TestMaintenanceWithMergesMatchesFreshFit pins the equality contract
@@ -681,9 +834,11 @@ func overlayOf(t *testing.T, model *Model, kept bool) *incState {
 	if (model.fit != nil) != kept {
 		t.Fatalf("the fit kept neighbor facts: %v, want %v", model.fit != nil, kept)
 	}
-	if err := model.ensureIncLocked(context.Background()); err != nil {
+	ov, err := model.overlayLocked(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
+	model.installLocked(ov)
 	if model.fit != nil {
 		t.Fatal("the overlay left the fit's facts on the model")
 	}
@@ -711,7 +866,7 @@ func definedOverlay(m *Model) (gated []bool, counts []int, adj, e [][]int32) {
 	p := m.params
 	idx := index.NewBruteForce(m.points, modelMetric(m.method, p.Metric).Func())
 	n := len(m.points)
-	if m.gatedMethod() {
+	if m.method == MethodLAFDBSCAN {
 		gated = make([]bool, n)
 		for i, x := range m.points {
 			gated[i] = p.Estimator.Estimate(x, p.Eps) >= p.Alpha*float64(p.Tau)
@@ -719,7 +874,7 @@ func definedOverlay(m *Model) (gated []bool, counts []int, adj, e [][]int32) {
 	}
 	counts = make([]int, n)
 	adj = make([][]int32, n)
-	if m.trackStop() {
+	if trackStop(m.method, p) {
 		e = make([][]int32, n)
 	}
 	for i, x := range m.points {
@@ -737,17 +892,17 @@ func definedOverlay(m *Model) (gated []bool, counts []int, adj, e [][]int32) {
 	return gated, counts, adj, e
 }
 
-// assertDefinedOverlay builds model's overlay and compares it with
-// definedOverlay: the gate flags, the count of every point that ran its
-// query (every point but LAF-DBSCAN's stop points, since every other
-// overlay comes from an open-gate run), every adjacency row and the
-// partial-neighbor map. Rows are compared as sets, except the adjacency
-// of the nearest-core methods, whose tie-break reads candidates in order:
-// those rows must be the exact ascending slices.
+// assertDefinedOverlay builds model's overlay, which switches a sampled or
+// block model to its counterpart, and compares it with the switched
+// model's definedOverlay: the gate flags, the count of every point that
+// ran its query (every point but LAF-DBSCAN's stop points, since every
+// other overlay comes from an open-gate run), the core set, which must be
+// the density criterion's, every adjacency row and the partial-neighbor
+// map. Rows are compared as sets.
 func assertDefinedOverlay(t *testing.T, model *Model, kept bool) {
 	t.Helper()
-	gated, counts, adj, e := definedOverlay(model)
 	got := overlayOf(t, model, kept)
+	gated, counts, adj, e := definedOverlay(model)
 	if !slices.Equal(got.gated, gated) {
 		t.Fatal("gate flags differ")
 	}
@@ -762,12 +917,15 @@ func assertDefinedOverlay(t *testing.T, model *Model, kept bool) {
 			t.Fatal("no stop point has a core within Eps; the test needs some")
 		}
 	}
-	exact := model.nearestCoreSemantics()
+	coreMask, tau := model.CoreMask(), model.Params().Tau
 	for i := range counts {
 		if (model.Method() != MethodLAFDBSCAN || gated[i]) && got.counts[i] != counts[i] {
 			t.Fatalf("count[%d] = %d, want %d", i, got.counts[i], counts[i])
 		}
-		if (exact && !slices.Equal(got.adj[i], adj[i])) || !sameIDSet(got.adj[i], adj[i]) {
+		if want := (gated == nil || gated[i]) && counts[i] >= tau; coreMask[i] != want {
+			t.Fatalf("core[%d] = %v, want %v", i, coreMask[i], want)
+		}
+		if !sameIDSet(got.adj[i], adj[i]) {
 			t.Fatalf("adj[%d] = %v, want %v", i, got.adj[i], adj[i])
 		}
 	}
@@ -1058,8 +1216,8 @@ func TestInsertZeroVectorMatchesFreshFit(t *testing.T) {
 }
 
 // maintenanceState copies everything an Insert or Remove may change: the
-// model's Save bytes, its staleness and index size, and the overlay's
-// facts.
+// model's Save bytes, method, parameters, staleness and index size, the
+// fit's kept neighbor facts, and the overlay's facts.
 func maintenanceState(t *testing.T, m *Model) []any {
 	t.Helper()
 	var buf bytes.Buffer
@@ -1075,10 +1233,18 @@ func maintenanceState(t *testing.T, m *Model) []any {
 		}
 		return out
 	}
-	inc := m.inc
-	state := []any{buf.Bytes(), m.staleness, m.index.Len(), slices.Clone(inc.counts), slices.Clone(inc.gated), rows(inc.adj)}
-	if inc.stop != nil {
-		state = append(state, slices.Clone(inc.stop.Stop), rows(inc.stop.Rows))
+	state := []any{buf.Bytes(), m.method, m.params, m.staleness, m.index, m.index.Len()}
+	if f := m.fit; f != nil {
+		state = append(state, slices.Clone(f.Pass), rows(f.Rows))
+		if f.E != nil {
+			state = append(state, slices.Clone(f.E.Stop), rows(f.E.Rows))
+		}
+	}
+	if inc := m.inc; inc != nil {
+		state = append(state, slices.Clone(inc.counts), slices.Clone(inc.gated), rows(inc.adj))
+		if inc.stop != nil {
+			state = append(state, slices.Clone(inc.stop.Stop), rows(inc.stop.Rows))
+		}
 	}
 	return state
 }
@@ -1089,7 +1255,10 @@ func maintenanceState(t *testing.T, m *Model) []any {
 // last wave, and inside phase B, the promoted points' queries. Every
 // cancelled call must fail with context.Canceled and leave the model
 // bit-identical to its state before the call; the first cut past the last
-// wave lets the Insert through, and it matches a fresh fit. The points are
+// wave lets the Insert through, and it matches a fresh fit. Each model is
+// cut at a later mutation and at its first: there, a DBSCAN++ model's cuts
+// also fall inside the engine pass its overlay comes from, and a model
+// that kept its fit's neighbor facts must keep them intact. The points are
 // TestInsertMassPromotion's isolated pairs, each promoted by its bridging
 // point, plus isolated singletons that LAF-DBSCAN's gate stops.
 func TestInsertCancelledAtEveryWave(t *testing.T) {
@@ -1111,42 +1280,57 @@ func TestInsertCancelledAtEveryWave(t *testing.T) {
 	}{
 		{"dbscan", MethodDBSCAN, Params{Eps: 1e-4, Tau: 3, Workers: 2, WaveSize: 4}},
 		{"laf-pp", MethodLAFDBSCAN, Params{Eps: 1e-4, Tau: 3, Alpha: 1, Estimator: est, Seed: 7, Workers: 2, WaveSize: 4}},
+		{"dbscan++", MethodDBSCANPP, Params{Eps: 1e-4, Tau: 3, SampleFraction: 0.5, Seed: 7, Workers: 2, WaveSize: 4}},
 	}
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
-			model, err := FitParams(context.Background(), slices.Clone(base), eng.method, eng.params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Build the overlay, so that every cut sees the same state.
-			if _, err := model.Insert(context.Background(), bridges[:1]); err != nil {
-				t.Fatal(err)
-			}
-			before := maintenanceState(t, model)
-			for cut := 1; ; cut++ {
-				ctx, cancel := context.WithCancel(context.Background())
-				waves := 0
-				ctx = index.WithWaveProgress(ctx, func(int) {
-					if waves++; waves == cut {
-						cancel()
-					}
+			for _, first := range []bool{false, true} {
+				t.Run(fmt.Sprintf("first=%v", first), func(t *testing.T) {
+					cutInsert(t, eng.method, eng.params, base, bridges, first)
 				})
-				rep, err := model.Insert(ctx, bridges[1:])
-				cancel()
-				if err == nil {
-					if rep.Promoted != 2*(pairs-1) {
-						t.Fatalf("promoted = %d, want %d", rep.Promoted, 2*(pairs-1))
-					}
-					assertMatchesFreshFit(t, model, fmt.Sprintf("after %d cancelled inserts", cut-1))
-					return
-				}
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("cut after wave %d: error = %v, want context.Canceled", cut, err)
-				}
-				if !reflect.DeepEqual(maintenanceState(t, model), before) {
-					t.Fatalf("cut after wave %d of %d: the cancelled insert changed the model", cut, waves)
-				}
 			}
 		})
+	}
+}
+
+// cutInsert is one TestInsertCancelledAtEveryWave case: it fits method on
+// base and, unless first, inserts bridges[0] so that every cut sees the
+// built overlay; then it cuts the Insert of the remaining bridges after
+// each wave in turn.
+func cutInsert(t *testing.T, method Method, params Params, base, bridges [][]float32, first bool) {
+	model, err := FitParams(context.Background(), slices.Clone(base), method, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first {
+		if _, err := model.Insert(context.Background(), bridges[:1]); err != nil {
+			t.Fatal(err)
+		}
+		bridges = bridges[1:]
+	}
+	before := maintenanceState(t, model)
+	for cut := 1; ; cut++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		waves := 0
+		ctx = index.WithWaveProgress(ctx, func(int) {
+			if waves++; waves == cut {
+				cancel()
+			}
+		})
+		rep, err := model.Insert(ctx, bridges)
+		cancel()
+		if err == nil {
+			if rep.Promoted != 2*len(bridges) {
+				t.Fatalf("promoted = %d, want %d", rep.Promoted, 2*len(bridges))
+			}
+			assertMatchesFreshFit(t, model, fmt.Sprintf("after %d cancelled inserts", cut-1))
+			return
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cut after wave %d: error = %v, want context.Canceled", cut, err)
+		}
+		if !reflect.DeepEqual(maintenanceState(t, model), before) {
+			t.Fatalf("cut after wave %d of %d: the cancelled insert changed the model", cut, waves)
+		}
 	}
 }
