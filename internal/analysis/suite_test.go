@@ -76,7 +76,7 @@ var hotpathRoster = map[string][]string{
 	"../cluster/atomicunionfind.go": {"Find", "Union", "Same"},
 	"../cluster/wavemerge.go":       {"Absorb"},
 	"../telemetry/metrics.go":       {"Inc", "Add", "Set", "Dec", "Observe"},
-	"../index/hnsw/hnsw.go":         {"searchLayer", "selectNeighbors", "link"},
+	"../index/hnsw/hnsw.go":         {"searchLayer", "prunedBy", "selectNeighbors", "reprune", "link"},
 	"../trace/trace.go":             {"Finish", "record"},
 	"../nn/network.go":              {"forward", "forwardTile", "backward", "accumulate"},
 	"../vecmath/train.go": {"Affine16", "affine16Generic", "Affine8x4", "affine8x4Generic",

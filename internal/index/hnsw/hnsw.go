@@ -9,13 +9,23 @@
 // answers. That property is what lets the backend registry rebuild an
 // identical index when a persisted model is reloaded.
 //
-// Construction keeps that property while using every core: an insert's
-// reverse links (link) touch disjoint neighbor lists, so they fan out
-// across up to GOMAXPROCS goroutines, and the graph stays a pure function
-// of seed and insertion order. Each link's distance is computed once and
-// cached beside the graph, and with vecmath.CosineDistanceUnit the
-// neighbor heuristic decides its threshold tests with the exact float32
-// kernel vecmath.CosineUnitLess; both give the per-pair float64 answers.
+// Construction links one node at a time on the inserting goroutine. Each
+// link's distance is computed once and cached beside the graph, and with
+// vecmath.CosineDistanceUnit the neighbor heuristic decides its threshold
+// tests with the exact float32 kernel vecmath.CosineUnitLess; both give the
+// per-pair float64 answers.
+//
+// A reverse link that overflows a full neighbor list re-runs the heuristic
+// incrementally (reprune). Each list remembers how many of its entries the
+// heuristic kept when it last ran, so only what the new link can change is
+// re-decided: entries that sort before it keep their decision untested, and
+// a kept entry after it is tested only against the entries newly kept. A
+// stable sort of kept-then-backfill entries puts a kept entry first among
+// equal distances, and every backfill entry's pruner precedes it, so ties
+// decide as in a full run. A NaN distance makes the sorted order depend on
+// the array order: a list holding one takes the full re-prune, and a
+// selection over candidates holding one records no count. The graph is bit
+// for bit the one a full re-prune at every overflow builds.
 //
 // Queries follow the standard two-phase search: greedy descent through
 // the upper layers to a layer-0 entry point, then best-first expansion
@@ -30,9 +40,8 @@ package hnsw
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"lafdbscan/internal/vecmath"
 )
@@ -83,9 +92,13 @@ func (c Config) withDefaults() Config {
 }
 
 // node is one graph vertex: a neighbor list per layer 0..level. Each list
-// has capacity maxLinks+1, so link appends in place.
+// has capacity maxLinks+1, so link appends in place. kept[l] is the number
+// of heuristic-kept links at the front of layers[l] while that list is
+// exactly the output of its last selection (kept entries, then backfill),
+// and -1 when it was never pruned or has grown by a plain append since.
 type node struct {
 	layers [][]int32
+	kept   []int32
 }
 
 // Graph is the index. Queries (RangeSearch) are safe for
@@ -122,9 +135,8 @@ type Graph struct {
 	inserted uint64 // insertion counter feeding level generation
 	gen      uint64 // rebuild generation, part of the level-hash domain
 
-	pool    sync.Pool       // *searchCtx
-	scratch []*pruneScratch // one per link goroutine, grown on demand
-	fan     linkers
+	pool  sync.Pool     // *searchCtx
+	prune *pruneScratch // the neighbor heuristic's buffers
 }
 
 // New builds a graph over points with the given distance, which must be
@@ -141,6 +153,7 @@ func New(points [][]float32, dist vecmath.DistanceFunc, cfg Config) *Graph {
 	}
 	g.mL = 1 / math.Log(float64(g.cfg.M))
 	g.pool.New = func() any { return new(searchCtx) }
+	g.prune = g.newPruneScratch()
 	g.growMaxNorm(points)
 	g.addNodes(0)
 	return g
@@ -247,12 +260,13 @@ func (g *Graph) addNode(i int) {
 		ep, d = g.greedyLayer(q, ep, d, l)
 	}
 	sc := g.getCtx(g.cfg.EfConstruction)
-	for l := minInt(level, g.topLayer); l >= 0; l-- {
+	for l := min(level, g.topLayer); l >= 0; l-- {
 		sc.reset(len(g.nodes), g.cfg.EfConstruction)
 		g.searchLayer(sc, q, ep, d, l, g.cfg.EfConstruction, 0)
 		ids, ds := sc.resExtract()
-		nbrs, nds := g.selectNeighbors(g.scratch[0], ids, ds, g.maxLinks(l))
+		nbrs, nds, kept := g.selectLinks(g.prune, ids, ds, g.maxLinks(l))
 		g.nodes[i].layers[l] = append(g.nodes[i].layers[l], nbrs...)
+		g.nodes[i].kept[l] = int32(kept)
 		g.linkD[i][l] = append(g.linkD[i][l], nds...)
 		g.linkAll(g.nodes[i].layers[l], int32(i), l)
 		if len(ids) > 0 {
@@ -268,13 +282,14 @@ func (g *Graph) addNode(i int) {
 
 // addLists appends the empty neighbor lists of a new node with the given
 // level to nodes and linkD: capacity maxLinks+1 per layer, carved from one
-// id array and one distance array, so link never reallocates them.
+// id array and one distance array, so link never reallocates them. The id
+// array also holds the node's kept counts, all -1.
 func (g *Graph) addLists(level int) {
 	size := 0
 	for l := 0; l <= level; l++ {
 		size += g.maxLinks(l) + 1
 	}
-	ids, ds := make([]int32, size), make([]float64, size)
+	ids, ds := make([]int32, size+level+1), make([]float64, size)
 	layers, dls := make([][]int32, level+1), make([][]float64, level+1)
 	off := 0
 	for l := range layers {
@@ -282,27 +297,70 @@ func (g *Graph) addLists(level int) {
 		layers[l], dls[l] = ids[off:off:end], ds[off:off:end]
 		off = end
 	}
-	g.nodes = append(g.nodes, node{layers: layers})
+	kept := ids[size:]
+	for l := range kept {
+		kept[l] = -1
+	}
+	g.nodes = append(g.nodes, node{layers: layers, kept: kept})
 	g.linkD = append(g.linkD, dls)
 }
 
-// pruneScratch is one link goroutine's buffers for selectNeighbors: the kept
-// and the pruned candidates with their distances.
+// pruneScratch holds the neighbor heuristic's buffers: the kept and the
+// pruned candidates with their distances, and reprune's merged list with
+// its was-kept flags and the entries it newly keeps.
 type pruneScratch struct {
 	keep, pruned   []int32
 	keepD, prunedD []float64
+
+	ids   []int32
+	ds    []float64
+	was   []bool
+	fresh []int32
 }
 
-// growScratch makes sure at least n link goroutines have scratch. Lists of up
-// to max(EfConstruction, 2M+1) candidates are pruned to at most 2M.
-func (g *Graph) growScratch(n int) {
-	for len(g.scratch) < n {
-		m, c := g.maxLinks(0), max(g.cfg.EfConstruction, g.maxLinks(0)+1)
-		g.scratch = append(g.scratch, &pruneScratch{
-			keep: make([]int32, 0, m), keepD: make([]float64, 0, m),
-			pruned: make([]int32, 0, c), prunedD: make([]float64, 0, c),
-		})
+// newPruneScratch sizes the buffers for every selection the graph makes:
+// lists of up to max(EfConstruction, 2M+1) candidates pruned to at most 2M.
+func (g *Graph) newPruneScratch() *pruneScratch {
+	m, c := g.maxLinks(0), max(g.cfg.EfConstruction, g.maxLinks(0)+1)
+	return &pruneScratch{
+		keep: make([]int32, 0, m), keepD: make([]float64, 0, m),
+		pruned: make([]int32, 0, c), prunedD: make([]float64, 0, c),
+		ids: make([]int32, m+1), ds: make([]float64, m+1), was: make([]bool, m+1),
+		fresh: make([]int32, 0, m),
 	}
+}
+
+// pruneBound returns the bound CosineUnitLess needs for the heuristic's
+// tests among points of c's dimension, and whether that float32 test
+// applies: only with CosineDistanceUnit, whose maxNorm² bounds the norm
+// product of every pair.
+func (g *Graph) pruneBound(c int32) (float64, bool) {
+	if !g.unitCos {
+		return 0, false
+	}
+	return vecmath.CosineUnitBound(len(g.points[c]), g.maxNorm*g.maxNorm)
+}
+
+// prunedBy reports whether some point in by is closer to c than d, the
+// heuristic's test that prunes candidate c at distance d. The threshold
+// test dist(c, s) < d runs as vecmath.CosineUnitLess when fast, whose
+// answers are the float64 ones.
+//
+//lafvet:hotpath
+func (g *Graph) prunedBy(c int32, d float64, by []int32, bound float64, fast bool) bool {
+	pc := g.points[c]
+	for _, s := range by {
+		var closer bool
+		if fast {
+			closer = vecmath.CosineUnitLess(pc, g.points[s], d, bound)
+		} else {
+			closer = g.dist(pc, g.points[s]) < d
+		}
+		if closer {
+			return true
+		}
+	}
+	return false
 }
 
 // selectNeighbors applies the HNSW neighbor-selection heuristic
@@ -311,40 +369,22 @@ func (g *Graph) growScratch(n int) {
 // directions instead of bunching them in the nearest cluster. Pruned
 // candidates backfill remaining slots (keepPrunedConnections) so the
 // graph keeps its degree. ids/ds must be sorted by ascending distance.
-// The kept ids and their distances are returned in ps's buffers, valid
-// until ps is used again.
-//
-// The test dist(c, s) < ds[k] is a threshold test, so with
-// CosineDistanceUnit it runs as vecmath.CosineUnitLess, whose answers are
-// the float64 ones: every point's norm is at most maxNorm, so maxNorm²
-// bounds the norm product of every pair.
+// The selected ids and their distances are returned in ps's buffers, valid
+// until ps is used again, with the number of kept ones at their front.
 //
 //lafvet:hotpath
-func (g *Graph) selectNeighbors(ps *pruneScratch, ids []int32, ds []float64, m int) ([]int32, []float64) {
+func (g *Graph) selectNeighbors(ps *pruneScratch, ids []int32, ds []float64, m int) ([]int32, []float64, int) {
 	out, outD := ps.keep[:0], ps.keepD[:0]
 	pruned, prunedD := ps.pruned[:0], ps.prunedD[:0]
-	bound, fast := 0.0, false
-	if g.unitCos && len(ids) > 0 {
-		bound, fast = vecmath.CosineUnitBound(len(g.points[ids[0]]), g.maxNorm*g.maxNorm)
+	if len(ids) == 0 {
+		return out, outD, 0
 	}
+	bound, fast := g.pruneBound(ids[0])
 	for k, c := range ids {
 		if len(out) == m {
 			break
 		}
-		pc, keep := g.points[c], true
-		for _, s := range out {
-			var closer bool
-			if fast {
-				closer = vecmath.CosineUnitLess(pc, g.points[s], ds[k], bound)
-			} else {
-				closer = g.dist(pc, g.points[s]) < ds[k]
-			}
-			if closer {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		if !g.prunedBy(c, ds[k], out, bound, fast) {
 			out = append(out, c)       //lafvet:allow hotalloc within the scratch's capacity m
 			outD = append(outD, ds[k]) //lafvet:allow hotalloc within the scratch's capacity m
 		} else {
@@ -352,6 +392,7 @@ func (g *Graph) selectNeighbors(ps *pruneScratch, ids []int32, ds []float64, m i
 			prunedD = append(prunedD, ds[k]) //lafvet:allow hotalloc within the scratch's capacity len(ids)
 		}
 	}
+	kept := len(out)
 	for k, c := range pruned {
 		if len(out) == m {
 			break
@@ -359,104 +400,173 @@ func (g *Graph) selectNeighbors(ps *pruneScratch, ids []int32, ds []float64, m i
 		out = append(out, c)            //lafvet:allow hotalloc within the scratch's capacity m
 		outD = append(outD, prunedD[k]) //lafvet:allow hotalloc within the scratch's capacity m
 	}
-	return out, outD
+	return out, outD, kept
 }
 
-// link adds m to n's layer-l neighbor list, re-running the selection
-// heuristic when the list overflows its degree bound. The new link's
-// distance is dist(points[n], points[m]), the argument order of every
-// distance in linkD[n], so the re-prune sorts exactly the values a fresh
-// computation would give. It reads the points and n's list and writes
-// only n's list, so calls for distinct n may run concurrently, each with
-// its own ps.
+// selectLinks is addNode's selection from a layer search's candidates:
+// selectNeighbors, with the kept count the new list records. Around a NaN
+// distance resExtract's heap may leave the candidates out of order, and
+// reprune needs the selection's input ascending, so the count is then -1.
+func (g *Graph) selectLinks(ps *pruneScratch, ids []int32, ds []float64, m int) ([]int32, []float64, int) {
+	nbrs, nds, kept := g.selectNeighbors(ps, ids, ds, m)
+	if hasNaN(ds) {
+		kept = -1
+	}
+	return nbrs, nds, kept
+}
+
+// reprune re-selects a neighbor list that one new link overflowed: ids and
+// ds hold the full list, in the order of its last selection, with the link
+// appended, and kept is the list's kept count. It writes into ids and ds
+// the selection that sortByDist and selectNeighbors make from the whole
+// list, and returns its kept count.
+//
+// With a known count and no NaN distance, the list is stable-sorted with
+// was-kept flags and only what the new link m can change is re-decided.
+// The old selection's input was ascending, so its kept entries and its
+// backfill are each ascending, and a stable sort of kept-then-backfill
+// puts a kept entry first among equal distances: the kept entries keep
+// their old relative order, and each backfill entry's pruner, a kept entry
+// at no greater distance, still sorts before it. Hence:
+//   - an entry before m keeps its old decision, tested against the same
+//     kept entries as before;
+//   - m is tested against the kept entries before it;
+//   - a kept entry after m passed every old kept entry, so it is tested
+//     only against the entries kept now that were not kept before: m and
+//     any backfill entry that came back;
+//   - a backfill entry after m stays pruned while no old kept entry has
+//     been lost, since its pruner is still kept; after a loss it takes the
+//     full test.
+//
+// An unknown count, or a NaN distance, which makes sortByDist's order
+// depend on the array order, takes the full re-prune.
 //
 //lafvet:hotpath
-func (g *Graph) link(ps *pruneScratch, n, m int32, l int) {
-	nbrs := append(g.nodes[n].layers[l], m)                       //lafvet:allow hotalloc the list has capacity maxLinks+1
-	ds := append(g.linkD[n][l], g.dist(g.points[n], g.points[m])) //lafvet:allow hotalloc the list has capacity maxLinks+1
-	if limit := g.maxLinks(l); len(nbrs) > limit {
-		sortByDist(nbrs, ds)
-		keep, keepD := g.selectNeighbors(ps, nbrs, ds, limit)
-		nbrs, ds = nbrs[:copy(nbrs, keep)], ds[:copy(ds, keepD)]
+func (g *Graph) reprune(ps *pruneScratch, ids []int32, ds []float64, kept int) int {
+	limit := len(ids) - 1
+	if kept < 0 || hasNaN(ds) {
+		sortByDist(ids, ds)
+		out, outD, k := g.selectNeighbors(ps, ids, ds, limit)
+		copy(ids, out)
+		copy(ds, outD)
+		return k
 	}
-	g.nodes[n].layers[l] = nbrs
+	p := ps.merge(ids, ds, kept)
+	bound, fast := g.pruneBound(ids[0])
+	out, outD := ps.keep[:0], ps.keepD[:0]
+	pruned, prunedD := ps.pruned[:0], ps.prunedD[:0]
+	fresh, lost := ps.fresh[:0], false
+	for x, c := range ps.ids[:limit+1] {
+		if len(out) == limit {
+			break
+		}
+		d, was := ps.ds[x], ps.was[x]
+		var keep bool
+		switch {
+		case x < p:
+			keep = was
+		case x == p:
+			keep = !g.prunedBy(c, d, out, bound, fast)
+		case was:
+			keep = !g.prunedBy(c, d, fresh, bound, fast)
+		case lost:
+			keep = !g.prunedBy(c, d, out, bound, fast)
+		}
+		if keep {
+			out = append(out, c)   //lafvet:allow hotalloc within the scratch's capacity 2M
+			outD = append(outD, d) //lafvet:allow hotalloc within the scratch's capacity 2M
+			if !was {
+				fresh = append(fresh, c) //lafvet:allow hotalloc within the scratch's capacity 2M
+			}
+		} else {
+			pruned = append(pruned, c)   //lafvet:allow hotalloc within the scratch's capacity 2M+1
+			prunedD = append(prunedD, d) //lafvet:allow hotalloc within the scratch's capacity 2M+1
+			lost = lost || was
+		}
+	}
+	k := len(out)
+	for x, c := range pruned {
+		if len(out) == limit {
+			break
+		}
+		out = append(out, c)            //lafvet:allow hotalloc within the scratch's capacity 2M
+		outD = append(outD, prunedD[x]) //lafvet:allow hotalloc within the scratch's capacity 2M
+	}
+	copy(ids, out)
+	copy(ds, outD)
+	return k
+}
+
+// merge stable-sorts reprune's list into ps.ids, ps.ds and ps.was: the
+// ascending kept entries ids[:kept], then the ascending backfill, then the
+// new link last. It returns the new link's position.
+func (ps *pruneScratch) merge(ids []int32, ds []float64, kept int) int {
+	limit := len(ids) - 1
+	i, j := 0, kept
+	for n := 0; n < limit; n++ {
+		k := j
+		if j == limit || (i < kept && ds[i] <= ds[j]) {
+			k, i = i, i+1
+		} else {
+			j++
+		}
+		ps.ids[n], ps.ds[n], ps.was[n] = ids[k], ds[k], k < kept
+	}
+	p := limit
+	for ; p > 0 && ps.ds[p-1] > ds[limit]; p-- {
+		ps.ids[p], ps.ds[p], ps.was[p] = ps.ids[p-1], ps.ds[p-1], ps.was[p-1]
+	}
+	ps.ids[p], ps.ds[p], ps.was[p] = ids[limit], ds[limit], false
+	return p
+}
+
+// hasNaN reports whether ds holds a NaN.
+func hasNaN(ds []float64) bool {
+	for _, d := range ds {
+		if d != d {
+			return true
+		}
+	}
+	return false
+}
+
+// link adds m to n's layer-l neighbor list; when the list overflows its
+// degree bound, reprune re-runs the selection heuristic over it. The new
+// link's distance is dist(points[n], points[m]), the argument order of
+// every distance in linkD[n], so the re-prune sorts exactly the values a
+// fresh computation would give.
+//
+//lafvet:hotpath
+func (g *Graph) link(n, m int32, l int) {
+	nd := &g.nodes[n]
+	nbrs := append(nd.layers[l], m)                               //lafvet:allow hotalloc the list has capacity maxLinks+1
+	ds := append(g.linkD[n][l], g.dist(g.points[n], g.points[m])) //lafvet:allow hotalloc the list has capacity maxLinks+1
+	kept := -1
+	if limit := g.maxLinks(l); len(nbrs) > limit {
+		kept = g.reprune(g.prune, nbrs, ds, int(nd.kept[l]))
+		nbrs, ds = nbrs[:limit], ds[:limit]
+	}
+	nd.layers[l], nd.kept[l] = nbrs, int32(kept)
 	g.linkD[n][l] = ds
 }
 
-// linkers is the fan-out of one insert's link calls: the inserting
-// goroutine and up to helpers helper goroutines, which live for one
-// addNodes call, each take the next unlinked neighbor until none is left.
-type linkers struct {
-	helpers int
-	start   chan struct{}  // one token per helper per fan-out; closed to stop them
-	done    sync.WaitGroup // helpers yet to finish the current fan-out
-	exit    sync.WaitGroup // helpers still running
-	next    atomic.Int64   // index of the next neighbor to link
-	nbrs    []int32
-	i       int32
-	l       int
-}
-
-// addNodes threads points[from:] into the graph in order. Each insert's
-// link calls fan out over up to GOMAXPROCS goroutines (no more than the
-// 2M links an insert can make), started here and stopped before it
-// returns.
+// addNodes threads points[from:] into the graph in order, growing nodes and
+// linkD once for all of them.
 func (g *Graph) addNodes(from int) {
-	if from == len(g.points) {
-		return
-	}
-	f := &g.fan
-	f.helpers = min(runtime.GOMAXPROCS(0), g.maxLinks(0)) - 1
-	g.growScratch(f.helpers + 1)
-	if f.helpers > 0 {
-		f.start = make(chan struct{})
-		f.exit.Add(f.helpers)
-		for w := 1; w <= f.helpers; w++ {
-			go g.linkHelper(g.scratch[w])
-		}
-		defer func() {
-			close(f.start)
-			f.exit.Wait()
-		}()
-	}
+	g.nodes = slices.Grow(g.nodes, len(g.points)-from)
+	g.linkD = slices.Grow(g.linkD, len(g.points)-from)
 	for i := from; i < len(g.points); i++ {
 		g.addNode(i)
 	}
 }
 
-// linkHelper is one helper goroutine of addNodes: it joins every fan-out
-// it is handed a token for, until the start channel closes.
-func (g *Graph) linkHelper(ps *pruneScratch) {
-	defer g.fan.exit.Done()
-	for range g.fan.start {
-		g.linkShare(ps)
-		g.fan.done.Done()
-	}
-}
-
-// linkShare links the current fan-out's neighbors one at a time until
-// none is left.
-func (g *Graph) linkShare(ps *pruneScratch) {
-	f := &g.fan
-	for k := f.next.Add(1) - 1; k < int64(len(f.nbrs)); k = f.next.Add(1) - 1 {
-		g.link(ps, f.nbrs[k], f.i, f.l)
-	}
-}
-
-// linkAll links i into the layer-l list of every node in nbrs. nbrs holds
-// distinct nodes and each link writes only its own node's list, so the
-// calls may run on any goroutine in any order and the graph is the same.
+// linkAll links i into the layer-l list of every node in nbrs, one after
+// another on the calling goroutine. Each link writes only its own node's
+// list, so the order does not change the graph.
 func (g *Graph) linkAll(nbrs []int32, i int32, l int) {
-	f := &g.fan
-	f.nbrs, f.i, f.l = nbrs, i, l
-	f.next.Store(0)
-	n := max(0, min(f.helpers, len(nbrs)-1))
-	f.done.Add(n)
-	for w := 0; w < n; w++ {
-		f.start <- struct{}{}
+	for _, n := range nbrs {
+		g.link(n, i, l)
 	}
-	g.linkShare(g.scratch[0])
-	f.done.Wait()
 }
 
 // sortByDist sorts ids and ds together by ascending distance (insertion
@@ -858,11 +968,4 @@ func (sc *searchCtx) resExtract() ([]int32, []float64) {
 	}
 	sc.resN = 0
 	return sc.resID[:n], sc.resD[:n]
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

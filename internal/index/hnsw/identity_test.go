@@ -79,7 +79,7 @@ func (r refGraph) addNode(i int) {
 		ep, d = g.greedyLayer(q, ep, d, l)
 	}
 	sc := g.getCtx(g.cfg.EfConstruction)
-	for l := minInt(level, g.topLayer); l >= 0; l-- {
+	for l := min(level, g.topLayer); l >= 0; l-- {
 		sc.reset(len(g.nodes), g.cfg.EfConstruction)
 		g.searchLayer(sc, q, ep, d, l, g.cfg.EfConstruction, 0)
 		ids, ds := sc.resExtract()
@@ -180,8 +180,8 @@ func sameGraph(t *testing.T, g *Graph, want refGraph) {
 	}
 }
 
-// atProcs runs f once per GOMAXPROCS value in {1, 2, 4}, so the link
-// fan-out runs serially, on two goroutines and on more than the cores.
+// atProcs runs f once per GOMAXPROCS value in {1, 2, 4}. Construction runs
+// on the calling goroutine, so the graph must not depend on the setting.
 func atProcs(t *testing.T, f func(t *testing.T)) {
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("procs=%d", p), func(t *testing.T) {
@@ -334,4 +334,75 @@ func TestInsertOverTombstonesMatchesReference(t *testing.T) {
 		want.Insert(extra)
 		sameGraph(t, g, want)
 	})
+}
+
+// checkLifecycle builds the first half of pts with New and with the
+// reference, inserts the second half, deletes every third point (past the
+// rebuild threshold) and inserts the deleted points again, comparing the
+// graphs after each step.
+func checkLifecycle(t *testing.T, pts [][]float32, dist vecmath.DistanceFunc, cfg Config) {
+	t.Helper()
+	atProcs(t, func(t *testing.T) {
+		half := len(pts) / 2
+		g := New(slices.Clone(pts[:half]), dist, cfg)
+		want := newRef(slices.Clone(pts[:half]), dist, cfg)
+		sameGraph(t, g, want)
+		g.Insert(pts[half:])
+		want.Insert(pts[half:])
+		sameGraph(t, g, want)
+		var ids []int
+		var again [][]float32
+		for id := 0; id < len(pts); id += 3 {
+			ids = append(ids, id)
+			again = append(again, pts[id])
+		}
+		g.DeleteMany(ids)
+		want.DeleteMany(ids)
+		if g.gen != 1 {
+			t.Fatalf("generation %d after deleting a third, want a rebuild", g.gen)
+		}
+		sameGraph(t, g, want)
+		g.Insert(again)
+		want.Insert(again)
+		sameGraph(t, g, want)
+	})
+}
+
+// TestTiesMatchReference builds inputs where many link distances tie, so
+// the re-prune's order among equal distances decides the graph: each
+// distinct point repeated four times under CosineDistanceUnit, and the
+// {-1, 0, 1}^4 grid (zero vector included) under the Euclidean and cosine
+// distances. {M: 3, EfConstruction: 8} makes addNode's selection fill the
+// list, so the first reverse link already re-prunes it.
+func TestTiesMatchReference(t *testing.T) {
+	distinct := clusteredPoints(60, 8, 53)
+	var dups [][]float32
+	for r := 0; r < 4; r++ {
+		dups = append(dups, distinct...)
+	}
+	var grid [][]float32
+	for c := 0; c < 81; c++ {
+		p := make([]float32, 4)
+		for k, v := 0, c; k < 4; k, v = k+1, v/3 {
+			p[k] = float32(v%3 - 1)
+		}
+		grid = append(grid, p)
+	}
+	inputs := []struct {
+		name string
+		pts  [][]float32
+		dist vecmath.DistanceFunc
+	}{
+		{"duplicates/unit-cosine", dups, vecmath.CosineDistanceUnit},
+		{"grid/euclidean", grid, vecmath.EuclideanDistance},
+		{"grid/cosine", grid, vecmath.CosineDistance},
+	}
+	cfgs := []Config{smallCfg, {M: 3, EfConstruction: 8, Seed: 8}, {Seed: 9}}
+	for _, in := range inputs {
+		for _, cfg := range cfgs {
+			t.Run(fmt.Sprintf("%s/M=%d/ef=%d", in.name, cfg.M, cfg.EfConstruction), func(t *testing.T) {
+				checkLifecycle(t, in.pts, in.dist, cfg)
+			})
+		}
+	}
 }

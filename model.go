@@ -351,10 +351,11 @@ func (m *Model) Forest() []int32 {
 	return slices.Clone(m.forest)
 }
 
-// Result returns the current result snapshot (for loaded models, a
-// reconstruction carrying labels, cores, forest and cluster count but no
-// timings). Mutations replace the snapshot rather than editing it, so a
-// returned Result is stable even while the model keeps evolving.
+// Result returns the current result snapshot (for loaded and mutated
+// models, a reconstruction carrying the algorithm, labels, cores, forest
+// and cluster count but no timings or query counters). Mutations replace
+// the snapshot rather than editing it, so a returned Result is stable even
+// while the model keeps evolving.
 func (m *Model) Result() *Result {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

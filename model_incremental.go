@@ -732,14 +732,11 @@ func (m *Model) relabelLocked() {
 	m.labels = labels
 	m.forest = cluster.DeriveForest(labels, m.core)
 	m.result = &Result{
-		Algorithm:      m.result.Algorithm,
-		Labels:         labels,
-		NumClusters:    k,
-		Core:           m.core,
-		Forest:         m.forest,
-		RangeQueries:   m.result.RangeQueries,
-		SkippedQueries: m.result.SkippedQueries,
-		PostMerges:     m.result.PostMerges,
+		Algorithm:   m.result.Algorithm,
+		Labels:      labels,
+		NumClusters: k,
+		Core:        m.core,
+		Forest:      m.forest,
 	}
 }
 

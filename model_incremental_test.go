@@ -446,6 +446,15 @@ func TestMutatedModelSaveLoadRoundTrip(t *testing.T) {
 			if loaded.Method() != model.Method() || lp != mp {
 				t.Fatalf("loaded %s %+v, want %s %+v", loaded.Method(), lp, model.Method(), mp)
 			}
+			// A mutated model's Result is the reconstruction a loaded one
+			// carries: no counters of the fit it no longer is.
+			mr, lr := model.Result(), loaded.Result()
+			if mr.Algorithm != lr.Algorithm || mr.NumClusters != lr.NumClusters || mr.RangeQueries != lr.RangeQueries ||
+				mr.SkippedQueries != lr.SkippedQueries || mr.PostMerges != lr.PostMerges {
+				t.Fatalf("mutated Result %s: %d clusters, %d/%d/%d queries/skipped/merges; loaded %s: %d, %d/%d/%d",
+					mr.Algorithm, mr.NumClusters, mr.RangeQueries, mr.SkippedQueries, mr.PostMerges,
+					lr.Algorithm, lr.NumClusters, lr.RangeQueries, lr.SkippedQueries, lr.PostMerges)
+			}
 			if !slices.Equal(loaded.Labels(), model.Labels()) || !slices.Equal(loaded.CoreMask(), model.CoreMask()) ||
 				!slices.Equal(loaded.Forest(), model.Forest()) {
 				t.Fatal("mutated model artifacts did not round-trip bit-identically")
