@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -289,6 +290,47 @@ func BenchmarkParallelDBSCAN(b *testing.B) {
 			pp.Workers = wkr
 			for i := 0; i < b.N; i++ {
 				if _, err := Cluster(d.Vectors, MethodDBSCAN, pp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkParallelDBSCANPP is BenchmarkParallelDBSCAN for DBSCAN++ on the
+// same data with a 0.3 sample: core detection runs the sample's queries,
+// and every core's row is folded into its points' nearest-core slots as
+// it streams. Labels and core masks are identical at every worker count
+// (asserted before timing).
+func BenchmarkParallelDBSCANPP(b *testing.B) {
+	d := GenerateMixture("par-bench", MixtureConfig{
+		N: 2500, Dim: 256, Clusters: 20, MinSpread: 0.2, MaxSpread: 0.6,
+		NoiseFrac: 0.2, SizeSkew: 1.1, EffectiveDim: 48, Seed: 77,
+	})
+	p := Params{Eps: 0.5, Tau: 4, SampleFraction: 0.3}
+	ref, err := Cluster(d.Vectors, MethodDBSCANPP, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	workerCounts := append([]int{0}, benchWorkerCounts()...)
+	for _, wkr := range workerCounts[1:] {
+		pp := p
+		pp.Workers = wkr
+		res, err := Cluster(d.Vectors, MethodDBSCANPP, pp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !slices.Equal(res.Labels, ref.Labels) || !slices.Equal(res.Core, ref.Core) {
+			b.Fatalf("workers=%d: labels or core mask differ from workers=0", wkr)
+		}
+	}
+	for _, wkr := range workerCounts {
+		b.Run(fmt.Sprintf("workers=%d", wkr), func(b *testing.B) {
+			b.ReportAllocs()
+			pp := p
+			pp.Workers = wkr
+			for i := 0; i < b.N; i++ {
+				if _, err := Cluster(d.Vectors, MethodDBSCANPP, pp); err != nil {
 					b.Fatal(err)
 				}
 			}

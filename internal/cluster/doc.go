@@ -15,7 +15,7 @@
 // point ids, as the engines build it and model maintenance keeps it;
 // WaveMerger folds core flags, core-core ε-edges and border stubs out of
 // range query results (the memory-bounded wave engines of both
-// algorithms); ClusterCoresAndAssignUnionWorkers is the DBSCAN++ tail;
+// algorithms; DBSCAN++ numbers its sampled cores off the merger's forest);
 // ResolveCanonical and RenumberAscending re-derive the canonical labeling
 // from a maintained core set and core-adjacency graph (the resolution side
 // of incremental Insert/Remove on fitted models); and DeriveForest produces

@@ -3,10 +3,6 @@ package cluster
 import (
 	"sync"
 	"testing"
-
-	"lafdbscan/internal/dataset"
-	"lafdbscan/internal/index"
-	"lafdbscan/internal/vecmath"
 )
 
 func TestAtomicUnionFindSequential(t *testing.T) {
@@ -52,63 +48,6 @@ func TestAtomicUnionFindConcurrentDeterministic(t *testing.T) {
 	for i := 0; i < n/2; i++ {
 		if r := u.Find(i); r != 0 {
 			t.Fatalf("chain member %d has root %d, want 0", i, r)
-		}
-	}
-}
-
-// TestClusterCoresAndAssignUnionWorkersMatchesSerial pins the DBSCAN++
-// tail — core connectivity read off the wave merger's union-find forest,
-// assignment spread over a worker pool — to a serial reference built from
-// pairwise distances: components of the ε-graph over the cores, numbered
-// by first occurrence in cores order, every other point joining its
-// closest core within ε.
-func TestClusterCoresAndAssignUnionWorkersMatchesSerial(t *testing.T) {
-	d := dataset.GloVeLike(300, 3)
-	const eps, tau = 0.5, 3
-	idx := index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit)
-	var cores []int
-	m := NewWaveMerger(d.Len(), tau, false)
-	for i := 0; i < d.Len(); i += 2 { // every other point stands in for a sample
-		if m.Absorb(i, idx.RangeSearch(d.Vectors[i], eps)) {
-			cores = append(cores, i)
-		}
-	}
-	dist := func(i, j int) float64 { return vecmath.CosineDistanceUnit(d.Vectors[i], d.Vectors[j]) }
-	uf := NewUnionFind()
-	for a, c := range cores {
-		uf.Find(c)
-		for _, c2 := range cores[:a] {
-			if dist(c, c2) < eps {
-				uf.Union(c, c2)
-			}
-		}
-	}
-	serial := make([]int, d.Len())
-	ids := make(map[int]int)
-	for _, c := range cores {
-		if _, ok := ids[uf.Find(c)]; !ok {
-			ids[uf.Find(c)] = len(ids) + 1
-		}
-		serial[c] = ids[uf.Find(c)]
-	}
-	for i := range serial {
-		if serial[i] != 0 {
-			continue
-		}
-		serial[i] = Noise
-		best := eps
-		for _, c := range cores {
-			if dd := dist(i, c); dd < best {
-				serial[i], best = serial[c], dd
-			}
-		}
-	}
-	for _, workers := range []int{0, 2, 5} {
-		par := ClusterCoresAndAssignUnionWorkers(d.Vectors, eps, cores, m.UnionFind(), workers)
-		for i := range serial {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d: label[%d] = %d, serial %d", workers, i, par[i], serial[i])
-			}
 		}
 	}
 }

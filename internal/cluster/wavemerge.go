@@ -42,10 +42,10 @@ const (
 
 // NewWaveMerger returns a merger over n points with core threshold tau.
 // resolve reports whether the caller will call Resolve: only then are
-// border stubs kept. Drivers that number and assign clusters off Core and
-// UnionFind (LAF-DBSCAN++'s nearest-core assignment recomputes distances)
-// pass false and pay for no stub slice; Resolve must not be called on such
-// a merger.
+// border stubs kept. Drivers that number clusters off Core and UnionFind
+// and assign borders themselves (LAF-DBSCAN++ folds each core's row into
+// nearest-core slots as it streams) pass false and pay for no stub slice;
+// Resolve must not be called on such a merger.
 func NewWaveMerger(n, tau int, resolve bool) *WaveMerger {
 	m := &WaveMerger{tau: tau, status: make([]atomic.Int32, n), uf: NewAtomicUnionFind(n)}
 	if resolve {

@@ -69,7 +69,7 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 	if l.Facts != nil {
 		m.KeepRows()
 	}
-	pass, e, err := discover(ctx, idx, l.Points, nil, cfg, m, res)
+	pass, e, err := discover(ctx, idx, l.Points, nil, cfg, m, nil, res)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,13 @@ import (
 // α to 1.0. With OpenGate it is DBSCAN++ (Jang & Jiang 2018): core points
 // are detected within a uniform sample of fraction P against the whole
 // dataset, clusters grow over the ε-graph of the sampled cores, and every
-// other point joins its closest sampled core within ε, or is noise.
+// other point joins its closest sampled core within ε, or is noise; of
+// equally close cores, the lowest id wins.
+//
+// A point's candidate cores are the cores whose own range query found it,
+// so the border rule follows the index's rows. On the exact default those
+// rows hold every core within ε; on an approximate index (HNSW) a core the
+// graph missed is not a candidate, as in DBSCAN's border rule there.
 type LAFDBSCANPP struct {
 	Points [][]float32
 	Config Config
@@ -58,24 +64,56 @@ func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 	// Core detection within the sample, gated by the estimator: predicted
 	// stop points skip their range query and enter E, every other result
 	// is folded into the merger (core flag, core-core unions) and dropped.
-	// The assignment below recomputes point-core distances and needs no
-	// lists, so the merger keeps no border stubs either.
+	// Each core's row also offers the core to every point in it: near[q]
+	// is the closest core within Eps offered to q, -1 for none, at
+	// distance nearD[q], the minimum of (distance, core id) whatever the
+	// order of offers. A core's own slot is never read.
 	merger := cluster.NewWaveMerger(n, cfg.Tau, false)
-	_, e, err := discover(ctx, idx, l.Points, sample, cfg, merger, res)
+	near, nearD := make([]int32, n), make([]float64, n)
+	for i := range near {
+		near[i], nearD[i] = -1, cfg.Eps
+	}
+	var stripes stopStripes
+	fold := func(p int, nb []int) {
+		for _, q := range nb {
+			d := vecmath.CosineDistanceUnit(l.Points[q], l.Points[p])
+			mu := &stripes[q%len(stripes)]
+			mu.Lock()
+			if d < nearD[q] || d == nearD[q] && int32(p) < near[q] {
+				near[q], nearD[q] = int32(p), d
+			}
+			mu.Unlock()
+		}
+	}
+	_, e, err := discover(ctx, idx, l.Points, sample, cfg, merger, fold, res)
 	if err != nil {
 		return nil, err
 	}
-	// The sample's cores, in sample order, are clustered off the merger's
-	// forest, every other point joins its closest core within Eps, and
-	// post-processing repairs the labeling from E.
+	// The sample's cores are numbered off the merger's forest by first
+	// occurrence in sample order, every other point takes its slot core's
+	// cluster, or is noise, and post-processing repairs the labeling from E.
 	core := merger.Core()
-	cores := make([]int, 0, len(sample))
+	uf := merger.UnionFind()
+	res.Labels = make([]int, n)
+	clusterID := make(map[int]int)
 	for _, s := range sample {
 		if core[s] {
-			cores = append(cores, s)
+			root := uf.Find(s)
+			if clusterID[root] == 0 {
+				clusterID[root] = len(clusterID) + 1
+			}
+			res.Labels[s] = clusterID[root]
 		}
 	}
-	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), cfg.Workers)
+	for i, c := range near {
+		switch {
+		case core[i]:
+		case c >= 0:
+			res.Labels[i] = res.Labels[c]
+		default:
+			res.Labels[i] = cluster.Noise
+		}
+	}
 	if !cfg.DisablePostProcessing {
 		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
 	}

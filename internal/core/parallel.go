@@ -37,9 +37,9 @@ import (
 // caller asks LAFDBSCAN for its Facts.
 
 // stopStripes guards concurrent Algorithm-2 appends to the rows of the
-// partial-neighbor map during a wave. The stop mask is fully populated
-// before the waves start (concurrent reads are safe); the rows are striped
-// by stop-point id so unrelated stop points do not contend.
+// partial-neighbor map (and LAF-DBSCAN++'s nearest-core slots) during a
+// wave. The stop mask is fully populated before the waves start (so it is
+// read without a lock); rows are striped by point id to spread contention.
 type stopStripes [16]sync.Mutex
 
 // update is Algorithm 2 (UpdatePartialNeighbors) under the stripes: it
@@ -66,10 +66,11 @@ func (s *stopStripes) update(e *cluster.PartialNeighbors, p int, ids []int) {
 // stop point it finds. When every candidate passes the gate the candidates
 // themselves are the queries, and the returned map is nil (it would have
 // no entries). A unit-cosine brute-force idx over the very rows of points
-// scores each ε-pair once (index.BatchSelfSearchFunc). It returns the
-// gate's decisions, pass[k] for candidate k, with the map, and sets res's
-// query counts.
-func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, ids []int, cfg Config, m *cluster.WaveMerger, res *cluster.Result) (pass []bool, e *cluster.PartialNeighbors, err error) {
+// scores each ε-pair once (index.BatchSelfSearchFunc). A non-nil onCore
+// also gets each core's row, concurrently for distinct cores. It returns
+// the gate's decisions, pass[k] for candidate k, with the map, and sets
+// res's query counts.
+func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, ids []int, cfg Config, m *cluster.WaveMerger, onCore func(p int, nb []int), res *cluster.Result) (pass []bool, e *cluster.PartialNeighbors, err error) {
 	cands := points
 	if ids != nil {
 		cands = make([][]float32, len(ids))
@@ -108,7 +109,9 @@ func discover(ctx context.Context, idx index.RangeSearcher, points [][]float32, 
 			if qids != nil {
 				p = qids[k]
 			}
-			m.Absorb(p, nb)
+			if m.Absorb(p, nb) && onCore != nil {
+				onCore(p, nb)
+			}
 			if e != nil {
 				stripes.update(e, p, nb)
 			}

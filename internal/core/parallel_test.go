@@ -164,7 +164,7 @@ func TestParallelPartialNeighborsComplete(t *testing.T) {
 	n := d.Len()
 	res := &cluster.Result{}
 	_, e, err := discover(context.Background(), index.NewBruteForce(d.Vectors, vecmath.CosineDistanceUnit),
-		d.Vectors, nil, cfg, cluster.NewWaveMerger(n, cfg.Tau, true), res)
+		d.Vectors, nil, cfg, cluster.NewWaveMerger(n, cfg.Tau, true), nil, res)
 	if err != nil {
 		t.Fatal(err)
 	}

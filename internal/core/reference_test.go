@@ -135,8 +135,8 @@ func referenceLAFDBSCAN(l *LAFDBSCAN) (*cluster.Result, error) {
 }
 
 // referenceLAFDBSCANPP is LAF-DBSCAN++ with core detection run one sample
-// point at a time on the calling goroutine, then the engine's assignment
-// tail on one worker.
+// point at a time on the calling goroutine, then DBSCAN++'s assignment as
+// its definition reads: every non-core point scans every sampled core.
 func referenceLAFDBSCANPP(l *LAFDBSCANPP) (*cluster.Result, error) {
 	n := len(l.Points)
 	cfg := l.Config
@@ -171,14 +171,41 @@ func referenceLAFDBSCANPP(l *LAFDBSCANPP) (*cluster.Result, error) {
 		updatePartial(e, s, neighbors)
 		merger.Absorb(s, neighbors)
 	}
+	// Clusters are numbered by first core in sample order; every other
+	// point scans every core for the closest within Eps, the lower id
+	// winning a tie.
 	core := merger.Core()
+	uf := merger.UnionFind()
+	labels := make([]int, n)
+	clusterID := make(map[int]int)
 	var cores []int
 	for _, s := range sample {
 		if core[s] {
 			cores = append(cores, s)
+			root := uf.Find(s)
+			if clusterID[root] == 0 {
+				clusterID[root] = len(clusterID) + 1
+			}
+			labels[s] = clusterID[root]
 		}
 	}
-	res.Labels = cluster.ClusterCoresAndAssignUnionWorkers(l.Points, cfg.Eps, cores, merger.UnionFind(), 1)
+	for i := range labels {
+		if core[i] {
+			continue
+		}
+		best, bestD := -1, cfg.Eps
+		for _, c := range cores {
+			d := vecmath.CosineDistanceUnit(l.Points[i], l.Points[c])
+			if d < bestD || d == bestD && c < best {
+				best, bestD = c, d
+			}
+		}
+		labels[i] = cluster.Noise
+		if best >= 0 {
+			labels[i] = labels[best]
+		}
+	}
+	res.Labels = labels
 	if !cfg.DisablePostProcessing {
 		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
 	}

@@ -244,8 +244,8 @@ func (g *Graph) extOfInternal(i int32) int {
 
 // --- construction ---
 
-// addNode inserts point i (already present in g.points) into the graph.
-func (g *Graph) addNode(i int) {
+// addNode inserts point i (already in g.points) into the graph, using sc.
+func (g *Graph) addNode(sc *searchCtx, i int) {
 	level := g.nextLevel()
 	g.addLists(level)
 	if g.entry < 0 {
@@ -259,7 +259,6 @@ func (g *Graph) addNode(i int) {
 	for l := g.topLayer; l > level; l-- {
 		ep, d = g.greedyLayer(q, ep, d, l)
 	}
-	sc := g.getCtx(g.cfg.EfConstruction)
 	for l := min(level, g.topLayer); l >= 0; l-- {
 		sc.reset(len(g.nodes), g.cfg.EfConstruction)
 		g.searchLayer(sc, q, ep, d, l, g.cfg.EfConstruction, 0)
@@ -273,7 +272,6 @@ func (g *Graph) addNode(i int) {
 			ep, d = ids[0], ds[0]
 		}
 	}
-	g.putCtx(sc)
 	if level > g.topLayer {
 		g.topLayer = level
 		g.entry = i
@@ -550,13 +548,15 @@ func (g *Graph) link(n, m int32, l int) {
 	g.linkD[n][l] = ds
 }
 
-// addNodes threads points[from:] into the graph in order, growing nodes and
-// linkD once for all of them.
+// addNodes threads points[from:] into the graph in order, growing nodes,
+// linkD and one scratch context (kept out of the pool mid-build) for all.
 func (g *Graph) addNodes(from int) {
 	g.nodes = slices.Grow(g.nodes, len(g.points)-from)
 	g.linkD = slices.Grow(g.linkD, len(g.points)-from)
+	sc := g.getCtx(g.cfg.EfConstruction)
+	defer g.putCtx(sc)
 	for i := from; i < len(g.points); i++ {
-		g.addNode(i)
+		g.addNode(sc, i)
 	}
 }
 

@@ -415,11 +415,12 @@ type PredictOptions struct {
 // its fitting run would have chosen: the lowest-numbered adjacent cluster
 // for the traversal-based methods (DBSCAN, LAF-DBSCAN, ρ-approximate), the
 // nearest core's cluster for the assignment-based ones (the ++ variants,
-// KNN-BLOCK, BLOCK-DBSCAN). A mutated model is a traversal method (see
-// Method). Predicting the training points themselves therefore reproduces
-// the fitted labels wherever the method's own structures were exact
-// (always for DBSCAN and the ++ variants; for the approximate baselines
-// and post-processing-repaired LAF runs, up to their documented
+// KNN-BLOCK, BLOCK-DBSCAN), the lowest id of equally near cores. A mutated
+// model is a traversal method (see Method). Predicting the training points
+// themselves therefore reproduces the fitted labels wherever the method's
+// own structures were exact (always for DBSCAN, and for the ++ variants on
+// the exact index, ties included; for the approximate baselines and
+// post-processing-repaired LAF runs, up to their documented
 // approximations).
 func (m *Model) Predict(ctx context.Context, vectors [][]float32) ([]int, error) {
 	labels, _, err := m.PredictWithOptions(ctx, vectors, PredictOptions{})
@@ -504,21 +505,20 @@ func (m *Model) minClusterLabelLocked(ids []int) int {
 
 // nearestCoreLabelLocked returns the label of the closest core point to q
 // in ids under cosine distance (the metric every nearest-core method is
-// hardwired to), or Noise when ids hold no core. Ties keep the earliest id
-// in ids, matching the strict-improvement scan of the fitting drivers. The
-// caller must hold mu.
+// hardwired to), or Noise when ids hold no core. Of equally close cores
+// the lowest id wins, whatever order the index lists them in, as in the
+// ++ variants' fit. The caller must hold mu.
 func (m *Model) nearestCoreLabelLocked(q []float32, ids []int) int {
-	best, bestD := Noise, m.params.Eps
+	best, bestID, bestD := Noise, -1, m.params.Eps
 	for _, id := range ids {
 		if !m.core[id] {
 			continue
 		}
-		if d := vecmath.CosineDistanceUnit(q, m.points[id]); d < bestD {
-			best, bestD = m.labels[id], d
+		d := vecmath.CosineDistanceUnit(q, m.points[id])
+		if d < bestD || d == bestD && id < bestID {
+			best, bestID, bestD = m.labels[id], id, d
 		}
 	}
-	// An in-range core at exactly Eps is impossible, since the range query
-	// returns strictly-closer points only.
 	return best
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -194,6 +195,51 @@ func TestPredictTrainingReproducesFit(t *testing.T) {
 			if pred[i] != fitted[i] {
 				t.Fatalf("%s: predict(train)[%d] = %d, fitted %d (core=%v)",
 					m, i, pred[i], fitted[i], model.CoreMask()[i])
+			}
+		}
+	}
+}
+
+// TestPredictTrainingReproducesFitOnTie pins the ++ variants' tie rule: a
+// border exactly as near to cores of two clusters joins the lower-id
+// core's cluster in the fit and in Predict alike, whatever sample order
+// the seed draws, the worker count or the index backend. The border sits
+// at angle 0 between cores at ±40°, each with five members 0.1 rad
+// further out, so it is within ε of both cores and of nothing else.
+func TestPredictTrainingReproducesFitOnTie(t *testing.T) {
+	at := func(rad float64) []float32 { return []float32{float32(math.Cos(rad)), float32(math.Sin(rad)), 0} }
+	core := 40 * math.Pi / 180
+	points := [][]float32{at(0)}
+	for _, sign := range []float64{1, -1} {
+		for k := 0; k <= 5; k++ {
+			points = append(points, at(sign*(core+0.1*float64(k))))
+		}
+	}
+	const border, c1, c2 = 0, 1, 7
+	for _, backend := range []string{"", "hnsw"} {
+		for seed := int64(1); seed <= 12; seed++ {
+			for _, workers := range []int{0, 1, 2, 4, WorkersAuto} {
+				name := fmt.Sprintf("backend=%q/seed=%d/workers=%d", backend, seed, workers)
+				model, err := Fit(context.Background(), points, MethodDBSCANPP,
+					WithEps(0.3), WithTau(4), WithSampleFraction(1), WithSeed(seed),
+					WithWorkers(workers), WithIndexBackend(backend))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				fitted := model.Labels()
+				if core := model.CoreMask(); core[border] || !core[c1] || !core[c2] || fitted[c1] == fitted[c2] {
+					t.Fatalf("%s: labels %v, core %v; want a non-core border between two clusters", name, fitted, core)
+				}
+				if fitted[border] != fitted[c1] {
+					t.Errorf("%s: border fitted to cluster %d, want the lower-id core's %d", name, fitted[border], fitted[c1])
+				}
+				pred, err := model.Predict(context.Background(), points)
+				if err != nil {
+					t.Fatalf("%s: Predict: %v", name, err)
+				}
+				if !slices.Equal(pred, fitted) {
+					t.Errorf("%s: predict(train) = %v, fitted %v", name, pred, fitted)
+				}
 			}
 		}
 	}

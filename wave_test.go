@@ -48,42 +48,57 @@ func TestWaveSizeKnobLabelEquality(t *testing.T) {
 	}
 }
 
-// TestDBSCANPPEngineInvariance pins DBSCAN++'s Workers and WaveSize knobs:
-// every setting draws the same sample and finds the same cores as the
-// default, so it fits the same labels, core mask, forest and query count.
+// TestDBSCANPPEngineInvariance pins the ++ variants' Workers and WaveSize
+// knobs: every setting draws the same sample, finds the same cores and
+// folds the same nearest cores as the default, so DBSCAN++ and
+// LAF-DBSCAN++ fit the same labels, core mask, forest and query counts.
 func TestDBSCANPPEngineInvariance(t *testing.T) {
 	d := GenerateMixture("pp-engines", MixtureConfig{
 		N: 400, Dim: 32, Clusters: 6, MinSpread: 0.25, MaxSpread: 0.5,
 		NoiseFrac: 0.2, Seed: 92,
 	})
-	fit := func(workers, wave int) *Result {
-		m, err := Fit(context.Background(), d.Vectors, MethodDBSCANPP,
-			WithEps(0.5), WithTau(4), WithSampleFraction(0.4), WithSeed(3),
-			WithWorkers(workers), WithWaveSize(wave))
-		if err != nil {
-			t.Fatal(err)
+	est := ExactEstimator(d.Vectors)
+	for _, m := range []Method{MethodDBSCANPP, MethodLAFDBSCANPP} {
+		fit := func(workers, wave int) *Result {
+			opts := []FitOption{WithEps(0.5), WithTau(4), WithSampleFraction(0.4), WithSeed(3),
+				WithWorkers(workers), WithWaveSize(wave)}
+			if m == MethodLAFDBSCANPP {
+				opts = append(opts, WithAlpha(2), WithEstimator(est))
+			}
+			model, err := Fit(context.Background(), d.Vectors, m, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return model.Result()
 		}
-		return m.Result()
-	}
-	seq := fit(0, 0)
-	if seq.Algorithm != "DBSCAN++" || seq.NumClusters == 0 {
-		t.Fatalf("default fit: algorithm %q, %d clusters", seq.Algorithm, seq.NumClusters)
-	}
-	for _, workers := range []int{0, 1, 2, 4} {
-		for _, wave := range []int{0, 1, 16} {
-			res := fit(workers, wave)
-			name := fmt.Sprintf("workers=%d/wave=%d", workers, wave)
-			if !slices.Equal(res.Labels, seq.Labels) {
-				t.Errorf("%s: labels differ from the default fit's", name)
-			}
-			if !slices.Equal(res.Core, seq.Core) {
-				t.Errorf("%s: core mask differs from the default fit's", name)
-			}
-			if !slices.Equal(res.Forest, seq.Forest) {
-				t.Errorf("%s: forest differs from the default fit's", name)
-			}
-			if res.RangeQueries != seq.RangeQueries {
-				t.Errorf("%s: %d queries, default %d", name, res.RangeQueries, seq.RangeQueries)
+		seq := fit(0, 0)
+		want := "DBSCAN++"
+		if m == MethodLAFDBSCANPP {
+			want = "LAF-DBSCAN++"
+		}
+		if seq.Algorithm != want || seq.NumClusters == 0 {
+			t.Fatalf("%s: default fit: algorithm %q, %d clusters", m, seq.Algorithm, seq.NumClusters)
+		}
+		if m == MethodLAFDBSCANPP && seq.SkippedQueries == 0 {
+			t.Fatalf("%s: the gate skipped no query; the test needs stop points", m)
+		}
+		for _, workers := range []int{0, 1, 2, 4} {
+			for _, wave := range []int{0, 1, 7, 16} {
+				res := fit(workers, wave)
+				name := fmt.Sprintf("%s/workers=%d/wave=%d", m, workers, wave)
+				if !slices.Equal(res.Labels, seq.Labels) {
+					t.Errorf("%s: labels differ from the default fit's", name)
+				}
+				if !slices.Equal(res.Core, seq.Core) {
+					t.Errorf("%s: core mask differs from the default fit's", name)
+				}
+				if !slices.Equal(res.Forest, seq.Forest) {
+					t.Errorf("%s: forest differs from the default fit's", name)
+				}
+				if res.RangeQueries != seq.RangeQueries || res.SkippedQueries != seq.SkippedQueries {
+					t.Errorf("%s: %d/%d queries, default %d/%d", name,
+						res.RangeQueries, res.SkippedQueries, seq.RangeQueries, seq.SkippedQueries)
+				}
 			}
 		}
 	}
