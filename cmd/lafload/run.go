@@ -93,8 +93,9 @@ func parseMix(s string) ([]struct {
 }
 
 // sample is one completed request: class, latency, and how it resolved.
-// rejected covers the backpressure statuses (429 full queue or fit slots,
-// 409 full model store) — deliberate server behavior, not failures.
+// rejected covers the backpressure statuses (429 full job queue, which
+// fits share with jobs and updates; 409 full model store) — deliberate
+// server behavior, not failures.
 // trace is the server's X-Laf-Trace header when the request was sampled —
 // the link from a latency outlier in the report to its spans at
 // GET /v1/traces?trace=<id>.

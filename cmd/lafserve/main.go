@@ -80,7 +80,7 @@ func main() {
 	var pre preloads
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("job-workers", 0, "concurrent clustering jobs (0 = GOMAXPROCS)")
+		workers   = flag.Int("job-workers", 0, "concurrent jobs: clusterings, model fits and model updates (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "queued-job capacity before submissions get 429")
 		maxJobs   = flag.Int("max-jobs", 0, "retained jobs incl. finished (0 = default 4096)")
 		maxModels = flag.Int("models", 0, "stored-model capacity; fits/loads get 409 beyond it (0 = default 256)")

@@ -60,6 +60,28 @@ func EstimatorKey(datasetName string, cfg lafdbscan.EstimatorConfig) string {
 		cfg.Hidden, cfg.Epochs, cfg.BatchSize, cfg.LR, cfg.Metric, cfg.Seed)
 }
 
+// estimatorInputs resolves what spec trains on for the named dataset — the
+// training set's name and vectors (spec.TrainDataset, or the dataset
+// itself) — and defaults the config's TargetSize to the dataset's size.
+func estimatorInputs(reg *Registry, dataset string, spec EstimatorSpec) (string, [][]float32, lafdbscan.EstimatorConfig, error) {
+	cfg := spec.Config
+	ds, err := reg.Get(dataset)
+	if err != nil {
+		return "", nil, cfg, err
+	}
+	if cfg.TargetSize == 0 {
+		cfg.TargetSize = ds.Len()
+	}
+	if spec.TrainDataset == "" {
+		return dataset, ds.Vectors, cfg, nil
+	}
+	train, err := reg.Get(spec.TrainDataset)
+	if err != nil {
+		return "", nil, cfg, err
+	}
+	return spec.TrainDataset, train.Vectors, cfg, nil
+}
+
 // Get returns the estimator for cfg trained on the named dataset's vectors,
 // training it on the first request. cached reports whether a previous (or
 // concurrent) request already paid for training; trainTime is the training

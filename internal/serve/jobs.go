@@ -67,20 +67,23 @@ type JobSpec struct {
 	Estimator *EstimatorSpec
 }
 
-// Job is one submitted job — a clustering run, or a model-maintenance
-// update (insert/remove) when exec is set. All fields are engine-managed;
+// Job is one submitted job — a clustering run, a model fit or a
+// model-maintenance update (insert/remove). All fields are engine-managed;
 // callers observe jobs through Status and Result snapshots.
 type Job struct {
 	id   string
 	spec JobSpec
-	// kind tags the job for status displays: "" (clustering) or a
-	// maintenance kind like "model-insert"/"model-remove".
+	// kind tags the job for status displays: "" (clustering), "model-fit"
+	// or a maintenance kind like "model-insert"/"model-remove".
 	kind string
-	// exec, when non-nil, replaces the engine's clustering call: the job
-	// runs this closure under the engine's context (wave progress wired),
-	// inheriting the whole lifecycle — queueing, 429 backpressure,
-	// cancel-within-one-wave, result retention.
+	// exec is the job's work: the worker runs it under the engine's
+	// context (wave progress wired), so every kind inherits the whole
+	// lifecycle — queueing, 429 backpressure, cancel-within-one-wave,
+	// result retention. It is dropped when the job ends, releasing what
+	// the closure holds (a fitted model, an insert's vectors).
 	exec func(ctx context.Context) (*lafdbscan.Result, error)
+	// done is closed when the job reaches a terminal state.
+	done chan struct{}
 
 	// link ties the job back to the submitting request's trace: spans the
 	// job emits later (queued, run, per-wave events) parent under the HTTP
@@ -102,7 +105,6 @@ type Job struct {
 	err             error
 	result          *lafdbscan.Result
 	cancel          context.CancelFunc // non-nil while running
-	cancelRequested bool
 	estimatorCached bool
 	created         time.Time
 	started         time.Time
@@ -114,8 +116,9 @@ type JobStatus struct {
 	ID      string           `json:"id"`
 	Dataset string           `json:"dataset"`
 	Method  lafdbscan.Method `json:"method"`
-	// Kind distinguishes model-maintenance jobs ("model-insert",
-	// "model-remove") from plain clustering jobs (omitted).
+	// Kind distinguishes model fits ("model-fit") and model-maintenance
+	// jobs ("model-insert", "model-remove") from plain clustering jobs
+	// (omitted).
 	Kind  string   `json:"kind,omitempty"`
 	State JobState `json:"state"`
 	// QueriesDone is the number of range queries completed so far (and
@@ -160,10 +163,11 @@ func (j *Job) status() JobStatus {
 
 // Options sizes an Engine.
 type Options struct {
-	// Workers is the number of jobs allowed to run concurrently; <= 0
-	// selects GOMAXPROCS. This is the oversubscription guard: each job may
-	// itself fan out over Params.Workers cores (one unless the request asks
-	// for more), so the product Workers × Params.Workers is the operator's
+	// Workers is the number of jobs — clusterings, model fits and model
+	// updates alike — allowed to run concurrently; <= 0 selects
+	// GOMAXPROCS. This is the oversubscription guard: each job may itself
+	// fan out over Params.Workers cores (one unless the request asks for
+	// more), so the product Workers × Params.Workers is the operator's
 	// concurrency budget.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-not-running jobs;
@@ -177,9 +181,10 @@ type Options struct {
 	// training vectors); <= 0 selects 256. At capacity, fits and loads are
 	// rejected until a model is deleted.
 	MaxModels int
-	// Run substitutes the clustering call (default
-	// lafdbscan.ClusterContext). Tests use controllable fakes to pin the
-	// job lifecycle without clustering work.
+	// Run substitutes the clustering call of POST /v1/jobs (default
+	// lafdbscan.ClusterContext; model fits always call FitParams). Tests
+	// use controllable fakes to pin the job lifecycle without clustering
+	// work.
 	Run runFunc
 
 	// TraceCapacity sizes the server's span ring buffer (rounded up to a
@@ -345,11 +350,25 @@ func (e *Engine) Close() {
 func (e *Engine) markCanceled(job *Job) {
 	job.mu.Lock()
 	if job.state == JobQueued {
-		job.state = JobCanceled
-		job.finished = time.Now()
-		e.canceled.Add(1)
+		e.finishLocked(job, JobCanceled, nil)
 	}
 	job.mu.Unlock()
+}
+
+// finishLocked ends a job, whose mu the caller holds, in a terminal state:
+// it stamps the end, counts the outcome, drops the work closure and wakes
+// every waiter.
+func (e *Engine) finishLocked(job *Job, state JobState, err error) {
+	job.state, job.err, job.finished, job.exec = state, err, time.Now(), nil
+	switch state {
+	case JobDone:
+		e.done.Add(1)
+	case JobFailed:
+		e.failed.Add(1)
+	default:
+		e.canceled.Add(1)
+	}
+	close(job.done)
 }
 
 // Submit validates and enqueues a clustering job, returning its id
@@ -360,10 +379,32 @@ func (e *Engine) markCanceled(job *Job) {
 // link — the job itself runs detached, under the engine's context, exactly
 // as before. A context without an active span submits an untraced job.
 func (e *Engine) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
-	if err := e.validate(&spec); err != nil {
+	job, err := e.submitSpec(ctx, spec, "", func(ctx context.Context, in specInputs) (*lafdbscan.Result, error) {
+		return e.run(ctx, in.vectors, spec.Method, in.params)
+	})
+	if err != nil {
 		return JobStatus{}, err
 	}
-	return e.enqueue(ctx, &Job{spec: spec})
+	return job.status(), nil
+}
+
+// submitSpec validates spec and enqueues a job of the given kind that, on
+// a worker, resolves the spec's inputs and hands them to run: the one
+// admission path of clustering jobs ("") and model fits ("model-fit").
+func (e *Engine) submitSpec(ctx context.Context, spec JobSpec, kind string,
+	run func(ctx context.Context, in specInputs) (*lafdbscan.Result, error)) (*Job, error) {
+	if err := validateJobSpec(e.reg, &spec); err != nil {
+		return nil, err
+	}
+	job := &Job{spec: spec, kind: kind}
+	job.exec = func(ctx context.Context) (*lafdbscan.Result, error) {
+		in, err := e.resolve(ctx, job)
+		if err != nil {
+			return nil, err
+		}
+		return run(ctx, in)
+	}
+	return job, e.enqueue(ctx, job)
 }
 
 // SubmitFunc enqueues a custom job — the model insert/delete endpoints'
@@ -374,29 +415,30 @@ func (e *Engine) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 // so queries_done progress works for maintenance exactly as for fits. ctx
 // carries the submitting request's trace link, as in Submit.
 func (e *Engine) SubmitFunc(ctx context.Context, dataset string, method lafdbscan.Method, kind string, exec func(ctx context.Context) (*lafdbscan.Result, error)) (JobStatus, error) {
-	return e.enqueue(ctx, &Job{
-		spec: JobSpec{Dataset: dataset, Method: method},
-		kind: kind,
-		exec: exec,
-	})
+	job := &Job{spec: JobSpec{Dataset: dataset, Method: method}, kind: kind, exec: exec}
+	if err := e.enqueue(ctx, job); err != nil {
+		return JobStatus{}, err
+	}
+	return job.status(), nil
 }
 
 // enqueue stamps and queues a prepared job under the engine lock.
-func (e *Engine) enqueue(ctx context.Context, job *Job) (JobStatus, error) {
+func (e *Engine) enqueue(ctx context.Context, job *Job) error {
 	job.link = trace.LinkFromContext(ctx)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return JobStatus{}, errors.New("serve: engine closed")
+		return errors.New("serve: engine closed")
 	}
 	if len(e.pending) >= e.qdepth {
 		e.mu.Unlock()
-		return JobStatus{}, ErrQueueFull
+		return ErrQueueFull
 	}
 	e.seq++
 	job.id = fmt.Sprintf("j-%06d", e.seq)
 	job.state = JobQueued
 	job.created = time.Now()
+	job.done = make(chan struct{})
 	// The queued span starts here and is finished by the worker that pops
 	// the job; created under the engine lock (after the id exists) so the
 	// pop's lock acquisition orders the hand-off. A job canceled while
@@ -415,14 +457,26 @@ func (e *Engine) enqueue(ctx context.Context, job *Job) (JobStatus, error) {
 	e.qcond.Signal()
 	e.mu.Unlock()
 	e.submitted.Add(1)
-	return job.status(), nil
+	return nil
 }
 
-// validate rejects a spec the engine could not run; the model-fit endpoint
-// shares the same rules through validateJobSpec, so a configuration is
-// accepted as an async job exactly when it is accepted as a model fit.
-func (e *Engine) validate(spec *JobSpec) error {
-	return validateJobSpec(e.reg, spec)
+// wait blocks until job ends and returns its error, nil when it is done.
+// If ctx ends first, wait cancels the job and returns ctx's error once
+// the job has ended, so the caller's slot is free when it returns.
+func (e *Engine) wait(ctx context.Context, job *Job) error {
+	select {
+	case <-job.done:
+	case <-ctx.Done():
+		_, _ = e.Cancel(job.id)
+		<-job.done
+		return ctx.Err()
+	}
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	if job.state == JobCanceled && job.err == nil {
+		return fmt.Errorf("serve: job %s: %w", job.id, context.Canceled)
+	}
+	return job.err
 }
 
 // validateJobSpec rejects a spec the server could not run: unknown method,
@@ -519,10 +573,7 @@ func (e *Engine) Cancel(id string) (JobStatus, error) {
 	job.mu.Lock()
 	switch job.state {
 	case JobQueued:
-		job.cancelRequested = true
-		job.state = JobCanceled
-		job.finished = time.Now()
-		e.canceled.Add(1)
+		e.finishLocked(job, JobCanceled, nil)
 		job.mu.Unlock()
 		// Free the queue slot so backpressure reflects runnable work. If a
 		// worker popped the job between the unlock and here, removePending
@@ -530,7 +581,6 @@ func (e *Engine) Cancel(id string) (JobStatus, error) {
 		e.removePending(job)
 		return job.status(), nil
 	case JobRunning:
-		job.cancelRequested = true
 		job.cancel()
 	}
 	job.mu.Unlock()
@@ -645,10 +695,8 @@ func (e *Engine) runJob(job *Job) {
 		return
 	}
 	if e.baseCtx.Err() != nil { // engine shutting down: never start work
-		job.state = JobCanceled
-		job.finished = time.Now()
+		e.finishLocked(job, JobCanceled, nil)
 		job.mu.Unlock()
-		e.canceled.Add(1)
 		return
 	}
 	ctx, cancel := context.WithCancel(e.baseCtx)
@@ -698,21 +746,15 @@ func (e *Engine) runJob(job *Job) {
 	e.busy.Add(-1)
 
 	job.mu.Lock()
-	job.finished = time.Now()
 	job.cancel = nil
 	switch {
 	case err == nil:
-		job.state = JobDone
 		job.result = res
-		e.done.Add(1)
+		e.finishLocked(job, JobDone, nil)
 	case errors.Is(err, context.Canceled):
-		job.state = JobCanceled
-		job.err = err
-		e.canceled.Add(1)
+		e.finishLocked(job, JobCanceled, err)
 	default:
-		job.state = JobFailed
-		job.err = err
-		e.failed.Add(1)
+		e.finishLocked(job, JobFailed, err)
 	}
 	state := job.state
 	job.mu.Unlock()
@@ -723,10 +765,7 @@ func (e *Engine) runJob(job *Job) {
 	}
 }
 
-// execute resolves the job's shared resources — dataset vectors, the
-// per-(dataset, metric) index, the cached estimator — wires the progress
-// hook, and runs the clustering call. Custom jobs (SubmitFunc) skip
-// resolution and run their closure under the hooked context directly.
+// execute wires the progress hook and runs the job's work under it.
 func (e *Engine) execute(ctx context.Context, job *Job) (*lafdbscan.Result, error) {
 	// One progress closure feeds three consumers at every wave barrier: the
 	// job's poll-able counter, the engine-wide throughput counter, and (for
@@ -735,68 +774,53 @@ func (e *Engine) execute(ctx context.Context, job *Job) (*lafdbscan.Result, erro
 	// waves, never concurrently within a batch call, which satisfies the
 	// span ownership contract; a nil span makes the event a no-op.
 	span := trace.FromContext(ctx)
-	progress := func(q int) {
+	return job.exec(index.WithWaveProgress(ctx, func(q int) {
 		job.queriesDone.Add(int64(q))
 		e.queries.Add(int64(q))
 		span.Event("wave", trace.Int("queries", int64(q)))
-	}
-	if job.exec != nil {
-		return job.exec(index.WithWaveProgress(ctx, progress))
-	}
+	}))
+}
+
+// specInputs are a spec's run-time inputs, resolved on the worker.
+type specInputs struct {
+	vectors [][]float32
+	// params is the spec's Params with the registry's shared index and
+	// the cached estimator filled in.
+	params lafdbscan.Params
+	// backend names the index backend the registry resolved.
+	backend string
+}
+
+// resolve gathers a spec job's shared resources — the dataset's vectors,
+// the per-(dataset, metric, backend) index and the cached estimator — the
+// one resolution path of clustering jobs and model fits, so they pay for
+// each (dataset, config) training at most once between them; the job's
+// status reports whether the estimator was already cached.
+func (e *Engine) resolve(ctx context.Context, job *Job) (specInputs, error) {
 	spec := job.spec
 	ds, err := e.reg.Get(spec.Dataset)
 	if err != nil {
-		return nil, err
+		return specInputs{}, err
 	}
 	p := spec.Params
-	idx, backend, ierr := e.reg.Index(spec.Dataset, p.Metric, p.IndexBackend)
-	if ierr != nil {
-		return nil, ierr
+	idx, backend, err := e.reg.Index(spec.Dataset, p.Metric, p.IndexBackend)
+	if err != nil {
+		return specInputs{}, err
 	}
 	p.Index = idx
-	span.Annotate(trace.Str("laf_index_backend", backend))
-	est, cached, err := resolveEstimator(ctx, e.reg, e.est, spec)
-	if err != nil {
-		return nil, err
-	}
-	if est != nil {
+	trace.FromContext(ctx).Annotate(trace.Str("laf_index_backend", backend))
+	if spec.Estimator != nil {
+		trainName, train, cfg, err := estimatorInputs(e.reg, spec.Dataset, *spec.Estimator)
+		if err != nil {
+			return specInputs{}, err
+		}
+		var cached bool
+		if p.Estimator, cached, _, err = e.est.Get(ctx, trainName, train, cfg); err != nil {
+			return specInputs{}, err
+		}
 		job.mu.Lock()
 		job.estimatorCached = cached
 		job.mu.Unlock()
-		p.Estimator = est
 	}
-	return e.run(index.WithWaveProgress(ctx, progress), ds.Vectors, spec.Method, p)
-}
-
-// resolveEstimator resolves a spec's estimator through the shared cache:
-// trained on the job's dataset (or the spec's TrainDataset), targeting the
-// job dataset's size unless overridden. The job engine and the model-fit
-// endpoint share it, so both pay for each (dataset, config) training at
-// most once between them. cached reports whether a previous or concurrent
-// request already paid. A nil spec.Estimator resolves to (nil, false, nil).
-func resolveEstimator(ctx context.Context, reg *Registry, cache *EstimatorCache, spec JobSpec) (est lafdbscan.Estimator, cached bool, err error) {
-	if spec.Estimator == nil {
-		return nil, false, nil
-	}
-	ds, err := reg.Get(spec.Dataset)
-	if err != nil {
-		return nil, false, err
-	}
-	trainName := spec.Estimator.TrainDataset
-	trainVecs := ds.Vectors
-	if trainName == "" {
-		trainName = spec.Dataset
-	} else {
-		tds, terr := reg.Get(trainName)
-		if terr != nil {
-			return nil, false, terr
-		}
-		trainVecs = tds.Vectors
-	}
-	cfg := spec.Estimator.Config
-	if cfg.TargetSize == 0 {
-		cfg.TargetSize = ds.Len()
-	}
-	est, cached, _, err = cache.Get(ctx, trainName, trainVecs, cfg)
-	return est, cached, err
+	return specInputs{vectors: ds.Vectors, params: p, backend: backend}, nil
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,17 +15,19 @@ import (
 
 // This file is the HTTP face of the model store: fit, inspect, delete,
 // persist and predict — the serving-layer expression of the Fit/Predict
-// split. Fitting reuses everything the job path amortizes (the registry's
-// shared vectors and indexes, the estimator cache) but runs synchronously
-// under the request context, so a dropped connection cancels the clustering
-// within one wave; prediction is cheap by construction (one range query per
-// vector) and is what the fitted artifacts exist to serve.
+// split. A fit is a job of the engine (kind "model-fit"): it queues FIFO
+// with clustering jobs and updates, shares their worker slots and
+// resolves its dataset, index and estimator as they do. The handler waits
+// for it under the request context, so a dropped connection cancels it
+// (queued: at once; running: within one wave), and stores the model only
+// once the job is done. Prediction is cheap by construction (one range
+// query per vector) and is what the fitted artifacts exist to serve.
 
 // withWaveEvents makes the wave engines stamp one event per completed
 // wave barrier on span — the per-wave latency breakdown of a synchronous
-// fit or predict. The hook is installed only for traced requests: an
-// untraced request's context is returned unchanged, so the wave path pays
-// nothing. (Async jobs get the same events through the engine's progress
+// predict. The hook is installed only for traced requests: an untraced
+// request's context is returned unchanged, so the wave path pays nothing.
+// (Jobs, fits included, get the same events through the engine's progress
 // hook instead, which also feeds the queries_done counters.)
 func withWaveEvents(ctx context.Context, span *trace.Span) context.Context {
 	if span == nil {
@@ -38,37 +39,8 @@ func withWaveEvents(ctx context.Context, span *trace.Span) context.Context {
 }
 
 func (s *Server) handleFitModel(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Dataset   string         `json:"dataset"`
-		Method    string         `json:"method"`
-		Params    paramsJSON     `json:"params"`
-		Estimator *estimatorJSON `json:"estimator,omitempty"`
-	}
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	params, err := req.Params.toParams()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec := JobSpec{
-		Dataset: req.Dataset,
-		Method:  lafdbscan.Method(req.Method),
-		Params:  params,
-	}
-	if req.Estimator != nil {
-		es, eerr := req.Estimator.toSpec()
-		if eerr != nil {
-			writeError(w, http.StatusBadRequest, eerr)
-			return
-		}
-		spec.Estimator = &es
-	}
-	// Same acceptance rules as the async job path: a spec fits as a model
-	// exactly when it would run as a job.
-	if err := validateJobSpec(s.reg, &spec); err != nil {
-		writeError(w, statusFor(err), err)
+	spec, ok := decodeJobSpec(w, r)
+	if !ok {
 		return
 	}
 	// Refuse cheaply before paying for the clustering: a full store is a
@@ -78,47 +50,30 @@ func (s *Server) handleFitModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	// Bounded concurrency: fits run synchronously, so they claim a slot
-	// sized to the job engine's worker count; a saturated pool answers 429
-	// immediately (backpressure, like a full job queue).
-	select {
-	case s.fitSlots <- struct{}{}:
-		defer func() { <-s.fitSlots }()
-	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			errors.New("serve: all fit slots busy, retry later"))
-		return
+	// The job hands its model over through these; wait's return orders
+	// the worker's writes before the reads below.
+	var (
+		model   *lafdbscan.Model
+		backend string
+		fitTime time.Duration
+	)
+	job, err := s.eng.submitSpec(r.Context(), spec, "model-fit", func(ctx context.Context, in specInputs) (*lafdbscan.Result, error) {
+		start := time.Now()
+		m, err := lafdbscan.FitParams(ctx, in.vectors, spec.Method, in.params)
+		if err != nil {
+			return nil, err
+		}
+		model, backend, fitTime = m, in.backend, time.Since(start)
+		// The job keeps the fit's counts but not its per-point slices: the
+		// model holds those, and a retained job must not keep a deleted
+		// model's labels alive.
+		res := *m.Result()
+		res.Labels, res.Core, res.Forest = nil, nil, nil
+		return &res, nil
+	})
+	if err == nil {
+		err = s.eng.wait(r.Context(), job)
 	}
-	// The fit span covers estimator resolution and the clustering itself;
-	// wave barriers stamp events on it, so a slow fit's trace shows where
-	// the waves slowed down. Deferred Finish keeps every error return
-	// covered (status lands on the middleware's root span).
-	ctx, span := trace.Start(r.Context(), "model.fit")
-	span.Annotate(trace.Str("dataset", spec.Dataset), trace.Str("method", string(spec.Method)))
-	defer span.Finish()
-	ctx = withWaveEvents(ctx, span)
-	est, cached, err := resolveEstimator(ctx, s.reg, s.est, spec)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	ds, err := s.reg.Get(spec.Dataset)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	p := spec.Params
-	p.Estimator = est
-	idx, backend, ierr := s.reg.Index(spec.Dataset, p.Metric, p.IndexBackend)
-	if ierr != nil {
-		writeError(w, statusFor(ierr), ierr)
-		return
-	}
-	p.Index = idx
-	span.Annotate(trace.Str("laf_index_backend", backend))
-	start := time.Now()
-	model, err := lafdbscan.FitParams(ctx, ds.Vectors, spec.Method, p)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -138,8 +93,8 @@ func (s *Server) handleFitModel(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"model":            info,
-		"estimator_cached": cached,
-		"fit_ms":           time.Since(start).Milliseconds(),
+		"estimator_cached": job.status().EstimatorCached,
+		"fit_ms":           fitTime.Milliseconds(),
 	})
 }
 

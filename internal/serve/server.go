@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,7 +27,7 @@ import (
 //	GET    /v1/jobs/{id}         poll status/progress
 //	GET    /v1/jobs/{id}/result  fetch a finished job's labels and metrics
 //	DELETE /v1/jobs/{id}         cancel (queued: immediate; running: within one wave)
-//	POST   /v1/models            fit a model synchronously (201; canceled by disconnect)
+//	POST   /v1/models            fit a model as a job and wait for it (201, or 429 when full; canceled by disconnect)
 //	GET    /v1/models            list stored models
 //	GET    /v1/models/{id}       one model's info
 //	DELETE /v1/models/{id}       delete a model
@@ -54,14 +55,9 @@ type Server struct {
 	models  *ModelStore
 	metrics *serverMetrics
 	tracer  *trace.Tracer
-	// fitSlots caps concurrent synchronous model fits at the job engine's
-	// worker count, so a burst of POST /v1/models cannot oversubscribe the
-	// machine past the concurrency budget the bounded engine enforces for
-	// jobs; excess fits get 429, the same backpressure contract as Submit.
-	fitSlots chan struct{}
-	mux      *http.ServeMux
-	start    time.Time
-	logger   *slog.Logger
+	mux     *http.ServeMux
+	start   time.Time
+	logger  *slog.Logger
 	// wal, when non-nil, journals every stored model's mutations (see
 	// docs/DURABILITY.md); nil means memory-only operation.
 	wal *walManager
@@ -95,16 +91,15 @@ func NewServer(opts Options) *Server {
 	}
 	tracer := trace.New(opts.TraceCapacity, sampleEvery)
 	s := &Server{
-		reg:      reg,
-		est:      est,
-		eng:      eng,
-		models:   NewModelStore(opts.MaxModels),
-		metrics:  newServerMetrics(mreg, tracer, logger, opts.SlowRequestThreshold),
-		tracer:   tracer,
-		fitSlots: make(chan struct{}, eng.workers),
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
-		logger:   logger,
+		reg:     reg,
+		est:     est,
+		eng:     eng,
+		models:  NewModelStore(opts.MaxModels),
+		metrics: newServerMetrics(mreg, tracer, logger, opts.SlowRequestThreshold),
+		tracer:  tracer,
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		logger:  logger,
 	}
 	wm, err := newWALManager(opts, mreg, s.models)
 	if err != nil {
@@ -384,26 +379,12 @@ func (s *Server) handleTrainEstimator(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ds, err := s.reg.Get(req.Dataset)
+	trainName, train, cfg, err := estimatorInputs(s.reg, req.Dataset, spec)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	trainName := req.Dataset
-	trainVecs := ds.Vectors
-	if spec.TrainDataset != "" {
-		tds, terr := s.reg.Get(spec.TrainDataset)
-		if terr != nil {
-			writeError(w, statusFor(terr), terr)
-			return
-		}
-		trainName, trainVecs = spec.TrainDataset, tds.Vectors
-	}
-	cfg := spec.Config
-	if cfg.TargetSize == 0 {
-		cfg.TargetSize = ds.Len()
-	}
-	_, cached, trainTime, err := s.est.Get(r.Context(), trainName, trainVecs, cfg)
+	_, cached, trainTime, err := s.est.Get(r.Context(), trainName, train, cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -415,7 +396,9 @@ func (s *Server) handleTrainEstimator(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+// decodeJobSpec decodes the body POST /v1/jobs and POST /v1/models share,
+// answering 400 itself when it cannot.
+func decodeJobSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
 	var req struct {
 		Dataset   string         `json:"dataset"`
 		Method    string         `json:"method"`
@@ -423,33 +406,29 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		Estimator *estimatorJSON `json:"estimator,omitempty"`
 	}
 	if !decodeJSON(w, r, &req) {
-		return
+		return JobSpec{}, false
 	}
 	params, err := req.Params.toParams()
+	spec := JobSpec{Dataset: req.Dataset, Method: lafdbscan.Method(req.Method), Params: params}
+	if err == nil && req.Estimator != nil {
+		var es EstimatorSpec
+		es, err = req.Estimator.toSpec()
+		spec.Estimator = &es
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return JobSpec{}, false
+	}
+	return spec, true
+}
+
+func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
+	spec, ok := decodeJobSpec(w, r)
+	if !ok {
 		return
-	}
-	spec := JobSpec{
-		Dataset: req.Dataset,
-		Method:  lafdbscan.Method(req.Method),
-		Params:  params,
-	}
-	if req.Estimator != nil {
-		es, eerr := req.Estimator.toSpec()
-		if eerr != nil {
-			writeError(w, http.StatusBadRequest, eerr)
-			return
-		}
-		spec.Estimator = &es
 	}
 	status, err := s.eng.Submit(r.Context(), spec)
 	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
 		writeError(w, statusFor(err), err)
 		return
 	}
@@ -543,18 +522,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError answers err with status; a 429 carries a Retry-After hint.
 func writeError(w http.ResponseWriter, status int, err error) {
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // statusFor maps the package's sentinel errors onto HTTP statuses;
 // everything else is a 400 (the request referenced or contained something
-// the server rejects).
+// the server rejects). A canceled job is a 409, as its result fetch is.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, ErrQueueFull):
+		return http.StatusTooManyRequests
 	case errors.Is(err, ErrNotFound), errors.Is(err, ErrUnknownJob), errors.Is(err, ErrUnknownModel):
 		return http.StatusNotFound
-	case errors.Is(err, ErrExists), errors.Is(err, ErrModelStoreFull):
+	case errors.Is(err, ErrExists), errors.Is(err, ErrModelStoreFull), errors.Is(err, context.Canceled):
 		return http.StatusConflict
 	default:
 		return http.StatusBadRequest

@@ -2,13 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,6 +195,9 @@ func TestServerSmoke(t *testing.T) {
 		t.Error("model fit did not hit the estimator cache")
 	}
 	modelID := body["model"].(map[string]any)["id"].(string)
+	if fitLabels := savedLabels(t, base, modelID); !slices.Equal(fitLabels, labels) {
+		t.Fatal("fitted model's labels differ from the job's")
+	}
 
 	// 8. Predict the training dataset through the model.
 	code, body = postJSON(t, base+"/v1/models/"+modelID+"/predict", map[string]any{"dataset": name})
@@ -238,7 +244,54 @@ func TestServerSmoke(t *testing.T) {
 		}
 	}
 
-	// 10. Online maintenance: insert new vectors into the stored model
+	// 10. A burst of concurrent fits, more than the server's two workers:
+	// each fit is a job, so the ones that find the workers busy queue
+	// instead of being refused, and every one answers 201 with the labels
+	// of a library FitParams of its spec.
+	burstEps := []float64{0.5, 0.55, 0.6, 0.65}
+	resps := make([]*http.Response, len(burstEps))
+	errs := make([]error, len(burstEps))
+	var wg sync.WaitGroup
+	for i, eps := range burstEps {
+		req := map[string]any{"dataset": name, "method": "dbscan",
+			"params": map[string]any{"eps": eps, "tau": 5, "seed": 3, "workers": 1}}
+		if i%2 == 1 {
+			req = map[string]any{"dataset": name, "method": "laf-dbscan", "estimator": estimator,
+				"params": map[string]any{"eps": eps, "tau": 5, "alpha": 1.2, "seed": 3, "workers": 1}}
+		}
+		buf, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = http.Post(base+"/v1/models", "application/json", bytes.NewReader(buf))
+		}()
+	}
+	wg.Wait()
+	for i, eps := range burstEps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		code, body := decodeResp(t, resps[i])
+		if code != http.StatusCreated {
+			t.Fatalf("burst fit %d: %d %v, want 201", i, code, body)
+		}
+		method, p := lafdbscan.MethodDBSCAN, lafdbscan.Params{Eps: eps, Tau: 5, Seed: 3, Workers: 1}
+		if i%2 == 1 {
+			method, p.Alpha, p.Estimator = lafdbscan.MethodLAFDBSCAN, 1.2, est
+		}
+		lib, err := lafdbscan.FitParams(context.Background(), ds.Vectors, method, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := savedLabels(t, base, body["model"].(map[string]any)["id"].(string)); !slices.Equal(got, lib.Labels()) {
+			t.Fatalf("burst fit %d (%s, eps %v): labels differ from the library FitParams", i, method, eps)
+		}
+	}
+
+	// 11. Online maintenance: insert new vectors into the stored model
 	// through the async endpoint and pin the evolved labeling against a
 	// fresh library fit on the grown point set — the incremental engine's
 	// equality contract, exercised over the full serving stack.
@@ -304,7 +357,7 @@ func TestServerSmoke(t *testing.T) {
 		}
 	}
 
-	// 11. Durable streaming: fold more vectors in through the micro-batched
+	// 12. Durable streaming: fold more vectors in through the micro-batched
 	// stream endpoint (journaled chunk by chunk when the server runs with
 	// -wal-dir) and pin the evolved labeling against a fresh library fit,
 	// exactly like the all-or-nothing insert above.
@@ -360,7 +413,7 @@ func TestServerSmoke(t *testing.T) {
 		}
 	}
 
-	// 12. /stats reflects the cache amortization, the model activity and
+	// 13. /stats reflects the cache amortization, the model activity and
 	// the maintenance counters; when the server runs with a journal
 	// (-wal-dir, as the CI smoke job does) the stream above was journaled,
 	// so a snapshot rolls the model's generation on demand.
@@ -407,7 +460,7 @@ func TestServerSmoke(t *testing.T) {
 		t.Errorf("stats jobs queries_done = %v, want >= the jobs' sum %v", body["jobs"].(map[string]any)["queries_done"], totalQueries)
 	}
 
-	// 13. /metrics parses as Prometheus text format and carries the request
+	// 14. /metrics parses as Prometheus text format and carries the request
 	// histogram the walkthrough just fed — the serve-smoke CI job's
 	// observability assertion, run against the live binary.
 	samples, families := scrapeMetrics(t, base)
@@ -429,6 +482,25 @@ func TestServerSmoke(t *testing.T) {
 
 	t.Logf("smoke OK: ARI=1.0 (job + post-insert), estimator cache %v, jobs %v, models %v, %d metric families",
 		cache, body["jobs"], models, len(families))
+}
+
+// savedLabels downloads a stored model's serialization and returns the
+// labels it carries.
+func savedLabels(t *testing.T, base, id string) []int {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/models/" + id + "/save")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("save model %s: %d", id, resp.StatusCode)
+	}
+	model, err := lafdbscan.LoadModel(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model.Labels()
 }
 
 // TestServerHTTPStatusMapping pins the error contract of the HTTP layer:

@@ -46,7 +46,7 @@ const (
 	helpRequests    = "HTTP requests served, by route pattern and status code."
 	helpDuration    = "HTTP request latency in seconds, by route pattern."
 	helpInflight    = "HTTP requests currently being served."
-	helpRejects     = "Requests refused with backpressure or capacity statuses (429 queue/fit slots, 409 model store)."
+	helpRejects     = "Requests refused with backpressure or capacity statuses (429 job queue, 409 model store)."
 	endpointUnknown = "other"
 )
 

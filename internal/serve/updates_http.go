@@ -68,11 +68,6 @@ func (s *Server) submitModelUpdate(ctx context.Context, w http.ResponseWriter, i
 			return model.Result(), nil
 		})
 	if err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
 		writeError(w, statusFor(err), err)
 		return
 	}

@@ -272,7 +272,9 @@ func TestRaggedBatchesAre400(t *testing.T) {
 			t.Errorf("%s with a 2-d dataset: %d %v, want 400 naming the mismatch", op, code, body)
 		}
 	}
-	if code, body := getJSON(t, base+"/v1/jobs"); code != http.StatusOK || len(body["jobs"].([]any)) != 0 {
+	// The fit above is the only job: the rejected requests queued none.
+	if code, body := getJSON(t, base+"/v1/jobs"); code != http.StatusOK || len(body["jobs"].([]any)) != 1 ||
+		body["jobs"].([]any)[0].(map[string]any)["kind"] != "model-fit" {
 		t.Errorf("rejected requests queued jobs: %d %v", code, body)
 	}
 	if code, body := postJSON(t, base+"/v1/models/"+id+"/predict", map[string]any{"vectors": vectors[:100]}); code != http.StatusOK {

@@ -458,33 +458,12 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	// The changed points, promoted then new, and their complete rows. Each
 	// one's adjacency is rebuilt from its row: the cores within Eps. A
 	// newly-core one also joins the adjacency of its neighbors whose rows
-	// are not rebuilt: old points whose core flag did not flip. Such a row
-	// that lacks room is reallocated once, to exactly the length it
-	// reaches: a fitted row, filtered in place, keeps one free slot, and
-	// append would double it.
+	// are not rebuilt: old points whose core flag did not flip.
 	changed := slices.Clone(promoted)
 	for k := range vectors {
 		changed = append(changed, n+k)
 	}
-	changedRows := append(prows, rows...)
-	gains := make(map[int32]int, len(delta))
-	for i, row := range changedRows {
-		if !m.core[changed[i]] {
-			continue
-		}
-		for _, u := range row {
-			if int(u) < n && wasCore[u] == m.core[u] {
-				gains[u]++
-			}
-		}
-	}
-	//lafvet:orderfree each key grows its own row; no result depends on the order
-	for u, k := range gains {
-		if row := inc.adj[u]; cap(row)-len(row) < k {
-			inc.adj[u] = append(make([]int32, 0, len(row)+k), row...)
-		}
-	}
-	for i, row := range changedRows {
+	for i, row := range append(prows, rows...) {
 		c := changed[i]
 		inc.adj[c] = appendCores(nil, row, m.core, c)
 		if !m.core[c] {
