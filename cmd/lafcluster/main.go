@@ -34,7 +34,7 @@
 //   - Durable: -wal roots the model in a journal directory. With -data or
 //     -load it seeds a fresh journal (snapshot plus write-ahead log); alone
 //     it recovers the journaled model — replaying the log, cutting a torn
-//     tail — and every -insert/-remove is journaled before it is applied,
+//     tail — and every -insert/-remove is journaled before it commits,
 //     so a crash between runs loses nothing that was committed. -snapshot
 //     rolls the journal generation before exiting; docs/DURABILITY.md
 //     covers the format and recovery semantics.
@@ -252,7 +252,7 @@ func main() {
 
 // modelMutator is the mutation surface maintenance runs against: the bare
 // model, or its journal when -wal is set (so every mutation is journaled
-// before it is applied).
+// before it commits).
 type modelMutator interface {
 	Insert(ctx context.Context, vectors [][]float32) (lafdbscan.UpdateReport, error)
 	Remove(ctx context.Context, ids []int) (lafdbscan.UpdateReport, error)

@@ -21,7 +21,7 @@
 // /debug/pprof/; docs/OPERATIONS.md is the operator handbook.
 //
 // With -wal-dir every model mutation is journaled to a write-ahead log
-// before it is applied: POST /v1/models/{id}/stream ingests vectors in
+// before it commits: POST /v1/models/{id}/stream ingests vectors in
 // durable micro-batches, POST /v1/models/{id}/snapshot rolls a model's
 // journal generation, and a restart recovers every journaled model —
 // losing at most the record a crash tore. docs/DURABILITY.md covers the

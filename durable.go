@@ -159,18 +159,26 @@ type DurableStats struct {
 // ErrDurableClosed is returned by mutations on a closed DurableModel.
 var ErrDurableClosed = errors.New("lafdbscan: durable model is closed")
 
-// DurableModel journals mutations to a write-ahead log before applying
-// them to the wrapped Model, so a crash at any point loses at most the
-// un-fsynced tail of the journal and never corrupts the model: recovery
-// replays the WAL on top of the newest loadable snapshot and reconstructs
-// a state bit-identical to some prefix of the mutation history.
+// DurableModel journals mutations to a write-ahead log for the wrapped
+// Model, so a crash at any point loses at most the un-fsynced tail of the
+// journal and never corrupts the model: recovery replays the WAL on top of
+// the newest loadable snapshot and reconstructs a state bit-identical to
+// some prefix of the mutation history.
 //
-// Consistency contract: the DurableModel mutex serializes journal appends,
-// model applies, and snapshots, so Snapshot always captures a state that
-// lies exactly on a record boundary — never between a record's append and
-// its apply. Model.Save called directly on the wrapped model is likewise a
-// consistent cut (its own read lock excludes in-flight mutations), but only
-// Snapshot advances the journal generation and compacts old segments.
+// Write path: each mutation runs the model's one mutation path with a
+// journal — plan (validation and every range query, cancellable), then
+// append and fsync the record, then commit it in memory. A mutation the
+// plan rejects or that is cancelled never reaches the disk, so the journal
+// holds exactly the committed mutations. The fsync runs with no model lock
+// held: Predict and the other reads of Model() keep running through it.
+//
+// Consistency contract: the DurableModel mutex serializes mutations and
+// snapshots, so Snapshot always captures a state that lies exactly on a
+// record boundary — never between a record's append and its commit.
+// Model.Save called directly on the wrapped model is likewise a consistent
+// cut (it sees the state before an in-flight mutation's commit or after
+// it), but only Snapshot advances the journal generation and compacts old
+// segments.
 //
 // All methods are safe for concurrent use.
 type DurableModel struct {
@@ -288,7 +296,7 @@ func OpenDurable(ctx context.Context, dir string, opts DurableOptions) (*Durable
 			break
 		}
 		r, err := wal.Replay(fsys, filepath.Join(dir, walSegName(segLSN)), func(rec *wal.Record) error {
-			urep, aerr := applyRecord(ctx, model, rec)
+			urep, aerr := model.apply(ctx, rec, nil)
 			if errors.Is(aerr, ErrRetrainFailed) {
 				aerr = nil // applied; as on the live path, only the retrain failed
 			}
@@ -358,82 +366,47 @@ func loadSnapshot(fsys wal.FS, path string) (*Model, error) {
 	return m, err
 }
 
-// Insert journals the batch, then applies it to the model. The append is
-// the commit point: once it returns under SyncAlways the batch survives
-// any crash. An apply rejection (for example a dimension mismatch) annuls
-// the journaled record so replay and the in-memory model never diverge. A
-// failed retrain (ErrRetrainFailed) is no rejection: the batch is applied,
-// so its record stays, and the report is returned with the error.
+// Insert plans the batch against the model, journals it, then commits it
+// (see Model.apply). The append is the commit point: once it returns under
+// SyncAlways the batch survives any crash. A batch the plan rejects (for
+// example a dimension mismatch) or a cancelled one writes nothing to the
+// journal. A failed retrain (ErrRetrainFailed) is no rejection: the batch
+// is applied, so its record stays, and the report is returned with the
+// error.
 func (d *DurableModel) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, error) {
-	if len(vectors) == 0 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.closed {
-			return UpdateReport{}, ErrDurableClosed
-		}
-		return d.model.Insert(ctx, vectors)
-	}
 	return d.mutate(ctx, &wal.Record{Kind: wal.KindInsert, Vectors: vectors})
 }
 
-// Remove journals the batch, then applies it, with the same commit and
-// annulment semantics as Insert.
+// Remove plans, journals and commits the batch with the same semantics
+// as Insert.
 func (d *DurableModel) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
-	if len(ids) == 0 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.closed {
-			return UpdateReport{}, ErrDurableClosed
-		}
-		return d.model.Remove(ctx, ids)
-	}
 	return d.mutate(ctx, &wal.Record{Kind: wal.KindRemove, IDs: ids})
 }
 
+// mutate runs rec through the model's one mutation path with a journal
+// that appends it and advances the LSN; an empty batch is never journaled.
 func (d *DurableModel) mutate(ctx context.Context, rec *wal.Record) (UpdateReport, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return UpdateReport{}, ErrDurableClosed
 	}
-	size, records := d.log.Mark()
-	if err := d.log.Append(rec); err != nil {
-		return UpdateReport{}, fmt.Errorf("lafdbscan: journaling mutation: %w", err)
-	}
-	urep, err := applyRecord(ctx, d.model, rec)
-	if err != nil && !errors.Is(err, ErrRetrainFailed) {
-		// The model rejected the mutation, so the journaled record must not
-		// replay: annul it. If even that fails the journal and model have
-		// diverged and the handle is poisoned.
-		if uerr := d.log.Unappend(size, records); uerr != nil {
-			d.closed = true
-			return UpdateReport{}, errors.Join(err, fmt.Errorf("lafdbscan: annulling rejected mutation: %w", uerr))
+	lsn := d.lsn
+	urep, err := d.model.apply(ctx, rec, func(rec *wal.Record) error {
+		if err := d.log.Append(rec); err != nil {
+			return fmt.Errorf("lafdbscan: journaling mutation: %w", err)
 		}
-		return UpdateReport{}, err
-	}
-	// Applied, though its retrain may have failed (err wraps
-	// ErrRetrainFailed): the record stays and is returned with the error.
-	d.lsn++
-	if d.opts.SnapshotEvery > 0 && d.lsn-d.segStart >= int64(d.opts.SnapshotEvery) {
+		d.lsn++
+		return nil
+	})
+	// A journaled record is applied, though its retrain may have failed
+	// (err wraps ErrRetrainFailed); the report is returned with the error.
+	if d.lsn > lsn && d.opts.SnapshotEvery > 0 && d.lsn-d.segStart >= int64(d.opts.SnapshotEvery) {
 		if _, serr := d.snapshotLocked(); serr != nil {
 			return urep, errors.Join(err, fmt.Errorf("lafdbscan: mutation committed but snapshot failed: %w", serr))
 		}
 	}
 	return urep, err
-}
-
-// applyRecord applies one journal record to the model: the one mapping
-// from record kinds to mutations, shared by the live journal path and
-// recovery replay.
-func applyRecord(ctx context.Context, m *Model, rec *wal.Record) (UpdateReport, error) {
-	switch rec.Kind {
-	case wal.KindInsert:
-		return m.Insert(ctx, rec.Vectors)
-	case wal.KindRemove:
-		return m.Remove(ctx, rec.IDs)
-	default:
-		return UpdateReport{}, fmt.Errorf("lafdbscan: unknown record kind %d", rec.Kind)
-	}
 }
 
 // Snapshot writes the model to a new generation (Model.Save via a temp

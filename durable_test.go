@@ -545,9 +545,10 @@ func TestDurableSnapshotFallback(t *testing.T) {
 	}
 }
 
-// TestDurableAnnulment pins the journal-before-apply rollback: a mutation
-// the model rejects must leave no record behind, so replay and the live
-// model never diverge.
+// TestDurableAnnulment pins the plan-before-journal order: a mutation the
+// model rejects, or one whose context is already cancelled, fails in its
+// plan and writes nothing to the journal (not a record that is later
+// taken back), so replay and the live model never diverge.
 func TestDurableAnnulment(t *testing.T) {
 	data := GenerateMixture("durable-annul", MixtureConfig{
 		N: 110, Dim: 8, Clusters: 3, MinSpread: 0.15, MaxSpread: 0.3,
@@ -559,21 +560,31 @@ func TestDurableAnnulment(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "journal")
-	d, err := NewDurable(model, dir, DurableOptions{})
+	fsys := walfs.New(wal.OSFS())
+	d, err := NewDurable(model, dir, DurableOptions{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Insert(ctx, data.Vectors[90:100]); err != nil {
 		t.Fatal(err)
 	}
+	written := fsys.Written()
 	if _, err := d.Insert(ctx, [][]float32{{1, 2, 3}}); err == nil {
 		t.Fatal("wrong-dimension insert must be rejected")
 	}
 	if _, err := d.Remove(ctx, []int{10_000}); err == nil {
 		t.Fatal("out-of-range remove must be rejected")
 	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := d.Insert(cancelled, data.Vectors[100:]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("insert under a cancelled context: error = %v, want context.Canceled", err)
+	}
+	if got := fsys.Written(); got != written {
+		t.Fatalf("rejected and cancelled mutations wrote %d bytes, want none", got-written)
+	}
 	if st := d.Stats(); st.LSN != 1 || st.SegmentRecords != 1 {
-		t.Fatalf("stats after annulled mutations = %+v, want LSN 1", st)
+		t.Fatalf("stats after rejected mutations = %+v, want LSN 1", st)
 	}
 	if _, err := d.Insert(ctx, data.Vectors[100:]); err != nil {
 		t.Fatal(err)
@@ -582,13 +593,13 @@ func TestDurableAnnulment(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, rep, err := OpenDurable(ctx, dir, DurableOptions{})
+	re, rep, err := OpenDurable(ctx, dir, DurableOptions{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	if rep.Records != 2 {
-		t.Fatalf("recovery replayed %d records, want 2 (annulled ones must not survive)", rep.Records)
+		t.Fatalf("recovery replayed %d records, want 2 (rejected ones must not reach the journal)", rep.Records)
 	}
 	assertState(t, re.Model(), want, "recovered")
 }

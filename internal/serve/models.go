@@ -46,6 +46,19 @@ type ModelInfo struct {
 	IndexBackend string `json:"index_backend,omitempty"`
 }
 
+// fillTotals sets info's method and the totals it lists from the model:
+// points, dims, clusters, cores, estimator and update counters.
+func (info *ModelInfo) fillTotals(m *lafdbscan.Model) {
+	info.Method = string(m.Method())
+	info.Points = m.Len()
+	info.Dims = m.Dim()
+	info.Clusters = m.NumClusters()
+	info.Cores = m.NumCores()
+	info.HasEstimator = m.HasEstimator()
+	info.Updates = m.Updates()
+	info.Staleness = m.Staleness()
+}
+
 // ModelStoreStats is the store's /stats view. The update counters
 // aggregate across models: Inserts/Removes count maintenance operations,
 // PointsInserted/PointsRemoved the points they moved.
@@ -98,8 +111,8 @@ type modelEntry struct {
 }
 
 // ModelMutator is the mutation surface maintenance jobs run against:
-// *lafdbscan.Model satisfies it directly, *lafdbscan.DurableModel wraps
-// the same calls in journal-before-apply.
+// *lafdbscan.Model satisfies it directly, *lafdbscan.DurableModel runs
+// the same calls with a journal between plan and commit.
 type ModelMutator interface {
 	Insert(ctx context.Context, vectors [][]float32) (lafdbscan.UpdateReport, error)
 	Remove(ctx context.Context, ids []int) (lafdbscan.UpdateReport, error)
@@ -125,27 +138,15 @@ func (s *ModelStore) Add(model *lafdbscan.Model, dataset, source, indexBackend s
 	if indexBackend == "" {
 		indexBackend = model.IndexBackend()
 	}
+	info := ModelInfo{Dataset: dataset, Source: source, Created: time.Now(), IndexBackend: indexBackend}
+	info.fillTotals(model)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.entries) >= s.cap {
 		return ModelInfo{}, fmt.Errorf("serve: %w (capacity %d)", ErrModelStoreFull, s.cap)
 	}
 	s.seq++
-	info := ModelInfo{
-		ID:           fmt.Sprintf("m-%06d", s.seq),
-		Dataset:      dataset,
-		Method:       string(model.Method()),
-		Points:       model.Len(),
-		Dims:         model.Dim(),
-		Clusters:     model.NumClusters(),
-		Cores:        model.NumCores(),
-		HasEstimator: model.HasEstimator(),
-		Updates:      model.Updates(),
-		Staleness:    model.Staleness(),
-		Source:       source,
-		Created:      time.Now(),
-		IndexBackend: indexBackend,
-	}
+	info.ID = fmt.Sprintf("m-%06d", s.seq)
 	s.entries[info.ID] = &modelEntry{model: model, info: info}
 	s.order = append(s.order, info.ID)
 	switch source {
@@ -163,6 +164,8 @@ func (s *ModelStore) Add(model *lafdbscan.Model, dataset, source, indexBackend s
 // disk.
 func (s *ModelStore) AddRecovered(id string, d *lafdbscan.DurableModel) (ModelInfo, error) {
 	model := d.Model()
+	info := ModelInfo{ID: id, Source: "recovered", Created: time.Now(), IndexBackend: model.IndexBackend()}
+	info.fillTotals(model)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.entries[id]; ok {
@@ -174,20 +177,6 @@ func (s *ModelStore) AddRecovered(id string, d *lafdbscan.DurableModel) (ModelIn
 	var n int64
 	if _, err := fmt.Sscanf(id, "m-%d", &n); err == nil && n > s.seq {
 		s.seq = n
-	}
-	info := ModelInfo{
-		ID:           id,
-		Method:       string(model.Method()),
-		Points:       model.Len(),
-		Dims:         model.Dim(),
-		Clusters:     model.NumClusters(),
-		Cores:        model.NumCores(),
-		HasEstimator: model.HasEstimator(),
-		Updates:      model.Updates(),
-		Staleness:    model.Staleness(),
-		Source:       "recovered",
-		Created:      time.Now(),
-		IndexBackend: model.IndexBackend(),
 	}
 	s.entries[id] = &modelEntry{model: model, info: info, durable: d}
 	s.order = append(s.order, id)
@@ -361,17 +350,10 @@ func (s *ModelStore) RefreshInfo(id string) {
 	if !ok {
 		return
 	}
-	m := e.model
-	e.info.Method = string(m.Method())
-	e.info.Points = m.Len()
-	e.info.Clusters = m.NumClusters()
-	e.info.Cores = m.NumCores()
-	e.info.HasEstimator = m.HasEstimator()
-	e.info.Updates = m.Updates()
-	e.info.Staleness = m.Staleness()
+	e.info.fillTotals(e.model)
 	// Maintenance swaps the model onto an owned exact index; keep the
 	// listed backend honest.
-	if ib := m.IndexBackend(); ib != "" {
+	if ib := e.model.IndexBackend(); ib != "" {
 		e.info.IndexBackend = ib
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // File is the writable handle a log appends to. Truncate serves two
-// recovery paths: rolling a torn tail back to the last well-formed record
-// on open, and annulling a journaled record whose in-memory apply failed.
+// rollbacks: cutting a torn tail back to the last well-formed record on
+// open, and Append's own rollback of a write that failed part-way.
 type File interface {
 	io.Writer
 	Sync() error
@@ -29,7 +29,7 @@ type FS interface {
 	Rename(oldPath, newPath string) error
 	// Create truncates or creates the file for writing. Writes must land
 	// at the current end of file even after a Truncate (O_APPEND
-	// semantics) — Unappend relies on it.
+	// semantics) — Append's rollback of a failed write relies on it.
 	Create(path string) (File, error)
 	// OpenAppend opens (creating if absent) the file for appending, with
 	// the same post-Truncate contract as Create.

@@ -73,8 +73,8 @@ var ErrClosed = errors.New("wal: log is closed")
 
 // Log is an append-only segment writer. Appends encode into a reused
 // buffer and issue exactly one Write, so a crash tears at most the final
-// record; Unappend rolls back a record whose in-memory apply failed, so
-// the journal never runs ahead of the model it protects.
+// record. Callers append only mutations they are about to commit, so the
+// log never needs to take a record back.
 type Log struct {
 	path string
 	fs   FS
@@ -169,10 +169,11 @@ func (l *Log) Append(rec *Record) error {
 	n, err := l.f.Write(l.buf)
 	l.size += int64(n)
 	if err != nil {
-		if terr := l.rollbackLocked(prev); terr != nil {
+		if terr := l.f.Truncate(prev); terr != nil {
 			l.closed = true
 			return errors.Join(err, terr)
 		}
+		l.size = prev
 		return err
 	}
 	l.records++
@@ -190,47 +191,6 @@ func (l *Log) Append(rec *Record) error {
 		if time.Since(l.lastSync) >= iv {
 			return l.syncLocked()
 		}
-	}
-	return nil
-}
-
-func (l *Log) rollbackLocked(target int64) error {
-	if err := l.f.Truncate(target); err != nil {
-		return err
-	}
-	l.size = target
-	return nil
-}
-
-// Mark returns the current (size, records) pair under one lock — the
-// rollback point a caller captures before Append so a failed apply can
-// Unappend to exactly the pre-append state.
-func (l *Log) Mark() (size, records int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size, l.records
-}
-
-// Unappend rolls the segment back to a Mark taken earlier: the journaled
-// records after it were never applied to the model (the apply failed), so
-// replay must not see them. Under SyncAlways the truncation is fsynced
-// before returning.
-func (l *Log) Unappend(size, records int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if size < HeaderSize || size > l.size || records > l.records {
-		return fmt.Errorf("wal: unappend to %d bytes / %d records is outside the log's %d / %d", size, records, l.size, l.records)
-	}
-	if err := l.rollbackLocked(size); err != nil {
-		l.closed = true
-		return err
-	}
-	l.records = records
-	if l.opts.Sync == SyncAlways {
-		return l.syncLocked()
 	}
 	return nil
 }

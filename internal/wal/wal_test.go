@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -294,46 +293,6 @@ func TestOpenAtZeroRestartsSegment(t *testing.T) {
 	got, rep2 := replayAll(t, path)
 	if rep2.Truncated || len(got) != 1 {
 		t.Fatalf("restarted segment replay = %+v (%d records)", rep2, len(got))
-	}
-}
-
-// TestUnappend pins annulment: a journaled record rolled back with
-// Unappend never reaches replay, and appending after the rollback works.
-func TestUnappend(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "seg.log")
-	l, err := Create(OSFS(), path, Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := Record{Kind: KindInsert, Vectors: [][]float32{{1, 2}}}
-	if err := l.Append(&r1); err != nil {
-		t.Fatal(err)
-	}
-	size, n := l.Mark()
-	doomed := Record{Kind: KindRemove, IDs: []int{5}}
-	if err := l.Append(&doomed); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Unappend(size, n); err != nil {
-		t.Fatal(err)
-	}
-	r2 := Record{Kind: KindInsert, Vectors: [][]float32{{3, 4}}}
-	if err := l.Append(&r2); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, rep := replayAll(t, path)
-	if rep.Records != 2 || rep.Truncated {
-		t.Fatalf("report = %+v, want exactly 2 records", rep)
-	}
-	if !reflect.DeepEqual(got, []Record{r1, r2}) {
-		t.Fatalf("replay = %+v, want the unappended record gone", got)
-	}
-	if err := l.Unappend(size, n); !errors.Is(err, ErrClosed) {
-		t.Fatalf("unappend after close = %v, want ErrClosed", err)
 	}
 }
 

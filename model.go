@@ -103,14 +103,21 @@ func WithEfSearch(ef int) FitOption { return func(p *Params) { p.EfSearch = ef }
 //
 // All methods are safe for concurrent use. Reads — Predict, Labels, Save
 // and every other accessor — run under a shared read lock and may proceed
-// concurrently with each other; Insert and Remove take the write lock, so
-// mutations serialize and a concurrent Predict observes either the state
-// before an update or the state after it, never a half-applied one. A
-// mutation that fails (context cancellation included) leaves the model
-// exactly as it was: all range queries run before any state is touched.
+// concurrently with each other. Insert and Remove serialize on a mutation
+// mutex and run in three steps: a plan under the read lock (validation and
+// every range query), the journal of a DurableModel with no model lock
+// held, and a commit under the write lock. Reads therefore keep running
+// through a mutation's range queries and its fsync, and a concurrent
+// Predict observes either the state before an update or the state after
+// it, never a half-applied one. A mutation that fails (context
+// cancellation included) leaves the model exactly as it was: all range
+// queries run before any state is touched.
 type Model struct {
-	// mu orders reads (RLock: Predict, accessors, Save) against the
-	// write-locked mutations (Insert, Remove, SetRetrainPolicy).
+	// mutating serializes mutations (apply), so the state a plan reads
+	// under mu's read lock is the state its commit writes.
+	mutating sync.Mutex
+	// mu orders reads (RLock: Predict, accessors, Save, a mutation's plan)
+	// against the write-locked commits (apply, SetRetrainPolicy).
 	mu sync.RWMutex
 	// method and params are the method the model's labels are a fit of and
 	// its effective parameters (LAF's Alpha default resolved). The first
@@ -593,11 +600,12 @@ type modelPayloadV1 struct {
 // Save holds the model's read lock for the whole write, so a snapshot
 // taken while other goroutines mutate the model is always a consistent
 // cut: it reflects every mutation that completed before the lock was
-// acquired and none that started after — never a half-applied batch. When
-// the model is wrapped in a DurableModel this also means a snapshot falls
-// exactly on a WAL record boundary (the durable mutex orders each record's
-// append and apply as one critical section), which is what lets recovery
-// replay the remaining journal on top of it bit-identically.
+// acquired and none that started after — never a half-applied batch. A
+// Save that runs while a mutation is planned or journaled captures the
+// state before it. DurableModel.Snapshot falls exactly on a WAL record
+// boundary (the durable mutex holds each record's plan, append and commit
+// as one critical section), which is what lets recovery replay the
+// remaining journal on top of it bit-identically.
 func (m *Model) Save(w io.Writer) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -11,6 +11,7 @@ import (
 	"lafdbscan/internal/cluster"
 	"lafdbscan/internal/core"
 	"lafdbscan/internal/index"
+	"lafdbscan/internal/wal"
 )
 
 // This file is online model maintenance: Model.Insert and Model.Remove
@@ -48,9 +49,10 @@ import (
 // mutation adopts the counterpart engine's core set along with its
 // neighbor rows, in place of the fitted, sampled one; Method(), Params(),
 // Save and Result().Algorithm follow the counterpart from then on. A
-// mutation is a plan, then one commit: every range query runs before the
-// model is touched, so a failed or cancelled one, the first included,
-// leaves the model exactly as it was.
+// mutation is a plan, then one commit (Model.apply): every range query runs
+// under the read lock before the model is touched, so a failed or
+// cancelled one, the first included, leaves the model exactly as it was,
+// and a durable model journals only mutations whose plan succeeded.
 
 // incState is the maintenance overlay, built lazily by the first mutation.
 // It owns its point slice and range index (the fitted ones may be shared
@@ -362,17 +364,91 @@ func (ov *overlay) neighborRows(ctx context.Context, queries, batch [][]float32)
 // within one query wave; the exception is ErrRetrainFailed, returned after
 // the insert was applied.
 func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, error) {
+	return m.apply(ctx, &wal.Record{Kind: wal.KindInsert, Vectors: vectors}, nil)
+}
+
+// Remove drops the points with the given ids from the model and repairs
+// the clustering online: the removed points' Eps-neighborhoods are queried
+// once (batched through the wave engine), neighbor counts drop, core
+// points falling under Tau are demoted (one neighborhood query each — the
+// bounded re-expansion of the affected region), and label re-resolution
+// over the maintained core graph detects every cluster split exactly. Ids
+// follow the compacting convention: after the call, ids above each removed
+// point shift down by one, matching a fresh Fit on the shrunken point set.
+// Duplicate ids are rejected; removing every point is (like fitting an
+// empty dataset) an error.
+//
+// The equality and atomicity guarantees of Insert apply: labels match a
+// fresh FitParams with Method() and Params() bit for bit, and a failed or
+// cancelled call leaves the model untouched. The first mutation builds the
+// overlay and switches the method as Insert describes.
+func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
+	return m.apply(ctx, &wal.Record{Kind: wal.KindRemove, IDs: ids}, nil)
+}
+
+// apply is the one path by which a model changes and the one place a
+// record kind maps to a mutation; Insert, Remove, DurableModel and replay
+// all run it. Under the mutation mutex, so the state a plan reads is the
+// state its commit writes, it plans under the read lock (validation, the
+// first mutation's overlay, every range query and gate decision; no
+// writes), calls journal, when non-nil, with no model lock held, then
+// commits, relabels and retrains under the write lock. A record the plan
+// rejects or cancels, or whose journal fails, never reaches the commit:
+// the model, and a durable model's disk, stay exactly as they were. An
+// empty batch plans nothing and journals nothing.
+func (m *Model) apply(ctx context.Context, rec *wal.Record, journal func(*wal.Record) error) (UpdateReport, error) {
+	m.mutating.Lock()
+	defer m.mutating.Unlock()
+
+	m.mu.RLock()
+	var commit func() UpdateReport
+	var err error
+	switch rec.Kind {
+	case wal.KindInsert:
+		commit, err = m.planInsertLocked(ctx, rec.Vectors)
+	case wal.KindRemove:
+		commit, err = m.planRemoveLocked(ctx, rec.IDs)
+	default:
+		err = fmt.Errorf("lafdbscan: unknown record kind %d", rec.Kind)
+	}
+	var report UpdateReport
+	if err == nil && commit == nil {
+		report = m.reportLocked(report)
+	}
+	m.mu.RUnlock()
+	if err != nil || commit == nil {
+		return report, err
+	}
+
+	if journal != nil {
+		if err := journal(rec); err != nil {
+			return UpdateReport{}, err
+		}
+	}
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	report = commit()
+	m.relabelLocked()
+	moved := report.Inserted + report.Removed
+	m.updates += int64(moved)
+	m.staleness += moved
+	return m.maybeRetrainLocked(ctx, m.reportLocked(report))
+}
+
+// planInsertLocked plans an Insert of vectors and returns its commit, nil
+// for an empty batch. The caller holds mu for reading while it runs and
+// for writing while the commit runs.
+func (m *Model) planInsertLocked(ctx context.Context, vectors [][]float32) (func() UpdateReport, error) {
 	if len(vectors) == 0 {
-		return m.reportLocked(UpdateReport{}), nil
+		return nil, nil
 	}
 	if err := m.checkDimsLocked(vectors); err != nil {
-		return UpdateReport{}, err
+		return nil, err
 	}
 	ov, err := m.overlayLocked(ctx)
 	if err != nil {
-		return UpdateReport{}, err
+		return nil, err
 	}
 	inc := ov.inc
 	n := len(ov.points)
@@ -383,7 +459,7 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	// neighborhoods, over the existing points and the batch.
 	rows, err := ov.neighborRows(ctx, vectors, vectors)
 	if err != nil {
-		return UpdateReport{}, err
+		return nil, err
 	}
 	// Count updates and gate decisions.
 	delta := make(map[int]int)
@@ -397,7 +473,7 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 	var newGated []bool
 	if inc.gated != nil {
 		if newGated, err = core.Gate(ctx, vectors, lafConfig(ov.params)); err != nil {
-			return UpdateReport{}, err
+			return nil, err
 		}
 	}
 	// Core transitions: new points by the (gated) density criterion,
@@ -423,126 +499,108 @@ func (m *Model) Insert(ctx context.Context, vectors [][]float32) (UpdateReport, 
 			queries[i] = ov.points[w]
 		}
 		if prows, err = ov.neighborRows(ctx, queries, vectors); err != nil {
-			return UpdateReport{}, err
+			return nil, err
 		}
 	}
 
-	// ---- Commit: in-memory only, no cancellation points below. ----
-	m.installLocked(ov)
-	for _, row := range rows {
-		inc.counts = append(inc.counts, len(row))
-	}
-	for u, d := range delta {
-		inc.counts[u] += d
-	}
-	if inc.gated != nil {
-		inc.gated = append(inc.gated, newGated...)
-	}
-	wasCore := m.core
-	coreMask := slices.Clone(wasCore)
-	coreMask = append(coreMask, newCore...)
-	for _, w := range promoted {
-		coreMask[w] = true
-	}
-	m.core = coreMask
-	m.points = append(m.points, vectors...)
-	inc.dyn.Insert(vectors)
-	inc.adj = append(inc.adj, make([][]int32, b)...)
-	if inc.stop != nil {
-		for _, g := range newGated {
-			inc.stop.Stop = append(inc.stop.Stop, !g)
+	return func() UpdateReport {
+		m.installLocked(ov)
+		for _, row := range rows {
+			inc.counts = append(inc.counts, len(row))
 		}
-		inc.stop.Rows = append(inc.stop.Rows, make([][]int32, b)...)
-	}
+		for u, d := range delta {
+			inc.counts[u] += d
+		}
+		if inc.gated != nil {
+			inc.gated = append(inc.gated, newGated...)
+		}
+		wasCore := m.core
+		coreMask := slices.Clone(wasCore)
+		coreMask = append(coreMask, newCore...)
+		for _, w := range promoted {
+			coreMask[w] = true
+		}
+		m.core = coreMask
+		m.points = append(m.points, vectors...)
+		inc.dyn.Insert(vectors)
+		inc.adj = append(inc.adj, make([][]int32, b)...)
+		if inc.stop != nil {
+			for _, g := range newGated {
+				inc.stop.Stop = append(inc.stop.Stop, !g)
+			}
+			inc.stop.Rows = append(inc.stop.Rows, make([][]int32, b)...)
+		}
 
-	// The changed points, promoted then new, and their complete rows. Each
-	// one's adjacency is rebuilt from its row: the cores within Eps. A
-	// newly-core one also joins the adjacency of its neighbors whose rows
-	// are not rebuilt: old points whose core flag did not flip.
-	changed := slices.Clone(promoted)
-	for k := range vectors {
-		changed = append(changed, n+k)
-	}
-	for i, row := range append(prows, rows...) {
-		c := changed[i]
-		inc.adj[c] = appendCores(nil, row, m.core, c)
-		if !m.core[c] {
-			continue
+		// The changed points, promoted then new, and their complete rows.
+		// Each one's adjacency is rebuilt from its row: the cores within
+		// Eps. A newly-core one also joins the adjacency of its neighbors
+		// whose rows are not rebuilt: old points whose core flag did not
+		// flip.
+		changed := slices.Clone(promoted)
+		for k := range vectors {
+			changed = append(changed, n+k)
 		}
-		for _, u := range row {
-			if int(u) < n && wasCore[u] == m.core[u] {
-				inc.adj[u] = append(inc.adj[u], int32(c))
+		for i, row := range append(prows, rows...) {
+			c := changed[i]
+			inc.adj[c] = appendCores(nil, row, m.core, c)
+			if !m.core[c] {
+				continue
+			}
+			for _, u := range row {
+				if int(u) < n && wasCore[u] == m.core[u] {
+					inc.adj[u] = append(inc.adj[u], int32(c))
+				}
 			}
 		}
-	}
-	// Complete partial-neighbor map: new gated points register with their
-	// old stop neighbors (Algorithm 2); new stop points collect their gated
-	// neighbors (old and new) from their own side.
-	if e := inc.stop; e != nil {
-		for k, row := range rows {
-			if newGated[k] {
-				for _, u := range row {
-					if int(u) < n && e.Stop[u] {
-						e.Rows[u] = append(e.Rows[u], int32(n+k))
+		// Complete partial-neighbor map: new gated points register with
+		// their old stop neighbors (Algorithm 2); new stop points collect
+		// their gated neighbors (old and new) from their own side.
+		if e := inc.stop; e != nil {
+			for k, row := range rows {
+				if newGated[k] {
+					for _, u := range row {
+						if int(u) < n && e.Stop[u] {
+							e.Rows[u] = append(e.Rows[u], int32(n+k))
+						}
 					}
-				}
-			} else {
-				var s []int32
-				for _, u := range row {
-					if inc.gated[u] {
-						s = append(s, u)
+				} else {
+					var s []int32
+					for _, u := range row {
+						if inc.gated[u] {
+							s = append(s, u)
+						}
 					}
+					e.Rows[n+k] = s
 				}
-				e.Rows[n+k] = s
 			}
 		}
-	}
-
-	m.relabelLocked()
-	m.updates += int64(b)
-	m.staleness += b
-	report := m.reportLocked(UpdateReport{Inserted: b, Promoted: len(promoted)})
-	return m.maybeRetrainLocked(ctx, report)
+		return UpdateReport{Inserted: b, Promoted: len(promoted)}
+	}, nil
 }
 
-// Remove drops the points with the given ids from the model and repairs
-// the clustering online: the removed points' Eps-neighborhoods are queried
-// once (batched through the wave engine), neighbor counts drop, core
-// points falling under Tau are demoted (one neighborhood query each — the
-// bounded re-expansion of the affected region), and label re-resolution
-// over the maintained core graph detects every cluster split exactly. Ids
-// follow the compacting convention: after the call, ids above each removed
-// point shift down by one, matching a fresh Fit on the shrunken point set.
-// Duplicate ids are rejected; removing every point is (like fitting an
-// empty dataset) an error.
-//
-// The equality and atomicity guarantees of Insert apply: labels match a
-// fresh FitParams with Method() and Params() bit for bit, and a failed or
-// cancelled call leaves the model untouched. The first mutation builds the
-// overlay and switches the method as Insert describes.
-func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// planRemoveLocked plans a Remove of ids and returns its commit, nil for
+// an empty batch, under the same locking as planInsertLocked.
+func (m *Model) planRemoveLocked(ctx context.Context, ids []int) (func() UpdateReport, error) {
 	if len(ids) == 0 {
-		return m.reportLocked(UpdateReport{}), nil
+		return nil, nil
 	}
 	n := len(m.points)
 	ids = slices.Clone(ids)
 	sort.Ints(ids)
 	for i, id := range ids {
 		if id < 0 || id >= n {
-			return UpdateReport{}, fmt.Errorf("lafdbscan: remove id %d out of range [0, %d)", id, n)
+			return nil, fmt.Errorf("lafdbscan: remove id %d out of range [0, %d)", id, n)
 		}
 		if i > 0 && ids[i-1] == id {
-			return UpdateReport{}, fmt.Errorf("lafdbscan: duplicate remove id %d", id)
+			return nil, fmt.Errorf("lafdbscan: duplicate remove id %d", id)
 		}
 	}
 	if len(ids) == n {
-		return UpdateReport{}, fmt.Errorf("lafdbscan: cannot remove all %d points (a model needs a non-empty point set)", n)
+		return nil, fmt.Errorf("lafdbscan: cannot remove all %d points (a model needs a non-empty point set)", n)
 	}
 	ov, err := m.overlayLocked(ctx)
 	if err != nil {
-		return UpdateReport{}, err
+		return nil, err
 	}
 	inc := ov.inc
 	tau := ov.params.Tau
@@ -558,7 +616,7 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 	}
 	rlists, err := ov.neighborRows(ctx, queries, nil)
 	if err != nil {
-		return UpdateReport{}, err
+		return nil, err
 	}
 	// Count decrements for the survivors and the demotions they trigger.
 	dec := make(map[int]int)
@@ -586,71 +644,68 @@ func (m *Model) Remove(ctx context.Context, ids []int) (UpdateReport, error) {
 			dq[i] = ov.points[d]
 		}
 		if drows, err = ov.neighborRows(ctx, dq, nil); err != nil {
-			return UpdateReport{}, err
+			return nil, err
 		}
 	}
 
-	// ---- Commit: in-memory only, no cancellation points below. ----
-	m.installLocked(ov)
-	for u, d := range dec {
-		inc.counts[u] -= d
-	}
-	coreMask := slices.Clone(m.core)
-	for _, d := range demoted {
-		coreMask[d] = false
-	}
-	m.core = coreMask
-	// Unhook removed points from their neighbors' adjacency and stop sets.
-	for i, x := range ids {
-		for _, u := range rlists[i] {
-			if rm[u] {
-				continue
-			}
-			dropID(inc.adj, int(u), int32(x))
-			if inc.stop != nil && inc.gated[x] && inc.stop.Stop[u] {
-				dropID(inc.stop.Rows, int(u), int32(x))
-			}
+	return func() UpdateReport {
+		m.installLocked(ov)
+		for u, d := range dec {
+			inc.counts[u] -= d
 		}
-	}
-	// Unhook demoted points from their neighbors' adjacency (their own
-	// rows already hold their core neighbors, which is what a border
-	// needs; gate state is untouched, so stop sets are too).
-	for i, d := range demoted {
-		for _, u := range drows[i] {
-			if !rm[u] && int(u) != d {
-				dropID(inc.adj, int(u), int32(d))
+		coreMask := slices.Clone(m.core)
+		for _, d := range demoted {
+			coreMask[d] = false
+		}
+		m.core = coreMask
+		// Unhook removed points from their neighbors' adjacency and stop
+		// sets.
+		for i, x := range ids {
+			for _, u := range rlists[i] {
+				if rm[u] {
+					continue
+				}
+				dropID(inc.adj, int(u), int32(x))
+				if inc.stop != nil && inc.gated[x] && inc.stop.Stop[u] {
+					dropID(inc.stop.Rows, int(u), int32(x))
+				}
 			}
 		}
-	}
-	// Compaction: ids above each removed point shift down.
-	remap := make([]int32, n)
-	next := int32(0)
-	for i := 0; i < n; i++ {
-		if rm[i] {
-			remap[i] = -1
-		} else {
-			remap[i] = next
-			next++
+		// Unhook demoted points from their neighbors' adjacency (their own
+		// rows already hold their core neighbors, which is what a border
+		// needs; gate state is untouched, so stop sets are too).
+		for i, d := range demoted {
+			for _, u := range drows[i] {
+				if !rm[u] && int(u) != d {
+					dropID(inc.adj, int(u), int32(d))
+				}
+			}
 		}
-	}
-	m.points = compactRows(m.points, rm)
-	inc.counts = compactRows(inc.counts, rm)
-	if inc.gated != nil {
-		inc.gated = compactRows(inc.gated, rm)
-	}
-	m.core = compactRows(m.core, rm)
-	inc.adj = compactIDRows(inc.adj, rm, remap)
-	if inc.stop != nil {
-		inc.stop.Stop = compactRows(inc.stop.Stop, rm)
-		inc.stop.Rows = compactIDRows(inc.stop.Rows, rm, remap)
-	}
-	inc.dyn.DeleteMany(ids) // one structural pass, not k shifts
-
-	m.relabelLocked()
-	m.updates += int64(len(ids))
-	m.staleness += len(ids)
-	report := m.reportLocked(UpdateReport{Removed: len(ids), Demoted: len(demoted)})
-	return m.maybeRetrainLocked(ctx, report)
+		// Compaction: ids above each removed point shift down.
+		remap := make([]int32, n)
+		next := int32(0)
+		for i := 0; i < n; i++ {
+			if rm[i] {
+				remap[i] = -1
+			} else {
+				remap[i] = next
+				next++
+			}
+		}
+		m.points = compactRows(m.points, rm)
+		inc.counts = compactRows(inc.counts, rm)
+		if inc.gated != nil {
+			inc.gated = compactRows(inc.gated, rm)
+		}
+		m.core = compactRows(m.core, rm)
+		inc.adj = compactIDRows(inc.adj, rm, remap)
+		if inc.stop != nil {
+			inc.stop.Stop = compactRows(inc.stop.Stop, rm)
+			inc.stop.Rows = compactIDRows(inc.stop.Rows, rm, remap)
+		}
+		inc.dyn.DeleteMany(ids) // one structural pass, not k shifts
+		return UpdateReport{Removed: len(ids), Demoted: len(demoted)}
+	}, nil
 }
 
 // dropID removes the first occurrence of id from rows[i] (entries are

@@ -7,15 +7,19 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lafdbscan/internal/cardest"
 	"lafdbscan/internal/index"
 	"lafdbscan/internal/vecmath"
+	"lafdbscan/internal/wal"
 )
 
 // incrementalEngines enumerates the model configurations whose
@@ -623,6 +627,148 @@ func TestConcurrentFirstInsertSwitch(t *testing.T) {
 		t.Fatalf("method = %s after the first insert, want %s", model.Method(), MethodDBSCAN)
 	}
 	assertMatchesFreshFit(t, model, "after the racing first insert")
+}
+
+// parkGate parks every caller of wait, once armed, until release is
+// closed; the first caller to park closes parked.
+type parkGate struct {
+	armed           atomic.Bool
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func newParkGate() *parkGate {
+	return &parkGate{parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *parkGate) wait() {
+	if g.armed.Load() {
+		g.once.Do(func() { close(g.parked) })
+		<-g.release
+	}
+}
+
+// parkingEstimator is an estimator whose Estimate waits at its gate.
+type parkingEstimator struct {
+	Estimator
+	gate *parkGate
+}
+
+func (p parkingEstimator) Estimate(q []float32, eps float64) float64 {
+	p.gate.wait()
+	return p.Estimator.Estimate(q, eps)
+}
+
+// parkingFS is a filesystem whose created files' Sync waits at its gate.
+type parkingFS struct {
+	wal.FS
+	gate *parkGate
+}
+
+func (f parkingFS) Create(path string) (wal.File, error) {
+	file, err := f.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return parkingFile{file, f.gate}, nil
+}
+
+type parkingFile struct {
+	wal.File
+	gate *parkGate
+}
+
+func (f parkingFile) Sync() error {
+	f.gate.wait()
+	return f.File.Sync()
+}
+
+// TestPredictDuringMutation pins that a mutation blocks no reader until its
+// commit: an ungated Predict returns the labels it returned before an
+// Insert while that Insert is parked (a) in its plan's estimator gate and
+// (b) in the fsync of its journal record. Each model then matches a fresh
+// fit.
+func TestPredictDuringMutation(t *testing.T) {
+	d := GenerateMixture("inc-predict-during", MixtureConfig{
+		N: 260, Dim: 16, Clusters: 4, MinSpread: 0.15, MaxSpread: 0.3,
+		NoiseFrac: 0.2, Seed: 89,
+	})
+	base, rest := d.Vectors[:200], d.Vectors[200:]
+	probes := slices.Clone(rest[:10])
+	ctx := context.Background()
+	// predictWhileParked arms g, starts insert, and once the insert parks
+	// at g requires a Predict on model to return the pre-insert labels
+	// within a deadline; then it releases the insert and waits for it.
+	predictWhileParked := func(t *testing.T, model *Model, g *parkGate, insert func() error) {
+		want, err := model.Predict(ctx, probes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.armed.Store(true)
+		done := make(chan error, 1)
+		go func() { done <- insert() }()
+		select {
+		case <-g.parked:
+		case err := <-done:
+			t.Fatalf("insert returned (%v) without parking", err)
+		}
+		type result struct {
+			labels []int
+			err    error
+		}
+		got := make(chan result, 1)
+		go func() {
+			labels, err := model.Predict(ctx, probes)
+			got <- result{labels, err}
+		}()
+		select {
+		case r := <-got:
+			if r.err != nil || !slices.Equal(r.labels, want) {
+				t.Errorf("predict during the insert = %v, %v; want the pre-insert labels %v", r.labels, r.err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("predict blocked behind the parked insert")
+		}
+		close(g.release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("plan", func(t *testing.T) {
+		g := newParkGate()
+		model, err := Fit(ctx, slices.Clone(base), MethodLAFDBSCAN, WithEps(0.4), WithTau(4), WithAlpha(1.2),
+			WithEstimator(parkingEstimator{ExactEstimator(d.Vectors), g}), WithSeed(7), WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		predictWhileParked(t, model, g, func() error {
+			_, err := model.Insert(ctx, rest)
+			return err
+		})
+		assertMatchesFreshFit(t, model, "after the insert parked in its plan")
+	})
+
+	t.Run("journal", func(t *testing.T) {
+		g := newParkGate()
+		model, err := Fit(ctx, slices.Clone(base), MethodDBSCAN, WithEps(0.4), WithTau(4), WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm, err := NewDurable(model, filepath.Join(t.TempDir(), "journal"), DurableOptions{FS: parkingFS{wal.OSFS(), g}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dm.Close()
+		predictWhileParked(t, model, g, func() error {
+			_, err := dm.Insert(ctx, rest)
+			return err
+		})
+		if st := dm.Stats(); st.LSN != 1 {
+			t.Fatalf("stats = %+v, want the insert journaled at LSN 1", st)
+		}
+		assertMatchesFreshFit(t, model, "after the insert parked in its fsync")
+	})
 }
 
 // TestUpdateValidation pins the error surface: dimension mismatches,
