@@ -199,7 +199,7 @@ func main() {
 		params.Estimator = est
 	}
 
-	// Fit retains what Cluster would discard — cores, forest, index,
+	// Fit retains what Cluster would discard — cores, index,
 	// estimator — with labels pinned bit-identical to Cluster; clustering
 	// reports read from the embedded result either way.
 	model, err := lafdbscan.FitParams(context.Background(), data.Vectors, m, params)

@@ -604,6 +604,52 @@ func TestDurableAnnulment(t *testing.T) {
 	assertState(t, re.Model(), want, "recovered")
 }
 
+// TestDurableSyncFailure pins that a record whose fsync fails is not
+// journaled: the WAL truncates it off and does not count it, the mutation
+// is refused with the model untouched, and recovery rebuilds the model as
+// it was before the refused insert, not one that applied it.
+func TestDurableSyncFailure(t *testing.T) {
+	data := GenerateMixture("durable-sync", MixtureConfig{
+		N: 110, Dim: 8, Clusters: 3, MinSpread: 0.15, MaxSpread: 0.3,
+		NoiseFrac: 0.2, Seed: 47,
+	})
+	ctx := context.Background()
+	model, err := FitParams(ctx, slices.Clone(data.Vectors[:90]), MethodDBSCAN, Params{Eps: 0.4, Tau: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "journal")
+	fsys := walfs.New(wal.OSFS())
+	d, err := NewDurable(model, dir, DurableOptions{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Insert(ctx, data.Vectors[90:100]); err != nil {
+		t.Fatal(err)
+	}
+	want, stats := captureState(d.Model()), d.Stats()
+	fsys.FailNextSync()
+	if _, err := d.Insert(ctx, data.Vectors[100:]); !errors.Is(err, walfs.ErrSyncFault) {
+		t.Fatalf("insert under a failing fsync: error = %v, want walfs.ErrSyncFault", err)
+	}
+	if st := d.Stats(); st != stats {
+		t.Fatalf("stats after the refused insert = %+v, want %+v", st, stats)
+	}
+	assertState(t, d.Model(), want, "after the refused insert")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, rep, err := OpenDurable(ctx, dir, DurableOptions{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rep.Records != 1 {
+		t.Fatalf("recovery replayed %d records, want 1", rep.Records)
+	}
+	assertState(t, re.Model(), want, "recovered")
+}
+
 // TestDurableRetrainFailureKeepsRecord pins that a failed estimator
 // retrain is no rejection: the Insert that tripped it is applied, so its
 // record must stay in the journal (the LSN advances), and recovery, whose

@@ -61,7 +61,7 @@ func main() {
 	}
 
 	// 4. Fit once, predict forever: the model API retains the fitted
-	//    artifacts (cores, forest, index, estimator), so assigning new
+	//    artifacts (cores, index, estimator), so assigning new
 	//    points to the existing clusters costs one range query each
 	//    instead of a full re-clustering.
 	model, err := lafdbscan.Fit(context.Background(), test.Vectors, lafdbscan.MethodLAFDBSCAN,

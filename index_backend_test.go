@@ -3,8 +3,6 @@ package lafdbscan
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"slices"
 	"strings"
@@ -260,24 +258,16 @@ func TestEntryPointsRejectBadBackend(t *testing.T) {
 func TestLoadModelRejectsRemovedBackend(t *testing.T) {
 	for _, version := range []uint32{1, 2} {
 		for _, name := range []string{"covertree", "kmeanstree", "grid"} {
-			payload := modelPayloadV1{
+			payload := legacyPayload{
 				Method:    string(MethodDBSCAN),
 				Algorithm: "dbscan",
-				Params:    modelParamsV1{Eps: 0.5, Tau: 2, IndexBackend: name},
+				Params:    modelParams{Eps: 0.5, Tau: 2, IndexBackend: name},
 				Points:    [][]float32{{1, 0}, {0, 1}},
 				Labels:    []int32{Noise, Noise},
 				Core:      []bool{false, false},
 				Forest:    []int32{-1, -1},
 			}
-			var buf bytes.Buffer
-			buf.Write(modelMagic[:])
-			if err := binary.Write(&buf, binary.LittleEndian, version); err != nil {
-				t.Fatal(err)
-			}
-			if err := gob.NewEncoder(&buf).Encode(&payload); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := LoadModel(&buf); !errors.Is(err, ErrUnknownIndexBackend) {
+			if _, err := LoadModel(encodeModelFile(t, version, &payload)); !errors.Is(err, ErrUnknownIndexBackend) {
 				t.Errorf("version %d naming %q: LoadModel err = %v, want ErrUnknownIndexBackend", version, name, err)
 			}
 		}

@@ -216,9 +216,8 @@ func (b *BlockDBSCAN) RunContext(ctx context.Context) (*Result, error) {
 	}
 	res.Labels = labels
 	res.Core = coreMask
-	res.Forest = DeriveForest(labels, coreMask)
 	res.Elapsed = time.Since(start)
-	res.finalize()
+	res.NumClusters = RenumberAscending(labels)
 	return res, nil
 }
 

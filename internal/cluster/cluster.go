@@ -38,7 +38,8 @@ type Result struct {
 	Algorithm string
 	// Labels[i] is the cluster id of point i (>= 1), or Noise.
 	Labels []int
-	// NumClusters is the number of distinct cluster ids in Labels.
+	// NumClusters is the number of clusters: Labels number them
+	// 1..NumClusters (RenumberAscending is every engine's last step).
 	NumClusters int
 	// Elapsed is the wall-clock clustering time, including estimator
 	// prediction time and excluding estimator training time, matching the
@@ -58,19 +59,13 @@ type Result struct {
 	// cores, LAF's queried-and-core points). The fitted-model API builds
 	// out-of-sample prediction on it.
 	Core []bool
-	// Forest[i] is the cluster forest in canonical form: the minimum-index
-	// core point sharing i's final cluster for core i, and -1 for non-core
-	// points. It is derived from (Labels, Core) after all label rewriting
-	// (LAF post-processing included), so it is identical at every worker
-	// count and serializes byte-for-byte.
-	Forest []int32
 }
 
 // DeriveForest computes the canonical cluster forest of a finished labeling:
 // every core point maps to the minimum-index core point of its cluster,
 // every non-core point to -1. Cluster ids can be arbitrary (only equality is
-// used), so the forest is invariant under relabeling — the property the
-// engine-equality and persistence round-trip tests pin.
+// used), so the forest is invariant under relabeling. It is a function of
+// (Labels, Core) and is derived where it is read, never stored.
 func DeriveForest(labels []int, core []bool) []int32 {
 	forest := make([]int32, len(labels))
 	rootOf := make(map[int]int32)
@@ -89,18 +84,6 @@ func DeriveForest(labels []int, core []bool) []int32 {
 		forest[i] = root
 	}
 	return forest
-}
-
-// Stats recomputes NumClusters from Labels; algorithms call it once before
-// returning.
-func (r *Result) finalize() {
-	ids := make(map[int]struct{})
-	for _, l := range r.Labels {
-		if l != Noise {
-			ids[l] = struct{}{}
-		}
-	}
-	r.NumClusters = len(ids)
 }
 
 // validateParams checks the shared (eps, tau) parameter domain.

@@ -16,8 +16,10 @@
 // WaveMerger folds core flags, core-core ε-edges and border stubs out of
 // range query results (the memory-bounded wave engines of both
 // algorithms; DBSCAN++ numbers its sampled cores off the merger's forest);
-// ResolveCanonical and RenumberAscending re-derive the canonical labeling
-// from a maintained core set and core-adjacency graph (the resolution side
-// of incremental Insert/Remove on fitted models); and DeriveForest produces
-// the engine-invariant cluster forest every driver reports.
+// ResolveCanonical re-derives the canonical labeling from a maintained core
+// set and core-adjacency graph (the resolution side of incremental
+// Insert/Remove on fitted models); RenumberAscending is every engine's and
+// every model's last step, numbering clusters 1..k and counting them; and
+// DeriveForest derives the engine-invariant cluster forest from a finished
+// labeling and core set where a fitted model reports it.
 package cluster

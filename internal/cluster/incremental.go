@@ -65,11 +65,15 @@ func ResolveCanonical(core []bool, adj [][]int32) []int {
 }
 
 // RenumberAscending canonicalizes cluster ids to 1..k in ascending order of
-// their original values, in place, and returns k. It is the identity on a
-// labeling that is already canonically numbered, and matches the
-// renumbering every engine applies after its last label rewrite (LAF
-// post-processing leaves union-find roots as ids; this maps them back onto
-// a dense, order-preserving range).
+// their original values, in place, and returns k: the one finishing step of
+// every engine, of model maintenance and of a model load. It is the identity
+// on a labeling that is already numbered 1..k, as the baselines number
+// theirs. LAF post-processing leaves union-find roots as ids; remapping them
+// in ascending order keeps the relative order the traversal assigned
+// clusters in, which out-of-sample prediction relies on: a contested border
+// point belongs to its lowest-numbered adjacent cluster, before and after
+// renumbering. The remap is sized by the largest id, so a caller holding
+// an untrusted labeling bounds its ids first.
 func RenumberAscending(labels []int) int {
 	maxID := 0
 	for _, l := range labels {

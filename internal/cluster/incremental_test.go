@@ -17,8 +17,8 @@ func TestResolveCanonicalIgnoresStaleEntries(t *testing.T) {
 	}
 }
 
-// TestRenumberAscending pins the canonicalization RenumberAscending shares
-// with the engines' finalize step.
+// TestRenumberAscending pins the canonicalization and cluster count that
+// every engine, model maintenance and a model load finish with.
 func TestRenumberAscending(t *testing.T) {
 	labels := []int{7, Noise, 3, 7, 12, 3}
 	k := RenumberAscending(labels)
@@ -29,5 +29,10 @@ func TestRenumberAscending(t *testing.T) {
 	// Idempotent on an already-canonical labeling.
 	if k := RenumberAscending(labels); k != 3 || !slices.Equal(labels, want) {
 		t.Fatalf("renumber not idempotent: %v", labels)
+	}
+	// A gap in the ids counts the clusters, not the largest id.
+	gapped := []int{1, 1, 5, Noise, 9}
+	if k := RenumberAscending(gapped); k != 3 || !slices.Equal(gapped, []int{1, 1, 2, Noise, 3}) {
+		t.Fatalf("k = %d labels = %v, want 3 [1 1 2 -1 3]", k, gapped)
 	}
 }

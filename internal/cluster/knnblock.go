@@ -124,8 +124,7 @@ func (k *KNNBlock) RunContext(ctx context.Context) (*Result, error) {
 
 	res.Labels = labels
 	res.Core = isCore
-	res.Forest = DeriveForest(labels, isCore)
 	res.Elapsed = time.Since(start)
-	res.finalize()
+	res.NumClusters = RenumberAscending(labels)
 	return res, nil
 }

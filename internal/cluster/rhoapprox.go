@@ -107,8 +107,7 @@ func (r *RhoApprox) RunContext(ctx context.Context) (*Result, error) {
 	}
 	res.Labels = labels
 	res.Core = core
-	res.Forest = DeriveForest(labels, core)
 	res.Elapsed = time.Since(start)
-	res.finalize()
+	res.NumClusters = RenumberAscending(labels)
 	return res, nil
 }

@@ -70,11 +70,3 @@ func TestUnionFind(t *testing.T) {
 		t.Error("idempotent union changed root")
 	}
 }
-
-func TestResultFinalize(t *testing.T) {
-	r := &Result{Labels: []int{1, 1, 5, Noise, 9}}
-	r.finalize()
-	if r.NumClusters != 3 {
-		t.Errorf("NumClusters = %d, want 3", r.NumClusters)
-	}
-}

@@ -83,22 +83,6 @@ func (l *LAFDBSCAN) RunContext(ctx context.Context) (*cluster.Result, error) {
 	}
 	res.Core = m.Core()
 	res.Elapsed = time.Since(start)
-	finalize(res)
-	return res, nil
-}
-
-// finalize canonicalizes cluster ids to 1..k and recounts clusters.
-// Post-processing leaves union-find roots as ids; renumbering keeps reports
-// tidy and metric computation unaffected. Ids are remapped in ascending
-// order of their original value — the identity when no post-processing
-// merge rewrote labels — so the relative order the traversal assigned
-// clusters in survives renumbering. Out-of-sample prediction relies on that
-// monotonicity: a contested border point belongs to its lowest-numbered
-// adjacent cluster, before and after finalize. The canonical cluster forest
-// is derived here too, after the last label rewrite.
-func finalize(res *cluster.Result) {
 	res.NumClusters = cluster.RenumberAscending(res.Labels)
-	if res.Core != nil {
-		res.Forest = cluster.DeriveForest(res.Labels, res.Core)
-	}
+	return res, nil
 }

@@ -119,6 +119,6 @@ func (l *LAFDBSCANPP) RunContext(ctx context.Context) (*cluster.Result, error) {
 	}
 	res.Core = core
 	res.Elapsed = time.Since(start)
-	finalize(res)
+	res.NumClusters = cluster.RenumberAscending(res.Labels)
 	return res, nil
 }

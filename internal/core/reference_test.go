@@ -130,7 +130,7 @@ func referenceLAFDBSCAN(l *LAFDBSCAN) (*cluster.Result, error) {
 		res.PostMerges = PostProcess(labels, e, cfg.Tau, rng)
 	}
 	res.Core = core
-	finalize(res)
+	res.NumClusters = cluster.RenumberAscending(res.Labels)
 	return res, nil
 }
 
@@ -210,7 +210,7 @@ func referenceLAFDBSCANPP(l *LAFDBSCANPP) (*cluster.Result, error) {
 		res.PostMerges = PostProcess(res.Labels, e, cfg.Tau, rng)
 	}
 	res.Core = core
-	finalize(res)
+	res.NumClusters = cluster.RenumberAscending(res.Labels)
 	return res, nil
 }
 

@@ -21,7 +21,8 @@ var ErrUnknownModel = errors.New("unknown model")
 // the HTTP layer maps it to 409.
 var ErrModelStoreFull = errors.New("model store full, delete models to make room")
 
-// ModelInfo describes a stored model, shaped for JSON.
+// ModelInfo describes a stored model, shaped for JSON. The method, totals
+// and index backend are read from the model each time a listing is made.
 type ModelInfo struct {
 	ID string `json:"id"`
 	// Dataset names the registered dataset the model was fitted on; empty
@@ -46,9 +47,13 @@ type ModelInfo struct {
 	IndexBackend string `json:"index_backend,omitempty"`
 }
 
-// fillTotals sets info's method and the totals it lists from the model:
-// points, dims, clusters, cores, estimator and update counters.
-func (info *ModelInfo) fillTotals(m *lafdbscan.Model) {
+// listing returns the entry's info with the method, totals and index
+// backend read from the model, which maintenance changes (the first
+// mutation switches a sampled or block model to its exact counterpart on
+// an owned exact index). The stored info never changes once added, so
+// this needs no store lock.
+func (e *modelEntry) listing() ModelInfo {
+	info, m := e.info, e.model
 	info.Method = string(m.Method())
 	info.Points = m.Len()
 	info.Dims = m.Dim()
@@ -57,6 +62,10 @@ func (info *ModelInfo) fillTotals(m *lafdbscan.Model) {
 	info.HasEstimator = m.HasEstimator()
 	info.Updates = m.Updates()
 	info.Staleness = m.Staleness()
+	if ib := m.IndexBackend(); ib != "" {
+		info.IndexBackend = ib
+	}
+	return info
 }
 
 // ModelStoreStats is the store's /stats view. The update counters
@@ -79,9 +88,8 @@ type ModelStoreStats struct {
 // ModelStore holds fitted and uploaded clustering models by id. Models
 // guard their own state (predictions share a read lock, maintenance
 // updates serialize behind a write lock), so entries are shared without
-// copying and the store only guards the id map and the listed info
-// snapshots. A fixed capacity bounds the memory held in training vectors
-// (each model retains its points).
+// copying and the store only guards the id map. A fixed capacity bounds
+// the memory held in training vectors (each model retains its points).
 type ModelStore struct {
 	mu      sync.Mutex
 	entries map[string]*modelEntry
@@ -103,7 +111,10 @@ type ModelStore struct {
 
 type modelEntry struct {
 	model *lafdbscan.Model
-	info  ModelInfo
+	// info holds what the model cannot report: id, dataset, source,
+	// creation time, and the index backend it was fitted on when the model
+	// names none (a shared registry index).
+	info ModelInfo
 	// durable, when non-nil, journals the model's mutations; maintenance
 	// must route through it (see Mutator) or updates would not survive a
 	// restart.
@@ -132,30 +143,26 @@ func NewModelStore(capacity int) *ModelStore {
 
 // Add stores a model and returns its assigned info. source is "fit" or
 // "loaded"; dataset may be empty for loaded models. indexBackend records the
-// resolved range-index backend behind the model; empty falls back to what the
-// model itself reports.
+// resolved range-index backend behind the model, listed while the model
+// itself reports none.
 func (s *ModelStore) Add(model *lafdbscan.Model, dataset, source, indexBackend string) (ModelInfo, error) {
-	if indexBackend == "" {
-		indexBackend = model.IndexBackend()
-	}
-	info := ModelInfo{Dataset: dataset, Source: source, Created: time.Now(), IndexBackend: indexBackend}
-	info.fillTotals(model)
+	e := &modelEntry{model: model, info: ModelInfo{Dataset: dataset, Source: source, Created: time.Now(), IndexBackend: indexBackend}}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.entries) >= s.cap {
 		return ModelInfo{}, fmt.Errorf("serve: %w (capacity %d)", ErrModelStoreFull, s.cap)
 	}
 	s.seq++
-	info.ID = fmt.Sprintf("m-%06d", s.seq)
-	s.entries[info.ID] = &modelEntry{model: model, info: info}
-	s.order = append(s.order, info.ID)
+	e.info.ID = fmt.Sprintf("m-%06d", s.seq)
+	s.entries[e.info.ID] = e
+	s.order = append(s.order, e.info.ID)
 	switch source {
 	case "loaded":
 		s.loaded.Add(1)
 	default:
 		s.fitted.Add(1)
 	}
-	return info, nil
+	return e.listing(), nil
 }
 
 // AddRecovered stores a model recovered from its journal at boot under its
@@ -163,9 +170,7 @@ func (s *ModelStore) Add(model *lafdbscan.Model, dataset, source, indexBackend s
 // recovered id so freshly fitted models never collide with journals on
 // disk.
 func (s *ModelStore) AddRecovered(id string, d *lafdbscan.DurableModel) (ModelInfo, error) {
-	model := d.Model()
-	info := ModelInfo{ID: id, Source: "recovered", Created: time.Now(), IndexBackend: model.IndexBackend()}
-	info.fillTotals(model)
+	e := &modelEntry{model: d.Model(), info: ModelInfo{ID: id, Source: "recovered", Created: time.Now()}, durable: d}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.entries[id]; ok {
@@ -178,10 +183,10 @@ func (s *ModelStore) AddRecovered(id string, d *lafdbscan.DurableModel) (ModelIn
 	if _, err := fmt.Sscanf(id, "m-%d", &n); err == nil && n > s.seq {
 		s.seq = n
 	}
-	s.entries[id] = &modelEntry{model: model, info: info, durable: d}
+	s.entries[id] = e
 	s.order = append(s.order, id)
 	s.recovered.Add(1)
-	return info, nil
+	return e.listing(), nil
 }
 
 // SetDurable attaches a journal to a stored model (fit and load do this
@@ -212,17 +217,17 @@ func (s *ModelStore) Durable(id string) (*lafdbscan.DurableModel, error) {
 // Mutator resolves the mutation surface for id: the journal when one is
 // attached (so updates survive a restart), the bare model otherwise. The
 // model pointer serves reads either way.
-func (s *ModelStore) Mutator(id string) (*lafdbscan.Model, ModelMutator, ModelInfo, error) {
+func (s *ModelStore) Mutator(id string) (*lafdbscan.Model, ModelMutator, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[id]
 	if !ok {
-		return nil, nil, ModelInfo{}, fmt.Errorf("serve: model %s: %w", id, ErrUnknownModel)
+		return nil, nil, fmt.Errorf("serve: model %s: %w", id, ErrUnknownModel)
 	}
 	if e.durable != nil {
-		return e.model, e.durable, e.info, nil
+		return e.model, e.durable, nil
 	}
-	return e.model, e.model, e.info, nil
+	return e.model, e.model, nil
 }
 
 // walStats sums journal telemetry across stored models: how many carry a
@@ -263,15 +268,15 @@ func (s *ModelStore) CloseDurables() error {
 	return errors.Join(errs...)
 }
 
-// Get returns the model and info stored under id.
+// Get returns the model stored under id and its listing.
 func (s *ModelStore) Get(id string) (*lafdbscan.Model, ModelInfo, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.entries[id]
+	s.mu.Unlock()
 	if !ok {
 		return nil, ModelInfo{}, fmt.Errorf("serve: model %s: %w", id, ErrUnknownModel)
 	}
-	return e.model, e.info, nil
+	return e.model, e.listing(), nil
 }
 
 // Delete removes the model stored under id. An attached journal is
@@ -302,13 +307,17 @@ func (s *ModelStore) Delete(id string) error {
 	return nil
 }
 
-// List returns every stored model's info in creation order.
+// List returns every stored model's listing in creation order.
 func (s *ModelStore) List() []ModelInfo {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ModelInfo, 0, len(s.entries))
+	entries := make([]*modelEntry, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.entries[id].info)
+		entries = append(entries, s.entries[id])
+	}
+	s.mu.Unlock()
+	out := make([]ModelInfo, len(entries))
+	for i, e := range entries {
+		out[i] = e.listing()
 	}
 	return out
 }
@@ -335,26 +344,6 @@ func (s *ModelStore) CountUpdate(kind string, points int) {
 	} else {
 		s.removes.Add(1)
 		s.pointsRemoved.Add(int64(points))
-	}
-}
-
-// RefreshInfo re-snapshots a model's listed method and totals (points,
-// clusters, cores, update counters) after a maintenance operation: the
-// first one switches a sampled or block model to its exact counterpart
-// (lafdbscan.Model.Method). A missing id is a no-op: the model may have
-// been deleted while its update job ran.
-func (s *ModelStore) RefreshInfo(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok {
-		return
-	}
-	e.info.fillTotals(e.model)
-	// Maintenance swaps the model onto an owned exact index; keep the
-	// listed backend honest.
-	if ib := e.model.IndexBackend(); ib != "" {
-		e.info.IndexBackend = ib
 	}
 }
 

@@ -68,7 +68,7 @@ func (s *Server) handleFitModel(w http.ResponseWriter, r *http.Request) {
 		// model holds those, and a retained job must not keep a deleted
 		// model's labels alive.
 		res := *m.Result()
-		res.Labels, res.Core, res.Forest = nil, nil, nil
+		res.Labels, res.Core = nil, nil
 		return &res, nil
 	})
 	if err == nil {

@@ -50,15 +50,15 @@ func (s *Server) resolveVectors(inline [][]float32, dsName string) ([][]float32,
 // 429 with Retry-After on a full queue: the one submit path of /insert,
 // /stream and /delete. ctx is the submitting request's context — the
 // engine captures its trace link so the async job's spans parent under
-// the originating POST. update reports each batch it commits through
-// committed.
+// the originating POST. update counts each batch it commits in the
+// store's /v1/stats counters (ModelStore.CountUpdate).
 func (s *Server) submitModelUpdate(ctx context.Context, w http.ResponseWriter, info ModelInfo, kind string,
 	update func(ctx context.Context, m ModelMutator) error) {
 	status, err := s.eng.SubmitFunc(ctx, info.Dataset, lafdbscan.Method(info.Method), kind,
 		func(ctx context.Context) (*lafdbscan.Result, error) {
 			// Mutator routes through the model's journal when one is
 			// attached, so the update survives a restart.
-			model, mut, _, err := s.models.Mutator(info.ID)
+			model, mut, err := s.models.Mutator(info.ID)
 			if err != nil {
 				return nil, err
 			}
@@ -72,14 +72,6 @@ func (s *Server) submitModelUpdate(ctx context.Context, w http.ResponseWriter, i
 		return
 	}
 	writeJSON(w, http.StatusAccepted, status)
-}
-
-// committed records one committed update batch: /v1/stats counts it under
-// countKind ("model-insert" or "model-remove") and the model's listed
-// totals refresh, so a multi-batch job shows progress between batches.
-func (s *Server) committed(id, countKind string, report lafdbscan.UpdateReport) {
-	s.models.CountUpdate(countKind, report.Inserted+report.Removed)
-	s.models.RefreshInfo(id)
 }
 
 // insertRequest is the body of /insert: inline vectors (normalized
@@ -125,7 +117,7 @@ func (s *Server) submitInsert(w http.ResponseWriter, r *http.Request, kind strin
 				}
 				return err
 			}
-			s.committed(id, "model-insert", report)
+			s.models.CountUpdate("model-insert", report.Inserted)
 		}
 		return nil
 	})
@@ -175,7 +167,7 @@ func (s *Server) handleRemovePoints(w http.ResponseWriter, r *http.Request) {
 	s.submitModelUpdate(r.Context(), w, info, "model-remove", func(ctx context.Context, m ModelMutator) error {
 		report, err := m.Remove(ctx, req.IDs)
 		if err == nil {
-			s.committed(id, "model-remove", report)
+			s.models.CountUpdate("model-remove", report.Removed)
 		}
 		return err
 	})

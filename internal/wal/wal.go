@@ -151,9 +151,10 @@ func (l *Log) writeHeaderLocked() error {
 }
 
 // Append journals rec: one buffered encode, one Write, then the policy's
-// fsync. Under SyncAlways the return is the commit point. A write error
-// rolls the file back to the pre-append size so the segment never carries
-// a tail the log did not acknowledge.
+// fsync. Under SyncAlways the return is the commit point. A failed write
+// or fsync rolls the file back to the pre-append size and leaves the
+// record uncounted, so the segment never carries a record the log did not
+// acknowledge; if that truncate fails too, the log closes.
 func (l *Log) Append(rec *Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -168,10 +169,13 @@ func (l *Log) Append(rec *Record) error {
 	prev := l.size
 	n, err := l.f.Write(l.buf)
 	l.size += int64(n)
+	if err == nil && l.syncDueLocked() {
+		err = l.syncLocked()
+	}
 	if err != nil {
 		if terr := l.f.Truncate(prev); terr != nil {
 			l.closed = true
-			return errors.Join(err, terr)
+			return errors.Join(err, terr, l.f.Close())
 		}
 		l.size = prev
 		return err
@@ -180,19 +184,22 @@ func (l *Log) Append(rec *Record) error {
 	if fn := l.opts.OnAppend; fn != nil {
 		fn(len(l.buf))
 	}
+	return nil
+}
+
+// syncDueLocked reports whether the policy fsyncs the append just written.
+func (l *Log) syncDueLocked() bool {
 	switch l.opts.Sync {
 	case SyncAlways:
-		return l.syncLocked()
+		return true
 	case SyncInterval:
 		iv := l.opts.SyncInterval
 		if iv <= 0 {
 			iv = DefaultSyncInterval
 		}
-		if time.Since(l.lastSync) >= iv {
-			return l.syncLocked()
-		}
+		return time.Since(l.lastSync) >= iv
 	}
-	return nil
+	return false
 }
 
 // Sync forces an fsync regardless of policy.

@@ -13,9 +13,12 @@
 //     helpers for manufacturing the states Replay truncates at.
 //   - short reads (ShortReads): readers that return one byte per Read call,
 //     pinning that recovery never assumes a full buffer per syscall.
+//   - a failed fsync (FailNextSync): one file Sync returns an error, as a
+//     disk that cannot flush does, and the machine keeps running.
 package walfs
 
 import (
+	"errors"
 	"io"
 	"os"
 	"sync/atomic"
@@ -33,8 +36,12 @@ type FS struct {
 	budget     atomic.Int64 // bytes that may still reach the base FS; -1 = unlimited
 	dead       atomic.Bool
 	shortReads atomic.Bool
+	failSync   atomic.Bool
 	written    atomic.Int64 // bytes actually persisted to the base FS
 }
+
+// ErrSyncFault is what a Sync armed by FailNextSync returns.
+var ErrSyncFault = errors.New("walfs: injected fsync failure")
 
 // New wraps base (wal.OSFS() for real-disk tests) with no faults armed.
 func New(base wal.FS) *FS {
@@ -64,6 +71,10 @@ func (f *FS) Dead() bool { return f.dead.Load() }
 // ShortReads makes every subsequently opened reader deliver at most one
 // byte per Read call.
 func (f *FS) ShortReads(on bool) { f.shortReads.Store(on) }
+
+// FailNextSync makes the next file Sync return ErrSyncFault without
+// syncing; later syncs pass through again.
+func (f *FS) FailNextSync() { f.failSync.Store(true) }
 
 // Written returns the bytes actually persisted through this FS.
 func (f *FS) Written() int64 { return f.written.Load() }
@@ -165,6 +176,9 @@ func (w *faultFile) Write(p []byte) (int, error) {
 func (w *faultFile) Sync() error {
 	if w.fs.dead.Load() {
 		return nil
+	}
+	if w.fs.failSync.CompareAndSwap(true, false) {
+		return ErrSyncFault
 	}
 	return w.f.Sync()
 }

@@ -1,6 +1,7 @@
 package walfs
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,5 +132,50 @@ func TestChopAndFlipBit(t *testing.T) {
 	}
 	if len(got) != 2 || got[1] != 0x08 {
 		t.Fatalf("file = %x, want ff08", got)
+	}
+}
+
+// TestFailedSyncRollsBack pins Append's fsync rollback: under SyncAlways a
+// record whose fsync fails is refused, truncated off the segment and left
+// uncounted, so replay never sees a record the writer was told failed, and
+// the next append lands where the refused one would have.
+func TestFailedSyncRollsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.log")
+	fs := New(wal.OSFS())
+	l, err := wal.Create(fs, path, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	first := wal.Record{Kind: wal.KindInsert, Vectors: [][]float32{{1, 2}}}
+	if err := l.Append(&first); err != nil {
+		t.Fatal(err)
+	}
+	size, records := l.Size(), l.Records()
+	fs.FailNextSync()
+	refused := wal.Record{Kind: wal.KindRemove, IDs: []int{0}}
+	if err := l.Append(&refused); !errors.Is(err, ErrSyncFault) {
+		t.Fatalf("append under a failing fsync: error = %v, want ErrSyncFault", err)
+	}
+	if l.Size() != size || l.Records() != records {
+		t.Fatalf("after the failed fsync: size %d, %d records; want %d, %d", l.Size(), l.Records(), size, records)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != size {
+		t.Fatalf("segment on disk: %v, %v; want %d bytes", st, err, size)
+	}
+	second := wal.Record{Kind: wal.KindInsert, Vectors: [][]float32{{3, 4}}}
+	if err := l.Append(&second); err != nil {
+		t.Fatal(err)
+	}
+	var kinds []wal.Kind
+	rep, err := wal.Replay(wal.OSFS(), path, func(r *wal.Record) error {
+		kinds = append(kinds, r.Kind)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Truncated || len(kinds) != 2 || kinds[0] != wal.KindInsert || kinds[1] != wal.KindInsert {
+		t.Fatalf("replay: %+v, kinds %v; want the two acknowledged inserts", rep, kinds)
 	}
 }

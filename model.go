@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync"
 
+	"lafdbscan/internal/cluster"
 	"lafdbscan/internal/core"
 	"lafdbscan/internal/index"
 	"lafdbscan/internal/vecmath"
@@ -89,15 +90,14 @@ func WithIndexBackend(name string) FitOption { return func(p *Params) { p.IndexB
 // WithEfSearch sets the HNSW recall knob (see Params.EfSearch).
 func WithEfSearch(ef int) FitOption { return func(p *Params) { p.EfSearch = ef } }
 
-// Model is a fitted clustering: the labels plus every expensive artifact the
-// run produced — the core-point set, the canonical cluster forest, the range
-// index, and (for the LAF methods) the trained estimator. Where Cluster
-// throws these away after labeling one batch, a Model keeps them so new
-// points can be assigned to the existing clusters in O(one range query)
-// each (Predict), so the clustering can evolve with the data through
-// Insert and Remove without re-clustering from scratch, and so the whole
-// thing can be persisted (Save/LoadModel) and served (lafserve's
-// /v1/models).
+// Model is a fitted clustering: the labels and core-point set plus every
+// expensive artifact the run produced — the range index and (for the LAF
+// methods) the trained estimator. Where Cluster throws these away after
+// labeling one batch, a Model keeps them so new points can be assigned to
+// the existing clusters in O(one range query) each (Predict), so the
+// clustering can evolve with the data through Insert and Remove without
+// re-clustering from scratch, and so the whole thing can be persisted
+// (Save/LoadModel) and served (lafserve's /v1/models).
 //
 // # Concurrency
 //
@@ -126,16 +126,16 @@ type Model struct {
 	method Method
 	params Params
 	points [][]float32
-	labels []int
-	core   []bool
-	forest []int32
 	index  RangeIndex
 	// indexBackend is the registry name the model's index was resolved to
 	// ("" when the caller supplied a pre-built index). The first mutation
 	// resets it to the exact scan the maintenance overlay installs, over
 	// its own copy of the points.
 	indexBackend string
-	result       *Result
+	// result is the one home of the labeling: Labels, Core and the cluster
+	// count, replaced whole by every mutation. Everything else a model
+	// reports about its clusters (Forest, NumCores) is derived from it.
+	result *Result
 
 	// fit holds the fit's neighbor facts (core.Facts) until the first
 	// mutation derives the overlay from them with no range query; nil for
@@ -218,9 +218,6 @@ func newModel(m Method, p Params, points [][]float32, res *Result, indexBackend 
 		method:       m,
 		params:       p,
 		points:       points,
-		labels:       res.Labels,
-		core:         res.Core,
-		forest:       res.Forest,
 		index:        p.Index,
 		indexBackend: indexBackend,
 		result:       res,
@@ -328,7 +325,7 @@ func (m *Model) NumCores() int {
 
 func (m *Model) numCoresLocked() int {
 	n := 0
-	for _, c := range m.core {
+	for _, c := range m.result.Core {
 		if c {
 			n++
 		}
@@ -340,27 +337,28 @@ func (m *Model) numCoresLocked() int {
 func (m *Model) Labels() []int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return slices.Clone(m.labels)
+	return slices.Clone(m.result.Labels)
 }
 
 // CoreMask returns a copy of the current core-point mask.
 func (m *Model) CoreMask() []bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return slices.Clone(m.core)
+	return slices.Clone(m.result.Core)
 }
 
-// Forest returns a copy of the canonical cluster forest: the minimum-index
-// core point of each core point's cluster, -1 for non-core points.
+// Forest returns the canonical cluster forest: the minimum-index core point
+// of each core point's cluster, -1 for non-core points. It is derived from
+// the labels and core mask on every call.
 func (m *Model) Forest() []int32 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return slices.Clone(m.forest)
+	return cluster.DeriveForest(m.result.Labels, m.result.Core)
 }
 
 // Result returns the current result snapshot (for loaded and mutated
-// models, a reconstruction carrying the algorithm, labels, cores, forest
-// and cluster count but no timings or query counters). Mutations replace
+// models, a reconstruction carrying the algorithm, labels, cores and
+// cluster count but no timings or query counters). Mutations replace
 // the snapshot rather than editing it, so a returned Result is stable even
 // while the model keeps evolving.
 func (m *Model) Result() *Result {
@@ -501,10 +499,11 @@ func (m *Model) PredictWithOptions(ctx context.Context, vectors [][]float32, o P
 // minClusterLabelLocked returns the minimum cluster label among the core
 // points in ids, or Noise when none is core. The caller must hold mu.
 func (m *Model) minClusterLabelLocked(ids []int) int {
+	labels, core := m.result.Labels, m.result.Core
 	best := Noise
 	for _, q := range ids {
-		if m.core[q] && (best == Noise || m.labels[q] < best) {
-			best = m.labels[q]
+		if core[q] && (best == Noise || labels[q] < best) {
+			best = labels[q]
 		}
 	}
 	return best
@@ -516,14 +515,15 @@ func (m *Model) minClusterLabelLocked(ids []int) int {
 // the lowest id wins, whatever order the index lists them in, as in the
 // ++ variants' fit. The caller must hold mu.
 func (m *Model) nearestCoreLabelLocked(q []float32, ids []int) int {
+	labels, core := m.result.Labels, m.result.Core
 	best, bestID, bestD := Noise, -1, m.params.Eps
 	for _, id := range ids {
-		if !m.core[id] {
+		if !core[id] {
 			continue
 		}
 		d := vecmath.CosineDistanceUnit(q, m.points[id])
 		if d < bestD || d == bestD && id < bestID {
-			best, bestID, bestD = m.labels[id], id, d
+			best, bestID, bestD = labels[id], id, d
 		}
 	}
 	return best
@@ -536,18 +536,26 @@ func (m *Model) nearestCoreLabelLocked(q []float32, ids []int) int {
 // decoder so future layout changes stay loadable side by side.
 var modelMagic = [4]byte{'L', 'A', 'F', 'M'}
 
-// modelVersion is the current write version. Version 1 was the PR 4
+// modelVersion is the current write version. Version 1 was the first
 // layout; version 2 added the Updates mutation counter (incremental
-// maintenance). Gob ignores fields absent from the wire, so one decoder
-// reads both versions; the explicit number still gates truly incompatible
-// future layouts.
-const modelVersion uint32 = 2
+// maintenance); version 3 stopped writing the cluster forest and the
+// cluster count, which a load derives from the labels and core flags. Gob
+// skips wire fields the payload no longer declares and zeroes declared
+// ones the wire lacks, so one decoder reads all three versions; the
+// explicit number still gates truly incompatible future layouts.
+const modelVersion uint32 = 3
 
-// modelParamsV1 is the persistable subset of Params (Estimator and Index
+// ErrMalformedModel reports bytes LoadModel cannot load as a model: a wrong
+// or truncated header, an unknown version, an undecodable payload, or a
+// payload whose parts disagree (lengths, dimensions, labels, parameters,
+// estimator width). Every such rejection wraps it.
+var ErrMalformedModel = errors.New("lafdbscan: malformed model")
+
+// modelParams is the persistable subset of Params (Estimator and Index
 // travel separately or are rebuilt on load). Files written before the
 // per-worker claim size was removed also carry a BatchSize field, which
 // gob skips on decode.
-type modelParamsV1 struct {
+type modelParams struct {
 	Eps                   float64
 	Tau                   int
 	Alpha                 float64
@@ -570,18 +578,17 @@ type modelParamsV1 struct {
 	EfSearch     int
 }
 
-// modelPayloadV1 is the gob payload following the binary header, shared by
-// versions 1 and 2: version 2 writes the additional Updates field, which
-// gob leaves zero when decoding a version-1 stream.
-type modelPayloadV1 struct {
-	Method      string
-	Algorithm   string
-	Params      modelParamsV1
-	Points      [][]float32
-	Labels      []int32
-	Core        []bool
-	Forest      []int32
-	NumClusters int
+// modelPayload is the gob payload following the binary header. Version 2
+// added Updates, which gob leaves zero when decoding a version-1 stream;
+// versions 1 and 2 also carry Forest and NumClusters fields, which gob
+// skips.
+type modelPayload struct {
+	Method    string
+	Algorithm string
+	Params    modelParams
+	Points    [][]float32
+	Labels    []int32
+	Core      []bool
 	// Estimator is the LAF gate, present when the fitted estimator was
 	// serializable (RMI); other estimator kinds are dropped on Save and the
 	// loaded model predicts ungated.
@@ -593,7 +600,7 @@ type modelPayloadV1 struct {
 
 // Save writes the model to w: a fixed binary header (magic "LAFM" plus a
 // little-endian version) followed by the versioned gob payload — training
-// points, labels, cores, forest, configuration, and the RMI estimator
+// points, labels, core flags, configuration, and the RMI estimator
 // through internal/rmi's wire format when one is attached. A load of the
 // written bytes predicts identically to the in-memory model.
 //
@@ -615,15 +622,15 @@ func (m *Model) Save(w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, modelVersion); err != nil {
 		return err
 	}
-	labels := make([]int32, len(m.labels))
-	for i, l := range m.labels {
+	labels := make([]int32, len(m.result.Labels))
+	for i, l := range m.result.Labels {
 		labels[i] = int32(l)
 	}
 	p := m.params
-	payload := modelPayloadV1{
+	payload := modelPayload{
 		Method:    string(m.method),
 		Algorithm: m.result.Algorithm,
-		Params: modelParamsV1{
+		Params: modelParams{
 			Eps: p.Eps, Tau: p.Tau, Alpha: p.Alpha,
 			SampleFraction: p.SampleFraction,
 			Branching:      p.Branching, LeavesRatio: p.LeavesRatio,
@@ -633,12 +640,10 @@ func (m *Model) Save(w io.Writer) error {
 			Workers:               p.Workers, WaveSize: p.WaveSize,
 			IndexBackend: p.IndexBackend, EfSearch: p.EfSearch,
 		},
-		Points:      m.points,
-		Labels:      labels,
-		Core:        m.core,
-		Forest:      m.forest,
-		NumClusters: m.result.NumClusters,
-		Updates:     m.updates,
+		Points:  m.points,
+		Labels:  labels,
+		Core:    m.result.Core,
+		Updates: m.updates,
 	}
 	if est := m.params.Estimator; est != nil {
 		switch ep, err := marshalEstimator(est); {
@@ -670,49 +675,61 @@ func (m *Model) SaveFile(path string) error {
 
 // LoadModel reads a model written by Save and rebuilds its range index, so
 // the returned model predicts identically to the one that was saved. It
-// rejects wrong or truncated headers and unknown versions with descriptive
-// errors, and a file naming an index backend this build does not register
-// (earlier releases also offered "covertree", "kmeanstree" and "grid")
-// with an error wrapping ErrUnknownIndexBackend: its labels came from that
-// index, so no other one could reproduce them.
+// derives the cluster count, renumbering the labels 1..k as every fit
+// does, and reads files of every version this build has written. Bytes it
+// cannot load as a model are rejected with an error wrapping
+// ErrMalformedModel: a wrong or truncated header, an unknown version, or a
+// payload whose points, labels, core flags, parameters or estimator do not
+// fit together. A file naming an index backend this build does not
+// register (earlier releases also offered "covertree", "kmeanstree" and
+// "grid") is rejected with an error wrapping ErrUnknownIndexBackend: its
+// labels came from that index, so no other one could reproduce them.
 func LoadModel(r io.Reader) (*Model, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("lafdbscan: reading model header: %w", err)
+		return nil, fmt.Errorf("%w: reading model header: %w", ErrMalformedModel, err)
 	}
 	if magic != modelMagic {
-		return nil, fmt.Errorf("lafdbscan: not a model file (bad magic %q)", magic[:])
+		return nil, fmt.Errorf("%w: not a model file (bad magic %q)", ErrMalformedModel, magic[:])
 	}
 	var version uint32
 	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("lafdbscan: reading model version: %w", err)
+		return nil, fmt.Errorf("%w: reading model version: %w", ErrMalformedModel, err)
 	}
-	switch version {
-	case 1, 2:
-		// One decoder serves both: version 2 only added fields, which gob
-		// zeroes when absent from a version-1 stream.
-		return loadModelV1(r)
-	default:
-		// Future versions slot in above; refusing unknown ones here keeps
-		// a corrupted or newer-format file from decoding into garbage.
-		return nil, fmt.Errorf("lafdbscan: unsupported model version %d (this build reads <= %d)", version, modelVersion)
+	if version < 1 || version > modelVersion {
+		// Refusing unknown versions keeps a corrupted or newer-format file
+		// from decoding into garbage.
+		return nil, fmt.Errorf("%w: unsupported model version %d (this build reads <= %d)", ErrMalformedModel, version, modelVersion)
 	}
-}
-
-// loadModelV1 decodes the version-1/2 payload.
-func loadModelV1(r io.Reader) (*Model, error) {
-	var payload modelPayloadV1
+	var payload modelPayload
 	if err := gob.NewDecoder(r).Decode(&payload); err != nil {
-		return nil, fmt.Errorf("lafdbscan: decoding model: %w", err)
+		return nil, fmt.Errorf("%w: decoding model: %w", ErrMalformedModel, err)
+	}
+	malformed := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrMalformedModel, fmt.Sprintf(format, args...))
 	}
 	m := Method(payload.Method)
 	if !slices.Contains(AllMethods(), m) {
-		return nil, fmt.Errorf("lafdbscan: model names unknown method %q", payload.Method)
+		return nil, malformed("unknown method %q", payload.Method)
 	}
 	n := len(payload.Points)
-	if n == 0 || len(payload.Labels) != n || len(payload.Core) != n || len(payload.Forest) != n {
-		return nil, fmt.Errorf("lafdbscan: malformed model: %d points, %d labels, %d cores, %d forest entries",
-			n, len(payload.Labels), len(payload.Core), len(payload.Forest))
+	if n == 0 || len(payload.Labels) != n || len(payload.Core) != n {
+		return nil, malformed("%d points, %d labels, %d cores", n, len(payload.Labels), len(payload.Core))
+	}
+	dim := len(payload.Points[0])
+	for i, x := range payload.Points {
+		if len(x) != dim || dim == 0 {
+			return nil, malformed("point %d has %d dims, point 0 has %d", i, len(x), dim)
+		}
+	}
+	// Every fit numbers its clusters 1..k with k <= n; an id outside that
+	// range is corruption, and would size the renumbering below.
+	labels := make([]int, n)
+	for i, l := range payload.Labels {
+		if l != Noise && (l < 1 || int(l) > n) {
+			return nil, malformed("point %d has label %d, want %d (noise) or 1..%d", i, l, Noise, n)
+		}
+		labels[i] = int(l)
 	}
 	pp := payload.Params
 	// Earlier releases read a negative WaveSize as "buffer every neighbor
@@ -730,23 +747,19 @@ func loadModelV1(r io.Reader) (*Model, error) {
 		IndexBackend: pp.IndexBackend, EfSearch: pp.EfSearch,
 	}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("lafdbscan: malformed model: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrMalformedModel, err)
 	}
 	if payload.HasEstimator {
 		est, err := unmarshalEstimator(payload.Estimator)
 		if err != nil {
-			return nil, fmt.Errorf("lafdbscan: model estimator: %w", err)
+			return nil, fmt.Errorf("%w: model estimator: %w", ErrMalformedModel, err)
 		}
 		// The estimator's input is a point plus the radius; any other width
 		// would make its first Estimate index past the feature buffer.
-		if in, dim := est.Model.InDim(), len(payload.Points[0]); in != dim+1 {
-			return nil, fmt.Errorf("lafdbscan: malformed model: estimator takes %d-d points, model has %d-d", in-1, dim)
+		if in := est.Model.InDim(); in != dim+1 {
+			return nil, malformed("estimator takes %d-d points, model has %d-d", in-1, dim)
 		}
 		p.Estimator = est
-	}
-	labels := make([]int, n)
-	for i, l := range payload.Labels {
-		labels[i] = int(l)
 	}
 	// The prediction index is rebuilt through the backend registry from
 	// the persisted knob: old streams decode to the zero IndexBackend and
@@ -754,15 +767,14 @@ func loadModelV1(r io.Reader) (*Model, error) {
 	// backend get a deterministic rebuild (same backend, same seed).
 	idx, resolvedBackend, err := p.NewIndex(payload.Points, modelMetric(m, p.Metric))
 	if err != nil {
-		return nil, fmt.Errorf("lafdbscan: rebuilding model index: %w", err)
+		return nil, fmt.Errorf("%w: rebuilding model index: %w", ErrMalformedModel, err)
 	}
 	p.Index = idx
 	res := &Result{
 		Algorithm:   payload.Algorithm,
 		Labels:      labels,
-		NumClusters: payload.NumClusters,
+		NumClusters: cluster.RenumberAscending(labels),
 		Core:        payload.Core,
-		Forest:      payload.Forest,
 	}
 	model := newModel(m, p, payload.Points, res, resolvedBackend, nil)
 	//lafvet:allow lockcheck the model is freshly deserialized and not yet visible to any other goroutine

@@ -177,7 +177,7 @@ func (m *Model) overlayLocked(ctx context.Context) (*overlay, error) {
 	if m.inc == nil {
 		return m.planOverlayLocked(ctx)
 	}
-	return &overlay{inc: m.inc, points: m.points, core: m.core, method: m.method, params: m.params}, nil
+	return &overlay{inc: m.inc, points: m.points, core: m.result.Core, method: m.method, params: m.params}, nil
 }
 
 // planOverlayLocked builds the first mutation's overlay without touching
@@ -195,7 +195,7 @@ func (m *Model) planOverlayLocked(ctx context.Context) (*overlay, error) {
 	p.Metric = modelMetric(m.method, p.Metric)
 	p.SampleFraction, p.Branching, p.LeavesRatio, p.Base, p.RNT, p.Rho = 0, 0, 0, 0, 0, 0
 	p.Index, p.IndexBackend, p.EfSearch = nil, index.BackendBrute, 0
-	ov := &overlay{method: counterpart(m.method), params: p, facts: m.fit, core: m.core, algorithm: m.result.Algorithm}
+	ov := &overlay{method: counterpart(m.method), params: p, facts: m.fit, core: m.result.Core, algorithm: m.result.Algorithm}
 	if ov.method == MethodLAFDBSCAN && p.Estimator == nil {
 		return nil, fmt.Errorf("lafdbscan: %s maintenance requires the estimator gate, and this model carries none (loaded from a save that could not serialize it?)", m.method)
 	}
@@ -216,8 +216,9 @@ func (m *Model) planOverlayLocked(ctx context.Context) (*overlay, error) {
 }
 
 // installLocked commits a planned first overlay: the model takes over its
-// points, index, core set, counterpart method and parameters, and its
-// facts' rows become the overlay's adjacency (adoptRows). The fit's facts
+// points, index, algorithm, counterpart method and parameters, and its
+// facts' rows become the overlay's adjacency (adoptRows). The overlay's
+// core set reaches the model through the mutation's commit and relabel. The fit's facts
 // are dropped, and the owned index replaces the fitted one: it is mutated
 // from here on, so it must not leak through Params() — a caller holding
 // Params().Index would race the maintenance writes and watch ids shift
@@ -230,7 +231,6 @@ func (m *Model) installLocked(ov *overlay) {
 	m.fit = nil
 	m.inc = ov.inc
 	m.points = ov.points
-	m.core = ov.core
 	m.method = ov.method
 	m.params = ov.params
 	m.index = ov.inc.dyn
@@ -401,7 +401,7 @@ func (m *Model) apply(ctx context.Context, rec *wal.Record, journal func(*wal.Re
 	defer m.mutating.Unlock()
 
 	m.mu.RLock()
-	var commit func() UpdateReport
+	var commit func() (UpdateReport, []bool)
 	var err error
 	switch rec.Kind {
 	case wal.KindInsert:
@@ -428,8 +428,8 @@ func (m *Model) apply(ctx context.Context, rec *wal.Record, journal func(*wal.Re
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	report = commit()
-	m.relabelLocked()
+	report, coreMask := commit()
+	m.relabelLocked(coreMask)
 	moved := report.Inserted + report.Removed
 	m.updates += int64(moved)
 	m.staleness += moved
@@ -439,7 +439,7 @@ func (m *Model) apply(ctx context.Context, rec *wal.Record, journal func(*wal.Re
 // planInsertLocked plans an Insert of vectors and returns its commit, nil
 // for an empty batch. The caller holds mu for reading while it runs and
 // for writing while the commit runs.
-func (m *Model) planInsertLocked(ctx context.Context, vectors [][]float32) (func() UpdateReport, error) {
+func (m *Model) planInsertLocked(ctx context.Context, vectors [][]float32) (func() (UpdateReport, []bool), error) {
 	if len(vectors) == 0 {
 		return nil, nil
 	}
@@ -503,7 +503,7 @@ func (m *Model) planInsertLocked(ctx context.Context, vectors [][]float32) (func
 		}
 	}
 
-	return func() UpdateReport {
+	return func() (UpdateReport, []bool) {
 		m.installLocked(ov)
 		for _, row := range rows {
 			inc.counts = append(inc.counts, len(row))
@@ -514,13 +514,11 @@ func (m *Model) planInsertLocked(ctx context.Context, vectors [][]float32) (func
 		if inc.gated != nil {
 			inc.gated = append(inc.gated, newGated...)
 		}
-		wasCore := m.core
-		coreMask := slices.Clone(wasCore)
-		coreMask = append(coreMask, newCore...)
+		wasCore := ov.core
+		coreMask := append(slices.Clone(wasCore), newCore...)
 		for _, w := range promoted {
 			coreMask[w] = true
 		}
-		m.core = coreMask
 		m.points = append(m.points, vectors...)
 		inc.dyn.Insert(vectors)
 		inc.adj = append(inc.adj, make([][]int32, b)...)
@@ -542,12 +540,12 @@ func (m *Model) planInsertLocked(ctx context.Context, vectors [][]float32) (func
 		}
 		for i, row := range append(prows, rows...) {
 			c := changed[i]
-			inc.adj[c] = appendCores(nil, row, m.core, c)
-			if !m.core[c] {
+			inc.adj[c] = appendCores(nil, row, coreMask, c)
+			if !coreMask[c] {
 				continue
 			}
 			for _, u := range row {
-				if int(u) < n && wasCore[u] == m.core[u] {
+				if int(u) < n && wasCore[u] == coreMask[u] {
 					inc.adj[u] = append(inc.adj[u], int32(c))
 				}
 			}
@@ -574,13 +572,13 @@ func (m *Model) planInsertLocked(ctx context.Context, vectors [][]float32) (func
 				}
 			}
 		}
-		return UpdateReport{Inserted: b, Promoted: len(promoted)}
+		return UpdateReport{Inserted: b, Promoted: len(promoted)}, coreMask
 	}, nil
 }
 
 // planRemoveLocked plans a Remove of ids and returns its commit, nil for
 // an empty batch, under the same locking as planInsertLocked.
-func (m *Model) planRemoveLocked(ctx context.Context, ids []int) (func() UpdateReport, error) {
+func (m *Model) planRemoveLocked(ctx context.Context, ids []int) (func() (UpdateReport, []bool), error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
@@ -648,16 +646,15 @@ func (m *Model) planRemoveLocked(ctx context.Context, ids []int) (func() UpdateR
 		}
 	}
 
-	return func() UpdateReport {
+	return func() (UpdateReport, []bool) {
 		m.installLocked(ov)
 		for u, d := range dec {
 			inc.counts[u] -= d
 		}
-		coreMask := slices.Clone(m.core)
+		coreMask := slices.Clone(ov.core)
 		for _, d := range demoted {
 			coreMask[d] = false
 		}
-		m.core = coreMask
 		// Unhook removed points from their neighbors' adjacency and stop
 		// sets.
 		for i, x := range ids {
@@ -697,14 +694,14 @@ func (m *Model) planRemoveLocked(ctx context.Context, ids []int) (func() UpdateR
 		if inc.gated != nil {
 			inc.gated = compactRows(inc.gated, rm)
 		}
-		m.core = compactRows(m.core, rm)
+		coreMask = compactRows(coreMask, rm)
 		inc.adj = compactIDRows(inc.adj, rm, remap)
 		if inc.stop != nil {
 			inc.stop.Stop = compactRows(inc.stop.Stop, rm)
 			inc.stop.Rows = compactIDRows(inc.stop.Rows, rm, remap)
 		}
 		inc.dyn.DeleteMany(ids) // one structural pass, not k shifts
-		return UpdateReport{Removed: len(ids), Demoted: len(demoted)}
+		return UpdateReport{Removed: len(ids), Demoted: len(demoted)}, coreMask
 	}, nil
 }
 
@@ -750,27 +747,24 @@ func compactIDRows(rows [][]int32, rm []bool, remap []int32) [][]int32 {
 	return out
 }
 
-// relabelLocked re-resolves labels, forest and cluster statistics from the
-// maintained facts: canonical component labeling, the traversal border
-// rule, and — for LAF-DBSCAN with post-processing — the Algorithm 3 replay
-// over the complete partial-neighbor map with the model's seed. Pure
-// in-memory work; no range queries.
-func (m *Model) relabelLocked() {
+// relabelLocked makes coreMask the model's core set and resolves the next
+// Result from it and the maintained facts: canonical component labeling,
+// the traversal border rule, and — for LAF-DBSCAN with post-processing —
+// the Algorithm 3 replay over the complete partial-neighbor map with the
+// model's seed, then the engines' renumbering. Pure in-memory work; no
+// range queries.
+func (m *Model) relabelLocked(coreMask []bool) {
 	inc := m.inc
-	labels := cluster.ResolveCanonical(m.core, inc.adj)
+	labels := cluster.ResolveCanonical(coreMask, inc.adj)
 	if inc.stop != nil {
 		rng := rand.New(rand.NewSource(m.params.Seed))
 		core.PostProcess(labels, inc.stop, m.params.Tau, rng)
 	}
-	k := cluster.RenumberAscending(labels)
-	m.labels = labels
-	m.forest = cluster.DeriveForest(labels, m.core)
 	m.result = &Result{
 		Algorithm:   m.result.Algorithm,
 		Labels:      labels,
-		NumClusters: k,
-		Core:        m.core,
-		Forest:      m.forest,
+		NumClusters: cluster.RenumberAscending(labels),
+		Core:        coreMask,
 	}
 }
 
@@ -812,10 +806,9 @@ func (m *Model) maybeRetrainLocked(ctx context.Context, report UpdateReport) (Up
 	if err != nil {
 		return report, fmt.Errorf("%w: re-gating after %d updates: %w", ErrRetrainFailed, m.staleness, err)
 	}
-	m.core = res.Core
 	m.inc.counts, m.inc.gated = countsOf(facts), facts.Pass
-	adoptRows(m.inc, facts, m.core, trackStop(m.method, m.params))
-	m.relabelLocked()
+	adoptRows(m.inc, facts, res.Core, trackStop(m.method, m.params))
+	m.relabelLocked(res.Core)
 	m.params.Estimator = est
 	m.staleness = 0
 	report.Retrained = true

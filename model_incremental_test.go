@@ -994,6 +994,7 @@ func overlayOf(t *testing.T, model *Model, kept bool) *incState {
 		t.Fatal(err)
 	}
 	model.installLocked(ov)
+	model.relabelLocked(ov.core)
 	if model.fit != nil {
 		t.Fatal("the overlay left the fit's facts on the model")
 	}
@@ -1036,7 +1037,7 @@ func definedOverlay(m *Model) (gated []bool, counts []int, adj, e [][]int32) {
 		ids := idx.RangeSearch(x, p.Eps)
 		counts[i] = len(ids)
 		for _, q := range ids {
-			if q != i && m.core[q] {
+			if q != i && m.result.Core[q] {
 				adj[i] = append(adj[i], int32(q))
 			}
 			if e != nil && !gated[i] && gated[q] {

@@ -3,11 +3,16 @@ package lafdbscan
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -537,6 +542,13 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 					m, i, gotL[i], wantL[i], gotC[i], wantC[i], gotF[i], wantF[i])
 			}
 		}
+		var again bytes.Buffer
+		if err := loaded.Save(&again); err != nil {
+			t.Fatalf("%s: Save of the loaded model: %v", m, err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatalf("%s: Save -> LoadModel -> Save changed the bytes", m)
+		}
 		if model.HasEstimator() {
 			if !loaded.HasEstimator() {
 				t.Fatalf("%s: estimator lost in round trip", m)
@@ -598,8 +610,278 @@ func TestLoadModelRejectsCorrupt(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: accepted", c.name)
 		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		if !errors.Is(err, ErrMalformedModel) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not wrap ErrMalformedModel or mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzLoadModel pins LoadModel's safety contract on arbitrary bytes: it
+// never panics, every rejection wraps ErrMalformedModel, and a model it
+// accepts is whole: labels are noise or 1..NumClusters, the forest covers
+// every point, Predict of its own points runs, and it saves a file that
+// loads. The committed corpus under testdata/fuzz/FuzzLoadModel is
+// replayed by plain go test (TestModelFuzzSeeds names what each seed must
+// do, and rewrites the corpus under -update-seeds).
+func FuzzLoadModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := LoadModel(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrMalformedModel) {
+				t.Fatalf("rejection does not wrap ErrMalformedModel: %v", err)
+			}
+			return
+		}
+		labels, k := m.Labels(), m.NumClusters()
+		for i, l := range labels {
+			if l != Noise && (l < 1 || l > k) {
+				t.Fatalf("point %d has label %d outside 1..%d", i, l, k)
+			}
+		}
+		if len(m.Forest()) != len(labels) || len(m.CoreMask()) != len(labels) {
+			t.Fatalf("forest or core mask does not cover the %d points", len(labels))
+		}
+		points := m.snapshotPoints()
+		if _, err := m.Predict(context.Background(), points[:min(len(points), 4)]); err != nil {
+			t.Fatalf("Predict of the model's own points: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModel(&buf); err != nil {
+			t.Fatalf("a loaded model saves a file that does not load: %v", err)
+		}
+	})
+}
+
+// updateSeeds rewrites the committed FuzzLoadModel corpus from
+// modelFuzzSeeds: go test -run TestModelFuzzSeeds -update-seeds .
+var updateSeeds = flag.Bool("update-seeds", false, "rewrite testdata/fuzz/FuzzLoadModel")
+
+// modelSeed is one FuzzLoadModel seed: the file bytes and the cluster
+// count they load to, or -1 for a file LoadModel must reject.
+type modelSeed struct {
+	data     []byte
+	clusters int
+}
+
+// modelFuzzSeeds returns the FuzzLoadModel seeds by name: a version-2 file
+// whose stored forest and cluster count (99) are stale, a version-3 file,
+// a truncated header, ragged point rows, a label count that differs from
+// the point count, and a label that is neither noise nor a cluster id.
+func modelFuzzSeeds(t *testing.T) map[string]modelSeed {
+	points := [][]float32{{1, 0}, {0.98, 0.2}, {0.96, 0.28}, {0, 1}, {0.2, 0.98}, {-1, 0}}
+	model, err := Fit(context.Background(), points, MethodDBSCAN, WithEps(0.1), WithTau(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v3 bytes.Buffer
+	if err := model.Save(&v3); err != nil {
+		t.Fatal(err)
+	}
+	v2 := func(edit func(*legacyPayload)) []byte {
+		p := legacyPayloadOf(model)
+		p.NumClusters = 99
+		for i := range p.Forest {
+			p.Forest[i] = int32(i)
+		}
+		edit(&p)
+		return encodeModelFile(t, 2, &p).Bytes()
+	}
+	return map[string]modelSeed{
+		"v2":               {v2(func(*legacyPayload) {}), 2},
+		"v3":               {v3.Bytes(), 2},
+		"truncated-header": {v3.Bytes()[:6], -1},
+		"ragged-rows": {v2(func(p *legacyPayload) {
+			p.Points = [][]float32{{1, 0}, make([]float32, 9), {1}, {0, 1}, {0.2, 0.98}, {-1, 0}}
+		}), -1},
+		"count-mismatch": {v2(func(p *legacyPayload) { p.Labels = p.Labels[:4] }), -1},
+		"bad-label":      {v2(func(p *legacyPayload) { p.Labels[5] = 0 }), -1},
+	}
+}
+
+// TestModelFuzzSeeds pins what each committed FuzzLoadModel seed covers:
+// the version-2 and version-3 files load (the version-2 one with the
+// cluster count derived, not its stale stored 99), and every other seed is
+// rejected with ErrMalformedModel.
+func TestModelFuzzSeeds(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzLoadModel")
+	for name, seed := range modelFuzzSeeds(t) {
+		path := filepath.Join(dir, name)
+		if *updateSeeds {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed.data)
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m, err := LoadModel(strings.NewReader(data))
+		switch {
+		case seed.clusters < 0 && !errors.Is(err, ErrMalformedModel):
+			t.Errorf("%s: error %v, want ErrMalformedModel", name, err)
+		case seed.clusters >= 0 && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case seed.clusters >= 0 && m.NumClusters() != seed.clusters:
+			t.Errorf("%s: %d clusters, want %d", name, m.NumClusters(), seed.clusters)
+		}
+	}
+}
+
+// legacyPayload is the gob payload of version-1 and version-2 model files,
+// which also carried the cluster forest and cluster count that version 3
+// derives from the labels and core flags.
+type legacyPayload struct {
+	Method      string
+	Algorithm   string
+	Params      modelParams
+	Points      [][]float32
+	Labels      []int32
+	Core        []bool
+	Forest      []int32
+	NumClusters int
+	Updates     int64
+}
+
+// encodeModelFile returns payload gob-encoded behind a model header of the
+// given version.
+func encodeModelFile(t testing.TB, version uint32, payload any) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(modelMagic[:])
+	if err := binary.Write(&buf, binary.LittleEndian, version); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// legacyPayloadOf returns model's state as a version-2 payload, with the
+// forest and cluster count an earlier release stored.
+func legacyPayloadOf(model *Model) legacyPayload {
+	p := model.Params()
+	labels := make([]int32, model.Len())
+	for i, l := range model.Labels() {
+		labels[i] = int32(l)
+	}
+	return legacyPayload{
+		Method: string(model.Method()), Algorithm: model.Result().Algorithm,
+		Params: modelParams{Eps: p.Eps, Tau: p.Tau, Alpha: p.Alpha, SampleFraction: p.SampleFraction,
+			Metric: int32(p.Metric), Seed: p.Seed, Workers: p.Workers, IndexBackend: p.IndexBackend},
+		Points: model.snapshotPoints(), Labels: labels, Core: model.CoreMask(),
+		Forest: model.Forest(), NumClusters: model.NumClusters(), Updates: model.Updates(),
+	}
+}
+
+// TestLoadModelDerivesForestAndCount: the forest and cluster count are
+// functions of the labels and core flags, so a load derives them. A
+// version-2 file whose stored count and forest disagree with its labels
+// loads with the derived ones, and version 1 and 2 files of a fitted model
+// load as that model.
+func TestLoadModelDerivesForestAndCount(t *testing.T) {
+	train, test := modelTestData(t)
+	model, err := Fit(context.Background(), train.Vectors, MethodDBSCAN, WithEps(0.4), WithTau(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if model.NumClusters() < 2 {
+		t.Fatalf("the fit found %d clusters; the test needs several", model.NumClusters())
+	}
+	want, err := model.Predict(context.Background(), test.Vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := legacyPayloadOf(model)
+	wrong.NumClusters = 99
+	for i := range wrong.Forest {
+		wrong.Forest[i] = int32(i)
+	}
+	for _, c := range []struct {
+		name    string
+		version uint32
+		payload legacyPayload
+	}{
+		{"v1", 1, legacyPayloadOf(model)},
+		{"v2", 2, legacyPayloadOf(model)},
+		{"v2 wrong count and forest", 2, wrong},
+	} {
+		loaded, err := LoadModel(encodeModelFile(t, c.version, &c.payload))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := loaded.NumClusters(); got != model.NumClusters() {
+			t.Errorf("%s: NumClusters() = %d, want %d", c.name, got, model.NumClusters())
+		}
+		if !slices.Equal(loaded.Forest(), model.Forest()) || !slices.Equal(loaded.Labels(), model.Labels()) ||
+			!slices.Equal(loaded.CoreMask(), model.CoreMask()) {
+			t.Errorf("%s: forest, labels or core mask differ from the fitted model's", c.name)
+		}
+		got, err := loaded.Predict(context.Background(), test.Vectors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: loaded model predicts differently from the fitted one", c.name)
+		}
+	}
+}
+
+// TestLoadModelRejectsMalformedPayload: a payload whose parts do not fit
+// together is refused with ErrMalformedModel before any index is built or
+// query runs, on every backend. Before these checks, ragged rows loaded on
+// the exact scan and panicked in the first Predict, and panicked inside
+// LoadModel on HNSW.
+func TestLoadModelRejectsMalformedPayload(t *testing.T) {
+	valid := func(backend string) legacyPayload {
+		return legacyPayload{
+			Method: string(MethodDBSCAN), Algorithm: "DBSCAN",
+			Params: modelParams{Eps: 0.5, Tau: 2, IndexBackend: backend},
+			Points: [][]float32{{1, 0}, {0, 1}, {0.6, 0.8}},
+			Labels: []int32{1, Noise, 1},
+			Core:   []bool{true, false, true},
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*legacyPayload)
+		want   string
+	}{
+		{"ragged rows", func(p *legacyPayload) { p.Points = [][]float32{{1, 0}, make([]float32, 9), {1}} }, "point 1 has 9 dims"},
+		{"zero-dim rows", func(p *legacyPayload) { p.Points = [][]float32{{}, {}, {}} }, "point 0 has 0 dims"},
+		{"no points", func(p *legacyPayload) { p.Points, p.Labels, p.Core = nil, nil, nil }, "0 points"},
+		{"label count", func(p *legacyPayload) { p.Labels = p.Labels[:2] }, "3 points, 2 labels"},
+		{"core count", func(p *legacyPayload) { p.Core = append(p.Core, true) }, "3 points, 3 labels, 4 cores"},
+		{"label 0", func(p *legacyPayload) { p.Labels[0] = 0 }, "point 0 has label 0"},
+		{"label below noise", func(p *legacyPayload) { p.Labels[1] = -2 }, "point 1 has label -2"},
+		{"label past the point count", func(p *legacyPayload) { p.Labels[2] = 1 << 30 }, "point 2 has label 1073741824"},
+		{"unknown method", func(p *legacyPayload) { p.Method = "bogus" }, `unknown method "bogus"`},
+		{"invalid params", func(p *legacyPayload) { p.Params.Eps = 0 }, "Eps"},
+	}
+	for _, backend := range []string{"", "hnsw"} {
+		ok := valid(backend)
+		if _, err := LoadModel(encodeModelFile(t, 2, &ok)); err != nil {
+			t.Fatalf("backend %q: the valid payload is refused: %v", backend, err)
+		}
+		for _, c := range cases {
+			p := valid(backend)
+			c.mutate(&p)
+			_, err := LoadModel(encodeModelFile(t, 2, &p))
+			if !errors.Is(err, ErrMalformedModel) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("backend %q, %s: error %v, want ErrMalformedModel mentioning %q", backend, c.name, err, c.want)
+			}
 		}
 	}
 }
@@ -670,7 +952,7 @@ func TestLoadModelMapsNegativeWaveSize(t *testing.T) {
 }
 
 // batchSizeParams is the params record of model files written while
-// Params had BatchSize, the engines' per-worker claim size: modelParamsV1
+// Params had BatchSize, the engines' per-worker claim size: modelParams
 // plus that field.
 type batchSizeParams struct {
 	Eps                   float64
@@ -692,7 +974,7 @@ type batchSizeParams struct {
 	EfSearch              int
 }
 
-// batchSizePayload is modelPayloadV1 around batchSizeParams.
+// batchSizePayload is the version-2 payload around batchSizeParams.
 type batchSizePayload struct {
 	Method       string
 	Algorithm    string
@@ -721,8 +1003,8 @@ func TestLoadModelWithBatchSize(t *testing.T) {
 	if err := model.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	header := saved.Next(8) // magic and version
-	var cur modelPayloadV1
+	saved.Next(8) // magic and version
+	var cur modelPayload
 	if err := gob.NewDecoder(&saved).Decode(&cur); err != nil {
 		t.Fatal(err)
 	}
@@ -736,14 +1018,10 @@ func TestLoadModelWithBatchSize(t *testing.T) {
 			Workers: p.Workers, BatchSize: 16, WaveSize: p.WaveSize,
 			IndexBackend: p.IndexBackend, EfSearch: p.EfSearch,
 		},
-		Points: cur.Points, Labels: cur.Labels, Core: cur.Core, Forest: cur.Forest,
-		NumClusters: cur.NumClusters, Updates: cur.Updates,
+		Points: cur.Points, Labels: cur.Labels, Core: cur.Core, Forest: model.Forest(),
+		NumClusters: model.NumClusters(), Updates: cur.Updates,
 	}
-	file := bytes.NewBuffer(slices.Clone(header))
-	if err := gob.NewEncoder(file).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(file)
+	loaded, err := LoadModel(encodeModelFile(t, 2, &old))
 	if err != nil {
 		t.Fatalf("LoadModel: %v", err)
 	}
