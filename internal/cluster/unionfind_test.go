@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -68,5 +69,18 @@ func TestUnionFind(t *testing.T) {
 	root := uf.Find(1)
 	if r2 := uf.Union(1, 3); r2 != root {
 		t.Error("idempotent union changed root")
+	}
+}
+
+// TestResultFinalize checks a Result finished the way every engine finishes
+// one: a gap in the ids counts the clusters, not the largest id.
+func TestResultFinalize(t *testing.T) {
+	r := &Result{Labels: []int{1, 1, 5, Noise, 9}}
+	r.NumClusters = RenumberAscending(r.Labels)
+	if r.NumClusters != 3 {
+		t.Errorf("NumClusters = %d, want 3", r.NumClusters)
+	}
+	if want := []int{1, 1, 2, Noise, 3}; !slices.Equal(r.Labels, want) {
+		t.Errorf("Labels = %v, want %v", r.Labels, want)
 	}
 }
